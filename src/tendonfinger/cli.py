@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +27,7 @@ from .errors import (
     GeometryInfeasible,
     NoConvergence,
     RangeExceeded,
+    ResolutionTooHigh,
     ResolutionTooLow,
     TensionInfeasible,
 )
@@ -63,26 +65,42 @@ class _UsageError(ValueError):
     pass
 
 
+def _finite(text: str, what: str) -> float:
+    """float(text), refusing nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise _UsageError(f"{what} must be a finite number, got {text.strip()!r}")
+    return value
+
+
+def _finite_arg(text: str) -> float:
+    """argparse type for float options: finite numbers only."""
+    try:
+        return _finite(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_length(text: str) -> float:
     """Meters by default; 'mm:' prefix for millimeters."""
     text = text.strip()
     if text.startswith("mm:"):
-        return float(text[3:]) * 1e-3
-    return float(text)
+        return _finite(text[3:], "length") * 1e-3
+    return _finite(text, "length")
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError(f"{what} must be two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite(parts[0], what), _finite(parts[1], what))
 
 
 def _parse_payloads(text: str) -> list[float]:
     items = [p for p in text.split(",") if p.strip()]
     if not items:
         raise _UsageError("payload list is empty")
-    values = [float(p) for p in items]
+    values = [_finite(p, "payload") for p in items]
     if any(v < 0.0 for v in values):
         raise _UsageError("payloads must be >= 0")
     return values
@@ -105,7 +123,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table output format (default csv)")
-    parser.add_argument("--threshold", type=float, default=None,
+    parser.add_argument("--threshold", type=_finite_arg, default=None,
                         help="solver residual threshold in meters")
     parser.add_argument("--max-iter", type=int, default=None,
                         help="solver iteration cap")
@@ -124,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("workspace", help="sweep reachable points per link")
     _add_shared(p)
     p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--cell", type=float, default=1e-3,
+    p.add_argument("--cell", type=_finite_arg, default=1e-3,
                    help="occupancy cell size in meters (default 1 mm)")
 
     p = sub.add_parser("solve", help="static configuration under load")
     _add_shared(p)
     p.add_argument("q", help="tendon displacement, meters (or mm:<value>)")
     p.add_argument("--force", default="0,0", help="tip force FX,FY in newtons")
-    p.add_argument("--moment", type=float, default=0.0,
+    p.add_argument("--moment", type=_finite_arg, default=0.0,
                    help="external moment in newton-meters")
     p.add_argument("--at", default=None,
                    help="force application point X,Y in meters (default fingertip)")
@@ -200,15 +218,17 @@ def _cmd_workspace(args) -> int:
     if args.out is None:
         raise ConfigError("workspace requires --out <basename> for its files")
     cloud = sweep_workspace(cfg.geometry, args.resolution)
-    union = occupancy_grid(cloud, args.cell)
-    per_link = {}
-    for link in (1, 2, 3):
-        per_link[str(link)] = occupancy_grid(cloud, args.cell, links=(link,)).area
+    grids = [occupancy_grid(cloud, args.cell, links=(link,)) for link in (1, 2, 3)]
+    # Every grid spans the whole cloud's bounding box, so their cells align.
+    marked = grids[0].marked | grids[1].marked | grids[2].marked
+    union = replace(grids[0], marked=marked)
+    per_link = {str(link): grid.area for link, grid in zip((1, 2, 3), grids)}
 
     base = Path(args.out)
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
-        base.with_suffix(".csv").write_text(cloud_to_csv(cloud), encoding="utf-8")
+        with open(base.with_suffix(".csv"), "w", encoding="utf-8") as fh:
+            cloud_to_csv(cloud, fh)
         base.with_suffix(".pgm").write_text(grid_to_pgm(union), encoding="utf-8")
         base.with_suffix(".json").write_text(
             grid_sidecar(union, per_link), encoding="utf-8"
@@ -308,8 +328,13 @@ def _read_reference(path: str) -> dict[float, float]:
             "reference CSV must carry payload_kg and deflection_mm columns"
         ) from None
     table = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) < len(header):
+            raise ConfigError(
+                f"reference line {lineno} has {len(cells)} cells, "
+                f"the header has {len(header)}"
+            )
         table[float(cells[i_payload])] = float(cells[i_defl])
     return table
 
@@ -382,7 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ResolutionTooLow, _UsageError) as exc:
+    except (ConfigError, ResolutionTooLow, ResolutionTooHigh, _UsageError) as exc:
         _status(f"error: {exc}")
         return EXIT_CONFIG
     except ValueError as exc:

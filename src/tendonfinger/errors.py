@@ -36,6 +36,10 @@ class ResolutionTooLow(TendonFingerError):
     """Workspace sweep resolution below the minimum of 2."""
 
 
+class ResolutionTooHigh(TendonFingerError):
+    """Workspace sweep resolution whose sweep exceeds the memory budget."""
+
+
 class EmptyCloud(TendonFingerError):
     """Occupancy grid requested for a cloud with no points."""
 

@@ -13,7 +13,8 @@ lengths). Each variable of link i gets
 
 samples, so every link's cloud holds roughly resolution**2 points and
 the total work stays bounded by the single resolution knob. Per-link
-counts are n_i ** (i + 1) exactly.
+counts are n_i ** (i + 1) exactly. A resolution whose sweep would need
+more than MAX_SWEEP_BYTES is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloud, ResolutionTooLow
+from .errors import EmptyCloud, ResolutionTooHigh, ResolutionTooLow
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
+CSV_BLOCK_ROWS = 65536  # rows formatted by one % operation
+
+# The sweep peaks at about 48 bytes per point (its index, angle and
+# coordinate arrays, then the stacked cloud); 64 leaves room for the
+# gridding that follows. Resolution 400 needs about 31 MB.
+SWEEP_BYTES_PER_POINT = 64
+MAX_SWEEP_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -48,11 +56,26 @@ def samples_per_variable(resolution: int, link: int) -> int:
     return max(2, math.ceil(resolution ** (2.0 / (link + 1))))
 
 
+def sweep_point_count(resolution: int) -> int:
+    """Points in the whole cloud swept at `resolution`."""
+    return sum(samples_per_variable(resolution, link) ** (link + 1)
+               for link in (1, 2, 3))
+
+
 def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     """Sweep the coupled configuration space; see the module docstring
     for the per-link sampling formula."""
     if resolution < 2:
         raise ResolutionTooLow(f"resolution must be >= 2, got {resolution}")
+    try:
+        need = float(sweep_point_count(resolution)) * SWEEP_BYTES_PER_POINT
+    except OverflowError:  # point count beyond float range
+        need = math.inf
+    if need > MAX_SWEEP_BYTES:
+        raise ResolutionTooHigh(
+            f"resolution {resolution} needs about {need / 1e9:.3g} GB for "
+            f"its sweep, over the {MAX_SWEEP_BYTES / 1e9:.3g} GB budget"
+        )
 
     radii = np.asarray(geom.guide_radii)
     rate = radii[0] / radii  # theta_j = theta_1 * R1 / Rj
@@ -134,22 +157,29 @@ def occupancy_grid(
     return OccupancyGrid(marked=marked, origin=(xmin, ymin), cell_size=cell_size)
 
 
-def cloud_to_csv(cloud: WorkspaceCloud) -> str:
-    """One row per point: link,x_m,y_m."""
-    lines = [CLOUD_CSV_HEADER]
+def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
+    """Write one row per point, link,x_m,y_m, to the text stream `out`.
+
+    Each block of up to CSV_BLOCK_ROWS rows is one `%` operation on
+    Python floats; `%.9g` gives the same digits as `:.9g` does per row.
+    """
+    out.write(CLOUD_CSV_HEADER + "\n")
     for link, pts in enumerate(cloud.points_per_link, start=1):
-        for x, y in pts:
-            lines.append(f"{link},{x:.9g},{y:.9g}")
-    return "\n".join(lines) + "\n"
+        row = f"{link},%.9g,%.9g\n"
+        for start in range(0, len(pts), CSV_BLOCK_ROWS):
+            block = pts[start:start + CSV_BLOCK_ROWS]
+            out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def grid_to_pgm(grid: OccupancyGrid) -> str:
     """ASCII PGM (P2, maxval 1), top row at the largest y."""
     ny, nx = grid.marked.shape
-    lines = ["P2", f"{nx} {ny}", "1"]
-    for row in grid.marked[::-1]:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
+    # Each row is 2*nx bytes: a digit per cell, each followed by a
+    # space, except the last, which a newline follows.
+    body = np.full((ny, 2 * nx), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = ord("0") + grid.marked[::-1]
+    body[:, -1] = ord("\n")
+    return f"P2\n{nx} {ny}\n1\n" + body.tobytes().decode("ascii")
 
 
 def grid_sidecar(grid: OccupancyGrid, per_link_area: dict | None = None) -> str:

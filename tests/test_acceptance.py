@@ -10,7 +10,7 @@ import math
 import subprocess
 import sys
 import time
-from pathlib import Path
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from tendonfinger.model import (
 from tendonfinger.statics import solve_static, wrap_moment
 from tendonfinger.workspace import occupancy_grid, sweep_workspace
 
-CONFIG_PATH = Path(__file__).resolve().parents[1] / "fingers" / "default.json"
+CONFIG_PATH = default_config_path()
 
 REFERENCE_DEFLECTION_M = 24.386e-3
 REFERENCE_STIFFNESS = 1.2e3
@@ -197,7 +197,10 @@ def test_criterion_6_workspace_properties(calibration):
     full_a = sweep_workspace(geom, 200)
     full_b = sweep_workspace(geom, 200)
     from tendonfinger.workspace import cloud_to_csv
-    byte_stable = cloud_to_csv(full_a) == cloud_to_csv(full_b)
+    csv_a, csv_b = StringIO(), StringIO()
+    cloud_to_csv(full_a, csv_a)
+    cloud_to_csv(full_b, csv_b)
+    byte_stable = csv_a.getvalue() == csv_b.getvalue()
 
     cell = 1e-3
     pts = full_a.all_points()

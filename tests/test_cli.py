@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-CONFIG = Path(__file__).resolve().parents[1] / "fingers" / "default.json"
+from tendonfinger.config import default_config_path
+
+CONFIG = default_config_path()
 
 
 def run_cli(*args, **kwargs):
@@ -130,6 +131,15 @@ class TestValidate:
         assert "mean 0.500 mm" in res.stderr
         assert "% of finger length" in res.stderr
 
+    def test_reference_short_row_exit_1(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("payload_kg,deflection_mm\n0.5,10.0\n1.0\n", encoding="utf-8")
+        res = run_cli("validate", "--config", str(CONFIG), "--payloads", "0.5",
+                      "--out", str(tmp_path / "table.csv"), "--reference", str(ref))
+        assert res.returncode == 1
+        assert "reference line 3" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestStiffness:
     def test_csv_output(self, tmp_path):
@@ -173,6 +183,16 @@ class TestWorkspace:
         res = run_cli("workspace", "--resolution", "10", "--config", str(CONFIG))
         assert res.returncode == 1
 
+    def test_resolution_too_high_exit_1(self, tmp_path):
+        # Refused from the point count alone: nothing is allocated or written.
+        base = tmp_path / "ws"
+        res = run_cli("workspace", "--resolution", "100000",
+                      "--config", str(CONFIG), "--out", str(base), timeout=30)
+        assert res.returncode == 1
+        assert "resolution 100000 needs about" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not base.with_suffix(".csv").exists()
+
     def test_degenerate_single_link_area(self, tmp_path):
         doc = json.loads(CONFIG.read_text(encoding="utf-8"))
         del doc["tendons"]
@@ -212,6 +232,23 @@ class TestOracleCheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("args", [
+        ("solve", "mm:1", "--threshold", "nan"),
+        ("workspace", "--cell", "inf"),
+        ("solve", "0", "--moment", "nan"),
+        ("solve", "nan"),
+        ("fk", "mm:inf"),
+        ("solve", "0", "--force", "0,nan"),
+        ("solve", "0", "--at", "inf,0"),
+        ("stiffness", "--payloads", "1,nan"),
+        ("validate", "--payloads", "inf"),
+    ])
+    def test_non_finite_number_exit_1(self, args):
+        res = run_cli(*args, "--config", str(CONFIG))
+        assert res.returncode == 1
+        assert "must be a finite number" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unknown_flag_exit_1(self):
         res = run_cli("fk", "0", "--bogus")
         assert res.returncode == 1

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -181,10 +180,6 @@ class TestFiles:
         cfg = load_finger_config(default_config_path())
         assert len(cfg.tendons) == 6
         assert cfg.geometry.total_length == pytest.approx(0.171)
-
-    def test_repo_copy_matches_packaged(self):
-        repo_copy = Path(__file__).resolve().parents[1] / "fingers" / "default.json"
-        assert repo_copy.read_bytes() == default_config_path().read_bytes()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -1,4 +1,5 @@
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -19,6 +20,30 @@ GEOM = FingerGeometry(link_lengths=(0.06, 0.06, 0.051),
 SINGLE_LINK = FingerGeometry(link_lengths=(0.06, 0.0, 0.0),
                              guide_radii=(0.0075, 0.006, 0.005))
 HALF_DISK_AREA = math.pi * 0.06 ** 2 / 2
+
+
+def csv_text(cloud):
+    out = StringIO()
+    cloud_to_csv(cloud, out)
+    return out.getvalue()
+
+
+def reference_csv(cloud):
+    """The per-row encoder the block encoder must match byte for byte."""
+    lines = ["link,x_m,y_m"]
+    for link, pts in enumerate(cloud.points_per_link, start=1):
+        for x, y in pts:
+            lines.append(f"{link},{x:.9g},{y:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_pgm(grid):
+    """The per-cell encoder the array encoder must match byte for byte."""
+    ny, nx = grid.marked.shape
+    lines = ["P2", f"{nx} {ny}", "1"]
+    for row in grid.marked[::-1]:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestSweep:
@@ -77,7 +102,7 @@ class TestSweep:
         b = sweep_workspace(GEOM, 30)
         for pa, pb in zip(a.points_per_link, b.points_per_link):
             assert np.array_equal(pa, pb)
-        assert cloud_to_csv(a) == cloud_to_csv(b)
+        assert csv_text(a) == csv_text(b)
 
 
 class TestOccupancy:
@@ -126,7 +151,7 @@ class TestOccupancy:
 class TestExports:
     def test_csv_layout(self):
         cloud = sweep_workspace(GEOM, 3)
-        lines = cloud_to_csv(cloud).strip().split("\n")
+        lines = csv_text(cloud).strip().split("\n")
         assert lines[0] == "link,x_m,y_m"
         total = sum(len(p) for p in cloud.points_per_link)
         assert len(lines) == total + 1
@@ -143,3 +168,19 @@ class TestExports:
         sidecar = grid_sidecar(grid, {"1": 0.001})
         assert '"cell_size_m"' in sidecar
         assert '"per_link_area_m2"' in sidecar
+
+    # At 300, link 1 holds 90,000 rows: more than one CSV block.
+    @pytest.mark.parametrize("resolution", [2, 3, 300])
+    def test_encoders_match_reference(self, resolution):
+        cloud = sweep_workspace(GEOM, resolution)
+        assert csv_text(cloud) == reference_csv(cloud)
+        grid = occupancy_grid(cloud, 1e-3)
+        assert grid_to_pgm(grid) == reference_pgm(grid)
+
+    def test_union_of_link_grids(self):
+        cloud = sweep_workspace(GEOM, 60)
+        whole = occupancy_grid(cloud, 1e-3)
+        links = [occupancy_grid(cloud, 1e-3, links=(i,)) for i in (1, 2, 3)]
+        union = links[0].marked | links[1].marked | links[2].marked
+        assert np.array_equal(union, whole.marked)
+        assert float(np.count_nonzero(union)) * 1e-3 ** 2 == whole.area
