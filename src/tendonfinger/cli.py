@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     EmptyCloud,
     GeometryInfeasible,
+    GridTooLarge,
     NoConvergence,
     RangeExceeded,
     ResolutionTooHigh,
@@ -376,6 +377,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.cases < 1:
+        raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     cfg, threshold, max_iter = _load_config(args, need_tendons=True)
     cases = random_tip_load_cases(args.cases, args.seed, cfg.geometry)
     report = equilibrium_report(
@@ -407,7 +410,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ResolutionTooLow, ResolutionTooHigh, _UsageError) as exc:
+    except (ConfigError, ResolutionTooLow, ResolutionTooHigh, GridTooLarge,
+            _UsageError) as exc:
         _status(f"error: {exc}")
         return EXIT_CONFIG
     except ValueError as exc:

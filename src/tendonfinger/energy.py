@@ -110,52 +110,69 @@ class _PotentialModel:
         rests = (trio[0].rest_length, lt2, lt3)
         return np.array([t.axial_stiffness / r for t, r in zip(trio, rests)])
 
-    def stretches(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unclamped flexion- and extension-side stretches, shape (N, 3)."""
-        rd = (self.theta_hat[None, :] - thetas) * self.radii[None, :]
-        flex = np.empty_like(rd)
-        flex[:, 0] = rd[:, 0]
-        flex[:, 1] = rd[:, 1] - rd[:, 0]
-        flex[:, 2] = rd[:, 2] - rd[:, 1]
-        return flex, -flex
+    def stretches(self, t1, t2, t3):
+        """Unclamped flexion-side stretches of the three tendons at joint
+        angles t1, t2, t3; the extension side is their negative. Tendon 1
+        depends on t1 only, tendon 2 on t1 and t2, tendon 3 on t2 and t3."""
+        h, r = self.theta_hat, self.radii
+        rd1 = (h[0] - t1) * r[0]
+        rd2 = (h[1] - t2) * r[1]
+        rd3 = (h[2] - t3) * r[2]
+        return rd1, rd2 - rd1, rd3 - rd2
+
+    def tensions(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Hooke tensions of the flexion and extension tendons at one pose."""
+        flex = np.array(self.stretches(*theta))
+        return (self.k_flex * np.clip(flex, 0.0, None),
+                self.k_ext * np.clip(-flex, 0.0, None))
+
+    def axis_components(self, t1, t2, t3):
+        """Gravity, elastic and load potentials at joint angles t1, t2, t3.
+
+        The three arrays broadcast against each other, and each term is
+        computed only on the angles it depends on: a search box passes
+        its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
+        Every point is computed with the operations, in the order, of a
+        per-row evaluation, so its value does not depend on the shapes.
+        """
+        l1, l2, l3 = self.lengths
+        m1, m2, m3 = self.masses
+        fl1, fl2, fl3 = self.fracs * self.lengths
+        phi1 = t1
+        phi2 = phi1 + t2
+        phi3 = phi2 + t3
+        s1, s2, s3 = np.sin(phi1), np.sin(phi2), np.sin(phi3)
+        c1, c2, c3 = np.cos(phi1), np.cos(phi2), np.cos(phi3)
+
+        y1 = l1 * s1
+        y2 = y1 + l2 * s2
+        gravity = self.g * (
+            m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
+        )
+
+        e1, e2, e3 = (
+            k_flex * np.clip(flex, 0.0, None) ** 2
+            + k_ext * np.clip(-flex, 0.0, None) ** 2
+            for k_flex, k_ext, flex in zip(
+                self.k_flex, self.k_ext, self.stretches(t1, t2, t3)
+            )
+        )
+        elastic = 0.5 * (e1 + e2 + e3)
+
+        x_j3 = l1 * c1 + l2 * c2
+        if self.attach_local is None:
+            px, py = x_j3 + l3 * c3, y2 + l3 * s3
+        else:
+            ax, ay = self.attach_local
+            px = x_j3 + c3 * ax - s3 * ay
+            py = y2 + s3 * ax + c3 * ay
+        load_pe = -(self.force[0] * px + self.force[1] * py) - self.load.moment * phi3
+        return gravity, elastic, load_pe
 
     def components(self, thetas: np.ndarray):
         """Gravity, elastic and load potentials for (N, 3) angle triples."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        phi = np.cumsum(thetas, axis=1)
-        sin_phi = np.sin(phi)
-        cos_phi = np.cos(phi)
-
-        y_ends = np.cumsum(self.lengths[None, :] * sin_phi, axis=1)
-        y_starts = np.concatenate(
-            (np.zeros((thetas.shape[0], 1)), y_ends[:, :2]), axis=1
-        )
-        y_com = y_starts + self.fracs[None, :] * self.lengths[None, :] * sin_phi
-        gravity = self.g * np.sum(self.masses[None, :] * y_com, axis=1)
-
-        flex, ext = self.stretches(thetas)
-        elastic = 0.5 * np.sum(
-            self.k_flex[None, :] * np.clip(flex, 0.0, None) ** 2
-            + self.k_ext[None, :] * np.clip(ext, 0.0, None) ** 2,
-            axis=1,
-        )
-
-        x_tip = np.sum(self.lengths[None, :] * cos_phi, axis=1)
-        y_tip = y_ends[:, 2]
-        if self.attach_local is None:
-            px, py = x_tip, y_tip
-        else:
-            x_j3 = np.sum(self.lengths[None, :2] * cos_phi[:, :2], axis=1)
-            y_j3 = y_ends[:, 1]
-            c3, s3 = cos_phi[:, 2], sin_phi[:, 2]
-            ax, ay = self.attach_local
-            px = x_j3 + c3 * ax - s3 * ay
-            py = y_j3 + s3 * ax + c3 * ay
-        load_pe = (
-            -(self.force[0] * px + self.force[1] * py)
-            - self.load.moment * np.sum(thetas, axis=1)
-        )
-        return gravity, elastic, load_pe
+        return self.axis_components(thetas[:, 0], thetas[:, 1], thetas[:, 2])
 
     def total(self, thetas: np.ndarray) -> np.ndarray:
         g, e, l = self.components(thetas)
@@ -190,9 +207,7 @@ def potential_gradient(
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     L, R = model.lengths, model.radii
 
-    flex, ext = model.stretches(theta[None, :])
-    t_flex = model.k_flex * np.clip(flex[0], 0.0, None)
-    t_ext = model.k_ext * np.clip(ext[0], 0.0, None)
+    t_flex, t_ext = model.tensions(theta)
     # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
     # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i). Extension side
     # is the negative.
@@ -203,18 +218,11 @@ def potential_gradient(
     ])
     grad_elastic = t_flex @ dflex + t_ext @ (-dflex)
 
-    grad_gravity = np.zeros(3)
-    for k in range(3):
-        acc = 0.0
-        for i in range(3):
-            # d(y_com_i)/d(theta_k)
-            d = 0.0
-            for j in range(k, i):
-                d += L[j] * cos_phi[j]
-            if i >= k:
-                d += model.fracs[i] * L[i] * cos_phi[i]
-            acc += model.masses[i] * model.g * d
-        grad_gravity[k] = acc
+    # Joint k lifts every link j >= k: link j's own centre of mass by
+    # frac_j L_j cos(phi_j), and each later link's by L_j cos(phi_j).
+    m = model.masses
+    lifted = m * model.fracs + (np.sum(m) - np.cumsum(m))
+    grad_gravity = model.g * np.cumsum((L * cos_phi * lifted)[::-1])[::-1]
 
     if model.attach_local is None:
         dpx = np.array([-np.sum(L[k:] * sin_phi[k:]) for k in range(3)])
@@ -263,12 +271,15 @@ def find_equilibrium(
     hi0[0] = min(hi0[0], THETA1_MAX)
 
     def evaluate_box(lo, hi):
-        axes = [np.linspace(lo[k], hi[k], grid) for k in range(3)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        thetas = np.column_stack([m.ravel() for m in mesh])
-        energies = model.total(thetas)
-        best = int(np.argmin(energies))
-        return thetas[best], float(energies[best]), thetas.shape[0]
+        a1, a2, a3 = (np.linspace(lo[k], hi[k], grid) for k in range(3))
+        g, e, l = model.axis_components(
+            a1[:, None, None], a2[None, :, None], a3[None, None, :]
+        )
+        energies = g + e + l
+        # C order on the (i, j, k) grid is lexicographic sample order.
+        i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
+        theta = np.array([a1[i], a2[j], a3[k]])
+        return theta, float(energies[i, j, k]), energies.size
 
     best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
     evaluations = n_eval
@@ -324,11 +335,8 @@ def balance_residuals(
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
 
     model = _PotentialModel(geom, specs, load, q)
-    flex, ext = model.stretches(np.asarray(theta)[None, :])
-    if group is TendonGroup.FLEXION:
-        tensions = model.k_flex * np.clip(flex[0], 0.0, None)
-    else:
-        tensions = model.k_ext * np.clip(ext[0], 0.0, None)
+    t_flex, t_ext = model.tensions(theta)
+    tensions = t_flex if group is TendonGroup.FLEXION else t_ext
 
     radii = np.asarray(geom.guide_radii)
     t_next = np.append(tensions[1:], 0.0)

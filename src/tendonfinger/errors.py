@@ -40,6 +40,10 @@ class ResolutionTooHigh(TendonFingerError):
     """Workspace sweep resolution whose sweep exceeds the memory budget."""
 
 
+class GridTooLarge(TendonFingerError):
+    """Occupancy cell size whose grid exceeds the memory budget."""
+
+
 class EmptyCloud(TendonFingerError):
     """Occupancy grid requested for a cloud with no points."""
 

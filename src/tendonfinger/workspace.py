@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloud, ResolutionTooHigh, ResolutionTooLow
+from .errors import EmptyCloud, GridTooLarge, ResolutionTooHigh, ResolutionTooLow
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
@@ -36,6 +36,14 @@ CSV_BLOCK_ROWS = 65536  # rows formatted by one % operation
 # gridding that follows. Resolution 400 needs about 31 MB.
 SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
+
+# A workspace export holds three per-link boolean grids and their union
+# (a byte per cell each), then the PGM buffer and its text (two bytes
+# per cell each); 8 bytes per cell covers them. The default calibration
+# swept at resolution 400 needs about 2 MB at 0.5 mm cells, and cells
+# down to about 22 um are accepted.
+GRID_BYTES_PER_CELL = 8
+MAX_GRID_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,9 @@ def occupancy_grid(
 
     `links` restricts the gridded points to the given 1-based link ids;
     the grid extent always covers the whole cloud's bounding box so
-    per-link grids share cell alignment.
+    per-link grids share cell alignment. A cell size whose grid would
+    need more than MAX_GRID_BYTES raises GridTooLarge before anything
+    is allocated.
     """
     xmin, ymin, xmax, ymax = cloud.bounding_box
     diag = math.hypot(xmax - xmin, ymax - ymin)
@@ -139,6 +149,17 @@ def occupancy_grid(
         raise ValueError("cell_size must be > 0")
     if diag > 0.0 and cell_size > diag:
         raise ValueError("cell_size exceeds the bounding-box diagonal")
+    try:
+        nx = math.floor((xmax - xmin) / cell_size) + 1
+        ny = math.floor((ymax - ymin) / cell_size) + 1
+        need = float(nx * ny) * GRID_BYTES_PER_CELL
+    except OverflowError:  # cell count beyond float range
+        need = math.inf
+    if need > MAX_GRID_BYTES:
+        raise GridTooLarge(
+            f"cell size {cell_size:g} m needs about {need / 1e9:.3g} GB for "
+            f"its grid, over the {MAX_GRID_BYTES / 1e9:.3g} GB budget"
+        )
 
     if links is None:
         pts = cloud.all_points()
@@ -148,8 +169,6 @@ def occupancy_grid(
     if pts.shape[0] == 0:
         raise EmptyCloud("no points to grid")
 
-    nx = int(math.floor((xmax - xmin) / cell_size)) + 1
-    ny = int(math.floor((ymax - ymin) / cell_size)) + 1
     ix = np.clip(((pts[:, 0] - xmin) / cell_size).astype(int), 0, nx - 1)
     iy = np.clip(((pts[:, 1] - ymin) / cell_size).astype(int), 0, ny - 1)
     marked = np.zeros((ny, nx), dtype=bool)

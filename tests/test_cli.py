@@ -193,6 +193,18 @@ class TestWorkspace:
         assert "Traceback" not in res.stderr
         assert not base.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("cell", ["1e-300", "1e-7"])
+    def test_cell_too_small_exit_1(self, tmp_path, cell):
+        # Refused from the cell count alone: no grid is allocated.
+        base = tmp_path / "ws"
+        res = run_cli("workspace", "--resolution", "2", "--cell", cell,
+                      "--config", str(CONFIG), "--out", str(base), timeout=30)
+        assert res.returncode == 1
+        assert f"cell size {float(cell):g} m needs about" in res.stderr
+        assert "Warning" not in res.stderr
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_single_link_area(self, tmp_path):
         doc = json.loads(CONFIG.read_text(encoding="utf-8"))
         del doc["tendons"]
@@ -229,6 +241,16 @@ class TestOracleCheck:
         assert len(doc["cases"]) == 2
         assert "summary" in doc
         assert "wrap_integral_probe" in doc
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_no_cases_exit_1(self, tmp_path, cases):
+        out = tmp_path / "report.json"
+        res = run_cli("oracle-check", "--cases", cases, "--config", str(CONFIG),
+                      "--out", str(out))
+        assert res.returncode == 1
+        assert f"--cases must be >= 1, got {cases}" in res.stderr
+        assert "max fingertip gap" not in res.stderr
+        assert not out.exists()
 
 
 class TestUsage:

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendonfinger.energy import (
+    SEARCH_HALF_WIDTH,
+    EquilibriumResult,
+    _PotentialModel,
     balance_residuals,
     equilibrium_report,
     find_equilibrium,
@@ -12,10 +17,144 @@ from tendonfinger.energy import (
     total_potential,
 )
 from tendonfinger.errors import BoundaryMinimum, RangeExceeded
-from tendonfinger.model import ExternalLoad, TendonGroup, coupling_angles
+from tendonfinger.model import (
+    THETA1_MAX,
+    THETA1_MIN,
+    Configuration,
+    ExternalLoad,
+    FingerGeometry,
+    TendonGroup,
+    chain_points,
+    coupling_angles,
+)
 from tendonfinger.statics import coupling_rest_lengths, solve_static
 
 from conftest import STEEL_AREA, STEEL_E, make_specs
+
+
+# Frozen references: the row-by-row evaluation on an (N, 3) meshgrid
+# that the per-axis box evaluation replaced. The new code must give
+# bit-identical energies, so these stay exactly as they were.
+
+def _reference_components(model, thetas):
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    phi = np.cumsum(thetas, axis=1)
+    sin_phi = np.sin(phi)
+    cos_phi = np.cos(phi)
+
+    y_ends = np.cumsum(model.lengths[None, :] * sin_phi, axis=1)
+    y_starts = np.concatenate(
+        (np.zeros((thetas.shape[0], 1)), y_ends[:, :2]), axis=1
+    )
+    y_com = y_starts + model.fracs[None, :] * model.lengths[None, :] * sin_phi
+    gravity = model.g * np.sum(model.masses[None, :] * y_com, axis=1)
+
+    rd = (model.theta_hat[None, :] - thetas) * model.radii[None, :]
+    flex = np.empty_like(rd)
+    flex[:, 0] = rd[:, 0]
+    flex[:, 1] = rd[:, 1] - rd[:, 0]
+    flex[:, 2] = rd[:, 2] - rd[:, 1]
+    ext = -flex
+    elastic = 0.5 * np.sum(
+        model.k_flex[None, :] * np.clip(flex, 0.0, None) ** 2
+        + model.k_ext[None, :] * np.clip(ext, 0.0, None) ** 2,
+        axis=1,
+    )
+
+    x_tip = np.sum(model.lengths[None, :] * cos_phi, axis=1)
+    y_tip = y_ends[:, 2]
+    if model.attach_local is None:
+        px, py = x_tip, y_tip
+    else:
+        x_j3 = np.sum(model.lengths[None, :2] * cos_phi[:, :2], axis=1)
+        y_j3 = y_ends[:, 1]
+        c3, s3 = cos_phi[:, 2], sin_phi[:, 2]
+        ax, ay = model.attach_local
+        px = x_j3 + c3 * ax - s3 * ay
+        py = y_j3 + s3 * ax + c3 * ay
+    load_pe = (
+        -(model.force[0] * px + model.force[1] * py)
+        - model.load.moment * np.sum(thetas, axis=1)
+    )
+    return gravity, elastic, load_pe
+
+
+def _reference_total(model, thetas):
+    g, e, l = _reference_components(model, thetas)
+    return g + e + l
+
+
+def _meshgrid_rows(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
+    model = _PotentialModel(geom, specs, load, q)
+    center = model.theta_hat.copy()
+    lo0 = center - SEARCH_HALF_WIDTH
+    hi0 = center + SEARCH_HALF_WIDTH
+    lo0[0] = max(lo0[0], THETA1_MIN)
+    hi0[0] = min(hi0[0], THETA1_MAX)
+
+    def evaluate_box(lo, hi):
+        thetas = _meshgrid_rows([np.linspace(lo[k], hi[k], grid) for k in range(3)])
+        energies = _reference_total(model, thetas)
+        best = int(np.argmin(energies))
+        return thetas[best], float(energies[best]), thetas.shape[0]
+
+    best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
+    evaluations = n_eval
+    half = (hi0 - lo0) / 2.0
+    for _ in range(refine_rounds):
+        half = half / 4.0
+        lo = np.maximum(best_theta - half, lo0)
+        hi = np.minimum(best_theta + half, hi0)
+        theta_r, energy_r, n_eval = evaluate_box(lo, hi)
+        evaluations += n_eval
+        if energy_r < best_energy:
+            best_theta, best_energy = theta_r, energy_r
+
+    edge_tol = (hi0 - lo0) / (2.0 * (grid - 1))
+    if np.any((np.abs(best_theta - lo0) <= edge_tol)
+              | (np.abs(best_theta - hi0) <= edge_tol)):
+        raise BoundaryMinimum(
+            f"energy minimum {tuple(best_theta)} lies on the search-box boundary"
+        )
+    tip = chain_points(Configuration(q=q, theta=tuple(best_theta)), geom)[3]
+    return EquilibriumResult(
+        theta=tuple(float(t) for t in best_theta),
+        fingertip=(float(tip[0]), float(tip[1])),
+        energy=best_energy,
+        evaluations=evaluations,
+        rounds=refine_rounds,
+    )
+
+
+def _reference_gravity_gradient(model, theta):
+    """The triple loop that the reverse cumulative sum replaced."""
+    cos_phi = np.cos(np.cumsum(theta))
+    L = model.lengths
+    grad = np.zeros(3)
+    for k in range(3):
+        acc = 0.0
+        for i in range(3):
+            d = 0.0
+            for j in range(k, i):
+                d += L[j] * cos_phi[j]
+            if i >= k:
+                d += model.fracs[i] * L[i] * cos_phi[i]
+            acc += model.masses[i] * model.g * d
+        grad[k] = acc
+    return grad
+
+
+REFERENCE_LOADS = {
+    "tip": ExternalLoad(force=(3.0, -20.0), moment=0.0),
+    "attached_with_moment": ExternalLoad(force=(-2.0, -12.0), moment=0.015,
+                                         application_point=(0.15, -0.01)),
+    "zero": ExternalLoad(),
+}
 
 
 class TestTotalPotential:
@@ -96,6 +235,78 @@ class TestGradient:
                 - total_potential(tm, geom_cal, specs, load, 0.0).total
             ) / (2 * h)
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-9)) < 1e-4
+
+
+    def test_gravity_gradient_matches_loop(self, geom_cal):
+        # At the nominal pose with no load, tendons are unstretched, so
+        # the gradient is the gravity term alone. Distinct masses and
+        # centre-of-mass fractions weight every link differently.
+        geoms = (geom_cal, FingerGeometry(
+            link_lengths=geom_cal.link_lengths,
+            guide_radii=geom_cal.guide_radii,
+            link_masses=(0.09, 0.05, 0.02),
+            com_fractions=(0.3, 0.45, 0.6),
+            gravity_accel=geom_cal.gravity_accel,
+        ))
+        specs = make_specs()
+        q_max = THETA1_MAX * geom_cal.guide_radii[0]
+        for geom in geoms:
+            scale = geom.gravity_accel * sum(geom.link_masses) * geom.total_length
+            for q in np.linspace(-q_max, q_max, 41):
+                model = _PotentialModel(geom, specs, ExternalLoad(), q)
+                theta = model.theta_hat
+                grad = potential_gradient(theta, geom, specs, ExternalLoad(), q)
+                ref = _reference_gravity_gradient(model, theta)
+                np.testing.assert_allclose(grad, ref, rtol=1e-12,
+                                           atol=1e-12 * scale)
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
+    @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
+    def test_box_bit_identical_to_meshgrid(self, geom_cal, load_name, q):
+        model = _PotentialModel(geom_cal, make_specs(), REFERENCE_LOADS[load_name], q)
+        rng = np.random.default_rng(11)
+        for half in (SEARCH_HALF_WIDTH, 0.02, 1e-5):
+            lo = model.theta_hat + rng.uniform(-0.3, 0.0, 3)
+            axes = [np.linspace(a, a + 2 * half, 21) for a in lo]
+            g, e, l = model.axis_components(
+                axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
+            )
+            rows = _meshgrid_rows(axes)
+            assert np.array_equal((g + e + l).ravel(), _reference_total(model, rows))
+            for new, ref in zip(model.components(rows),
+                                _reference_components(model, rows)):
+                assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
+    @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
+    def test_find_equilibrium_matches_reference(self, geom_cal, load_name, q):
+        load = REFERENCE_LOADS[load_name]
+        assert (find_equilibrium(geom_cal, make_specs(), load, q)
+                == _reference_find_equilibrium(geom_cal, make_specs(), load, q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.floats(-1.5e-3, 1.5e-3),
+        force=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        moment=st.floats(-0.05, 0.05),
+        attach=st.none() | st.tuples(st.floats(0.05, 0.2), st.floats(-0.05, 0.05)),
+        offsets=st.tuples(*[st.floats(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH)] * 3),
+        widths=st.tuples(*[st.floats(1e-9, 2 * SEARCH_HALF_WIDTH)] * 3),
+        sizes=st.tuples(*[st.integers(1, 9)] * 3),
+    )
+    def test_random_boxes_bit_identical(self, calibrated, q, force, moment,
+                                        attach, offsets, widths, sizes):
+        load = ExternalLoad(force=force, moment=moment, application_point=attach)
+        model = _PotentialModel(calibrated.geometry, make_specs(), load, q)
+        axes = [np.linspace(t + o, t + o + w, n) for t, o, w, n
+                in zip(model.theta_hat, offsets, widths, sizes)]
+        g, e, l = model.axis_components(
+            axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
+        )
+        assert np.array_equal((g + e + l).ravel(),
+                              _reference_total(model, _meshgrid_rows(axes)))
 
 
 class TestFindEquilibrium:
