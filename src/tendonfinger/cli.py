@@ -53,6 +53,7 @@ EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 
 REFERENCE_PAYLOADS = "0.5,1.0,1.5,2.0,2.5,3.0"
+WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,15 +226,19 @@ def _cmd_workspace(args) -> int:
     union = replace(grids[0], marked=marked)
     per_link = {str(link): grid.area for link, grid in zip((1, 2, 3), grids)}
 
+    # A basename may contain dots ("run_0.5"); only one of the three output
+    # suffixes is replaced, any other tail is kept.
     base = Path(args.out)
+    if base.suffix in WORKSPACE_SUFFIXES:
+        base = base.with_suffix("")
+    csv_path, pgm_path, json_path = (
+        base.with_name(base.name + suffix) for suffix in WORKSPACE_SUFFIXES)
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
-        with open(base.with_suffix(".csv"), "w", encoding="utf-8") as fh:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             cloud_to_csv(cloud, fh)
-        base.with_suffix(".pgm").write_text(grid_to_pgm(union), encoding="utf-8")
-        base.with_suffix(".json").write_text(
-            grid_sidecar(union, per_link), encoding="utf-8"
-        )
+        pgm_path.write_text(grid_to_pgm(union), encoding="utf-8")
+        json_path.write_text(grid_sidecar(union, per_link), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write workspace output: {exc}") from None
 

@@ -178,28 +178,49 @@ def cumulative_angles(theta) -> np.ndarray:
     return np.cumsum(np.asarray(theta, dtype=float))
 
 
+def link_pose(theta, geom: FingerGeometry):
+    """Joint points and link centres of mass for joint angles `theta`.
+
+    Returns (points, coms) as tuples of (x, y) float tuples: points are
+    [J1, J2, J3, tip], coms the three links' centres of mass. Plain floats,
+    3 cosines and 3 sines: the solver calls this once per pass. Sums keep
+    the order of a cumulative sum (phi_3 = (theta_1 + theta_2) + theta_3,
+    tip = (s_1 + s_2) + s_3), so the values equal the numpy chain's.
+    """
+    t1, t2, t3 = theta
+    l1, l2, l3 = geom.link_lengths
+    f1, f2, f3 = geom.com_fractions
+    phi2 = t1 + t2
+    phi3 = phi2 + t3
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    c3, s3 = math.cos(phi3), math.sin(phi3)
+    x1, y1 = l1 * c1, l1 * s1
+    x2, y2 = x1 + l2 * c2, y1 + l2 * s2
+    x3, y3 = x2 + l3 * c3, y2 + l3 * s3
+    points = ((0.0, 0.0), (x1, y1), (x2, y2), (x3, y3))
+    a1, a2, a3 = f1 * l1, f2 * l2, f3 * l3
+    coms = ((0.0 + a1 * c1, 0.0 + a1 * s1),
+            (x1 + a2 * c2, y1 + a2 * s2),
+            (x2 + a3 * c3, y2 + a3 * s3))
+    return points, coms
+
+
 def chain_points(config: Configuration, geom: FingerGeometry) -> np.ndarray:
     """Joint origins and fingertip, shape (4, 2): [J1, J2, J3, tip]."""
-    phi = cumulative_angles(config.theta)
-    steps = np.column_stack(
-        (np.asarray(geom.link_lengths) * np.cos(phi),
-         np.asarray(geom.link_lengths) * np.sin(phi))
-    )
-    pts = np.zeros((4, 2))
-    pts[1:] = np.cumsum(steps, axis=0)
-    return pts
+    return np.array(link_pose(config.theta, geom)[0])
 
 
-def com_points(config: Configuration, geom: FingerGeometry) -> np.ndarray:
-    """Center-of-mass position of each link, shape (3, 2)."""
-    phi = cumulative_angles(config.theta)
-    pts = chain_points(config, geom)
-    frac = np.asarray(geom.com_fractions)
-    lengths = np.asarray(geom.link_lengths)
-    offsets = np.column_stack(
-        (frac * lengths * np.cos(phi), frac * lengths * np.sin(phi))
-    )
-    return pts[:3] + offsets
+def fingertip_state(points, geom: FingerGeometry) -> FingertipState:
+    """Fingertip state from the chain points of `link_pose`.
+
+    Raises ValueError when the tip leaves the reachable disk, which only
+    a numerical fault can cause.
+    """
+    tip = points[3]
+    if math.hypot(*tip) > geom.total_length + 1e-9:
+        raise ValueError("fingertip left the reachable disk (numerical fault)")
+    return FingertipState(position=tip, joint_positions=points[1:])
 
 
 def forward_kinematics(config: Configuration, geom: FingerGeometry) -> FingertipState:
@@ -207,13 +228,7 @@ def forward_kinematics(config: Configuration, geom: FingerGeometry) -> Fingertip
 
     x = sum_i L_i cos(theta_1 + ... + theta_i), same with sin for y.
     """
-    pts = chain_points(config, geom)
-    tip = (float(pts[3, 0]), float(pts[3, 1]))
-    reach = geom.total_length
-    if math.hypot(*tip) > reach + 1e-9:
-        raise ValueError("fingertip left the reachable disk (numerical fault)")
-    joints = tuple((float(p[0]), float(p[1])) for p in pts[1:])
-    return FingertipState(position=tip, joint_positions=joints)
+    return fingertip_state(link_pose(config.theta, geom)[0], geom)
 
 
 def fingertip_from_displacement(q: float, geom: FingerGeometry) -> FingertipState:

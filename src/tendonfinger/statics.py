@@ -54,10 +54,9 @@ from .model import (
     FingertipState,
     TendonGroup,
     TendonSpec,
-    chain_points,
-    com_points,
     coupling_angles,
-    forward_kinematics,
+    fingertip_state,
+    link_pose,
 )
 
 DEFAULT_THRESHOLD = 1e-6
@@ -123,10 +122,6 @@ class StaticSolution:
     trace: tuple[IterationRecord, ...] = field(repr=False, default=())
 
 
-def cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def wrap_angles(config: Configuration, geom: FingerGeometry) -> WrapGeometry:
     """Wrap angles at the current pose and the zero-pose rest lengths.
 
@@ -189,26 +184,35 @@ def net_external_moments(
     the external moment, the external force at its application point, and
     the weights of links k+1..3 at their centers of mass.
     """
-    pts = chain_points(config, geom)
-    coms = com_points(config, geom)
-    force = np.asarray(load.force)
+    return np.array(pose_moments(link_pose(config.theta, geom), geom, load))
+
+
+def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad):
+    """`net_external_moments` as a float triple, from a `link_pose` result.
+
+    Each term is the 2-D cross product (r - J_k) x F in the order
+    r_x F_y - r_y F_x; a weight is the force (0, -m_i g). Its zero x term
+    stays: it decides the sign of a zero moment, and so of a zero tension.
+    """
+    points, coms = pose
+    fx, fy = load.force
     if load.application_point is None:
-        p_app = pts[3]
+        px, py = points[3]
     else:
-        p_app = np.asarray(load.application_point)
-    weights = np.column_stack(
-        (np.zeros(3), -np.asarray(geom.link_masses) * geom.gravity_accel)
-    )
-    moments = np.zeros(3)
+        px, py = load.application_point
+    weights = [(-m) * geom.gravity_accel for m in geom.link_masses]
+    moments = []
     for k in range(3):
-        m = load.moment + cross2(p_app - pts[k], force)
+        jx, jy = points[k]
+        m = load.moment + ((px - jx) * fy - (py - jy) * fx)
         for i in range(k, 3):
-            m += cross2(coms[i] - pts[k], weights[i])
-        moments[k] = m
-    return moments
+            cx, cy = coms[i]
+            m += (cx - jx) * weights[i] - (cy - jy) * 0.0
+        moments.append(m)
+    return tuple(moments)
 
 
-def _restraint_sign(moments: np.ndarray, tol: float = 1e-12) -> float:
+def _restraint_sign(moments, tol: float = 1e-12) -> float:
     """+1 when the flexion group must restrain the load, -1 for extension.
 
     Decided by the distal-most non-zero net moment; an unloaded finger
@@ -225,7 +229,7 @@ def _group_for_sign(sign: float) -> TendonGroup:
 
 
 def _cascade(
-    moments: np.ndarray,
+    moments,
     config: Configuration,
     geom: FingerGeometry,
     sign: float,
@@ -263,17 +267,25 @@ def solve_tensions(
     non-negative tensions the load is not holdable and TensionInfeasible
     is raised.
     """
+    _check_model(model)
+    moments = pose_moments(link_pose(config.theta, geom), geom, load)
+    return _tensions_for(moments, config, geom, model, group)
+
+
+def _check_model(model: str) -> None:
     if model not in TENSION_MODELS:
         raise ValueError(f"unknown tension model '{model}'")
-    moments = net_external_moments(config, geom, load)
 
+
+def _tensions_for(moments, config, geom, model, group) -> TensionSet:
+    """`solve_tensions` for the net moments `moments` at `config`."""
     if group is not None:
         signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
     else:
         first = _restraint_sign(moments)
         signs = (first, -first)
 
-    scale = 1.0 + float(np.max(np.abs(moments))) / min(geom.guide_radii)
+    scale = 1.0 + max(map(abs, moments)) / min(geom.guide_radii)
     last = None
     for sign in signs:
         ts = _cascade(moments, config, geom, sign, model)
@@ -362,12 +374,14 @@ def solve_static(
 
     nominal = coupling_angles(q, geom)
     wrap0 = wrap_angles(nominal, geom)
-    y_nominal = forward_kinematics(nominal, geom).position[1]
+    pose = link_pose(nominal.theta, geom)
+    y_nominal = fingertip_state(pose[0], geom).position[1]
 
-    sign = _restraint_sign(net_external_moments(nominal, geom, load))
+    sign = _restraint_sign(pose_moments(pose, geom, load))
     group = _group_for_sign(sign)
     trio = group_specs(specs, group)
     rest = (trio[0].rest_length, wrap0.rest_length_2, wrap0.rest_length_3)
+    _check_model(model)
 
     elong = rest
     y_prev = None
@@ -377,8 +391,10 @@ def solve_static(
 
     for k in range(1, max_iterations + 1):
         cfg = update_configuration(nominal, rest, elong, geom, sense=-sign)
-        tip = forward_kinematics(cfg, geom)
-        tensions = solve_tensions(cfg, geom, load, model=model, group=group)
+        pose = link_pose(cfg.theta, geom)
+        tip = fingertip_state(pose[0], geom)
+        moments = pose_moments(pose, geom, load)
+        tensions = _tensions_for(moments, cfg, geom, model, group)
         elong = elongate_tendons(tensions, trio, wrap0)
 
         y_k = tip.position[1]

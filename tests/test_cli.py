@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -110,6 +111,14 @@ class TestValidate:
         run_cli("validate", "--config", str(CONFIG), "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_golden_default_table(self):
+        # The paper-reproduction table at %.6f: its bytes do not depend on
+        # last-ulp differences between sin/cos implementations.
+        res = run_cli("validate")
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == (
+            "069445d63baab6f997b09d15022c8eadb8807e1c81b8636c7965360b962555ac")
+
     def test_empty_payloads_exit_1(self):
         res = run_cli("validate", "--payloads", "", "--config", str(CONFIG))
         assert res.returncode == 1
@@ -178,6 +187,20 @@ class TestWorkspace:
         for suffix in (".csv", ".pgm", ".json"):
             assert ((tmp_path / "one").with_suffix(suffix).read_bytes()
                     == (tmp_path / "two").with_suffix(suffix).read_bytes())
+
+    @pytest.mark.parametrize("out, stem", [
+        ("run_0.5", "run_0.5"),
+        ("run_0.7", "run_0.7"),
+        ("plain", "plain"),
+        ("x.csv", "x"),
+    ])
+    def test_out_basename(self, tmp_path, out, stem):
+        # Only a .csv/.pgm/.json suffix is replaced; a dotted tail is kept.
+        res = run_cli("workspace", "--resolution", "2",
+                      "--config", str(CONFIG), "--out", str(tmp_path / out))
+        assert res.returncode == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem}.csv", f"{stem}.json", f"{stem}.pgm"]
 
     def test_missing_out_exit_1(self):
         res = run_cli("workspace", "--resolution", "10", "--config", str(CONFIG))

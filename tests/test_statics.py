@@ -1,25 +1,35 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tendonfinger import statics
 from tendonfinger.errors import (
     GeometryInfeasible,
     NoConvergence,
     RangeExceeded,
+    TendonFingerError,
     TensionInfeasible,
 )
 from tendonfinger.model import (
     Configuration,
     ExternalLoad,
     FingerGeometry,
+    FingertipState,
     TendonGroup,
+    chain_points,
     coupling_angles,
     forward_kinematics,
+    link_pose,
 )
 from tendonfinger.statics import (
     elongate_tendons,
+    group_specs,
+    net_external_moments,
     solve_static,
     solve_tensions,
     stiffness_sweep,
@@ -401,3 +411,335 @@ class TestStiffnessSweep:
         assert lines[0] == "payload_kg,deflection_mm,stiffness_N_per_m,iterations,status"
         assert len(lines) == 2
         assert lines[1].startswith("0.500,")
+
+
+class FrozenStatics:
+    """The numpy chain, moment and solve code that `link_pose` replaced,
+    kept as a reference. Every angle vector it passes to np.cos/np.sin is
+    recorded in `angles`."""
+
+    def __init__(self):
+        self.angles = []
+
+    def chain_points(self, config, geom):
+        phi = np.cumsum(np.asarray(config.theta, dtype=float))
+        self.angles.append(phi)
+        steps = np.column_stack(
+            (np.asarray(geom.link_lengths) * np.cos(phi),
+             np.asarray(geom.link_lengths) * np.sin(phi))
+        )
+        pts = np.zeros((4, 2))
+        pts[1:] = np.cumsum(steps, axis=0)
+        return pts
+
+    def com_points(self, config, geom):
+        phi = np.cumsum(np.asarray(config.theta, dtype=float))
+        self.angles.append(phi)
+        pts = self.chain_points(config, geom)
+        frac = np.asarray(geom.com_fractions)
+        lengths = np.asarray(geom.link_lengths)
+        offsets = np.column_stack(
+            (frac * lengths * np.cos(phi), frac * lengths * np.sin(phi))
+        )
+        return pts[:3] + offsets
+
+    def forward_kinematics(self, config, geom):
+        pts = self.chain_points(config, geom)
+        tip = (float(pts[3, 0]), float(pts[3, 1]))
+        if math.hypot(*tip) > geom.total_length + 1e-9:
+            raise ValueError("fingertip left the reachable disk (numerical fault)")
+        joints = tuple((float(p[0]), float(p[1])) for p in pts[1:])
+        return FingertipState(position=tip, joint_positions=joints)
+
+    def net_external_moments(self, config, geom, load):
+        def cross2(a, b):
+            return float(a[0] * b[1] - a[1] * b[0])
+
+        pts = self.chain_points(config, geom)
+        coms = self.com_points(config, geom)
+        force = np.asarray(load.force)
+        if load.application_point is None:
+            p_app = pts[3]
+        else:
+            p_app = np.asarray(load.application_point)
+        weights = np.column_stack(
+            (np.zeros(3), -np.asarray(geom.link_masses) * geom.gravity_accel)
+        )
+        moments = np.zeros(3)
+        for k in range(3):
+            m = load.moment + cross2(p_app - pts[k], force)
+            for i in range(k, 3):
+                m += cross2(coms[i] - pts[k], weights[i])
+            moments[k] = m
+        return moments
+
+    def solve_tensions(self, config, geom, load, *, model="tangent", group=None):
+        if model not in statics.TENSION_MODELS:
+            raise ValueError(f"unknown tension model '{model}'")
+        moments = self.net_external_moments(config, geom, load)
+        if group is not None:
+            signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
+        else:
+            first = statics._restraint_sign(moments)
+            signs = (first, -first)
+        scale = 1.0 + float(np.max(np.abs(moments))) / min(geom.guide_radii)
+        last = None
+        for sign in signs:
+            ts = statics._cascade(moments, config, geom, sign, model)
+            last = ts
+            if min(ts) >= -statics._NEG_TOL * scale:
+                clamped = tuple(max(t, 0.0) for t in ts)
+                return statics.TensionSet(
+                    *clamped, active_group=statics._group_for_sign(sign))
+        raise TensionInfeasible(
+            f"no single tendon group holds this load (best tensions {last})"
+        )
+
+    def solve_static(self, q, geom, specs, load, *, threshold=1e-6,
+                     max_iterations=100, model="tangent"):
+        nominal = coupling_angles(q, geom)
+        wrap0 = wrap_angles(nominal, geom)
+        y_nominal = self.forward_kinematics(nominal, geom).position[1]
+        sign = statics._restraint_sign(self.net_external_moments(nominal, geom, load))
+        group = statics._group_for_sign(sign)
+        trio = group_specs(specs, group)
+        rest = (trio[0].rest_length, wrap0.rest_length_2, wrap0.rest_length_3)
+        elong = rest
+        y_prev = None
+        prev_residual = math.inf
+        growth_streak = 0
+        trace = []
+        for k in range(1, max_iterations + 1):
+            cfg = update_configuration(nominal, rest, elong, geom, sense=-sign)
+            tip = self.forward_kinematics(cfg, geom)
+            tensions = self.solve_tensions(cfg, geom, load, model=model, group=group)
+            elong = elongate_tendons(tensions, trio, wrap0)
+            y_k = tip.position[1]
+            residual = abs(y_k - y_prev) if y_prev is not None else None
+            trace.append(statics.IterationRecord(
+                index=k, theta=cfg.theta, fingertip_y=y_k,
+                tensions=tensions.as_tuple(), elongated_lengths=elong,
+                residual=residual,
+            ))
+            if residual is not None:
+                if residual <= threshold:
+                    return statics.StaticSolution(
+                        configuration=cfg, tensions=tensions, fingertip=tip,
+                        deflection_y=y_nominal - y_k, iterations=k,
+                        residual=residual, rest_lengths=rest,
+                        elongated_lengths=elong, trace=tuple(trace),
+                    )
+                growth_streak = growth_streak + 1 if residual > prev_residual else 0
+                if growth_streak >= statics.DIVERGENCE_STREAK:
+                    raise NoConvergence(
+                        f"residual grew for {statics.DIVERGENCE_STREAK} consecutive "
+                        f"passes (last {residual:.3e} m)",
+                        trace=trace,
+                    )
+                prev_residual = residual
+            y_prev = y_k
+        raise NoConvergence(
+            f"residual {prev_residual:.3e} m above threshold {threshold:.3e} m "
+            f"after {max_iterations} iterations",
+            trace=trace,
+        )
+
+    def trig_is_math(self) -> bool:
+        """True when np.cos/np.sin gave math.cos/math.sin bit for bit on
+        every angle vector the reference used (true on common libms; a
+        numpy build with its own SIMD sin/cos may differ in the last ulp)."""
+        return all(
+            np.cos(phi).tolist() == [math.cos(v) for v in phi]
+            and np.sin(phi).tolist() == [math.sin(v) for v in phi]
+            for phi in self.angles
+        )
+
+
+_NUMBER = re.compile(r"-?\d+\.?\d*(?:e[-+]?\d+)?")
+
+
+def _leaves(obj, numbers, others):
+    """Split a result into its float leaves and everything else."""
+    if isinstance(obj, float):
+        numbers.append(obj)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _leaves(item, numbers, others)
+    elif hasattr(obj, "__dataclass_fields__"):
+        others.append(type(obj).__name__)
+        for name in obj.__dataclass_fields__:
+            _leaves(getattr(obj, name), numbers, others)
+    else:
+        others.append(obj)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except TendonFingerError as exc:
+        return exc
+
+
+def _bits(values) -> bytes:
+    """Float bits, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_outcome(new, ref, exact: bool, scale: float):
+    """Equal results or equal errors. With `exact`, bit for bit (signed
+    zeros included); otherwise floats within rtol 1e-12 (absolute floor
+    1e-12 x `scale`) and messages equal once their numbers are masked."""
+    assert type(new) is type(ref)
+    if isinstance(ref, TendonFingerError):
+        new_msg, ref_msg = str(new), str(ref)
+        if not exact:
+            new_msg, ref_msg = _NUMBER.sub("#", new_msg), _NUMBER.sub("#", ref_msg)
+        assert new_msg == ref_msg
+        new, ref = getattr(new, "trace", []), getattr(ref, "trace", [])
+    new_nums, new_rest, ref_nums, ref_rest = [], [], [], []
+    _leaves(new, new_nums, new_rest)
+    _leaves(ref, ref_nums, ref_rest)
+    assert new_rest == ref_rest
+    if exact:
+        assert new == ref
+        assert _bits(new_nums) == _bits(ref_nums)
+    else:
+        np.testing.assert_allclose(new_nums, ref_nums, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _distal_point(q, fraction, geom):
+    """Base-frame point `fraction` of the way along the distal link at
+    the rigid pose for displacement q."""
+    x = y = phi = 0.0
+    for i, (length, radius) in enumerate(zip(geom.link_lengths, geom.guide_radii)):
+        phi += q / radius
+        reach = length * fraction if i == 2 else length
+        x += reach * math.cos(phi)
+        y += reach * math.sin(phi)
+    return x, y
+
+
+class TestFrozenReference:
+    """The plain-float pose and moments give the frozen numpy code's
+    results, errors and traces."""
+
+    CASES = {
+        "tip-0.5kg": (0.0, ExternalLoad(force=(0.0, -0.5 * 9.81)), {}),
+        "tip-1.7kg-q1mm": (0.001, ExternalLoad(force=(0.0, -1.7 * 9.81)), {}),
+        "tip-3kg": (0.0, ExternalLoad(force=(0.0, -3.0 * 9.81)), {}),
+        "distal-point-moment": (
+            0.0008,
+            ExternalLoad(force=(2.0, -20.0), moment=0.02,
+                         application_point=(0.150821146, 0.034552263)),
+            {},
+        ),
+        "upward-extension": (0.0, ExternalLoad(force=(0.0, 9.81)), {}),
+        "upward-moment-extension": (
+            0.001, ExternalLoad(force=(0.0, 9.81), moment=0.01), {}),
+        "wrap-integral-0.2kg": (
+            0.0, ExternalLoad(force=(0.0, -0.2 * 9.81)), {"model": "wrap-integral"}),
+        "wrap-integral-3kg-range": (
+            0.0, ExternalLoad(force=(0.0, -3.0 * 9.81)), {"model": "wrap-integral"}),
+        "max-iter-2": (
+            0.0, ExternalLoad(force=(0.0, -3.0 * 9.81)), {"max_iterations": 2}),
+        "tension-infeasible": (0.0, ExternalLoad(force=(0.0, -1.5), moment=0.1), {}),
+    }
+
+    EXPECTED = {
+        "upward-extension": TendonGroup.EXTENSION,
+        "wrap-integral-3kg-range": RangeExceeded,
+        "max-iter-2": NoConvergence,
+        "tension-infeasible": TensionInfeasible,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_solve_static(self, calibrated, name):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q, load, kwargs = self.CASES[name]
+        ref = FrozenStatics()
+        want = _outcome(lambda: ref.solve_static(q, geom, specs, load, **kwargs))
+        got = _outcome(lambda: solve_static(q, geom, specs, load, **kwargs))
+        assert_same_outcome(got, want, ref.trig_is_math(), geom.total_length)
+        expected = self.EXPECTED.get(name)
+        if isinstance(expected, TendonGroup):
+            assert got.tensions.active_group is expected
+        elif expected is not None:
+            assert isinstance(got, expected)
+        else:
+            assert got.residual <= 1e-6
+
+    def test_pose_and_moments(self, calibrated):
+        cal = calibrated.geometry
+        # A zero link-1 mass arm and massless links give the signed zeros
+        # that the `0.0 +` of link 1's centre and the zero x-weight term
+        # decide.
+        flat = FingerGeometry(
+            link_lengths=cal.link_lengths, guide_radii=cal.guide_radii,
+            link_masses=(0.0, 0.0, cal.link_masses[2]),
+            com_fractions=(0.0, 0.5, 1.0), gravity_accel=cal.gravity_accel,
+        )
+        massless = FingerGeometry(
+            link_lengths=cal.link_lengths, guide_radii=cal.guide_radii,
+            com_fractions=(0.0, 0.5, 1.0), gravity_accel=cal.gravity_accel,
+        )
+        rng = np.random.default_rng(31)
+        ref = FrozenStatics()
+        cases = [(cal, (-0.0, 0.0, -0.0), ExternalLoad()),
+                 (flat, (-0.0, -0.0, -0.0), ExternalLoad()),
+                 (flat, (-0.0, 0.0, 0.0), ExternalLoad(moment=-0.0)),
+                 (flat, (-0.3, 0.0, -0.0), ExternalLoad(force=(0.0, -0.0))),
+                 (massless, (-0.3, 0.9, 0.9),
+                  ExternalLoad(force=(0.0, -0.0), moment=-0.0))]
+        for i in range(200):
+            cases.append((cal if i % 2 else flat, tuple(rng.uniform(-1.5, 1.5, 3)),
+                          ExternalLoad(
+                              force=tuple(rng.uniform(-30.0, 30.0, 2)),
+                              moment=float(rng.uniform(-0.05, 0.05)),
+                              application_point=(None if rng.random() < 0.5
+                                                 else tuple(rng.uniform(-0.2, 0.2, 2))),
+                          )))
+        for geom, theta, load in cases:
+            cfg = Configuration(q=0.0, theta=theta)
+            points, coms = link_pose(cfg.theta, geom)
+            pairs = (
+                (chain_points(cfg, geom), ref.chain_points(cfg, geom)),
+                (np.array(points), ref.chain_points(cfg, geom)),
+                (np.array(coms), ref.com_points(cfg, geom)),
+                (net_external_moments(cfg, geom, load),
+                 ref.net_external_moments(cfg, geom, load)),
+            )
+            exact = ref.trig_is_math()
+            for new, old in pairs:
+                if exact:
+                    assert _bits(new) == _bits(old)
+                else:
+                    np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
+            assert_same_outcome(forward_kinematics(cfg, geom),
+                                ref.forward_kinematics(cfg, geom), exact, 1.0)
+            assert_same_outcome(_outcome(lambda: solve_tensions(cfg, geom, load)),
+                                _outcome(lambda: ref.solve_tensions(cfg, geom, load)),
+                                exact, 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        q_mm=st.floats(-1.5, 1.5),
+        payload_kg=st.floats(0.5, 3.0),
+        cone_deg=st.floats(-20.0, 20.0),
+        moment=st.floats(-0.03, 0.03),
+        attach=st.one_of(st.none(), st.floats(0.5, 1.0)),
+    )
+    def test_property_benchmark_ranges(self, calibrated, q_mm, payload_kg,
+                                       cone_deg, moment, attach):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q = q_mm * 1e-3
+        weight = payload_kg * geom.gravity_accel
+        angle = math.radians(-90.0 + cone_deg)
+        load = ExternalLoad(
+            force=(weight * math.cos(angle), weight * math.sin(angle)),
+            moment=moment,
+            application_point=None if attach is None else _distal_point(q, attach, geom),
+        )
+        ref = FrozenStatics()
+        want = _outcome(lambda: ref.solve_static(q, geom, specs, load))
+        got = _outcome(lambda: solve_static(q, geom, specs, load))
+        assert_same_outcome(got, want, ref.trig_is_math(), geom.total_length)
