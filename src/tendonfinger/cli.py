@@ -393,7 +393,7 @@ def _cmd_oracle_check(args) -> int:
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     summary = report["summary"]
     _status(
-        f"cases: {len(report['cases'])} "
+        f"cases: {len(report['cases'])} compared: {summary['compared_cases']} "
         f"max fingertip gap: {100.0 * summary['max_delta_fraction_of_length']:.4f}% "
         f"of finger length (tolerance 1%)"
     )

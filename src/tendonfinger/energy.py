@@ -1,10 +1,14 @@
 """
-Brute-force equilibrium by total-potential-energy minimization.
+Equilibrium by total-potential-energy minimization.
 
 Independent cross-check for the fixed-point static solver: the total
 potential (link gravity + elastic energy of every tendon + external-load
-potential) is minimized over the three joint angles with a coarse grid
-search followed by shrink-by-4 local refinement.
+potential) is minimized over the three joint angles. A coarse 21^3 grid
+search finds the basin; Newton steps on the analytic gradient and
+Hessian then polish its best sample. When the polish fails (it leaves
+the first refinement box, meets a Hessian that is not positive definite,
+runs out of steps or ends higher than the best sample), shrink-by-4 grid
+boxes around the best sample refine it instead.
 
 Tendon stretch model: the actuating tendon's routed length changes by
 R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
@@ -17,6 +21,7 @@ image. A slack tendon (negative stretch) stores no energy.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,8 @@ from .statics import (
 DEFAULT_GRID = 21
 DEFAULT_REFINE_ROUNDS = 6
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
+NEWTON_MAX_STEPS = 8
+NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,7 @@ class _PotentialModel:
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
+        self.specs = specs
         self.load = load
         self.q = q
         self.lengths = np.asarray(geom.link_lengths)
@@ -88,6 +96,11 @@ class _PotentialModel:
         lt2, lt3 = coupling_rest_lengths(geom)
         self.k_flex = self._group_stiffness(specs, TendonGroup.FLEXION, lt2, lt3)
         self.k_ext = self._group_stiffness(specs, TendonGroup.EXTENSION, lt2, lt3)
+
+        # Joint k lifts every link j >= k: link j's own centre of mass by
+        # frac_j L_j, and each later link's by L_j.
+        m = self.masses
+        self.lifted = (m * self.fracs + (np.sum(m) - np.cumsum(m))).tolist()
 
         self.force = np.asarray(load.force)
         if load.application_point is None:
@@ -114,7 +127,7 @@ class _PotentialModel:
         """Unclamped flexion-side stretches of the three tendons at joint
         angles t1, t2, t3; the extension side is their negative. Tendon 1
         depends on t1 only, tendon 2 on t1 and t2, tendon 3 on t2 and t3."""
-        h, r = self.theta_hat, self.radii
+        h, r = self.theta_hat.tolist(), self.radii.tolist()
         rd1 = (h[0] - t1) * r[0]
         rd2 = (h[1] - t2) * r[1]
         rd3 = (h[2] - t3) * r[2]
@@ -125,6 +138,64 @@ class _PotentialModel:
         flex = np.array(self.stretches(*theta))
         return (self.k_flex * np.clip(flex, 0.0, None),
                 self.k_ext * np.clip(-flex, 0.0, None))
+
+    def gradient_hessian(self, theta):
+        """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
+        at one pose, as plain-float tuples.
+
+        Elastic: tendon i pulls with J_i^T T_i and stiffens by
+        J^T diag(k_i) J, J = d(stretch)/d(theta); a zero stretch counts as
+        taut in both groups, so the unloaded pose keeps a positive-definite
+        Hessian, and the gradient takes the taut side's one-sided
+        derivative (a clamped stretch pulls with zero tension). Gravity and
+        the load reach joint k through every link j >= k, so their
+        Hessian entry (k, l) sums over j >= max(k, l).
+        """
+        t1, t2, t3 = (float(t) for t in theta)
+        phi = (t1, t1 + t2, t1 + t2 + t3)
+        sin = [math.sin(p) for p in phi]
+        cos = [math.cos(p) for p in phi]
+        R1, R2, R3 = self.radii.tolist()
+
+        pull, stiff = [], []
+        for s, k_flex, k_ext in zip(self.stretches(t1, t2, t3),
+                                    self.k_flex.tolist(), self.k_ext.tolist()):
+            pull.append(k_flex * max(s, 0.0) - k_ext * max(-s, 0.0))
+            stiff.append((k_flex if s >= 0.0 else 0.0) + (k_ext if s <= 0.0 else 0.0))
+        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
+        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
+        n1, n2, n3 = pull
+        k1, k2, k3 = stiff
+        grad_elastic = (R1 * (n2 - n1), R2 * (n3 - n2), -R3 * n3)
+
+        L = self.lengths.tolist()
+        lifts = [l * c * w for l, c, w in zip(L, cos, self.lifted)]
+        drops = [l * s * w for l, s, w in zip(L, sin, self.lifted)]
+        ex = [l * c for l, c in zip(L, cos)]
+        ey = [l * s for l, s in zip(L, sin)]
+        if self.attach_local is not None:
+            ax, ay = self.attach_local.tolist()
+            ex[2] = cos[2] * ax - sin[2] * ay
+            ey[2] = sin[2] * ax + cos[2] * ay
+
+        g = self.g
+        fx, fy = self.force.tolist()
+        moment = self.load.moment
+        lift_j, ex_j, ey_j = _tail_sums(lifts), _tail_sums(ex), _tail_sums(ey)
+        grad = tuple(
+            e + g * lift - (fx * -y + fy * x) - moment
+            for e, lift, x, y in zip(grad_elastic, lift_j, ex_j, ey_j)
+        )
+        # The gravity and load Hessian entries (k, l) are tail[max(k, l)].
+        tail = [-g * d + fx * x + fy * y
+                for d, x, y in zip(_tail_sums(drops), ex_j, ey_j)]
+        hess = (
+            (R1 * R1 * (k1 + k2) + tail[0], -R1 * R2 * k2 + tail[1], tail[2]),
+            (-R1 * R2 * k2 + tail[1], R2 * R2 * (k2 + k3) + tail[1],
+             -R2 * R3 * k3 + tail[2]),
+            (tail[2], -R2 * R3 * k3 + tail[2], R3 * R3 * k3 + tail[2]),
+        )
+        return grad, hess
 
     def axis_components(self, t1, t2, t3):
         """Gravity, elastic and load potentials at joint angles t1, t2, t3.
@@ -185,12 +256,41 @@ def total_potential(
     """Potential energy of one joint-angle triple (range-checked)."""
     theta = tuple(float(t) for t in theta)
     Configuration(q=q, theta=theta)  # raises RangeExceeded outside limits
-    model = _PotentialModel(geom, specs, load, q)
+    model = _potential_model(geom, specs, load, q)
     g, e, l = model.components(np.asarray(theta)[None, :])
     return EnergyLandscapeSample(
         theta=theta, gravity_pe=float(g[0]), elastic_pe=float(e[0]),
         load_pe=float(l[0]),
     )
+
+
+def _tail_sums(values):
+    """Sums over j >= k of three per-link values, for k = 1, 2, 3; summed
+    from the distal link inwards."""
+    v1, v2, v3 = values
+    s2 = v3 + v2
+    return (s2 + v1, s2, v3)
+
+
+_last_model = None  # weak reference to the most recently built model
+
+
+def _potential_model(geom: FingerGeometry, specs, load: ExternalLoad,
+                     q: float) -> _PotentialModel:
+    """The potential model of one load case.
+
+    The most recently built model is reused while a caller still holds it
+    and it was built from these very objects. `equilibrium_report` holds
+    each case's model, so that case's search, energy line and residuals
+    share it; no model outlives its last holder.
+    """
+    global _last_model
+    m = _last_model() if _last_model is not None else None
+    if m is None or not (m.geom is geom and m.specs is specs
+                         and m.load is load and m.q is q):
+        m = _PotentialModel(geom, specs, load, q)
+        _last_model = weakref.ref(m)
+    return m
 
 
 def potential_gradient(
@@ -201,45 +301,55 @@ def potential_gradient(
     At a slack/taut transition the one-sided derivative of the taut side
     is returned (the clamped stretch contributes zero when slack).
     """
-    theta = np.asarray(theta, dtype=float)
-    model = _PotentialModel(geom, specs, load, q)
-    phi = np.cumsum(theta)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    L, R = model.lengths, model.radii
+    model = _potential_model(geom, specs, load, q)
+    return np.array(model.gradient_hessian(theta)[0])
 
-    t_flex, t_ext = model.tensions(theta)
-    # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
-    # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i). Extension side
-    # is the negative.
-    dflex = np.array([
-        [-R[0], 0.0, 0.0],
-        [R[0], -R[1], 0.0],
-        [0.0, R[1], -R[2]],
-    ])
-    grad_elastic = t_flex @ dflex + t_ext @ (-dflex)
 
-    # Joint k lifts every link j >= k: link j's own centre of mass by
-    # frac_j L_j cos(phi_j), and each later link's by L_j cos(phi_j).
-    m = model.masses
-    lifted = m * model.fracs + (np.sum(m) - np.cumsum(m))
-    grad_gravity = model.g * np.cumsum((L * cos_phi * lifted)[::-1])[::-1]
+def _newton_step(grad, hess):
+    """The Newton step -H^-1 grad by a closed-form LDL^T factorization of
+    the 3 x 3 Hessian, or None when the Hessian is not positive definite."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
+    d0 = h00
+    if not d0 > 0.0:
+        return None
+    l10, l20 = h01 / d0, h02 / d0
+    d1 = h11 - l10 * h01
+    if not d1 > 0.0:
+        return None
+    l21 = (h12 - l20 * h01) / d1
+    d2 = h22 - l20 * h02 - l21 * l21 * d1
+    if not d2 > 0.0:
+        return None
+    g0, g1, g2 = grad
+    y0 = -g0
+    y1 = -g1 - l10 * y0
+    y2 = -g2 - l20 * y0 - l21 * y1
+    x2 = y2 / d2
+    x1 = y1 / d1 - l21 * x2
+    x0 = y0 / d0 - l10 * x1 - l20 * x2
+    return (x0, x1, x2)
 
-    if model.attach_local is None:
-        dpx = np.array([-np.sum(L[k:] * sin_phi[k:]) for k in range(3)])
-        dpy = np.array([np.sum(L[k:] * cos_phi[k:]) for k in range(3)])
-    else:
-        ax, ay = model.attach_local
-        rot_dx = -sin_phi[2] * ax - cos_phi[2] * ay
-        rot_dy = cos_phi[2] * ax - sin_phi[2] * ay
-        dpx = np.array(
-            [-np.sum(L[k:2] * sin_phi[k:2]) + rot_dx for k in range(3)]
-        )
-        dpy = np.array(
-            [np.sum(L[k:2] * cos_phi[k:2]) + rot_dy for k in range(3)]
-        )
-    grad_load = -(model.force[0] * dpx + model.force[1] * dpy) - load.moment
 
-    return grad_elastic + grad_gravity + grad_load
+def _newton_polish(model: _PotentialModel, theta, lo, hi):
+    """Newton steps from `theta` until a step is at most NEWTON_STEP_TOL.
+
+    Returns (theta, steps) on convergence, or (None, steps) when an
+    iterate leaves the box [lo, hi], the Hessian is not positive definite
+    or NEWTON_MAX_STEPS pass first; `steps` counts gradient and Hessian
+    evaluations.
+    """
+    theta = theta.tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    for steps in range(1, NEWTON_MAX_STEPS + 1):
+        step = _newton_step(*model.gradient_hessian(theta))
+        if step is None:
+            return None, steps
+        theta = [t + d for t, d in zip(theta, step)]
+        if not all(a <= t <= b for a, t, b in zip(lo, theta, hi)):
+            return None, steps
+        if max(abs(d) for d in step) <= NEWTON_STEP_TOL:
+            return np.array(theta), steps
+    return None, NEWTON_MAX_STEPS
 
 
 def find_equilibrium(
@@ -250,20 +360,34 @@ def find_equilibrium(
     grid: int = DEFAULT_GRID,
     refine_rounds: int = DEFAULT_REFINE_ROUNDS,
 ) -> EquilibriumResult:
-    """Grid search plus shrink-by-4 refinement over the joint angles.
+    """Grid search plus a Newton polish over the joint angles.
 
     The search box spans +-0.5 rad per axis around the nominal coupled
-    pose (the first axis clipped to the joint-1 range). The argmin of a
-    grid pass is the first minimal sample in lexicographic index order.
-    Raises BoundaryMinimum when the final minimizer sits on the initial
-    box surface, which means the box should be widened.
+    pose (the first axis clipped to the joint-1 range), sampled `grid`
+    times per axis; its argmin is the first minimal sample in
+    lexicographic index order. Newton steps on the analytic Hessian then
+    polish that sample. The polish falls back to `refine_rounds`
+    shrink-by-4 boxes around the sample when an iterate leaves the first
+    of those boxes (the sample +- a quarter of the search half-width,
+    clipped to the search box), the Hessian is not positive definite,
+    NEWTON_MAX_STEPS pass, or the polished energy exceeds the sample's.
+
+    `evaluations` counts the box's samples, the Newton steps and any
+    fallback boxes' samples; `rounds` counts the boxes run, so it is 0
+    after a polish. Raises BoundaryMinimum when the final minimizer sits
+    on the search-box surface, which means the box should be widened.
     """
     if grid < 11:
         raise ValueError("grid must be >= 11 samples per axis")
     if refine_rounds < 0:
         raise ValueError("refine_rounds must be >= 0")
+    return _equilibrium(_potential_model(geom, specs, load, q), grid, refine_rounds)
 
-    model = _PotentialModel(geom, specs, load, q)
+
+def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
+                 polish: bool = True) -> EquilibriumResult:
+    """find_equilibrium on a built model; `polish=False` runs the
+    shrink-by-4 rounds straight after the box, as the fallback does."""
     center = model.theta_hat.copy()
     lo0 = center - SEARCH_HALF_WIDTH
     hi0 = center + SEARCH_HALF_WIDTH
@@ -283,16 +407,27 @@ def find_equilibrium(
 
     best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
     evaluations = n_eval
-
     half = (hi0 - lo0) / 2.0
-    for _ in range(refine_rounds):
-        half = half / 4.0
-        lo = np.maximum(best_theta - half, lo0)
-        hi = np.minimum(best_theta + half, hi0)
-        theta_r, energy_r, n_eval = evaluate_box(lo, hi)
-        evaluations += n_eval
-        if energy_r < best_energy:
-            best_theta, best_energy = theta_r, energy_r
+
+    polished, steps = _newton_polish(
+        model, best_theta,
+        np.maximum(best_theta - half / 4.0, lo0),
+        np.minimum(best_theta + half / 4.0, hi0),
+    ) if polish else (None, 0)
+    evaluations += steps
+    energy = None if polished is None else float(model.total(polished)[0])
+    rounds = 0
+    if energy is not None and energy <= best_energy:
+        best_theta, best_energy = polished, energy
+    else:
+        for rounds in range(1, refine_rounds + 1):
+            half = half / 4.0
+            lo = np.maximum(best_theta - half, lo0)
+            hi = np.minimum(best_theta + half, hi0)
+            theta_r, energy_r, n_eval = evaluate_box(lo, hi)
+            evaluations += n_eval
+            if energy_r < best_energy:
+                best_theta, best_energy = theta_r, energy_r
 
     edge_tol = (hi0 - lo0) / (2.0 * (grid - 1))
     on_edge = np.any(
@@ -304,14 +439,14 @@ def find_equilibrium(
             f"energy minimum {tuple(best_theta)} lies on the search-box boundary"
         )
 
-    cfg = Configuration(q=q, theta=tuple(best_theta))
-    tip = chain_points(cfg, geom)[3]
+    cfg = Configuration(q=model.q, theta=tuple(best_theta))
+    tip = chain_points(cfg, model.geom)[3]
     return EquilibriumResult(
         theta=tuple(float(t) for t in best_theta),
         fingertip=(float(tip[0]), float(tip[1])),
         energy=best_energy,
         evaluations=evaluations,
-        rounds=refine_rounds,
+        rounds=rounds,
     )
 
 
@@ -334,7 +469,7 @@ def balance_residuals(
     moments = net_external_moments(cfg, geom, load)
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
 
-    model = _PotentialModel(geom, specs, load, q)
+    model = _potential_model(geom, specs, load, q)
     t_flex, t_ext = model.tensions(theta)
     tensions = t_flex if group is TendonGroup.FLEXION else t_ext
 
@@ -417,13 +552,17 @@ def equilibrium_report(
 
     Emits one entry per case with both equilibria, the fingertip gap and
     the balance residuals of both tension formulations at the energy
-    pose. When `literal_probe_payload` is set, the wrap-integral solver
-    is additionally run on that tip payload and its outcome recorded,
+    pose. A case is compared when both routes succeed; the summary's
+    `within_tolerance` holds only when every case was compared and the
+    largest gap is at most 1% of finger length. When
+    `literal_probe_payload` is set, the wrap-integral solver is
+    additionally run on that tip payload and its outcome recorded,
     documenting how far the literal formulation strays.
     """
     total_len = geom.total_length
     entries = []
     worst = 0.0
+    compared = 0
     for case in cases:
         load = case["load"]
         entry = {k: v for k, v in case.items() if k != "load"}
@@ -442,13 +581,14 @@ def equilibrium_report(
         entry["fixed_point"] = _solution_summary(sol)
 
         try:
+            # Held for the case, so the search and residuals below reuse it.
+            model = _potential_model(geom, specs, load, q)
             eq = find_equilibrium(geom, specs, load, q,
                                   grid=grid, refine_rounds=refine_rounds)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
             continue
-        model = _PotentialModel(geom, specs, load, q)
         energy_at_fp = float(model.total(
             np.asarray(sol.configuration.theta)[None, :]
         )[0])
@@ -469,14 +609,16 @@ def equilibrium_report(
             eq.theta, geom, specs, load, q, sol.tensions.active_group
         )
         worst = max(worst, delta / total_len)
+        compared += 1
         entries.append(entry)
 
     report = {
         "cases": entries,
         "summary": {
+            "compared_cases": compared,
             "max_delta_fraction_of_length": worst,
             "tolerance_fraction": 0.01,
-            "within_tolerance": worst <= 0.01,
+            "within_tolerance": 0 < compared == len(entries) and worst <= 0.01,
         },
     }
 

@@ -265,6 +265,18 @@ class TestOracleCheck:
         assert "summary" in doc
         assert "wrap_integral_probe" in doc
 
+    def test_failed_solves_are_not_a_pass(self, tmp_path):
+        # One fixed-point pass never converges, so nothing is compared:
+        # the verdict is false, though the exit code stays 0.
+        out = tmp_path / "report.json"
+        res = run_cli("oracle-check", "--cases", "2", "--max-iter", "1",
+                      "--config", str(CONFIG), "--out", str(out))
+        assert res.returncode == 0
+        summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
+        assert summary["compared_cases"] == 0
+        assert summary["within_tolerance"] is False
+        assert "cases: 2 compared: 0 " in res.stderr
+
     @pytest.mark.parametrize("cases", ["0", "-1"])
     def test_no_cases_exit_1(self, tmp_path, cases):
         out = tmp_path / "report.json"

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tendonfinger import energy
 from tendonfinger.energy import (
+    DEFAULT_GRID,
+    NEWTON_MAX_STEPS,
     SEARCH_HALF_WIDTH,
     EquilibriumResult,
+    _equilibrium,
+    _newton_step,
     _PotentialModel,
     balance_residuals,
     equilibrium_report,
@@ -261,6 +266,76 @@ class TestGradient:
                                            atol=1e-12 * scale)
 
 
+def _taut_poses(model, group, n, seed):
+    """Poses whose tendons of `group` are all taut, each stretch at least
+    20 um (a 1e-6 rad probe moves a stretch by under 1e-8 m)."""
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if group is TendonGroup.FLEXION else -1.0
+    for _ in range(n):
+        rd = np.cumsum(rng.uniform(2e-5, 5e-4, 3))  # R_i d_i, increasing
+        theta = model.theta_hat - sign * rd / model.radii
+        assert np.min(sign * np.array(model.stretches(*theta))) >= 1e-5
+        yield theta
+
+
+class TestHessian:
+    @pytest.mark.parametrize("q", [0.0, 1e-3])
+    @pytest.mark.parametrize("group", [TendonGroup.FLEXION, TendonGroup.EXTENSION])
+    @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
+    def test_matches_central_difference_of_gradient(self, geom_cal, load_name,
+                                                    group, q):
+        specs, load = make_specs(), REFERENCE_LOADS[load_name]
+        model = _PotentialModel(geom_cal, specs, load, q)
+        h = 1e-6
+        for theta in _taut_poses(model, group, 20, seed=31):
+            grad, hess = model.gradient_hessian(theta)
+            hess = np.array(hess)
+            assert np.array_equal(hess, hess.T)
+            np.testing.assert_array_equal(
+                grad, potential_gradient(theta, geom_cal, specs, load, q))
+            fd = np.zeros((3, 3))
+            for k in range(3):
+                tp, tm = theta.copy(), theta.copy()
+                tp[k] += h
+                tm[k] -= h
+                fd[:, k] = (potential_gradient(tp, geom_cal, specs, load, q)
+                            - potential_gradient(tm, geom_cal, specs, load, q)
+                            ) / (2 * h)
+            # Gravity-only off-diagonal entries are ~1e-3 of the diagonal;
+            # the difference quotient's rounding floor is about 1e-9 of it.
+            np.testing.assert_allclose(hess, fd, rtol=1e-6,
+                                       atol=1e-9 * np.max(np.abs(hess)))
+
+    def test_zero_stretch_counts_as_taut(self, geom_massless):
+        # Unloaded and massless at the nominal pose every stretch is zero;
+        # both groups count as taut, so the Hessian stays positive definite.
+        model = _PotentialModel(geom_massless, make_specs(), ExternalLoad(), 2e-3)
+        grad, hess = model.gradient_hessian(model.theta_hat)
+        assert grad == (0.0, 0.0, 0.0)
+        R = model.radii
+        jac = np.array([[-R[0], 0.0, 0.0], [R[0], -R[1], 0.0], [0.0, R[1], -R[2]]])
+        np.testing.assert_allclose(
+            hess, jac.T @ np.diag(model.k_flex + model.k_ext) @ jac, rtol=1e-12)
+        assert np.all(np.linalg.eigvalsh(np.array(hess)) > 0.0)
+        assert _newton_step(grad, hess) == (0.0, 0.0, 0.0)
+
+    def test_newton_step_solves_or_refuses(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a = rng.normal(size=(3, 3))
+            spd = a @ a.T + 0.1 * np.eye(3)
+            grad = rng.normal(size=3)
+            step = _newton_step(tuple(grad), tuple(map(tuple, spd)))
+            np.testing.assert_allclose(step, np.linalg.solve(spd, -grad),
+                                       rtol=1e-9, atol=1e-12)
+        for indefinite in (np.diag([1.0, -1.0, 1.0]), np.diag([0.0, 1.0, 1.0]),
+                           np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]]),
+                           np.diag([1.0, 1.0, np.nan])):
+            assert _newton_step((1.0, 1.0, 1.0),
+                                tuple(map(tuple, indefinite))) is None
+
+
 class TestGridEvaluation:
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
@@ -282,8 +357,10 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
     def test_find_equilibrium_matches_reference(self, geom_cal, load_name, q):
+        # The shrink-by-4 rounds, which the Newton polish falls back to.
         load = REFERENCE_LOADS[load_name]
-        assert (find_equilibrium(geom_cal, make_specs(), load, q)
+        model = _PotentialModel(geom_cal, make_specs(), load, q)
+        assert (_equilibrium(model, 21, 6, polish=False)
                 == _reference_find_equilibrium(geom_cal, make_specs(), load, q))
 
     @settings(max_examples=40, deadline=None)
@@ -364,6 +441,83 @@ class TestFindEquilibrium:
             find_equilibrium(geom_cal, make_specs(), load, 0.0)
 
 
+def _spy_polish(monkeypatch, replacement=None):
+    """Record what every Newton polish returns; optionally replace it."""
+    calls = []
+    polish = replacement or energy._newton_polish
+
+    def spy(*args):
+        calls.append(polish(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(energy, "_newton_polish", spy)
+    return calls
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
+    @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
+    def test_polish_refines_reference_rounds(self, geom_cal, load_name, q):
+        specs, load = make_specs(), REFERENCE_LOADS[load_name]
+        eq = find_equilibrium(geom_cal, specs, load, q)
+        ref = _reference_find_equilibrium(geom_cal, specs, load, q)
+        assert eq.rounds == 0
+        assert DEFAULT_GRID ** 3 < eq.evaluations <= DEFAULT_GRID ** 3 + NEWTON_MAX_STEPS
+        assert max(abs(a - b) for a, b in zip(eq.theta, ref.theta)) <= 3e-5
+        assert eq.energy <= ref.energy
+        grad = potential_gradient(eq.theta, geom_cal, specs, load, q)
+        assert np.max(np.abs(grad)) <= 1e-9
+
+    def test_boundary_minimum_found_by_fallback(self, geom_cal, monkeypatch):
+        # 60 kg drives the first Newton step out of the first refinement
+        # box; the rounds then end on the search-box surface.
+        calls = _spy_polish(monkeypatch)
+        load = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
+        with pytest.raises(BoundaryMinimum):
+            find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        assert [theta for theta, _ in calls] == [None]
+
+    def _assert_rounds_result(self, eq, geom, load, extra_evaluations):
+        rounds = _equilibrium(_PotentialModel(geom, make_specs(), load, 0.0),
+                              DEFAULT_GRID, 6, polish=False)
+        assert (eq.theta, eq.fingertip, eq.energy, eq.rounds) == (
+            rounds.theta, rounds.fingertip, rounds.energy, 6)
+        assert eq.evaluations == rounds.evaluations + extra_evaluations
+
+    def test_step_cap_falls_back_to_rounds(self, geom_cal, monkeypatch):
+        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
+        load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
+        eq = find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=1)
+
+    def test_higher_polished_energy_falls_back_to_rounds(self, geom_cal,
+                                                         monkeypatch):
+        # Pretend the polish converged on the nominal pose, which a 2 kg
+        # load pulls well away from: its energy exceeds the best sample's.
+        calls = _spy_polish(
+            monkeypatch, lambda model, theta, lo, hi: (model.theta_hat.copy(), 3))
+        load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
+        eq = find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        assert len(calls) == 1
+        self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(payload=st.floats(0.2, 3.0), direction_deg=st.floats(-150.0, -30.0))
+    def test_polish_never_above_best_sample(self, calibrated, payload,
+                                            direction_deg):
+        # The load ranges of random_tip_load_cases, which oracle-check draws.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        magnitude = payload * geom.gravity_accel
+        angle = math.radians(direction_deg)
+        load = ExternalLoad(force=(magnitude * math.cos(angle),
+                                   magnitude * math.sin(angle)))
+        coarse = _equilibrium(_PotentialModel(geom, specs, load, 0.0),
+                              DEFAULT_GRID, 0, polish=False)
+        eq = find_equilibrium(geom, specs, load, 0.0)
+        assert eq.rounds == 0
+        assert eq.energy <= coarse.energy
+
+
 class TestBalanceResiduals:
     def test_stationarity_matches_tangent_cascade(self, geom_cal):
         # The analytic gradient is the negative of the tangent-model
@@ -415,3 +569,33 @@ class TestEquilibriumReport:
         gap = math.hypot(sol.fingertip.position[0] - eq.fingertip[0],
                          sol.fingertip.position[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
+
+    def test_one_potential_model_per_case(self, calibrated, monkeypatch):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        built = []
+        init = _PotentialModel.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(_PotentialModel, "__init__", counting_init)
+        cases = random_tip_load_cases(3, 7, geom)
+        report = equilibrium_report(geom, specs, 0.0, cases,
+                                    literal_probe_payload=None)
+        assert [args[2] for args in built] == [c["load"] for c in cases]
+        assert report["summary"]["compared_cases"] == 3
+
+    def test_uncompared_cases_fail_tolerance(self, calibrated):
+        # A fixed-point solve capped at one pass always errors, so no case
+        # is compared; the summary must not read as a pass.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        report = equilibrium_report(geom, specs, 0.0,
+                                    random_tip_load_cases(2, 7, geom),
+                                    max_iterations=1, literal_probe_payload=None)
+        assert all("error" in c["fixed_point"] for c in report["cases"])
+        summary = report["summary"]
+        assert summary["compared_cases"] == 0
+        assert summary["within_tolerance"] is False
+        assert equilibrium_report(geom, specs, 0.0, [])["summary"][
+            "within_tolerance"] is False
