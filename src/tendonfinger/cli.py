@@ -20,18 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import default_config_path, load_finger_config
 from .energy import equilibrium_report, random_tip_load_cases
-from .errors import (
-    BoundaryMinimum,
-    ConfigError,
-    EmptyCloud,
-    GeometryInfeasible,
-    GridTooLarge,
-    NoConvergence,
-    RangeExceeded,
-    ResolutionTooHigh,
-    ResolutionTooLow,
-    TensionInfeasible,
-)
+from .errors import ConfigError, NoConvergence, TendonFingerError
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
 from .statics import (
     solution_to_dict,
@@ -50,7 +39,6 @@ from .workspace import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
-EXIT_NO_CONVERGENCE = 3
 
 REFERENCE_PAYLOADS = "0.5,1.0,1.5,2.0,2.5,3.0"
 WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
@@ -131,49 +119,62 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
                         help="solver iteration cap")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_q(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("q", help="tendon displacement, meters (or mm:<value>)")
+
+
+def _add_workspace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--resolution", type=int, default=100)
+    parser.add_argument("--cell", type=_finite_arg, default=1e-3,
+                        help="occupancy cell size in meters (default 1 mm)")
+
+
+def _add_solve(parser: argparse.ArgumentParser) -> None:
+    _add_q(parser)
+    parser.add_argument("--force", default="0,0", help="tip force FX,FY in newtons")
+    parser.add_argument("--moment", type=_finite_arg, default=0.0,
+                        help="external moment in newton-meters")
+    parser.add_argument("--at", default=None,
+                        help="force application point X,Y in meters (default fingertip)")
+
+
+def _add_stiffness(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--payloads", required=True, help="comma-separated masses in kg")
+    parser.add_argument("--q", default="0", help="tendon displacement (default 0)")
+
+
+def _add_validate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--payloads", default=REFERENCE_PAYLOADS,
+                        help=f"comma-separated masses in kg (default {REFERENCE_PAYLOADS})")
+    parser.add_argument("--reference", default=None,
+                        help="reference CSV with payload_kg,deflection_mm columns")
+
+
+def _add_oracle_check(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cases", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with no command the full parser.
+
+    A command's parser equals the full parser's subparser for it: the
+    same prog, arguments and help.
+    """
+    if command is not None:
+        _, add_arguments, _ = _COMMANDS[command]
+        parser = _Parser(prog=f"tendonfinger {command}")
+        _add_shared(parser)
+        add_arguments(parser)
+        return parser
     parser = _Parser(prog="tendonfinger",
                      description="Coupled tendon-finger simulation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fk", help="coupled kinematics at displacement q")
-    _add_shared(p)
-    p.add_argument("q", help="tendon displacement, meters (or mm:<value>)")
-
-    p = sub.add_parser("workspace", help="sweep reachable points per link")
-    _add_shared(p)
-    p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--cell", type=_finite_arg, default=1e-3,
-                   help="occupancy cell size in meters (default 1 mm)")
-
-    p = sub.add_parser("solve", help="static configuration under load")
-    _add_shared(p)
-    p.add_argument("q", help="tendon displacement, meters (or mm:<value>)")
-    p.add_argument("--force", default="0,0", help="tip force FX,FY in newtons")
-    p.add_argument("--moment", type=_finite_arg, default=0.0,
-                   help="external moment in newton-meters")
-    p.add_argument("--at", default=None,
-                   help="force application point X,Y in meters (default fingertip)")
-
-    p = sub.add_parser("stiffness", help="deflection/stiffness over payloads")
-    _add_shared(p)
-    p.add_argument("--payloads", required=True, help="comma-separated masses in kg")
-    p.add_argument("--q", default="0", help="tendon displacement (default 0)")
-
-    p = sub.add_parser("validate", help="static-loading validation table")
-    _add_shared(p)
-    p.add_argument("--payloads", default=REFERENCE_PAYLOADS,
-                   help=f"comma-separated masses in kg (default {REFERENCE_PAYLOADS})")
-    p.add_argument("--reference", default=None,
-                   help="reference CSV with payload_kg,deflection_mm columns")
-
-    p = sub.add_parser("oracle-check",
-                       help="fixed-point vs energy-minimization comparison")
-    _add_shared(p)
-    p.add_argument("--cases", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_shared(p)
+        add_arguments(p)
     return parser
 
 
@@ -282,7 +283,7 @@ def _cmd_solve(args) -> int:
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         _status(f"no convergence: {exc}")
-        return EXIT_NO_CONVERGENCE
+        return exc.exit_code
     doc = {"status": "ok", **solution_to_dict(sol)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -392,41 +393,49 @@ def _cmd_oracle_check(args) -> int:
     )
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     summary = report["summary"]
+    worst = summary["max_delta_fraction_of_length"]
+    gap = "n/a" if worst is None else f"{100.0 * worst:.4f}% of finger length"
     _status(
         f"cases: {len(report['cases'])} compared: {summary['compared_cases']} "
-        f"max fingertip gap: {100.0 * summary['max_delta_fraction_of_length']:.4f}% "
-        f"of finger length (tolerance 1%)"
+        f"max fingertip gap: {gap} (tolerance 1%)"
     )
     return EXIT_OK
 
 
+# name -> (help, adds the command's own arguments, handler)
 _COMMANDS = {
-    "fk": _cmd_fk,
-    "workspace": _cmd_workspace,
-    "solve": _cmd_solve,
-    "stiffness": _cmd_stiffness,
-    "validate": _cmd_validate,
-    "oracle-check": _cmd_oracle_check,
+    "fk": ("coupled kinematics at displacement q", _add_q, _cmd_fk),
+    "workspace": ("sweep reachable points per link", _add_workspace,
+                  _cmd_workspace),
+    "solve": ("static configuration under load", _add_solve, _cmd_solve),
+    "stiffness": ("deflection/stiffness over payloads", _add_stiffness,
+                  _cmd_stiffness),
+    "validate": ("static-loading validation table", _add_validate,
+                 _cmd_validate),
+    "oracle-check": ("fixed-point vs energy-minimization comparison",
+                     _add_oracle_check, _cmd_oracle_check),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        # Only the invoked command's parser is built. Leftover arguments
+        # are an error, which the full parser reports as it always has.
+        args, rest = build_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, ResolutionTooLow, ResolutionTooHigh, GridTooLarge,
-            _UsageError) as exc:
-        _status(f"error: {exc}")
-        return EXIT_CONFIG
-    except ValueError as exc:
-        _status(f"error: {exc}")
-        return EXIT_CONFIG
-    except (RangeExceeded, TensionInfeasible, GeometryInfeasible,
-            EmptyCloud, BoundaryMinimum) as exc:
-        _status(f"error: {exc.__class__.__name__}: {exc}")
-        return EXIT_INFEASIBLE
-    except OSError as exc:
+        return handler(args)
+    except TendonFingerError as exc:
+        name = "" if exc.exit_code == EXIT_CONFIG else f"{exc.__class__.__name__}: "
+        _status(f"error: {name}{exc}")
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         _status(f"error: {exc}")
         return EXIT_CONFIG
 

@@ -434,15 +434,15 @@ def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
         (np.abs(best_theta - lo0) <= edge_tol)
         | (np.abs(best_theta - hi0) <= edge_tol)
     )
+    theta = tuple(float(t) for t in best_theta)
     if on_edge:
         raise BoundaryMinimum(
-            f"energy minimum {tuple(best_theta)} lies on the search-box boundary"
+            f"energy minimum {theta} lies on the search-box boundary"
         )
 
-    cfg = Configuration(q=model.q, theta=tuple(best_theta))
-    tip = chain_points(cfg, model.geom)[3]
+    tip = chain_points(Configuration(q=model.q, theta=theta), model.geom)[3]
     return EquilibriumResult(
-        theta=tuple(float(t) for t in best_theta),
+        theta=theta,
         fingertip=(float(tip[0]), float(tip[1])),
         energy=best_energy,
         evaluations=evaluations,
@@ -554,7 +554,8 @@ def equilibrium_report(
     the balance residuals of both tension formulations at the energy
     pose. A case is compared when both routes succeed; the summary's
     `within_tolerance` holds only when every case was compared and the
-    largest gap is at most 1% of finger length. When
+    largest gap is at most 1% of finger length; the largest gap is None
+    when no case was compared. When
     `literal_probe_payload` is set, the wrap-integral solver is
     additionally run on that tip payload and its outcome recorded,
     documenting how far the literal formulation strays.
@@ -616,7 +617,7 @@ def equilibrium_report(
         "cases": entries,
         "summary": {
             "compared_cases": compared,
-            "max_delta_fraction_of_length": worst,
+            "max_delta_fraction_of_length": worst if compared else None,
             "tolerance_fraction": 0.01,
             "within_tolerance": 0 < compared == len(entries) and worst <= 0.01,
         },

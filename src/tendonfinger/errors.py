@@ -1,24 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command-line front end returns for
+it: 1 for configuration and resource-budget errors, 2 for infeasible
+loads and exceeded ranges, 3 for non-convergence.
+"""
 
 
 class TendonFingerError(Exception):
     """Base class for model and solver failures."""
 
+    exit_code = 1
+
 
 class ConfigError(TendonFingerError):
     """Configuration document is malformed or violates an invariant."""
+
+    exit_code = 1
 
 
 class RangeExceeded(TendonFingerError):
     """A joint angle left its allowed range."""
 
+    exit_code = 2
+
 
 class GeometryInfeasible(TendonFingerError):
     """Wrap-angle geometry is undefined for the given configuration."""
 
+    exit_code = 2
+
 
 class TensionInfeasible(TendonFingerError):
     """No single tendon group can hold the requested load."""
+
+    exit_code = 2
 
 
 class NoConvergence(TendonFingerError):
@@ -26,6 +41,8 @@ class NoConvergence(TendonFingerError):
 
     Carries the iteration trace so callers can still write diagnostics.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
@@ -35,18 +52,28 @@ class NoConvergence(TendonFingerError):
 class ResolutionTooLow(TendonFingerError):
     """Workspace sweep resolution below the minimum of 2."""
 
+    exit_code = 1
+
 
 class ResolutionTooHigh(TendonFingerError):
     """Workspace sweep resolution whose sweep exceeds the memory budget."""
+
+    exit_code = 1
 
 
 class GridTooLarge(TendonFingerError):
     """Occupancy cell size whose grid exceeds the memory budget."""
 
+    exit_code = 1
+
 
 class EmptyCloud(TendonFingerError):
     """Occupancy grid requested for a cloud with no points."""
 
+    exit_code = 2
+
 
 class BoundaryMinimum(TendonFingerError):
     """Energy minimum landed on the search-box boundary; widen the box."""
+
+    exit_code = 2

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tendonfinger import cli, errors
 from tendonfinger.config import default_config_path
 
 CONFIG = default_config_path()
@@ -275,7 +276,9 @@ class TestOracleCheck:
         summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
         assert summary["compared_cases"] == 0
         assert summary["within_tolerance"] is False
-        assert "cases: 2 compared: 0 " in res.stderr
+        # With nothing compared there is no gap to report, not a 0% one.
+        assert summary["max_delta_fraction_of_length"] is None
+        assert "cases: 2 compared: 0 max fingertip gap: n/a " in res.stderr
 
     @pytest.mark.parametrize("cases", ["0", "-1"])
     def test_no_cases_exit_1(self, tmp_path, cases):
@@ -313,3 +316,51 @@ class TestUsage:
     def test_version(self):
         res = run_cli("--version")
         assert res.returncode == 0
+
+
+class TestInProcess:
+    """`cli.main` and `cli.build_parser` called directly."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_parser_help_matches_full_parser(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert cli.build_parser(command).format_help() == capsys.readouterr().out
+
+    def test_leftover_argument_is_a_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fk", "0", "--bogus"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "tendonfinger: error: unrecognized arguments: --bogus\n")
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv",
+                            ["tendonfinger", "fk", "mm:2", "--config", str(CONFIG)])
+        assert cli.main() == 0
+        assert capsys.readouterr().out.startswith("q_m = 0.002\n")
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.ConfigError, 1),
+        (errors.ResolutionTooLow, 1),
+        (errors.ResolutionTooHigh, 1),
+        (errors.GridTooLarge, 1),
+        (errors.RangeExceeded, 2),
+        (errors.TensionInfeasible, 2),
+        (errors.GeometryInfeasible, 2),
+        (errors.EmptyCloud, 2),
+        (errors.BoundaryMinimum, 2),
+        (errors.NoConvergence, 3),
+    ])
+    def test_error_exit_code(self, error, code, monkeypatch, capsys):
+        assert error.exit_code == code
+
+        def fail(args):
+            raise error("boom")
+
+        help_text, add_arguments, _ = cli._COMMANDS["fk"]
+        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, add_arguments, fail))
+        assert cli.main(["fk", "0"]) == code
+        named = "" if code == 1 else f"{error.__name__}: "
+        assert capsys.readouterr().err == f"error: {named}boom\n"

@@ -596,6 +596,7 @@ class TestEquilibriumReport:
         assert all("error" in c["fixed_point"] for c in report["cases"])
         summary = report["summary"]
         assert summary["compared_cases"] == 0
+        assert summary["max_delta_fraction_of_length"] is None
         assert summary["within_tolerance"] is False
         assert equilibrium_report(geom, specs, 0.0, [])["summary"][
             "within_tolerance"] is False
