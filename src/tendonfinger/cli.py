@@ -4,8 +4,9 @@ Command-line front end.
 Subcommands: fk, workspace, solve, stiffness, validate, oracle-check.
 Machine-readable output (CSV / JSON) goes to --out or stdout; human
 status lines go to stderr. Exit codes: 0 success, 1 configuration or
-usage errors, 2 infeasible loads / exceeded ranges, 3 non-convergence
-(diagnostics are still written).
+usage errors, 2 infeasible loads / exceeded ranges / an oracle-check
+verdict out of tolerance, 3 non-convergence (diagnostics are still
+written).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .statics import (
     solve_static,
     stiffness_sweep,
     sweep_to_csv,
+    trace_to_list,
 )
 from .workspace import (
     cloud_to_csv,
@@ -270,16 +272,7 @@ def _cmd_solve(args) -> int:
         doc = {
             "status": "no_convergence",
             "detail": str(exc),
-            "trace": [
-                {
-                    "iteration": rec.index,
-                    "theta_rad": list(rec.theta),
-                    "fingertip_y_m": rec.fingertip_y,
-                    "tensions_n": list(rec.tensions),
-                    "residual_m": rec.residual,
-                }
-                for rec in exc.trace
-            ],
+            "trace": trace_to_list(exc.trace),
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         _status(f"no convergence: {exc}")
@@ -399,7 +392,7 @@ def _cmd_oracle_check(args) -> int:
         f"cases: {len(report['cases'])} compared: {summary['compared_cases']} "
         f"max fingertip gap: {gap} (tolerance 1%)"
     )
-    return EXIT_OK
+    return EXIT_OK if summary["within_tolerance"] else EXIT_INFEASIBLE
 
 
 # name -> (help, adds the command's own arguments, handler)
@@ -412,7 +405,7 @@ _COMMANDS = {
                   _cmd_stiffness),
     "validate": ("static-loading validation table", _add_validate,
                  _cmd_validate),
-    "oracle-check": ("fixed-point vs energy-minimization comparison",
+    "oracle-check": ("static solve vs energy-minimization comparison",
                      _add_oracle_check, _cmd_oracle_check),
 }
 

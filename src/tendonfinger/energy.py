@@ -1,27 +1,21 @@
 """
-Equilibrium by total-potential-energy minimization.
+Equilibrium by total-potential-energy minimization: the oracle that
+checks the static solver.
 
-Independent cross-check for the fixed-point static solver: the total
-potential (link gravity + elastic energy of every tendon + external-load
-potential) is minimized over the three joint angles. A coarse 21^3 grid
-search finds the basin; Newton steps on the analytic gradient and
-Hessian then polish its best sample. When the polish fails (it leaves
-the first refinement box, meets a Hessian that is not positive definite,
-runs out of steps or ends higher than the best sample), shrink-by-4 grid
-boxes around the best sample refine it instead.
-
-Tendon stretch model: the actuating tendon's routed length changes by
-R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
-each coupling tendon spans two adjacent guide cylinders, so it stretches
-only on the differential motion R_i * d_i - R_{i-1} * d_{i-1} with
-d_i = theta_hat_i - theta_i. Extension-group stretches are the mirror
-image. A slack tendon (negative stretch) stores no energy.
+The statics module's potential (link gravity + elastic energy of every
+tendon + external-load potential, see `statics` for the tendon stretch
+model) is minimized over the three joint angles by a route independent
+of the solver's start: a coarse 21^3 grid search finds the basin; Newton
+steps on the analytic gradient and Hessian then polish its best sample.
+When the polish fails (it leaves the first refinement box, meets a
+Hessian that is not positive definite, runs out of steps or ends higher
+than the best sample), shrink-by-4 grid boxes around the best sample
+refine it instead.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +29,14 @@ from .model import (
     FingerGeometry,
     TendonGroup,
     chain_points,
-    coupling_angles,
-    cumulative_angles,
+    link_pose,
 )
 from .statics import (
     StaticSolution,
-    coupling_rest_lengths,
-    group_specs,
+    _newton_step,
+    _PotentialModel,
+    _solve,
     net_external_moments,
-    solve_static,
     wrap_angles,
     wrap_moment,
 )
@@ -78,219 +71,18 @@ class EquilibriumResult:
     rounds: int
 
 
-class _PotentialModel:
-    """Precomputed quantities for fast batched potential evaluation."""
-
-    def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
-        self.geom = geom
-        self.specs = specs
-        self.load = load
-        self.q = q
-        self.lengths = np.asarray(geom.link_lengths)
-        self.radii = np.asarray(geom.guide_radii)
-        self.masses = np.asarray(geom.link_masses)
-        self.fracs = np.asarray(geom.com_fractions)
-        self.g = geom.gravity_accel
-        self.theta_hat = np.asarray(coupling_angles(q, geom).theta)
-
-        lt2, lt3 = coupling_rest_lengths(geom)
-        self.k_flex = self._group_stiffness(specs, TendonGroup.FLEXION, lt2, lt3)
-        self.k_ext = self._group_stiffness(specs, TendonGroup.EXTENSION, lt2, lt3)
-
-        # Joint k lifts every link j >= k: link j's own centre of mass by
-        # frac_j L_j, and each later link's by L_j.
-        m = self.masses
-        self.lifted = (m * self.fracs + (np.sum(m) - np.cumsum(m))).tolist()
-
-        self.force = np.asarray(load.force)
-        if load.application_point is None:
-            self.attach_local = None
-        else:
-            # Resolve the fixed base-frame point into the distal-link frame
-            # at the nominal pose; it then rides with the link.
-            nominal = Configuration(q=q, theta=tuple(self.theta_hat))
-            pts = chain_points(nominal, geom)
-            phi3 = float(cumulative_angles(nominal.theta)[2])
-            rel = np.asarray(load.application_point) - pts[2]
-            c, s = math.cos(-phi3), math.sin(-phi3)
-            self.attach_local = np.array(
-                [c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]]
-            )
-
-    @staticmethod
-    def _group_stiffness(specs, group, lt2, lt3) -> np.ndarray:
-        trio = group_specs(specs, group)
-        rests = (trio[0].rest_length, lt2, lt3)
-        return np.array([t.axial_stiffness / r for t, r in zip(trio, rests)])
-
-    def stretches(self, t1, t2, t3):
-        """Unclamped flexion-side stretches of the three tendons at joint
-        angles t1, t2, t3; the extension side is their negative. Tendon 1
-        depends on t1 only, tendon 2 on t1 and t2, tendon 3 on t2 and t3."""
-        h, r = self.theta_hat.tolist(), self.radii.tolist()
-        rd1 = (h[0] - t1) * r[0]
-        rd2 = (h[1] - t2) * r[1]
-        rd3 = (h[2] - t3) * r[2]
-        return rd1, rd2 - rd1, rd3 - rd2
-
-    def tensions(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Hooke tensions of the flexion and extension tendons at one pose."""
-        flex = np.array(self.stretches(*theta))
-        return (self.k_flex * np.clip(flex, 0.0, None),
-                self.k_ext * np.clip(-flex, 0.0, None))
-
-    def gradient_hessian(self, theta):
-        """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
-        at one pose, as plain-float tuples.
-
-        Elastic: tendon i pulls with J_i^T T_i and stiffens by
-        J^T diag(k_i) J, J = d(stretch)/d(theta); a zero stretch counts as
-        taut in both groups, so the unloaded pose keeps a positive-definite
-        Hessian, and the gradient takes the taut side's one-sided
-        derivative (a clamped stretch pulls with zero tension). Gravity and
-        the load reach joint k through every link j >= k, so their
-        Hessian entry (k, l) sums over j >= max(k, l).
-        """
-        t1, t2, t3 = (float(t) for t in theta)
-        phi = (t1, t1 + t2, t1 + t2 + t3)
-        sin = [math.sin(p) for p in phi]
-        cos = [math.cos(p) for p in phi]
-        R1, R2, R3 = self.radii.tolist()
-
-        pull, stiff = [], []
-        for s, k_flex, k_ext in zip(self.stretches(t1, t2, t3),
-                                    self.k_flex.tolist(), self.k_ext.tolist()):
-            pull.append(k_flex * max(s, 0.0) - k_ext * max(-s, 0.0))
-            stiff.append((k_flex if s >= 0.0 else 0.0) + (k_ext if s <= 0.0 else 0.0))
-        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
-        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
-        n1, n2, n3 = pull
-        k1, k2, k3 = stiff
-        grad_elastic = (R1 * (n2 - n1), R2 * (n3 - n2), -R3 * n3)
-
-        L = self.lengths.tolist()
-        lifts = [l * c * w for l, c, w in zip(L, cos, self.lifted)]
-        drops = [l * s * w for l, s, w in zip(L, sin, self.lifted)]
-        ex = [l * c for l, c in zip(L, cos)]
-        ey = [l * s for l, s in zip(L, sin)]
-        if self.attach_local is not None:
-            ax, ay = self.attach_local.tolist()
-            ex[2] = cos[2] * ax - sin[2] * ay
-            ey[2] = sin[2] * ax + cos[2] * ay
-
-        g = self.g
-        fx, fy = self.force.tolist()
-        moment = self.load.moment
-        lift_j, ex_j, ey_j = _tail_sums(lifts), _tail_sums(ex), _tail_sums(ey)
-        grad = tuple(
-            e + g * lift - (fx * -y + fy * x) - moment
-            for e, lift, x, y in zip(grad_elastic, lift_j, ex_j, ey_j)
-        )
-        # The gravity and load Hessian entries (k, l) are tail[max(k, l)].
-        tail = [-g * d + fx * x + fy * y
-                for d, x, y in zip(_tail_sums(drops), ex_j, ey_j)]
-        hess = (
-            (R1 * R1 * (k1 + k2) + tail[0], -R1 * R2 * k2 + tail[1], tail[2]),
-            (-R1 * R2 * k2 + tail[1], R2 * R2 * (k2 + k3) + tail[1],
-             -R2 * R3 * k3 + tail[2]),
-            (tail[2], -R2 * R3 * k3 + tail[2], R3 * R3 * k3 + tail[2]),
-        )
-        return grad, hess
-
-    def axis_components(self, t1, t2, t3):
-        """Gravity, elastic and load potentials at joint angles t1, t2, t3.
-
-        The three arrays broadcast against each other, and each term is
-        computed only on the angles it depends on: a search box passes
-        its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
-        Every point is computed with the operations, in the order, of a
-        per-row evaluation, so its value does not depend on the shapes.
-        """
-        l1, l2, l3 = self.lengths
-        m1, m2, m3 = self.masses
-        fl1, fl2, fl3 = self.fracs * self.lengths
-        phi1 = t1
-        phi2 = phi1 + t2
-        phi3 = phi2 + t3
-        s1, s2, s3 = np.sin(phi1), np.sin(phi2), np.sin(phi3)
-        c1, c2, c3 = np.cos(phi1), np.cos(phi2), np.cos(phi3)
-
-        y1 = l1 * s1
-        y2 = y1 + l2 * s2
-        gravity = self.g * (
-            m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
-        )
-
-        e1, e2, e3 = (
-            k_flex * np.clip(flex, 0.0, None) ** 2
-            + k_ext * np.clip(-flex, 0.0, None) ** 2
-            for k_flex, k_ext, flex in zip(
-                self.k_flex, self.k_ext, self.stretches(t1, t2, t3)
-            )
-        )
-        elastic = 0.5 * (e1 + e2 + e3)
-
-        x_j3 = l1 * c1 + l2 * c2
-        if self.attach_local is None:
-            px, py = x_j3 + l3 * c3, y2 + l3 * s3
-        else:
-            ax, ay = self.attach_local
-            px = x_j3 + c3 * ax - s3 * ay
-            py = y2 + s3 * ax + c3 * ay
-        load_pe = -(self.force[0] * px + self.force[1] * py) - self.load.moment * phi3
-        return gravity, elastic, load_pe
-
-    def components(self, thetas: np.ndarray):
-        """Gravity, elastic and load potentials for (N, 3) angle triples."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        return self.axis_components(thetas[:, 0], thetas[:, 1], thetas[:, 2])
-
-    def total(self, thetas: np.ndarray) -> np.ndarray:
-        g, e, l = self.components(thetas)
-        return g + e + l
-
-
 def total_potential(
     theta, geom: FingerGeometry, specs, load: ExternalLoad, q: float
 ) -> EnergyLandscapeSample:
     """Potential energy of one joint-angle triple (range-checked)."""
     theta = tuple(float(t) for t in theta)
     Configuration(q=q, theta=theta)  # raises RangeExceeded outside limits
-    model = _potential_model(geom, specs, load, q)
+    model = _PotentialModel(geom, specs, load, q)
     g, e, l = model.components(np.asarray(theta)[None, :])
     return EnergyLandscapeSample(
         theta=theta, gravity_pe=float(g[0]), elastic_pe=float(e[0]),
         load_pe=float(l[0]),
     )
-
-
-def _tail_sums(values):
-    """Sums over j >= k of three per-link values, for k = 1, 2, 3; summed
-    from the distal link inwards."""
-    v1, v2, v3 = values
-    s2 = v3 + v2
-    return (s2 + v1, s2, v3)
-
-
-_last_model = None  # weak reference to the most recently built model
-
-
-def _potential_model(geom: FingerGeometry, specs, load: ExternalLoad,
-                     q: float) -> _PotentialModel:
-    """The potential model of one load case.
-
-    The most recently built model is reused while a caller still holds it
-    and it was built from these very objects. `equilibrium_report` holds
-    each case's model, so that case's search, energy line and residuals
-    share it; no model outlives its last holder.
-    """
-    global _last_model
-    m = _last_model() if _last_model is not None else None
-    if m is None or not (m.geom is geom and m.specs is specs
-                         and m.load is load and m.q is q):
-        m = _PotentialModel(geom, specs, load, q)
-        _last_model = weakref.ref(m)
-    return m
 
 
 def potential_gradient(
@@ -301,33 +93,8 @@ def potential_gradient(
     At a slack/taut transition the one-sided derivative of the taut side
     is returned (the clamped stretch contributes zero when slack).
     """
-    model = _potential_model(geom, specs, load, q)
-    return np.array(model.gradient_hessian(theta)[0])
-
-
-def _newton_step(grad, hess):
-    """The Newton step -H^-1 grad by a closed-form LDL^T factorization of
-    the 3 x 3 Hessian, or None when the Hessian is not positive definite."""
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
-    d0 = h00
-    if not d0 > 0.0:
-        return None
-    l10, l20 = h01 / d0, h02 / d0
-    d1 = h11 - l10 * h01
-    if not d1 > 0.0:
-        return None
-    l21 = (h12 - l20 * h01) / d1
-    d2 = h22 - l20 * h02 - l21 * l21 * d1
-    if not d2 > 0.0:
-        return None
-    g0, g1, g2 = grad
-    y0 = -g0
-    y1 = -g1 - l10 * y0
-    y2 = -g2 - l20 * y0 - l21 * y1
-    x2 = y2 / d2
-    x1 = y1 / d1 - l21 * x2
-    x0 = y0 / d0 - l10 * x1 - l20 * x2
-    return (x0, x1, x2)
+    model = _PotentialModel(geom, specs, load, q)
+    return np.array(model.gradient_hessian(tuple(float(t) for t in theta))[0])
 
 
 def _newton_polish(model: _PotentialModel, theta, lo, hi):
@@ -377,18 +144,18 @@ def find_equilibrium(
     after a polish. Raises BoundaryMinimum when the final minimizer sits
     on the search-box surface, which means the box should be widened.
     """
-    if grid < 11:
-        raise ValueError("grid must be >= 11 samples per axis")
-    if refine_rounds < 0:
-        raise ValueError("refine_rounds must be >= 0")
-    return _equilibrium(_potential_model(geom, specs, load, q), grid, refine_rounds)
+    return _equilibrium(_PotentialModel(geom, specs, load, q), grid, refine_rounds)
 
 
 def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
                  polish: bool = True) -> EquilibriumResult:
     """find_equilibrium on a built model; `polish=False` runs the
     shrink-by-4 rounds straight after the box, as the fallback does."""
-    center = model.theta_hat.copy()
+    if grid < 11:
+        raise ValueError("grid must be >= 11 samples per axis")
+    if refine_rounds < 0:
+        raise ValueError("refine_rounds must be >= 0")
+    center = np.array(model.nominal.theta)
     lo0 = center - SEARCH_HALF_WIDTH
     hi0 = center + SEARCH_HALF_WIDTH
     lo0[0] = max(lo0[0], THETA1_MIN)
@@ -461,18 +228,26 @@ def balance_residuals(
     """Moment-balance residuals (N m) at an arbitrary pose.
 
     Tensions are taken from Hooke's law applied to the pose's tendon
-    stretches, then substituted into both tension formulations. A zero
-    residual triple means the pose satisfies that formulation exactly.
+    stretches, then substituted into two balances: the tangent cascade
+    that the statics solves, whose residuals are minus the potential's
+    gradient, and a wrap-integral reading in which a distal tension keeps
+    its own-joint arm and the distributed normal load on the distal guide
+    is integrated with the link length as lever (`wrap_moment`). A load's
+    application point rides with the distal link, as in the potential. A
+    zero residual triple means the pose satisfies that balance exactly.
     """
+    return _balance_residuals(_PotentialModel(geom, specs, load, q), theta, group)
+
+
+def _balance_residuals(model: _PotentialModel, theta, group: TendonGroup) -> dict:
+    """`balance_residuals` on a built potential model."""
+    geom = model.geom
     theta = tuple(float(t) for t in theta)
-    cfg = Configuration(q=q, theta=theta)
+    cfg = Configuration(q=model.q, theta=theta)
+    load = model.load_at(theta, link_pose(theta, geom))
     moments = net_external_moments(cfg, geom, load)
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
-
-    model = _potential_model(geom, specs, load, q)
-    t_flex, t_ext = model.tensions(theta)
-    tensions = t_flex if group is TendonGroup.FLEXION else t_ext
-
+    tensions = np.array(model.tensions(theta, group))
     radii = np.asarray(geom.guide_radii)
     t_next = np.append(tensions[1:], 0.0)
     tangent = moments + sign * radii * (tensions - t_next)
@@ -546,19 +321,16 @@ def equilibrium_report(
     max_iterations: int = 100,
     grid: int = DEFAULT_GRID,
     refine_rounds: int = DEFAULT_REFINE_ROUNDS,
-    literal_probe_payload: float | None = 3.0,
 ) -> dict:
-    """Fixed-point vs energy-minimization comparison over load cases.
+    """Static solve vs energy-minimization comparison over load cases.
 
-    Emits one entry per case with both equilibria, the fingertip gap and
-    the balance residuals of both tension formulations at the energy
-    pose. A case is compared when both routes succeed; the summary's
-    `within_tolerance` holds only when every case was compared and the
-    largest gap is at most 1% of finger length; the largest gap is None
-    when no case was compared. When
-    `literal_probe_payload` is set, the wrap-integral solver is
-    additionally run on that tip payload and its outcome recorded,
-    documenting how far the literal formulation strays.
+    Emits one entry per case with both equilibria (the static solve under
+    "fixed_point"), the fingertip gap and the balance residuals at the
+    energy pose. Each case's potential model is built once and shared by
+    the solve, the search and the residuals. A case is compared when both
+    routes succeed; the summary's `within_tolerance` holds only when every
+    case was compared and the largest gap is at most 1% of finger length;
+    the largest gap is None when no case was compared.
     """
     total_len = geom.total_length
     entries = []
@@ -571,10 +343,8 @@ def equilibrium_report(
         entry["moment_nm"] = load.moment
         entry["q_m"] = q
         try:
-            sol = solve_static(
-                q, geom, specs, load,
-                threshold=threshold, max_iterations=max_iterations,
-            )
+            model = _PotentialModel(geom, specs, load, q)
+            sol = _solve(model, threshold, max_iterations)
         except TendonFingerError as exc:
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
@@ -582,10 +352,7 @@ def equilibrium_report(
         entry["fixed_point"] = _solution_summary(sol)
 
         try:
-            # Held for the case, so the search and residuals below reuse it.
-            model = _potential_model(geom, specs, load, q)
-            eq = find_equilibrium(geom, specs, load, q,
-                                  grid=grid, refine_rounds=refine_rounds)
+            eq = _equilibrium(model, grid, refine_rounds)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
@@ -606,14 +373,14 @@ def equilibrium_report(
         )
         entry["fingertip_delta_mm"] = delta * 1e3
         entry["delta_fraction_of_length"] = delta / total_len
-        entry["balance_residuals_at_energy_pose"] = balance_residuals(
-            eq.theta, geom, specs, load, q, sol.tensions.active_group
+        entry["balance_residuals_at_energy_pose"] = _balance_residuals(
+            model, eq.theta, sol.tensions.active_group
         )
         worst = max(worst, delta / total_len)
         compared += 1
         entries.append(entry)
 
-    report = {
+    return {
         "cases": entries,
         "summary": {
             "compared_cases": compared,
@@ -622,34 +389,3 @@ def equilibrium_report(
             "within_tolerance": 0 < compared == len(entries) and worst <= 0.01,
         },
     }
-
-    if literal_probe_payload is not None:
-        probe_load = ExternalLoad.tip_payload(
-            literal_probe_payload, geom.gravity_accel
-        )
-        probe: dict = {"payload_kg": literal_probe_payload}
-        try:
-            lit = solve_static(
-                q, geom, specs, probe_load,
-                threshold=threshold, max_iterations=max_iterations,
-                model="wrap-integral",
-            )
-            probe["status"] = "converged"
-            probe["solution"] = _solution_summary(lit)
-        except TendonFingerError as exc:
-            probe["status"] = f"{exc.__class__.__name__}"
-            probe["detail"] = str(exc)
-            trace = getattr(exc, "trace", None)
-            if trace:
-                probe["last_iterations"] = [
-                    {
-                        "iteration": rec.index,
-                        "fingertip_y_m": rec.fingertip_y,
-                        "tensions_n": list(rec.tensions),
-                        "residual_m": rec.residual,
-                    }
-                    for rec in trace[-3:]
-                ]
-        report["wrap_integral_probe"] = probe
-
-    return report

@@ -125,7 +125,7 @@ class Configuration:
     def __post_init__(self):
         if len(self.theta) != 3:
             raise ValueError("theta must have exactly 3 entries")
-        if not all(math.isfinite(v) for v in self.theta):
+        if not all(map(math.isfinite, self.theta)):
             raise ValueError("theta contains a non-finite value")
         t1 = self.theta[0]
         if t1 < THETA1_MIN - _TOL or t1 > THETA1_MAX + _TOL:
@@ -138,8 +138,9 @@ class Configuration:
 class ExternalLoad:
     """Planar force, out-of-plane moment and where the force acts.
 
-    application_point None means the fingertip; otherwise a fixed point
-    given in the base frame (treated as attached to the distal link).
+    application_point None means the fingertip; otherwise a point given
+    in the base frame at the rigid-tendon pose and attached to the distal
+    link, so it moves with the link as the finger deflects.
     """
 
     force: tuple[float, float] = (0.0, 0.0)
@@ -150,7 +151,7 @@ class ExternalLoad:
         vals = [*self.force, self.moment]
         if self.application_point is not None:
             vals.extend(self.application_point)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("load components must be finite")
 
     @staticmethod
@@ -169,13 +170,8 @@ class FingertipState:
 
 def coupling_angles(q: float, geom: FingerGeometry) -> Configuration:
     """Rigid-tendon joint angles for displacement q: theta_i = q / R_i."""
-    theta = tuple(q / r for r in geom.guide_radii)
-    return Configuration(q=q, theta=theta)
-
-
-def cumulative_angles(theta) -> np.ndarray:
-    """Absolute link angles: angle of link i is theta_1 + ... + theta_i."""
-    return np.cumsum(np.asarray(theta, dtype=float))
+    r1, r2, r3 = geom.guide_radii
+    return Configuration(q=q, theta=(q / r1, q / r2, q / r3))
 
 
 def link_pose(theta, geom: FingerGeometry):

@@ -1,37 +1,31 @@
 """
 Static equilibrium of the coupled finger under external load.
 
+The loaded finger rests at the minimum of its total potential over the
+three joint angles: link gravity, the elastic energy of every tendon and
+the external load's potential. `solve_static` finds it by Newton steps on
+the analytic gradient and Hessian from the rigid-tendon pose; the energy
+module's oracle minimizes the same potential by a grid search and so
+checks the solver.
+
+Tendon stretch model: the actuating tendon's routed length changes by
+R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
+each coupling tendon spans two adjacent guide cylinders, so it stretches
+only on the differential motion R_i * d_i - R_{i-1} * d_{i-1} with
+d_i = theta_hat_i - theta_i. Extension-group stretches are the mirror
+image. A slack tendon (negative stretch) stores no energy. Hooke's law
+T = (E A / L) * stretch gives each tendon's tension.
+
 Tensions are found by three sequential scalar moment balances, distal to
 proximal: the distal link alone about joint 3, the distal two links about
 joint 2, and the whole chain about joint 1. Each joint's tendon acts
-tangentially on its guide cylinder, so its own-joint moment arm is the
-guide radius.
-
-Two formulations of the coupling-tendon feedback on the proximal
-balances are available:
-
-  "tangent"        A coupling tendon leaves adjacent guide cylinders
-                   along their internal common tangent, so the distal
-                   tension re-enters the next proximal balance with the
-                   proximal guide radius as its arm and opposite sense.
-                   The balances collapse to the cascade
-                   T_k = T_{k+1} + |M_k| / R_k. Default.
-
-  "wrap-integral"  The distal tension keeps its own-joint arm and the
-                   distributed normal load on the distal guide is
-                   integrated with the link length as lever
-                   (wrap_moment below). Kept for comparison reports; at
-                   realistic loads it produces runaway proximal tensions
-                   (see the oracle-check report).
-
-Tendon elasticity closes the loop: tensions stretch the active-group
-tendons (Hooke), each joint gives way by its own tendon's stretch / R_i
-against the restraint, and tensions are re-solved at the corrected
-configuration until the vertical fingertip movement between passes drops
-below a threshold. Note the per-joint give-way: this reproduces the
-validated load-deflection behavior, but it is not the stationary point
-of the coupled-path elastic energy that the energy module minimizes; the
-oracle-check report quantifies the difference.
+tangentially on its guide cylinder, and a coupling tendon leaves adjacent
+guide cylinders along their internal common tangent, so the distal
+tension re-enters the next proximal balance with the proximal guide
+radius as its arm and opposite sense. The balances collapse to the
+cascade T_k = T_{k+1} + |M_k| / R_k. Its joint torques are J^T T for the
+stretch Jacobian J, the elastic part of the potential's gradient, so at
+the minimum the cascade's tensions are the pose's Hooke tensions.
 """
 
 from __future__ import annotations
@@ -61,11 +55,8 @@ from .model import (
 
 DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
-DIVERGENCE_STREAK = 5
 
 _NEG_TOL = 1e-9
-
-TENSION_MODELS = ("tangent", "wrap-integral")
 
 
 @dataclass(frozen=True)
@@ -84,6 +75,9 @@ class TensionSet:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
 
+    def __iter__(self):
+        return iter(self.as_tuple())
+
 
 @dataclass(frozen=True)
 class WrapGeometry:
@@ -99,6 +93,8 @@ class WrapGeometry:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One Newton step's pose with the active group's Hooke tensions."""
+
     index: int
     theta: tuple[float, float, float]
     fingertip_y: float
@@ -160,9 +156,12 @@ def wrap_angles(config: Configuration, geom: FingerGeometry) -> WrapGeometry:
     )
 
 
+_ZERO_POSE = Configuration(q=0.0, theta=(0.0, 0.0, 0.0))
+
+
 def coupling_rest_lengths(geom: FingerGeometry) -> tuple[float, float]:
     """Geometric rest lengths of the two coupling tendons (joints 2 and 3)."""
-    wrap = wrap_angles(Configuration(q=0.0, theta=(0.0, 0.0, 0.0)), geom)
+    wrap = wrap_angles(_ZERO_POSE, geom)
     return wrap.rest_length_2, wrap.rest_length_3
 
 
@@ -228,26 +227,11 @@ def _group_for_sign(sign: float) -> TendonGroup:
     return TendonGroup.FLEXION if sign > 0.0 else TendonGroup.EXTENSION
 
 
-def _cascade(
-    moments,
-    config: Configuration,
-    geom: FingerGeometry,
-    sign: float,
-    model: str,
-) -> tuple[float, float, float]:
+def _cascade(moments, geom: FingerGeometry, sign: float) -> tuple[float, float, float]:
     r1, r2, r3 = geom.guide_radii
-    l1, l2, _ = geom.link_lengths
     t3 = -moments[2] / (sign * r3)
-    if model == "tangent":
-        t2 = t3 - moments[1] / (sign * r2)
-        t1 = t2 - moments[0] / (sign * r1)
-    else:
-        wrap = wrap_angles(config, geom)
-        th = config.theta
-        t2 = (-moments[1] / sign - t3 * r3
-              + wrap_moment(t3, l2, th[2], wrap.alpha3)) / r2
-        t1 = (-moments[0] / sign - t2 * r2
-              + wrap_moment(t2, l1, th[1], wrap.alpha2)) / r1
+    t2 = t3 - moments[1] / (sign * r2)
+    t1 = t2 - moments[0] / (sign * r1)
     return (float(t1), float(t2), float(t3))
 
 
@@ -256,7 +240,6 @@ def solve_tensions(
     geom: FingerGeometry,
     load: ExternalLoad,
     *,
-    model: str = "tangent",
     group: TendonGroup | None = None,
 ) -> TensionSet:
     """Tendon tensions balancing the load at a fixed configuration.
@@ -267,18 +250,12 @@ def solve_tensions(
     non-negative tensions the load is not holdable and TensionInfeasible
     is raised.
     """
-    _check_model(model)
     moments = pose_moments(link_pose(config.theta, geom), geom, load)
-    return _tensions_for(moments, config, geom, model, group)
+    return _tensions_for(moments, geom, group)
 
 
-def _check_model(model: str) -> None:
-    if model not in TENSION_MODELS:
-        raise ValueError(f"unknown tension model '{model}'")
-
-
-def _tensions_for(moments, config, geom, model, group) -> TensionSet:
-    """`solve_tensions` for the net moments `moments` at `config`."""
+def _tensions_for(moments, geom, group) -> TensionSet:
+    """`solve_tensions` for the net moments `moments`."""
     if group is not None:
         signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
     else:
@@ -288,11 +265,12 @@ def _tensions_for(moments, config, geom, model, group) -> TensionSet:
     scale = 1.0 + max(map(abs, moments)) / min(geom.guide_radii)
     last = None
     for sign in signs:
-        ts = _cascade(moments, config, geom, sign, model)
+        ts = _cascade(moments, geom, sign)
         last = ts
+        t1, t2, t3 = ts
         if min(ts) >= -_NEG_TOL * scale:
-            clamped = tuple(max(t, 0.0) for t in ts)
-            return TensionSet(*clamped, active_group=_group_for_sign(sign))
+            return TensionSet(max(t1, 0.0), max(t2, 0.0), max(t3, 0.0),
+                              active_group=_group_for_sign(sign))
     raise TensionInfeasible(
         f"no single tendon group holds this load (best tensions {last})"
     )
@@ -309,44 +287,255 @@ def group_specs(
 
 
 def elongate_tendons(
-    tensions: TensionSet,
+    tensions,
     specs: tuple[TendonSpec, TendonSpec, TendonSpec],
     wrap: WrapGeometry,
 ) -> tuple[float, float, float]:
-    """Stretched lengths L' = L * (1 + T / (E A)).
+    """Stretched lengths L' = L * (1 + T / (E A)) of three tendons under
+    `tensions` (a TensionSet or a triple of non-negative tensions).
 
     The actuating tendon uses its configured rest length; the coupling
     tendons use the geometric rest lengths carried by `wrap`.
     """
-    rests = (specs[0].rest_length, wrap.rest_length_2, wrap.rest_length_3)
-    return tuple(
-        rest * (1.0 + t / spec.axial_stiffness)
-        for rest, t, spec in zip(rests, tensions.as_tuple(), specs)
+    t1, t2, t3 = tensions
+    s1, s2, s3 = specs
+    return (
+        s1.rest_length * (1.0 + t1 / s1.axial_stiffness),
+        wrap.rest_length_2 * (1.0 + t2 / s2.axial_stiffness),
+        wrap.rest_length_3 * (1.0 + t3 / s3.axial_stiffness),
     )
 
 
-def update_configuration(
-    nominal: Configuration,
-    rest_lengths: tuple[float, float, float],
-    elongated: tuple[float, float, float],
-    geom: FingerGeometry,
-    *,
-    sense: float = 1.0,
-) -> Configuration:
-    """Joint angles corrected for tendon stretch.
+class _PotentialModel:
+    """The total potential of one load case at displacement q, from plain
+    floats: the per-pose gradient and Hessian of the solver and the
+    oracle's polish, and the oracle's batched box evaluation."""
 
-    theta'_i = theta_i - sense * (L_i - L'_i) / R_i. With the default
-    sense the angles move toward positive theta as tendons stretch;
-    the solver passes the sense that lets joints give way against the
-    active group's restraint.
-    """
-    theta = tuple(
-        th - sense * (rest - elong) / r
-        for th, rest, elong, r in zip(
-            nominal.theta, rest_lengths, elongated, geom.guide_radii
+    def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
+        self.geom = geom
+        self.load = load
+        self.q = q
+        self.nominal = coupling_angles(q, geom)
+        self.nominal_pose = link_pose(self.nominal.theta, geom)
+        self.g = geom.gravity_accel
+        lt2, lt3 = coupling_rest_lengths(geom)
+        self.trios = {group: group_specs(specs, group) for group in TendonGroup}
+        self.k_flex = _stiffness(self.trios[TendonGroup.FLEXION], lt2, lt3)
+        self.k_ext = _stiffness(self.trios[TendonGroup.EXTENSION], lt2, lt3)
+
+        # Joint k lifts every link j >= k: link j's own centre of mass by
+        # frac_j L_j, and each later link's by L_j.
+        m1, m2, m3 = geom.link_masses
+        f1, f2, f3 = geom.com_fractions
+        self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
+
+        if load.application_point is None:
+            self.attach_local = None
+        else:
+            # Resolve the fixed base-frame point into the distal-link frame
+            # at the nominal pose; it then rides with the link.
+            t1, t2, t3 = self.nominal.theta
+            jx, jy = self.nominal_pose[0][2]
+            rx = load.application_point[0] - jx
+            ry = load.application_point[1] - jy
+            phi3 = (t1 + t2) + t3
+            c, s = math.cos(-phi3), math.sin(-phi3)
+            self.attach_local = (c * rx - s * ry, s * rx + c * ry)
+
+    def stretches(self, t1, t2, t3):
+        """Unclamped flexion-side stretches of the three tendons at joint
+        angles t1, t2, t3; the extension side is their negative. Tendon 1
+        depends on t1 only, tendon 2 on t1 and t2, tendon 3 on t2 and t3."""
+        h1, h2, h3 = self.nominal.theta
+        r1, r2, r3 = self.geom.guide_radii
+        rd1 = (h1 - t1) * r1
+        rd2 = (h2 - t2) * r2
+        rd3 = (h3 - t3) * r3
+        return rd1, rd2 - rd1, rd3 - rd2
+
+    def load_at(self, theta, pose) -> ExternalLoad:
+        """The load at joint angles `theta`, whose `link_pose` is `pose`:
+        its application point moves with the distal link, as in the
+        potential."""
+        if self.attach_local is None:
+            return self.load
+        t1, t2, t3 = theta
+        jx, jy = pose[0][2]
+        phi3 = (t1 + t2) + t3
+        c, s = math.cos(phi3), math.sin(phi3)
+        ax, ay = self.attach_local
+        return ExternalLoad(force=self.load.force, moment=self.load.moment,
+                            application_point=(jx + c * ax - s * ay,
+                                               jy + s * ax + c * ay))
+
+    def tensions(self, theta, group: TendonGroup) -> tuple[float, float, float]:
+        """Hooke tensions of one group's three tendons at one pose."""
+        s1, s2, s3 = self.stretches(*theta)
+        if group is TendonGroup.FLEXION:
+            k1, k2, k3 = self.k_flex
+            return (k1 * max(s1, 0.0), k2 * max(s2, 0.0), k3 * max(s3, 0.0))
+        k1, k2, k3 = self.k_ext
+        return (k1 * max(-s1, 0.0), k2 * max(-s2, 0.0), k3 * max(-s3, 0.0))
+
+    def gradient_hessian(self, theta):
+        """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
+        at one pose, as plain-float tuples.
+
+        Elastic: tendon i pulls with J_i^T T_i and stiffens by
+        J^T diag(k_i) J, J = d(stretch)/d(theta); a zero stretch counts as
+        taut in both groups, so the unloaded pose keeps a positive-definite
+        Hessian, and the gradient takes the taut side's one-sided
+        derivative (a clamped stretch pulls with zero tension). Gravity and
+        the load reach joint k through every link j >= k, so their
+        Hessian entry (k, l) sums over j >= max(k, l): a tail sum, added
+        from the distal link inwards.
+        """
+        t1, t2, t3 = theta
+        s1, s2, s3 = self.stretches(t1, t2, t3)
+        kf1, kf2, kf3 = self.k_flex
+        ke1, ke2, ke3 = self.k_ext
+        n1 = kf1 * max(s1, 0.0) - ke1 * max(-s1, 0.0)
+        n2 = kf2 * max(s2, 0.0) - ke2 * max(-s2, 0.0)
+        n3 = kf3 * max(s3, 0.0) - ke3 * max(-s3, 0.0)
+        k1 = (kf1 if s1 >= 0.0 else 0.0) + (ke1 if s1 <= 0.0 else 0.0)
+        k2 = (kf2 if s2 >= 0.0 else 0.0) + (ke2 if s2 <= 0.0 else 0.0)
+        k3 = (kf3 if s3 >= 0.0 else 0.0) + (ke3 if s3 <= 0.0 else 0.0)
+
+        phi1 = t1
+        phi2 = t1 + t2
+        phi3 = phi2 + t3
+        c1, c2, c3 = math.cos(phi1), math.cos(phi2), math.cos(phi3)
+        sn1, sn2, sn3 = math.sin(phi1), math.sin(phi2), math.sin(phi3)
+        L1, L2, L3 = self.geom.link_lengths
+        w1, w2, w3 = self.lifted
+        # Per-link x and y extents of the load's lever; on the distal link
+        # they reach the attach point.
+        ex1, ex2, ex3 = L1 * c1, L2 * c2, L3 * c3
+        ey1, ey2, ey3 = L1 * sn1, L2 * sn2, L3 * sn3
+        if self.attach_local is not None:
+            ax, ay = self.attach_local
+            ex3 = c3 * ax - sn3 * ay
+            ey3 = sn3 * ax + c3 * ay
+
+        lift3 = L3 * c3 * w3
+        lift2 = lift3 + L2 * c2 * w2
+        lift1 = lift2 + L1 * c1 * w1
+        drop3 = L3 * sn3 * w3
+        drop2 = drop3 + L2 * sn2 * w2
+        drop1 = drop2 + L1 * sn1 * w1
+        x2 = ex3 + ex2
+        x1 = x2 + ex1
+        y2 = ey3 + ey2
+        y1 = y2 + ey1
+
+        g = self.g
+        fx, fy = self.load.force
+        moment = self.load.moment
+        R1, R2, R3 = self.geom.guide_radii
+        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
+        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
+        grad = (
+            R1 * (n2 - n1) + g * lift1 - (fx * -y1 + fy * x1) - moment,
+            R2 * (n3 - n2) + g * lift2 - (fx * -y2 + fy * x2) - moment,
+            -R3 * n3 + g * lift3 - (fx * -ey3 + fy * ex3) - moment,
         )
-    )
-    return Configuration(q=nominal.q, theta=theta)
+        # The gravity and load Hessian entries (k, l) are tail[max(k, l)].
+        tail1 = -g * drop1 + fx * x1 + fy * y1
+        tail2 = -g * drop2 + fx * x2 + fy * y2
+        tail3 = -g * drop3 + fx * ex3 + fy * ey3
+        hess = (
+            (R1 * R1 * (k1 + k2) + tail1, -R1 * R2 * k2 + tail2, tail3),
+            (-R1 * R2 * k2 + tail2, R2 * R2 * (k2 + k3) + tail2,
+             -R2 * R3 * k3 + tail3),
+            (tail3, -R2 * R3 * k3 + tail3, R3 * R3 * k3 + tail3),
+        )
+        return grad, hess
+
+    def axis_components(self, t1, t2, t3):
+        """Gravity, elastic and load potentials at joint angles t1, t2, t3.
+
+        The three arrays broadcast against each other, and each term is
+        computed only on the angles it depends on: a search box passes
+        its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
+        Every point is computed with the operations, in the order, of a
+        per-row evaluation, so its value does not depend on the shapes.
+        """
+        l1, l2, l3 = self.geom.link_lengths
+        m1, m2, m3 = self.geom.link_masses
+        f1, f2, f3 = self.geom.com_fractions
+        fl1, fl2, fl3 = f1 * l1, f2 * l2, f3 * l3
+        phi1 = t1
+        phi2 = phi1 + t2
+        phi3 = phi2 + t3
+        s1, s2, s3 = np.sin(phi1), np.sin(phi2), np.sin(phi3)
+        c1, c2, c3 = np.cos(phi1), np.cos(phi2), np.cos(phi3)
+
+        y1 = l1 * s1
+        y2 = y1 + l2 * s2
+        gravity = self.g * (
+            m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
+        )
+
+        e1, e2, e3 = (
+            k_flex * np.clip(flex, 0.0, None) ** 2
+            + k_ext * np.clip(-flex, 0.0, None) ** 2
+            for k_flex, k_ext, flex in zip(
+                self.k_flex, self.k_ext, self.stretches(t1, t2, t3)
+            )
+        )
+        elastic = 0.5 * (e1 + e2 + e3)
+
+        x_j3 = l1 * c1 + l2 * c2
+        if self.attach_local is None:
+            px, py = x_j3 + l3 * c3, y2 + l3 * s3
+        else:
+            ax, ay = self.attach_local
+            px = x_j3 + c3 * ax - s3 * ay
+            py = y2 + s3 * ax + c3 * ay
+        fx, fy = self.load.force
+        load_pe = -(fx * px + fy * py) - self.load.moment * phi3
+        return gravity, elastic, load_pe
+
+    def components(self, thetas: np.ndarray):
+        """Gravity, elastic and load potentials for (N, 3) angle triples."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        return self.axis_components(thetas[:, 0], thetas[:, 1], thetas[:, 2])
+
+    def total(self, thetas: np.ndarray) -> np.ndarray:
+        g, e, l = self.components(thetas)
+        return g + e + l
+
+
+def _stiffness(trio, lt2, lt3) -> tuple[float, float, float]:
+    """E A / L of one group's three tendons."""
+    s1, s2, s3 = trio
+    return (s1.axial_stiffness / s1.rest_length, s2.axial_stiffness / lt2,
+            s3.axial_stiffness / lt3)
+
+
+def _newton_step(grad, hess):
+    """The Newton step -H^-1 grad by a closed-form LDL^T factorization of
+    the 3 x 3 Hessian, or None when the Hessian is not positive definite."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
+    d0 = h00
+    if not d0 > 0.0:
+        return None
+    l10, l20 = h01 / d0, h02 / d0
+    d1 = h11 - l10 * h01
+    if not d1 > 0.0:
+        return None
+    l21 = (h12 - l20 * h01) / d1
+    d2 = h22 - l20 * h02 - l21 * l21 * d1
+    if not d2 > 0.0:
+        return None
+    g0, g1, g2 = grad
+    y0 = -g0
+    y1 = -g1 - l10 * y0
+    y2 = -g2 - l20 * y0 - l21 * y1
+    x2 = y2 / d2
+    x1 = y1 / d1 - l21 * x2
+    x0 = y0 / d0 - l10 * x1 - l20 * x2
+    return (x0, x1, x2)
 
 
 def solve_static(
@@ -357,79 +546,84 @@ def solve_static(
     *,
     threshold: float = DEFAULT_THRESHOLD,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    model: str = "tangent",
 ) -> StaticSolution:
-    """Fixed-point solve of the loaded configuration at displacement q.
+    """Loaded equilibrium at displacement q: the minimum of the potential.
 
-    Alternates kinematics (stretch-corrected angles), the sequential
-    tension solve and Hooke elongation until the vertical fingertip
-    movement between passes is at most `threshold`. The active group is
-    frozen once, from the net moment at the nominal pose; a residual
-    growing for five straight passes aborts early as divergence.
+    Newton steps on the potential's analytic gradient and Hessian start
+    at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
+    fingertip movement between two steps is at most `threshold`, so at
+    least two steps run. The active group is frozen once, from the net
+    moment at that pose; the solution's tensions are its tangent cascade
+    at the converged pose. Raises NoConvergence, with the steps' trace,
+    after `max_iterations` steps or at a Hessian that is not positive
+    definite.
     """
+    return _solve(_PotentialModel(geom, specs, load, q), threshold, max_iterations)
+
+
+def _solve(model: _PotentialModel, threshold: float,
+           max_iterations: int) -> StaticSolution:
+    """`solve_static` on a built potential model."""
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    nominal = coupling_angles(q, geom)
+    geom, load, nominal = model.geom, model.load, model.nominal
+    # Also refuses a rigid pose at which a coupling tendon cannot wrap.
     wrap0 = wrap_angles(nominal, geom)
-    pose = link_pose(nominal.theta, geom)
-    y_nominal = fingertip_state(pose[0], geom).position[1]
+    pose = model.nominal_pose
+    y_nominal = pose[0][3][1]
 
-    sign = _restraint_sign(pose_moments(pose, geom, load))
-    group = _group_for_sign(sign)
-    trio = group_specs(specs, group)
+    group = _group_for_sign(_restraint_sign(pose_moments(pose, geom, load)))
+    trio = model.trios[group]
     rest = (trio[0].rest_length, wrap0.rest_length_2, wrap0.rest_length_3)
-    _check_model(model)
 
-    elong = rest
+    theta = nominal.theta
     y_prev = None
-    prev_residual = math.inf
-    growth_streak = 0
+    last_residual = math.inf
     trace: list[IterationRecord] = []
 
     for k in range(1, max_iterations + 1):
-        cfg = update_configuration(nominal, rest, elong, geom, sense=-sign)
-        pose = link_pose(cfg.theta, geom)
-        tip = fingertip_state(pose[0], geom)
-        moments = pose_moments(pose, geom, load)
-        tensions = _tensions_for(moments, cfg, geom, model, group)
-        elong = elongate_tendons(tensions, trio, wrap0)
+        step = _newton_step(*model.gradient_hessian(theta))
+        if step is None:
+            raise NoConvergence(
+                f"Hessian not positive definite before step {k}", trace=trace
+            )
+        theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
+        cfg = Configuration(q=nominal.q, theta=theta)
+        pose = link_pose(theta, geom)
+        tensions = model.tensions(theta, group)
 
-        y_k = tip.position[1]
+        y_k = pose[0][3][1]
         residual = abs(y_k - y_prev) if y_prev is not None else None
         trace.append(IterationRecord(
-            index=k, theta=cfg.theta, fingertip_y=y_k,
-            tensions=tensions.as_tuple(), elongated_lengths=elong,
+            index=k, theta=theta, fingertip_y=y_k,
+            tensions=tensions,
+            elongated_lengths=elongate_tendons(tensions, trio, wrap0),
             residual=residual,
         ))
 
         if residual is not None:
             if residual <= threshold:
+                moments = pose_moments(pose, geom, model.load_at(theta, pose))
+                tensions = _tensions_for(moments, geom, group)
                 return StaticSolution(
                     configuration=cfg,
                     tensions=tensions,
-                    fingertip=tip,
+                    fingertip=fingertip_state(pose[0], geom),
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,
                     rest_lengths=rest,
-                    elongated_lengths=elong,
+                    elongated_lengths=elongate_tendons(tensions, trio, wrap0),
                     trace=tuple(trace),
                 )
-            growth_streak = growth_streak + 1 if residual > prev_residual else 0
-            if growth_streak >= DIVERGENCE_STREAK:
-                raise NoConvergence(
-                    f"residual grew for {DIVERGENCE_STREAK} consecutive passes "
-                    f"(last {residual:.3e} m)",
-                    trace=trace,
-                )
-            prev_residual = residual
+            last_residual = residual
         y_prev = y_k
 
     raise NoConvergence(
-        f"residual {prev_residual:.3e} m above threshold {threshold:.3e} m "
+        f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "
         f"after {max_iterations} iterations",
         trace=trace,
     )
@@ -495,6 +689,21 @@ def sweep_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trace_to_list(trace) -> list[dict]:
+    """JSON-ready view of a solve's iteration records."""
+    return [
+        {
+            "iteration": rec.index,
+            "theta_rad": list(rec.theta),
+            "fingertip_y_m": rec.fingertip_y,
+            "tensions_n": list(rec.tensions),
+            "elongated_lengths_m": list(rec.elongated_lengths),
+            "residual_m": rec.residual,
+        }
+        for rec in trace
+    ]
+
+
 def solution_to_dict(sol: StaticSolution) -> dict:
     """JSON-ready view of a solution; SI fields are authoritative,
     mm/deg fields are derived at output time."""
@@ -515,15 +724,5 @@ def solution_to_dict(sol: StaticSolution) -> dict:
         "rest_lengths_mm": [v * 1e3 for v in sol.rest_lengths],
         "elongated_lengths_m": list(sol.elongated_lengths),
         "elongated_lengths_mm": [v * 1e3 for v in sol.elongated_lengths],
-        "trace": [
-            {
-                "iteration": rec.index,
-                "theta_rad": list(rec.theta),
-                "fingertip_y_m": rec.fingertip_y,
-                "tensions_n": list(rec.tensions),
-                "elongated_lengths_m": list(rec.elongated_lengths),
-                "residual_m": rec.residual,
-            }
-            for rec in sol.trace
-        ],
+        "trace": trace_to_list(sol.trace),
     }

@@ -125,7 +125,7 @@ def test_criterion_3_convergence_over_payloads(calibration):
     elapsed = time.perf_counter() - start
     increasing = all(b > a for a, b in zip(deflections, deflections[1:]))
     ok = increasing and elapsed < 5.0
-    report(3, "fixed-point convergence", ok,
+    report(3, "static-solve convergence", ok,
            f"iterations {iters}, monotone {increasing}, runtime {elapsed:.2f} s")
     assert increasing
     assert elapsed < 5.0
@@ -146,39 +146,21 @@ def test_criterion_4_reference_numbers(calibration):
     assert stiff_ok
 
 
-def test_criterion_5_oracle_equivalence(calibration, tmp_path):
+def test_criterion_5_oracle_equivalence(calibration):
     geom, specs = calibration.geometry, calibration.tendons
     start = time.perf_counter()
     cases = random_tip_load_cases(10, 7, geom)
-    rep = equilibrium_report(geom, specs, 0.0, cases)
+    summary = equilibrium_report(geom, specs, 0.0, cases)["summary"]
     elapsed = time.perf_counter() - start
 
-    worst = rep["summary"]["max_delta_fraction_of_length"]
-    if rep["summary"]["within_tolerance"]:
-        report(5, "oracle equivalence", elapsed < 60.0,
-               f"max fingertip gap {100 * worst:.3f}% <= 1%, "
-               f"runtime {elapsed:.1f} s")
-    else:
-        # Documented-discrepancy branch: the fixed-point recipe applies
-        # each tendon's stretch to its own joint, while the energy
-        # landscape stretches the coupling tendons on differential joint
-        # motion only; their equilibria therefore separate. The report
-        # records both equilibria, the balance residuals of both tension
-        # formulations at the energy pose, and the literal wrap-moment
-        # probe, whose runaway proximal tensions abort the solve.
-        out = tmp_path / "oracle_report.json"
-        out.write_text(json.dumps(rep, indent=2), encoding="utf-8")
-        assert len(rep["cases"]) == 10
-        for entry in rep["cases"]:
-            assert "fingertip_delta_mm" in entry
-            assert "balance_residuals_at_energy_pose" in entry
-        probe = rep["wrap_integral_probe"]
-        assert probe["status"] in ("RangeExceeded", "NoConvergence",
-                                   "TensionInfeasible")
-        report(5, "oracle equivalence", elapsed < 60.0,
-               f"documented discrepancy: max fingertip gap {100 * worst:.2f}% "
-               f"of finger length; wrap-integral probe {probe['status']}; "
-               f"report at {out}; runtime {elapsed:.1f} s")
+    worst = summary["max_delta_fraction_of_length"]
+    gap = "n/a" if worst is None else f"{100 * worst:.2e}%"
+    ok = summary["within_tolerance"] and elapsed < 60.0
+    report(5, "oracle equivalence", ok,
+           f"max fingertip gap {gap} of finger length vs 1%, "
+           f"compared {summary['compared_cases']} of {len(cases)}, "
+           f"runtime {elapsed:.1f} s")
+    assert summary["within_tolerance"]
     assert elapsed < 60.0
 
 

@@ -42,7 +42,7 @@ class TestFk:
         assert "q_m = 0.002" in res.stdout
 
     def test_range_exceeded_exit_2(self):
-        res = run_cli("fk", "0.013", "--config", str(CONFIG))
+        res = run_cli("fk", "0.02", "--config", str(CONFIG))
         assert res.returncode == 2
         assert "RangeExceeded" in res.stderr
 
@@ -92,6 +92,10 @@ class TestSolve:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["status"] == "no_convergence"
         assert len(doc["trace"]) == 2
+        # The same record fields as a converged solve's trace.
+        assert set(doc["trace"][0]) == {
+            "iteration", "theta_rad", "fingertip_y_m", "tensions_n",
+            "elongated_lengths_m", "residual_m"}
 
 
 class TestValidate:
@@ -118,7 +122,7 @@ class TestValidate:
         res = run_cli("validate")
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == (
-            "069445d63baab6f997b09d15022c8eadb8807e1c81b8636c7965360b962555ac")
+            "1fccd373c71e83e7f7429a3495a002e0869e4c0392d201be7867619abecc177e")
 
     def test_empty_payloads_exit_1(self):
         res = run_cli("validate", "--payloads", "", "--config", str(CONFIG))
@@ -263,16 +267,15 @@ class TestOracleCheck:
         assert res.returncode == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert len(doc["cases"]) == 2
-        assert "summary" in doc
-        assert "wrap_integral_probe" in doc
+        assert doc["summary"]["within_tolerance"] is True
 
     def test_failed_solves_are_not_a_pass(self, tmp_path):
-        # One fixed-point pass never converges, so nothing is compared:
-        # the verdict is false, though the exit code stays 0.
+        # One solver step never converges, so nothing is compared: the
+        # verdict is false and the exit code says so.
         out = tmp_path / "report.json"
         res = run_cli("oracle-check", "--cases", "2", "--max-iter", "1",
                       "--config", str(CONFIG), "--out", str(out))
-        assert res.returncode == 0
+        assert res.returncode == 2
         summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
         assert summary["compared_cases"] == 0
         assert summary["within_tolerance"] is False

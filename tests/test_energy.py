@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from tendonfinger.energy import (
     SEARCH_HALF_WIDTH,
     EquilibriumResult,
     _equilibrium,
-    _newton_step,
-    _PotentialModel,
     balance_residuals,
     equilibrium_report,
     find_equilibrium,
@@ -32,16 +31,35 @@ from tendonfinger.model import (
     chain_points,
     coupling_angles,
 )
-from tendonfinger.statics import coupling_rest_lengths, solve_static
+from tendonfinger.statics import (
+    _newton_step,
+    _PotentialModel,
+    coupling_rest_lengths,
+    solve_static,
+)
 
 from conftest import STEEL_AREA, STEEL_E, make_specs
 
 
 # Frozen references: the row-by-row evaluation on an (N, 3) meshgrid
 # that the per-axis box evaluation replaced. The new code must give
-# bit-identical energies, so these stay exactly as they were.
+# bit-identical energies, so these stay exactly as they were; `_arrays`
+# hands them the model's inputs as the numpy arrays they index.
+
+def _arrays(model):
+    geom = model.geom
+    return SimpleNamespace(
+        lengths=np.array(geom.link_lengths), radii=np.array(geom.guide_radii),
+        masses=np.array(geom.link_masses), fracs=np.array(geom.com_fractions),
+        g=model.g, theta_hat=np.array(model.nominal.theta),
+        k_flex=np.array(model.k_flex), k_ext=np.array(model.k_ext),
+        force=np.array(model.load.force), attach_local=model.attach_local,
+        load=model.load,
+    )
+
 
 def _reference_components(model, thetas):
+    model = _arrays(model)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     phi = np.cumsum(thetas, axis=1)
     sin_phi = np.sin(phi)
@@ -96,7 +114,7 @@ def _meshgrid_rows(axes):
 
 def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
     model = _PotentialModel(geom, specs, load, q)
-    center = model.theta_hat.copy()
+    center = _arrays(model).theta_hat
     lo0 = center - SEARCH_HALF_WIDTH
     hi0 = center + SEARCH_HALF_WIDTH
     lo0[0] = max(lo0[0], THETA1_MIN)
@@ -138,6 +156,7 @@ def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
 
 def _reference_gravity_gradient(model, theta):
     """The triple loop that the reverse cumulative sum replaced."""
+    model = _arrays(model)
     cos_phi = np.cos(np.cumsum(theta))
     L = model.lengths
     grad = np.zeros(3)
@@ -259,7 +278,7 @@ class TestGradient:
             scale = geom.gravity_accel * sum(geom.link_masses) * geom.total_length
             for q in np.linspace(-q_max, q_max, 41):
                 model = _PotentialModel(geom, specs, ExternalLoad(), q)
-                theta = model.theta_hat
+                theta = model.nominal.theta
                 grad = potential_gradient(theta, geom, specs, ExternalLoad(), q)
                 ref = _reference_gravity_gradient(model, theta)
                 np.testing.assert_allclose(grad, ref, rtol=1e-12,
@@ -273,7 +292,8 @@ def _taut_poses(model, group, n, seed):
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
     for _ in range(n):
         rd = np.cumsum(rng.uniform(2e-5, 5e-4, 3))  # R_i d_i, increasing
-        theta = model.theta_hat - sign * rd / model.radii
+        theta = (np.array(model.nominal.theta)
+                 - sign * rd / np.array(model.geom.guide_radii))
         assert np.min(sign * np.array(model.stretches(*theta))) >= 1e-5
         yield theta
 
@@ -310,12 +330,13 @@ class TestHessian:
         # Unloaded and massless at the nominal pose every stretch is zero;
         # both groups count as taut, so the Hessian stays positive definite.
         model = _PotentialModel(geom_massless, make_specs(), ExternalLoad(), 2e-3)
-        grad, hess = model.gradient_hessian(model.theta_hat)
+        grad, hess = model.gradient_hessian(model.nominal.theta)
         assert grad == (0.0, 0.0, 0.0)
-        R = model.radii
+        R = model.geom.guide_radii
         jac = np.array([[-R[0], 0.0, 0.0], [R[0], -R[1], 0.0], [0.0, R[1], -R[2]]])
         np.testing.assert_allclose(
-            hess, jac.T @ np.diag(model.k_flex + model.k_ext) @ jac, rtol=1e-12)
+            hess, jac.T @ np.diag(np.add(model.k_flex, model.k_ext)) @ jac,
+            rtol=1e-12)
         assert np.all(np.linalg.eigvalsh(np.array(hess)) > 0.0)
         assert _newton_step(grad, hess) == (0.0, 0.0, 0.0)
 
@@ -343,7 +364,7 @@ class TestGridEvaluation:
         model = _PotentialModel(geom_cal, make_specs(), REFERENCE_LOADS[load_name], q)
         rng = np.random.default_rng(11)
         for half in (SEARCH_HALF_WIDTH, 0.02, 1e-5):
-            lo = model.theta_hat + rng.uniform(-0.3, 0.0, 3)
+            lo = np.array(model.nominal.theta) + rng.uniform(-0.3, 0.0, 3)
             axes = [np.linspace(a, a + 2 * half, 21) for a in lo]
             g, e, l = model.axis_components(
                 axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
@@ -378,7 +399,7 @@ class TestGridEvaluation:
         load = ExternalLoad(force=force, moment=moment, application_point=attach)
         model = _PotentialModel(calibrated.geometry, make_specs(), load, q)
         axes = [np.linspace(t + o, t + o + w, n) for t, o, w, n
-                in zip(model.theta_hat, offsets, widths, sizes)]
+                in zip(model.nominal.theta, offsets, widths, sizes)]
         g, e, l = model.axis_components(
             axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]
         )
@@ -495,7 +516,8 @@ class TestNewtonPolish:
         # Pretend the polish converged on the nominal pose, which a 2 kg
         # load pulls well away from: its energy exceeds the best sample's.
         calls = _spy_polish(
-            monkeypatch, lambda model, theta, lo, hi: (model.theta_hat.copy(), 3))
+            monkeypatch,
+            lambda model, theta, lo, hi: (np.array(model.nominal.theta), 3))
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
         eq = find_equilibrium(geom_cal, make_specs(), load, 0.0)
         assert len(calls) == 1
@@ -521,16 +543,19 @@ class TestNewtonPolish:
 class TestBalanceResiduals:
     def test_stationarity_matches_tangent_cascade(self, geom_cal):
         # The analytic gradient is the negative of the tangent-model
-        # balance residuals when tensions come from the pose's stretches.
+        # balance residuals when tensions come from the pose's stretches,
+        # also when the force acts at a point riding with the distal link.
         specs = make_specs()
-        load = ExternalLoad.tip_payload(1.5, geom_cal.gravity_accel)
         # R1 d1 < R2 d2 < R3 d3 keeps all three flexion tendons taut and
         # the whole extension group slack.
         theta = (-0.08, -0.12, -0.20)
-        res = balance_residuals(theta, geom_cal, specs, load, 0.0,
-                                TendonGroup.FLEXION)
-        grad = potential_gradient(theta, geom_cal, specs, load, 0.0)
-        assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
+        for load in (ExternalLoad.tip_payload(1.5, geom_cal.gravity_accel),
+                     ExternalLoad(force=(2.0, -14.0), moment=0.01,
+                                  application_point=(0.15, 0.01))):
+            res = balance_residuals(theta, geom_cal, specs, load, 0.0,
+                                    TendonGroup.FLEXION)
+            grad = potential_gradient(theta, geom_cal, specs, load, 0.0)
+            assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
 
     def test_small_residual_at_energy_minimum(self, geom_cal):
         specs = make_specs()
@@ -542,22 +567,21 @@ class TestBalanceResiduals:
 
 
 class TestEquilibriumReport:
-    def test_documented_discrepancy(self, calibrated):
-        # The solver follows the per-joint stretch update while the
-        # energy landscape uses the coupled tendon paths; their
-        # equilibria differ well beyond 1% of finger length and the
-        # report records the gap plus the literal wrap-moment probe.
+    def test_solver_agrees_with_oracle(self, calibrated):
+        # The solver and the search minimize one potential, so their
+        # equilibria coincide far inside the 1% tolerance, and the energy
+        # pose balances the tangent cascade.
         geom, specs = calibrated.geometry, calibrated.tendons
         cases = random_tip_load_cases(3, 7, geom)
         report = equilibrium_report(geom, specs, 0.0, cases)
-        assert len(report["cases"]) == 3
+        assert set(report) == {"cases", "summary"}
+        summary = report["summary"]
+        assert summary["compared_cases"] == 3
+        assert summary["within_tolerance"] is True
+        assert summary["max_delta_fraction_of_length"] <= 1e-4
         for entry in report["cases"]:
-            assert "fingertip_delta_mm" in entry
-            assert "balance_residuals_at_energy_pose" in entry
-        assert report["summary"]["within_tolerance"] is False
-        probe = report["wrap_integral_probe"]
-        assert probe["status"] in ("RangeExceeded", "NoConvergence",
-                                   "TensionInfeasible")
+            residuals = entry["balance_residuals_at_energy_pose"]
+            assert max(map(abs, residuals["tangent_nm"])) <= 1e-9
 
     def test_rigid_limit_agreement(self, geom_cal):
         # With near-rigid tendons both routes collapse onto the nominal
@@ -581,18 +605,17 @@ class TestEquilibriumReport:
 
         monkeypatch.setattr(_PotentialModel, "__init__", counting_init)
         cases = random_tip_load_cases(3, 7, geom)
-        report = equilibrium_report(geom, specs, 0.0, cases,
-                                    literal_probe_payload=None)
+        report = equilibrium_report(geom, specs, 0.0, cases)
         assert [args[2] for args in built] == [c["load"] for c in cases]
         assert report["summary"]["compared_cases"] == 3
 
     def test_uncompared_cases_fail_tolerance(self, calibrated):
-        # A fixed-point solve capped at one pass always errors, so no case
-        # is compared; the summary must not read as a pass.
+        # A static solve capped at one step always errors, so no case is
+        # compared; the summary must not read as a pass.
         geom, specs = calibrated.geometry, calibrated.tendons
         report = equilibrium_report(geom, specs, 0.0,
                                     random_tip_load_cases(2, 7, geom),
-                                    max_iterations=1, literal_probe_payload=None)
+                                    max_iterations=1)
         assert all("error" in c["fixed_point"] for c in report["cases"])
         summary = report["summary"]
         assert summary["compared_cases"] == 0

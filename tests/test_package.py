@@ -1,7 +1,8 @@
+import ast
 import inspect
 
 import tendonfinger
-from tendonfinger import errors
+from tendonfinger import errors, statics
 
 
 def test_every_error_class_is_exported():
@@ -13,3 +14,12 @@ def test_every_error_class_is_exported():
     for name in defined:
         assert getattr(tendonfinger, name) is getattr(errors, name)
     assert defined <= set(tendonfinger.__all__)
+
+
+def test_statics_does_not_import_energy():
+    # The potential model lives in statics; the energy oracle builds on
+    # it, not the other way round.
+    tree = ast.parse(inspect.getsource(statics))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "energy" not in imported
