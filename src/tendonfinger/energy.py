@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMinimum, TendonFingerError
+from .errors import BoundaryMinimum, GeometryInfeasible, TendonFingerError
 from .model import (
     THETA1_MAX,
     THETA1_MIN,
@@ -28,7 +28,6 @@ from .model import (
     ExternalLoad,
     FingerGeometry,
     TendonGroup,
-    chain_points,
     link_pose,
 )
 from .statics import (
@@ -36,8 +35,7 @@ from .statics import (
     _newton_step,
     _PotentialModel,
     _solve,
-    net_external_moments,
-    wrap_angles,
+    pose_moments,
     wrap_moment,
 )
 
@@ -77,12 +75,8 @@ def total_potential(
     """Potential energy of one joint-angle triple (range-checked)."""
     theta = tuple(float(t) for t in theta)
     Configuration(q=q, theta=theta)  # raises RangeExceeded outside limits
-    model = _PotentialModel(geom, specs, load, q)
-    g, e, l = model.components(np.asarray(theta)[None, :])
-    return EnergyLandscapeSample(
-        theta=theta, gravity_pe=float(g[0]), elastic_pe=float(e[0]),
-        load_pe=float(l[0]),
-    )
+    g, e, l = _PotentialModel(geom, specs, load, q).axis_components(*theta)
+    return EnergyLandscapeSample(theta=theta, gravity_pe=g, elastic_pe=e, load_pe=l)
 
 
 def potential_gradient(
@@ -105,8 +99,6 @@ def _newton_polish(model: _PotentialModel, theta, lo, hi):
     or NEWTON_MAX_STEPS pass first; `steps` counts gradient and Hessian
     evaluations.
     """
-    theta = theta.tolist()
-    lo, hi = lo.tolist(), hi.tolist()
     for steps in range(1, NEWTON_MAX_STEPS + 1):
         step = _newton_step(*model.gradient_hessian(theta))
         if step is None:
@@ -115,7 +107,7 @@ def _newton_polish(model: _PotentialModel, theta, lo, hi):
         if not all(a <= t <= b for a, t, b in zip(lo, theta, hi)):
             return None, steps
         if max(abs(d) for d in step) <= NEWTON_STEP_TOL:
-            return np.array(theta), steps
+            return theta, steps
     return None, NEWTON_MAX_STEPS
 
 
@@ -155,62 +147,58 @@ def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
         raise ValueError("grid must be >= 11 samples per axis")
     if refine_rounds < 0:
         raise ValueError("refine_rounds must be >= 0")
-    center = np.array(model.nominal.theta)
-    lo0 = center - SEARCH_HALF_WIDTH
-    hi0 = center + SEARCH_HALF_WIDTH
+    lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
+    hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
     lo0[0] = max(lo0[0], THETA1_MIN)
     hi0[0] = min(hi0[0], THETA1_MAX)
 
     def evaluate_box(lo, hi):
-        a1, a2, a3 = (np.linspace(lo[k], hi[k], grid) for k in range(3))
+        a1, a2, a3 = (np.linspace(a, b, grid) for a, b in zip(lo, hi))
         g, e, l = model.axis_components(
             a1[:, None, None], a2[None, :, None], a3[None, None, :]
         )
         energies = g + e + l
         # C order on the (i, j, k) grid is lexicographic sample order.
         i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
-        theta = np.array([a1[i], a2[j], a3[k]])
+        theta = (float(a1[i]), float(a2[j]), float(a3[k]))
         return theta, float(energies[i, j, k]), energies.size
 
-    best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
-    evaluations = n_eval
-    half = (hi0 - lo0) / 2.0
+    def around(theta, half):
+        """The box theta +- half, clipped to the search box."""
+        return ([max(t - h, a) for t, h, a in zip(theta, half, lo0)],
+                [min(t + h, b) for t, h, b in zip(theta, half, hi0)])
+
+    best_theta, best_energy, evaluations = evaluate_box(lo0, hi0)
+    half = [(b - a) / 2.0 for a, b in zip(lo0, hi0)]
 
     polished, steps = _newton_polish(
-        model, best_theta,
-        np.maximum(best_theta - half / 4.0, lo0),
-        np.minimum(best_theta + half / 4.0, hi0),
+        model, best_theta, *around(best_theta, [h / 4.0 for h in half])
     ) if polish else (None, 0)
     evaluations += steps
-    energy = None if polished is None else float(model.total(polished)[0])
+    energy = None if polished is None else model.energy(polished)
     rounds = 0
     if energy is not None and energy <= best_energy:
         best_theta, best_energy = polished, energy
     else:
         for rounds in range(1, refine_rounds + 1):
-            half = half / 4.0
-            lo = np.maximum(best_theta - half, lo0)
-            hi = np.minimum(best_theta + half, hi0)
-            theta_r, energy_r, n_eval = evaluate_box(lo, hi)
+            half = [h / 4.0 for h in half]
+            theta_r, energy_r, n_eval = evaluate_box(*around(best_theta, half))
             evaluations += n_eval
             if energy_r < best_energy:
                 best_theta, best_energy = theta_r, energy_r
 
-    edge_tol = (hi0 - lo0) / (2.0 * (grid - 1))
-    on_edge = np.any(
-        (np.abs(best_theta - lo0) <= edge_tol)
-        | (np.abs(best_theta - hi0) <= edge_tol)
-    )
+    edge_tol = [(b - a) / (2.0 * (grid - 1)) for a, b in zip(lo0, hi0)]
     theta = tuple(float(t) for t in best_theta)
-    if on_edge:
+    if any(abs(t - a) <= tol or abs(t - b) <= tol
+           for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
         raise BoundaryMinimum(
             f"energy minimum {theta} lies on the search-box boundary"
         )
 
-    tip = chain_points(Configuration(q=model.q, theta=theta), model.geom)[3]
+    tip = link_pose(theta, model.geom)[0][3]
     return EquilibriumResult(
         theta=theta,
-        fingertip=(float(tip[0]), float(tip[1])),
+        fingertip=tip,
         energy=best_energy,
         evaluations=evaluations,
         rounds=rounds,
@@ -243,35 +231,31 @@ def _balance_residuals(model: _PotentialModel, theta, group: TendonGroup) -> dic
     """`balance_residuals` on a built potential model."""
     geom = model.geom
     theta = tuple(float(t) for t in theta)
-    cfg = Configuration(q=model.q, theta=theta)
-    load = model.load_at(theta, link_pose(theta, geom))
-    moments = net_external_moments(cfg, geom, load)
+    Configuration(q=model.q, theta=theta)  # raises RangeExceeded outside limits
+    pose = link_pose(theta, geom)
+    m1, m2, m3 = pose_moments(pose, geom, model.load_at(theta, pose))
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
-    tensions = np.array(model.tensions(theta, group))
-    radii = np.asarray(geom.guide_radii)
-    t_next = np.append(tensions[1:], 0.0)
-    tangent = moments + sign * radii * (tensions - t_next)
+    t1, t2, t3 = model.tensions(theta, group)
+    r1, r2, r3 = geom.guide_radii
+    tangent = [m1 + sign * r1 * (t1 - t2), m2 + sign * r2 * (t2 - t3),
+               m3 + sign * r3 * t3]
 
-    lengths = geom.link_lengths
+    _, l2, l3 = geom.link_lengths
     try:
-        wrap = wrap_angles(cfg, geom)
-        wrap_int = [
-            moments[0] + sign * (tensions[0] * radii[0] + tensions[1] * radii[1]
-                                 - wrap_moment(tensions[1], lengths[1],
-                                               theta[1], wrap.alpha2)),
-            moments[1] + sign * (tensions[1] * radii[1] + tensions[2] * radii[2]
-                                 - wrap_moment(tensions[2], lengths[2],
-                                               theta[2], wrap.alpha3)),
-            moments[2] + sign * tensions[2] * radii[2],
-        ]
-    except TendonFingerError:
+        alpha2, alpha3 = model.wrap_at(theta)
+    except GeometryInfeasible:
         wrap_int = None
+    else:
+        wrap_int = [
+            m1 + sign * (t1 * r1 + t2 * r2 - wrap_moment(t2, l2, theta[1], alpha2)),
+            m2 + sign * (t2 * r2 + t3 * r3 - wrap_moment(t3, l3, theta[2], alpha3)),
+            m3 + sign * t3 * r3,
+        ]
 
     return {
-        "tensions_n": [float(t) for t in tensions],
-        "tangent_nm": [float(r) for r in tangent],
-        "wrap_integral_nm": None if wrap_int is None
-        else [float(r) for r in wrap_int],
+        "tensions_n": [t1, t2, t3],
+        "tangent_nm": tangent,
+        "wrap_integral_nm": wrap_int,
     }
 
 
@@ -357,14 +341,11 @@ def equilibrium_report(
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
             continue
-        energy_at_fp = float(model.total(
-            np.asarray(sol.configuration.theta)[None, :]
-        )[0])
         entry["energy_search"] = {
             "theta_rad": list(eq.theta),
             "fingertip_m": list(eq.fingertip),
             "energy_j": eq.energy,
-            "energy_at_fixed_point_j": energy_at_fp,
+            "energy_at_fixed_point_j": model.energy(sol.configuration.theta),
             "evaluations": eq.evaluations,
         }
         delta = math.hypot(

@@ -139,11 +139,7 @@ def wrap_angles(config: Configuration, geom: FingerGeometry) -> WrapGeometry:
                 f"wrap ratio {c:.4f} outside [0, 1); guide circles overlap the span"
             )
         alpha0 = math.pi - math.acos(c)
-        alpha = alpha0 - th
-        if alpha <= 0.0 or alpha >= math.pi:
-            raise GeometryInfeasible(
-                f"wrap angle {alpha:.4f} rad outside (0, pi) at theta = {th:.4f}"
-            )
+        alpha = _wrap_angle(alpha0, th)
         rest = (alpha0 - 1.0 / math.tan(alpha0)) * radii_sum
         if rest <= 0.0:
             raise GeometryInfeasible("non-positive tendon rest length")
@@ -154,6 +150,17 @@ def wrap_angles(config: Configuration, geom: FingerGeometry) -> WrapGeometry:
         alpha2=a2, alpha3=a3, alpha2_0=a20, alpha3_0=a30,
         rest_length_2=lt2, rest_length_3=lt3,
     )
+
+
+def _wrap_angle(alpha0: float, theta: float) -> float:
+    """Wrap angle alpha_0 - theta of a coupling tendon whose zero-pose
+    wrap angle is alpha_0; raises GeometryInfeasible outside (0, pi)."""
+    alpha = alpha0 - theta
+    if alpha <= 0.0 or alpha >= math.pi:
+        raise GeometryInfeasible(
+            f"wrap angle {alpha:.4f} rad outside (0, pi) at theta = {theta:.4f}"
+        )
+    return alpha
 
 
 _ZERO_POSE = Configuration(q=0.0, theta=(0.0, 0.0, 0.0))
@@ -318,7 +325,8 @@ class _PotentialModel:
         self.nominal = coupling_angles(q, geom)
         self.nominal_pose = link_pose(self.nominal.theta, geom)
         self.g = geom.gravity_accel
-        lt2, lt3 = coupling_rest_lengths(geom)
+        self.wrap0 = wrap_angles(_ZERO_POSE, geom)
+        lt2, lt3 = self.wrap0.rest_length_2, self.wrap0.rest_length_3
         self.trios = {group: group_specs(specs, group) for group in TendonGroup}
         self.k_flex = _stiffness(self.trios[TendonGroup.FLEXION], lt2, lt3)
         self.k_ext = _stiffness(self.trios[TendonGroup.EXTENSION], lt2, lt3)
@@ -367,6 +375,12 @@ class _PotentialModel:
         return ExternalLoad(force=self.load.force, moment=self.load.moment,
                             application_point=(jx + c * ax - s * ay,
                                                jy + s * ax + c * ay))
+
+    def wrap_at(self, theta) -> tuple[float, float]:
+        """Wrap angles (alpha_2, alpha_3) of the coupling tendons at joint
+        angles `theta`; raises GeometryInfeasible outside (0, pi)."""
+        return (_wrap_angle(self.wrap0.alpha2_0, theta[1]),
+                _wrap_angle(self.wrap0.alpha3_0, theta[2]))
 
     def tensions(self, theta, group: TendonGroup) -> tuple[float, float, float]:
         """Hooke tensions of one group's three tendons at one pose."""
@@ -454,12 +468,17 @@ class _PotentialModel:
     def axis_components(self, t1, t2, t3):
         """Gravity, elastic and load potentials at joint angles t1, t2, t3.
 
-        The three arrays broadcast against each other, and each term is
+        Plain floats give one pose's potentials as floats, by math's sine
+        and cosine. Arrays broadcast against each other, and each term is
         computed only on the angles it depends on: a search box passes
         its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
         Every point is computed with the operations, in the order, of a
         per-row evaluation, so its value does not depend on the shapes.
         """
+        if isinstance(t1, np.ndarray):
+            sin, cos, clamp = np.sin, np.cos, np.maximum
+        else:
+            sin, cos, clamp = math.sin, math.cos, max
         l1, l2, l3 = self.geom.link_lengths
         m1, m2, m3 = self.geom.link_masses
         f1, f2, f3 = self.geom.com_fractions
@@ -467,8 +486,8 @@ class _PotentialModel:
         phi1 = t1
         phi2 = phi1 + t2
         phi3 = phi2 + t3
-        s1, s2, s3 = np.sin(phi1), np.sin(phi2), np.sin(phi3)
-        c1, c2, c3 = np.cos(phi1), np.cos(phi2), np.cos(phi3)
+        s1, s2, s3 = sin(phi1), sin(phi2), sin(phi3)
+        c1, c2, c3 = cos(phi1), cos(phi2), cos(phi3)
 
         y1 = l1 * s1
         y2 = y1 + l2 * s2
@@ -476,13 +495,11 @@ class _PotentialModel:
             m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
         )
 
-        e1, e2, e3 = (
-            k_flex * np.clip(flex, 0.0, None) ** 2
-            + k_ext * np.clip(-flex, 0.0, None) ** 2
-            for k_flex, k_ext, flex in zip(
-                self.k_flex, self.k_ext, self.stretches(t1, t2, t3)
-            )
-        )
+        def spring(k_flex, k_ext, flex):
+            taut, slack = clamp(flex, 0.0), clamp(-flex, 0.0)
+            return k_flex * (taut * taut) + k_ext * (slack * slack)
+
+        e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(t1, t2, t3))
         elastic = 0.5 * (e1 + e2 + e3)
 
         x_j3 = l1 * c1 + l2 * c2
@@ -501,8 +518,9 @@ class _PotentialModel:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return self.axis_components(thetas[:, 0], thetas[:, 1], thetas[:, 2])
 
-    def total(self, thetas: np.ndarray) -> np.ndarray:
-        g, e, l = self.components(thetas)
+    def energy(self, theta) -> float:
+        """Total potential at one pose, from a triple of plain floats."""
+        g, e, l = self.axis_components(*theta)
         return g + e + l
 
 
@@ -554,9 +572,10 @@ def solve_static(
     fingertip movement between two steps is at most `threshold`, so at
     least two steps run. The active group is frozen once, from the net
     moment at that pose; the solution's tensions are its tangent cascade
-    at the converged pose. Raises NoConvergence, with the steps' trace,
-    after `max_iterations` steps or at a Hessian that is not positive
-    definite.
+    at the converged pose. Raises GeometryInfeasible when a coupling
+    tendon cannot wrap its guides at the rigid or at the converged pose,
+    and NoConvergence, with the steps' trace, after `max_iterations`
+    steps or at a Hessian that is not positive definite.
     """
     return _solve(_PotentialModel(geom, specs, load, q), threshold, max_iterations)
 
@@ -569,9 +588,8 @@ def _solve(model: _PotentialModel, threshold: float,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    geom, load, nominal = model.geom, model.load, model.nominal
-    # Also refuses a rigid pose at which a coupling tendon cannot wrap.
-    wrap0 = wrap_angles(nominal, geom)
+    geom, load, nominal, wrap0 = model.geom, model.load, model.nominal, model.wrap0
+    model.wrap_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
     pose = model.nominal_pose
     y_nominal = pose[0][3][1]
 
@@ -606,6 +624,7 @@ def _solve(model: _PotentialModel, threshold: float,
 
         if residual is not None:
             if residual <= threshold:
+                model.wrap_at(theta)  # and a solved one
                 moments = pose_moments(pose, geom, model.load_at(theta, pose))
                 tensions = _tensions_for(moments, geom, group)
                 return StaticSolution(

@@ -84,6 +84,15 @@ class TestSolve:
         assert res.returncode == 2
         assert "TensionInfeasible" in res.stderr
 
+    def test_wrap_infeasible_solved_pose_exit_2(self):
+        # The rigid pose at 13.9 mm wraps; the loaded one does not.
+        res = run_cli("solve", "mm:13.9", "--force=30,0", "--config", str(CONFIG))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: GeometryInfeasible: wrap angle -0.0137 rad outside (0, pi)"
+            " at theta = 1.8668"]
+
     def test_no_convergence_exit_3_writes_trace(self, tmp_path):
         out = tmp_path / "failed.json"
         res = run_cli("solve", "0", "--force", "0,-29.43", "--max-iter", "2",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from tendonfinger.energy import (
     NEWTON_MAX_STEPS,
     SEARCH_HALF_WIDTH,
     EquilibriumResult,
+    _balance_residuals,
     _equilibrium,
     balance_residuals,
     equilibrium_report,
@@ -20,7 +23,7 @@ from tendonfinger.energy import (
     random_tip_load_cases,
     total_potential,
 )
-from tendonfinger.errors import BoundaryMinimum, RangeExceeded
+from tendonfinger.errors import BoundaryMinimum, RangeExceeded, TendonFingerError
 from tendonfinger.model import (
     THETA1_MAX,
     THETA1_MIN,
@@ -30,12 +33,16 @@ from tendonfinger.model import (
     TendonGroup,
     chain_points,
     coupling_angles,
+    link_pose,
 )
 from tendonfinger.statics import (
     _newton_step,
     _PotentialModel,
     coupling_rest_lengths,
+    net_external_moments,
     solve_static,
+    wrap_angles,
+    wrap_moment,
 )
 
 from conftest import STEEL_AREA, STEEL_E, make_specs
@@ -152,6 +159,51 @@ def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
         evaluations=evaluations,
         rounds=refine_rounds,
     )
+
+
+def _reference_balance_residuals(model, theta, group):
+    """The numpy `_balance_residuals` that the plain-float one replaced."""
+    geom = model.geom
+    theta = tuple(float(t) for t in theta)
+    cfg = Configuration(q=model.q, theta=theta)
+    load = model.load_at(theta, link_pose(theta, geom))
+    moments = net_external_moments(cfg, geom, load)
+    sign = 1.0 if group is TendonGroup.FLEXION else -1.0
+    tensions = np.array(model.tensions(theta, group))
+    radii = np.asarray(geom.guide_radii)
+    t_next = np.append(tensions[1:], 0.0)
+    tangent = moments + sign * radii * (tensions - t_next)
+
+    lengths = geom.link_lengths
+    try:
+        wrap = wrap_angles(cfg, geom)
+        wrap_int = [
+            moments[0] + sign * (tensions[0] * radii[0] + tensions[1] * radii[1]
+                                 - wrap_moment(tensions[1], lengths[1],
+                                               theta[1], wrap.alpha2)),
+            moments[1] + sign * (tensions[1] * radii[1] + tensions[2] * radii[2]
+                                 - wrap_moment(tensions[2], lengths[2],
+                                               theta[2], wrap.alpha3)),
+            moments[2] + sign * tensions[2] * radii[2],
+        ]
+    except TendonFingerError:
+        wrap_int = None
+
+    return {
+        "tensions_n": [float(t) for t in tensions],
+        "tangent_nm": [float(r) for r in tangent],
+        "wrap_integral_nm": None if wrap_int is None
+        else [float(r) for r in wrap_int],
+    }
+
+
+def _trig_is_math(angles) -> bool:
+    """True when np.sin/np.cos give math.sin/math.cos bit for bit on
+    `angles` (true on common libms; a numpy build with its own SIMD
+    sin/cos may differ in the last ulp)."""
+    angles = np.asarray(angles, dtype=float)
+    return (np.sin(angles).tolist() == [math.sin(a) for a in angles.tolist()]
+            and np.cos(angles).tolist() == [math.cos(a) for a in angles.tolist()])
 
 
 def _reference_gravity_gradient(model, theta):
@@ -405,6 +457,102 @@ class TestGridEvaluation:
         )
         assert np.array_equal((g + e + l).ravel(),
                               _reference_total(model, _meshgrid_rows(axes)))
+
+
+class TestSinglePose:
+    """One pose's potential runs the box's own body in plain floats; it
+    gives a 1-element array's bits wherever numpy's sin/cos are libm's."""
+
+    @staticmethod
+    def _cases(geom_cal):
+        flat = FingerGeometry(
+            link_lengths=geom_cal.link_lengths, guide_radii=geom_cal.guide_radii,
+            link_masses=(0.0, 0.0, geom_cal.link_masses[2]),
+            com_fractions=(0.0, 0.5, 1.0), gravity_accel=geom_cal.gravity_accel,
+        )
+        loads = [*REFERENCE_LOADS.values(),
+                 ExternalLoad(force=(0.0, -0.0), moment=-0.0)]
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            loads.append(ExternalLoad(
+                force=tuple(rng.uniform(-40.0, 40.0, 2).tolist()),
+                moment=float(rng.uniform(-0.05, 0.05)),
+                application_point=(None if rng.random() < 0.5
+                                   else tuple(rng.uniform(-0.2, 0.2, 2).tolist()))))
+        for i, load in enumerate(loads):
+            geom = flat if i % 2 else geom_cal
+            for q in (0.0, -0.0, 1e-3, -1e-3):
+                model = _PotentialModel(geom, make_specs(), load, q)
+                h1, h2, h3 = model.nominal.theta
+                # Signed zeros, then stretches of exactly zero: all three,
+                # tendons 1 and 2, tendon 1 alone; then random poses.
+                poses = [(-0.0, 0.0, -0.0), (0.0, -0.0, 0.0),
+                         (h1, h2, h3), (h1, h2, h3 - 0.05), (h1, h2 + 0.03, h3)]
+                poses += [tuple(h + d for h, d in zip(
+                    model.nominal.theta, rng.uniform(-0.5, 0.5, 3).tolist()))
+                          for _ in range(5)]
+                yield model, poses
+
+    def test_floats_match_one_element_arrays(self, geom_cal):
+        for model, poses in self._cases(geom_cal):
+            for theta in poses:
+                floats = model.axis_components(*theta)
+                arrays = model.axis_components(*(np.array([t]) for t in theta))
+                t1, t2, t3 = theta
+                exact = _trig_is_math([t1, t1 + t2, (t1 + t2) + t3])
+                total = arrays[0] + arrays[1] + arrays[2]
+                for new, ref in zip((*floats, model.energy(theta)),
+                                    (*arrays, total)):
+                    assert type(new) is float
+                    if exact:
+                        assert np.float64(new).tobytes() == ref.tobytes()
+                    else:
+                        np.testing.assert_allclose(new, ref[0], rtol=1e-12,
+                                                   atol=1e-12)
+
+    def test_balance_residuals_match_numpy_reference(self, geom_cal):
+        # Both read their moments and wrap angles from the same plain-float
+        # pose, so they agree bit for bit on any platform; a distal angle
+        # past alpha_3 = 0 leaves no wrap-integral reading.
+        for model, poses in self._cases(geom_cal):
+            for theta in [*poses, (0.1, 0.2, 2.0)]:
+                for group in TendonGroup:
+                    new = _balance_residuals(model, theta, group)
+                    ref = _reference_balance_residuals(model, theta, group)
+                    assert new.keys() == ref.keys()
+                    for key in new:
+                        if ref[key] is None:
+                            assert new[key] is None
+                        else:
+                            assert (np.array(new[key]).tobytes()
+                                    == np.array(ref[key]).tobytes())
+        model = _PotentialModel(geom_cal, make_specs(), ExternalLoad(), 0.0)
+        with pytest.raises(RangeExceeded):
+            _balance_residuals(model, (1.8, 0.0, 0.0), TendonGroup.FLEXION)
+
+    # SHA-256 of json.dumps(equilibrium_report(...)) on the shipped
+    # calibration for 4 cases of each (seed, q), recorded before single
+    # poses moved from 1-row arrays to plain floats.
+    REPORT_DIGESTS = {
+        (0, 0.0): "abb5fce3794f74102e60bcae9da87fdc29d64adeb8b5e14156c7fc8f2e829fc8",
+        (7, 0.0): "bd605015f058d22afbee9b8dbecf81ded4fb3af8b671858d4733f6f331a4ab56",
+        (399, 0.0): "a80cfa99e7e02eecbe0b734a2d371f4c7a778553efb84aa38b7fea545b8ab2db",
+        (7, 1e-3): "dbe08235f3aa289c49eb77c50ccb2c58549b0174084580c4b39d7cfc1d58bd6e",
+        (7, -1e-3): "33d0b93b482b8add5e084ea07b98fd6c8720f004bfa0f7aee6943948d10787bc",
+    }
+
+    @pytest.mark.parametrize("seed, q", sorted(REPORT_DIGESTS))
+    def test_report_unchanged(self, calibrated, seed, q):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        report = equilibrium_report(geom, specs, q,
+                                    random_tip_load_cases(4, seed, geom))
+        # The digests hold where numpy's sin/cos are libm's over the
+        # search boxes' angles; elsewhere the verdict must still hold.
+        if _trig_is_math(np.random.default_rng(seed).uniform(-2.5, 2.5, 20000)):
+            digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+            assert digest == self.REPORT_DIGESTS[seed, q]
+        else:
+            assert report["summary"]["within_tolerance"] is True
 
 
 class TestFindEquilibrium:

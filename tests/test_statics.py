@@ -89,6 +89,52 @@ class TestWrapAngles:
             assert wrap.rest_length_3 > 0.0
 
 
+class TestSolvedPoseWrap:
+    """A load can deflect the finger from a rigid pose where both coupling
+    tendons wrap to one where a wrap angle leaves (0, pi); the solve must
+    refuse that pose as it refuses such a rigid pose."""
+
+    def test_solved_pose_refused(self, calibrated):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q = 13.9e-3
+        wrap = wrap_angles(coupling_angles(q, geom), geom)
+        assert 0.0 < wrap.alpha3 < 0.03
+        with pytest.raises(GeometryInfeasible) as exc:
+            solve_static(q, geom, specs, ExternalLoad(force=(30.0, 0.0)))
+        assert str(exc.value) == (
+            "wrap angle -0.0137 rad outside (0, pi) at theta = 1.8668")
+
+    def test_rigid_pose_message_unchanged(self, calibrated):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q = -12e-3
+        with pytest.raises(GeometryInfeasible) as rigid:
+            wrap_angles(coupling_angles(q, geom), geom)
+        with pytest.raises(GeometryInfeasible) as solved:
+            solve_static(q, geom, specs, ExternalLoad.tip_payload(1.0))
+        assert str(solved.value) == str(rigid.value)
+
+    def test_stiffness_row_carries_error(self, calibrated):
+        rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 14e-3,
+                               [0.5, 1.0])
+        assert rows[0].status == "ok"
+        assert rows[1].status == (
+            "error: GeometryInfeasible: wrap angle -0.0015 rad outside (0, pi)"
+            " at theta = 1.8546")
+
+    def test_zero_pose_wrap_once_per_solve(self, calibrated, monkeypatch):
+        calls = []
+        original = statics.wrap_angles
+
+        def counting(config, geom):
+            calls.append(config.theta)
+            return original(config, geom)
+
+        monkeypatch.setattr(statics, "wrap_angles", counting)
+        solve_static(1e-3, calibrated.geometry, calibrated.tendons,
+                     ExternalLoad.tip_payload(2.0))
+        assert calls == [(0.0, 0.0, 0.0)]
+
+
 class TestWrapMoment:
     def test_full_half_wrap(self):
         assert wrap_moment(5.0, 0.1, 0.0, math.pi) == pytest.approx(
@@ -737,3 +783,8 @@ class TestFrozenReference:
         sol = solve_static(q, geom, specs, load)
         assert sol.iterations <= 5
         assert_matches_oracle(sol, q, geom, specs, load)
+        # The solved pose's wrap check never trips on these loads: both
+        # wrap angles stay well inside (0, pi).
+        wrap = wrap_angles(sol.configuration, geom)
+        assert min(wrap.alpha2, wrap.alpha3,
+                   math.pi - wrap.alpha2, math.pi - wrap.alpha3) > 0.5
