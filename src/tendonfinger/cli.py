@@ -29,6 +29,7 @@ from .statics import (
     stiffness_sweep,
     sweep_to_csv,
     trace_to_list,
+    wrap_angles,
 )
 from .workspace import (
     cloud_to_csv,
@@ -205,6 +206,8 @@ def _cmd_fk(args) -> int:
     cfg, _, _ = _load_config(args)
     q = _parse_length(args.q)
     config = coupling_angles(q, cfg.geometry)
+    if cfg.tendons:
+        wrap_angles(config, cfg.geometry)  # refuses a pose the tendons cannot wrap
     tip = forward_kinematics(config, cfg.geometry)
     jac = jacobian(q, cfg.geometry)
     lines = [

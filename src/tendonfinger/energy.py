@@ -11,6 +11,11 @@ When the polish fails (it leaves the first refinement box, meets a
 Hessian that is not positive definite, runs out of steps or ends higher
 than the best sample), shrink-by-4 grid boxes around the best sample
 refine it instead.
+
+Only the load term of the potential depends on the load, so the 21^3
+box's load-free landscape (gravity plus elastic energy, the fingertip
+and the distal link's angle pieces) is kept on the model's load-free
+state: a report computes it once, and each case adds its load term.
 """
 
 from __future__ import annotations
@@ -152,12 +157,19 @@ def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
     lo0[0] = max(lo0[0], THETA1_MIN)
     hi0[0] = min(hi0[0], THETA1_MAX)
 
-    def evaluate_box(lo, hi):
-        a1, a2, a3 = (np.linspace(a, b, grid) for a, b in zip(lo, hi))
-        g, e, l = model.axis_components(
+    def landscape(lo, hi):
+        """The box [lo, hi]'s axes, its load-free energies and pieces."""
+        axes = [np.linspace(a, b, grid) for a, b in zip(lo, hi)]
+        a1, a2, a3 = axes
+        g, e, pieces = model.load_free(
             a1[:, None, None], a2[None, :, None], a3[None, None, :]
         )
-        energies = g + e + l
+        return axes, g + e, pieces
+
+    def best_sample(axes, ge, pieces, tip=None):
+        """The box's first minimal sample under the model's load."""
+        a1, a2, a3 = axes
+        energies = ge + model.load_term(pieces, tip)
         # C order on the (i, j, k) grid is lexicographic sample order.
         i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
         theta = (float(a1[i]), float(a2[j]), float(a3[k]))
@@ -168,7 +180,14 @@ def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
         return ([max(t - h, a) for t, h, a in zip(theta, half, lo0)],
                 [min(t + h, b) for t, h, b in zip(theta, half, hi0)])
 
-    best_theta, best_energy, evaluations = evaluate_box(lo0, hi0)
+    # The first box depends on the load only through its load term, so
+    # its landscape is memoized on the load-free state, with the tip.
+    key = (grid, *lo0, *hi0)
+    first = model.boxes.get(key)
+    if first is None:
+        box = landscape(lo0, hi0)
+        first = model.boxes[key] = (*box, model.fingertip(box[2]))
+    best_theta, best_energy, evaluations = best_sample(*first)
     half = [(b - a) / 2.0 for a, b in zip(lo0, hi0)]
 
     polished, steps = _newton_polish(
@@ -182,7 +201,8 @@ def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
     else:
         for rounds in range(1, refine_rounds + 1):
             half = [h / 4.0 for h in half]
-            theta_r, energy_r, n_eval = evaluate_box(*around(best_theta, half))
+            theta_r, energy_r, n_eval = best_sample(
+                *landscape(*around(best_theta, half)))
             evaluations += n_eval
             if energy_r < best_energy:
                 best_theta, best_energy = theta_r, energy_r
@@ -310,8 +330,10 @@ def equilibrium_report(
 
     Emits one entry per case with both equilibria (the static solve under
     "fixed_point"), the fingertip gap and the balance residuals at the
-    energy pose. Each case's potential model is built once and shared by
-    the solve, the search and the residuals. A case is compared when both
+    energy pose. One potential model is built for the first case, and
+    each case gets its own load from it by `with_load`, sharing the
+    load-free state and the first search box's landscape; a case's model
+    serves its solve, search and residuals. A case is compared when both
     routes succeed; the summary's `within_tolerance` holds only when every
     case was compared and the largest gap is at most 1% of finger length;
     the largest gap is None when no case was compared.
@@ -320,6 +342,7 @@ def equilibrium_report(
     entries = []
     worst = 0.0
     compared = 0
+    base = None
     for case in cases:
         load = case["load"]
         entry = {k: v for k, v in case.items() if k != "load"}
@@ -327,7 +350,9 @@ def equilibrium_report(
         entry["moment_nm"] = load.moment
         entry["q_m"] = q
         try:
-            model = _PotentialModel(geom, specs, load, q)
+            if base is None:
+                base = _PotentialModel(geom, specs, load, q)
+            model = base.with_load(load)
             sol = _solve(model, threshold, max_iterations)
         except TendonFingerError as exc:
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}

@@ -30,6 +30,7 @@ the minimum the cascade's tensions are the pose's Hooke tensions.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -316,11 +317,14 @@ def elongate_tendons(
 class _PotentialModel:
     """The total potential of one load case at displacement q, from plain
     floats: the per-pose gradient and Hessian of the solver and the
-    oracle's polish, and the oracle's batched box evaluation."""
+    oracle's polish, and the oracle's batched box evaluation.
+
+    Everything but `load` and `attach_local` is load-free: `with_load`
+    shares it, with the `boxes` memo of load-free box landscapes, among
+    the load cases of one report or sweep."""
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
-        self.load = load
         self.q = q
         self.nominal = coupling_angles(q, geom)
         self.nominal_pose = link_pose(self.nominal.theta, geom)
@@ -336,7 +340,18 @@ class _PotentialModel:
         m1, m2, m3 = geom.link_masses
         f1, f2, f3 = geom.com_fractions
         self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
+        self.boxes = {}
+        self._apply(load)
 
+    def with_load(self, load: ExternalLoad) -> "_PotentialModel":
+        """This model under `load`: it shares every load-free field and
+        the `boxes` memo, and recomputes only `load` and `attach_local`."""
+        model = copy.copy(self)
+        model._apply(load)
+        return model
+
+    def _apply(self, load: ExternalLoad) -> None:
+        self.load = load
         if load.application_point is None:
             self.attach_local = None
         else:
@@ -475,6 +490,13 @@ class _PotentialModel:
         Every point is computed with the operations, in the order, of a
         per-row evaluation, so its value does not depend on the shapes.
         """
+        gravity, elastic, pieces = self.load_free(t1, t2, t3)
+        return gravity, elastic, self.load_term(pieces)
+
+    def load_free(self, t1, t2, t3):
+        """The load-free part of `axis_components`: gravity, elastic and
+        the distal link's pose pieces (x_j3, y2, c3, s3, phi3) that
+        `load_term` reads."""
         if isinstance(t1, np.ndarray):
             sin, cos, clamp = np.sin, np.cos, np.maximum
         else:
@@ -503,15 +525,27 @@ class _PotentialModel:
         elastic = 0.5 * (e1 + e2 + e3)
 
         x_j3 = l1 * c1 + l2 * c2
+        return gravity, elastic, (x_j3, y2, c3, s3, phi3)
+
+    def fingertip(self, pieces):
+        """Fingertip (px, py) of the pose `load_free` split into `pieces`."""
+        x_j3, y2, c3, s3, _ = pieces
+        l3 = self.geom.link_lengths[2]
+        return x_j3 + l3 * c3, y2 + l3 * s3
+
+    def load_term(self, pieces, tip=None):
+        """The load potential of the pose `load_free` split into `pieces`.
+        A load without an attach point acts at the fingertip, which `tip`
+        passes in when it is already known."""
+        x_j3, y2, c3, s3, phi3 = pieces
         if self.attach_local is None:
-            px, py = x_j3 + l3 * c3, y2 + l3 * s3
+            px, py = self.fingertip(pieces) if tip is None else tip
         else:
             ax, ay = self.attach_local
             px = x_j3 + c3 * ax - s3 * ay
             py = y2 + s3 * ax + c3 * ay
         fx, fy = self.load.force
-        load_pe = -(fx * px + fy * py) - self.load.moment * phi3
-        return gravity, elastic, load_pe
+        return -(fx * px + fy * py) - self.load.moment * phi3
 
     def components(self, thetas: np.ndarray):
         """Gravity, elastic and load potentials for (N, 3) angle triples."""
@@ -668,20 +702,23 @@ def stiffness_sweep(
 ) -> list[SweepRow]:
     """Deflection and secant stiffness for a list of tip payloads (kg).
 
-    Each payload hangs at the fingertip. A failing row is recorded with
-    its error message and the sweep continues.
+    Each payload hangs at the fingertip and is solved as `solve_static`
+    would, on one potential model whose load-free state is built for the
+    first payload and shared by the rest (`_PotentialModel.with_load`). A
+    failing row is recorded with its error message and the sweep
+    continues.
     """
     rows: list[SweepRow] = []
+    base = None
     for m in payloads:
         if m < 0.0:
             rows.append(SweepRow(m, math.nan, math.nan, 0, "error: negative payload"))
             continue
         load = ExternalLoad.tip_payload(m, geom.gravity_accel)
         try:
-            sol = solve_static(
-                q, geom, specs, load,
-                threshold=threshold, max_iterations=max_iterations,
-            )
+            if base is None:
+                base = _PotentialModel(geom, specs, load, q)
+            sol = _solve(base.with_load(load), threshold, max_iterations)
         except TendonFingerError as exc:
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  f"error: {exc.__class__.__name__}: {exc}"))

@@ -4,6 +4,7 @@ import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.model import FingerGeometry, TendonGroup, TendonSpec
+from tendonfinger.statics import _PotentialModel
 
 STEEL_E = 2.0e11
 STEEL_AREA = math.pi * 0.001 ** 2 / 4.0
@@ -24,6 +25,25 @@ def make_specs(youngs_modulus=STEEL_E, area=STEEL_AREA, actuating_rest=0.1):
                 rest_length=rest, group=group, index=index,
             ))
     return tuple(specs)
+
+
+def count_models(monkeypatch):
+    """Record the arguments of every `_PotentialModel.__init__` and the
+    load of every `_PotentialModel.with_load` call."""
+    built, loads = [], []
+    init, with_load = _PotentialModel.__init__, _PotentialModel.with_load
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_with_load(self, load):
+        loads.append(load)
+        return with_load(self, load)
+
+    monkeypatch.setattr(_PotentialModel, "__init__", counting_init)
+    monkeypatch.setattr(_PotentialModel, "with_load", counting_with_load)
+    return built, loads
 
 
 @pytest.fixture(scope="session")

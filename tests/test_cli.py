@@ -46,6 +46,28 @@ class TestFk:
         assert res.returncode == 2
         assert "RangeExceeded" in res.stderr
 
+    def test_wrap_infeasible_pose_exit_2(self):
+        # The same one (0, pi) test and message as `solve mm:-12`.
+        res = run_cli("fk", "mm:-12", "--config", str(CONFIG))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: GeometryInfeasible: wrap angle 3.2360 rad "
+                              "outside (0, pi) at theta = -1.3163\n")
+        solve = run_cli("solve", "mm:-12", "--config", str(CONFIG))
+        assert (solve.returncode, solve.stderr) == (2, res.stderr)
+
+    def test_wrap_feasible_pose_and_geometry_only_config(self, tmp_path):
+        assert run_cli("fk", "mm:-9", "--config", str(CONFIG)).returncode == 0
+        # Without tendons there is no wrap to check: plain kinematics.
+        doc = json.loads(CONFIG.read_text(encoding="utf-8"))
+        del doc["tendons"]
+        cfg = tmp_path / "geomonly.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        res = run_cli("fk", "mm:-12", "--config", str(cfg))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert "theta_rad = -1.05" in res.stdout
+
     def test_malformed_config_names_key(self, tmp_path):
         doc = json.loads(CONFIG.read_text(encoding="utf-8"))
         doc["geometry"]["link_lenghts"] = doc["geometry"].pop("link_lengths")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tendonfinger import energy
 from tendonfinger.energy import (
     DEFAULT_GRID,
+    DEFAULT_REFINE_ROUNDS,
     NEWTON_MAX_STEPS,
     SEARCH_HALF_WIDTH,
     EquilibriumResult,
@@ -45,7 +46,7 @@ from tendonfinger.statics import (
     wrap_moment,
 )
 
-from conftest import STEEL_AREA, STEEL_E, make_specs
+from conftest import STEEL_AREA, STEEL_E, count_models, make_specs
 
 
 # Frozen references: the row-by-row evaluation on an (N, 3) meshgrid
@@ -742,20 +743,33 @@ class TestEquilibriumReport:
                          sol.fingertip.position[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
 
-    def test_one_potential_model_per_case(self, calibrated, monkeypatch):
+    def test_one_potential_model_per_report(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
-        built = []
-        init = _PotentialModel.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(_PotentialModel, "__init__", counting_init)
+        built, loads = count_models(monkeypatch)
         cases = random_tip_load_cases(3, 7, geom)
         report = equilibrium_report(geom, specs, 0.0, cases)
-        assert [args[2] for args in built] == [c["load"] for c in cases]
+        assert [args[2] for args in built] == [cases[0]["load"]]
+        assert loads == [c["load"] for c in cases]
         assert report["summary"]["compared_cases"] == 3
+
+    def test_first_box_evaluated_once_per_report(self, calibrated, monkeypatch):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        grids = []
+        load_free = _PotentialModel.load_free
+
+        def counting(self, t1, t2, t3):
+            if isinstance(t1, np.ndarray):
+                grids.append(np.broadcast_shapes(t1.shape, t2.shape, t3.shape))
+            return load_free(self, t1, t2, t3)
+
+        monkeypatch.setattr(_PotentialModel, "load_free", counting)
+        report = equilibrium_report(geom, specs, 1e-3,
+                                    random_tip_load_cases(5, 7, geom))
+        assert report["summary"]["compared_cases"] == 5
+        # Every polish converged, so no case ran a fallback box.
+        assert all(c["energy_search"]["evaluations"]
+                   <= DEFAULT_GRID ** 3 + NEWTON_MAX_STEPS for c in report["cases"])
+        assert grids == [(DEFAULT_GRID,) * 3]
 
     def test_uncompared_cases_fail_tolerance(self, calibrated):
         # A static solve capped at one step always errors, so no case is
@@ -771,3 +785,102 @@ class TestEquilibriumReport:
         assert summary["within_tolerance"] is False
         assert equilibrium_report(geom, specs, 0.0, [])["summary"][
             "within_tolerance"] is False
+
+
+def _outcome(model, polish=True, refine_rounds=DEFAULT_REFINE_ROUNDS):
+    """`_equilibrium` on the model, or the BoundaryMinimum message."""
+    try:
+        return _equilibrium(model, DEFAULT_GRID, refine_rounds, polish)
+    except BoundaryMinimum as exc:
+        return f"BoundaryMinimum: {exc}"
+
+
+def _assert_same_outcome(shared, fresh):
+    assert shared == fresh
+    if isinstance(fresh, EquilibriumResult):
+        # Bit for bit, so a signed zero or a last-ulp change shows.
+        assert (np.array([*shared.theta, *shared.fingertip, shared.energy]).tobytes()
+                == np.array([*fresh.theta, *fresh.fingertip, fresh.energy]).tobytes())
+
+
+def _assert_shared_equals_fresh(shared, geom, specs, load, q):
+    """`shared` (a model given `load` by `with_load`) against a model built
+    for `load`: the search, its rounds, and the first box alone, whose best
+    sample keeps the memoized landscape's own energy; that first box also
+    against the frozen row-by-row evaluation, which no memo reaches."""
+    fresh = _PotentialModel(geom, specs, load, q)
+    for options in ({}, {"polish": False}, {"polish": False, "refine_rounds": 0}):
+        _assert_same_outcome(_outcome(shared, **options), _outcome(fresh, **options))
+    try:
+        reference = _reference_find_equilibrium(geom, specs, load, q, refine_rounds=0)
+    except BoundaryMinimum as exc:
+        reference = f"BoundaryMinimum: {exc}"
+    _assert_same_outcome(_outcome(shared, polish=False, refine_rounds=0), reference)
+
+
+class TestSharedLoadFreeState:
+    """`with_load` shares a model's load-free state and its first-box
+    memo among load cases; no case may see another case's load."""
+
+    LOADS = [
+        *REFERENCE_LOADS.values(),
+        ExternalLoad.tip_payload(2.0),
+        ExternalLoad(force=(-3.0, -25.0), moment=-0.02,
+                     application_point=(0.12, 0.03)),
+        ExternalLoad(force=(0.0, -0.0), moment=-0.0),
+    ]
+
+    @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
+    def test_memo_never_leaks_a_load(self, geom_cal, q):
+        specs = make_specs()
+        for first in self.LOADS:
+            base = _PotentialModel(geom_cal, specs, first, q)
+            _outcome(base)  # fills the memo under the first load
+            assert len(base.boxes) == 1
+            for load in self.LOADS:
+                shared = base.with_load(load)
+                assert shared.boxes is base.boxes
+                assert shared.nominal is base.nominal
+                assert base.load is first
+                _assert_shared_equals_fresh(shared, geom_cal, specs, load, q)
+            assert len(base.boxes) == 1
+
+    def test_fallbacks_never_touch_the_memo(self, geom_cal, monkeypatch):
+        specs = make_specs()
+        base = _PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
+        _outcome(base)
+        memo = dict(base.boxes)
+        # 60 kg: the polish leaves its box and the rounds end on the
+        # search-box surface.
+        heavy = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
+        shared = _outcome(base.with_load(heavy))
+        assert shared.startswith("BoundaryMinimum: energy minimum")
+        _assert_same_outcome(shared, _outcome(_PotentialModel(geom_cal, specs,
+                                                              heavy, 0.0)))
+        # The step cap: every polish falls back to the rounds.
+        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
+        for load in self.LOADS:
+            shared = _outcome(base.with_load(load))
+            assert shared.rounds == DEFAULT_REFINE_ROUNDS
+            _assert_same_outcome(
+                shared, _outcome(_PotentialModel(geom_cal, specs, load, 0.0)))
+        assert base.boxes.keys() == memo.keys()
+        for key, box in base.boxes.items():
+            assert box is memo[key]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        q=st.sampled_from([0.0, 1e-3, -1e-3]) | st.floats(-1.5e-3, 1.5e-3),
+        loads=st.lists(st.builds(
+            ExternalLoad,
+            force=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+            moment=st.floats(-0.05, 0.05),
+            application_point=st.none() | st.tuples(st.floats(0.05, 0.2),
+                                                    st.floats(-0.05, 0.05)),
+        ), min_size=2, max_size=3),
+    )
+    def test_property_shared_equals_fresh(self, calibrated, q, loads):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        base = _PotentialModel(geom, specs, loads[0], q)
+        for load in loads:
+            _assert_shared_equals_fresh(base.with_load(load), geom, specs, load, q)

@@ -38,7 +38,7 @@ from tendonfinger.statics import (
     wrap_moment,
 )
 
-from conftest import STEEL_AREA, STEEL_E, make_specs
+from conftest import STEEL_AREA, STEEL_E, count_models, make_specs
 
 
 class TestWrapAngles:
@@ -489,6 +489,49 @@ class TestStiffnessSweep:
         geom, specs = calibrated.geometry, calibrated.tendons
         rows = stiffness_sweep(geom, specs, 0.0, (3.0,))
         assert rows[0].stiffness_n_per_m == pytest.approx(1.2e3, rel=0.25)
+
+    def test_one_potential_model_per_sweep(self, calibrated, monkeypatch):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        built, loads = count_models(monkeypatch)
+        payloads = (-1.0, 0.5, 1e5, 0.0, 2.0)
+        rows = stiffness_sweep(geom, specs, 1e-3, payloads)
+        assert [r.status == "ok" for r in rows] == [False, True, False, True, True]
+        tip = [ExternalLoad.tip_payload(m, geom.gravity_accel)
+               for m in payloads if m >= 0.0]
+        assert [args[2] for args in built] == tip[:1]
+        assert loads == tip
+
+    # A negative payload, a load that leaves the joint range, wrap-infeasible
+    # solved and rigid poses, a step cap, and a q outside the joint range.
+    @pytest.mark.parametrize("q, payloads, max_iterations", [
+        (0.0, (0.5, -1.0, 0.0, 3.0, 1e5, 1.0), 100),
+        (-1e-3, (2.0, 0.25), 100),
+        (14e-3, (0.5, 1.0, 0.25), 100),
+        (-12e-3, (1.0, 2.0), 100),
+        (1e-3, (1.0, 2.0), 1),
+        (0.02, (0.5, 1.0), 100),
+    ])
+    def test_rows_equal_per_payload_solves(self, calibrated, q, payloads,
+                                           max_iterations):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        rows = stiffness_sweep(geom, specs, q, payloads,
+                               max_iterations=max_iterations)
+        assert [r.payload_kg for r in rows] == list(payloads)
+        for m, row in zip(payloads, rows):
+            if m < 0.0:
+                assert row.status == "error: negative payload"
+                continue
+            try:
+                sol = solve_static(q, geom, specs,
+                                   ExternalLoad.tip_payload(m, geom.gravity_accel),
+                                   max_iterations=max_iterations)
+            except TendonFingerError as exc:
+                assert row.status == f"error: {exc.__class__.__name__}: {exc}"
+                assert math.isnan(row.deflection_m) and row.iterations == 0
+                continue
+            assert row.status == "ok"
+            assert row.iterations == sol.iterations
+            assert row.deflection_m.hex() == sol.deflection_y.hex()
 
     def test_csv_shape(self, calibrated):
         rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 0.0, (0.5,))
