@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
@@ -25,6 +26,15 @@ def make_specs(youngs_modulus=STEEL_E, area=STEEL_AREA, actuating_rest=0.1):
                 rest_length=rest, group=group, index=index,
             ))
     return tuple(specs)
+
+
+def trig_is_math(angles) -> bool:
+    """True when np.sin/np.cos give math.sin/math.cos bit for bit on
+    `angles` (true on common libms; a numpy build with its own SIMD
+    sin/cos may differ in the last ulp)."""
+    angles = np.asarray(angles, dtype=float)
+    return (np.sin(angles).tolist() == [math.sin(a) for a in angles.tolist()]
+            and np.cos(angles).tolist() == [math.cos(a) for a in angles.tolist()])
 
 
 def count_models(monkeypatch):

@@ -3,10 +3,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tendonfinger import cli, errors
 from tendonfinger.config import default_config_path
+
+from conftest import trig_is_math
 
 CONFIG = default_config_path()
 
@@ -323,6 +326,27 @@ class TestOracleCheck:
         assert f"--cases must be >= 1, got {cases}" in res.stderr
         assert "max fingertip gap" not in res.stderr
         assert not out.exists()
+
+
+class TestGoldenBytes:
+    DIGESTS = {
+        ("fk", "0.004"):
+            "85866e90e66b52be7635f8b33ed88b5b9b5b40c05d68037f865488bafcb98254",
+        ("solve", "0", "--force", "0,-29.43"):
+            "6ef99e5acbece34eb60f61d8a2783f5be0ade82a77d2c4226e156830e8bd136b",
+        ("stiffness", "--payloads", "0.5,3", "--format", "json"):
+            "b9f78627a60e580474df284f456cabed1b9b107b540c7f90b7c767d27dcf97fb",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_stdout_unchanged(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 0
+        # `solve` and the JSON table print repr floats, so the digests hold
+        # where the platform's trig is the libm one they were taken with.
+        if trig_is_math(np.random.default_rng(0).uniform(-2.5, 2.5, 20000)):
+            digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+            assert digest == self.DIGESTS[args]
 
 
 class TestUsage:

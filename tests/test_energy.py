@@ -46,7 +46,13 @@ from tendonfinger.statics import (
     wrap_moment,
 )
 
-from conftest import STEEL_AREA, STEEL_E, count_models, make_specs
+from conftest import (
+    STEEL_AREA,
+    STEEL_E,
+    count_models,
+    make_specs,
+    trig_is_math,
+)
 
 
 # Frozen references: the row-by-row evaluation on an (N, 3) meshgrid
@@ -196,15 +202,6 @@ def _reference_balance_residuals(model, theta, group):
         "wrap_integral_nm": None if wrap_int is None
         else [float(r) for r in wrap_int],
     }
-
-
-def _trig_is_math(angles) -> bool:
-    """True when np.sin/np.cos give math.sin/math.cos bit for bit on
-    `angles` (true on common libms; a numpy build with its own SIMD
-    sin/cos may differ in the last ulp)."""
-    angles = np.asarray(angles, dtype=float)
-    return (np.sin(angles).tolist() == [math.sin(a) for a in angles.tolist()]
-            and np.cos(angles).tolist() == [math.cos(a) for a in angles.tolist()])
 
 
 def _reference_gravity_gradient(model, theta):
@@ -500,7 +497,7 @@ class TestSinglePose:
                 floats = model.axis_components(*theta)
                 arrays = model.axis_components(*(np.array([t]) for t in theta))
                 t1, t2, t3 = theta
-                exact = _trig_is_math([t1, t1 + t2, (t1 + t2) + t3])
+                exact = trig_is_math([t1, t1 + t2, (t1 + t2) + t3])
                 total = arrays[0] + arrays[1] + arrays[2]
                 for new, ref in zip((*floats, model.energy(theta)),
                                     (*arrays, total)):
@@ -549,7 +546,7 @@ class TestSinglePose:
                                     random_tip_load_cases(4, seed, geom))
         # The digests hold where numpy's sin/cos are libm's over the
         # search boxes' angles; elsewhere the verdict must still hold.
-        if _trig_is_math(np.random.default_rng(seed).uniform(-2.5, 2.5, 20000)):
+        if trig_is_math(np.random.default_rng(seed).uniform(-2.5, 2.5, 20000)):
             digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
             assert digest == self.REPORT_DIGESTS[seed, q]
         else:
