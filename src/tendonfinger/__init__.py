@@ -3,14 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import FingerConfig, SolverSettings, default_config_path, load_finger_config
-from .energy import (
-    EnergyLandscapeSample,
-    EquilibriumResult,
-    equilibrium_report,
-    find_equilibrium,
-    potential_gradient,
-    total_potential,
-)
+from .energy import EquilibriumResult, equilibrium_report, find_equilibrium
 from .errors import (
     BoundaryMinimum,
     ConfigError,
@@ -36,15 +29,13 @@ from .model import (
     forward_kinematics,
     jacobian,
 )
+from .potential import PotentialModel, WrapGeometry
 from .statics import (
     StaticSolution,
     TensionSet,
-    WrapGeometry,
     elongate_tendons,
     solve_static,
-    solve_tensions,
     stiffness_sweep,
-    wrap_angles,
     wrap_moment,
 )
 from .workspace import (
@@ -60,7 +51,6 @@ __all__ = [
     "ConfigError",
     "Configuration",
     "EmptyCloud",
-    "EnergyLandscapeSample",
     "EquilibriumResult",
     "ExternalLoad",
     "FingerConfig",
@@ -70,6 +60,7 @@ __all__ = [
     "GridTooLarge",
     "NoConvergence",
     "OccupancyGrid",
+    "PotentialModel",
     "RangeExceeded",
     "ResolutionTooHigh",
     "ResolutionTooLow",
@@ -92,12 +83,8 @@ __all__ = [
     "jacobian",
     "load_finger_config",
     "occupancy_grid",
-    "potential_gradient",
     "solve_static",
-    "solve_tensions",
     "stiffness_sweep",
     "sweep_workspace",
-    "total_potential",
-    "wrap_angles",
     "wrap_moment",
 ]

@@ -23,13 +23,13 @@ from .config import default_config_path, load_finger_config
 from .energy import equilibrium_report, random_tip_load_cases
 from .errors import ConfigError, NoConvergence, TendonFingerError
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
+from .potential import zero_pose_wrap
 from .statics import (
     solution_to_dict,
     solve_static,
     stiffness_sweep,
     sweep_to_csv,
     trace_to_list,
-    wrap_angles,
 )
 from .workspace import (
     cloud_to_csv,
@@ -207,7 +207,8 @@ def _cmd_fk(args) -> int:
     q = _parse_length(args.q)
     config = coupling_angles(q, cfg.geometry)
     if cfg.tendons:
-        wrap_angles(config, cfg.geometry)  # refuses a pose the tendons cannot wrap
+        # Refuses a pose the tendons cannot wrap.
+        zero_pose_wrap(cfg.geometry).angles_at(config.theta)
     tip = forward_kinematics(config, cfg.geometry)
     jac = jacobian(q, cfg.geometry)
     lines = [
@@ -338,7 +339,11 @@ def _read_reference(path: str) -> dict[float, float]:
                 f"reference line {lineno} has {len(cells)} cells, "
                 f"the header has {len(header)}"
             )
-        table[float(cells[i_payload])] = float(cells[i_defl])
+        try:
+            payload = _finite(cells[i_payload], "payload_kg")
+            table[payload] = _finite(cells[i_defl], "deflection_mm")
+        except ValueError as exc:
+            raise ConfigError(f"reference line {lineno}: {exc}") from None
     return table
 
 

@@ -17,11 +17,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import FingerGeometry, TendonGroup, TendonSpec
-from .statics import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_THRESHOLD,
-    coupling_rest_lengths,
-)
+from .potential import coupling_rest_lengths
+from .statics import DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
 LENGTH_UNITS = {"meters": 1.0, "m": 1.0, "millimeters": 1e-3, "mm": 1e-3}
 MASS_UNITS = {"kilograms": 1.0, "kg": 1.0, "grams": 1e-3, "g": 1e-3}

@@ -2,8 +2,8 @@
 Equilibrium by total-potential-energy minimization: the oracle that
 checks the static solver.
 
-The statics module's potential (link gravity + elastic energy of every
-tendon + external-load potential, see `statics` for the tendon stretch
+The potential of `tendonfinger.potential` (link gravity + elastic energy
+of every tendon + external-load potential, with the tendon stretch
 model) is minimized over the three joint angles by a route independent
 of the solver's start: a coarse 21^3 grid search finds the basin; Newton
 steps on the analytic gradient and Hessian then polish its best sample.
@@ -35,34 +35,14 @@ from .model import (
     TendonGroup,
     link_pose,
 )
-from .statics import (
-    StaticSolution,
-    _newton_step,
-    _PotentialModel,
-    _solve,
-    pose_moments,
-    wrap_moment,
-)
+from .potential import PotentialModel, newton_step
+from .statics import StaticSolution, pose_moments, solve_model, wrap_moment
 
 DEFAULT_GRID = 21
 DEFAULT_REFINE_ROUNDS = 6
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
 NEWTON_MAX_STEPS = 8
 NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
-
-
-@dataclass(frozen=True)
-class EnergyLandscapeSample:
-    """Potential energy at one joint-angle triple, split by source."""
-
-    theta: tuple[float, float, float]
-    gravity_pe: float
-    elastic_pe: float
-    load_pe: float
-
-    @property
-    def total(self) -> float:
-        return self.gravity_pe + self.elastic_pe + self.load_pe
 
 
 @dataclass(frozen=True)
@@ -74,29 +54,7 @@ class EquilibriumResult:
     rounds: int
 
 
-def total_potential(
-    theta, geom: FingerGeometry, specs, load: ExternalLoad, q: float
-) -> EnergyLandscapeSample:
-    """Potential energy of one joint-angle triple (range-checked)."""
-    theta = tuple(float(t) for t in theta)
-    Configuration(q=q, theta=theta)  # raises RangeExceeded outside limits
-    g, e, l = _PotentialModel(geom, specs, load, q).axis_components(*theta)
-    return EnergyLandscapeSample(theta=theta, gravity_pe=g, elastic_pe=e, load_pe=l)
-
-
-def potential_gradient(
-    theta, geom: FingerGeometry, specs, load: ExternalLoad, q: float
-) -> np.ndarray:
-    """Analytic d(total potential)/d(theta), shape (3,).
-
-    At a slack/taut transition the one-sided derivative of the taut side
-    is returned (the clamped stretch contributes zero when slack).
-    """
-    model = _PotentialModel(geom, specs, load, q)
-    return np.array(model.gradient_hessian(tuple(float(t) for t in theta))[0])
-
-
-def _newton_polish(model: _PotentialModel, theta, lo, hi):
+def _newton_polish(model: PotentialModel, theta, lo, hi):
     """Newton steps from `theta` until a step is at most NEWTON_STEP_TOL.
 
     Returns (theta, steps) on convergence, or (None, steps) when an
@@ -105,7 +63,7 @@ def _newton_polish(model: _PotentialModel, theta, lo, hi):
     evaluations.
     """
     for steps in range(1, NEWTON_MAX_STEPS + 1):
-        step = _newton_step(*model.gradient_hessian(theta))
+        step = newton_step(*model.gradient_hessian(theta))
         if step is None:
             return None, steps
         theta = [t + d for t, d in zip(theta, step)]
@@ -141,10 +99,10 @@ def find_equilibrium(
     after a polish. Raises BoundaryMinimum when the final minimizer sits
     on the search-box surface, which means the box should be widened.
     """
-    return _equilibrium(_PotentialModel(geom, specs, load, q), grid, refine_rounds)
+    return _equilibrium(PotentialModel(geom, specs, load, q), grid, refine_rounds)
 
 
-def _equilibrium(model: _PotentialModel, grid: int, refine_rounds: int,
+def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
                  polish: bool = True) -> EquilibriumResult:
     """find_equilibrium on a built model; `polish=False` runs the
     shrink-by-4 rounds straight after the box, as the fallback does."""
@@ -244,11 +202,19 @@ def balance_residuals(
     application point rides with the distal link, as in the potential. A
     zero residual triple means the pose satisfies that balance exactly.
     """
-    return _balance_residuals(_PotentialModel(geom, specs, load, q), theta, group)
+    return _balance_residuals(PotentialModel(geom, specs, load, q), theta, group)
 
 
-def _balance_residuals(model: _PotentialModel, theta, group: TendonGroup) -> dict:
-    """`balance_residuals` on a built potential model."""
+def _balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
+    """`balance_residuals` on a built potential model.
+
+    `wrap_integral_nm` evaluates the wrap-integral tension model, which
+    the solver no longer uses: the potential's minimum balances the
+    tangent cascade, not that model. So it reads far from zero at an
+    equilibrium (on `oracle-check --cases 10 --seed 7`, -26.9 to -1.9 N m
+    at joint 1 and -7.7 to -0.5 N m at joint 2, while `tangent_nm` stays
+    within 1.1e-14 N m) and does not mark a failed balance.
+    """
     geom = model.geom
     theta = tuple(float(t) for t in theta)
     Configuration(q=model.q, theta=theta)  # raises RangeExceeded outside limits
@@ -351,9 +317,9 @@ def equilibrium_report(
         entry["q_m"] = q
         try:
             if base is None:
-                base = _PotentialModel(geom, specs, load, q)
+                base = PotentialModel(geom, specs, load, q)
             model = base.with_load(load)
-            sol = _solve(model, threshold, max_iterations)
+            sol = solve_model(model, threshold, max_iterations)
         except TendonFingerError as exc:
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)

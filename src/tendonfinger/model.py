@@ -202,11 +202,6 @@ def link_pose(theta, geom: FingerGeometry):
     return points, coms
 
 
-def chain_points(config: Configuration, geom: FingerGeometry) -> np.ndarray:
-    """Joint origins and fingertip, shape (4, 2): [J1, J2, J3, tip]."""
-    return np.array(link_pose(config.theta, geom)[0])
-
-
 def fingertip_state(points, geom: FingerGeometry) -> FingertipState:
     """Fingertip state from the chain points of `link_pose`.
 

@@ -1,0 +1,369 @@
+"""
+The elastic model: the finger's total potential over its three joint
+angles, shared by the static solver and the energy oracle.
+
+The potential is link gravity plus the elastic energy of every tendon
+plus the external load's potential.
+
+Tendon stretch model: the actuating tendon's routed length changes by
+R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
+each coupling tendon spans two adjacent guide cylinders, so it stretches
+only on the differential motion R_i * d_i - R_{i-1} * d_{i-1} with
+d_i = theta_hat_i - theta_i. Extension-group stretches are the mirror
+image. A slack tendon (negative stretch) stores no energy. Hooke's law
+T = (E A / L) * stretch gives each tendon's tension, where a coupling
+tendon's rest length L is fixed by the zero-pose wrap geometry.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import GeometryInfeasible
+from .model import (
+    ExternalLoad,
+    FingerGeometry,
+    TendonGroup,
+    TendonSpec,
+    coupling_angles,
+    link_pose,
+)
+
+
+@dataclass(frozen=True)
+class WrapGeometry:
+    """Zero-pose wrap angles of the coupling tendons and their geometric
+    rest lengths."""
+
+    alpha2_0: float
+    alpha3_0: float
+    rest_length_2: float
+    rest_length_3: float
+
+    def angles_at(self, theta) -> tuple[float, float]:
+        """Wrap angles alpha_i = alpha_i0 - theta_i of the coupling tendons
+        at joint angles `theta`; raises GeometryInfeasible outside (0, pi)."""
+        angles = []
+        for alpha0, th in ((self.alpha2_0, theta[1]), (self.alpha3_0, theta[2])):
+            alpha = alpha0 - th
+            if alpha <= 0.0 or alpha >= math.pi:
+                raise GeometryInfeasible(
+                    f"wrap angle {alpha:.4f} rad outside (0, pi) at theta = {th:.4f}"
+                )
+            angles.append(alpha)
+        return tuple(angles)
+
+
+def zero_pose_wrap(geom: FingerGeometry) -> WrapGeometry:
+    """Wrap geometry of the coupling tendons at the straight pose.
+
+    alpha_0 = pi - arccos((R_prox + R_dist) / span) for the joint-2 and
+    joint-3 tendons; rest lengths follow as
+    L_T = (alpha_0 - cot(alpha_0)) * (R_prox + R_dist), positive since
+    alpha_0 lies in [pi/2, pi).
+    """
+    r1, r2, r3 = geom.guide_radii
+    l1, l2, _ = geom.link_lengths
+    pairs = []
+    for span, radii_sum in ((l1, r1 + r2), (l2, r2 + r3)):
+        if span <= 0.0:
+            raise GeometryInfeasible("link span is zero; wrap angle undefined")
+        c = radii_sum / span
+        if not 0.0 <= c < 1.0:
+            raise GeometryInfeasible(
+                f"wrap ratio {c:.4f} outside [0, 1); guide circles overlap the span"
+            )
+        alpha0 = math.pi - math.acos(c)
+        pairs.append((alpha0, (alpha0 - 1.0 / math.tan(alpha0)) * radii_sum))
+    (a20, lt2), (a30, lt3) = pairs
+    return WrapGeometry(alpha2_0=a20, alpha3_0=a30, rest_length_2=lt2, rest_length_3=lt3)
+
+
+def coupling_rest_lengths(geom: FingerGeometry) -> tuple[float, float]:
+    """Geometric rest lengths of the two coupling tendons (joints 2 and 3)."""
+    wrap = zero_pose_wrap(geom)
+    return wrap.rest_length_2, wrap.rest_length_3
+
+
+def group_specs(
+    specs, group: TendonGroup
+) -> tuple[TendonSpec, TendonSpec, TendonSpec]:
+    """The three tendons of one group, ordered by index."""
+    trio = sorted((s for s in specs if s.group is group), key=lambda s: s.index)
+    if len(trio) != 3 or [s.index for s in trio] != [1, 2, 3]:
+        raise ValueError(f"need exactly tendons 1..3 of group {group.value}")
+    return tuple(trio)
+
+
+def _stiffness(trio, lt2, lt3) -> tuple[float, float, float]:
+    """E A / L of one group's three tendons."""
+    s1, s2, s3 = trio
+    return (s1.axial_stiffness / s1.rest_length, s2.axial_stiffness / lt2,
+            s3.axial_stiffness / lt3)
+
+
+class PotentialModel:
+    """The total potential of one load case at displacement q, from plain
+    floats: the per-pose gradient and Hessian of the solver and the
+    oracle's polish, and the oracle's batched box evaluation.
+
+    Everything but `load` and `attach_local` is load-free: `with_load`
+    shares it, with the `boxes` memo of load-free box landscapes, among
+    the load cases of one report or sweep."""
+
+    def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
+        self.geom = geom
+        self.q = q
+        self.nominal = coupling_angles(q, geom)
+        self.nominal_pose = link_pose(self.nominal.theta, geom)
+        self.g = geom.gravity_accel
+        self.wrap0 = zero_pose_wrap(geom)
+        lt2, lt3 = self.wrap0.rest_length_2, self.wrap0.rest_length_3
+        self.trios = {group: group_specs(specs, group) for group in TendonGroup}
+        self.k_flex = _stiffness(self.trios[TendonGroup.FLEXION], lt2, lt3)
+        self.k_ext = _stiffness(self.trios[TendonGroup.EXTENSION], lt2, lt3)
+
+        # Joint k lifts every link j >= k: link j's own centre of mass by
+        # frac_j L_j, and each later link's by L_j.
+        m1, m2, m3 = geom.link_masses
+        f1, f2, f3 = geom.com_fractions
+        self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
+        self.boxes = {}
+        self._apply(load)
+
+    def with_load(self, load: ExternalLoad) -> "PotentialModel":
+        """This model under `load`: it shares every load-free field and
+        the `boxes` memo, and recomputes only `load` and `attach_local`."""
+        model = copy.copy(self)
+        model._apply(load)
+        return model
+
+    def _apply(self, load: ExternalLoad) -> None:
+        self.load = load
+        if load.application_point is None:
+            self.attach_local = None
+        else:
+            # Resolve the fixed base-frame point into the distal-link frame
+            # at the nominal pose; it then rides with the link.
+            t1, t2, t3 = self.nominal.theta
+            jx, jy = self.nominal_pose[0][2]
+            rx = load.application_point[0] - jx
+            ry = load.application_point[1] - jy
+            phi3 = (t1 + t2) + t3
+            c, s = math.cos(-phi3), math.sin(-phi3)
+            self.attach_local = (c * rx - s * ry, s * rx + c * ry)
+
+    def stretches(self, t1, t2, t3):
+        """Unclamped flexion-side stretches of the three tendons at joint
+        angles t1, t2, t3; the extension side is their negative. Tendon 1
+        depends on t1 only, tendon 2 on t1 and t2, tendon 3 on t2 and t3."""
+        h1, h2, h3 = self.nominal.theta
+        r1, r2, r3 = self.geom.guide_radii
+        rd1 = (h1 - t1) * r1
+        rd2 = (h2 - t2) * r2
+        rd3 = (h3 - t3) * r3
+        return rd1, rd2 - rd1, rd3 - rd2
+
+    def load_at(self, theta, pose) -> ExternalLoad:
+        """The load at joint angles `theta`, whose `link_pose` is `pose`:
+        its application point moves with the distal link, as in the
+        potential."""
+        if self.attach_local is None:
+            return self.load
+        t1, t2, t3 = theta
+        jx, jy = pose[0][2]
+        phi3 = (t1 + t2) + t3
+        c, s = math.cos(phi3), math.sin(phi3)
+        ax, ay = self.attach_local
+        return ExternalLoad(force=self.load.force, moment=self.load.moment,
+                            application_point=(jx + c * ax - s * ay,
+                                               jy + s * ax + c * ay))
+
+    def wrap_at(self, theta) -> tuple[float, float]:
+        """Wrap angles (alpha_2, alpha_3) of the coupling tendons at joint
+        angles `theta`; raises GeometryInfeasible outside (0, pi)."""
+        return self.wrap0.angles_at(theta)
+
+    def tensions(self, theta, group: TendonGroup) -> tuple[float, float, float]:
+        """Hooke tensions of one group's three tendons at one pose."""
+        s1, s2, s3 = self.stretches(*theta)
+        if group is TendonGroup.FLEXION:
+            k1, k2, k3 = self.k_flex
+            return (k1 * max(s1, 0.0), k2 * max(s2, 0.0), k3 * max(s3, 0.0))
+        k1, k2, k3 = self.k_ext
+        return (k1 * max(-s1, 0.0), k2 * max(-s2, 0.0), k3 * max(-s3, 0.0))
+
+    def gradient_hessian(self, theta):
+        """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
+        at one pose, as plain-float tuples.
+
+        Elastic: tendon i pulls with J_i^T T_i and stiffens by
+        J^T diag(k_i) J, J = d(stretch)/d(theta); a zero stretch counts as
+        taut in both groups, so the unloaded pose keeps a positive-definite
+        Hessian, and the gradient takes the taut side's one-sided
+        derivative (a clamped stretch pulls with zero tension). Gravity and
+        the load reach joint k through every link j >= k, so their
+        Hessian entry (k, l) sums over j >= max(k, l): a tail sum, added
+        from the distal link inwards.
+        """
+        t1, t2, t3 = theta
+        s1, s2, s3 = self.stretches(t1, t2, t3)
+        kf1, kf2, kf3 = self.k_flex
+        ke1, ke2, ke3 = self.k_ext
+        n1 = kf1 * max(s1, 0.0) - ke1 * max(-s1, 0.0)
+        n2 = kf2 * max(s2, 0.0) - ke2 * max(-s2, 0.0)
+        n3 = kf3 * max(s3, 0.0) - ke3 * max(-s3, 0.0)
+        k1 = (kf1 if s1 >= 0.0 else 0.0) + (ke1 if s1 <= 0.0 else 0.0)
+        k2 = (kf2 if s2 >= 0.0 else 0.0) + (ke2 if s2 <= 0.0 else 0.0)
+        k3 = (kf3 if s3 >= 0.0 else 0.0) + (ke3 if s3 <= 0.0 else 0.0)
+
+        phi1 = t1
+        phi2 = t1 + t2
+        phi3 = phi2 + t3
+        c1, c2, c3 = math.cos(phi1), math.cos(phi2), math.cos(phi3)
+        sn1, sn2, sn3 = math.sin(phi1), math.sin(phi2), math.sin(phi3)
+        L1, L2, L3 = self.geom.link_lengths
+        w1, w2, w3 = self.lifted
+        # Per-link x and y extents of the load's lever; on the distal link
+        # they reach the attach point.
+        ex1, ex2, ex3 = L1 * c1, L2 * c2, L3 * c3
+        ey1, ey2, ey3 = L1 * sn1, L2 * sn2, L3 * sn3
+        if self.attach_local is not None:
+            ax, ay = self.attach_local
+            ex3 = c3 * ax - sn3 * ay
+            ey3 = sn3 * ax + c3 * ay
+
+        lift3 = L3 * c3 * w3
+        lift2 = lift3 + L2 * c2 * w2
+        lift1 = lift2 + L1 * c1 * w1
+        drop3 = L3 * sn3 * w3
+        drop2 = drop3 + L2 * sn2 * w2
+        drop1 = drop2 + L1 * sn1 * w1
+        x2 = ex3 + ex2
+        x1 = x2 + ex1
+        y2 = ey3 + ey2
+        y1 = y2 + ey1
+
+        g = self.g
+        fx, fy = self.load.force
+        moment = self.load.moment
+        R1, R2, R3 = self.geom.guide_radii
+        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
+        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
+        grad = (
+            R1 * (n2 - n1) + g * lift1 - (fx * -y1 + fy * x1) - moment,
+            R2 * (n3 - n2) + g * lift2 - (fx * -y2 + fy * x2) - moment,
+            -R3 * n3 + g * lift3 - (fx * -ey3 + fy * ex3) - moment,
+        )
+        # The gravity and load Hessian entries (k, l) are tail[max(k, l)].
+        tail1 = -g * drop1 + fx * x1 + fy * y1
+        tail2 = -g * drop2 + fx * x2 + fy * y2
+        tail3 = -g * drop3 + fx * ex3 + fy * ey3
+        hess = (
+            (R1 * R1 * (k1 + k2) + tail1, -R1 * R2 * k2 + tail2, tail3),
+            (-R1 * R2 * k2 + tail2, R2 * R2 * (k2 + k3) + tail2,
+             -R2 * R3 * k3 + tail3),
+            (tail3, -R2 * R3 * k3 + tail3, R3 * R3 * k3 + tail3),
+        )
+        return grad, hess
+
+    def axis_components(self, t1, t2, t3):
+        """Gravity, elastic and load potentials at joint angles t1, t2, t3.
+
+        Plain floats give one pose's potentials as floats, by math's sine
+        and cosine. Arrays broadcast against each other, and each term is
+        computed only on the angles it depends on: a search box passes
+        its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
+        Every point is computed with the operations, in the order, of a
+        per-row evaluation, so its value does not depend on the shapes.
+        """
+        gravity, elastic, pieces = self.load_free(t1, t2, t3)
+        return gravity, elastic, self.load_term(pieces)
+
+    def load_free(self, t1, t2, t3):
+        """The load-free part of `axis_components`: gravity, elastic and
+        the distal link's pose pieces (x_j3, y2, c3, s3, phi3) that
+        `load_term` reads."""
+        if isinstance(t1, np.ndarray):
+            sin, cos, clamp = np.sin, np.cos, np.maximum
+        else:
+            sin, cos, clamp = math.sin, math.cos, max
+        l1, l2, l3 = self.geom.link_lengths
+        m1, m2, m3 = self.geom.link_masses
+        f1, f2, f3 = self.geom.com_fractions
+        fl1, fl2, fl3 = f1 * l1, f2 * l2, f3 * l3
+        phi1 = t1
+        phi2 = phi1 + t2
+        phi3 = phi2 + t3
+        s1, s2, s3 = sin(phi1), sin(phi2), sin(phi3)
+        c1, c2, c3 = cos(phi1), cos(phi2), cos(phi3)
+
+        y1 = l1 * s1
+        y2 = y1 + l2 * s2
+        gravity = self.g * (
+            m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
+        )
+
+        def spring(k_flex, k_ext, flex):
+            taut, slack = clamp(flex, 0.0), clamp(-flex, 0.0)
+            return k_flex * (taut * taut) + k_ext * (slack * slack)
+
+        e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(t1, t2, t3))
+        elastic = 0.5 * (e1 + e2 + e3)
+
+        x_j3 = l1 * c1 + l2 * c2
+        return gravity, elastic, (x_j3, y2, c3, s3, phi3)
+
+    def fingertip(self, pieces):
+        """Fingertip (px, py) of the pose `load_free` split into `pieces`."""
+        x_j3, y2, c3, s3, _ = pieces
+        l3 = self.geom.link_lengths[2]
+        return x_j3 + l3 * c3, y2 + l3 * s3
+
+    def load_term(self, pieces, tip=None):
+        """The load potential of the pose `load_free` split into `pieces`.
+        A load without an attach point acts at the fingertip, which `tip`
+        passes in when it is already known."""
+        x_j3, y2, c3, s3, phi3 = pieces
+        if self.attach_local is None:
+            px, py = self.fingertip(pieces) if tip is None else tip
+        else:
+            ax, ay = self.attach_local
+            px = x_j3 + c3 * ax - s3 * ay
+            py = y2 + s3 * ax + c3 * ay
+        fx, fy = self.load.force
+        return -(fx * px + fy * py) - self.load.moment * phi3
+
+    def energy(self, theta) -> float:
+        """Total potential at one pose, from a triple of plain floats."""
+        g, e, l = self.axis_components(*theta)
+        return g + e + l
+
+
+def newton_step(grad, hess):
+    """The Newton step -H^-1 grad by a closed-form LDL^T factorization of
+    the 3 x 3 Hessian, or None when the Hessian is not positive definite."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
+    d0 = h00
+    if not d0 > 0.0:
+        return None
+    l10, l20 = h01 / d0, h02 / d0
+    d1 = h11 - l10 * h01
+    if not d1 > 0.0:
+        return None
+    l21 = (h12 - l20 * h01) / d1
+    d2 = h22 - l20 * h02 - l21 * l21 * d1
+    if not d2 > 0.0:
+        return None
+    g0, g1, g2 = grad
+    y0 = -g0
+    y1 = -g1 - l10 * y0
+    y2 = -g2 - l20 * y0 - l21 * y1
+    x2 = y2 / d2
+    x1 = y1 / d1 - l21 * x2
+    x0 = y0 / d0 - l10 * x1 - l20 * x2
+    return (x0, x1, x2)

@@ -5,7 +5,7 @@ import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.model import FingerGeometry, TendonGroup, TendonSpec
-from tendonfinger.statics import _PotentialModel
+from tendonfinger.potential import PotentialModel
 
 STEEL_E = 2.0e11
 STEEL_AREA = math.pi * 0.001 ** 2 / 4.0
@@ -38,10 +38,10 @@ def trig_is_math(angles) -> bool:
 
 
 def count_models(monkeypatch):
-    """Record the arguments of every `_PotentialModel.__init__` and the
-    load of every `_PotentialModel.with_load` call."""
+    """Record the arguments of every `PotentialModel.__init__` and the
+    load of every `PotentialModel.with_load` call."""
     built, loads = [], []
-    init, with_load = _PotentialModel.__init__, _PotentialModel.with_load
+    init, with_load = PotentialModel.__init__, PotentialModel.with_load
 
     def counting_init(self, *args):
         built.append(args)
@@ -51,8 +51,8 @@ def count_models(monkeypatch):
         loads.append(load)
         return with_load(self, load)
 
-    monkeypatch.setattr(_PotentialModel, "__init__", counting_init)
-    monkeypatch.setattr(_PotentialModel, "with_load", counting_with_load)
+    monkeypatch.setattr(PotentialModel, "__init__", counting_init)
+    monkeypatch.setattr(PotentialModel, "with_load", counting_with_load)
     return built, loads
 
 

@@ -188,6 +188,21 @@ class TestValidate:
         assert "reference line 3" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,nan", "reference line 3: deflection_mm must be a finite number, got 'nan'"),
+        ("0.5,-inf", "reference line 3: deflection_mm must be a finite number, got '-inf'"),
+        ("inf,10.0", "reference line 3: payload_kg must be a finite number, got 'inf'"),
+        ("0.5,abc", "reference line 3: could not convert string to float: 'abc'"),
+    ])
+    def test_reference_bad_cell_exit_1(self, tmp_path, row, message):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"payload_kg,deflection_mm\n1.0,20.0\n{row}\n", encoding="utf-8")
+        res = run_cli("validate", "--config", str(CONFIG), "--payloads", "0.5",
+                      "--out", str(tmp_path / "table.csv"), "--reference", str(ref))
+        assert res.returncode == 1
+        assert f"error: {message}\n" in res.stderr
+        assert "reference comparison" not in res.stderr
+
 
 class TestStiffness:
     def test_csv_output(self, tmp_path):

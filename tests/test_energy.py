@@ -20,9 +20,7 @@ from tendonfinger.energy import (
     balance_residuals,
     equilibrium_report,
     find_equilibrium,
-    potential_gradient,
     random_tip_load_cases,
-    total_potential,
 )
 from tendonfinger.errors import BoundaryMinimum, RangeExceeded, TendonFingerError
 from tendonfinger.model import (
@@ -32,19 +30,16 @@ from tendonfinger.model import (
     ExternalLoad,
     FingerGeometry,
     TendonGroup,
-    chain_points,
     coupling_angles,
     link_pose,
 )
-from tendonfinger.statics import (
-    _newton_step,
-    _PotentialModel,
+from tendonfinger.potential import (
+    PotentialModel,
     coupling_rest_lengths,
-    net_external_moments,
-    solve_static,
-    wrap_angles,
-    wrap_moment,
+    newton_step,
+    zero_pose_wrap,
 )
+from tendonfinger.statics import pose_moments, solve_static, wrap_moment
 
 from conftest import (
     STEEL_AREA,
@@ -127,7 +122,7 @@ def _meshgrid_rows(axes):
 
 
 def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
-    model = _PotentialModel(geom, specs, load, q)
+    model = PotentialModel(geom, specs, load, q)
     center = _arrays(model).theta_hat
     lo0 = center - SEARCH_HALF_WIDTH
     hi0 = center + SEARCH_HALF_WIDTH
@@ -158,7 +153,7 @@ def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
         raise BoundaryMinimum(
             f"energy minimum {tuple(best_theta)} lies on the search-box boundary"
         )
-    tip = chain_points(Configuration(q=q, theta=tuple(best_theta)), geom)[3]
+    tip = link_pose(tuple(best_theta), geom)[0][3]
     return EquilibriumResult(
         theta=tuple(float(t) for t in best_theta),
         fingertip=(float(tip[0]), float(tip[1])),
@@ -172,9 +167,9 @@ def _reference_balance_residuals(model, theta, group):
     """The numpy `_balance_residuals` that the plain-float one replaced."""
     geom = model.geom
     theta = tuple(float(t) for t in theta)
-    cfg = Configuration(q=model.q, theta=theta)
-    load = model.load_at(theta, link_pose(theta, geom))
-    moments = net_external_moments(cfg, geom, load)
+    Configuration(q=model.q, theta=theta)
+    pose = link_pose(theta, geom)
+    moments = np.array(pose_moments(pose, geom, model.load_at(theta, pose)))
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
     tensions = np.array(model.tensions(theta, group))
     radii = np.asarray(geom.guide_radii)
@@ -183,14 +178,14 @@ def _reference_balance_residuals(model, theta, group):
 
     lengths = geom.link_lengths
     try:
-        wrap = wrap_angles(cfg, geom)
+        alpha2, alpha3 = zero_pose_wrap(geom).angles_at(theta)
         wrap_int = [
             moments[0] + sign * (tensions[0] * radii[0] + tensions[1] * radii[1]
                                  - wrap_moment(tensions[1], lengths[1],
-                                               theta[1], wrap.alpha2)),
+                                               theta[1], alpha2)),
             moments[1] + sign * (tensions[1] * radii[1] + tensions[2] * radii[2]
                                  - wrap_moment(tensions[2], lengths[2],
-                                               theta[2], wrap.alpha3)),
+                                               theta[2], alpha3)),
             moments[2] + sign * tensions[2] * radii[2],
         ]
     except TendonFingerError:
@@ -231,63 +226,62 @@ REFERENCE_LOADS = {
 }
 
 
-class TestTotalPotential:
+def _gradient(model, theta):
+    """The potential's analytic gradient at one pose, shape (3,)."""
+    return np.array(model.gradient_hessian(tuple(float(t) for t in theta))[0])
+
+
+class TestPotential:
     def test_zero_at_nominal_unloaded(self, geom_massless):
         q = 0.004
+        model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), q)
         theta = coupling_angles(q, geom_massless).theta
-        sample = total_potential(theta, geom_massless, make_specs(),
-                                 ExternalLoad(), q)
-        assert sample.elastic_pe == 0.0
-        assert sample.gravity_pe == 0.0
-        assert sample.total == 0.0
+        gravity, elastic, _ = model.axis_components(*theta)
+        assert elastic == 0.0
+        assert gravity == 0.0
+        assert model.energy(theta) == 0.0
 
     def test_component_sum(self, geom_cal):
         load = ExternalLoad(force=(1.0, -15.0), moment=0.02)
-        sample = total_potential((-0.1, -0.05, -0.02), geom_cal, make_specs(),
-                                 load, 0.0)
-        assert sample.total == pytest.approx(
-            sample.gravity_pe + sample.elastic_pe + sample.load_pe, rel=1e-12
+        model = PotentialModel(geom_cal, make_specs(), load, 0.0)
+        theta = (-0.1, -0.05, -0.02)
+        gravity, elastic, load_pe = model.axis_components(*theta)
+        assert model.energy(theta) == pytest.approx(
+            gravity + elastic + load_pe, rel=1e-12
         )
 
     def test_distal_perturbation_quadratic(self, geom_massless):
         # Moving only joint 3 stretches only that coupling tendon, giving
         # the quadratic 0.5 * (E A / L_T3) * (R3 d)^2.
         q, d = 0.002, 1.5e-3
+        model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), q)
         theta = list(coupling_angles(q, geom_massless).theta)
         theta[2] += d
-        sample = total_potential(theta, geom_massless, make_specs(),
-                                 ExternalLoad(), q)
+        _, elastic, _ = model.axis_components(*theta)
         _, lt3 = coupling_rest_lengths(geom_massless)
         k3 = STEEL_E * STEEL_AREA / lt3
         expect = 0.5 * k3 * (geom_massless.guide_radii[2] * d) ** 2
-        assert sample.elastic_pe == pytest.approx(expect, rel=1e-9)
-
-    def test_range_exceeded(self, geom_cal):
-        with pytest.raises(RangeExceeded):
-            total_potential((1.8, 0.0, 0.0), geom_cal, make_specs(),
-                            ExternalLoad(), 0.0)
+        assert elastic == pytest.approx(expect, rel=1e-9)
 
 
 class TestGradient:
     def test_matches_finite_differences(self, geom_cal):
         specs = make_specs()
         load = ExternalLoad(force=(0.4, -20.0), moment=-0.01)
+        model = PotentialModel(geom_cal, specs, load, 0.0)
         rng = np.random.default_rng(23)
         h = 1e-7
         for _ in range(50):
             # Sample strictly on the flexion-taut side so the clamp is
             # differentiable at the evaluation point.
             theta = tuple(-float(v) for v in rng.uniform(0.01, 0.12, 3))
-            grad = potential_gradient(theta, geom_cal, specs, load, 0.0)
+            grad = _gradient(model, theta)
             fd = np.zeros(3)
             for k in range(3):
                 tp, tm = list(theta), list(theta)
                 tp[k] += h
                 tm[k] -= h
-                fd[k] = (
-                    total_potential(tp, geom_cal, specs, load, 0.0).total
-                    - total_potential(tm, geom_cal, specs, load, 0.0).total
-                ) / (2 * h)
+                fd[k] = (model.energy(tp) - model.energy(tm)) / (2 * h)
             rel = np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-9))
             assert rel < 1e-4
 
@@ -296,18 +290,16 @@ class TestGradient:
         specs = make_specs()
         load = ExternalLoad(force=(0.0, -10.0), moment=0.0,
                             application_point=(0.15, 0.0))
+        model = PotentialModel(geom_cal, specs, load, 0.0)
         theta = (-0.05, -0.09, -0.15)
-        grad = potential_gradient(theta, geom_cal, specs, load, 0.0)
+        grad = _gradient(model, theta)
         h = 1e-7
         fd = np.zeros(3)
         for k in range(3):
             tp, tm = list(theta), list(theta)
             tp[k] += h
             tm[k] -= h
-            fd[k] = (
-                total_potential(tp, geom_cal, specs, load, 0.0).total
-                - total_potential(tm, geom_cal, specs, load, 0.0).total
-            ) / (2 * h)
+            fd[k] = (model.energy(tp) - model.energy(tm)) / (2 * h)
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-9)) < 1e-4
 
 
@@ -327,9 +319,9 @@ class TestGradient:
         for geom in geoms:
             scale = geom.gravity_accel * sum(geom.link_masses) * geom.total_length
             for q in np.linspace(-q_max, q_max, 41):
-                model = _PotentialModel(geom, specs, ExternalLoad(), q)
+                model = PotentialModel(geom, specs, ExternalLoad(), q)
                 theta = model.nominal.theta
-                grad = potential_gradient(theta, geom, specs, ExternalLoad(), q)
+                grad = _gradient(model, theta)
                 ref = _reference_gravity_gradient(model, theta)
                 np.testing.assert_allclose(grad, ref, rtol=1e-12,
                                            atol=1e-12 * scale)
@@ -355,22 +347,18 @@ class TestHessian:
     def test_matches_central_difference_of_gradient(self, geom_cal, load_name,
                                                     group, q):
         specs, load = make_specs(), REFERENCE_LOADS[load_name]
-        model = _PotentialModel(geom_cal, specs, load, q)
+        model = PotentialModel(geom_cal, specs, load, q)
         h = 1e-6
         for theta in _taut_poses(model, group, 20, seed=31):
             grad, hess = model.gradient_hessian(theta)
             hess = np.array(hess)
             assert np.array_equal(hess, hess.T)
-            np.testing.assert_array_equal(
-                grad, potential_gradient(theta, geom_cal, specs, load, q))
             fd = np.zeros((3, 3))
             for k in range(3):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                fd[:, k] = (potential_gradient(tp, geom_cal, specs, load, q)
-                            - potential_gradient(tm, geom_cal, specs, load, q)
-                            ) / (2 * h)
+                fd[:, k] = (_gradient(model, tp) - _gradient(model, tm)) / (2 * h)
             # Gravity-only off-diagonal entries are ~1e-3 of the diagonal;
             # the difference quotient's rounding floor is about 1e-9 of it.
             np.testing.assert_allclose(hess, fd, rtol=1e-6,
@@ -379,7 +367,7 @@ class TestHessian:
     def test_zero_stretch_counts_as_taut(self, geom_massless):
         # Unloaded and massless at the nominal pose every stretch is zero;
         # both groups count as taut, so the Hessian stays positive definite.
-        model = _PotentialModel(geom_massless, make_specs(), ExternalLoad(), 2e-3)
+        model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), 2e-3)
         grad, hess = model.gradient_hessian(model.nominal.theta)
         assert grad == (0.0, 0.0, 0.0)
         R = model.geom.guide_radii
@@ -388,7 +376,7 @@ class TestHessian:
             hess, jac.T @ np.diag(np.add(model.k_flex, model.k_ext)) @ jac,
             rtol=1e-12)
         assert np.all(np.linalg.eigvalsh(np.array(hess)) > 0.0)
-        assert _newton_step(grad, hess) == (0.0, 0.0, 0.0)
+        assert newton_step(grad, hess) == (0.0, 0.0, 0.0)
 
     def test_newton_step_solves_or_refuses(self):
         rng = np.random.default_rng(5)
@@ -396,14 +384,14 @@ class TestHessian:
             a = rng.normal(size=(3, 3))
             spd = a @ a.T + 0.1 * np.eye(3)
             grad = rng.normal(size=3)
-            step = _newton_step(tuple(grad), tuple(map(tuple, spd)))
+            step = newton_step(tuple(grad), tuple(map(tuple, spd)))
             np.testing.assert_allclose(step, np.linalg.solve(spd, -grad),
                                        rtol=1e-9, atol=1e-12)
         for indefinite in (np.diag([1.0, -1.0, 1.0]), np.diag([0.0, 1.0, 1.0]),
                            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                                      [0.0, 0.0, 1.0]]),
                            np.diag([1.0, 1.0, np.nan])):
-            assert _newton_step((1.0, 1.0, 1.0),
+            assert newton_step((1.0, 1.0, 1.0),
                                 tuple(map(tuple, indefinite))) is None
 
 
@@ -411,7 +399,7 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
     def test_box_bit_identical_to_meshgrid(self, geom_cal, load_name, q):
-        model = _PotentialModel(geom_cal, make_specs(), REFERENCE_LOADS[load_name], q)
+        model = PotentialModel(geom_cal, make_specs(), REFERENCE_LOADS[load_name], q)
         rng = np.random.default_rng(11)
         for half in (SEARCH_HALF_WIDTH, 0.02, 1e-5):
             lo = np.array(model.nominal.theta) + rng.uniform(-0.3, 0.0, 3)
@@ -421,7 +409,7 @@ class TestGridEvaluation:
             )
             rows = _meshgrid_rows(axes)
             assert np.array_equal((g + e + l).ravel(), _reference_total(model, rows))
-            for new, ref in zip(model.components(rows),
+            for new, ref in zip(model.axis_components(*rows.T),
                                 _reference_components(model, rows)):
                 assert np.array_equal(new, ref)
 
@@ -430,7 +418,7 @@ class TestGridEvaluation:
     def test_find_equilibrium_matches_reference(self, geom_cal, load_name, q):
         # The shrink-by-4 rounds, which the Newton polish falls back to.
         load = REFERENCE_LOADS[load_name]
-        model = _PotentialModel(geom_cal, make_specs(), load, q)
+        model = PotentialModel(geom_cal, make_specs(), load, q)
         assert (_equilibrium(model, 21, 6, polish=False)
                 == _reference_find_equilibrium(geom_cal, make_specs(), load, q))
 
@@ -447,7 +435,7 @@ class TestGridEvaluation:
     def test_random_boxes_bit_identical(self, calibrated, q, force, moment,
                                         attach, offsets, widths, sizes):
         load = ExternalLoad(force=force, moment=moment, application_point=attach)
-        model = _PotentialModel(calibrated.geometry, make_specs(), load, q)
+        model = PotentialModel(calibrated.geometry, make_specs(), load, q)
         axes = [np.linspace(t + o, t + o + w, n) for t, o, w, n
                 in zip(model.nominal.theta, offsets, widths, sizes)]
         g, e, l = model.axis_components(
@@ -480,7 +468,7 @@ class TestSinglePose:
         for i, load in enumerate(loads):
             geom = flat if i % 2 else geom_cal
             for q in (0.0, -0.0, 1e-3, -1e-3):
-                model = _PotentialModel(geom, make_specs(), load, q)
+                model = PotentialModel(geom, make_specs(), load, q)
                 h1, h2, h3 = model.nominal.theta
                 # Signed zeros, then stretches of exactly zero: all three,
                 # tendons 1 and 2, tendon 1 alone; then random poses.
@@ -524,7 +512,7 @@ class TestSinglePose:
                         else:
                             assert (np.array(new[key]).tobytes()
                                     == np.array(ref[key]).tobytes())
-        model = _PotentialModel(geom_cal, make_specs(), ExternalLoad(), 0.0)
+        model = PotentialModel(geom_cal, make_specs(), ExternalLoad(), 0.0)
         with pytest.raises(RangeExceeded):
             _balance_residuals(model, (1.8, 0.0, 0.0), TendonGroup.FLEXION)
 
@@ -571,9 +559,8 @@ class TestFindEquilibrium:
         specs = make_specs()
         load = ExternalLoad.tip_payload(1.0, geom_cal.gravity_accel)
         eq = find_equilibrium(geom_cal, specs, load, 0.0)
-        nominal = total_potential(coupling_angles(0.0, geom_cal).theta,
-                                  geom_cal, specs, load, 0.0)
-        assert eq.energy <= nominal.total
+        model = PotentialModel(geom_cal, specs, load, 0.0)
+        assert eq.energy <= model.energy(coupling_angles(0.0, geom_cal).theta)
         rng = np.random.default_rng(4)
         cell = 1.0 / 4 ** 6 / 20  # final refinement spacing
         # A smooth landscape can dip below the best sample between grid
@@ -582,9 +569,7 @@ class TestFindEquilibrium:
             probe = tuple(
                 t + float(d) for t, d in zip(eq.theta, rng.uniform(-cell, cell, 3))
             )
-            assert eq.energy <= total_potential(
-                probe, geom_cal, specs, load, 0.0
-            ).total + 1e-7
+            assert eq.energy <= model.energy(probe) + 1e-7
 
     def test_refinement_never_worse_than_coarse(self, geom_cal):
         specs = make_specs()
@@ -632,7 +617,7 @@ class TestNewtonPolish:
         assert DEFAULT_GRID ** 3 < eq.evaluations <= DEFAULT_GRID ** 3 + NEWTON_MAX_STEPS
         assert max(abs(a - b) for a, b in zip(eq.theta, ref.theta)) <= 3e-5
         assert eq.energy <= ref.energy
-        grad = potential_gradient(eq.theta, geom_cal, specs, load, q)
+        grad = _gradient(PotentialModel(geom_cal, specs, load, q), eq.theta)
         assert np.max(np.abs(grad)) <= 1e-9
 
     def test_boundary_minimum_found_by_fallback(self, geom_cal, monkeypatch):
@@ -645,7 +630,7 @@ class TestNewtonPolish:
         assert [theta for theta, _ in calls] == [None]
 
     def _assert_rounds_result(self, eq, geom, load, extra_evaluations):
-        rounds = _equilibrium(_PotentialModel(geom, make_specs(), load, 0.0),
+        rounds = _equilibrium(PotentialModel(geom, make_specs(), load, 0.0),
                               DEFAULT_GRID, 6, polish=False)
         assert (eq.theta, eq.fingertip, eq.energy, eq.rounds) == (
             rounds.theta, rounds.fingertip, rounds.energy, 6)
@@ -679,7 +664,7 @@ class TestNewtonPolish:
         angle = math.radians(direction_deg)
         load = ExternalLoad(force=(magnitude * math.cos(angle),
                                    magnitude * math.sin(angle)))
-        coarse = _equilibrium(_PotentialModel(geom, specs, load, 0.0),
+        coarse = _equilibrium(PotentialModel(geom, specs, load, 0.0),
                               DEFAULT_GRID, 0, polish=False)
         eq = find_equilibrium(geom, specs, load, 0.0)
         assert eq.rounds == 0
@@ -700,7 +685,7 @@ class TestBalanceResiduals:
                                   application_point=(0.15, 0.01))):
             res = balance_residuals(theta, geom_cal, specs, load, 0.0,
                                     TendonGroup.FLEXION)
-            grad = potential_gradient(theta, geom_cal, specs, load, 0.0)
+            grad = _gradient(PotentialModel(geom_cal, specs, load, 0.0), theta)
             assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
 
     def test_small_residual_at_energy_minimum(self, geom_cal):
@@ -752,14 +737,14 @@ class TestEquilibriumReport:
     def test_first_box_evaluated_once_per_report(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
         grids = []
-        load_free = _PotentialModel.load_free
+        load_free = PotentialModel.load_free
 
         def counting(self, t1, t2, t3):
             if isinstance(t1, np.ndarray):
                 grids.append(np.broadcast_shapes(t1.shape, t2.shape, t3.shape))
             return load_free(self, t1, t2, t3)
 
-        monkeypatch.setattr(_PotentialModel, "load_free", counting)
+        monkeypatch.setattr(PotentialModel, "load_free", counting)
         report = equilibrium_report(geom, specs, 1e-3,
                                     random_tip_load_cases(5, 7, geom))
         assert report["summary"]["compared_cases"] == 5
@@ -805,7 +790,7 @@ def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     for `load`: the search, its rounds, and the first box alone, whose best
     sample keeps the memoized landscape's own energy; that first box also
     against the frozen row-by-row evaluation, which no memo reaches."""
-    fresh = _PotentialModel(geom, specs, load, q)
+    fresh = PotentialModel(geom, specs, load, q)
     for options in ({}, {"polish": False}, {"polish": False, "refine_rounds": 0}):
         _assert_same_outcome(_outcome(shared, **options), _outcome(fresh, **options))
     try:
@@ -831,7 +816,7 @@ class TestSharedLoadFreeState:
     def test_memo_never_leaks_a_load(self, geom_cal, q):
         specs = make_specs()
         for first in self.LOADS:
-            base = _PotentialModel(geom_cal, specs, first, q)
+            base = PotentialModel(geom_cal, specs, first, q)
             _outcome(base)  # fills the memo under the first load
             assert len(base.boxes) == 1
             for load in self.LOADS:
@@ -844,7 +829,7 @@ class TestSharedLoadFreeState:
 
     def test_fallbacks_never_touch_the_memo(self, geom_cal, monkeypatch):
         specs = make_specs()
-        base = _PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
+        base = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
         _outcome(base)
         memo = dict(base.boxes)
         # 60 kg: the polish leaves its box and the rounds end on the
@@ -852,7 +837,7 @@ class TestSharedLoadFreeState:
         heavy = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
         shared = _outcome(base.with_load(heavy))
         assert shared.startswith("BoundaryMinimum: energy minimum")
-        _assert_same_outcome(shared, _outcome(_PotentialModel(geom_cal, specs,
+        _assert_same_outcome(shared, _outcome(PotentialModel(geom_cal, specs,
                                                               heavy, 0.0)))
         # The step cap: every polish falls back to the rounds.
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
@@ -860,7 +845,7 @@ class TestSharedLoadFreeState:
             shared = _outcome(base.with_load(load))
             assert shared.rounds == DEFAULT_REFINE_ROUNDS
             _assert_same_outcome(
-                shared, _outcome(_PotentialModel(geom_cal, specs, load, 0.0)))
+                shared, _outcome(PotentialModel(geom_cal, specs, load, 0.0)))
         assert base.boxes.keys() == memo.keys()
         for key, box in base.boxes.items():
             assert box is memo[key]
@@ -878,6 +863,6 @@ class TestSharedLoadFreeState:
     )
     def test_property_shared_equals_fresh(self, calibrated, q, loads):
         geom, specs = calibrated.geometry, calibrated.tendons
-        base = _PotentialModel(geom, specs, loads[0], q)
+        base = PotentialModel(geom, specs, loads[0], q)
         for load in loads:
             _assert_shared_equals_fresh(base.with_load(load), geom, specs, load, q)

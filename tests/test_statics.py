@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tendonfinger import statics
+from tendonfinger import potential, statics
 from tendonfinger.energy import balance_residuals, find_equilibrium
 from tendonfinger.errors import (
     GeometryInfeasible,
@@ -22,39 +22,40 @@ from tendonfinger.model import (
     FingerGeometry,
     FingertipState,
     TendonGroup,
-    chain_points,
     coupling_angles,
     forward_kinematics,
     link_pose,
 )
+from tendonfinger.potential import PotentialModel, newton_step, zero_pose_wrap
 from tendonfinger.statics import (
+    TensionSet,
+    _restraint_sign,
+    _tensions_for,
     elongate_tendons,
-    net_external_moments,
+    pose_moments,
     solve_static,
-    solve_tensions,
     stiffness_sweep,
     sweep_to_csv,
-    wrap_angles,
     wrap_moment,
 )
 
 from conftest import STEEL_AREA, STEEL_E, count_models, make_specs
 
 
-class TestWrapAngles:
+class TestWrapGeometry:
     def test_half_ratio(self):
         # (R2 + R3) / L2 = 0.5 at theta = 0 gives alpha_3 = 2 pi / 3.
         geom = FingerGeometry(link_lengths=(0.09, 0.06, 0.05),
                               guide_radii=(0.025, 0.02, 0.01))
-        wrap = wrap_angles(coupling_angles(0.0, geom), geom)
-        assert wrap.alpha3 == pytest.approx(2 * math.pi / 3, abs=1e-12)
-        assert wrap.alpha3_0 == wrap.alpha3
+        wrap = zero_pose_wrap(geom)
+        assert wrap.alpha3_0 == pytest.approx(2 * math.pi / 3, abs=1e-12)
+        assert wrap.angles_at(coupling_angles(0.0, geom).theta)[1] == wrap.alpha3_0
 
     def test_rest_length_value(self):
         # R1 = R2 = 5 mm over a 60 mm span: alpha_20 = pi - arccos(1/6).
         geom = FingerGeometry(link_lengths=(0.06, 0.05, 0.04),
                               guide_radii=(0.005, 0.005, 0.004))
-        wrap = wrap_angles(coupling_angles(0.0, geom), geom)
+        wrap = zero_pose_wrap(geom)
         a20 = math.pi - math.acos(1.0 / 6.0)
         assert wrap.alpha2_0 == pytest.approx(a20, abs=1e-12)
         assert wrap.alpha2_0 == pytest.approx(1.7382, abs=1e-4)
@@ -68,25 +69,33 @@ class TestWrapAngles:
         theta3 = math.pi - math.acos(0.5)  # alpha_3 collapses to zero
         cfg = Configuration(q=0.0, theta=(0.0, 0.0, theta3))
         with pytest.raises(GeometryInfeasible):
-            wrap_angles(cfg, geom)
+            zero_pose_wrap(geom).angles_at(cfg.theta)
 
     def test_overlapping_guides_infeasible(self):
         geom = FingerGeometry(link_lengths=(0.01, 0.06, 0.05),
                               guide_radii=(0.025, 0.02, 0.01))
-        with pytest.raises(GeometryInfeasible):
-            wrap_angles(coupling_angles(0.0, geom), geom)
+        with pytest.raises(GeometryInfeasible, match="wrap ratio"):
+            zero_pose_wrap(geom)
+
+    def test_joint_2_checked_first(self, geom_cal):
+        # Both wrap angles leave (0, pi); the message names joint 2's.
+        wrap = zero_pose_wrap(geom_cal)
+        theta = (0.0, wrap.alpha2_0 + 0.5, wrap.alpha3_0 + 0.25)
+        with pytest.raises(GeometryInfeasible) as exc:
+            wrap.angles_at(theta)
+        assert str(exc.value) == (
+            f"wrap angle -0.5000 rad outside (0, pi) at theta = {theta[1]:.4f}")
 
     def test_invariants_random(self, geom_cal):
         rng = np.random.default_rng(8)
+        wrap = zero_pose_wrap(geom_cal)
+        assert wrap.rest_length_2 > 0.0
+        assert wrap.rest_length_3 > 0.0
         for q in rng.uniform(-0.002, 0.008, 50):
             cfg = coupling_angles(q, geom_cal)
-            wrap = wrap_angles(cfg, geom_cal)
-            for alpha, theta in ((wrap.alpha2, cfg.theta[1]),
-                                 (wrap.alpha3, cfg.theta[2])):
+            for alpha, theta in zip(wrap.angles_at(cfg.theta), cfg.theta[1:]):
                 assert 0.0 < alpha < math.pi
                 assert alpha + theta <= math.pi + 1e-12
-            assert wrap.rest_length_2 > 0.0
-            assert wrap.rest_length_3 > 0.0
 
 
 class TestSolvedPoseWrap:
@@ -97,8 +106,8 @@ class TestSolvedPoseWrap:
     def test_solved_pose_refused(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
         q = 13.9e-3
-        wrap = wrap_angles(coupling_angles(q, geom), geom)
-        assert 0.0 < wrap.alpha3 < 0.03
+        _, alpha3 = zero_pose_wrap(geom).angles_at(coupling_angles(q, geom).theta)
+        assert 0.0 < alpha3 < 0.03
         with pytest.raises(GeometryInfeasible) as exc:
             solve_static(q, geom, specs, ExternalLoad(force=(30.0, 0.0)))
         assert str(exc.value) == (
@@ -108,7 +117,7 @@ class TestSolvedPoseWrap:
         geom, specs = calibrated.geometry, calibrated.tendons
         q = -12e-3
         with pytest.raises(GeometryInfeasible) as rigid:
-            wrap_angles(coupling_angles(q, geom), geom)
+            zero_pose_wrap(geom).angles_at(coupling_angles(q, geom).theta)
         with pytest.raises(GeometryInfeasible) as solved:
             solve_static(q, geom, specs, ExternalLoad.tip_payload(1.0))
         assert str(solved.value) == str(rigid.value)
@@ -123,16 +132,16 @@ class TestSolvedPoseWrap:
 
     def test_zero_pose_wrap_once_per_solve(self, calibrated, monkeypatch):
         calls = []
-        original = statics.wrap_angles
+        original = potential.zero_pose_wrap
 
-        def counting(config, geom):
-            calls.append(config.theta)
-            return original(config, geom)
+        def counting(geom):
+            calls.append(geom)
+            return original(geom)
 
-        monkeypatch.setattr(statics, "wrap_angles", counting)
+        monkeypatch.setattr(potential, "zero_pose_wrap", counting)
         solve_static(1e-3, calibrated.geometry, calibrated.tendons,
                      ExternalLoad.tip_payload(2.0))
-        assert calls == [(0.0, 0.0, 0.0)]
+        assert calls == [calibrated.geometry]
 
 
 class TestWrapMoment:
@@ -164,10 +173,20 @@ class TestWrapMoment:
             assert abs(closed - numeric) / abs(numeric) < 1e-10
 
 
-class TestSolveTensions:
+def _moments(cfg, geom, load):
+    return pose_moments(link_pose(cfg.theta, geom), geom, load)
+
+
+def _group_tensions(cfg, geom, load, group=TendonGroup.FLEXION):
+    """The tension cascade of `group` at a fixed configuration."""
+    return _tensions_for(_moments(cfg, geom, load), geom, group)
+
+
+class TestTensionCascade:
     def test_unloaded(self, geom_massless):
         cfg = coupling_angles(0.0, geom_massless)
-        tensions = solve_tensions(cfg, geom_massless, ExternalLoad())
+        assert _restraint_sign(_moments(cfg, geom_massless, ExternalLoad())) == 1.0
+        tensions = _group_tensions(cfg, geom_massless, ExternalLoad())
         assert tensions.as_tuple() == (0.0, 0.0, 0.0)
         assert tensions.active_group is TendonGroup.FLEXION
 
@@ -176,7 +195,8 @@ class TestSolveTensions:
         # T3 = F * L3 / R3.
         cfg = coupling_angles(0.0, geom_massless)
         load = ExternalLoad(force=(0.0, -9.81))
-        tensions = solve_tensions(cfg, geom_massless, load)
+        assert _restraint_sign(_moments(cfg, geom_massless, load)) == 1.0
+        tensions = _group_tensions(cfg, geom_massless, load)
         expect = 9.81 * geom_massless.link_lengths[2] / geom_massless.guide_radii[2]
         assert tensions.t3 == pytest.approx(expect, rel=1e-12)
         assert tensions.t3 == pytest.approx(65.86, abs=0.01)
@@ -184,7 +204,9 @@ class TestSolveTensions:
 
     def test_upward_force_uses_extension_group(self, geom_massless):
         cfg = coupling_angles(0.0, geom_massless)
-        tensions = solve_tensions(cfg, geom_massless, ExternalLoad(force=(0.0, 9.81)))
+        load = ExternalLoad(force=(0.0, 9.81))
+        assert _restraint_sign(_moments(cfg, geom_massless, load)) == -1.0
+        tensions = _group_tensions(cfg, geom_massless, load, TendonGroup.EXTENSION)
         assert tensions.active_group is TendonGroup.EXTENSION
         assert min(tensions.as_tuple()) >= 0.0
 
@@ -199,8 +221,8 @@ class TestSolveTensions:
             com_fractions=geom_cal.com_fractions,
             gravity_accel=geom_cal.gravity_accel,
         )
-        base = solve_tensions(cfg, geom_cal, load)
-        twice = solve_tensions(cfg, geom2, doubled)
+        base = _group_tensions(cfg, geom_cal, load)
+        twice = _group_tensions(cfg, geom2, doubled)
         for a, b in zip(base.as_tuple(), twice.as_tuple()):
             assert b == pytest.approx(2 * a, rel=1e-12)
 
@@ -209,27 +231,29 @@ class TestSolveTensions:
         # be held by one group.
         cfg = coupling_angles(0.0, geom_massless)
         load = ExternalLoad(force=(0.0, -1.5), moment=0.1)
-        with pytest.raises(TensionInfeasible):
-            solve_tensions(cfg, geom_massless, load)
+        for group in TendonGroup:
+            with pytest.raises(TensionInfeasible,
+                               match="no single tendon group holds this load"):
+                _group_tensions(cfg, geom_massless, load, group)
 
     def test_forced_group_infeasible(self, geom_massless):
         cfg = coupling_angles(0.0, geom_massless)
         load = ExternalLoad(force=(0.0, -9.81))
         with pytest.raises(TensionInfeasible):
-            solve_tensions(cfg, geom_massless, load, group=TendonGroup.EXTENSION)
+            _group_tensions(cfg, geom_massless, load, TendonGroup.EXTENSION)
 
     def test_explicit_application_point(self, geom_massless):
         # Same force at the fingertip coordinates equals the default;
         # moving it to joint 3 removes the distal moment entirely.
         cfg = coupling_angles(0.0, geom_massless)
         tip_xy = forward_kinematics(cfg, geom_massless).position
-        at_tip = solve_tensions(
+        at_tip = _group_tensions(
             cfg, geom_massless,
             ExternalLoad(force=(0.0, -9.81), application_point=tip_xy),
         )
-        default = solve_tensions(cfg, geom_massless, ExternalLoad(force=(0.0, -9.81)))
+        default = _group_tensions(cfg, geom_massless, ExternalLoad(force=(0.0, -9.81)))
         assert at_tip.as_tuple() == pytest.approx(default.as_tuple(), rel=1e-12)
-        at_joint3 = solve_tensions(
+        at_joint3 = _group_tensions(
             cfg, geom_massless,
             ExternalLoad(force=(0.0, -9.81), application_point=(0.12, 0.0)),
         )
@@ -241,8 +265,7 @@ class TestElongation:
     def test_zero_tension(self, geom_cal):
         specs = make_specs()
         trio = [s for s in specs if s.group is TendonGroup.FLEXION]
-        wrap = wrap_angles(coupling_angles(0.0, geom_cal), geom_cal)
-        from tendonfinger.statics import TensionSet
+        wrap = zero_pose_wrap(geom_cal)
         lengths = elongate_tendons(
             TensionSet(0.0, 0.0, 0.0, TendonGroup.FLEXION), tuple(trio), wrap
         )
@@ -252,8 +275,7 @@ class TestElongation:
     def test_steel_strain(self, geom_cal):
         specs = make_specs()
         trio = tuple(s for s in specs if s.group is TendonGroup.FLEXION)
-        wrap = wrap_angles(coupling_angles(0.0, geom_cal), geom_cal)
-        from tendonfinger.statics import TensionSet
+        wrap = zero_pose_wrap(geom_cal)
         lengths = elongate_tendons(
             TensionSet(62.8, 0.0, 0.0, TendonGroup.FLEXION), trio, wrap
         )
@@ -263,8 +285,7 @@ class TestElongation:
         assert lengths[0] == pytest.approx(0.1000400, abs=1e-7)
 
     def test_doubling_area_halves_stretch(self, geom_cal):
-        wrap = wrap_angles(coupling_angles(0.0, geom_cal), geom_cal)
-        from tendonfinger.statics import TensionSet
+        wrap = zero_pose_wrap(geom_cal)
         t = TensionSet(50.0, 40.0, 30.0, TendonGroup.FLEXION)
         thin = tuple(s for s in make_specs() if s.group is TendonGroup.FLEXION)
         thick = tuple(s for s in make_specs(area=2 * STEEL_AREA)
@@ -326,9 +347,9 @@ class TestSolveStatic:
         threshold = 1e-6
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
         sol = solve_static(0.0, geom, specs, load, threshold=threshold)
-        model = statics._PotentialModel(geom, specs, load, 0.0)
+        model = PotentialModel(geom, specs, load, 0.0)
         theta = sol.configuration.theta
-        step = statics._newton_step(*model.gradient_hessian(theta))
+        step = newton_step(*model.gradient_hessian(theta))
         cfg = Configuration(q=0.0, theta=tuple(t + d for t, d in zip(theta, step)))
         y_extra = forward_kinematics(cfg, geom).position[1]
         assert abs(y_extra - sol.fingertip.position[1]) <= threshold
@@ -340,7 +361,7 @@ class TestSolveStatic:
         for load in (ExternalLoad.tip_payload(3.0, geom.gravity_accel),
                      ExternalLoad(force=(0.0, 9.81))):
             sol = solve_static(0.0, geom, specs, load)
-            model = statics._PotentialModel(geom, specs, load, 0.0)
+            model = PotentialModel(geom, specs, load, 0.0)
             hooke = model.tensions(sol.configuration.theta,
                                    sol.tensions.active_group)
             np.testing.assert_allclose(sol.tensions.as_tuple(), hooke, rtol=1e-9)
@@ -378,17 +399,17 @@ class TestSolveStatic:
         # solve raises NoConvergence with the steps taken so far.
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        newton_step, calls = statics._newton_step, []
+        calls = []
 
         def refuse_third(grad, hess):
             calls.append(grad)
             return None if len(calls) == 3 else newton_step(grad, hess)
 
-        monkeypatch.setattr(statics, "_newton_step", refuse_third)
+        monkeypatch.setattr(statics, "newton_step", refuse_third)
         with pytest.raises(NoConvergence, match="not positive definite") as err:
             solve_static(0.0, geom, specs, load)
         assert [rec.index for rec in err.value.trace] == [1, 2]
-        monkeypatch.setattr(statics, "_newton_step", lambda grad, hess: None)
+        monkeypatch.setattr(statics, "newton_step", lambda grad, hess: None)
         with pytest.raises(NoConvergence) as err:
             solve_static(0.0, geom, specs, load)
         assert err.value.trace == []
@@ -419,7 +440,7 @@ class TestSolveStatic:
         for load, sense in ((ExternalLoad.tip_payload(3.0, geom.gravity_accel), 1.0),
                             (ExternalLoad(force=(0.0, 9.81)), -1.0)):
             sol = solve_static(0.0, geom, specs, load)
-            model = statics._PotentialModel(geom, specs, load, 0.0)
+            model = PotentialModel(geom, specs, load, 0.0)
             stretches = [sense * s for s in model.stretches(*sol.configuration.theta)]
             elongations = [e - r for e, r in zip(sol.elongated_lengths, sol.rest_lengths)]
             np.testing.assert_allclose(elongations, stretches, rtol=1e-9)
@@ -602,13 +623,9 @@ class FrozenStatics:
             moments[k] = m
         return moments
 
-    def solve_tensions(self, config, geom, load, *, group=None):
+    def solve_tensions(self, config, geom, load, *, group):
         moments = self.net_external_moments(config, geom, load)
-        if group is not None:
-            signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
-        else:
-            first = statics._restraint_sign(moments)
-            signs = (first, -first)
+        signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
         scale = 1.0 + float(np.max(np.abs(moments))) / min(geom.guide_radii)
         last = None
         for sign in signs:
@@ -616,8 +633,7 @@ class FrozenStatics:
             last = ts
             if min(ts) >= -statics._NEG_TOL * scale:
                 clamped = tuple(max(t, 0.0) for t in ts)
-                return statics.TensionSet(
-                    *clamped, active_group=statics._group_for_sign(sign))
+                return statics.TensionSet(*clamped, active_group=group)
         raise TensionInfeasible(
             f"no single tendon group holds this load (best tensions {last})"
         )
@@ -785,12 +801,11 @@ class TestFrozenReference:
         for geom, theta, load in cases:
             cfg = Configuration(q=0.0, theta=theta)
             points, coms = link_pose(cfg.theta, geom)
+            moments = pose_moments((points, coms), geom, load)
             pairs = (
-                (chain_points(cfg, geom), ref.chain_points(cfg, geom)),
                 (np.array(points), ref.chain_points(cfg, geom)),
                 (np.array(coms), ref.com_points(cfg, geom)),
-                (net_external_moments(cfg, geom, load),
-                 ref.net_external_moments(cfg, geom, load)),
+                (np.array(moments), ref.net_external_moments(cfg, geom, load)),
             )
             exact = ref.trig_is_math()
             for new, old in pairs:
@@ -800,9 +815,11 @@ class TestFrozenReference:
                     np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
             assert_same_outcome(forward_kinematics(cfg, geom),
                                 ref.forward_kinematics(cfg, geom), exact, 1.0)
-            assert_same_outcome(_outcome(lambda: solve_tensions(cfg, geom, load)),
-                                _outcome(lambda: ref.solve_tensions(cfg, geom, load)),
-                                exact, 1.0)
+            for group in TendonGroup:
+                assert_same_outcome(
+                    _outcome(lambda: _tensions_for(moments, geom, group)),
+                    _outcome(lambda: ref.solve_tensions(cfg, geom, load, group=group)),
+                    exact, 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -828,6 +845,5 @@ class TestFrozenReference:
         assert_matches_oracle(sol, q, geom, specs, load)
         # The solved pose's wrap check never trips on these loads: both
         # wrap angles stay well inside (0, pi).
-        wrap = wrap_angles(sol.configuration, geom)
-        assert min(wrap.alpha2, wrap.alpha3,
-                   math.pi - wrap.alpha2, math.pi - wrap.alpha3) > 0.5
+        alpha2, alpha3 = zero_pose_wrap(geom).angles_at(sol.configuration.theta)
+        assert min(alpha2, alpha3, math.pi - alpha2, math.pi - alpha3) > 0.5
