@@ -23,7 +23,7 @@ from .config import default_config_path, load_finger_config
 from .energy import equilibrium_report, random_tip_load_cases
 from .errors import ConfigError, NoConvergence, TendonFingerError
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
-from .potential import zero_pose_wrap
+from .potential import PotentialModel, zero_pose_wrap
 from .statics import (
     solution_to_dict,
     solve_static,
@@ -44,6 +44,7 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
 REFERENCE_PAYLOADS = "0.5,1.0,1.5,2.0,2.5,3.0"
+PAYLOAD_MATCH_KG = 1e-9  # a reference row matches a payload this close
 WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 
 
@@ -267,11 +268,9 @@ def _cmd_solve(args) -> int:
     force = _parse_pair(args.force, "--force")
     at = _parse_pair(args.at, "--at") if args.at is not None else None
     load = ExternalLoad(force=force, moment=args.moment, application_point=at)
+    model = PotentialModel(cfg.geometry, cfg.tendons, load, q)
     try:
-        sol = solve_static(
-            q, cfg.geometry, cfg.tendons, load,
-            threshold=threshold, max_iterations=max_iter,
-        )
+        sol = solve_static(model, threshold=threshold, max_iterations=max_iter)
     except NoConvergence as exc:
         doc = {
             "status": "no_convergence",
@@ -319,7 +318,8 @@ def _cmd_stiffness(args) -> int:
 
 
 def _read_reference(path: str) -> dict[float, float]:
-    """payload_kg -> deflection_mm from a reference CSV."""
+    """payload_kg -> deflection_mm from a reference CSV, one row per
+    payload: a row within PAYLOAD_MATCH_KG of an earlier row is refused."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines:
         raise ConfigError(f"reference file '{path}' is empty")
@@ -332,6 +332,7 @@ def _read_reference(path: str) -> dict[float, float]:
             "reference CSV must carry payload_kg and deflection_mm columns"
         ) from None
     table = {}
+    line_of = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) < len(header):
@@ -341,15 +342,25 @@ def _read_reference(path: str) -> dict[float, float]:
             )
         try:
             payload = _finite(cells[i_payload], "payload_kg")
-            table[payload] = _finite(cells[i_defl], "deflection_mm")
+            deflection = _finite(cells[i_defl], "deflection_mm")
         except ValueError as exc:
             raise ConfigError(f"reference line {lineno}: {exc}") from None
+        for earlier in table:
+            if abs(earlier - payload) < PAYLOAD_MATCH_KG:
+                raise ConfigError(
+                    f"reference line {lineno}: payload_kg "
+                    f"{cells[i_payload].strip()} repeats the payload of line "
+                    f"{line_of[earlier]}"
+                )
+        table[payload] = deflection
+        line_of[payload] = lineno
     return table
 
 
 def _cmd_validate(args) -> int:
     cfg, threshold, max_iter = _load_config(args, need_tendons=True)
     payloads = _parse_payloads(args.payloads)
+    ref = None if args.reference is None else _read_reference(args.reference)
     rows = stiffness_sweep(
         cfg.geometry, cfg.tendons, 0.0, payloads,
         threshold=threshold, max_iterations=max_iter,
@@ -362,12 +373,11 @@ def _cmd_validate(args) -> int:
     _status(f"rows: {len(rows)} ok: {len(ok_rows)} "
             f"deflection monotone: {'yes' if monotone else 'no'}")
 
-    if args.reference is not None:
-        ref = _read_reference(args.reference)
+    if ref is not None:
         devs = []
         for r in ok_rows:
             for ref_payload, ref_mm in ref.items():
-                if abs(ref_payload - r.payload_kg) < 1e-9:
+                if abs(ref_payload - r.payload_kg) < PAYLOAD_MATCH_KG:
                     devs.append(abs(r.deflection_m * 1e3 - ref_mm))
         if devs:
             total_mm = cfg.geometry.total_length * 1e3

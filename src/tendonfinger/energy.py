@@ -2,20 +2,45 @@
 Equilibrium by total-potential-energy minimization: the oracle that
 checks the static solver.
 
-The potential of `tendonfinger.potential` (link gravity + elastic energy
-of every tendon + external-load potential, with the tendon stretch
-model) is minimized over the three joint angles by a route independent
-of the solver's start: a coarse 21^3 grid search finds the basin; Newton
-steps on the analytic gradient and Hessian then polish its best sample.
-When the polish fails (it leaves the first refinement box, meets a
-Hessian that is not positive definite, runs out of steps or ends higher
-than the best sample), shrink-by-4 grid boxes around the best sample
-refine it instead.
+`find_equilibrium` minimizes the potential of one load case's
+`PotentialModel` (link gravity + elastic energy of every tendon +
+external-load potential, `tendonfinger.potential`) over the three joint
+angles, by a route independent of the solver's start:
 
-Only the load term of the potential depends on the load, so the 21^3
-box's load-free landscape (gravity plus elastic energy, the fingertip
-and the distal link's angle pieces) is kept on the model's load-free
-state: a report computes it once, and each case adds its load term.
+1. Search: one box of GRID_POINTS = 21 samples per joint angle
+   (21^3 = 9,261 potential evaluations), +-0.5 rad around the nominal
+   coupled pose, the first axis clipped to the joint-1 range. Its best
+   sample is the first minimal one in lexicographic order.
+2. Polish: Newton steps on the analytic gradient and 3 x 3 Hessian,
+   solved in closed form, from that sample until a step is at most
+   1e-13 rad (4 or 5 steps on the oracle-check loads).
+3. Fallback: when an iterate leaves the first refinement box (the best
+   sample +- 1/8 of the search box's width), the Hessian is not positive
+   definite, NEWTON_MAX_STEPS = 8 steps pass, or the polished energy
+   exceeds the best sample's, REFINE_ROUNDS = 6 shrink-by-4 boxes around
+   the best sample refine it instead.
+
+A result's `evaluations` is therefore 9,261 plus the Newton steps (9,265
+or 9,266 on the oracle-check loads), plus 9,261 per fallback box.
+
+A box is evaluated as a broadcast tensor grid, every term computed only
+on the joint angles it depends on (the first link's angle on 21 points,
+the distal one on 21^3) and in the order of a per-point evaluation, so
+its energies are byte for byte those of a 9,261 x 3 meshgrid evaluation.
+Single poses (the polished minimum's energy, the solver pose's energy in
+the report, the box bounds, the edge test and the balance residuals) run
+the box's own potential body in plain floats, with `math` sine and
+cosine in place of numpy's; where numpy's sine and cosine are libm's,
+they give the bits of a one-point box.
+
+Only the load term, -(F . p) - M phi_3, depends on the load case. So
+`equilibrium_report` builds one model and gives each case its load by
+`PotentialModel.with_load`: the first box's gravity-plus-elastic grid,
+its fingertip grids and the distal link's angle pieces are computed once
+per report into the model's shared `first_box` memo, and each case adds
+only its load term before the argmin. The sum is the one a fresh model
+makes, (gravity + elastic) + load, so the energies keep their bits.
+Fallback boxes, centred on a case's own best sample, are evaluated fresh.
 """
 
 from __future__ import annotations
@@ -36,10 +61,10 @@ from .model import (
     link_pose,
 )
 from .potential import PotentialModel, newton_step
-from .statics import StaticSolution, pose_moments, solve_model, wrap_moment
+from .statics import StaticSolution, pose_moments, solve_static, wrap_moment
 
-DEFAULT_GRID = 21
-DEFAULT_REFINE_ROUNDS = 6
+GRID_POINTS = 21  # samples per axis of every search box
+REFINE_ROUNDS = 6  # shrink-by-4 boxes when the polish fails
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
 NEWTON_MAX_STEPS = 8
 NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
@@ -74,42 +99,15 @@ def _newton_polish(model: PotentialModel, theta, lo, hi):
     return None, NEWTON_MAX_STEPS
 
 
-def find_equilibrium(
-    geom: FingerGeometry,
-    specs,
-    load: ExternalLoad,
-    q: float,
-    grid: int = DEFAULT_GRID,
-    refine_rounds: int = DEFAULT_REFINE_ROUNDS,
-) -> EquilibriumResult:
-    """Grid search plus a Newton polish over the joint angles.
-
-    The search box spans +-0.5 rad per axis around the nominal coupled
-    pose (the first axis clipped to the joint-1 range), sampled `grid`
-    times per axis; its argmin is the first minimal sample in
-    lexicographic index order. Newton steps on the analytic Hessian then
-    polish that sample. The polish falls back to `refine_rounds`
-    shrink-by-4 boxes around the sample when an iterate leaves the first
-    of those boxes (the sample +- a quarter of the search half-width,
-    clipped to the search box), the Hessian is not positive definite,
-    NEWTON_MAX_STEPS pass, or the polished energy exceeds the sample's.
+def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
+    """The minimum of `model`'s potential by the search, polish and
+    fallback of the module docstring.
 
     `evaluations` counts the box's samples, the Newton steps and any
-    fallback boxes' samples; `rounds` counts the boxes run, so it is 0
-    after a polish. Raises BoundaryMinimum when the final minimizer sits
-    on the search-box surface, which means the box should be widened.
+    fallback boxes' samples; `rounds` counts the fallback boxes run, so it
+    is 0 after a polish. Raises BoundaryMinimum when the final minimizer
+    sits on the search-box surface, which means the box should be widened.
     """
-    return _equilibrium(PotentialModel(geom, specs, load, q), grid, refine_rounds)
-
-
-def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
-                 polish: bool = True) -> EquilibriumResult:
-    """find_equilibrium on a built model; `polish=False` runs the
-    shrink-by-4 rounds straight after the box, as the fallback does."""
-    if grid < 11:
-        raise ValueError("grid must be >= 11 samples per axis")
-    if refine_rounds < 0:
-        raise ValueError("refine_rounds must be >= 0")
     lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
     hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
     lo0[0] = max(lo0[0], THETA1_MIN)
@@ -117,7 +115,7 @@ def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
 
     def landscape(lo, hi):
         """The box [lo, hi]'s axes, its load-free energies and pieces."""
-        axes = [np.linspace(a, b, grid) for a, b in zip(lo, hi)]
+        axes = [np.linspace(a, b, GRID_POINTS) for a, b in zip(lo, hi)]
         a1, a2, a3 = axes
         g, e, pieces = model.load_free(
             a1[:, None, None], a2[None, :, None], a3[None, None, :]
@@ -139,25 +137,22 @@ def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
                 [min(t + h, b) for t, h, b in zip(theta, half, hi0)])
 
     # The first box depends on the load only through its load term, so
-    # its landscape is memoized on the load-free state, with the tip.
-    key = (grid, *lo0, *hi0)
-    first = model.boxes.get(key)
-    if first is None:
+    # its landscape, with the tip, is memoized on the load-free state.
+    if not model.first_box:
         box = landscape(lo0, hi0)
-        first = model.boxes[key] = (*box, model.fingertip(box[2]))
-    best_theta, best_energy, evaluations = best_sample(*first)
+        model.first_box.append((*box, model.fingertip(box[2])))
+    best_theta, best_energy, evaluations = best_sample(*model.first_box[0])
     half = [(b - a) / 2.0 for a, b in zip(lo0, hi0)]
 
     polished, steps = _newton_polish(
-        model, best_theta, *around(best_theta, [h / 4.0 for h in half])
-    ) if polish else (None, 0)
+        model, best_theta, *around(best_theta, [h / 4.0 for h in half]))
     evaluations += steps
     energy = None if polished is None else model.energy(polished)
     rounds = 0
     if energy is not None and energy <= best_energy:
         best_theta, best_energy = polished, energy
     else:
-        for rounds in range(1, refine_rounds + 1):
+        for rounds in range(1, REFINE_ROUNDS + 1):
             half = [h / 4.0 for h in half]
             theta_r, energy_r, n_eval = best_sample(
                 *landscape(*around(best_theta, half)))
@@ -165,7 +160,7 @@ def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
             if energy_r < best_energy:
                 best_theta, best_energy = theta_r, energy_r
 
-    edge_tol = [(b - a) / (2.0 * (grid - 1)) for a, b in zip(lo0, hi0)]
+    edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
     theta = tuple(float(t) for t in best_theta)
     if any(abs(t - a) <= tol or abs(t - b) <= tol
            for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
@@ -183,15 +178,9 @@ def _equilibrium(model: PotentialModel, grid: int, refine_rounds: int,
     )
 
 
-def balance_residuals(
-    theta,
-    geom: FingerGeometry,
-    specs,
-    load: ExternalLoad,
-    q: float,
-    group: TendonGroup,
-) -> dict:
-    """Moment-balance residuals (N m) at an arbitrary pose.
+def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
+    """Moment-balance residuals (N m) of `model`'s load case at an
+    arbitrary pose.
 
     Tensions are taken from Hooke's law applied to the pose's tendon
     stretches, then substituted into two balances: the tangent cascade
@@ -201,19 +190,14 @@ def balance_residuals(
     is integrated with the link length as lever (`wrap_moment`). A load's
     application point rides with the distal link, as in the potential. A
     zero residual triple means the pose satisfies that balance exactly.
-    """
-    return _balance_residuals(PotentialModel(geom, specs, load, q), theta, group)
-
-
-def _balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
-    """`balance_residuals` on a built potential model.
 
     `wrap_integral_nm` evaluates the wrap-integral tension model, which
     the solver no longer uses: the potential's minimum balances the
     tangent cascade, not that model. So it reads far from zero at an
     equilibrium (on `oracle-check --cases 10 --seed 7`, -26.9 to -1.9 N m
     at joint 1 and -7.7 to -0.5 N m at joint 2, while `tangent_nm` stays
-    within 1.1e-14 N m) and does not mark a failed balance.
+    within 1.1e-14 N m) and does not mark a failed balance; it is None
+    where a coupling tendon cannot wrap its guides.
     """
     geom = model.geom
     theta = tuple(float(t) for t in theta)
@@ -289,8 +273,6 @@ def equilibrium_report(
     *,
     threshold: float = 1e-6,
     max_iterations: int = 100,
-    grid: int = DEFAULT_GRID,
-    refine_rounds: int = DEFAULT_REFINE_ROUNDS,
 ) -> dict:
     """Static solve vs energy-minimization comparison over load cases.
 
@@ -319,7 +301,8 @@ def equilibrium_report(
             if base is None:
                 base = PotentialModel(geom, specs, load, q)
             model = base.with_load(load)
-            sol = solve_model(model, threshold, max_iterations)
+            sol = solve_static(model, threshold=threshold,
+                               max_iterations=max_iterations)
         except TendonFingerError as exc:
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
@@ -327,7 +310,7 @@ def equilibrium_report(
         entry["fixed_point"] = _solution_summary(sol)
 
         try:
-            eq = _equilibrium(model, grid, refine_rounds)
+            eq = find_equilibrium(model)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
@@ -345,7 +328,7 @@ def equilibrium_report(
         )
         entry["fingertip_delta_mm"] = delta * 1e3
         entry["delta_fraction_of_length"] = delta / total_len
-        entry["balance_residuals_at_energy_pose"] = _balance_residuals(
+        entry["balance_residuals_at_energy_pose"] = balance_residuals(
             model, eq.theta, sol.tensions.active_group
         )
         worst = max(worst, delta / total_len)

@@ -112,8 +112,8 @@ class PotentialModel:
     oracle's polish, and the oracle's batched box evaluation.
 
     Everything but `load` and `attach_local` is load-free: `with_load`
-    shares it, with the `boxes` memo of load-free box landscapes, among
-    the load cases of one report or sweep."""
+    shares it, with the `first_box` memo of the oracle's first search
+    box, among the load cases of one report or sweep."""
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
@@ -132,12 +132,15 @@ class PotentialModel:
         m1, m2, m3 = geom.link_masses
         f1, f2, f3 = geom.com_fractions
         self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
-        self.boxes = {}
+        # Empty until the oracle computes the first search box's load-free
+        # landscape; a list, so that every `with_load` copy shares it.
+        self.first_box = []
         self._apply(load)
 
     def with_load(self, load: ExternalLoad) -> "PotentialModel":
         """This model under `load`: it shares every load-free field and
-        the `boxes` memo, and recomputes only `load` and `attach_local`."""
+        the `first_box` memo, and recomputes only `load` and
+        `attach_local`."""
         model = copy.copy(self)
         model._apply(load)
         return model

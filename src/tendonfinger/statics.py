@@ -3,10 +3,11 @@ Static equilibrium of the coupled finger under external load.
 
 The loaded finger rests at the minimum of its total potential over the
 three joint angles (`tendonfinger.potential`, which also holds the tendon
-stretch model). `solve_static` finds it by Newton steps on the analytic
-gradient and Hessian from the rigid-tendon pose; the energy module's
-oracle minimizes the same potential by a grid search and so checks the
-solver.
+stretch model). `solve_static` takes one load case's `PotentialModel`
+and finds that minimum by Newton steps on the analytic gradient and
+Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
+its load on one shared model. The energy module's oracle minimizes the
+same potential by a grid search and so checks the solver.
 
 Tensions are found by three sequential scalar moment balances, distal to
 proximal: the distal link alone about joint 3, the distal two links about
@@ -188,15 +189,13 @@ def elongate_tendons(
 
 
 def solve_static(
-    q: float,
-    geom: FingerGeometry,
-    specs,
-    load: ExternalLoad,
+    model: PotentialModel,
     *,
     threshold: float = DEFAULT_THRESHOLD,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> StaticSolution:
-    """Loaded equilibrium at displacement q: the minimum of the potential.
+    """Loaded equilibrium of `model`'s load case: the minimum of its
+    potential.
 
     Newton steps on the potential's analytic gradient and Hessian start
     at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
@@ -208,12 +207,6 @@ def solve_static(
     and NoConvergence, with the steps' trace, after `max_iterations`
     steps or at a Hessian that is not positive definite.
     """
-    return solve_model(PotentialModel(geom, specs, load, q), threshold, max_iterations)
-
-
-def solve_model(model: PotentialModel, threshold: float,
-                max_iterations: int) -> StaticSolution:
-    """`solve_static` on a built potential model."""
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
@@ -300,9 +293,9 @@ def stiffness_sweep(
 ) -> list[SweepRow]:
     """Deflection and secant stiffness for a list of tip payloads (kg).
 
-    Each payload hangs at the fingertip and is solved as `solve_static`
-    would, on one potential model whose load-free state is built for the
-    first payload and shared by the rest (`PotentialModel.with_load`). A
+    Each payload hangs at the fingertip and is solved by `solve_static`
+    on one potential model whose load-free state is built for the first
+    payload and shared by the rest (`PotentialModel.with_load`). A
     failing row is recorded with its error message and the sweep
     continues.
     """
@@ -316,7 +309,8 @@ def stiffness_sweep(
         try:
             if base is None:
                 base = PotentialModel(geom, specs, load, q)
-            sol = solve_model(base.with_load(load), threshold, max_iterations)
+            sol = solve_static(base.with_load(load), threshold=threshold,
+                               max_iterations=max_iterations)
         except TendonFingerError as exc:
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  f"error: {exc.__class__.__name__}: {exc}"))

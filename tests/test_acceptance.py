@@ -27,6 +27,7 @@ from tendonfinger.model import (
     forward_kinematics,
     jacobian,
 )
+from tendonfinger.potential import PotentialModel
 from tendonfinger.statics import solve_static, wrap_moment
 from tendonfinger.workspace import occupancy_grid, sweep_workspace
 
@@ -115,9 +116,8 @@ def test_criterion_3_convergence_over_payloads(calibration):
     deflections = []
     iters = []
     for m in PAYLOADS:
-        sol = solve_static(0.0, geom, specs,
-                           ExternalLoad.tip_payload(m, geom.gravity_accel),
-                           threshold=1e-6)
+        load = ExternalLoad.tip_payload(m, geom.gravity_accel)
+        sol = solve_static(PotentialModel(geom, specs, load, 0.0), threshold=1e-6)
         assert sol.iterations <= 50
         assert sol.residual <= 1e-6
         deflections.append(sol.deflection_y)
@@ -133,8 +133,8 @@ def test_criterion_3_convergence_over_payloads(calibration):
 
 def test_criterion_4_reference_numbers(calibration):
     geom, specs = calibration.geometry, calibration.tendons
-    sol = solve_static(0.0, geom, specs,
-                       ExternalLoad.tip_payload(3.0, geom.gravity_accel))
+    load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
+    sol = solve_static(PotentialModel(geom, specs, load, 0.0))
     stiffness = 3.0 * geom.gravity_accel / sol.deflection_y
     defl_ok = abs(sol.deflection_y - REFERENCE_DEFLECTION_M) \
         <= 0.25 * REFERENCE_DEFLECTION_M
@@ -227,7 +227,7 @@ def test_criterion_7_rigid_limit(calibration):
                        s.group, s.index)
             for s in calibration.tendons
         )
-        return solve_static(0.0, geom, specs, load).deflection_y
+        return solve_static(PotentialModel(geom, specs, load, 0.0)).deflection_y
 
     start = time.perf_counter()
     soft, rigid, stiffer = deflection(2e11), deflection(1e15), deflection(1e17)

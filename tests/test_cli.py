@@ -204,6 +204,33 @@ class TestValidate:
         assert "reference comparison" not in res.stderr
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.5,1.0\n0.5,900.0", "reference line 3: payload_kg 0.5 repeats the "
+                                "payload of line 2"),
+        ("1.0,20.0\n0.5,1.0\n1.0000000001,20.0",
+         "reference line 4: payload_kg 1.0000000001 repeats the payload of line 2"),
+        ("0.5,abc", "reference line 2: could not convert string to float: 'abc'"),
+        ("0.5", "reference line 2 has 1 cells, the header has 2"),
+    ])
+    def test_bad_reference_writes_nothing(self, tmp_path, capsys, rows, message):
+        # The reference is read and checked before any payload is solved.
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"payload_kg,deflection_mm\n{rows}\n", encoding="utf-8")
+        out = tmp_path / "table.csv"
+        assert cli.main(["validate", "--reference", str(ref)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert cli.main(["validate", "--reference", str(ref), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_distinct_close_payloads_accepted(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("payload_kg,deflection_mm\n0.5,1.0\n0.50001,2.0\n",
+                       encoding="utf-8")
+        assert cli.main(["validate", "--payloads", "0.5",
+                         "--reference", str(ref)]) == 0
+        assert "reference comparison: max deviation" in capsys.readouterr().err
+
+
 class TestStiffness:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "stiff.csv"

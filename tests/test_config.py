@@ -193,10 +193,11 @@ class TestFiles:
 
     def test_solution_json_round_trip(self, calibrated):
         from tendonfinger.model import ExternalLoad
+        from tendonfinger.potential import PotentialModel
         from tendonfinger.statics import solution_to_dict, solve_static
         geom, specs = calibrated.geometry, calibrated.tendons
-        sol = solve_static(0.0, geom, specs,
-                           ExternalLoad.tip_payload(2.0, geom.gravity_accel))
+        load = ExternalLoad.tip_payload(2.0, geom.gravity_accel)
+        sol = solve_static(PotentialModel(geom, specs, load, 0.0))
         doc = json.loads(json.dumps(solution_to_dict(sol)))
         assert doc["deflection_y_m"] == sol.deflection_y
         assert tuple(doc["theta_rad"]) == sol.configuration.theta

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from tendonfinger import energy
 from tendonfinger.energy import (
-    DEFAULT_GRID,
-    DEFAULT_REFINE_ROUNDS,
+    GRID_POINTS,
     NEWTON_MAX_STEPS,
+    REFINE_ROUNDS,
     SEARCH_HALF_WIDTH,
     EquilibriumResult,
-    _balance_residuals,
-    _equilibrium,
     balance_residuals,
     equilibrium_report,
     find_equilibrium,
@@ -121,7 +119,8 @@ def _meshgrid_rows(axes):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
+def _reference_find_equilibrium(geom, specs, load, q, rounds=6):
+    grid = 21
     model = PotentialModel(geom, specs, load, q)
     center = _arrays(model).theta_hat
     lo0 = center - SEARCH_HALF_WIDTH
@@ -138,7 +137,7 @@ def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
     best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
     evaluations = n_eval
     half = (hi0 - lo0) / 2.0
-    for _ in range(refine_rounds):
+    for _ in range(rounds):
         half = half / 4.0
         lo = np.maximum(best_theta - half, lo0)
         hi = np.minimum(best_theta + half, hi0)
@@ -159,12 +158,12 @@ def _reference_find_equilibrium(geom, specs, load, q, grid=21, refine_rounds=6):
         fingertip=(float(tip[0]), float(tip[1])),
         energy=best_energy,
         evaluations=evaluations,
-        rounds=refine_rounds,
+        rounds=rounds,
     )
 
 
 def _reference_balance_residuals(model, theta, group):
-    """The numpy `_balance_residuals` that the plain-float one replaced."""
+    """The numpy `balance_residuals` that the plain-float one replaced."""
     geom = model.geom
     theta = tuple(float(t) for t in theta)
     Configuration(q=model.q, theta=theta)
@@ -419,7 +418,7 @@ class TestGridEvaluation:
         # The shrink-by-4 rounds, which the Newton polish falls back to.
         load = REFERENCE_LOADS[load_name]
         model = PotentialModel(geom_cal, make_specs(), load, q)
-        assert (_equilibrium(model, 21, 6, polish=False)
+        assert (_search(model, polish=False)
                 == _reference_find_equilibrium(geom_cal, make_specs(), load, q))
 
     @settings(max_examples=40, deadline=None)
@@ -503,7 +502,7 @@ class TestSinglePose:
         for model, poses in self._cases(geom_cal):
             for theta in [*poses, (0.1, 0.2, 2.0)]:
                 for group in TendonGroup:
-                    new = _balance_residuals(model, theta, group)
+                    new = balance_residuals(model, theta, group)
                     ref = _reference_balance_residuals(model, theta, group)
                     assert new.keys() == ref.keys()
                     for key in new:
@@ -514,7 +513,7 @@ class TestSinglePose:
                                     == np.array(ref[key]).tobytes())
         model = PotentialModel(geom_cal, make_specs(), ExternalLoad(), 0.0)
         with pytest.raises(RangeExceeded):
-            _balance_residuals(model, (1.8, 0.0, 0.0), TendonGroup.FLEXION)
+            balance_residuals(model, (1.8, 0.0, 0.0), TendonGroup.FLEXION)
 
     # SHA-256 of json.dumps(equilibrium_report(...)) on the shipped
     # calibration for 4 cases of each (seed, q), recorded before single
@@ -544,22 +543,18 @@ class TestSinglePose:
 class TestFindEquilibrium:
     def test_unloaded_minimum_at_nominal(self, geom_massless):
         q = 0.003
-        eq = find_equilibrium(geom_massless, make_specs(), ExternalLoad(), q)
+        eq = find_equilibrium(PotentialModel(geom_massless, make_specs(),
+                                             ExternalLoad(), q))
         nominal = coupling_angles(q, geom_massless).theta
         for a, b in zip(eq.theta, nominal):
             assert a == pytest.approx(b, abs=1e-4)
         assert eq.energy <= 0.0 + 1e-15
 
-    def test_grid_validation(self, geom_massless):
-        with pytest.raises(ValueError):
-            find_equilibrium(geom_massless, make_specs(), ExternalLoad(), 0.0,
-                             grid=5)
-
     def test_minimum_below_nominal_and_local_probes(self, geom_cal):
         specs = make_specs()
         load = ExternalLoad.tip_payload(1.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(geom_cal, specs, load, 0.0)
         model = PotentialModel(geom_cal, specs, load, 0.0)
+        eq = find_equilibrium(model)
         assert eq.energy <= model.energy(coupling_angles(0.0, geom_cal).theta)
         rng = np.random.default_rng(4)
         cell = 1.0 / 4 ** 6 / 20  # final refinement spacing
@@ -574,8 +569,8 @@ class TestFindEquilibrium:
     def test_refinement_never_worse_than_coarse(self, geom_cal):
         specs = make_specs()
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        coarse = find_equilibrium(geom_cal, specs, load, 0.0, refine_rounds=0)
-        refined = find_equilibrium(geom_cal, specs, load, 0.0, refine_rounds=6)
+        coarse = _search(PotentialModel(geom_cal, specs, load, 0.0), rounds=0)
+        refined = _search(PotentialModel(geom_cal, specs, load, 0.0), rounds=6)
         assert refined.energy <= coarse.energy
 
     def test_rigid_limit_near_nominal(self, geom_cal):
@@ -584,13 +579,24 @@ class TestFindEquilibrium:
         # plus grid quantization.
         specs = make_specs(youngs_modulus=1e15)
         load = ExternalLoad.tip_payload(3.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(geom_cal, specs, load, 0.0)
+        eq = find_equilibrium(PotentialModel(geom_cal, specs, load, 0.0))
         assert max(abs(t) for t in eq.theta) < 1e-4
 
     def test_boundary_minimum_detected(self, geom_cal):
         load = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
         with pytest.raises(BoundaryMinimum):
-            find_equilibrium(geom_cal, make_specs(), load, 0.0)
+            find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
+
+
+def _search(model, polish=True, rounds=REFINE_ROUNDS):
+    """`find_equilibrium` with `rounds` shrink-by-4 boxes and, without
+    `polish`, a polish that always fails, so the rounds run straight
+    after the first box."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not polish:
+            mp.setattr(energy, "_newton_polish", lambda *args: (None, 0))
+        mp.setattr(energy, "REFINE_ROUNDS", rounds)
+        return find_equilibrium(model)
 
 
 def _spy_polish(monkeypatch, replacement=None):
@@ -611,10 +617,10 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
     def test_polish_refines_reference_rounds(self, geom_cal, load_name, q):
         specs, load = make_specs(), REFERENCE_LOADS[load_name]
-        eq = find_equilibrium(geom_cal, specs, load, q)
+        eq = find_equilibrium(PotentialModel(geom_cal, specs, load, q))
         ref = _reference_find_equilibrium(geom_cal, specs, load, q)
         assert eq.rounds == 0
-        assert DEFAULT_GRID ** 3 < eq.evaluations <= DEFAULT_GRID ** 3 + NEWTON_MAX_STEPS
+        assert GRID_POINTS ** 3 < eq.evaluations <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS
         assert max(abs(a - b) for a, b in zip(eq.theta, ref.theta)) <= 3e-5
         assert eq.energy <= ref.energy
         grad = _gradient(PotentialModel(geom_cal, specs, load, q), eq.theta)
@@ -626,12 +632,11 @@ class TestNewtonPolish:
         calls = _spy_polish(monkeypatch)
         load = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
         with pytest.raises(BoundaryMinimum):
-            find_equilibrium(geom_cal, make_specs(), load, 0.0)
+            find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
         assert [theta for theta, _ in calls] == [None]
 
     def _assert_rounds_result(self, eq, geom, load, extra_evaluations):
-        rounds = _equilibrium(PotentialModel(geom, make_specs(), load, 0.0),
-                              DEFAULT_GRID, 6, polish=False)
+        rounds = _search(PotentialModel(geom, make_specs(), load, 0.0), polish=False)
         assert (eq.theta, eq.fingertip, eq.energy, eq.rounds) == (
             rounds.theta, rounds.fingertip, rounds.energy, 6)
         assert eq.evaluations == rounds.evaluations + extra_evaluations
@@ -639,7 +644,7 @@ class TestNewtonPolish:
     def test_step_cap_falls_back_to_rounds(self, geom_cal, monkeypatch):
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        eq = find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
         self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=1)
 
     def test_higher_polished_energy_falls_back_to_rounds(self, geom_cal,
@@ -650,7 +655,7 @@ class TestNewtonPolish:
             monkeypatch,
             lambda model, theta, lo, hi: (np.array(model.nominal.theta), 3))
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        eq = find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
         assert len(calls) == 1
         self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=3)
 
@@ -664,9 +669,8 @@ class TestNewtonPolish:
         angle = math.radians(direction_deg)
         load = ExternalLoad(force=(magnitude * math.cos(angle),
                                    magnitude * math.sin(angle)))
-        coarse = _equilibrium(PotentialModel(geom, specs, load, 0.0),
-                              DEFAULT_GRID, 0, polish=False)
-        eq = find_equilibrium(geom, specs, load, 0.0)
+        coarse = _search(PotentialModel(geom, specs, load, 0.0), polish=False, rounds=0)
+        eq = find_equilibrium(PotentialModel(geom, specs, load, 0.0))
         assert eq.rounds == 0
         assert eq.energy <= coarse.energy
 
@@ -683,17 +687,17 @@ class TestBalanceResiduals:
         for load in (ExternalLoad.tip_payload(1.5, geom_cal.gravity_accel),
                      ExternalLoad(force=(2.0, -14.0), moment=0.01,
                                   application_point=(0.15, 0.01))):
-            res = balance_residuals(theta, geom_cal, specs, load, 0.0,
-                                    TendonGroup.FLEXION)
-            grad = _gradient(PotentialModel(geom_cal, specs, load, 0.0), theta)
+            model = PotentialModel(geom_cal, specs, load, 0.0)
+            res = balance_residuals(model, theta, TendonGroup.FLEXION)
+            grad = _gradient(model, theta)
             assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
 
     def test_small_residual_at_energy_minimum(self, geom_cal):
         specs = make_specs()
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(geom_cal, specs, load, 0.0)
-        res = balance_residuals(eq.theta, geom_cal, specs, load, 0.0,
-                                TendonGroup.FLEXION)
+        model = PotentialModel(geom_cal, specs, load, 0.0)
+        eq = find_equilibrium(model)
+        res = balance_residuals(model, eq.theta, TendonGroup.FLEXION)
         assert max(abs(r) for r in res["tangent_nm"]) < 0.01
 
 
@@ -719,8 +723,8 @@ class TestEquilibriumReport:
         # pose and must agree to well under 0.1% of finger length.
         specs = make_specs(youngs_modulus=1e15)
         load = ExternalLoad.tip_payload(3.0, geom_cal.gravity_accel)
-        sol = solve_static(0.0, geom_cal, specs, load)
-        eq = find_equilibrium(geom_cal, specs, load, 0.0)
+        sol = solve_static(PotentialModel(geom_cal, specs, load, 0.0))
+        eq = find_equilibrium(PotentialModel(geom_cal, specs, load, 0.0))
         gap = math.hypot(sol.fingertip.position[0] - eq.fingertip[0],
                          sol.fingertip.position[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
@@ -750,8 +754,8 @@ class TestEquilibriumReport:
         assert report["summary"]["compared_cases"] == 5
         # Every polish converged, so no case ran a fallback box.
         assert all(c["energy_search"]["evaluations"]
-                   <= DEFAULT_GRID ** 3 + NEWTON_MAX_STEPS for c in report["cases"])
-        assert grids == [(DEFAULT_GRID,) * 3]
+                   <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS for c in report["cases"])
+        assert grids == [(GRID_POINTS,) * 3]
 
     def test_uncompared_cases_fail_tolerance(self, calibrated):
         # A static solve capped at one step always errors, so no case is
@@ -769,10 +773,10 @@ class TestEquilibriumReport:
             "within_tolerance"] is False
 
 
-def _outcome(model, polish=True, refine_rounds=DEFAULT_REFINE_ROUNDS):
-    """`_equilibrium` on the model, or the BoundaryMinimum message."""
+def _outcome(model, polish=True, rounds=REFINE_ROUNDS):
+    """`_search` on the model, or the BoundaryMinimum message."""
     try:
-        return _equilibrium(model, DEFAULT_GRID, refine_rounds, polish)
+        return _search(model, polish, rounds)
     except BoundaryMinimum as exc:
         return f"BoundaryMinimum: {exc}"
 
@@ -791,13 +795,13 @@ def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     sample keeps the memoized landscape's own energy; that first box also
     against the frozen row-by-row evaluation, which no memo reaches."""
     fresh = PotentialModel(geom, specs, load, q)
-    for options in ({}, {"polish": False}, {"polish": False, "refine_rounds": 0}):
+    for options in ({}, {"polish": False}, {"polish": False, "rounds": 0}):
         _assert_same_outcome(_outcome(shared, **options), _outcome(fresh, **options))
     try:
-        reference = _reference_find_equilibrium(geom, specs, load, q, refine_rounds=0)
+        reference = _reference_find_equilibrium(geom, specs, load, q, rounds=0)
     except BoundaryMinimum as exc:
         reference = f"BoundaryMinimum: {exc}"
-    _assert_same_outcome(_outcome(shared, polish=False, refine_rounds=0), reference)
+    _assert_same_outcome(_outcome(shared, polish=False, rounds=0), reference)
 
 
 class TestSharedLoadFreeState:
@@ -818,20 +822,20 @@ class TestSharedLoadFreeState:
         for first in self.LOADS:
             base = PotentialModel(geom_cal, specs, first, q)
             _outcome(base)  # fills the memo under the first load
-            assert len(base.boxes) == 1
+            assert len(base.first_box) == 1
             for load in self.LOADS:
                 shared = base.with_load(load)
-                assert shared.boxes is base.boxes
+                assert shared.first_box is base.first_box
                 assert shared.nominal is base.nominal
                 assert base.load is first
                 _assert_shared_equals_fresh(shared, geom_cal, specs, load, q)
-            assert len(base.boxes) == 1
+            assert len(base.first_box) == 1
 
     def test_fallbacks_never_touch_the_memo(self, geom_cal, monkeypatch):
         specs = make_specs()
         base = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
         _outcome(base)
-        memo = dict(base.boxes)
+        memo = list(base.first_box)
         # 60 kg: the polish leaves its box and the rounds end on the
         # search-box surface.
         heavy = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
@@ -843,12 +847,11 @@ class TestSharedLoadFreeState:
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         for load in self.LOADS:
             shared = _outcome(base.with_load(load))
-            assert shared.rounds == DEFAULT_REFINE_ROUNDS
+            assert shared.rounds == REFINE_ROUNDS
             _assert_same_outcome(
                 shared, _outcome(PotentialModel(geom_cal, specs, load, 0.0)))
-        assert base.boxes.keys() == memo.keys()
-        for key, box in base.boxes.items():
-            assert box is memo[key]
+        assert len(base.first_box) == 1
+        assert base.first_box[0] is memo[0]
 
     @settings(max_examples=25, deadline=None)
     @given(

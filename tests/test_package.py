@@ -1,9 +1,12 @@
 import ast
+import contextlib
 import inspect
+import io
+import sys
 from pathlib import Path
 
 import tendonfinger
-from tendonfinger import errors
+from tendonfinger import cli, energy, errors, statics
 
 
 def test_every_error_class_is_exported():
@@ -50,3 +53,52 @@ def test_no_private_name_crosses_a_module():
         if alias.startswith("_") and alias != "__version__"
     ]
     assert crossing == []
+
+
+def _spy(monkeypatch, home, name):
+    """Count the calls of `home.<name>` made through any module attribute
+    bound to it, the way a tracer that wraps those attributes sees them."""
+    original = getattr(home, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "tendonfinger":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+class TestEntryPointsCalledByName:
+    """Every report, sweep and CLI solve goes through the public solver
+    and oracle functions, one call per case."""
+
+    def test_equilibrium_report(self, calibrated, monkeypatch):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        spies = {name: _spy(monkeypatch, home, name) for home, name in (
+            (statics, "solve_static"), (energy, "find_equilibrium"),
+            (energy, "balance_residuals"))}
+        report = energy.equilibrium_report(
+            geom, specs, 0.0, energy.random_tip_load_cases(3, 7, geom))
+        assert report["summary"]["compared_cases"] == 3
+        assert {name: len(calls) for name, calls in spies.items()} == {
+            "solve_static": 3, "find_equilibrium": 3, "balance_residuals": 3}
+
+    def test_stiffness_sweep(self, calibrated, monkeypatch):
+        calls = _spy(monkeypatch, statics, "solve_static")
+        rows = statics.stiffness_sweep(calibrated.geometry, calibrated.tendons,
+                                       0.0, [0.5, -1.0, 0.0, 3.0])
+        assert [r.status for r in rows] == ["ok", "error: negative payload", "ok", "ok"]
+        assert len(calls) == 3
+
+    def test_cli_solve(self, monkeypatch, tmp_path):
+        calls = _spy(monkeypatch, statics, "solve_static")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["solve", "0", "--force", "0,-29.43",
+                             "--out", str(tmp_path / "sol.json")])
+        assert code == 0
+        assert len(calls) == 1

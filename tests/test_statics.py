@@ -109,7 +109,7 @@ class TestSolvedPoseWrap:
         _, alpha3 = zero_pose_wrap(geom).angles_at(coupling_angles(q, geom).theta)
         assert 0.0 < alpha3 < 0.03
         with pytest.raises(GeometryInfeasible) as exc:
-            solve_static(q, geom, specs, ExternalLoad(force=(30.0, 0.0)))
+            solve_static(PotentialModel(geom, specs, ExternalLoad(force=(30.0, 0.0)), q))
         assert str(exc.value) == (
             "wrap angle -0.0137 rad outside (0, pi) at theta = 1.8668")
 
@@ -119,7 +119,7 @@ class TestSolvedPoseWrap:
         with pytest.raises(GeometryInfeasible) as rigid:
             zero_pose_wrap(geom).angles_at(coupling_angles(q, geom).theta)
         with pytest.raises(GeometryInfeasible) as solved:
-            solve_static(q, geom, specs, ExternalLoad.tip_payload(1.0))
+            solve_static(PotentialModel(geom, specs, ExternalLoad.tip_payload(1.0), q))
         assert str(solved.value) == str(rigid.value)
 
     def test_stiffness_row_carries_error(self, calibrated):
@@ -139,8 +139,8 @@ class TestSolvedPoseWrap:
             return original(geom)
 
         monkeypatch.setattr(potential, "zero_pose_wrap", counting)
-        solve_static(1e-3, calibrated.geometry, calibrated.tendons,
-                     ExternalLoad.tip_payload(2.0))
+        solve_static(PotentialModel(calibrated.geometry, calibrated.tendons,
+                                    ExternalLoad.tip_payload(2.0), 1e-3))
         assert calls == [calibrated.geometry]
 
 
@@ -302,7 +302,8 @@ class TestElongation:
 
 class TestSolveStatic:
     def test_unloaded_fixed_point(self, geom_massless):
-        sol = solve_static(0.004, geom_massless, make_specs(), ExternalLoad())
+        sol = solve_static(PotentialModel(geom_massless, make_specs(), ExternalLoad(),
+                                          0.004))
         assert sol.iterations <= 2
         assert sol.deflection_y == 0.0
         assert sol.tensions.as_tuple() == (0.0, 0.0, 0.0)
@@ -310,8 +311,8 @@ class TestSolveStatic:
 
     def test_calibrated_payload_deflection(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
-        sol = solve_static(0.0, geom, specs,
-                           ExternalLoad.tip_payload(3.0, geom.gravity_accel))
+        load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
+        sol = solve_static(PotentialModel(geom, specs, load, 0.0))
         assert sol.deflection_y == pytest.approx(24.386e-3, rel=0.25)
         assert sol.residual <= 1e-6
         assert sol.iterations <= 50
@@ -319,25 +320,25 @@ class TestSolveStatic:
     def test_determinism(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(1.7, geom.gravity_accel)
-        a = solve_static(0.0, geom, specs, load)
-        b = solve_static(0.0, geom, specs, load)
+        a = solve_static(PotentialModel(geom, specs, load, 0.0))
+        b = solve_static(PotentialModel(geom, specs, load, 0.0))
         assert a == b
 
     def test_load_monotonicity(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
         deflections = [
-            solve_static(0.0, geom, specs,
-                         ExternalLoad.tip_payload(m, geom.gravity_accel)).deflection_y
+            solve_static(PotentialModel(
+                geom, specs, ExternalLoad.tip_payload(m, geom.gravity_accel), 0.0)
+            ).deflection_y
             for m in (0.5, 1.0, 2.0, 3.0)
         ]
         assert all(b > a for a, b in zip(deflections, deflections[1:]))
 
     def test_small_load_linearity(self, geom_massless):
         specs = make_specs()
-        d1 = solve_static(0.0, geom_massless, specs,
-                          ExternalLoad.tip_payload(0.1)).deflection_y
-        d2 = solve_static(0.0, geom_massless, specs,
-                          ExternalLoad.tip_payload(0.2)).deflection_y
+        d1, d2 = (solve_static(PotentialModel(geom_massless, specs,
+                                              ExternalLoad.tip_payload(m), 0.0)
+                               ).deflection_y for m in (0.1, 0.2))
         assert d2 == pytest.approx(2 * d1, rel=0.05)
 
     def test_extra_iteration_stability(self, calibrated):
@@ -346,8 +347,8 @@ class TestSolveStatic:
         geom, specs = calibrated.geometry, calibrated.tendons
         threshold = 1e-6
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        sol = solve_static(0.0, geom, specs, load, threshold=threshold)
         model = PotentialModel(geom, specs, load, 0.0)
+        sol = solve_static(model, threshold=threshold)
         theta = sol.configuration.theta
         step = newton_step(*model.gradient_hessian(theta))
         cfg = Configuration(q=0.0, theta=tuple(t + d for t, d in zip(theta, step)))
@@ -360,8 +361,8 @@ class TestSolveStatic:
         geom, specs = calibrated.geometry, calibrated.tendons
         for load in (ExternalLoad.tip_payload(3.0, geom.gravity_accel),
                      ExternalLoad(force=(0.0, 9.81))):
-            sol = solve_static(0.0, geom, specs, load)
             model = PotentialModel(geom, specs, load, 0.0)
+            sol = solve_static(model)
             hooke = model.tensions(sol.configuration.theta,
                                    sol.tensions.active_group)
             np.testing.assert_allclose(sol.tensions.as_tuple(), hooke, rtol=1e-9)
@@ -372,15 +373,16 @@ class TestSolveStatic:
         rng = np.random.default_rng(9)
         for _ in range(10):
             m = float(rng.uniform(0.2, 3.0))
-            sol = solve_static(0.0, geom, specs,
-                               ExternalLoad.tip_payload(m, geom.gravity_accel))
+            load = ExternalLoad.tip_payload(m, geom.gravity_accel)
+            sol = solve_static(PotentialModel(geom, specs, load, 0.0))
             assert min(sol.tensions.as_tuple()) >= 0.0
 
     def test_rigid_limit_scaling(self, geom_massless):
         load = ExternalLoad.tip_payload(3.0)
         deflections = []
         for e in (2e11, 1e13, 1e15):
-            sol = solve_static(0.0, geom_massless, make_specs(youngs_modulus=e), load)
+            specs = make_specs(youngs_modulus=e)
+            sol = solve_static(PotentialModel(geom_massless, specs, load, 0.0))
             deflections.append(sol.deflection_y)
         assert deflections[0] > deflections[1] > deflections[2]
         # Linear elasticity: deflection scales as 1/E, up to the ~1.5%
@@ -391,7 +393,7 @@ class TestSolveStatic:
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
         with pytest.raises(NoConvergence) as err:
-            solve_static(0.0, geom, specs, load, max_iterations=2)
+            solve_static(PotentialModel(geom, specs, load, 0.0), max_iterations=2)
         assert len(err.value.trace) == 2
 
     def test_refused_newton_step_carries_trace(self, calibrated, monkeypatch):
@@ -407,25 +409,26 @@ class TestSolveStatic:
 
         monkeypatch.setattr(statics, "newton_step", refuse_third)
         with pytest.raises(NoConvergence, match="not positive definite") as err:
-            solve_static(0.0, geom, specs, load)
+            solve_static(PotentialModel(geom, specs, load, 0.0))
         assert [rec.index for rec in err.value.trace] == [1, 2]
         monkeypatch.setattr(statics, "newton_step", lambda grad, hess: None)
         with pytest.raises(NoConvergence) as err:
-            solve_static(0.0, geom, specs, load)
+            solve_static(PotentialModel(geom, specs, load, 0.0))
         assert err.value.trace == []
 
     def test_frozen_group_infeasible(self, geom_massless):
         load = ExternalLoad(force=(0.0, -1.5), moment=0.1)
         with pytest.raises(TensionInfeasible):
-            solve_static(0.0, geom_massless, make_specs(), load)
+            solve_static(PotentialModel(geom_massless, make_specs(), load, 0.0))
 
     def test_rigid_tendons_stay_near_nominal(self, geom_massless):
         # A zero stretch counts as taut in both groups, so the first step
         # from the nominal pose goes only halfway; the second step still
         # runs and reaches the 1/E-scaled steel deflection.
         load = ExternalLoad.tip_payload(3.0)
-        steel = solve_static(0.0, geom_massless, make_specs(), load)
-        rigid = solve_static(0.0, geom_massless, make_specs(youngs_modulus=1e17), load)
+        steel = solve_static(PotentialModel(geom_massless, make_specs(), load, 0.0))
+        rigid = solve_static(PotentialModel(
+            geom_massless, make_specs(youngs_modulus=1e17), load, 0.0))
         assert rigid.iterations >= 2
         assert rigid.trace[0].residual is None
         nominal = coupling_angles(0.0, geom_massless).theta
@@ -439,8 +442,8 @@ class TestSolveStatic:
         geom, specs = calibrated.geometry, calibrated.tendons
         for load, sense in ((ExternalLoad.tip_payload(3.0, geom.gravity_accel), 1.0),
                             (ExternalLoad(force=(0.0, 9.81)), -1.0)):
-            sol = solve_static(0.0, geom, specs, load)
             model = PotentialModel(geom, specs, load, 0.0)
+            sol = solve_static(model)
             stretches = [sense * s for s in model.stretches(*sol.configuration.theta)]
             elongations = [e - r for e, r in zip(sol.elongated_lengths, sol.rest_lengths)]
             np.testing.assert_allclose(elongations, stretches, rtol=1e-9)
@@ -449,8 +452,9 @@ class TestSolveStatic:
         # With equal groups and a massless finger, reversing the load
         # swaps the active group and mirrors the solved pose.
         specs = make_specs()
-        down = solve_static(0.0, geom_massless, specs, ExternalLoad(force=(0.0, -9.81)))
-        up = solve_static(0.0, geom_massless, specs, ExternalLoad(force=(0.0, 9.81)))
+        down, up = (solve_static(PotentialModel(geom_massless, specs,
+                                                ExternalLoad(force=(0.0, fy)), 0.0))
+                    for fy in (-9.81, 9.81))
         assert down.tensions.active_group is TendonGroup.FLEXION
         assert up.tensions.active_group is TendonGroup.EXTENSION
         assert down.deflection_y > 0.0
@@ -463,17 +467,18 @@ class TestSolveStatic:
         # the first Newton iterate past pi/2, and its Configuration refuses it.
         load = ExternalLoad(force=(0.0, -50.0))
         with pytest.raises(RangeExceeded):
-            solve_static(0.011, geom_massless, make_specs(youngs_modulus=5e9), load)
+            solve_static(PotentialModel(geom_massless, make_specs(youngs_modulus=5e9),
+                                        load, 0.011))
 
     def test_one_trace_serializer(self, calibrated):
         # A converged solution and a failed solve serialize their records
         # with the same function and the same fields.
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        sol = solve_static(0.0, geom, specs, load)
+        sol = solve_static(PotentialModel(geom, specs, load, 0.0))
         assert statics.solution_to_dict(sol)["trace"] == statics.trace_to_list(sol.trace)
         with pytest.raises(NoConvergence) as err:
-            solve_static(0.0, geom, specs, load, max_iterations=2)
+            solve_static(PotentialModel(geom, specs, load, 0.0), max_iterations=2)
         failed = statics.trace_to_list(err.value.trace)
         assert [set(rec) for rec in failed] == [set(rec) for rec in
                                                  statics.trace_to_list(sol.trace[:2])]
@@ -543,8 +548,8 @@ class TestStiffnessSweep:
                 assert row.status == "error: negative payload"
                 continue
             try:
-                sol = solve_static(q, geom, specs,
-                                   ExternalLoad.tip_payload(m, geom.gravity_accel),
+                load = ExternalLoad.tip_payload(m, geom.gravity_accel)
+                sol = solve_static(PotentialModel(geom, specs, load, q),
                                    max_iterations=max_iterations)
             except TendonFingerError as exc:
                 assert row.status == f"error: {exc.__class__.__name__}: {exc}"
@@ -716,11 +721,12 @@ def _distal_point(q, fraction, geom):
 def assert_matches_oracle(sol, q, geom, specs, load):
     """The solved fingertip lies within 1e-4 of finger length of the
     energy oracle's, and the solved pose balances the tangent cascade."""
-    eq = find_equilibrium(geom, specs, load, q)
+    model = PotentialModel(geom, specs, load, q)
+    eq = find_equilibrium(model)
     gap = math.hypot(sol.fingertip.position[0] - eq.fingertip[0],
                      sol.fingertip.position[1] - eq.fingertip[1])
     assert gap <= 1e-4 * geom.total_length
-    residuals = balance_residuals(sol.configuration.theta, geom, specs, load, q,
+    residuals = balance_residuals(model, sol.configuration.theta,
                                   sol.tensions.active_group)["tangent_nm"]
     assert max(map(abs, residuals)) <= 1e-9
 
@@ -758,7 +764,8 @@ class TestFrozenReference:
     def test_solve_static(self, calibrated, name):
         geom, specs = calibrated.geometry, calibrated.tendons
         q, load, kwargs = self.CASES[name]
-        got = _outcome(lambda: solve_static(q, geom, specs, load, **kwargs))
+        got = _outcome(lambda: solve_static(PotentialModel(geom, specs, load, q),
+                                            **kwargs))
         expected = self.EXPECTED.get(name)
         if isinstance(expected, type):
             assert isinstance(got, expected)
@@ -840,7 +847,7 @@ class TestFrozenReference:
             moment=moment,
             application_point=None if attach is None else _distal_point(q, attach, geom),
         )
-        sol = solve_static(q, geom, specs, load)
+        sol = solve_static(PotentialModel(geom, specs, load, q))
         assert sol.iterations <= 5
         assert_matches_oracle(sol, q, geom, specs, load)
         # The solved pose's wrap check never trips on these loads: both
