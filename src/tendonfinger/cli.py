@@ -4,9 +4,12 @@ Command-line front end.
 Subcommands: fk, workspace, solve, stiffness, validate, oracle-check.
 Machine-readable output (CSV / JSON) goes to --out or stdout; human
 status lines go to stderr. Exit codes: 0 success, 1 configuration or
-usage errors, 2 infeasible loads / exceeded ranges / an oracle-check
-verdict out of tolerance, 3 non-convergence (diagnostics are still
-written).
+usage errors (a malformed or out-of-range argument, an unreadable or
+unwritable file), 2 infeasible loads / exceeded ranges / an oracle-check
+verdict out of tolerance, 3 non-convergence, a Newton blow-up included
+(diagnostics are still written). Every refusal is a TendonFingerError
+raised where it is checked, and `main` maps it to its class's exit code;
+`stiffness` and `validate` report a failing payload in its row instead.
 """
 
 from __future__ import annotations
@@ -55,15 +58,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _finite(text: str, what: str) -> float:
-    """float(text), refusing nan and infinities."""
-    value = float(text)
+    """float(text), refusing garbage, nan and infinities."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not math.isfinite(value):
-        raise _UsageError(f"{what} must be a finite number, got {text.strip()!r}")
+        raise ConfigError(f"{what} must be a finite number, got {text.strip()!r}")
     return value
 
 
@@ -71,40 +73,48 @@ def _finite_arg(text: str) -> float:
     """argparse type for float options: finite numbers only."""
     try:
         return _finite(text, "value")
-    except ValueError as exc:
+    except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_length(text: str) -> float:
-    """Meters by default; 'mm:' prefix for millimeters."""
+def _parse_q(text: str, geom) -> float:
+    """Tendon displacement: meters by default, 'mm:' prefix for
+    millimeters; its rigid joint angles q / R_i must be finite."""
     text = text.strip()
     if text.startswith("mm:"):
-        return _finite(text[3:], "length") * 1e-3
-    return _finite(text, "length")
+        q = _finite(text[3:], "length") * 1e-3
+    else:
+        q = _finite(text, "length")
+    if not all(math.isfinite(q / r) for r in geom.guide_radii):
+        raise ConfigError("theta contains a non-finite value")
+    return q
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"{what} must be two comma-separated numbers")
+        raise ConfigError(f"{what} must be two comma-separated numbers")
     return (_finite(parts[0], what), _finite(parts[1], what))
 
 
 def _parse_payloads(text: str) -> list[float]:
     items = [p for p in text.split(",") if p.strip()]
     if not items:
-        raise _UsageError("payload list is empty")
+        raise ConfigError("payload list is empty")
     values = [_finite(p, "payload") for p in items]
     if any(v < 0.0 for v in values):
-        raise _UsageError("payloads must be >= 0")
+        raise ConfigError("payloads must be >= 0")
     return values
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _status(msg: str) -> None:
@@ -205,7 +215,7 @@ def _load_config(args, *, need_tendons=False):
 
 def _cmd_fk(args) -> int:
     cfg, _, _ = _load_config(args)
-    q = _parse_length(args.q)
+    q = _parse_q(args.q, cfg.geometry)
     config = coupling_angles(q, cfg.geometry)
     if cfg.tendons:
         # Refuses a pose the tendons cannot wrap.
@@ -227,6 +237,9 @@ def _cmd_workspace(args) -> int:
     cfg, _, _ = _load_config(args)
     if args.out is None:
         raise ConfigError("workspace requires --out <basename> for its files")
+    if not Path(args.out).name:
+        raise ConfigError(
+            f"workspace --out must end in a file name, got {args.out!r}")
     cloud = sweep_workspace(cfg.geometry, args.resolution)
     grids = [occupancy_grid(cloud, args.cell, links=(link,)) for link in (1, 2, 3)]
     # Every grid spans the whole cloud's bounding box, so their cells align.
@@ -264,7 +277,7 @@ def _cmd_workspace(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg, threshold, max_iter = _load_config(args, need_tendons=True)
-    q = _parse_length(args.q)
+    q = _parse_q(args.q, cfg.geometry)
     force = _parse_pair(args.force, "--force")
     at = _parse_pair(args.at, "--at") if args.at is not None else None
     load = ExternalLoad(force=force, moment=args.moment, application_point=at)
@@ -308,7 +321,7 @@ def _rows_to_output(rows, fmt: str) -> str:
 def _cmd_stiffness(args) -> int:
     cfg, threshold, max_iter = _load_config(args, need_tendons=True)
     payloads = _parse_payloads(args.payloads)
-    q = _parse_length(args.q)
+    q = _parse_q(args.q, cfg.geometry)
     rows = stiffness_sweep(
         cfg.geometry, cfg.tendons, q, payloads,
         threshold=threshold, max_iterations=max_iter,
@@ -320,7 +333,13 @@ def _cmd_stiffness(args) -> int:
 def _read_reference(path: str) -> dict[float, float]:
     """payload_kg -> deflection_mm from a reference CSV, one row per
     payload: a row within PAYLOAD_MATCH_KG of an earlier row is refused."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read reference '{path}': {exc}") from None
+    lines = text.strip().splitlines()
     if not lines:
         raise ConfigError(f"reference file '{path}' is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -343,7 +362,7 @@ def _read_reference(path: str) -> dict[float, float]:
         try:
             payload = _finite(cells[i_payload], "payload_kg")
             deflection = _finite(cells[i_defl], "deflection_mm")
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"reference line {lineno}: {exc}") from None
         for earlier in table:
             if abs(earlier - payload) < PAYLOAD_MATCH_KG:
@@ -396,6 +415,8 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.cases < 1:
         raise ConfigError(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg, threshold, max_iter = _load_config(args, need_tendons=True)
     cases = random_tip_load_cases(args.cases, args.seed, cfg.geometry)
     report = equilibrium_report(
@@ -446,9 +467,6 @@ def main(argv=None) -> int:
         name = "" if exc.exit_code == EXIT_CONFIG else f"{exc.__class__.__name__}: "
         _status(f"error: {name}{exc}")
         return exc.exit_code
-    except (ValueError, OSError) as exc:
-        _status(f"error: {exc}")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -54,6 +54,8 @@ def default_config_path() -> Path:
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {where}")
@@ -72,12 +74,17 @@ def _triple(value, where: str) -> tuple[float, float, float]:
         return tuple(float(v) for v in value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must contain numbers") from None
+    except OverflowError:  # an integer beyond float range
+        raise ConfigError(f"{where} must be finite") from None
 
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite")
     return v
@@ -93,9 +100,9 @@ def parse_config(doc: dict) -> FingerConfig:
     _check_keys(units, _UNITS_KEYS, "units")
     length_name = _require(units, "length", "units")
     mass_name = _require(units, "mass", "units")
-    if length_name not in LENGTH_UNITS:
+    if not isinstance(length_name, str) or length_name not in LENGTH_UNITS:
         raise ConfigError(f"unsupported length unit '{length_name}'")
-    if mass_name not in MASS_UNITS:
+    if not isinstance(mass_name, str) or mass_name not in MASS_UNITS:
         raise ConfigError(f"unsupported mass unit '{mass_name}'")
     to_m = LENGTH_UNITS[length_name]
     to_kg = MASS_UNITS[mass_name]
@@ -126,8 +133,6 @@ def parse_config(doc: dict) -> FingerConfig:
     seen: set[tuple[str, int]] = set()
     for pos, entry in enumerate(tendon_docs):
         where = f"tendons[{pos}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object")
         _check_keys(entry, _TENDON_KEYS, where)
         group_name = _require(entry, "group", where)
         try:
@@ -137,7 +142,7 @@ def parse_config(doc: dict) -> FingerConfig:
                 f"{where}: group must be 'flexion' or 'extension', got '{group_name}'"
             ) from None
         index = _require(entry, "index", where)
-        if index not in (1, 2, 3):
+        if type(index) is not int or index not in (1, 2, 3):  # no bool, no float
             raise ConfigError(f"{where}: index must be 1, 2 or 3")
         key = (group.value, index)
         if key in seen:
@@ -150,7 +155,10 @@ def parse_config(doc: dict) -> FingerConfig:
                            f"{where}.diameter") * to_m
         if diameter <= 0.0:
             raise ConfigError(f"{where}: diameter must be > 0")
-        area = math.pi * diameter ** 2 / 4.0
+        try:
+            area = math.pi * diameter ** 2 / 4.0
+        except OverflowError:
+            raise ConfigError(f"{where}: diameter is too large") from None
 
         if index == 1:
             rest = _number(_require(entry, "rest_length", where),
@@ -203,7 +211,7 @@ def load_finger_config(path) -> FingerConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from None
     try:
         doc = json.loads(text)

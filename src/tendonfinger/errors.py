@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Each class carries the exit code the command-line front end returns for
-it: 1 for configuration and resource-budget errors, 2 for infeasible
-loads and exceeded ranges, 3 for non-convergence.
+it: 1 for configuration, usage and resource-budget errors, 2 for
+infeasible loads and exceeded ranges, 3 for non-convergence. This is the
+CLI's only mapping from failures to exit codes: it catches
+TendonFingerError alone, so any other exception is a bug, not a verdict.
 """
 
 
@@ -13,7 +15,9 @@ class TendonFingerError(Exception):
 
 
 class ConfigError(TendonFingerError):
-    """Configuration document is malformed or violates an invariant."""
+    """A configuration document is malformed or violates an invariant, a
+    command argument is malformed or out of range, or an input or output
+    file cannot be read or written."""
 
     exit_code = 1
 
@@ -37,7 +41,8 @@ class TensionInfeasible(TendonFingerError):
 
 
 class NoConvergence(TendonFingerError):
-    """Static solve did not reach the residual threshold.
+    """Static solve did not reach the residual threshold, or a Newton
+    step left the finite numbers.
 
     Carries the iteration trace so callers can still write diagnostics.
     """

@@ -202,16 +202,9 @@ def link_pose(theta, geom: FingerGeometry):
     return points, coms
 
 
-def fingertip_state(points, geom: FingerGeometry) -> FingertipState:
-    """Fingertip state from the chain points of `link_pose`.
-
-    Raises ValueError when the tip leaves the reachable disk, which only
-    a numerical fault can cause.
-    """
-    tip = points[3]
-    if math.hypot(*tip) > geom.total_length + 1e-9:
-        raise ValueError("fingertip left the reachable disk (numerical fault)")
-    return FingertipState(position=tip, joint_positions=points[1:])
+def fingertip_state(points) -> FingertipState:
+    """Fingertip state from the chain points of `link_pose`."""
+    return FingertipState(position=points[3], joint_positions=points[1:])
 
 
 def forward_kinematics(config: Configuration, geom: FingerGeometry) -> FingertipState:
@@ -219,7 +212,7 @@ def forward_kinematics(config: Configuration, geom: FingerGeometry) -> Fingertip
 
     x = sum_i L_i cos(theta_1 + ... + theta_i), same with sin for y.
     """
-    return fingertip_state(link_pose(config.theta, geom)[0], geom)
+    return fingertip_state(link_pose(config.theta, geom)[0])
 
 
 def fingertip_from_displacement(q: float, geom: FingerGeometry) -> FingertipState:

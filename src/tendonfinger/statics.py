@@ -205,7 +205,8 @@ def solve_static(
     at the converged pose. Raises GeometryInfeasible when a coupling
     tendon cannot wrap its guides at the rigid or at the converged pose,
     and NoConvergence, with the steps' trace, after `max_iterations`
-    steps or at a Hessian that is not positive definite.
+    steps, at a Hessian that is not positive definite or at a step to a
+    non-finite angle.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
@@ -234,6 +235,11 @@ def solve_static(
                 f"Hessian not positive definite before step {k}", trace=trace
             )
         theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
+        if not (math.isfinite(theta[0]) and math.isfinite(theta[1])
+                and math.isfinite(theta[2])):
+            raise NoConvergence(
+                f"Newton step {k} gave a non-finite joint angle", trace=trace
+            )
         cfg = Configuration(q=nominal.q, theta=theta)
         pose = link_pose(theta, geom)
         tensions = model.tensions(theta, group)
@@ -255,7 +261,7 @@ def solve_static(
                 return StaticSolution(
                     configuration=cfg,
                     tensions=tensions,
-                    fingertip=fingertip_state(pose[0], geom),
+                    fingertip=fingertip_state(pose[0]),
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,
@@ -297,13 +303,19 @@ def stiffness_sweep(
     on one potential model whose load-free state is built for the first
     payload and shared by the rest (`PotentialModel.with_load`). A
     failing row is recorded with its error message and the sweep
-    continues.
+    continues; a negative payload, or one whose weight overflows, fails
+    its row unsolved.
     """
     rows: list[SweepRow] = []
     base = None
     for m in payloads:
         if m < 0.0:
             rows.append(SweepRow(m, math.nan, math.nan, 0, "error: negative payload"))
+            continue
+        force = m * geom.gravity_accel
+        if not math.isfinite(force):
+            rows.append(SweepRow(m, math.nan, math.nan, 0,
+                                 "error: payload weight is not finite"))
             continue
         load = ExternalLoad.tip_payload(m, geom.gravity_accel)
         try:
@@ -315,7 +327,6 @@ def stiffness_sweep(
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  f"error: {exc.__class__.__name__}: {exc}"))
             continue
-        force = m * geom.gravity_accel
         if sol.deflection_y != 0.0:
             stiffness = force / sol.deflection_y
         else:

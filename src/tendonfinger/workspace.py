@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloud, GridTooLarge, ResolutionTooHigh, ResolutionTooLow
+from .errors import (
+    ConfigError,
+    EmptyCloud,
+    GridTooLarge,
+    ResolutionTooHigh,
+    ResolutionTooLow,
+)
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
@@ -139,16 +145,17 @@ def occupancy_grid(
 
     `links` restricts the gridded points to the given 1-based link ids;
     the grid extent always covers the whole cloud's bounding box so
-    per-link grids share cell alignment. A cell size whose grid would
-    need more than MAX_GRID_BYTES raises GridTooLarge before anything
-    is allocated.
+    per-link grids share cell alignment. A cell size that is not
+    positive or exceeds the box's diagonal raises ConfigError, and one
+    whose grid would need more than MAX_GRID_BYTES raises GridTooLarge,
+    before anything is allocated.
     """
     xmin, ymin, xmax, ymax = cloud.bounding_box
     diag = math.hypot(xmax - xmin, ymax - ymin)
     if cell_size <= 0.0:
-        raise ValueError("cell_size must be > 0")
+        raise ConfigError("cell_size must be > 0")
     if diag > 0.0 and cell_size > diag:
-        raise ValueError("cell_size exceeds the bounding-box diagonal")
+        raise ConfigError("cell_size exceeds the bounding-box diagonal")
     try:
         nx = math.floor((xmax - xmin) / cell_size) + 1
         ny = math.floor((ymax - ymin) / cell_size) + 1

@@ -1,10 +1,16 @@
 import hashlib
+import io
 import json
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tendonfinger import cli, errors
 from tendonfinger.config import default_config_path
@@ -464,3 +470,187 @@ class TestInProcess:
         assert cli.main(["fk", "0"]) == code
         named = "" if code == 1 else f"{error.__name__}: "
         assert capsys.readouterr().err == f"error: {named}boom\n"
+
+    def test_foreign_error_is_not_an_exit_code(self, monkeypatch):
+        # Only TendonFingerError maps to an exit code: any other exception
+        # is a bug and propagates.
+        def fail(args):
+            raise ValueError("boom")
+
+        help_text, add_arguments, _ = cli._COMMANDS["fk"]
+        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, add_arguments, fail))
+        with pytest.raises(ValueError, match="boom"):
+            cli.main(["fk", "0"])
+
+
+class TestNamedRefusals:
+    """Refusals raised as named errors where they are checked, run in
+    process: one `error:` line, the documented code, nothing written."""
+
+    def test_solver_blow_up_exit_3(self, capsys):
+        # The first Newton step leaves the finite numbers: a
+        # non-convergence with its (empty) trace, not a config error.
+        assert cli.main(["solve", "0", "--moment=-1e308"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "status": "no_convergence",
+            "detail": "Newton step 1 gave a non-finite joint angle",
+            "trace": [],
+        }
+        assert err == "no convergence: Newton step 1 gave a non-finite joint angle\n"
+
+    @pytest.mark.parametrize("command", ["stiffness", "validate"])
+    def test_overflowing_payload_fails_its_row(self, capsys, command):
+        assert cli.main([command, "--payloads", "0.5,1e308"]) == 2
+        out, _ = capsys.readouterr()
+        header, ok, failed = out.splitlines()
+        assert ok.startswith("0.500,") and ok.endswith(",ok")
+        assert failed.endswith(",nan,nan,0,error: payload weight is not finite")
+
+    def test_geometry_only_far_tip_exit_0(self, tmp_path, capsys):
+        # |tip| <= sum of link lengths holds by construction; at 1e10 m
+        # links the rounding of the tip exceeds any absolute tolerance.
+        doc = {"units": {"length": "meters", "mass": "kilograms"},
+               "geometry": {"link_lengths": [1e10, 1e10, 1e10],
+                            "guide_radii": [1.0, 1.0, 1.0]}}
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["fk", "1e-8", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "\nfingertip_mm = 2999999999999" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-check", "--cases", "1", "--seed=-1"], "--seed must be >= 0, got -1"),
+        (["solve", "1e308"], "theta contains a non-finite value"),
+        (["stiffness", "--payloads", "0.5", "--q", "1e308"],
+         "theta contains a non-finite value"),
+        (["solve", "0", "--force", "a,b"], "could not convert string to float: 'a'"),
+        (["solve", "0", "--at", "1,2,3"], "--at must be two comma-separated numbers"),
+        (["workspace", "--cell", "0", "--out", "ws"], "cell_size must be > 0"),
+        (["workspace", "--cell", "5", "--out", "ws"],
+         "cell_size exceeds the bounding-box diagonal"),
+        (["workspace", "--out", ""], "workspace --out must end in a file name, got ''"),
+        (["workspace", "--out", "."], "workspace --out must end in a file name, got '.'"),
+        (["workspace", "--out", "/"], "workspace --out must end in a file name, got '/'"),
+    ])
+    def test_refusal_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fk", "solve"])
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "x"
+        assert cli.main([command, "0", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_unreadable_reference_names_file(self, tmp_path, capsys):
+        ref = tmp_path / "latin1.csv"
+        ref.write_bytes(b"payload_kg,deflection_mm\n0.5,\xff\n")
+        assert cli.main(["validate", "--reference", str(ref)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read reference '{ref}': 'utf-8' codec")
+        assert cli.main(["validate", "--reference", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+NUMBERS = ["0", "0.5", "3", "-1", "-0.004", "1e-8", "1e308", "-1e308",
+           "nan", "inf", "-inf", "mm:2", "mm:-9", "abc", ""]
+NUMBER = st.sampled_from(NUMBERS)
+PAIR = st.lists(NUMBER, min_size=1, max_size=3).map(",".join)
+# {tmp} is replaced by a per-session directory; "missing" never exists
+# when a command starts.
+OUTS = ["", ".", "{tmp}/missing/x", "{tmp}/out"]
+CONFIGS = [str(CONFIG), "{tmp}/massless.json", "{tmp}/geometry_only.json"]
+
+
+def _option(name, values):
+    """`--name=value` for a value drawn from `values`, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    if command in ("fk", "solve"):
+        argv.append(draw(NUMBER))
+    if command == "solve":
+        argv += draw(_option("force", PAIR)) + draw(_option("at", PAIR))
+        argv += draw(_option("moment", NUMBER))
+    if command in ("stiffness", "validate"):
+        argv += draw(_option("payloads", PAIR))
+    if command == "stiffness":
+        argv += draw(_option("q", NUMBER))
+    if command == "workspace":
+        # Small sweeps and coarse grids only: nothing allocates much.
+        argv += draw(_option("resolution", st.integers(-2, 40)))
+        argv += draw(_option("cell", st.sampled_from(
+            ["0.001", "0.01", "0", "-1", "5", "1e-7", "nan", "abc"])))
+    if command == "oracle-check":
+        argv += draw(_option("cases", st.integers(1, 4)))
+        argv += draw(_option("seed", st.sampled_from(["0", "7", "-1", "x"])))
+    argv += draw(_option("config", st.sampled_from(CONFIGS)))
+    argv += draw(_option("out", st.sampled_from(OUTS)))
+    argv += draw(_option("threshold", NUMBER))
+    argv += draw(_option("max-iter", st.sampled_from(["0", "1", "3", "-2", "x"])))
+    argv += draw(_option("format", st.sampled_from(["csv", "json"])))
+    return argv
+
+
+def _only_named_errors(handler):
+    """`handler`, failing the test when it raises anything but a
+    TendonFingerError."""
+    def run(args):
+        try:
+            return handler(args)
+        except errors.TendonFingerError:
+            raise
+        except Exception as exc:
+            raise AssertionError(
+                f"{type(exc).__name__} escaped {handler.__name__}: {exc}") from exc
+    return run
+
+
+@pytest.fixture(scope="module")
+def session_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_any")
+    doc = json.loads(CONFIG.read_text(encoding="utf-8"))
+    doc["geometry"]["link_masses"] = [0.0, 0.0, 0.0]
+    (root / "massless.json").write_text(json.dumps(doc), encoding="utf-8")
+    del doc["tendons"]
+    (root / "geometry_only.json").write_text(json.dumps(doc), encoding="utf-8")
+    return root
+
+
+class TestAnyArguments:
+    @settings(max_examples=50, deadline=None)
+    @given(argv=cli_argvs())
+    @example(argv=["solve", "0", "--moment=-1e308"])
+    @example(argv=["stiffness", "--payloads=0.5,1e308"])
+    @example(argv=["oracle-check", "--cases=1", "--seed=-1"])
+    @example(argv=["workspace", "--resolution=2", "--out=."])
+    def test_exit_code_or_usage_error(self, session_dir, argv):
+        # Every handler failure is a named error, so `main` returns one of
+        # the four documented codes; argparse refusals exit 1 (help 0).
+        argv = [a.replace("{tmp}", str(session_dir)) for a in argv]
+        checked = {name: (help_text, add_arguments, _only_named_errors(handler))
+                   for name, (help_text, add_arguments, handler)
+                   in cli._COMMANDS.items()}
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with mock.patch.dict(cli._COMMANDS, checked), \
+                    redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 1)
+        else:
+            assert code in (0, 1, 2, 3)
+        finally:
+            shutil.rmtree(session_dir / "missing", ignore_errors=True)
+        assert "Traceback" not in err.getvalue()

@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tendonfinger.config import (
     default_config_path,
@@ -64,6 +67,17 @@ class TestUnits:
         with pytest.raises(ConfigError, match="furlongs"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key, name, message", [
+        ("length", [], "unsupported length unit '[]'"),
+        ("mass", {}, "unsupported mass unit '{}'"),
+    ])
+    def test_unhashable_unit_name(self, key, name, message):
+        doc = base_doc()
+        doc["units"][key] = name
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == message
+
 
 class TestStrictKeys:
     def test_unknown_top_level_key(self):
@@ -90,6 +104,22 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match="tol"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section", ["units", "geometry", "solver"])
+    @pytest.mark.parametrize("value", [5, None, [], "x"])
+    def test_section_not_an_object(self, section, value):
+        doc = base_doc()
+        doc[section] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == f"{section} must be an object"
+
+    def test_tendon_not_an_object(self):
+        doc = base_doc()
+        doc["tendons"][2] = 5
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == "tendons[2] must be an object"
+
 
 class TestTendonRules:
     def test_duplicate_tendon(self):
@@ -103,6 +133,15 @@ class TestTendonRules:
         doc["tendons"] = doc["tendons"][:5]
         with pytest.raises(ConfigError, match="6 tendons"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("pos, index", [(1, 2.0), (0, True), (0, 1.0)])
+    def test_index_must_be_an_integer(self, pos, index):
+        # A bool or a float index is refused, not read as tendon 1 or 2.
+        doc = base_doc()
+        doc["tendons"][pos]["index"] = index
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == f"tendons[{pos}]: index must be 1, 2 or 3"
 
     def test_bad_group(self):
         doc = base_doc()
@@ -185,6 +224,14 @@ class TestFiles:
         with pytest.raises(ConfigError, match="cannot read"):
             load_finger_config(tmp_path / "nope.json")
 
+    def test_not_utf8_names_file(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"units": "\xff"}')
+        with pytest.raises(ConfigError) as exc:
+            load_finger_config(bad)
+        assert str(exc.value).startswith(
+            f"cannot read config '{bad}': 'utf-8' codec can't decode byte 0xff")
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -203,3 +250,51 @@ class TestFiles:
         assert tuple(doc["theta_rad"]) == sol.configuration.theta
         assert tuple(doc["tensions_n"]) == sol.tensions.as_tuple()
         assert doc["deflection_y_mm"] == sol.deflection_y * 1e3
+
+
+def _nodes(doc, path=()):
+    """Path of every node of a JSON document, the root's included."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+SHIPPED = json.loads(default_config_path().read_text(encoding="utf-8"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6,
+)
+
+
+class TestAnyDocument:
+    @settings(max_examples=50, deadline=None)
+    @given(path=st.sampled_from(list(_nodes(SHIPPED))), value=JSON_VALUES)
+    @example(path=("units",), value=5)
+    @example(path=("solver",), value=None)
+    @example(path=("tendons", 1, "index"), value=2.0)
+    @example(path=("tendons", 0, "diameter"), value=1e200)
+    @example(path=("geometry", "gravity"), value=10 ** 400)
+    def test_loads_or_config_error(self, tmp_path_factory, path, value):
+        # One node of the shipped document replaced by any JSON value,
+        # nan and infinities included: the document loads or is refused
+        # with a ConfigError, never another exception.
+        doc = copy.deepcopy(SHIPPED)
+        if path:
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        target = tmp_path_factory.mktemp("doc") / "config.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_finger_config(target)
+        except ConfigError:
+            pass

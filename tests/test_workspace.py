@@ -4,7 +4,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from tendonfinger.errors import EmptyCloud, ResolutionTooLow
+from tendonfinger.errors import ConfigError, EmptyCloud, ResolutionTooLow
 from tendonfinger.model import FingerGeometry
 from tendonfinger.workspace import (
     cloud_to_csv,
@@ -142,9 +142,9 @@ class TestOccupancy:
 
     def test_cell_size_validation(self):
         cloud = sweep_workspace(GEOM, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="must be > 0"):
             occupancy_grid(cloud, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="exceeds the bounding-box diagonal"):
             occupancy_grid(cloud, 10.0)
 
 
