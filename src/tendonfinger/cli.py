@@ -2,14 +2,18 @@
 Command-line front end.
 
 Subcommands: fk, workspace, solve, stiffness, validate, oracle-check.
-Machine-readable output (CSV / JSON) goes to --out or stdout; human
-status lines go to stderr. Exit codes: 0 success, 1 configuration or
-usage errors (a malformed or out-of-range argument, an unreadable or
-unwritable file), 2 infeasible loads / exceeded ranges / an oracle-check
-verdict out of tolerance, 3 non-convergence, a Newton blow-up included
-(diagnostics are still written). Every refusal is a TendonFingerError
-raised where it is checked, and `main` maps it to its class's exit code;
-`stiffness` and `validate` report a failing payload in its row instead.
+Each accepts only the options its handler reads: all take --config and
+--out; the four that solve (solve, stiffness, validate, oracle-check)
+take --threshold and --max-iter; the two tables (stiffness, validate)
+take --format. Machine-readable output (CSV / JSON) goes to --out or
+stdout; human status lines go to stderr. Exit codes: 0 success, 1
+configuration or usage errors (a malformed or out-of-range argument, an
+unreadable or unwritable file, an option the command does not take), 2
+infeasible loads / exceeded ranges / an oracle-check verdict out of
+tolerance, 3 non-convergence, a Newton blow-up included (diagnostics are
+still written). Every refusal is a TendonFingerError raised where it is
+checked, and `main` maps it to its class's exit code; `stiffness` and
+`validate` report a failing payload in its row instead.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import default_config_path, load_finger_config
-from .energy import equilibrium_report, random_tip_load_cases
+from .energy import TOLERANCE_FRACTION, equilibrium_report, random_tip_load_cases
 from .errors import ConfigError, NoConvergence, TendonFingerError
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
 from .potential import PotentialModel, zero_pose_wrap
@@ -51,8 +56,18 @@ PAYLOAD_MATCH_KG = 1e-9  # a reference row matches a payload this close
 WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 
 
+# -<digits>[.<digits>] with an optional exponent is a negative number, not
+# an option; the argparse of Python 3.11 reads only the form without one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to the config exit code."""
+    """argparse with usage failures mapped to the config exit code, and
+    negative numbers in exponent form read as values (`fk -1e-3`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -121,12 +136,18 @@ def _status(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None,
                         help="finger config JSON (default: shipped calibration)")
     parser.add_argument("--out", default=None, help="output path")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table output format (default csv)")
+
+
+def _add_solver(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=_finite_arg, default=None,
                         help="solver residual threshold in meters")
     parser.add_argument("--max-iter", type=int, default=None,
@@ -144,6 +165,7 @@ def _add_workspace(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solve(parser: argparse.ArgumentParser) -> None:
+    _add_solver(parser)
     _add_q(parser)
     parser.add_argument("--force", default="0,0", help="tip force FX,FY in newtons")
     parser.add_argument("--moment", type=_finite_arg, default=0.0,
@@ -153,11 +175,15 @@ def _add_solve(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_stiffness(parser: argparse.ArgumentParser) -> None:
+    _add_format(parser)
+    _add_solver(parser)
     parser.add_argument("--payloads", required=True, help="comma-separated masses in kg")
     parser.add_argument("--q", default="0", help="tendon displacement (default 0)")
 
 
 def _add_validate(parser: argparse.ArgumentParser) -> None:
+    _add_format(parser)
+    _add_solver(parser)
     parser.add_argument("--payloads", default=REFERENCE_PAYLOADS,
                         help=f"comma-separated masses in kg (default {REFERENCE_PAYLOADS})")
     parser.add_argument("--reference", default=None,
@@ -165,6 +191,7 @@ def _add_validate(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_oracle_check(parser: argparse.ArgumentParser) -> None:
+    _add_solver(parser)
     parser.add_argument("--cases", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
 
@@ -178,7 +205,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command is not None:
         _, add_arguments, _ = _COMMANDS[command]
         parser = _Parser(prog=f"tendonfinger {command}")
-        _add_shared(parser)
+        _add_io(parser)
         add_arguments(parser)
         return parser
     parser = _Parser(prog="tendonfinger",
@@ -187,15 +214,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_shared(p)
+        _add_io(p)
         add_arguments(p)
     return parser
 
 
-def _load_config(args, *, need_tendons=False):
+def _load_config(args):
     path = args.config if args.config is not None else default_config_path()
-    cfg = load_finger_config(path)
-    if need_tendons and not cfg.tendons:
+    return load_finger_config(path)
+
+
+def _load_solver_config(args):
+    """The config of a command that solves, which must declare tendons,
+    with its solver settings overridden by --threshold and --max-iter."""
+    cfg = _load_config(args)
+    if not cfg.tendons:
         raise ConfigError(
             "config declares no tendons; this command needs the full "
             "six-tendon definition"
@@ -214,7 +247,7 @@ def _load_config(args, *, need_tendons=False):
 
 
 def _cmd_fk(args) -> int:
-    cfg, _, _ = _load_config(args)
+    cfg = _load_config(args)
     q = _parse_q(args.q, cfg.geometry)
     config = coupling_angles(q, cfg.geometry)
     if cfg.tendons:
@@ -234,7 +267,7 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_workspace(args) -> int:
-    cfg, _, _ = _load_config(args)
+    cfg = _load_config(args)
     if args.out is None:
         raise ConfigError("workspace requires --out <basename> for its files")
     if not Path(args.out).name:
@@ -276,7 +309,7 @@ def _cmd_workspace(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg, threshold, max_iter = _load_config(args, need_tendons=True)
+    cfg, threshold, max_iter = _load_solver_config(args)
     q = _parse_q(args.q, cfg.geometry)
     force = _parse_pair(args.force, "--force")
     at = _parse_pair(args.at, "--at") if args.at is not None else None
@@ -319,7 +352,7 @@ def _rows_to_output(rows, fmt: str) -> str:
 
 
 def _cmd_stiffness(args) -> int:
-    cfg, threshold, max_iter = _load_config(args, need_tendons=True)
+    cfg, threshold, max_iter = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     q = _parse_q(args.q, cfg.geometry)
     rows = stiffness_sweep(
@@ -377,7 +410,7 @@ def _read_reference(path: str) -> dict[float, float]:
 
 
 def _cmd_validate(args) -> int:
-    cfg, threshold, max_iter = _load_config(args, need_tendons=True)
+    cfg, threshold, max_iter = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     ref = None if args.reference is None else _read_reference(args.reference)
     rows = stiffness_sweep(
@@ -417,7 +450,7 @@ def _cmd_oracle_check(args) -> int:
         raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    cfg, threshold, max_iter = _load_config(args, need_tendons=True)
+    cfg, threshold, max_iter = _load_solver_config(args)
     cases = random_tip_load_cases(args.cases, args.seed, cfg.geometry)
     report = equilibrium_report(
         cfg.geometry, cfg.tendons, 0.0, cases,
@@ -429,7 +462,7 @@ def _cmd_oracle_check(args) -> int:
     gap = "n/a" if worst is None else f"{100.0 * worst:.4f}% of finger length"
     _status(
         f"cases: {len(report['cases'])} compared: {summary['compared_cases']} "
-        f"max fingertip gap: {gap} (tolerance 1%)"
+        f"max fingertip gap: {gap} (tolerance {100.0 * TOLERANCE_FRACTION:g}%)"
     )
     return EXIT_OK if summary["within_tolerance"] else EXIT_INFEASIBLE
 

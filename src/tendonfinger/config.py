@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryInfeasible
 from .model import FingerGeometry, TendonGroup, TendonSpec
-from .potential import coupling_rest_lengths
+from .potential import zero_pose_wrap
 from .statics import DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
 LENGTH_UNITS = {"meters": 1.0, "m": 1.0, "millimeters": 1e-3, "mm": 1e-3}
@@ -67,17 +67,6 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _triple(value, where: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{where} must be a list of 3 numbers")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must contain numbers") from None
-    except OverflowError:  # an integer beyond float range
-        raise ConfigError(f"{where} must be finite") from None
-
-
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
@@ -88,6 +77,12 @@ def _number(value, where: str) -> float:
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite")
     return v
+
+
+def _triple(value, where: str) -> tuple[float, float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{where} must be a list of 3 numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def parse_config(doc: dict) -> FingerConfig:
@@ -128,7 +123,7 @@ def parse_config(doc: dict) -> FingerConfig:
     tendon_docs = doc.get("tendons", [])
     if not isinstance(tendon_docs, list):
         raise ConfigError("tendons must be a list")
-    coupling_rests = None
+    wrap = None
     specs: list[TendonSpec] = []
     seen: set[tuple[str, int]] = set()
     for pos, entry in enumerate(tendon_docs):
@@ -169,14 +164,15 @@ def parse_config(doc: dict) -> FingerConfig:
                     f"{where}: rest_length of coupling tendons (index 2, 3) "
                     f"is derived from geometry and may not be set"
                 )
-            if coupling_rests is None:
-                if not geometry.wrap_feasible():
+            if wrap is None:
+                try:
+                    wrap = zero_pose_wrap(geometry)
+                except GeometryInfeasible:
                     raise ConfigError(
                         "geometry: guide circles must clear the link spans "
                         "(R1+R2 < L1 and R2+R3 < L2) to define coupling tendons"
-                    )
-                coupling_rests = coupling_rest_lengths(geometry)
-            rest = coupling_rests[index - 2]
+                    ) from None
+            rest = wrap.rest_length_2 if index == 2 else wrap.rest_length_3
 
         try:
             specs.append(TendonSpec(

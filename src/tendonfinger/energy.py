@@ -61,13 +61,25 @@ from .model import (
     link_pose,
 )
 from .potential import PotentialModel, newton_step
-from .statics import StaticSolution, pose_moments, solve_static, wrap_moment
+from .statics import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_THRESHOLD,
+    StaticSolution,
+    pose_moments,
+    solve_static,
+    wrap_moment,
+)
 
 GRID_POINTS = 21  # samples per axis of every search box
 REFINE_ROUNDS = 6  # shrink-by-4 boxes when the polish fails
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
 NEWTON_MAX_STEPS = 8
 NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
+# A report is within tolerance when every fingertip gap is at most this
+# fraction of finger length.
+TOLERANCE_FRACTION = 0.01
+CASE_PAYLOAD_KG = (0.2, 3.0)  # random load cases' payload range
+CASE_CONE_HALF_ANGLE_DEG = 60.0  # their forces' spread about straight down
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,7 @@ def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
 
     _, l2, l3 = geom.link_lengths
     try:
-        alpha2, alpha3 = model.wrap_at(theta)
+        alpha2, alpha3 = model.wrap0.angles_at(theta)
     except GeometryInfeasible:
         wrap_int = None
     else:
@@ -229,21 +241,17 @@ def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
     }
 
 
-def random_tip_load_cases(
-    n: int,
-    seed: int,
-    geom: FingerGeometry,
-    payload_range: tuple[float, float] = (0.2, 3.0),
-    cone_half_angle_deg: float = 60.0,
-) -> list[dict]:
-    """Randomized fingertip loads: payload-scaled forces pointing into a
-    downward cone so a single tendon group can always hold them."""
+def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]:
+    """Randomized fingertip loads: payloads in CASE_PAYLOAD_KG, their
+    weights turned into a downward cone of half angle
+    CASE_CONE_HALF_ANGLE_DEG so a single tendon group can always hold
+    them."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):
-        payload = float(rng.uniform(*payload_range))
+        payload = float(rng.uniform(*CASE_PAYLOAD_KG))
         angle = math.radians(-90.0 + float(
-            rng.uniform(-cone_half_angle_deg, cone_half_angle_deg)
+            rng.uniform(-CASE_CONE_HALF_ANGLE_DEG, CASE_CONE_HALF_ANGLE_DEG)
         ))
         magnitude = payload * geom.gravity_accel
         force = (magnitude * math.cos(angle), magnitude * math.sin(angle))
@@ -271,8 +279,8 @@ def equilibrium_report(
     q: float,
     cases,
     *,
-    threshold: float = 1e-6,
-    max_iterations: int = 100,
+    threshold: float = DEFAULT_THRESHOLD,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> dict:
     """Static solve vs energy-minimization comparison over load cases.
 
@@ -283,8 +291,8 @@ def equilibrium_report(
     load-free state and the first search box's landscape; a case's model
     serves its solve, search and residuals. A case is compared when both
     routes succeed; the summary's `within_tolerance` holds only when every
-    case was compared and the largest gap is at most 1% of finger length;
-    the largest gap is None when no case was compared.
+    case was compared and the largest gap is at most TOLERANCE_FRACTION of
+    finger length; the largest gap is None when no case was compared.
     """
     total_len = geom.total_length
     entries = []
@@ -340,7 +348,8 @@ def equilibrium_report(
         "summary": {
             "compared_cases": compared,
             "max_delta_fraction_of_length": worst if compared else None,
-            "tolerance_fraction": 0.01,
-            "within_tolerance": 0 < compared == len(entries) and worst <= 0.01,
+            "tolerance_fraction": TOLERANCE_FRACTION,
+            "within_tolerance": (0 < compared == len(entries)
+                                 and worst <= TOLERANCE_FRACTION),
         },
     }

@@ -78,12 +78,6 @@ class FingerGeometry:
     def total_length(self) -> float:
         return float(sum(self.link_lengths))
 
-    def wrap_feasible(self) -> bool:
-        """True when both tendon wrap circles clear their link spans."""
-        r1, r2, r3 = self.guide_radii
-        l1, l2, _ = self.link_lengths
-        return (r1 + r2) < l1 and (r2 + r3) < l2
-
 
 @dataclass(frozen=True)
 class TendonSpec:

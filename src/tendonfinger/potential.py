@@ -83,12 +83,6 @@ def zero_pose_wrap(geom: FingerGeometry) -> WrapGeometry:
     return WrapGeometry(alpha2_0=a20, alpha3_0=a30, rest_length_2=lt2, rest_length_3=lt3)
 
 
-def coupling_rest_lengths(geom: FingerGeometry) -> tuple[float, float]:
-    """Geometric rest lengths of the two coupling tendons (joints 2 and 3)."""
-    wrap = zero_pose_wrap(geom)
-    return wrap.rest_length_2, wrap.rest_length_3
-
-
 def group_specs(
     specs, group: TendonGroup
 ) -> tuple[TendonSpec, TendonSpec, TendonSpec]:
@@ -185,11 +179,6 @@ class PotentialModel:
         return ExternalLoad(force=self.load.force, moment=self.load.moment,
                             application_point=(jx + c * ax - s * ay,
                                                jy + s * ax + c * ay))
-
-    def wrap_at(self, theta) -> tuple[float, float]:
-        """Wrap angles (alpha_2, alpha_3) of the coupling tendons at joint
-        angles `theta`; raises GeometryInfeasible outside (0, pi)."""
-        return self.wrap0.angles_at(theta)
 
     def tensions(self, theta, group: TendonGroup) -> tuple[float, float, float]:
         """Hooke tensions of one group's three tendons at one pose."""

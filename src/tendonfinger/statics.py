@@ -214,7 +214,7 @@ def solve_static(
         raise ValueError("max_iterations must be >= 1")
 
     geom, load, nominal, wrap0 = model.geom, model.load, model.nominal, model.wrap0
-    model.wrap_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
+    wrap0.angles_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
     pose = model.nominal_pose
     y_nominal = pose[0][3][1]
 
@@ -255,7 +255,7 @@ def solve_static(
 
         if residual is not None:
             if residual <= threshold:
-                model.wrap_at(theta)  # and a solved one
+                wrap0.angles_at(theta)  # and a solved one
                 moments = pose_moments(pose, geom, model.load_at(theta, pose))
                 tensions = _tensions_for(moments, geom, group)
                 return StaticSolution(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tendonfinger import cli, errors
 from tendonfinger.config import default_config_path
+from tendonfinger.statics import SWEEP_CSV_HEADER
 
 from conftest import trig_is_math
 
@@ -424,6 +425,27 @@ class TestUsage:
         assert res.returncode == 0
 
 
+_IO = {"--config", "--out"}
+_SOLVER = {"--threshold", "--max-iter"}
+COMMAND_OPTIONS = {
+    "fk": _IO | {"q"},
+    "workspace": _IO | {"--resolution", "--cell"},
+    "solve": _IO | _SOLVER | {"q", "--force", "--moment", "--at"},
+    "stiffness": _IO | _SOLVER | {"--format", "--payloads", "--q"},
+    "validate": _IO | _SOLVER | {"--format", "--payloads", "--reference"},
+    "oracle-check": _IO | _SOLVER | {"--cases", "--seed"},
+}
+# (command, option) pairs that were accepted and ignored or refused by a
+# check of a setting the command never reads; now argparse refuses them.
+REMOVED_OPTIONS = [
+    ("fk", "--format"), ("fk", "--threshold"), ("fk", "--max-iter"),
+    ("workspace", "--format"), ("workspace", "--threshold"),
+    ("workspace", "--max-iter"), ("solve", "--format"),
+    ("oracle-check", "--format"),
+]
+REMOVED_VALUES = {"--format": "json", "--threshold": "1e-6", "--max-iter": "5"}
+
+
 class TestInProcess:
     """`cli.main` and `cli.build_parser` called directly."""
 
@@ -433,6 +455,38 @@ class TestInProcess:
             cli.build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0
         assert cli.build_parser(command).format_help() == capsys.readouterr().out
+
+    def test_command_option_sets(self):
+        # Each command accepts only the options its handler reads.
+        found = {
+            command: {s for a in cli.build_parser(command)._actions
+                      if a.dest != "help" for s in a.option_strings or [a.dest]}
+            for command in cli._COMMANDS
+        }
+        assert found == COMMAND_OPTIONS
+        assert sum(map(len, found.values())) == 35
+
+    @pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
+    def test_removed_option_is_unrecognized(self, tmp_path, monkeypatch, capsys,
+                                            command, option):
+        monkeypatch.chdir(tmp_path)
+        flag = f"{option}={REMOVED_VALUES[option]}"
+        q = ["0"] if command in ("fk", "solve") else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *q, "--out", "x", flag])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"tendonfinger: error: unrecognized arguments: {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["fk", "-1e-3"], "q_m = -0.001"),
+        (["stiffness", "--payloads", "0.5", "--q", "-1e-3"], SWEEP_CSV_HEADER),
+        (["solve", "-2.5E-4"], "{"),
+    ])
+    def test_negative_exponent_is_a_number(self, capsys, argv, first_line):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first_line
 
     def test_leftover_argument_is_a_top_level_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -559,7 +613,7 @@ class TestNamedRefusals:
             f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
-NUMBERS = ["0", "0.5", "3", "-1", "-0.004", "1e-8", "1e308", "-1e308",
+NUMBERS = ["0", "0.5", "3", "-1", "-0.004", "-1e-3", "1e-8", "1e308", "-1e308",
            "nan", "inf", "-inf", "mm:2", "mm:-9", "abc", ""]
 NUMBER = st.sampled_from(NUMBERS)
 PAIR = st.lists(NUMBER, min_size=1, max_size=3).map(",".join)
@@ -597,9 +651,11 @@ def cli_argvs(draw):
         argv += draw(_option("seed", st.sampled_from(["0", "7", "-1", "x"])))
     argv += draw(_option("config", st.sampled_from(CONFIGS)))
     argv += draw(_option("out", st.sampled_from(OUTS)))
-    argv += draw(_option("threshold", NUMBER))
-    argv += draw(_option("max-iter", st.sampled_from(["0", "1", "3", "-2", "x"])))
-    argv += draw(_option("format", st.sampled_from(["csv", "json"])))
+    if "--threshold" in COMMAND_OPTIONS[command]:
+        argv += draw(_option("threshold", NUMBER))
+        argv += draw(_option("max-iter", st.sampled_from(["0", "1", "3", "-2", "x"])))
+    if "--format" in COMMAND_OPTIONS[command]:
+        argv += draw(_option("format", st.sampled_from(["csv", "json"])))
     return argv
 
 

@@ -11,8 +11,9 @@ from tendonfinger.config import (
     load_finger_config,
     parse_config,
 )
-from tendonfinger.errors import ConfigError
-from tendonfinger.model import TendonGroup
+from tendonfinger.errors import ConfigError, GeometryInfeasible
+from tendonfinger.model import FingerGeometry, TendonGroup
+from tendonfinger.potential import zero_pose_wrap
 
 
 def base_doc():
@@ -34,6 +35,21 @@ def base_doc():
     }
 
 
+def si_doc():
+    """`base_doc` in meters and kilograms."""
+    doc = base_doc()
+    doc["units"] = {"length": "meters", "mass": "kilograms"}
+    doc["geometry"]["link_lengths"] = [0.06, 0.06, 0.051]
+    doc["geometry"]["guide_radii"] = [0.0075, 0.006, 0.005]
+    doc["geometry"]["link_masses"] = [0.01, 0.01, 0.01]
+    for t in doc["tendons"]:
+        t["diameter"] = 0.001
+        if t["index"] == 1:
+            t["rest_length"] = 0.1
+    doc["solver"]["threshold"] = 1e-6
+    return doc
+
+
 class TestUnits:
     def test_millimeter_gram_conversion(self):
         cfg = parse_config(base_doc())
@@ -47,17 +63,7 @@ class TestUnits:
         )
 
     def test_si_units_identity(self):
-        doc = base_doc()
-        doc["units"] = {"length": "meters", "mass": "kilograms"}
-        doc["geometry"]["link_lengths"] = [0.06, 0.06, 0.051]
-        doc["geometry"]["guide_radii"] = [0.0075, 0.006, 0.005]
-        doc["geometry"]["link_masses"] = [0.01, 0.01, 0.01]
-        for t in doc["tendons"]:
-            t["diameter"] = 0.001
-            if t["index"] == 1:
-                t["rest_length"] = 0.1
-        doc["solver"]["threshold"] = 1e-6
-        cfg = parse_config(doc)
+        cfg = parse_config(si_doc())
         assert cfg.geometry.link_lengths == pytest.approx((0.06, 0.06, 0.051))
         assert cfg.solver.threshold == pytest.approx(1e-6)
 
@@ -199,6 +205,40 @@ class TestGeometryValidation:
         doc = base_doc()
         doc["geometry"]["guide_radii"] = [40.0, 30.0, 5.0]
         with pytest.raises(ConfigError, match="clear the link spans"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("link_lengths", ["60", " 60 ", 51], "geometry.link_lengths[0] must be a number"),
+        ("link_masses", [True, "10", 10], "geometry.link_masses[0] must be a number"),
+        ("guide_radii", [7.5, None, 5.0], "geometry.guide_radii[1] must be a number"),
+        ("com_fractions", [0.5, 0.5, 10 ** 400],
+         "geometry.com_fractions[2] must be finite"),
+    ])
+    def test_triple_entries_are_numbers(self, key, value, message):
+        # The one number rule of scalar settings: no strings, no bools.
+        doc = base_doc()
+        doc["geometry"][key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == message
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.tuples(*[st.floats(0.0, 0.2)] * 3),
+           radii=st.tuples(*[st.floats(1e-6, 0.1)] * 3))
+    @example(lengths=(0.0075 + 0.006, 0.06, 0.051), radii=(0.0075, 0.006, 0.005))
+    @example(lengths=(0.06, 0.006 + 0.005, 0.051), radii=(0.0075, 0.006, 0.005))
+    @example(lengths=(0.0, 0.06, 0.051), radii=(0.0075, 0.006, 0.005))
+    def test_refused_exactly_when_wrap_undefined(self, lengths, radii):
+        # The coupling tendons' one feasibility check is zero_pose_wrap's.
+        doc = si_doc()
+        doc["geometry"]["link_lengths"] = list(lengths)
+        doc["geometry"]["guide_radii"] = list(radii)
+        try:
+            zero_pose_wrap(FingerGeometry(link_lengths=lengths, guide_radii=radii))
+        except GeometryInfeasible:
+            with pytest.raises(ConfigError, match="clear the link spans"):
+                parse_config(doc)
+        else:
             parse_config(doc)
 
     def test_zero_threshold(self):

@@ -33,7 +33,6 @@ from tendonfinger.model import (
 )
 from tendonfinger.potential import (
     PotentialModel,
-    coupling_rest_lengths,
     newton_step,
     zero_pose_wrap,
 )
@@ -257,7 +256,7 @@ class TestPotential:
         theta = list(coupling_angles(q, geom_massless).theta)
         theta[2] += d
         _, elastic, _ = model.axis_components(*theta)
-        _, lt3 = coupling_rest_lengths(geom_massless)
+        lt3 = zero_pose_wrap(geom_massless).rest_length_3
         k3 = STEEL_E * STEEL_AREA / lt3
         expect = 0.5 * k3 * (geom_massless.guide_radii[2] * d) ** 2
         assert elastic == pytest.approx(expect, rel=1e-9)
