@@ -7,13 +7,9 @@ from .energy import EquilibriumResult, equilibrium_report, find_equilibrium
 from .errors import (
     BoundaryMinimum,
     ConfigError,
-    EmptyCloud,
     GeometryInfeasible,
-    GridTooLarge,
     NoConvergence,
     RangeExceeded,
-    ResolutionTooHigh,
-    ResolutionTooLow,
     TendonFingerError,
     TensionInfeasible,
 )
@@ -21,7 +17,6 @@ from .model import (
     Configuration,
     ExternalLoad,
     FingerGeometry,
-    FingertipState,
     TendonGroup,
     TendonSpec,
     coupling_angles,
@@ -32,7 +27,6 @@ from .model import (
 from .potential import PotentialModel, WrapGeometry
 from .statics import (
     StaticSolution,
-    TensionSet,
     elongate_tendons,
     solve_static,
     stiffness_sweep,
@@ -50,27 +44,21 @@ __all__ = [
     "BoundaryMinimum",
     "ConfigError",
     "Configuration",
-    "EmptyCloud",
     "EquilibriumResult",
     "ExternalLoad",
     "FingerConfig",
     "FingerGeometry",
-    "FingertipState",
     "GeometryInfeasible",
-    "GridTooLarge",
     "NoConvergence",
     "OccupancyGrid",
     "PotentialModel",
     "RangeExceeded",
-    "ResolutionTooHigh",
-    "ResolutionTooLow",
     "SolverSettings",
     "StaticSolution",
     "TendonFingerError",
     "TendonGroup",
     "TendonSpec",
     "TensionInfeasible",
-    "TensionSet",
     "WorkspaceCloud",
     "WrapGeometry",
     "coupling_angles",

@@ -12,7 +12,8 @@ unreadable or unwritable file, an option the command does not take), 2
 infeasible loads / exceeded ranges / an oracle-check verdict out of
 tolerance, 3 non-convergence, a Newton blow-up included (diagnostics are
 still written). Every refusal is a TendonFingerError raised where it is
-checked, and `main` maps it to its class's exit code; `stiffness` and
+checked, and `main` maps it to its class's exit code: an exit-1 refusal
+is a ConfigError, printed without its class name. `stiffness` and
 `validate` report a failing payload in its row instead.
 """
 
@@ -48,7 +49,6 @@ from .workspace import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
 REFERENCE_PAYLOADS = "0.5,1.0,1.5,2.0,2.5,3.0"
@@ -56,9 +56,11 @@ PAYLOAD_MATCH_KG = 1e-9  # a reference row matches a payload this close
 WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 
 
-# -<digits>[.<digits>] with an optional exponent is a negative number, not
-# an option; the argparse of Python 3.11 reads only the form without one.
-_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
+# -<digits>[.<digits>] with an optional exponent, -inf, -infinity and -nan
+# are negative numbers, not options, so `_finite` can name their fault; the
+# argparse of Python 3.11 reads only the form without an exponent.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d*\.?\d+([eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def _finite(text: str, what: str) -> float:
@@ -259,7 +261,7 @@ def _cmd_fk(args) -> int:
         f"q_m = {q:.9g}",
         "theta_rad = " + " ".join(f"{t:.9g}" for t in config.theta),
         "theta_deg = " + " ".join(f"{math.degrees(t):.9g}" for t in config.theta),
-        f"fingertip_mm = {tip.position[0] * 1e3:.6f} {tip.position[1] * 1e3:.6f}",
+        f"fingertip_mm = {tip[0] * 1e3:.6f} {tip[1] * 1e3:.6f}",
         f"jacobian = {jac[0]:.9g} {jac[1]:.9g}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -367,7 +369,7 @@ def _read_reference(path: str) -> dict[float, float]:
     """payload_kg -> deflection_mm from a reference CSV, one row per
     payload: a row within PAYLOAD_MATCH_KG of an earlier row is refused."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -420,8 +422,11 @@ def _cmd_validate(args) -> int:
     _emit(_rows_to_output(rows, args.format), args.out)
 
     ok_rows = [r for r in rows if r.status == "ok"]
-    deflections = [r.deflection_m for r in ok_rows]
-    monotone = all(b > a for a, b in zip(deflections, deflections[1:]))
+    # In payload order; rows of equal payload are not compared.
+    ordered = sorted(ok_rows, key=lambda r: r.payload_kg)
+    monotone = all(b.deflection_m > a.deflection_m
+                   for a, b in zip(ordered, ordered[1:])
+                   if b.payload_kg > a.payload_kg)
     _status(f"rows: {len(rows)} ok: {len(ok_rows)} "
             f"deflection monotone: {'yes' if monotone else 'no'}")
 
@@ -497,7 +502,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except TendonFingerError as exc:
-        name = "" if exc.exit_code == EXIT_CONFIG else f"{exc.__class__.__name__}: "
+        name = "" if isinstance(exc, ConfigError) else f"{exc.__class__.__name__}: "
         _status(f"error: {name}{exc}")
         return exc.exit_code
 

@@ -266,10 +266,10 @@ def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]
 def _solution_summary(sol: StaticSolution) -> dict:
     return {
         "theta_rad": list(sol.configuration.theta),
-        "fingertip_m": list(sol.fingertip.position),
+        "fingertip_m": list(sol.fingertip),
         "deflection_y_m": sol.deflection_y,
         "iterations": sol.iterations,
-        "tensions_n": list(sol.tensions.as_tuple()),
+        "tensions_n": list(sol.tensions),
     }
 
 
@@ -331,13 +331,13 @@ def equilibrium_report(
             "evaluations": eq.evaluations,
         }
         delta = math.hypot(
-            sol.fingertip.position[0] - eq.fingertip[0],
-            sol.fingertip.position[1] - eq.fingertip[1],
+            sol.fingertip[0] - eq.fingertip[0],
+            sol.fingertip[1] - eq.fingertip[1],
         )
         entry["fingertip_delta_mm"] = delta * 1e3
         entry["delta_fraction_of_length"] = delta / total_len
         entry["balance_residuals_at_energy_pose"] = balance_residuals(
-            model, eq.theta, sol.tensions.active_group
+            model, eq.theta, sol.active_group
         )
         worst = max(worst, delta / total_len)
         compared += 1

@@ -1,10 +1,13 @@
 """Exception types shared across the package.
 
 Each class carries the exit code the command-line front end returns for
-it: 1 for configuration, usage and resource-budget errors, 2 for
-infeasible loads and exceeded ranges, 3 for non-convergence. This is the
-CLI's only mapping from failures to exit codes: it catches
-TendonFingerError alone, so any other exception is a bug, not a verdict.
+it. Every refused input is a ConfigError (exit 1): a malformed document
+or argument, an unreadable or unwritable file, a workspace sweep or grid
+over its memory budget. The five verdicts are named by the CLI:
+RangeExceeded, GeometryInfeasible, TensionInfeasible and BoundaryMinimum
+(exit 2) and NoConvergence (exit 3). This is the CLI's only mapping from
+failures to exit codes: it catches TendonFingerError alone, so any other
+exception is a bug, not a verdict.
 """
 
 
@@ -16,8 +19,9 @@ class TendonFingerError(Exception):
 
 class ConfigError(TendonFingerError):
     """A configuration document is malformed or violates an invariant, a
-    command argument is malformed or out of range, or an input or output
-    file cannot be read or written."""
+    command argument is malformed or out of range, an input or output
+    file cannot be read or written, or a requested workspace sweep or
+    grid is empty or exceeds its memory budget."""
 
     exit_code = 1
 
@@ -52,30 +56,6 @@ class NoConvergence(TendonFingerError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
-
-
-class ResolutionTooLow(TendonFingerError):
-    """Workspace sweep resolution below the minimum of 2."""
-
-    exit_code = 1
-
-
-class ResolutionTooHigh(TendonFingerError):
-    """Workspace sweep resolution whose sweep exceeds the memory budget."""
-
-    exit_code = 1
-
-
-class GridTooLarge(TendonFingerError):
-    """Occupancy cell size whose grid exceeds the memory budget."""
-
-    exit_code = 1
-
-
-class EmptyCloud(TendonFingerError):
-    """Occupancy grid requested for a cloud with no points."""
-
-    exit_code = 2
 
 
 class BoundaryMinimum(TendonFingerError):

@@ -154,14 +154,6 @@ class ExternalLoad:
         return ExternalLoad(force=(0.0, -mass_kg * gravity_accel), moment=0.0)
 
 
-@dataclass(frozen=True)
-class FingertipState:
-    """Fingertip position plus the chain of link end points."""
-
-    position: tuple[float, float]
-    joint_positions: tuple[tuple[float, float], ...]
-
-
 def coupling_angles(q: float, geom: FingerGeometry) -> Configuration:
     """Rigid-tendon joint angles for displacement q: theta_i = q / R_i."""
     r1, r2, r3 = geom.guide_radii
@@ -196,21 +188,18 @@ def link_pose(theta, geom: FingerGeometry):
     return points, coms
 
 
-def fingertip_state(points) -> FingertipState:
-    """Fingertip state from the chain points of `link_pose`."""
-    return FingertipState(position=points[3], joint_positions=points[1:])
-
-
-def forward_kinematics(config: Configuration, geom: FingerGeometry) -> FingertipState:
-    """Fingertip and link end points for a configuration.
+def forward_kinematics(config: Configuration,
+                       geom: FingerGeometry) -> tuple[float, float]:
+    """Fingertip (x, y) for a configuration; `link_pose` gives the joints.
 
     x = sum_i L_i cos(theta_1 + ... + theta_i), same with sin for y.
     """
-    return fingertip_state(link_pose(config.theta, geom)[0])
+    return link_pose(config.theta, geom)[0][3]
 
 
-def fingertip_from_displacement(q: float, geom: FingerGeometry) -> FingertipState:
-    """Fingertip for displacement q; identical to the two-step pipeline."""
+def fingertip_from_displacement(q: float, geom: FingerGeometry) -> tuple[float, float]:
+    """Fingertip (x, y) for displacement q; identical to the two-step
+    pipeline."""
     return forward_kinematics(coupling_angles(q, geom), geom)
 
 

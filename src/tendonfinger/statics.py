@@ -19,6 +19,11 @@ radius as its arm and opposite sense. The balances collapse to the
 cascade T_k = T_{k+1} + |M_k| / R_k. Its joint torques are J^T T for the
 stretch Jacobian J, the elastic part of the potential's gradient, so at
 the minimum the cascade's tensions are the pose's Hooke tensions.
+
+A `StaticSolution` holds its results as the plain tuples the rest of the
+package uses: the fingertip as (x, y), like `EquilibriumResult` and
+`link_pose`, and the active group's three tensions as a triple beside
+that group's `TendonGroup`.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ from .model import (
     Configuration,
     ExternalLoad,
     FingerGeometry,
-    FingertipState,
     TendonGroup,
     TendonSpec,
-    fingertip_state,
     link_pose,
 )
 from .potential import PotentialModel, WrapGeometry, newton_step
@@ -43,26 +46,6 @@ DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
 
 _NEG_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TensionSet:
-    """Tendon tensions of the active group, all non-negative."""
-
-    t1: float
-    t2: float
-    t3: float
-    active_group: TendonGroup
-
-    def __post_init__(self):
-        if min(self.t1, self.t2, self.t3) < 0.0:
-            raise ValueError("a stretched tendon cannot push (negative tension)")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.t1, self.t2, self.t3)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -79,11 +62,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class StaticSolution:
-    """Converged static configuration with its tension state and trace."""
+    """Converged static configuration with its tension state and trace.
+
+    `tensions` are the active group's three tensions, all >= 0, and
+    `fingertip` is the (x, y) tip of the loaded pose.
+    """
 
     configuration: Configuration
-    tensions: TensionSet
-    fingertip: FingertipState
+    tensions: tuple[float, float, float]
+    active_group: TendonGroup
+    fingertip: tuple[float, float]
     deflection_y: float
     iterations: int
     residual: float
@@ -150,19 +138,21 @@ def _cascade(moments, geom: FingerGeometry, sign: float) -> tuple[float, float, 
     return (float(t1), float(t2), float(t3))
 
 
-def _tensions_for(moments, geom: FingerGeometry, group: TendonGroup) -> TensionSet:
+def _tensions_for(moments, geom: FingerGeometry,
+                  group: TendonGroup) -> tuple[float, float, float]:
     """Tensions of `group` balancing the net moments `moments`.
 
     Solves the three moment balances sequentially (joint 3, then 2, then
-    1); raises TensionInfeasible when the group would have to push.
+    1); raises TensionInfeasible when the group would have to push, and
+    clamps a tension within round-off of zero to zero, so all three are
+    >= 0.
     """
     sign = 1.0 if group is TendonGroup.FLEXION else -1.0
     scale = 1.0 + max(map(abs, moments)) / min(geom.guide_radii)
     ts = _cascade(moments, geom, sign)
     if min(ts) >= -_NEG_TOL * scale:
         t1, t2, t3 = ts
-        return TensionSet(max(t1, 0.0), max(t2, 0.0), max(t3, 0.0),
-                          active_group=group)
+        return (max(t1, 0.0), max(t2, 0.0), max(t3, 0.0))
     raise TensionInfeasible(
         f"no single tendon group holds this load (best tensions {ts})"
     )
@@ -174,7 +164,7 @@ def elongate_tendons(
     wrap: WrapGeometry,
 ) -> tuple[float, float, float]:
     """Stretched lengths L' = L * (1 + T / (E A)) of three tendons under
-    `tensions` (a TensionSet or a triple of non-negative tensions).
+    `tensions`, a triple of non-negative tensions.
 
     The actuating tendon uses its configured rest length; the coupling
     tendons use the geometric rest lengths carried by `wrap`.
@@ -261,7 +251,8 @@ def solve_static(
                 return StaticSolution(
                     configuration=cfg,
                     tensions=tensions,
-                    fingertip=fingertip_state(pose[0]),
+                    active_group=group,
+                    fingertip=pose[0][3],
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,
@@ -371,10 +362,10 @@ def solution_to_dict(sol: StaticSolution) -> dict:
         "q_m": sol.configuration.q,
         "theta_rad": list(theta),
         "theta_deg": [math.degrees(t) for t in theta],
-        "active_group": sol.tensions.active_group.value,
-        "tensions_n": list(sol.tensions.as_tuple()),
-        "fingertip_m": list(sol.fingertip.position),
-        "fingertip_mm": [v * 1e3 for v in sol.fingertip.position],
+        "active_group": sol.active_group.value,
+        "tensions_n": list(sol.tensions),
+        "fingertip_m": list(sol.fingertip),
+        "fingertip_mm": [v * 1e3 for v in sol.fingertip],
         "deflection_y_m": sol.deflection_y,
         "deflection_y_mm": sol.deflection_y * 1e3,
         "iterations": sol.iterations,

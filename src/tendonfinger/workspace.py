@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCloud,
-    GridTooLarge,
-    ResolutionTooHigh,
-    ResolutionTooLow,
-)
+from .errors import ConfigError
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
@@ -80,13 +74,13 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     """Sweep the coupled configuration space; see the module docstring
     for the per-link sampling formula."""
     if resolution < 2:
-        raise ResolutionTooLow(f"resolution must be >= 2, got {resolution}")
+        raise ConfigError(f"resolution must be >= 2, got {resolution}")
     try:
         need = float(sweep_point_count(resolution)) * SWEEP_BYTES_PER_POINT
     except OverflowError:  # point count beyond float range
         need = math.inf
     if need > MAX_SWEEP_BYTES:
-        raise ResolutionTooHigh(
+        raise ConfigError(
             f"resolution {resolution} needs about {need / 1e9:.3g} GB for "
             f"its sweep, over the {MAX_SWEEP_BYTES / 1e9:.3g} GB budget"
         )
@@ -146,9 +140,9 @@ def occupancy_grid(
     `links` restricts the gridded points to the given 1-based link ids;
     the grid extent always covers the whole cloud's bounding box so
     per-link grids share cell alignment. A cell size that is not
-    positive or exceeds the box's diagonal raises ConfigError, and one
-    whose grid would need more than MAX_GRID_BYTES raises GridTooLarge,
-    before anything is allocated.
+    positive, exceeds the box's diagonal or whose grid would need more
+    than MAX_GRID_BYTES raises ConfigError before anything is allocated,
+    and so does a selection with no points.
     """
     xmin, ymin, xmax, ymax = cloud.bounding_box
     diag = math.hypot(xmax - xmin, ymax - ymin)
@@ -163,7 +157,7 @@ def occupancy_grid(
     except OverflowError:  # cell count beyond float range
         need = math.inf
     if need > MAX_GRID_BYTES:
-        raise GridTooLarge(
+        raise ConfigError(
             f"cell size {cell_size:g} m needs about {need / 1e9:.3g} GB for "
             f"its grid, over the {MAX_GRID_BYTES / 1e9:.3g} GB budget"
         )
@@ -174,7 +168,7 @@ def occupancy_grid(
         chosen = [cloud.points_per_link[i - 1] for i in links]
         pts = np.vstack(chosen) if chosen else np.empty((0, 2))
     if pts.shape[0] == 0:
-        raise EmptyCloud("no points to grid")
+        raise ConfigError("no points to grid")
 
     ix = np.clip(((pts[:, 0] - xmin) / cell_size).astype(int), 0, nx - 1)
     iy = np.clip(((pts[:, 1] - ymin) / cell_size).astype(int), 0, ny - 1)

@@ -57,14 +57,14 @@ def test_criterion_1_kinematics_oracle(calibration):
     start = time.perf_counter()
 
     straight = forward_kinematics(coupling_angles(0.0, geom), geom)
-    exact_straight = (abs(straight.position[0] - geom.total_length) <= 1e-12
-                      and abs(straight.position[1]) <= 1e-12)
+    exact_straight = (abs(straight[0] - geom.total_length) <= 1e-12
+                      and abs(straight[1]) <= 1e-12)
 
     rotated = forward_kinematics(
         Configuration(q=0.0, theta=(math.pi / 2, 0.0, 0.0)), geom
     )
-    exact_rotated = (abs(rotated.position[0]) <= 1e-12
-                     and abs(rotated.position[1] - geom.total_length) <= 1e-12)
+    exact_rotated = (abs(rotated[0]) <= 1e-12
+                     and abs(rotated[1] - geom.total_length) <= 1e-12)
 
     rng = np.random.default_rng(2024)
     qmax = geom.guide_radii[0] * math.pi / 2 * 0.95
@@ -72,8 +72,8 @@ def test_criterion_1_kinematics_oracle(calibration):
     worst = 0.0
     for q in rng.uniform(-qmax, qmax, 100):
         jac = jacobian(q, geom)
-        xp = fingertip_from_displacement(q + h, geom).position
-        xm = fingertip_from_displacement(q - h, geom).position
+        xp = fingertip_from_displacement(q + h, geom)
+        xm = fingertip_from_displacement(q - h, geom)
         fd = np.array([(xp[0] - xm[0]) / (2 * h), (xp[1] - xm[1]) / (2 * h)])
         worst = max(worst, np.linalg.norm(jac - fd) / np.linalg.norm(fd))
 

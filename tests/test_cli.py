@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tendonfinger import cli, errors
 from tendonfinger.config import default_config_path
-from tendonfinger.statics import SWEEP_CSV_HEADER
+from tendonfinger.statics import SWEEP_CSV_HEADER, SweepRow
 
 from conftest import trig_is_math
 
@@ -151,6 +151,20 @@ class TestValidate:
         assert all(b > a for a, b in zip(deflections, deflections[1:]))
         assert "deflection monotone: yes" in res.stderr
 
+    @pytest.mark.parametrize("payloads", ["3,1,2", "1,1"])
+    def test_monotone_in_payload_order(self, payloads, capsys):
+        # Rows are compared sorted by payload; equal payloads are no
+        # violation.
+        assert cli.main(["validate", "--payloads", payloads]) == 0
+        assert "deflection monotone: yes" in capsys.readouterr().err
+
+    def test_monotone_violation(self, monkeypatch, capsys):
+        rows = [SweepRow(m, d, m * 9.81 / d, 3, "ok")
+                for m, d in ((2.0, 0.01), (1.0, 0.02))]
+        monkeypatch.setattr(cli, "stiffness_sweep", lambda *a, **k: rows)
+        assert cli.main(["validate", "--payloads", "2,1"]) == 0
+        assert "deflection monotone: no" in capsys.readouterr().err
+
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("validate", "--config", str(CONFIG), "--out", str(a))
@@ -228,6 +242,16 @@ class TestValidate:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert cli.main(["validate", "--reference", str(ref), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_reference_with_byte_order_mark(self, tmp_path, capsys):
+        # Spreadsheets export UTF-8 CSV with a leading byte-order mark.
+        ref = tmp_path / "ref.csv"
+        ref.write_text("payload_kg,deflection_mm\n0.5,1.0\n",
+                       encoding="utf-8-sig")
+        assert ref.read_bytes().startswith(b"\xef\xbb\xbfpayload_kg")
+        assert cli.main(["validate", "--payloads", "0.5",
+                         "--reference", str(ref)]) == 0
+        assert "reference comparison: max deviation" in capsys.readouterr().err
 
     def test_distinct_close_payloads_accepted(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
@@ -409,6 +433,11 @@ class TestUsage:
         ("solve", "0", "--at", "inf,0"),
         ("stiffness", "--payloads", "1,nan"),
         ("validate", "--payloads", "inf"),
+        # Read as negative numbers, not as options.
+        ("fk", "-inf"),
+        ("fk", "-nan"),
+        ("fk", "-Infinity"),
+        ("stiffness", "--payloads", "1", "--q", "-inf"),
     ])
     def test_non_finite_number_exit_1(self, args):
         res = run_cli(*args, "--config", str(CONFIG))
@@ -503,13 +532,9 @@ class TestInProcess:
 
     @pytest.mark.parametrize("error, code", [
         (errors.ConfigError, 1),
-        (errors.ResolutionTooLow, 1),
-        (errors.ResolutionTooHigh, 1),
-        (errors.GridTooLarge, 1),
         (errors.RangeExceeded, 2),
         (errors.TensionInfeasible, 2),
         (errors.GeometryInfeasible, 2),
-        (errors.EmptyCloud, 2),
         (errors.BoundaryMinimum, 2),
         (errors.NoConvergence, 3),
     ])

@@ -288,7 +288,7 @@ class TestFiles:
         doc = json.loads(json.dumps(solution_to_dict(sol)))
         assert doc["deflection_y_m"] == sol.deflection_y
         assert tuple(doc["theta_rad"]) == sol.configuration.theta
-        assert tuple(doc["tensions_n"]) == sol.tensions.as_tuple()
+        assert tuple(doc["tensions_n"]) == sol.tensions
         assert doc["deflection_y_mm"] == sol.deflection_y * 1e3
 
 

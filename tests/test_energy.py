@@ -724,8 +724,8 @@ class TestEquilibriumReport:
         load = ExternalLoad.tip_payload(3.0, geom_cal.gravity_accel)
         sol = solve_static(PotentialModel(geom_cal, specs, load, 0.0))
         eq = find_equilibrium(PotentialModel(geom_cal, specs, load, 0.0))
-        gap = math.hypot(sol.fingertip.position[0] - eq.fingertip[0],
-                         sol.fingertip.position[1] - eq.fingertip[1])
+        gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
+                         sol.fingertip[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
 
     def test_one_potential_model_per_report(self, calibrated, monkeypatch):

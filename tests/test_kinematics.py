@@ -10,6 +10,7 @@ from tendonfinger.model import (
     fingertip_from_displacement,
     forward_kinematics,
     jacobian,
+    link_pose,
 )
 
 GEOM = FingerGeometry(
@@ -56,15 +57,15 @@ class TestCouplingAngles:
 class TestForwardKinematics:
     def test_straight(self):
         tip = forward_kinematics(coupling_angles(0.0, GEOM), GEOM)
-        assert tip.position[0] == pytest.approx(0.171, abs=1e-12)
-        assert tip.position[1] == 0.0  # exactly, by the frame convention
+        assert tip[0] == pytest.approx(0.171, abs=1e-12)
+        assert tip[1] == 0.0  # exactly, by the frame convention
 
     def test_rigid_rotation(self):
         cfg = coupling_angles(0.0, GEOM)
         rotated = type(cfg)(q=0.0, theta=(math.pi / 2, 0.0, 0.0))
         tip = forward_kinematics(rotated, GEOM)
-        assert tip.position[0] == pytest.approx(0.0, abs=1e-12)
-        assert tip.position[1] == pytest.approx(0.171, abs=1e-12)
+        assert tip[0] == pytest.approx(0.0, abs=1e-12)
+        assert tip[1] == pytest.approx(0.171, abs=1e-12)
 
     def test_equal_bend_trig_sums(self):
         # Hand-evaluated cumulative angles 30/60/90 degrees.
@@ -76,21 +77,27 @@ class TestForwardKinematics:
                           + math.cos(math.pi / 2))
         expect_y = 0.1 * (math.sin(math.pi / 6) + math.sin(math.pi / 3)
                           + math.sin(math.pi / 2))
-        assert tip.position[0] == pytest.approx(expect_x, abs=1e-12)
-        assert tip.position[1] == pytest.approx(expect_y, abs=1e-12)
-        assert tip.position[0] == pytest.approx(0.13660, abs=1e-5)
-        assert tip.position[1] == pytest.approx(0.23660, abs=1e-5)
+        assert tip[0] == pytest.approx(expect_x, abs=1e-12)
+        assert tip[1] == pytest.approx(expect_y, abs=1e-12)
+        assert tip[0] == pytest.approx(0.13660, abs=1e-5)
+        assert tip[1] == pytest.approx(0.23660, abs=1e-5)
 
     def test_reach_bound(self):
         rng = np.random.default_rng(3)
         for q in rng.uniform(-0.0157, 0.0157, 100):
             tip = fingertip_from_displacement(q, GEOM)
-            assert math.hypot(*tip.position) <= GEOM.total_length + 1e-9
+            assert math.hypot(*tip) <= GEOM.total_length + 1e-9
 
     def test_joint_positions_are_partial_sums(self):
-        tip = fingertip_from_displacement(0.004, GEOM)
-        assert tip.joint_positions[2] == tip.position
-        assert len(tip.joint_positions) == 3
+        theta = coupling_angles(0.004, GEOM).theta
+        points = link_pose(theta, GEOM)[0]
+        assert points[3] == fingertip_from_displacement(0.004, GEOM)
+        assert len(points) == 4 and points[0] == (0.0, 0.0)
+        phi = np.cumsum(theta)
+        for k in range(1, 4):
+            x = sum(GEOM.link_lengths[i] * math.cos(phi[i]) for i in range(k))
+            y = sum(GEOM.link_lengths[i] * math.sin(phi[i]) for i in range(k))
+            assert points[k] == pytest.approx((x, y), abs=1e-15)
 
 
 class TestFingertipFromDisplacement:
@@ -104,8 +111,8 @@ class TestFingertipFromDisplacement:
     def test_equal_radii_matches_equal_bend(self):
         q = 0.01 * math.pi / 6
         tip = fingertip_from_displacement(q, EQUAL)
-        assert tip.position[0] == pytest.approx(0.13660254037844388, abs=1e-12)
-        assert tip.position[1] == pytest.approx(0.23660254037844387, abs=1e-12)
+        assert tip[0] == pytest.approx(0.13660254037844388, abs=1e-12)
+        assert tip[1] == pytest.approx(0.23660254037844387, abs=1e-12)
 
     def test_range_propagates(self):
         with pytest.raises(RangeExceeded):
@@ -113,8 +120,8 @@ class TestFingertipFromDisplacement:
 
 
 def _fd_jacobian(q, geom, h=1e-7):
-    xp = fingertip_from_displacement(q + h, geom).position
-    xm = fingertip_from_displacement(q - h, geom).position
+    xp = fingertip_from_displacement(q + h, geom)
+    xm = fingertip_from_displacement(q - h, geom)
     return np.array([(xp[0] - xm[0]) / (2 * h), (xp[1] - xm[1]) / (2 * h)])
 
 

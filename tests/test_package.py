@@ -14,7 +14,11 @@ def test_every_error_class_is_exported():
         name for name, obj in inspect.getmembers(errors, inspect.isclass)
         if issubclass(obj, errors.TendonFingerError) and obj.__module__ == errors.__name__
     }
-    assert "GridTooLarge" in defined and "ResolutionTooHigh" in defined
+    assert defined == {
+        "TendonFingerError", "ConfigError", "RangeExceeded",
+        "GeometryInfeasible", "TensionInfeasible", "BoundaryMinimum",
+        "NoConvergence",
+    }
     for name in defined:
         assert getattr(tendonfinger, name) is getattr(errors, name)
     assert defined <= set(tendonfinger.__all__)

@@ -20,7 +20,6 @@ from tendonfinger.model import (
     Configuration,
     ExternalLoad,
     FingerGeometry,
-    FingertipState,
     TendonGroup,
     coupling_angles,
     forward_kinematics,
@@ -28,7 +27,6 @@ from tendonfinger.model import (
 )
 from tendonfinger.potential import PotentialModel, newton_step, zero_pose_wrap
 from tendonfinger.statics import (
-    TensionSet,
     _restraint_sign,
     _tensions_for,
     elongate_tendons,
@@ -187,8 +185,7 @@ class TestTensionCascade:
         cfg = coupling_angles(0.0, geom_massless)
         assert _restraint_sign(_moments(cfg, geom_massless, ExternalLoad())) == 1.0
         tensions = _group_tensions(cfg, geom_massless, ExternalLoad())
-        assert tensions.as_tuple() == (0.0, 0.0, 0.0)
-        assert tensions.active_group is TendonGroup.FLEXION
+        assert tensions == (0.0, 0.0, 0.0)
 
     def test_distal_balance_pure_tip_force(self, geom_massless):
         # Massless straight pose: the joint-3 balance alone fixes
@@ -198,17 +195,15 @@ class TestTensionCascade:
         assert _restraint_sign(_moments(cfg, geom_massless, load)) == 1.0
         tensions = _group_tensions(cfg, geom_massless, load)
         expect = 9.81 * geom_massless.link_lengths[2] / geom_massless.guide_radii[2]
-        assert tensions.t3 == pytest.approx(expect, rel=1e-12)
-        assert tensions.t3 == pytest.approx(65.86, abs=0.01)
-        assert tensions.active_group is TendonGroup.FLEXION
+        assert tensions[2] == pytest.approx(expect, rel=1e-12)
+        assert tensions[2] == pytest.approx(65.86, abs=0.01)
 
     def test_upward_force_uses_extension_group(self, geom_massless):
         cfg = coupling_angles(0.0, geom_massless)
         load = ExternalLoad(force=(0.0, 9.81))
         assert _restraint_sign(_moments(cfg, geom_massless, load)) == -1.0
         tensions = _group_tensions(cfg, geom_massless, load, TendonGroup.EXTENSION)
-        assert tensions.active_group is TendonGroup.EXTENSION
-        assert min(tensions.as_tuple()) >= 0.0
+        assert min(tensions) >= 0.0
 
     def test_load_linearity(self, geom_cal):
         cfg = coupling_angles(0.002, geom_cal)
@@ -223,7 +218,7 @@ class TestTensionCascade:
         )
         base = _group_tensions(cfg, geom_cal, load)
         twice = _group_tensions(cfg, geom2, doubled)
-        for a, b in zip(base.as_tuple(), twice.as_tuple()):
+        for a, b in zip(base, twice):
             assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_mixed_signs_infeasible(self, geom_massless):
@@ -246,19 +241,19 @@ class TestTensionCascade:
         # Same force at the fingertip coordinates equals the default;
         # moving it to joint 3 removes the distal moment entirely.
         cfg = coupling_angles(0.0, geom_massless)
-        tip_xy = forward_kinematics(cfg, geom_massless).position
+        tip_xy = forward_kinematics(cfg, geom_massless)
         at_tip = _group_tensions(
             cfg, geom_massless,
             ExternalLoad(force=(0.0, -9.81), application_point=tip_xy),
         )
         default = _group_tensions(cfg, geom_massless, ExternalLoad(force=(0.0, -9.81)))
-        assert at_tip.as_tuple() == pytest.approx(default.as_tuple(), rel=1e-12)
+        assert at_tip == pytest.approx(default, rel=1e-12)
         at_joint3 = _group_tensions(
             cfg, geom_massless,
             ExternalLoad(force=(0.0, -9.81), application_point=(0.12, 0.0)),
         )
-        assert at_joint3.t3 == pytest.approx(0.0, abs=1e-9)
-        assert at_joint3.t2 > 0.0
+        assert at_joint3[2] == pytest.approx(0.0, abs=1e-9)
+        assert at_joint3[1] > 0.0
 
 
 class TestElongation:
@@ -267,7 +262,7 @@ class TestElongation:
         trio = [s for s in specs if s.group is TendonGroup.FLEXION]
         wrap = zero_pose_wrap(geom_cal)
         lengths = elongate_tendons(
-            TensionSet(0.0, 0.0, 0.0, TendonGroup.FLEXION), tuple(trio), wrap
+            (0.0, 0.0, 0.0), tuple(trio), wrap
         )
         assert lengths == (trio[0].rest_length, wrap.rest_length_2,
                            wrap.rest_length_3)
@@ -277,7 +272,7 @@ class TestElongation:
         trio = tuple(s for s in specs if s.group is TendonGroup.FLEXION)
         wrap = zero_pose_wrap(geom_cal)
         lengths = elongate_tendons(
-            TensionSet(62.8, 0.0, 0.0, TendonGroup.FLEXION), trio, wrap
+            (62.8, 0.0, 0.0), trio, wrap
         )
         strain = 62.8 / (STEEL_E * STEEL_AREA)
         assert strain == pytest.approx(3.998e-4, abs=1e-7)
@@ -286,7 +281,7 @@ class TestElongation:
 
     def test_doubling_area_halves_stretch(self, geom_cal):
         wrap = zero_pose_wrap(geom_cal)
-        t = TensionSet(50.0, 40.0, 30.0, TendonGroup.FLEXION)
+        t = (50.0, 40.0, 30.0)
         thin = tuple(s for s in make_specs() if s.group is TendonGroup.FLEXION)
         thick = tuple(s for s in make_specs(area=2 * STEEL_AREA)
                       if s.group is TendonGroup.FLEXION)
@@ -306,7 +301,7 @@ class TestSolveStatic:
                                           0.004))
         assert sol.iterations <= 2
         assert sol.deflection_y == 0.0
-        assert sol.tensions.as_tuple() == (0.0, 0.0, 0.0)
+        assert sol.tensions == (0.0, 0.0, 0.0)
         assert sol.configuration == coupling_angles(0.004, geom_massless)
 
     def test_calibrated_payload_deflection(self, calibrated):
@@ -352,8 +347,8 @@ class TestSolveStatic:
         theta = sol.configuration.theta
         step = newton_step(*model.gradient_hessian(theta))
         cfg = Configuration(q=0.0, theta=tuple(t + d for t, d in zip(theta, step)))
-        y_extra = forward_kinematics(cfg, geom).position[1]
-        assert abs(y_extra - sol.fingertip.position[1]) <= threshold
+        y_extra = forward_kinematics(cfg, geom)[1]
+        assert abs(y_extra - sol.fingertip[1]) <= threshold
 
     def test_converged_tensions_are_hooke_tensions(self, calibrated):
         # At the minimum the tangent cascade's tensions are the Hooke
@@ -363,9 +358,8 @@ class TestSolveStatic:
                      ExternalLoad(force=(0.0, 9.81))):
             model = PotentialModel(geom, specs, load, 0.0)
             sol = solve_static(model)
-            hooke = model.tensions(sol.configuration.theta,
-                                   sol.tensions.active_group)
-            np.testing.assert_allclose(sol.tensions.as_tuple(), hooke, rtol=1e-9)
+            hooke = model.tensions(sol.configuration.theta, sol.active_group)
+            np.testing.assert_allclose(sol.tensions, hooke, rtol=1e-9)
             np.testing.assert_allclose(sol.trace[-1].tensions, hooke, rtol=1e-9)
 
     def test_tension_positivity(self, calibrated):
@@ -375,7 +369,7 @@ class TestSolveStatic:
             m = float(rng.uniform(0.2, 3.0))
             load = ExternalLoad.tip_payload(m, geom.gravity_accel)
             sol = solve_static(PotentialModel(geom, specs, load, 0.0))
-            assert min(sol.tensions.as_tuple()) >= 0.0
+            assert min(sol.tensions) >= 0.0
 
     def test_rigid_limit_scaling(self, geom_massless):
         load = ExternalLoad.tip_payload(3.0)
@@ -455,8 +449,8 @@ class TestSolveStatic:
         down, up = (solve_static(PotentialModel(geom_massless, specs,
                                                 ExternalLoad(force=(0.0, fy)), 0.0))
                     for fy in (-9.81, 9.81))
-        assert down.tensions.active_group is TendonGroup.FLEXION
-        assert up.tensions.active_group is TendonGroup.EXTENSION
+        assert down.active_group is TendonGroup.FLEXION
+        assert up.active_group is TendonGroup.EXTENSION
         assert down.deflection_y > 0.0
         assert up.deflection_y == pytest.approx(-down.deflection_y, rel=1e-12)
         for u, d in zip(up.configuration.theta, down.configuration.theta):
@@ -603,8 +597,7 @@ class FrozenStatics:
         tip = (float(pts[3, 0]), float(pts[3, 1]))
         if math.hypot(*tip) > geom.total_length + 1e-9:
             raise ValueError("fingertip left the reachable disk (numerical fault)")
-        joints = tuple((float(p[0]), float(p[1])) for p in pts[1:])
-        return FingertipState(position=tip, joint_positions=joints)
+        return tip
 
     def net_external_moments(self, config, geom, load):
         def cross2(a, b):
@@ -637,8 +630,7 @@ class FrozenStatics:
             ts = statics._cascade(moments, geom, sign)
             last = ts
             if min(ts) >= -statics._NEG_TOL * scale:
-                clamped = tuple(max(t, 0.0) for t in ts)
-                return statics.TensionSet(*clamped, active_group=group)
+                return tuple(max(t, 0.0) for t in ts)
         raise TensionInfeasible(
             f"no single tendon group holds this load (best tensions {last})"
         )
@@ -723,11 +715,11 @@ def assert_matches_oracle(sol, q, geom, specs, load):
     energy oracle's, and the solved pose balances the tangent cascade."""
     model = PotentialModel(geom, specs, load, q)
     eq = find_equilibrium(model)
-    gap = math.hypot(sol.fingertip.position[0] - eq.fingertip[0],
-                     sol.fingertip.position[1] - eq.fingertip[1])
+    gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
+                     sol.fingertip[1] - eq.fingertip[1])
     assert gap <= 1e-4 * geom.total_length
     residuals = balance_residuals(model, sol.configuration.theta,
-                                  sol.tensions.active_group)["tangent_nm"]
+                                  sol.active_group)["tangent_nm"]
     assert max(map(abs, residuals)) <= 1e-9
 
 
@@ -771,7 +763,7 @@ class TestFrozenReference:
             assert isinstance(got, expected)
             return
         if expected is not None:
-            assert got.tensions.active_group is expected
+            assert got.active_group is expected
         assert got.residual <= 1e-6
         assert_matches_oracle(got, q, geom, specs, load)
 

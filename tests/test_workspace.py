@@ -4,7 +4,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from tendonfinger.errors import ConfigError, EmptyCloud, ResolutionTooLow
+from tendonfinger.errors import ConfigError
 from tendonfinger.model import FingerGeometry
 from tendonfinger.workspace import (
     cloud_to_csv,
@@ -48,7 +48,7 @@ def reference_pgm(grid):
 
 class TestSweep:
     def test_resolution_too_low(self):
-        with pytest.raises(ResolutionTooLow):
+        with pytest.raises(ConfigError, match="resolution must be >= 2"):
             sweep_workspace(GEOM, 1)
 
     def test_sampling_formula_at_50(self):
@@ -137,7 +137,7 @@ class TestOccupancy:
 
     def test_empty_cloud(self):
         cloud = sweep_workspace(GEOM, 5)
-        with pytest.raises(EmptyCloud):
+        with pytest.raises(ConfigError, match="no points to grid"):
             occupancy_grid(cloud, 1e-3, links=())
 
     def test_cell_size_validation(self):
