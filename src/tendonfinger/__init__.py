@@ -11,7 +11,6 @@ from .errors import (
     NoConvergence,
     RangeExceeded,
     TendonFingerError,
-    TensionInfeasible,
 )
 from .model import (
     Configuration,
@@ -58,7 +57,6 @@ __all__ = [
     "TendonFingerError",
     "TendonGroup",
     "TendonSpec",
-    "TensionInfeasible",
     "WorkspaceCloud",
     "WrapGeometry",
     "coupling_angles",

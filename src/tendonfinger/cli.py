@@ -9,9 +9,10 @@ take --format. Machine-readable output (CSV / JSON) goes to --out or
 stdout; human status lines go to stderr. Exit codes: 0 success, 1
 configuration or usage errors (a malformed or out-of-range argument, an
 unreadable or unwritable file, an option the command does not take), 2
-infeasible loads / exceeded ranges / an oracle-check verdict out of
-tolerance, 3 non-convergence, a Newton blow-up included (diagnostics are
-still written). Every refusal is a TendonFingerError raised where it is
+a pose the coupling tendons cannot wrap / an exceeded joint range / a
+minimum on the oracle's search-box boundary / an oracle-check verdict
+out of tolerance, 3 non-convergence, a Newton blow-up included
+(diagnostics are still written). Every refusal is a TendonFingerError raised where it is
 checked, and `main` maps it to its class's exit code: an exit-1 refusal
 is a ConfigError, printed without its class name. `stiffness` and
 `validate` report a failing payload in its row instead.
@@ -56,16 +57,18 @@ PAYLOAD_MATCH_KG = 1e-9  # a reference row matches a payload this close
 WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 
 
-# -<digits>[.<digits>] with an optional exponent, -inf, -infinity and -nan
-# are negative numbers, not options, so `_finite` can name their fault; the
-# argparse of Python 3.11 reads only the form without an exponent.
+# -<digits>[.[<digits>]] and -.<digits> with an optional exponent, -inf,
+# -infinity and -nan are negative numbers, not options, so `_finite` can
+# name their fault; the argparse of Python 3.11 reads only -<digits> and
+# -[<digits>].<digits>.
 _NEGATIVE_NUMBER = re.compile(
-    r"^-(\d*\.?\d+([eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+    r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to the config exit code, and
-    negative numbers in exponent form read as values (`fk -1e-3`)."""
+    negative numbers in exponent or trailing-dot form read as values
+    (`fk -1e-3`, `fk -5.`)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

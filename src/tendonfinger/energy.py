@@ -190,22 +190,25 @@ def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
     )
 
 
-def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
+def balance_residuals(model: PotentialModel, theta) -> dict:
     """Moment-balance residuals (N m) of `model`'s load case at an
     arbitrary pose.
 
-    Tensions are taken from Hooke's law applied to the pose's tendon
-    stretches, then substituted into two balances: the tangent cascade
-    that the statics solves, whose residuals are minus the potential's
-    gradient, and a wrap-integral reading in which a distal tension keeps
-    its own-joint arm and the distributed normal load on the distal guide
-    is integrated with the link length as lever (`wrap_moment`). A load's
-    application point rides with the distal link, as in the potential. A
-    zero residual triple means the pose satisfies that balance exactly.
+    Tensions are the Hooke tensions of each index's taut tendon at the
+    pose (`PotentialModel.tensions`, reported as `tensions_n`), signed +
+    for flexion and - for extension: the net tensions of
+    `gradient_hessian`. Both balances take these signed tensions: the
+    tangent balance of the guide cylinders, whose residuals are minus the
+    potential's gradient, and a wrap-integral reading in which a distal
+    tension keeps its own-joint arm and the distributed normal load on
+    the distal guide is integrated with the link length as lever
+    (`wrap_moment`). A load's application point rides with the distal
+    link, as in the potential. A zero residual triple means the pose
+    satisfies that balance exactly.
 
     `wrap_integral_nm` evaluates the wrap-integral tension model, which
     the solver no longer uses: the potential's minimum balances the
-    tangent cascade, not that model. So it reads far from zero at an
+    tangent model, not that one. So it reads far from zero at an
     equilibrium (on `oracle-check --cases 10 --seed 7`, -26.9 to -1.9 N m
     at joint 1 and -7.7 to -0.5 N m at joint 2, while `tangent_nm` stays
     within 1.1e-14 N m) and does not mark a failed balance; it is None
@@ -216,11 +219,11 @@ def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
     Configuration(q=model.q, theta=theta)  # raises RangeExceeded outside limits
     pose = link_pose(theta, geom)
     m1, m2, m3 = pose_moments(pose, geom, model.load_at(theta, pose))
-    sign = 1.0 if group is TendonGroup.FLEXION else -1.0
-    t1, t2, t3 = model.tensions(theta, group)
+    tensions, groups = model.tensions(theta)
+    n1, n2, n3 = (t if g is TendonGroup.FLEXION else -t
+                  for t, g in zip(tensions, groups))
     r1, r2, r3 = geom.guide_radii
-    tangent = [m1 + sign * r1 * (t1 - t2), m2 + sign * r2 * (t2 - t3),
-               m3 + sign * r3 * t3]
+    tangent = [m1 + r1 * (n1 - n2), m2 + r2 * (n2 - n3), m3 + r3 * n3]
 
     _, l2, l3 = geom.link_lengths
     try:
@@ -229,13 +232,13 @@ def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
         wrap_int = None
     else:
         wrap_int = [
-            m1 + sign * (t1 * r1 + t2 * r2 - wrap_moment(t2, l2, theta[1], alpha2)),
-            m2 + sign * (t2 * r2 + t3 * r3 - wrap_moment(t3, l3, theta[2], alpha3)),
-            m3 + sign * t3 * r3,
+            m1 + (n1 * r1 + n2 * r2 - wrap_moment(n2, l2, theta[1], alpha2)),
+            m2 + (n2 * r2 + n3 * r3 - wrap_moment(n3, l3, theta[2], alpha3)),
+            m3 + n3 * r3,
         ]
 
     return {
-        "tensions_n": [t1, t2, t3],
+        "tensions_n": list(tensions),
         "tangent_nm": tangent,
         "wrap_integral_nm": wrap_int,
     }
@@ -244,8 +247,8 @@ def balance_residuals(model: PotentialModel, theta, group: TendonGroup) -> dict:
 def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]:
     """Randomized fingertip loads: payloads in CASE_PAYLOAD_KG, their
     weights turned into a downward cone of half angle
-    CASE_CONE_HALF_ANGLE_DEG so a single tendon group can always hold
-    them."""
+    CASE_CONE_HALF_ANGLE_DEG about straight down, the direction of the
+    paper's payload tests."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):
@@ -337,8 +340,7 @@ def equilibrium_report(
         entry["fingertip_delta_mm"] = delta * 1e3
         entry["delta_fraction_of_length"] = delta / total_len
         entry["balance_residuals_at_energy_pose"] = balance_residuals(
-            model, eq.theta, sol.active_group
-        )
+            model, eq.theta)
         worst = max(worst, delta / total_len)
         compared += 1
         entries.append(entry)

@@ -3,9 +3,9 @@
 Each class carries the exit code the command-line front end returns for
 it. Every refused input is a ConfigError (exit 1): a malformed document
 or argument, an unreadable or unwritable file, a workspace sweep or grid
-over its memory budget. The five verdicts are named by the CLI:
-RangeExceeded, GeometryInfeasible, TensionInfeasible and BoundaryMinimum
-(exit 2) and NoConvergence (exit 3). This is the CLI's only mapping from
+over its memory budget. The four verdicts are named by the CLI:
+RangeExceeded, GeometryInfeasible and BoundaryMinimum (exit 2) and
+NoConvergence (exit 3). This is the CLI's only mapping from
 failures to exit codes: it catches TendonFingerError alone, so any other
 exception is a bug, not a verdict.
 """
@@ -34,12 +34,6 @@ class RangeExceeded(TendonFingerError):
 
 class GeometryInfeasible(TendonFingerError):
     """Wrap-angle geometry is undefined for the given configuration."""
-
-    exit_code = 2
-
-
-class TensionInfeasible(TendonFingerError):
-    """No single tendon group can hold the requested load."""
 
     exit_code = 2
 

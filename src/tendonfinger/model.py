@@ -22,8 +22,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RangeExceeded
 
 THETA1_MIN = -math.pi / 2
@@ -203,16 +201,19 @@ def fingertip_from_displacement(q: float, geom: FingerGeometry) -> tuple[float, 
     return forward_kinematics(coupling_angles(q, geom), geom)
 
 
-def jacobian(q: float, geom: FingerGeometry) -> np.ndarray:
-    """d(fingertip)/dq of the coupled chain, shape (2,).
+def jacobian(q: float, geom: FingerGeometry) -> tuple[float, float]:
+    """d(fingertip)/dq of the coupled chain, as (dx, dy).
 
     The absolute angle of link i is q * C_i with C_i = sum_{j<=i} 1/R_j,
     so d x/d q = -sum_i L_i C_i sin(q C_i) and d y/d q the cosine form.
     """
     coupling_angles(q, geom)  # range check only
-    lengths = np.asarray(geom.link_lengths)
-    rates = np.cumsum(1.0 / np.asarray(geom.guide_radii))
-    phi = q * rates
-    dx = -np.sum(lengths * rates * np.sin(phi))
-    dy = np.sum(lengths * rates * np.cos(phi))
-    return np.array([dx, dy])
+    l1, l2, l3 = geom.link_lengths
+    r1, r2, r3 = geom.guide_radii
+    c1 = 1.0 / r1
+    c2 = c1 + 1.0 / r2
+    c3 = c2 + 1.0 / r3
+    a1, a2, a3 = l1 * c1, l2 * c2, l3 * c3
+    dx = -((a1 * math.sin(q * c1) + a2 * math.sin(q * c2)) + a3 * math.sin(q * c3))
+    dy = (a1 * math.cos(q * c1) + a2 * math.cos(q * c2)) + a3 * math.cos(q * c3)
+    return dx, dy

@@ -12,7 +12,9 @@ only on the differential motion R_i * d_i - R_{i-1} * d_{i-1} with
 d_i = theta_hat_i - theta_i. Extension-group stretches are the mirror
 image. A slack tendon (negative stretch) stores no energy. Hooke's law
 T = (E A / L) * stretch gives each tendon's tension, where a coupling
-tendon's rest length L is fixed by the zero-pose wrap geometry.
+tendon's rest length L is fixed by the zero-pose wrap geometry. So at
+each index one tendon is taut: the flexion tendon where the
+flexion-side stretch is >= 0, the extension tendon where it is < 0.
 """
 
 from __future__ import annotations
@@ -180,14 +182,21 @@ class PotentialModel:
                             application_point=(jx + c * ax - s * ay,
                                                jy + s * ax + c * ay))
 
-    def tensions(self, theta, group: TendonGroup) -> tuple[float, float, float]:
-        """Hooke tensions of one group's three tendons at one pose."""
-        s1, s2, s3 = self.stretches(*theta)
-        if group is TendonGroup.FLEXION:
-            k1, k2, k3 = self.k_flex
-            return (k1 * max(s1, 0.0), k2 * max(s2, 0.0), k3 * max(s3, 0.0))
-        k1, k2, k3 = self.k_ext
-        return (k1 * max(-s1, 0.0), k2 * max(-s2, 0.0), k3 * max(-s3, 0.0))
+    def tensions(self, theta):
+        """Hooke tensions of the taut tendon at each index at one pose,
+        with their groups: flexion where the stretch is >= 0, extension
+        where it is < 0, the sign rule of `gradient_hessian`'s net
+        tensions. Returns (tensions, groups), two triples; every tension
+        is >= 0."""
+        tensions, groups = [], []
+        for s, kf, ke in zip(self.stretches(*theta), self.k_flex, self.k_ext):
+            if s >= 0.0:
+                tensions.append(kf * s)
+                groups.append(TendonGroup.FLEXION)
+            else:
+                tensions.append(ke * -s)
+                groups.append(TendonGroup.EXTENSION)
+        return tuple(tensions), tuple(groups)
 
     def gradient_hessian(self, theta):
         """Analytic gradient (3,) and Hessian (3 x 3) of the total potential

@@ -9,21 +9,22 @@ Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
 its load on one shared model. The energy module's oracle minimizes the
 same potential by a grid search and so checks the solver.
 
-Tensions are found by three sequential scalar moment balances, distal to
-proximal: the distal link alone about joint 3, the distal two links about
-joint 2, and the whole chain about joint 1. Each joint's tendon acts
-tangentially on its guide cylinder, and a coupling tendon leaves adjacent
-guide cylinders along their internal common tangent, so the distal
-tension re-enters the next proximal balance with the proximal guide
-radius as its arm and opposite sense. The balances collapse to the
-cascade T_k = T_{k+1} + |M_k| / R_k. Its joint torques are J^T T for the
-stretch Jacobian J, the elastic part of the potential's gradient, so at
-the minimum the cascade's tensions are the pose's Hooke tensions.
+Tensions follow from the pose by the potential's own rule, with no
+second solve: at each index the tendon whose stretch is taut (flexion
+where the stretch is >= 0, extension where it is < 0) pulls with its
+Hooke tension, and its partner is slack (`PotentialModel.tensions`).
+Each tendon acts tangentially on its guide cylinder, and a coupling
+tendon leaves adjacent guide cylinders along their internal common
+tangent, so these tensions, signed by their groups, give the joint
+torques J^T T for the stretch Jacobian J: the elastic part of the
+potential's gradient. At the minimum they balance the load's moments
+(`balance_residuals`' `tangent_nm`), whichever groups are taut, so every
+load whose minimum the solve reaches is held.
 
 A `StaticSolution` holds its results as the plain tuples the rest of the
 package uses: the fingertip as (x, y), like `EquilibriumResult` and
-`link_pose`, and the active group's three tensions as a triple beside
-that group's `TendonGroup`.
+`link_pose`, and the three tensions as a triple beside the triple of
+their tendons' `TendonGroup`s.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NoConvergence, TendonFingerError, TensionInfeasible
+from .errors import NoConvergence, TendonFingerError
 from .model import (
     Configuration,
     ExternalLoad,
@@ -45,12 +46,10 @@ from .potential import PotentialModel, WrapGeometry, newton_step
 DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
 
-_NEG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One Newton step's pose with the active group's Hooke tensions."""
+    """One Newton step's pose with its taut tendons' Hooke tensions."""
 
     index: int
     theta: tuple[float, float, float]
@@ -64,13 +63,14 @@ class IterationRecord:
 class StaticSolution:
     """Converged static configuration with its tension state and trace.
 
-    `tensions` are the active group's three tensions, all >= 0, and
-    `fingertip` is the (x, y) tip of the loaded pose.
+    `tensions` are the Hooke tensions of the taut tendon at each index,
+    all >= 0, and `tension_groups` those tendons' groups; `fingertip` is
+    the (x, y) tip of the loaded pose.
     """
 
     configuration: Configuration
     tensions: tuple[float, float, float]
-    active_group: TendonGroup
+    tension_groups: tuple[TendonGroup, TendonGroup, TendonGroup]
     fingertip: tuple[float, float]
     deflection_y: float
     iterations: int
@@ -118,53 +118,13 @@ def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad):
     return tuple(moments)
 
 
-def _restraint_sign(moments, tol: float = 1e-12) -> float:
-    """+1 when the flexion group must restrain the load, -1 for extension.
-
-    Decided by the distal-most non-zero net moment; an unloaded finger
-    defaults to the flexion group.
-    """
-    for m in (moments[2], moments[1], moments[0]):
-        if abs(m) > tol:
-            return 1.0 if m < 0.0 else -1.0
-    return 1.0
-
-
-def _cascade(moments, geom: FingerGeometry, sign: float) -> tuple[float, float, float]:
-    r1, r2, r3 = geom.guide_radii
-    t3 = -moments[2] / (sign * r3)
-    t2 = t3 - moments[1] / (sign * r2)
-    t1 = t2 - moments[0] / (sign * r1)
-    return (float(t1), float(t2), float(t3))
-
-
-def _tensions_for(moments, geom: FingerGeometry,
-                  group: TendonGroup) -> tuple[float, float, float]:
-    """Tensions of `group` balancing the net moments `moments`.
-
-    Solves the three moment balances sequentially (joint 3, then 2, then
-    1); raises TensionInfeasible when the group would have to push, and
-    clamps a tension within round-off of zero to zero, so all three are
-    >= 0.
-    """
-    sign = 1.0 if group is TendonGroup.FLEXION else -1.0
-    scale = 1.0 + max(map(abs, moments)) / min(geom.guide_radii)
-    ts = _cascade(moments, geom, sign)
-    if min(ts) >= -_NEG_TOL * scale:
-        t1, t2, t3 = ts
-        return (max(t1, 0.0), max(t2, 0.0), max(t3, 0.0))
-    raise TensionInfeasible(
-        f"no single tendon group holds this load (best tensions {ts})"
-    )
-
-
 def elongate_tendons(
     tensions,
     specs: tuple[TendonSpec, TendonSpec, TendonSpec],
     wrap: WrapGeometry,
 ) -> tuple[float, float, float]:
-    """Stretched lengths L' = L * (1 + T / (E A)) of three tendons under
-    `tensions`, a triple of non-negative tensions.
+    """Stretched lengths L' = L * (1 + T / (E A)) of three tendons, one
+    per index, under `tensions`, a triple of non-negative tensions.
 
     The actuating tendon uses its configured rest length; the coupling
     tendons use the geometric rest lengths carried by `wrap`.
@@ -190,28 +150,22 @@ def solve_static(
     Newton steps on the potential's analytic gradient and Hessian start
     at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
     fingertip movement between two steps is at most `threshold`, so at
-    least two steps run. The active group is frozen once, from the net
-    moment at that pose; the solution's tensions are its tangent cascade
-    at the converged pose. Raises GeometryInfeasible when a coupling
-    tendon cannot wrap its guides at the rigid or at the converged pose,
-    and NoConvergence, with the steps' trace, after `max_iterations`
-    steps, at a Hessian that is not positive definite or at a step to a
-    non-finite angle.
+    least two steps run. The solution's tensions, rest and stretched
+    lengths are the last step's: each index's taut tendon with its Hooke
+    tension (`PotentialModel.tensions`). Raises GeometryInfeasible when a
+    coupling tendon cannot wrap its guides at the rigid or at the
+    converged pose, and NoConvergence, with the steps' trace, after
+    `max_iterations` steps, at a Hessian that is not positive definite or
+    at a step to a non-finite angle.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    geom, load, nominal, wrap0 = model.geom, model.load, model.nominal, model.wrap0
+    geom, nominal, wrap0 = model.geom, model.nominal, model.wrap0
     wrap0.angles_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
-    pose = model.nominal_pose
-    y_nominal = pose[0][3][1]
-
-    sign = _restraint_sign(pose_moments(pose, geom, load))
-    group = TendonGroup.FLEXION if sign > 0.0 else TendonGroup.EXTENSION
-    trio = model.trios[group]
-    rest = (trio[0].rest_length, wrap0.rest_length_2, wrap0.rest_length_3)
+    y_nominal = model.nominal_pose[0][3][1]
 
     theta = nominal.theta
     y_prev = None
@@ -231,33 +185,34 @@ def solve_static(
                 f"Newton step {k} gave a non-finite joint angle", trace=trace
             )
         cfg = Configuration(q=nominal.q, theta=theta)
-        pose = link_pose(theta, geom)
-        tensions = model.tensions(theta, group)
+        tip = link_pose(theta, geom)[0][3]
+        tensions, groups = model.tensions(theta)
+        taut = tuple(model.trios[g][i] for i, g in enumerate(groups))
+        elongated = elongate_tendons(tensions, taut, wrap0)
 
-        y_k = pose[0][3][1]
+        y_k = tip[1]
         residual = abs(y_k - y_prev) if y_prev is not None else None
         trace.append(IterationRecord(
             index=k, theta=theta, fingertip_y=y_k,
             tensions=tensions,
-            elongated_lengths=elongate_tendons(tensions, trio, wrap0),
+            elongated_lengths=elongated,
             residual=residual,
         ))
 
         if residual is not None:
             if residual <= threshold:
                 wrap0.angles_at(theta)  # and a solved one
-                moments = pose_moments(pose, geom, model.load_at(theta, pose))
-                tensions = _tensions_for(moments, geom, group)
                 return StaticSolution(
                     configuration=cfg,
                     tensions=tensions,
-                    active_group=group,
-                    fingertip=pose[0][3],
+                    tension_groups=groups,
+                    fingertip=tip,
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,
-                    rest_lengths=rest,
-                    elongated_lengths=elongate_tendons(tensions, trio, wrap0),
+                    rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
+                                  wrap0.rest_length_3),
+                    elongated_lengths=elongated,
                     trace=tuple(trace),
                 )
             last_residual = residual
@@ -362,7 +317,7 @@ def solution_to_dict(sol: StaticSolution) -> dict:
         "q_m": sol.configuration.q,
         "theta_rad": list(theta),
         "theta_deg": [math.degrees(t) for t in theta],
-        "active_group": sol.active_group.value,
+        "tension_groups": [g.value for g in sol.tension_groups],
         "tensions_n": list(sol.tensions),
         "fingertip_m": list(sol.fingertip),
         "fingertip_mm": [v * 1e3 for v in sol.fingertip],

@@ -5,7 +5,6 @@ PASS/FAIL line with the measured values.
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -260,13 +259,12 @@ def test_criterion_8_cli_golden(tmp_path):
     rows = out_a.read_text(encoding="utf-8").strip().split("\n")
     rows_ok = len(rows) == 7 and rows[0].startswith("payload_kg,")
 
-    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
-    doc["geometry"]["link_masses"] = [0.0, 0.0, 0.0]
-    massless = tmp_path / "massless.json"
-    massless.write_text(json.dumps(doc), encoding="utf-8")
-    infeasible = run_cli("solve", "0", "--force", "0,-1.5", "--moment", "0.1",
-                         "--config", str(massless))
-    infeasible_ok = infeasible.returncode == 2
+    # The rigid pose at 13.9 mm wraps; the loaded pose the force bends it
+    # to does not, so the coupling tendons cannot hold it.
+    infeasible = run_cli("solve", "mm:13.9", "--force=30,0",
+                         "--config", str(CONFIG_PATH))
+    infeasible_ok = (infeasible.returncode == 2
+                     and "GeometryInfeasible" in infeasible.stderr)
 
     nonconv = run_cli("solve", "0", "--force", "0,-29.43", "--max-iter", "2",
                       "--config", str(CONFIG_PATH),

@@ -110,11 +110,20 @@ class TestSolve:
         res = run_cli("solve", "0", "--threshold", "0", "--config", str(CONFIG))
         assert res.returncode == 1
 
-    def test_infeasible_exit_2(self, massless_config):
-        res = run_cli("solve", "0", "--force", "0,-1.5", "--moment", "0.1",
-                      "--config", str(massless_config))
-        assert res.returncode == 2
-        assert "TensionInfeasible" in res.stderr
+    @pytest.mark.parametrize("massless, args, groups", [
+        # Once refused (exit 2) because no single tendon group holds them.
+        (True, ("0", "--force", "0,-1.5", "--moment", "0.1"),
+         ["flexion", "flexion", "extension"]),
+        (False, ("mm:3", "--force=3.4684,3.4684"),
+         ["extension", "flexion", "flexion"]),
+    ])
+    def test_mixed_group_load_solves(self, massless_config, massless, args, groups):
+        config = massless_config if massless else CONFIG
+        res = run_cli("solve", *args, "--config", str(config))
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["tension_groups"] == groups
+        assert min(doc["tensions_n"]) > 0.0
 
     def test_wrap_infeasible_solved_pose_exit_2(self):
         # The rigid pose at 13.9 mm wraps; the loaded one does not.
@@ -406,7 +415,7 @@ class TestGoldenBytes:
         ("fk", "0.004"):
             "85866e90e66b52be7635f8b33ed88b5b9b5b40c05d68037f865488bafcb98254",
         ("solve", "0", "--force", "0,-29.43"):
-            "6ef99e5acbece34eb60f61d8a2783f5be0ade82a77d2c4226e156830e8bd136b",
+            "0be98e66cb2a5b558d7997bbc3ee92b243b103662b0076ed60045012db1a8f0e",
         ("stiffness", "--payloads", "0.5,3", "--format", "json"):
             "b9f78627a60e580474df284f456cabed1b9b107b540c7f90b7c767d27dcf97fb",
     }
@@ -512,10 +521,21 @@ class TestInProcess:
         (["fk", "-1e-3"], "q_m = -0.001"),
         (["stiffness", "--payloads", "0.5", "--q", "-1e-3"], SWEEP_CSV_HEADER),
         (["solve", "-2.5E-4"], "{"),
+        (["fk", "-1.e-3"], "q_m = -0.001"),
     ])
     def test_negative_exponent_is_a_number(self, capsys, argv, first_line):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("argv", [
+        ["fk", "-5."],
+        ["stiffness", "--payloads", "1", "--q", "-5."],
+    ])
+    def test_negative_trailing_dot_is_a_number(self, capsys, argv):
+        # q = -5 m is read as a value, and the joint range refuses it.
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "RangeExceeded: theta_1 = -438.769690 rad outside" in out + err
 
     def test_leftover_argument_is_a_top_level_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -533,7 +553,6 @@ class TestInProcess:
     @pytest.mark.parametrize("error, code", [
         (errors.ConfigError, 1),
         (errors.RangeExceeded, 2),
-        (errors.TensionInfeasible, 2),
         (errors.GeometryInfeasible, 2),
         (errors.BoundaryMinimum, 2),
         (errors.NoConvergence, 3),

@@ -161,30 +161,29 @@ def _reference_find_equilibrium(geom, specs, load, q, rounds=6):
     )
 
 
-def _reference_balance_residuals(model, theta, group):
-    """The numpy `balance_residuals` that the plain-float one replaced."""
+def _reference_balance_residuals(model, theta, sides):
+    """The numpy `balance_residuals` that the plain-float one replaced,
+    given each index's taut side (+1 flexion, -1 extension)."""
     geom = model.geom
     theta = tuple(float(t) for t in theta)
     Configuration(q=model.q, theta=theta)
     pose = link_pose(theta, geom)
     moments = np.array(pose_moments(pose, geom, model.load_at(theta, pose)))
-    sign = 1.0 if group is TendonGroup.FLEXION else -1.0
-    tensions = np.array(model.tensions(theta, group))
+    tensions = np.array(model.tensions(theta)[0])
+    net = np.asarray(sides) * tensions
     radii = np.asarray(geom.guide_radii)
-    t_next = np.append(tensions[1:], 0.0)
-    tangent = moments + sign * radii * (tensions - t_next)
+    n_next = np.append(net[1:], 0.0)
+    tangent = moments + radii * (net - n_next)
 
     lengths = geom.link_lengths
     try:
         alpha2, alpha3 = zero_pose_wrap(geom).angles_at(theta)
         wrap_int = [
-            moments[0] + sign * (tensions[0] * radii[0] + tensions[1] * radii[1]
-                                 - wrap_moment(tensions[1], lengths[1],
-                                               theta[1], alpha2)),
-            moments[1] + sign * (tensions[1] * radii[1] + tensions[2] * radii[2]
-                                 - wrap_moment(tensions[2], lengths[2],
-                                               theta[2], alpha3)),
-            moments[2] + sign * tensions[2] * radii[2],
+            moments[0] + (net[0] * radii[0] + net[1] * radii[1]
+                          - wrap_moment(net[1], lengths[1], theta[1], alpha2)),
+            moments[1] + (net[1] * radii[1] + net[2] * radii[2]
+                          - wrap_moment(net[2], lengths[2], theta[2], alpha3)),
+            moments[2] + net[2] * radii[2],
         ]
     except TendonFingerError:
         wrap_int = None
@@ -497,32 +496,38 @@ class TestSinglePose:
     def test_balance_residuals_match_numpy_reference(self, geom_cal):
         # Both read their moments and wrap angles from the same plain-float
         # pose, so they agree bit for bit on any platform; a distal angle
-        # past alpha_3 = 0 leaves no wrap-integral reading.
+        # past alpha_3 = 0 leaves no wrap-integral reading. Each index's
+        # side is the sign of its stretch, a zero stretch counting as
+        # flexion.
         for model, poses in self._cases(geom_cal):
             for theta in [*poses, (0.1, 0.2, 2.0)]:
-                for group in TendonGroup:
-                    new = balance_residuals(model, theta, group)
-                    ref = _reference_balance_residuals(model, theta, group)
-                    assert new.keys() == ref.keys()
-                    for key in new:
-                        if ref[key] is None:
-                            assert new[key] is None
-                        else:
-                            assert (np.array(new[key]).tobytes()
-                                    == np.array(ref[key]).tobytes())
+                sides = [1.0 if s >= 0.0 else -1.0
+                         for s in model.stretches(*theta)]
+                new = balance_residuals(model, theta)
+                ref = _reference_balance_residuals(model, theta, sides)
+                assert new.keys() == ref.keys()
+                for key in new:
+                    if ref[key] is None:
+                        assert new[key] is None
+                    else:
+                        assert (np.array(new[key]).tobytes()
+                                == np.array(ref[key]).tobytes())
         model = PotentialModel(geom_cal, make_specs(), ExternalLoad(), 0.0)
         with pytest.raises(RangeExceeded):
-            balance_residuals(model, (1.8, 0.0, 0.0), TendonGroup.FLEXION)
+            balance_residuals(model, (1.8, 0.0, 0.0))
 
     # SHA-256 of json.dumps(equilibrium_report(...)) on the shipped
-    # calibration for 4 cases of each (seed, q), recorded before single
-    # poses moved from 1-row arrays to plain floats.
+    # calibration for 4 cases of each (seed, q). Recorded before single
+    # poses moved from 1-row arrays to plain floats, and re-pinned when
+    # `fixed_point.tensions_n` became the solved pose's Hooke tensions
+    # (its last digits moved, by at most 2.8e-11 relative; no other leaf
+    # changed).
     REPORT_DIGESTS = {
-        (0, 0.0): "abb5fce3794f74102e60bcae9da87fdc29d64adeb8b5e14156c7fc8f2e829fc8",
-        (7, 0.0): "bd605015f058d22afbee9b8dbecf81ded4fb3af8b671858d4733f6f331a4ab56",
-        (399, 0.0): "a80cfa99e7e02eecbe0b734a2d371f4c7a778553efb84aa38b7fea545b8ab2db",
-        (7, 1e-3): "dbe08235f3aa289c49eb77c50ccb2c58549b0174084580c4b39d7cfc1d58bd6e",
-        (7, -1e-3): "33d0b93b482b8add5e084ea07b98fd6c8720f004bfa0f7aee6943948d10787bc",
+        (0, 0.0): "8139462d9c0a4fb0c7076caf73f4a1f970896d9effc17c3df2fb631b129bf983",
+        (7, 0.0): "302c605b0216c683f06777a9f6fe23b4537ae613c0ac7e7b6db9fa29ce394f0e",
+        (399, 0.0): "a97b544a38b133596f8382bce2d0f9e6730fed61256b11d0d1f8f6db652bb350",
+        (7, 1e-3): "f3ff17baf6986953862bf512765676807d9aae0f90909743f15bb7fd434fb93a",
+        (7, -1e-3): "e66f6d0c11040a8d48f6977e96f565800d17d96a4db6f2b15174c6145fe30d79",
     }
 
     @pytest.mark.parametrize("seed, q", sorted(REPORT_DIGESTS))
@@ -678,25 +683,32 @@ class TestBalanceResiduals:
     def test_stationarity_matches_tangent_cascade(self, geom_cal):
         # The analytic gradient is the negative of the tangent-model
         # balance residuals when tensions come from the pose's stretches,
-        # also when the force acts at a point riding with the distal link.
+        # also when the force acts at a point riding with the distal link,
+        # whichever group is taut at each index.
         specs = make_specs()
         # R1 d1 < R2 d2 < R3 d3 keeps all three flexion tendons taut and
-        # the whole extension group slack.
-        theta = (-0.08, -0.12, -0.20)
+        # the whole extension group slack; the mirrored pose swaps them,
+        # and R3 d3 < R2 d2 leaves tendon 3 taut on the extension side.
+        poses = {(-0.08, -0.12, -0.20): (TendonGroup.FLEXION,) * 3,
+                 (0.08, 0.12, 0.20): (TendonGroup.EXTENSION,) * 3,
+                 (-0.08, -0.12, -0.05): (TendonGroup.FLEXION, TendonGroup.FLEXION,
+                                         TendonGroup.EXTENSION)}
         for load in (ExternalLoad.tip_payload(1.5, geom_cal.gravity_accel),
                      ExternalLoad(force=(2.0, -14.0), moment=0.01,
                                   application_point=(0.15, 0.01))):
             model = PotentialModel(geom_cal, specs, load, 0.0)
-            res = balance_residuals(model, theta, TendonGroup.FLEXION)
-            grad = _gradient(model, theta)
-            assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
+            for theta, groups in poses.items():
+                assert model.tensions(theta)[1] == groups
+                res = balance_residuals(model, theta)
+                grad = _gradient(model, theta)
+                assert np.allclose(res["tangent_nm"], -grad, atol=1e-9)
 
     def test_small_residual_at_energy_minimum(self, geom_cal):
         specs = make_specs()
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
         model = PotentialModel(geom_cal, specs, load, 0.0)
         eq = find_equilibrium(model)
-        res = balance_residuals(model, eq.theta, TendonGroup.FLEXION)
+        res = balance_residuals(model, eq.theta)
         assert max(abs(r) for r in res["tangent_nm"]) < 0.01
 
 

@@ -151,3 +151,22 @@ class TestJacobian:
             jac = jacobian(q, GEOM)
             fd = _fd_jacobian(q, GEOM)
             assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-5
+
+    def test_plain_floats_match_numpy_form(self):
+        # The (dx, dy) tuple keeps the bits of the numpy cumsum-and-sum
+        # form it replaced, wherever numpy's sin/cos are libm's.
+        rng = np.random.default_rng(43)
+        qmax = GEOM.guide_radii[0] * math.pi / 2 * 0.95
+        for q in rng.uniform(-qmax, qmax, 200).tolist():
+            jac = jacobian(q, GEOM)
+            assert type(jac) is tuple and all(type(v) is float for v in jac)
+            rates = np.cumsum(1.0 / np.asarray(GEOM.guide_radii))
+            weighted = np.asarray(GEOM.link_lengths) * rates
+            phi = q * rates
+            ref = (-np.sum(weighted * np.sin(phi)), np.sum(weighted * np.cos(phi)))
+            if (np.sin(phi).tolist() == [math.sin(v) for v in phi.tolist()]
+                    and np.cos(phi).tolist() == [math.cos(v) for v in phi.tolist()]):
+                assert jac == (float(ref[0]), float(ref[1]))
+            else:
+                np.testing.assert_allclose(jac, ref, rtol=1e-12)
+

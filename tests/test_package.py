@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import tendonfinger
-from tendonfinger import cli, energy, errors, statics
+from tendonfinger import cli, energy, errors, model, statics
 
 
 def test_every_error_class_is_exported():
@@ -16,8 +16,7 @@ def test_every_error_class_is_exported():
     }
     assert defined == {
         "TendonFingerError", "ConfigError", "RangeExceeded",
-        "GeometryInfeasible", "TensionInfeasible", "BoundaryMinimum",
-        "NoConvergence",
+        "GeometryInfeasible", "BoundaryMinimum", "NoConvergence",
     }
     for name in defined:
         assert getattr(tendonfinger, name) is getattr(errors, name)
@@ -46,6 +45,17 @@ def test_layering():
                 for name, found in imports.items()}
     assert not imported["potential"] & {"statics", "energy"}
     assert "energy" not in imported["statics"]
+
+
+def test_model_is_plain_floats():
+    # The data model and kinematics compute in plain floats; numpy stays
+    # with the layers that evaluate arrays.
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "numpy" not in imported
 
 
 def test_no_private_name_crosses_a_module():

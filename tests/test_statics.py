@@ -14,7 +14,6 @@ from tendonfinger.errors import (
     NoConvergence,
     RangeExceeded,
     TendonFingerError,
-    TensionInfeasible,
 )
 from tendonfinger.model import (
     Configuration,
@@ -27,8 +26,6 @@ from tendonfinger.model import (
 )
 from tendonfinger.potential import PotentialModel, newton_step, zero_pose_wrap
 from tendonfinger.statics import (
-    _restraint_sign,
-    _tensions_for,
     elongate_tendons,
     pose_moments,
     solve_static,
@@ -171,89 +168,62 @@ class TestWrapMoment:
             assert abs(closed - numeric) / abs(numeric) < 1e-10
 
 
-def _moments(cfg, geom, load):
-    return pose_moments(link_pose(cfg.theta, geom), geom, load)
+FLEX, EXT = TendonGroup.FLEXION, TendonGroup.EXTENSION
 
 
-def _group_tensions(cfg, geom, load, group=TendonGroup.FLEXION):
-    """The tension cascade of `group` at a fixed configuration."""
-    return _tensions_for(_moments(cfg, geom, load), geom, group)
+def _solve(geom, load):
+    return solve_static(PotentialModel(geom, make_specs(), load, 0.0))
 
 
-class TestTensionCascade:
+class TestSolvedTensions:
+    """A solve reports each index's taut tendon with its Hooke tension,
+    and those tensions balance the load's moments at the solved pose."""
+
     def test_unloaded(self, geom_massless):
-        cfg = coupling_angles(0.0, geom_massless)
-        assert _restraint_sign(_moments(cfg, geom_massless, ExternalLoad())) == 1.0
-        tensions = _group_tensions(cfg, geom_massless, ExternalLoad())
-        assert tensions == (0.0, 0.0, 0.0)
+        sol = _solve(geom_massless, ExternalLoad())
+        assert sol.tensions == (0.0, 0.0, 0.0)
+        assert sol.tension_groups == (FLEX, FLEX, FLEX)
 
     def test_distal_balance_pure_tip_force(self, geom_massless):
-        # Massless straight pose: the joint-3 balance alone fixes
-        # T3 = F * L3 / R3.
-        cfg = coupling_angles(0.0, geom_massless)
-        load = ExternalLoad(force=(0.0, -9.81))
-        assert _restraint_sign(_moments(cfg, geom_massless, load)) == 1.0
-        tensions = _group_tensions(cfg, geom_massless, load)
-        expect = 9.81 * geom_massless.link_lengths[2] / geom_massless.guide_radii[2]
-        assert tensions[2] == pytest.approx(expect, rel=1e-12)
-        assert tensions[2] == pytest.approx(65.86, abs=0.01)
+        # Massless finger: the joint-3 balance alone fixes
+        # T3 = F * (x_tip - x_J3) / R3 at the solved pose, just under the
+        # straight pose's F * L3 / R3 since the sagged lever is shorter.
+        sol = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
+        points, _ = link_pose(sol.configuration.theta, geom_massless)
+        lever = points[3][0] - points[2][0]
+        assert sol.tension_groups == (FLEX, FLEX, FLEX)
+        r3 = geom_massless.guide_radii[2]
+        assert sol.tensions[2] == pytest.approx(9.81 * lever / r3, rel=1e-9)
+        straight = 9.81 * geom_massless.link_lengths[2] / r3
+        assert straight == pytest.approx(65.86, abs=0.01)
+        assert 0.99 * straight < sol.tensions[2] < straight
 
     def test_upward_force_uses_extension_group(self, geom_massless):
-        cfg = coupling_angles(0.0, geom_massless)
-        load = ExternalLoad(force=(0.0, 9.81))
-        assert _restraint_sign(_moments(cfg, geom_massless, load)) == -1.0
-        tensions = _group_tensions(cfg, geom_massless, load, TendonGroup.EXTENSION)
-        assert min(tensions) >= 0.0
+        sol = _solve(geom_massless, ExternalLoad(force=(0.0, 9.81)))
+        assert sol.tension_groups == (EXT, EXT, EXT)
+        assert min(sol.tensions) > 0.0
 
-    def test_load_linearity(self, geom_cal):
-        cfg = coupling_angles(0.002, geom_cal)
-        load = ExternalLoad(force=(0.3, -12.0), moment=-0.05)
-        doubled = ExternalLoad(force=(0.6, -24.0), moment=-0.10)
-        geom2 = FingerGeometry(
-            link_lengths=geom_cal.link_lengths,
-            guide_radii=geom_cal.guide_radii,
-            link_masses=tuple(2 * m for m in geom_cal.link_masses),
-            com_fractions=geom_cal.com_fractions,
-            gravity_accel=geom_cal.gravity_accel,
-        )
-        base = _group_tensions(cfg, geom_cal, load)
-        twice = _group_tensions(cfg, geom2, doubled)
-        for a, b in zip(base, twice):
-            assert b == pytest.approx(2 * a, rel=1e-12)
-
-    def test_mixed_signs_infeasible(self, geom_massless):
-        # A moment flexing joint 3 while the force extends joint 2 cannot
-        # be held by one group.
-        cfg = coupling_angles(0.0, geom_massless)
+    def test_mixed_signs_held_by_both_groups(self, geom_massless):
+        # A moment flexing joint 3 while the force extends joint 2: the
+        # minimum stretches flexion tendons 1 and 2 and extension tendon 3.
         load = ExternalLoad(force=(0.0, -1.5), moment=0.1)
-        for group in TendonGroup:
-            with pytest.raises(TensionInfeasible,
-                               match="no single tendon group holds this load"):
-                _group_tensions(cfg, geom_massless, load, group)
-
-    def test_forced_group_infeasible(self, geom_massless):
-        cfg = coupling_angles(0.0, geom_massless)
-        load = ExternalLoad(force=(0.0, -9.81))
-        with pytest.raises(TensionInfeasible):
-            _group_tensions(cfg, geom_massless, load, TendonGroup.EXTENSION)
+        sol = _solve(geom_massless, load)
+        assert sol.tension_groups == (FLEX, FLEX, EXT)
+        assert min(sol.tensions) > 0.0
+        assert_matches_oracle(sol, 0.0, geom_massless, make_specs(), load)
 
     def test_explicit_application_point(self, geom_massless):
         # Same force at the fingertip coordinates equals the default;
         # moving it to joint 3 removes the distal moment entirely.
-        cfg = coupling_angles(0.0, geom_massless)
-        tip_xy = forward_kinematics(cfg, geom_massless)
-        at_tip = _group_tensions(
-            cfg, geom_massless,
-            ExternalLoad(force=(0.0, -9.81), application_point=tip_xy),
-        )
-        default = _group_tensions(cfg, geom_massless, ExternalLoad(force=(0.0, -9.81)))
-        assert at_tip == pytest.approx(default, rel=1e-12)
-        at_joint3 = _group_tensions(
-            cfg, geom_massless,
-            ExternalLoad(force=(0.0, -9.81), application_point=(0.12, 0.0)),
-        )
-        assert at_joint3[2] == pytest.approx(0.0, abs=1e-9)
-        assert at_joint3[1] > 0.0
+        tip_xy = forward_kinematics(coupling_angles(0.0, geom_massless), geom_massless)
+        at_tip = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81),
+                                                    application_point=tip_xy))
+        default = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
+        assert at_tip.tensions == pytest.approx(default.tensions, rel=1e-12)
+        at_joint3 = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81),
+                                                       application_point=(0.12, 0.0)))
+        assert at_joint3.tensions[2] == pytest.approx(0.0, abs=1e-9)
+        assert at_joint3.tensions[1] > 0.0
 
 
 class TestElongation:
@@ -351,16 +321,24 @@ class TestSolveStatic:
         assert abs(y_extra - sol.fingertip[1]) <= threshold
 
     def test_converged_tensions_are_hooke_tensions(self, calibrated):
-        # At the minimum the tangent cascade's tensions are the Hooke
-        # tensions of the pose's stretches, the last record's tensions.
+        # The solution's tensions are the last record's: at each index the
+        # tendon on the side of the pose's stretch, E A / L times the
+        # stretch's size.
         geom, specs = calibrated.geometry, calibrated.tendons
         for load in (ExternalLoad.tip_payload(3.0, geom.gravity_accel),
-                     ExternalLoad(force=(0.0, 9.81))):
-            model = PotentialModel(geom, specs, load, 0.0)
+                     ExternalLoad(force=(0.0, 9.81)),
+                     ExternalLoad(force=(3.4684, 3.4684))):
+            model = PotentialModel(geom, specs, load, 3e-3)
             sol = solve_static(model)
-            hooke = model.tensions(sol.configuration.theta, sol.active_group)
-            np.testing.assert_allclose(sol.tensions, hooke, rtol=1e-9)
-            np.testing.assert_allclose(sol.trace[-1].tensions, hooke, rtol=1e-9)
+            assert sol.trace[-1].tensions == sol.tensions
+            stretches = model.stretches(*sol.configuration.theta)
+            assert sol.tension_groups == tuple(
+                FLEX if s >= 0.0 else EXT for s in stretches)
+            for i, (s, group) in enumerate(zip(stretches, sol.tension_groups)):
+                spec = next(t for t in specs
+                            if t.group is group and t.index == i + 1)
+                hooke = spec.axial_stiffness / sol.rest_lengths[i] * abs(s)
+                assert sol.tensions[i] == pytest.approx(hooke, rel=1e-12)
 
     def test_tension_positivity(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
@@ -410,11 +388,6 @@ class TestSolveStatic:
             solve_static(PotentialModel(geom, specs, load, 0.0))
         assert err.value.trace == []
 
-    def test_frozen_group_infeasible(self, geom_massless):
-        load = ExternalLoad(force=(0.0, -1.5), moment=0.1)
-        with pytest.raises(TensionInfeasible):
-            solve_static(PotentialModel(geom_massless, make_specs(), load, 0.0))
-
     def test_rigid_tendons_stay_near_nominal(self, geom_massless):
         # A zero stretch counts as taut in both groups, so the first step
         # from the nominal pose goes only halfway; the second step still
@@ -432,25 +405,26 @@ class TestSolveStatic:
 
     def test_elongations_are_pose_stretches(self, calibrated):
         # The Hooke elongations of the solved tensions are the stretches
-        # the converged pose imposes on the active group's tendons.
+        # the converged pose imposes on each index's taut tendon.
         geom, specs = calibrated.geometry, calibrated.tendons
-        for load, sense in ((ExternalLoad.tip_payload(3.0, geom.gravity_accel), 1.0),
-                            (ExternalLoad(force=(0.0, 9.81)), -1.0)):
-            model = PotentialModel(geom, specs, load, 0.0)
+        for load in (ExternalLoad.tip_payload(3.0, geom.gravity_accel),
+                     ExternalLoad(force=(0.0, 9.81)),
+                     ExternalLoad(force=(3.4684, 3.4684))):
+            model = PotentialModel(geom, specs, load, 3e-3)
             sol = solve_static(model)
-            stretches = [sense * s for s in model.stretches(*sol.configuration.theta)]
+            stretches = [abs(s) for s in model.stretches(*sol.configuration.theta)]
             elongations = [e - r for e, r in zip(sol.elongated_lengths, sol.rest_lengths)]
             np.testing.assert_allclose(elongations, stretches, rtol=1e-9)
 
     def test_upward_load_mirrors_deflection(self, geom_massless):
         # With equal groups and a massless finger, reversing the load
-        # swaps the active group and mirrors the solved pose.
+        # swaps the taut group and mirrors the solved pose.
         specs = make_specs()
         down, up = (solve_static(PotentialModel(geom_massless, specs,
                                                 ExternalLoad(force=(0.0, fy)), 0.0))
                     for fy in (-9.81, 9.81))
-        assert down.active_group is TendonGroup.FLEXION
-        assert up.active_group is TendonGroup.EXTENSION
+        assert down.tension_groups == (FLEX, FLEX, FLEX)
+        assert up.tension_groups == (EXT, EXT, EXT)
         assert down.deflection_y > 0.0
         assert up.deflection_y == pytest.approx(-down.deflection_y, rel=1e-12)
         for u, d in zip(up.configuration.theta, down.configuration.theta):
@@ -563,7 +537,7 @@ class TestStiffnessSweep:
 
 
 class FrozenStatics:
-    """The numpy chain, moment and tension code that `link_pose` replaced,
+    """The numpy chain and moment code that `link_pose` replaced,
     kept as a reference. Every angle vector it passes to np.cos/np.sin is
     recorded in `angles`."""
 
@@ -620,20 +594,6 @@ class FrozenStatics:
                 m += cross2(coms[i] - pts[k], weights[i])
             moments[k] = m
         return moments
-
-    def solve_tensions(self, config, geom, load, *, group):
-        moments = self.net_external_moments(config, geom, load)
-        signs = (1.0,) if group is TendonGroup.FLEXION else (-1.0,)
-        scale = 1.0 + float(np.max(np.abs(moments))) / min(geom.guide_radii)
-        last = None
-        for sign in signs:
-            ts = statics._cascade(moments, geom, sign)
-            last = ts
-            if min(ts) >= -statics._NEG_TOL * scale:
-                return tuple(max(t, 0.0) for t in ts)
-        raise TensionInfeasible(
-            f"no single tendon group holds this load (best tensions {last})"
-        )
 
     def trig_is_math(self) -> bool:
         """True when np.cos/np.sin gave math.cos/math.sin bit for bit on
@@ -718,15 +678,13 @@ def assert_matches_oracle(sol, q, geom, specs, load):
     gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
                      sol.fingertip[1] - eq.fingertip[1])
     assert gap <= 1e-4 * geom.total_length
-    residuals = balance_residuals(model, sol.configuration.theta,
-                                  sol.active_group)["tangent_nm"]
+    residuals = balance_residuals(model, sol.configuration.theta)["tangent_nm"]
     assert max(map(abs, residuals)) <= 1e-9
 
 
 class TestFrozenReference:
-    """The plain-float pose, moments and tensions give the frozen numpy
-    code's results and errors; the solve gives the energy oracle's
-    equilibrium."""
+    """The plain-float pose and moments give the frozen numpy code's
+    results; the solve gives the energy oracle's equilibrium."""
 
     CASES = {
         "tip-0.5kg": (0.0, ExternalLoad(force=(0.0, -0.5 * 9.81)), {}),
@@ -743,13 +701,14 @@ class TestFrozenReference:
             0.001, ExternalLoad(force=(0.0, 9.81), moment=0.01), {}),
         "max-iter-2": (
             0.0, ExternalLoad(force=(0.0, -3.0 * 9.81)), {"max_iterations": 2}),
-        "tension-infeasible": (0.0, ExternalLoad(force=(0.0, -1.5), moment=0.1), {}),
+        "mixed-groups": (0.0, ExternalLoad(force=(0.0, -1.5), moment=0.1), {}),
     }
 
     EXPECTED = {
-        "upward-extension": TendonGroup.EXTENSION,
+        "upward-extension": (EXT, EXT, EXT),
+        "upward-moment-extension": (EXT, EXT, EXT),
         "max-iter-2": NoConvergence,
-        "tension-infeasible": TensionInfeasible,
+        "mixed-groups": (FLEX, FLEX, EXT),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -763,7 +722,7 @@ class TestFrozenReference:
             assert isinstance(got, expected)
             return
         if expected is not None:
-            assert got.active_group is expected
+            assert got.tension_groups == expected
         assert got.residual <= 1e-6
         assert_matches_oracle(got, q, geom, specs, load)
 
@@ -814,11 +773,6 @@ class TestFrozenReference:
                     np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
             assert_same_outcome(forward_kinematics(cfg, geom),
                                 ref.forward_kinematics(cfg, geom), exact, 1.0)
-            for group in TendonGroup:
-                assert_same_outcome(
-                    _outcome(lambda: _tensions_for(moments, geom, group)),
-                    _outcome(lambda: ref.solve_tensions(cfg, geom, load, group=group)),
-                    exact, 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -846,3 +800,55 @@ class TestFrozenReference:
         # wrap angles stay well inside (0, pi).
         alpha2, alpha3 = zero_pose_wrap(geom).angles_at(sol.configuration.theta)
         assert min(alpha2, alpha3, math.pi - alpha2, math.pi - alpha3) > 0.5
+
+
+class TestOneTensionRule:
+    """The solver holds every load whose minimum the energy oracle finds:
+    the potential alone decides which tendons are taut."""
+
+    def test_direction_sweep(self, calibrated):
+        # Tip forces in 72 directions, of 0.5 and 3 kg, at q = 0, 3 and
+        # 6 mm. A rule that let one tendon group hold each load refused
+        # 35 of these 432 loads; 33 of them hold both groups taut.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        mixed = 0
+        for q in (0.0, 3e-3, 6e-3):
+            for payload_kg in (0.5, 3.0):
+                for step in range(72):
+                    angle = math.radians(5.0 * step)
+                    weight = payload_kg * geom.gravity_accel
+                    model = PotentialModel(geom, specs, ExternalLoad(
+                        force=(weight * math.cos(angle), weight * math.sin(angle))), q)
+                    sol = solve_static(model)
+                    eq = find_equilibrium(model)
+                    gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
+                                     sol.fingertip[1] - eq.fingertip[1])
+                    assert gap <= 1e-4 * geom.total_length
+                    mixed += len(set(sol.tension_groups)) > 1
+        assert mixed > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q_mm=st.floats(-6.0, 6.0),
+        payload_kg=st.floats(0.0, 3.0),
+        direction_deg=st.floats(-180.0, 180.0),
+        moment=st.floats(-0.1, 0.1),
+    )
+    def test_property_agrees_with_oracle(self, calibrated, q_mm, payload_kg,
+                                         direction_deg, moment):
+        # Both routes succeed or both refuse; where both succeed they find
+        # one minimum. At a 1e-12 m threshold the solved pose balances the
+        # load to round-off (the default 1e-6 m stops up to about 1e-6 N m
+        # short on these ranges).
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q = q_mm * 1e-3
+        weight = payload_kg * geom.gravity_accel
+        angle = math.radians(direction_deg)
+        load = ExternalLoad(force=(weight * math.cos(angle), weight * math.sin(angle)),
+                            moment=moment)
+        model = PotentialModel(geom, specs, load, q)
+        sol = _outcome(lambda: solve_static(model, threshold=1e-12))
+        eq = _outcome(lambda: find_equilibrium(model))
+        assert isinstance(sol, TendonFingerError) == isinstance(eq, TendonFingerError)
+        if not isinstance(sol, TendonFingerError):
+            assert_matches_oracle(sol, q, geom, specs, load)
