@@ -41,14 +41,16 @@ per report into the model's shared `first_box` memo, and each case adds
 only its load term before the argmin. The sum is the one a fresh model
 makes, (gravity + elastic) + load, so the energies keep their bits.
 Fallback boxes, centred on a case's own best sample, are evaluated fresh.
+
+numpy is imported by `find_equilibrium` and `random_tip_load_cases`,
+the functions that build arrays, so importing this module does not load
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BoundaryMinimum, GeometryInfeasible, TendonFingerError
 from .model import (
@@ -120,6 +122,8 @@ def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
     is 0 after a polish. Raises BoundaryMinimum when the final minimizer
     sits on the search-box surface, which means the box should be widened.
     """
+    import numpy as np
+
     lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
     hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
     lo0[0] = max(lo0[0], THETA1_MIN)
@@ -249,6 +253,8 @@ def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]
     weights turned into a downward cone of half angle
     CASE_CONE_HALF_ANGLE_DEG about straight down, the direction of the
     paper's payload tests."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):

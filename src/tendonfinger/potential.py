@@ -23,8 +23,6 @@ import copy
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GeometryInfeasible
 from .model import (
     ExternalLoad,
@@ -289,10 +287,14 @@ class PotentialModel:
         """The load-free part of `axis_components`: gravity, elastic and
         the distal link's pose pieces (x_j3, y2, c3, s3, phi3) that
         `load_term` reads."""
-        if isinstance(t1, np.ndarray):
-            sin, cos, clamp = np.sin, np.cos, np.maximum
-        else:
-            sin, cos, clamp = math.sin, math.cos, max
+        sin, cos, clamp = math.sin, math.cos, max
+        # int and float (numpy's float64 among them) skip the numpy import;
+        # other scalars keep math's path too, and only arrays leave it.
+        if not isinstance(t1, (int, float)):
+            import numpy as np
+
+            if isinstance(t1, np.ndarray):
+                sin, cos, clamp = np.sin, np.cos, np.maximum
         l1, l2, l3 = self.geom.link_lengths
         m1, m2, m3 = self.geom.link_masses
         f1, f2, f3 = self.geom.com_fractions

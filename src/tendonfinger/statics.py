@@ -232,6 +232,7 @@ class SweepRow:
     stiffness_n_per_m: float
     iterations: int
     status: str
+    trace: tuple[IterationRecord, ...] = field(repr=False, default=())
 
 
 def stiffness_sweep(
@@ -250,7 +251,8 @@ def stiffness_sweep(
     payload and shared by the rest (`PotentialModel.with_load`). A
     failing row is recorded with its error message and the sweep
     continues; a negative payload, or one whose weight overflows, fails
-    its row unsolved.
+    its row unsolved. A row that fails with NoConvergence keeps the
+    error's iteration trace; the CSV and JSON tables do not show it.
     """
     rows: list[SweepRow] = []
     base = None
@@ -270,8 +272,9 @@ def stiffness_sweep(
             sol = solve_static(base.with_load(load), threshold=threshold,
                                max_iterations=max_iterations)
         except TendonFingerError as exc:
+            trace = tuple(exc.trace) if isinstance(exc, NoConvergence) else ()
             rows.append(SweepRow(m, math.nan, math.nan, 0,
-                                 f"error: {exc.__class__.__name__}: {exc}"))
+                                 f"error: {exc.__class__.__name__}: {exc}", trace))
             continue
         if sol.deflection_y != 0.0:
             stiffness = force / sol.deflection_y

@@ -22,11 +22,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
+
+# Each function that builds arrays imports numpy itself, so importing
+# this module does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
 CSV_BLOCK_ROWS = 65536  # rows formatted by one % operation
@@ -56,6 +60,8 @@ class WorkspaceCloud:
     bounding_box: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
     def all_points(self) -> np.ndarray:
+        import numpy as np
+
         return np.vstack(self.points_per_link)
 
 
@@ -73,6 +79,8 @@ def sweep_point_count(resolution: int) -> int:
 def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     """Sweep the coupled configuration space; see the module docstring
     for the per-link sampling formula."""
+    import numpy as np
+
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
     try:
@@ -129,6 +137,8 @@ class OccupancyGrid:
 
     @property
     def area(self) -> float:
+        import numpy as np
+
         return float(np.count_nonzero(self.marked)) * self.cell_size ** 2
 
 
@@ -144,6 +154,8 @@ def occupancy_grid(
     than MAX_GRID_BYTES raises ConfigError before anything is allocated,
     and so does a selection with no points.
     """
+    import numpy as np
+
     xmin, ymin, xmax, ymax = cloud.bounding_box
     diag = math.hypot(xmax - xmin, ymax - ymin)
     if cell_size <= 0.0:
@@ -193,6 +205,8 @@ def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
 
 def grid_to_pgm(grid: OccupancyGrid) -> str:
     """ASCII PGM (P2, maxval 1), top row at the largest y."""
+    import numpy as np
+
     ny, nx = grid.marked.shape
     # Each row is 2*nx bytes: a digit per cell, each followed by a
     # space, except the last, which a newline follows.

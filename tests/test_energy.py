@@ -544,6 +544,58 @@ class TestSinglePose:
             assert report["summary"]["within_tolerance"] is True
 
 
+
+class TestLoadFreeDispatch:
+    """`load_free` takes math's sine and cosine for any angle that is not
+    an array, numpy scalars included, and numpy's for arrays."""
+
+    @staticmethod
+    def _trig_calls(monkeypatch):
+        calls = []
+        for module, prefix in ((math, "math"), (np, "np")):
+            for name in ("sin", "cos"):
+                def spy(x, _f=getattr(module, name), _n=f"{prefix}.{name}"):
+                    calls.append(_n)
+                    return _f(x)
+                monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @staticmethod
+    def _bits(values):
+        return [np.float64(v).tobytes() for v in values]
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64, np.float32])
+    def test_scalars_take_the_math_path(self, geom_cal, monkeypatch, kind):
+        for load in REFERENCE_LOADS.values():
+            model = PotentialModel(geom_cal, make_specs(), load, 1e-3)
+            poses = ([(0, 0, 0), (1, -1, 2)] if kind is int else
+                     [model.nominal.theta, tuple(t + 0.1 for t in model.nominal.theta)])
+            for pose in poses:
+                args = tuple(kind(t) for t in pose)
+                ref = model.load_free(*map(float, args))
+                calls = self._trig_calls(monkeypatch)
+                gravity, elastic, pieces = model.load_free(*args)
+                monkeypatch.undo()
+                assert sorted(calls) == ["math.cos"] * 3 + ["math.sin"] * 3
+                assert type(gravity) is float
+                if kind is not np.float32:  # float32 sums its angles in float32
+                    assert isinstance(elastic, float)
+                    assert (self._bits((gravity, elastic, *pieces))
+                            == self._bits((ref[0], ref[1], *ref[2])))
+
+    def test_arrays_take_the_numpy_path(self, geom_cal, monkeypatch):
+        model = PotentialModel(geom_cal, make_specs(), ExternalLoad(), 1e-3)
+        axes = [np.linspace(t - 0.1, t + 0.1, 3) for t in model.nominal.theta]
+        for args in ([np.array(t) for t in model.nominal.theta],
+                     [axes[0][:, None, None], axes[1][None, :, None],
+                      axes[2][None, None, :]]):
+            calls = self._trig_calls(monkeypatch)
+            gravity, elastic, _ = model.load_free(*args)
+            assert sorted(calls) == ["np.cos"] * 3 + ["np.sin"] * 3
+            assert np.shape(gravity + elastic) == np.broadcast_shapes(
+                *(np.shape(a) for a in args))
+
+
 class TestFindEquilibrium:
     def test_unloaded_minimum_at_nominal(self, geom_massless):
         q = 0.003

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import inspect
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,15 +48,89 @@ def test_layering():
     assert "energy" not in imported["statics"]
 
 
+def _import_time_modules(tree):
+    """Absolute imports that run when the module is imported: those
+    outside function bodies and `if TYPE_CHECKING:` blocks."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_model_is_plain_floats():
-    # The data model and kinematics compute in plain floats; numpy stays
-    # with the layers that evaluate arrays.
+    # The data model and kinematics compute in plain floats, and no
+    # module imports numpy at import time: the array code imports it
+    # in the functions that build arrays.
     tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert "numpy" not in imported
+    at_import = {
+        path.stem: _import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+        for path in Path(tendonfinger.__file__).parent.glob("*.py")
+    }
+    assert at_import["energy"] >= {"math", "dataclasses"}  # the scan sees imports
+    assert [name for name, found in at_import.items() if "numpy" in found] == []
+
+
+def _fresh(code):
+    """Run `code` in a new interpreter; the code fails the test by raising."""
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_import_loads_no_numpy():
+    _fresh("import sys, tendonfinger\n"
+           "assert 'numpy' not in sys.modules")
+    # cli binds the array layers' functions at import, so a tracer that
+    # wraps module attributes sees every call.
+    _fresh("import sys, tendonfinger.cli as cli\n"
+           "assert 'numpy' not in sys.modules\n"
+           "assert {'tendonfinger.energy', 'tendonfinger.workspace'} <= set(sys.modules)\n"
+           "from tendonfinger import energy, workspace\n"
+           "assert cli.equilibrium_report is energy.equilibrium_report\n"
+           "assert cli.sweep_workspace is workspace.sweep_workspace")
+
+
+def test_plain_float_commands_load_no_numpy(tmp_path):
+    commands = [["fk", "mm:3"], ["solve", "mm:3", "--force", "0,-29.43"],
+                ["stiffness", "--payloads", "0.5,3"], ["validate"]]
+    out = [str(tmp_path / f"{argv[0]}.out") for argv in commands]
+    _fresh("import contextlib, io, sys\n"
+           "from tendonfinger import cli\n"
+           f"for argv, out in zip({commands!r}, {out!r}):\n"
+           "    with contextlib.redirect_stderr(io.StringIO()):\n"
+           "        assert cli.main([*argv, '--out', out]) == 0, argv\n"
+           "assert 'numpy' not in sys.modules")
+    assert all(Path(path).stat().st_size > 0 for path in out)
+
+
+def test_array_commands_load_numpy_on_demand(tmp_path):
+    report, base = tmp_path / "o.json", tmp_path / "ws"
+    _fresh("import contextlib, io, sys\n"
+           "from tendonfinger import cli\n"
+           "with contextlib.redirect_stderr(io.StringIO()):\n"
+           f"    assert cli.main(['oracle-check', '--cases', '1', '--out', {str(report)!r}]) == 0\n"
+           f"    assert cli.main(['workspace', '--resolution', '20', '--out', {str(base)!r}]) == 0\n"
+           "assert 'numpy' in sys.modules")
+    assert report.stat().st_size > 0
+    assert all((tmp_path / f"ws.{ext}").stat().st_size > 0
+               for ext in ("csv", "pgm", "json"))
 
 
 def test_no_private_name_crosses_a_module():

@@ -522,10 +522,28 @@ class TestStiffnessSweep:
             except TendonFingerError as exc:
                 assert row.status == f"error: {exc.__class__.__name__}: {exc}"
                 assert math.isnan(row.deflection_m) and row.iterations == 0
+                assert row.trace == (tuple(exc.trace) if isinstance(exc, NoConvergence)
+                                     else ())
                 continue
             assert row.status == "ok"
+            assert row.trace == ()
             assert row.iterations == sol.iterations
             assert row.deflection_m.hex() == sol.deflection_y.hex()
+
+    def test_failed_row_keeps_its_trace(self, calibrated):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        rows = stiffness_sweep(geom, specs, 0.0, (0.5, -1.0), max_iterations=1)
+        assert rows[0].status.startswith("error: NoConvergence:")
+        with pytest.raises(NoConvergence) as exc:
+            solve_static(PotentialModel(
+                geom, specs, ExternalLoad.tip_payload(0.5, geom.gravity_accel), 0.0),
+                max_iterations=1)
+        assert len(rows[0].trace) == 1
+        assert rows[0].trace == tuple(exc.value.trace)
+        assert rows[1].trace == ()
+        # The trace is a library field: the table shows only the message.
+        assert sweep_to_csv(rows).count("\n") == 3
+        assert "trace" not in repr(rows[0])
 
     def test_csv_shape(self, calibrated):
         rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 0.0, (0.5,))
