@@ -33,10 +33,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 CLOUD_CSV_HEADER = "link,x_m,y_m"
-CSV_BLOCK_ROWS = 65536  # rows formatted by one % operation
+# Rows encoded by one array pass. A value with |v| in [1e-4, 1) prints
+# as "0.", z zeros and the nine digits N = round(|v| * 10**(9 + z)),
+# trailing zeros dropped. numpy computes y = |v| * 10**(9 + z); the power
+# is an exact double, so y is off the exact product by at most
+# 2**-53 * 1e9, about 1.1e-7. Where y's fraction is more than 1e-6 from
+# 1/2, y and the exact product round to the same N, so N is %.9g's
+# (which rounds the exact value, half to even). N is also required to
+# have nine digits, so rounding did not carry into the next power of
+# ten. Every other value, and every near-tie, is formatted by `%`.
+CSV_BLOCK_ROWS = 16384
+CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
 # The sweep peaks at about 48 bytes per point (its index, angle and
-# coordinate arrays, then the stacked cloud); 64 leaves room for the
+# coordinate arrays, then the per-link clouds); 64 leaves room for the
 # gridding that follows. Resolution 400 needs about 31 MB.
 SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
@@ -114,10 +124,11 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
         clouds.append(np.column_stack((x, y)))
         counts.append(tuple([n] * (link + 1)))
 
-    allpts = np.vstack(clouds)
     bbox = (
-        float(allpts[:, 0].min()), float(allpts[:, 1].min()),
-        float(allpts[:, 0].max()), float(allpts[:, 1].max()),
+        min(float(c[:, 0].min()) for c in clouds),
+        min(float(c[:, 1].min()) for c in clouds),
+        max(float(c[:, 0].max()) for c in clouds),
+        max(float(c[:, 1].max()) for c in clouds),
     )
     return WorkspaceCloud(
         points_per_link=tuple(clouds),
@@ -174,33 +185,89 @@ def occupancy_grid(
             f"its grid, over the {MAX_GRID_BYTES / 1e9:.3g} GB budget"
         )
 
-    if links is None:
-        pts = cloud.all_points()
-    else:
-        chosen = [cloud.points_per_link[i - 1] for i in links]
-        pts = np.vstack(chosen) if chosen else np.empty((0, 2))
-    if pts.shape[0] == 0:
+    chosen = cloud.points_per_link if links is None else [
+        cloud.points_per_link[i - 1] for i in links]
+    if not any(len(pts) for pts in chosen):
         raise ConfigError("no points to grid")
 
-    ix = np.clip(((pts[:, 0] - xmin) / cell_size).astype(int), 0, nx - 1)
-    iy = np.clip(((pts[:, 1] - ymin) / cell_size).astype(int), 0, ny - 1)
     marked = np.zeros((ny, nx), dtype=bool)
-    marked[iy, ix] = True
+    for pts in chosen:
+        ix = np.clip(((pts[:, 0] - xmin) / cell_size).astype(int), 0, nx - 1)
+        iy = np.clip(((pts[:, 1] - ymin) / cell_size).astype(int), 0, ny - 1)
+        marked[iy, ix] = True
     return OccupancyGrid(marked=marked, origin=(xmin, ymin), cell_size=cell_size)
+
+
+def percent_fields(values: np.ndarray) -> np.ndarray:
+    """`%.9g` of each value, space-padded on the left to a
+    CSV_FIELD_BYTES-byte uint8 row: the fallback of `csv_fields`."""
+    import numpy as np
+
+    text = ("%16.9g" * len(values)) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
+        -1, CSV_FIELD_BYTES)
+
+
+def csv_fields(values: np.ndarray) -> np.ndarray:
+    """`%.9g` of each value as a CSV_FIELD_BYTES-byte uint8 row in which
+    zero bytes mark unused slots; see CSV_BLOCK_ROWS for which values
+    numpy encodes and why their digits are %.9g's."""
+    import numpy as np
+
+    a = np.abs(values)
+    proven = (a >= 1e-4) & (a < 1.0)
+    a = np.where(proven, a, 0.5)  # keeps the others' arithmetic in range
+    z = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
+    y = a * np.array([1e9, 1e10, 1e11, 1e12])[z]
+    n = np.floor(y + 0.5)
+    proven &= (np.abs(y - np.floor(y) - 0.5) > 1e-6) & (n >= 1e8) & (n < 1e9)
+
+    # [sign, "0", ".", three slots for z zeros, nine digits, unused]
+    fields = np.empty((len(values), CSV_FIELD_BYTES), dtype=np.uint8)
+    fields[:, 0] = (values < 0.0) * np.uint8(ord("-"))
+    fields[:, 1] = ord("0")
+    fields[:, 2] = ord(".")
+    for k in range(3):
+        fields[:, 3 + k] = (z > k) * np.uint8(ord("0"))
+    fields[:, -1] = 0
+    n = n.astype(np.int32)  # at most 1e9, since a < 10**-z
+    kept = np.zeros(len(values), dtype=bool)  # a nonzero digit at or after k
+    for k in range(14, 5, -1):  # last digit first
+        q = n // 10
+        digit = (n - 10 * q).astype(np.uint8)
+        kept |= digit != 0
+        fields[:, k] = (digit + np.uint8(ord("0"))) * kept
+        n = q
+
+    deferred = np.flatnonzero(~proven)
+    if len(deferred):
+        fields[deferred] = percent_fields(values[deferred])
+    return fields
 
 
 def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
     """Write one row per point, link,x_m,y_m, to the text stream `out`.
 
-    Each block of up to CSV_BLOCK_ROWS rows is one `%` operation on
-    Python floats; `%.9g` gives the same digits as `:.9g` does per row.
+    Coordinates are `%.9g`, byte for byte. Each block of up to
+    CSV_BLOCK_ROWS rows is laid out as link, ",", x's field, ",", y's
+    field and a newline in one uint8 array (see CSV_BLOCK_ROWS for the
+    error bound that decides which fields numpy writes), and one
+    `bytes.translate` pass deletes its zero and padding-space bytes.
     """
+    import numpy as np
+
     out.write(CLOUD_CSV_HEADER + "\n")
     for link, pts in enumerate(cloud.points_per_link, start=1):
-        row = f"{link},%.9g,%.9g\n"
         for start in range(0, len(pts), CSV_BLOCK_ROWS):
             block = pts[start:start + CSV_BLOCK_ROWS]
-            out.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fields = csv_fields(block.ravel()).reshape(len(block), -1)
+            rows = np.empty((len(block), 4 + 2 * CSV_FIELD_BYTES), dtype=np.uint8)
+            rows[:, 0] = ord("0") + link
+            rows[:, 1] = rows[:, 2 + CSV_FIELD_BYTES] = ord(",")
+            rows[:, 2:2 + CSV_FIELD_BYTES] = fields[:, :CSV_FIELD_BYTES]
+            rows[:, 3 + CSV_FIELD_BYTES:-1] = fields[:, CSV_FIELD_BYTES:]
+            rows[:, -1] = ord("\n")
+            out.write(rows.tobytes().translate(None, b"\0 ").decode("ascii"))
 
 
 def grid_to_pgm(grid: OccupancyGrid) -> str:

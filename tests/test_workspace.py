@@ -3,10 +3,16 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tendonfinger import workspace
+from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.errors import ConfigError
 from tendonfinger.model import FingerGeometry
 from tendonfinger.workspace import (
+    CSV_BLOCK_ROWS,
+    WorkspaceCloud,
     cloud_to_csv,
     grid_sidecar,
     grid_to_pgm,
@@ -19,6 +25,10 @@ GEOM = FingerGeometry(link_lengths=(0.06, 0.06, 0.051),
                       guide_radii=(0.0075, 0.006, 0.005))
 SINGLE_LINK = FingerGeometry(link_lengths=(0.06, 0.0, 0.0),
                              guide_radii=(0.0075, 0.006, 0.005))
+# Coordinates of metres: about half of them are outside the CSV's numpy
+# digit range.
+METRES = FingerGeometry(link_lengths=(2.0, 2.0, 1.5),
+                        guide_radii=(0.0075, 0.006, 0.005))
 HALF_DISK_AREA = math.pi * 0.06 ** 2 / 2
 
 
@@ -35,6 +45,43 @@ def reference_csv(cloud):
         for x, y in pts:
             lines.append(f"{link},{x:.9g},{y:.9g}")
     return "\n".join(lines) + "\n"
+
+
+def assert_csv_is_reference(cloud):
+    """`cloud_to_csv` writes `reference_csv`'s bytes; a failure shows the
+    first differing rows, not a diff of the whole text."""
+    got = csv_text(cloud).split("\n")
+    want = reference_csv(cloud).split("\n")
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
+
+
+def cloud_of(values):
+    """A one-link cloud whose points hold `values` in order, padded with
+    0.5 to an even count."""
+    values = np.asarray(values, dtype=float)
+    if len(values) % 2:
+        values = np.append(values, 0.5)
+    pts = values.reshape(-1, 2)
+    empty = np.empty((0, 2))
+    return WorkspaceCloud(
+        points_per_link=(pts, empty, empty),
+        sample_counts=((len(pts),), (0,), (0,)),
+        resolution=2,
+        bounding_box=(0.0, 0.0, 1.0, 1.0),
+    )
+
+
+def with_neighbours(values, ulps=3):
+    """`values`, the `ulps` doubles on either side of each, and all of
+    their negations."""
+    found = [values]
+    up = down = values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        found += [up, down]
+    found = np.concatenate(found)
+    return np.concatenate([found, -found])
 
 
 def reference_pgm(grid):
@@ -173,9 +220,23 @@ class TestExports:
     @pytest.mark.parametrize("resolution", [2, 3, 300])
     def test_encoders_match_reference(self, resolution):
         cloud = sweep_workspace(GEOM, resolution)
-        assert csv_text(cloud) == reference_csv(cloud)
+        assert_csv_is_reference(cloud)
         grid = occupancy_grid(cloud, 1e-3)
         assert grid_to_pgm(grid) == reference_pgm(grid)
+
+    def test_grid_marks_the_cell_of_every_chosen_point(self):
+        cloud = sweep_workspace(GEOM, 60)
+        xmin, ymin = cloud.bounding_box[:2]
+        for links in ((1, 2, 3), (3, 1)):
+            grid = occupancy_grid(cloud, 1e-3, links=links)
+            cells = {(int((y - ymin) / 1e-3), int((x - xmin) / 1e-3))
+                     for i in links for x, y in cloud.points_per_link[i - 1]}
+            assert {tuple(c) for c in np.argwhere(grid.marked)} == cells
+
+    def test_bounding_box_spans_every_link(self):
+        cloud = sweep_workspace(GEOM, 30)
+        pts = cloud.all_points()
+        assert cloud.bounding_box == (*pts.min(axis=0), *pts.max(axis=0))
 
     def test_union_of_link_grids(self):
         cloud = sweep_workspace(GEOM, 60)
@@ -184,3 +245,59 @@ class TestExports:
         union = links[0].marked | links[1].marked | links[2].marked
         assert np.array_equal(union, whole.marked)
         assert float(np.count_nonzero(union)) * 1e-3 ** 2 == whole.area
+
+
+class TestCsvDigits:
+    """The numpy digits agree with `%.9g` wherever the error bound lets
+    numpy write them, and `%` writes the rest."""
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2, 3])
+    def test_near_ties(self, zeros):
+        # The doubles nearest to (N + 1/2) * 10**-(9 + zeros), the
+        # halfway points between two nine-digit outputs.
+        rng = np.random.default_rng(zeros)
+        n = np.concatenate([[1e8, 1e9 - 1], rng.integers(10**8, 10**9, 3000)])
+        assert_csv_is_reference(cloud_of(
+            with_neighbours((n + 0.5) / 10.0 ** (9 + zeros))))
+
+    def test_powers_of_ten(self):
+        assert_csv_is_reference(cloud_of(with_neighbours(
+            np.array([float(f"1e{d}") for d in range(-8, 12)]))))
+
+    def test_extremes(self):
+        assert_csv_is_reference(cloud_of([
+            0.0, -0.0, 5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.9999999995]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=40))
+    def test_any_finite_floats(self, values):
+        assert_csv_is_reference(cloud_of(values))
+
+    @pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1])
+    def test_block_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        assert_csv_is_reference(cloud_of(rng.uniform(-0.2, 0.2, 2 * rows)))
+
+    def test_metres_scale_geometry(self):
+        assert_csv_is_reference(sweep_workspace(METRES, 40))
+
+    def test_shipped_cloud_mostly_skips_the_fallback(self, monkeypatch):
+        # An encoder that sent every value to `%` would pass every test
+        # above at the old speed.
+        geom = load_finger_config(default_config_path()).geometry
+        cloud = sweep_workspace(geom, 100)
+        deferred = []
+        fallback = workspace.percent_fields
+
+        def spy(values):
+            deferred.append(len(values))
+            return fallback(values)
+
+        monkeypatch.setattr(workspace, "percent_fields", spy)
+        assert_csv_is_reference(cloud)
+        values = 2 * sum(len(pts) for pts in cloud.points_per_link)
+        assert sum(deferred) < 0.02 * values
