@@ -45,9 +45,10 @@ CLOUD_CSV_HEADER = "link,x_m,y_m"
 CSV_BLOCK_ROWS = 16384
 CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
-# The sweep peaks at about 48 bytes per point (its index, angle and
-# coordinate arrays, then the per-link clouds); 64 leaves room for the
-# gridding that follows. Resolution 400 needs about 31 MB.
+# The sweep peaks at about 17 bytes per point (the per-link clouds,
+# 16 bytes a point, plus one n-by-n link term at a time); 64 leaves room
+# for the gridding and CSV encoding that follow. Resolution 400 needs
+# about 31 MB.
 SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
 
@@ -88,7 +89,17 @@ def sweep_point_count(resolution: int) -> int:
 
 def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     """Sweep the coupled configuration space; see the module docstring
-    for the per-link sampling formula."""
+    for the per-link sampling formula.
+
+    Link i's cloud is an (n,) * (i + 1) grid of points in C order: axis
+    0 samples theta_1 and axis 1 + j the length of link j + 1. The
+    cosine and sine of each joint's n sampled angles are taken once,
+    and each link term, the sampled length times the angle's cosine or
+    sine, is broadcast and added in place in joint order, so every
+    point is ((0 + l1 c1) + l2 c2) + l3 c3. Starting from +0.0 matters:
+    a zero length times a negative sine is -0.0, and 0.0 + -0.0 prints
+    as "0" in the CSV, not "-0".
+    """
     import numpy as np
 
     if resolution < 2:
@@ -112,17 +123,18 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
         n = samples_per_variable(resolution, link)
         theta1 = np.linspace(THETA1_MIN, THETA1_MAX, n)
         phi = np.cumsum(theta1[:, None] * rate[None, :], axis=1)  # (n, 3)
-        axes = [np.linspace(0.0, geom.link_lengths[j], n) for j in range(link)]
-        grids = np.meshgrid(np.arange(n), *axes, indexing="ij")
-        idx = grids[0].ravel()
-        x = np.zeros(idx.shape)
-        y = np.zeros(idx.shape)
+        cos, sin = np.cos(phi), np.sin(phi)
+        shape = (n,) * (link + 1)
+        on_theta = (n,) + (1,) * link
+        cloud = np.zeros(shape + (2,))
         for j in range(link):
-            lj = grids[1 + j].ravel()
-            x += lj * np.cos(phi[idx, j])
-            y += lj * np.sin(phi[idx, j])
-        clouds.append(np.column_stack((x, y)))
-        counts.append(tuple([n] * (link + 1)))
+            on_length = [1] * (link + 1)
+            on_length[1 + j] = n
+            lj = np.linspace(0.0, geom.link_lengths[j], n).reshape(on_length)
+            cloud[..., 0] += lj * cos[:, j].reshape(on_theta)
+            cloud[..., 1] += lj * sin[:, j].reshape(on_theta)
+        clouds.append(cloud.reshape(-1, 2))
+        counts.append(shape)
 
     bbox = (
         min(float(c[:, 0].min()) for c in clouds),
@@ -160,13 +172,17 @@ def occupancy_grid(
 
     `links` restricts the gridded points to the given 1-based link ids;
     the grid extent always covers the whole cloud's bounding box so
-    per-link grids share cell alignment. A cell size that is not
-    positive, exceeds the box's diagonal or whose grid would need more
-    than MAX_GRID_BYTES raises ConfigError before anything is allocated,
-    and so does a selection with no points.
+    per-link grids share cell alignment. A link id other than the ints
+    1, 2 and 3, a cell size that is not positive, exceeds the box's
+    diagonal or whose grid would need more than MAX_GRID_BYTES raises
+    ConfigError before anything is allocated, and so does a selection
+    with no points.
     """
     import numpy as np
 
+    for link in links or ():
+        if type(link) is not int or link not in (1, 2, 3):  # no bool, no float
+            raise ConfigError(f"link id {link!r} is not 1, 2 or 3")
     xmin, ymin, xmax, ymax = cloud.bounding_box
     diag = math.hypot(xmax - xmin, ymax - ymin)
     if cell_size <= 0.0:

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from tendonfinger import workspace
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.errors import ConfigError
-from tendonfinger.model import FingerGeometry
+from tendonfinger.model import THETA1_MAX, THETA1_MIN, FingerGeometry
 from tendonfinger.workspace import (
     CSV_BLOCK_ROWS,
     WorkspaceCloud,
@@ -18,6 +20,7 @@ from tendonfinger.workspace import (
     grid_to_pgm,
     occupancy_grid,
     samples_per_variable,
+    sweep_point_count,
     sweep_workspace,
 )
 
@@ -84,6 +87,30 @@ def with_neighbours(values, ulps=3):
     return np.concatenate([found, -found])
 
 
+def reference_sweep(geom, resolution):
+    """The per-point sweep `sweep_workspace` must match bit for bit: every
+    point gathers its own angles from the (n, 3) table, and x and y add
+    l * cos and l * sin to zeros, joint by joint."""
+    radii = np.asarray(geom.guide_radii)
+    rate = radii[0] / radii
+    clouds = []
+    for link in (1, 2, 3):
+        n = samples_per_variable(resolution, link)
+        theta1 = np.linspace(THETA1_MIN, THETA1_MAX, n)
+        phi = np.cumsum(theta1[:, None] * rate[None, :], axis=1)
+        axes = [np.linspace(0.0, geom.link_lengths[j], n) for j in range(link)]
+        grids = np.meshgrid(np.arange(n), *axes, indexing="ij")
+        idx = grids[0].ravel()
+        x = np.zeros(idx.shape)
+        y = np.zeros(idx.shape)
+        for j in range(link):
+            lj = grids[1 + j].ravel()
+            x += lj * np.cos(phi[idx, j])
+            y += lj * np.sin(phi[idx, j])
+        clouds.append(np.column_stack((x, y)))
+    return clouds
+
+
 def reference_pgm(grid):
     """The per-cell encoder the array encoder must match byte for byte."""
     ny, nx = grid.marked.shape
@@ -144,6 +171,29 @@ class TestSweep:
                       for dx in (-1, 0, 1) for dy in (-1, 0, 1))
             assert hit, f"no mirror cell near ({x}, {-y})"
 
+    @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 400])
+    @pytest.mark.parametrize("geom", [GEOM, SINGLE_LINK, METRES],
+                             ids=["geom", "single_link", "metres"])
+    def test_matches_per_point_reference(self, geom, resolution):
+        # Compared as int64 bit patterns, so -0.0 differs from 0.0.
+        cloud = sweep_workspace(geom, resolution)
+        for got, want in zip(cloud.points_per_link,
+                             reference_sweep(geom, resolution)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_per_point(self):
+        # The clouds hold 16 bytes a point; the gathered per-point
+        # index, length and angle arrays took the peak to 35.
+        sweep_workspace(GEOM, 137)
+        tracemalloc.start()
+        try:
+            sweep_workspace(GEOM, 137)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sweep_point_count(137) < 32
+
     def test_determinism(self):
         a = sweep_workspace(GEOM, 30)
         b = sweep_workspace(GEOM, 30)
@@ -186,6 +236,12 @@ class TestOccupancy:
         cloud = sweep_workspace(GEOM, 5)
         with pytest.raises(ConfigError, match="no points to grid"):
             occupancy_grid(cloud, 1e-3, links=())
+
+    @pytest.mark.parametrize("link", [0, -1, 4, 1.0])
+    def test_link_ids_outside_1_to_3(self, link):
+        cloud = sweep_workspace(GEOM, 5)
+        with pytest.raises(ConfigError, match=re.escape(f"link id {link!r} ")):
+            occupancy_grid(cloud, 1e-3, links=(link,))
 
     def test_cell_size_validation(self):
         cloud = sweep_workspace(GEOM, 5)
@@ -301,3 +357,11 @@ class TestCsvDigits:
         assert_csv_is_reference(cloud)
         values = 2 * sum(len(pts) for pts in cloud.points_per_link)
         assert sum(deferred) < 0.02 * values
+
+    def test_shipped_cloud_has_no_negative_zero(self):
+        # Zero-length links times a negative sine are -0.0; the sweep's
+        # sums start from +0.0, so the CSV prints them as 0.
+        geom = load_finger_config(default_config_path()).geometry
+        fields = re.split("[,\n]", csv_text(sweep_workspace(geom, 100)))
+        assert "0" in fields
+        assert "-0" not in fields
