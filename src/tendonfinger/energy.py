@@ -223,7 +223,7 @@ def balance_residuals(model: PotentialModel, theta) -> dict:
     Configuration(q=model.q, theta=theta)  # raises RangeExceeded outside limits
     pose = link_pose(theta, geom)
     m1, m2, m3 = pose_moments(pose, geom, model.load_at(theta, pose))
-    tensions, groups = model.tensions(theta)
+    tensions, groups, _ = model.tensions(theta)
     n1, n2, n3 = (t if g is TendonGroup.FLEXION else -t
                   for t, g in zip(tensions, groups))
     r1, r2, r3 = geom.guide_radii

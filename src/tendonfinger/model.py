@@ -103,6 +103,16 @@ class TendonSpec:
         return self.youngs_modulus * self.cross_section_area
 
 
+def check_theta_1(t1: float) -> None:
+    """Raise RangeExceeded when the base joint angle t1 lies outside
+    [THETA1_MIN, THETA1_MAX], widened by a 1e-12 rad tolerance: the one
+    range rule of configurations and solver iterates."""
+    if t1 < THETA1_MIN - _TOL or t1 > THETA1_MAX + _TOL:
+        raise RangeExceeded(
+            f"theta_1 = {t1:.6f} rad outside [{THETA1_MIN:.6f}, {THETA1_MAX:.6f}]"
+        )
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Actuating displacement q plus the three joint angles.
@@ -119,11 +129,7 @@ class Configuration:
             raise ValueError("theta must have exactly 3 entries")
         if not all(map(math.isfinite, self.theta)):
             raise ValueError("theta contains a non-finite value")
-        t1 = self.theta[0]
-        if t1 < THETA1_MIN - _TOL or t1 > THETA1_MAX + _TOL:
-            raise RangeExceeded(
-                f"theta_1 = {t1:.6f} rad outside [{THETA1_MIN:.6f}, {THETA1_MAX:.6f}]"
-            )
+        check_theta_1(self.theta[0])
 
 
 @dataclass(frozen=True)

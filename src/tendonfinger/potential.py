@@ -19,7 +19,6 @@ flexion-side stretch is >= 0, the extension tendon where it is < 0.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -107,7 +106,9 @@ class PotentialModel:
 
     Everything but `load` and `attach_local` is load-free: `with_load`
     shares it, with the `first_box` memo of the oracle's first search
-    box, among the load cases of one report or sweep."""
+    box, among the load cases of one report or sweep. `sides` holds, per
+    tendon index, the flexion and extension tendons' E A / L and specs,
+    so that `tensions` picks each index's taut tendon in one pass."""
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
@@ -117,9 +118,11 @@ class PotentialModel:
         self.g = geom.gravity_accel
         self.wrap0 = zero_pose_wrap(geom)
         lt2, lt3 = self.wrap0.rest_length_2, self.wrap0.rest_length_3
-        self.trios = {group: group_specs(specs, group) for group in TendonGroup}
-        self.k_flex = _stiffness(self.trios[TendonGroup.FLEXION], lt2, lt3)
-        self.k_ext = _stiffness(self.trios[TendonGroup.EXTENSION], lt2, lt3)
+        flex = group_specs(specs, TendonGroup.FLEXION)
+        ext = group_specs(specs, TendonGroup.EXTENSION)
+        self.k_flex = _stiffness(flex, lt2, lt3)
+        self.k_ext = _stiffness(ext, lt2, lt3)
+        self.sides = tuple(zip(self.k_flex, self.k_ext, flex, ext))
 
         # Joint k lifts every link j >= k: link j's own centre of mass by
         # frac_j L_j, and each later link's by L_j.
@@ -135,7 +138,8 @@ class PotentialModel:
         """This model under `load`: it shares every load-free field and
         the `first_box` memo, and recomputes only `load` and
         `attach_local`."""
-        model = copy.copy(self)
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
         model._apply(load)
         return model
 
@@ -182,19 +186,17 @@ class PotentialModel:
 
     def tensions(self, theta):
         """Hooke tensions of the taut tendon at each index at one pose,
-        with their groups: flexion where the stretch is >= 0, extension
-        where it is < 0, the sign rule of `gradient_hessian`'s net
-        tensions. Returns (tensions, groups), two triples; every tension
-        is >= 0."""
-        tensions, groups = [], []
-        for s, kf, ke in zip(self.stretches(*theta), self.k_flex, self.k_ext):
-            if s >= 0.0:
-                tensions.append(kf * s)
-                groups.append(TendonGroup.FLEXION)
-            else:
-                tensions.append(ke * -s)
-                groups.append(TendonGroup.EXTENSION)
-        return tuple(tensions), tuple(groups)
+        with their groups and specs: flexion where the stretch is >= 0,
+        extension where it is < 0, the sign rule of `gradient_hessian`'s
+        net tensions. Returns (tensions, groups, specs), three triples;
+        every tension is >= 0."""
+        flex, ext = TendonGroup.FLEXION, TendonGroup.EXTENSION
+        s1, s2, s3 = self.stretches(*theta)
+        (kf1, ke1, fs1, es1), (kf2, ke2, fs2, es2), (kf3, ke3, fs3, es3) = self.sides
+        t1, g1, p1 = (kf1 * s1, flex, fs1) if s1 >= 0.0 else (ke1 * -s1, ext, es1)
+        t2, g2, p2 = (kf2 * s2, flex, fs2) if s2 >= 0.0 else (ke2 * -s2, ext, es2)
+        t3, g3, p3 = (kf3 * s3, flex, fs3) if s3 >= 0.0 else (ke3 * -s3, ext, es3)
+        return (t1, t2, t3), (g1, g2, g3), (p1, p2, p3)
 
     def gradient_hessian(self, theta):
         """Analytic gradient (3,) and Hessian (3 x 3) of the total potential

@@ -39,6 +39,7 @@ from .model import (
     FingerGeometry,
     TendonGroup,
     TendonSpec,
+    check_theta_1,
     link_pose,
 )
 from .potential import PotentialModel, WrapGeometry, newton_step
@@ -150,13 +151,18 @@ def solve_static(
     Newton steps on the potential's analytic gradient and Hessian start
     at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
     fingertip movement between two steps is at most `threshold`, so at
-    least two steps run. The solution's tensions, rest and stretched
-    lengths are the last step's: each index's taut tendon with its Hooke
-    tension (`PotentialModel.tensions`). Raises GeometryInfeasible when a
-    coupling tendon cannot wrap its guides at the rigid or at the
-    converged pose, and NoConvergence, with the steps' trace, after
-    `max_iterations` steps, at a Hessian that is not positive definite or
-    at a step to a non-finite angle.
+    least two steps run. One step computes only what its trace record
+    reads: the gradient and Hessian once, the Newton step, the new
+    angles' theta_1 range check (`check_theta_1`), the fingertip height
+    from three sines, each index's taut tendon with its Hooke tension
+    (`PotentialModel.tensions`) and that tendon's stretched length. The
+    converged step alone builds the `Configuration` and the fingertip
+    (x, y). The solution's tensions, rest and stretched lengths are the
+    last step's. Raises RangeExceeded at a step whose theta_1 leaves the
+    joint range, GeometryInfeasible when a coupling tendon cannot wrap
+    its guides at the rigid or at the converged pose, and NoConvergence,
+    with the steps' trace, after `max_iterations` steps, at a Hessian
+    that is not positive definite or at a step to a non-finite angle.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
@@ -166,6 +172,7 @@ def solve_static(
     geom, nominal, wrap0 = model.geom, model.nominal, model.wrap0
     wrap0.angles_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
     y_nominal = model.nominal_pose[0][3][1]
+    l1, l2, l3 = geom.link_lengths
 
     theta = nominal.theta
     y_prev = None
@@ -178,19 +185,19 @@ def solve_static(
             raise NoConvergence(
                 f"Hessian not positive definite before step {k}", trace=trace
             )
-        theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
-        if not (math.isfinite(theta[0]) and math.isfinite(theta[1])
-                and math.isfinite(theta[2])):
+        theta = t1, t2, t3 = (theta[0] + step[0], theta[1] + step[1],
+                              theta[2] + step[2])
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
             raise NoConvergence(
                 f"Newton step {k} gave a non-finite joint angle", trace=trace
             )
-        cfg = Configuration(q=nominal.q, theta=theta)
-        tip = link_pose(theta, geom)[0][3]
-        tensions, groups = model.tensions(theta)
-        taut = tuple(model.trios[g][i] for i, g in enumerate(groups))
+        check_theta_1(t1)
+        # The fingertip height of `link_pose`, summed in its order.
+        phi2 = t1 + t2
+        y_k = (l1 * math.sin(t1) + l2 * math.sin(phi2)) + l3 * math.sin(phi2 + t3)
+        tensions, groups, taut = model.tensions(theta)
         elongated = elongate_tendons(tensions, taut, wrap0)
 
-        y_k = tip[1]
         residual = abs(y_k - y_prev) if y_prev is not None else None
         trace.append(IterationRecord(
             index=k, theta=theta, fingertip_y=y_k,
@@ -203,10 +210,10 @@ def solve_static(
             if residual <= threshold:
                 wrap0.angles_at(theta)  # and a solved one
                 return StaticSolution(
-                    configuration=cfg,
+                    configuration=Configuration(q=nominal.q, theta=theta),
                     tensions=tensions,
                     tension_groups=groups,
-                    fingertip=tip,
+                    fingertip=link_pose(theta, geom)[0][3],
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,

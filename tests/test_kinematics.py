@@ -5,7 +5,11 @@ import pytest
 
 from tendonfinger.errors import RangeExceeded
 from tendonfinger.model import (
+    THETA1_MAX,
+    THETA1_MIN,
+    Configuration,
     FingerGeometry,
+    check_theta_1,
     coupling_angles,
     fingertip_from_displacement,
     forward_kinematics,
@@ -33,6 +37,21 @@ class TestCouplingAngles:
     def test_range_exceeded(self):
         with pytest.raises(RangeExceeded):
             coupling_angles(0.020, GEOM)  # theta_1 = 2.0 rad
+
+    def test_one_range_rule(self):
+        # Configurations and solver iterates share one rule: the joint-1
+        # range widened by 1e-12 rad, and one message.
+        for edge, outward in ((THETA1_MIN - 1e-12, -math.inf),
+                              (THETA1_MAX + 1e-12, math.inf)):
+            check_theta_1(edge)
+            Configuration(q=0.0, theta=(edge, 0.0, 0.0))
+            beyond = math.nextafter(edge, outward)
+            with pytest.raises(RangeExceeded) as checked:
+                check_theta_1(beyond)
+            with pytest.raises(RangeExceeded) as built:
+                Configuration(q=0.0, theta=(beyond, 0.0, 0.0))
+            assert str(checked.value) == str(built.value) == (
+                f"theta_1 = {beyond:.6f} rad outside [-1.570796, 1.570796]")
 
     def test_rigid_coupling_invariant(self):
         rng = np.random.default_rng(11)

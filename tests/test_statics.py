@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -24,7 +25,12 @@ from tendonfinger.model import (
     forward_kinematics,
     link_pose,
 )
-from tendonfinger.potential import PotentialModel, newton_step, zero_pose_wrap
+from tendonfinger.potential import (
+    PotentialModel,
+    group_specs,
+    newton_step,
+    zero_pose_wrap,
+)
 from tendonfinger.statics import (
     elongate_tendons,
     pose_moments,
@@ -432,7 +438,8 @@ class TestSolveStatic:
 
     def test_iterate_out_of_range_raises(self, geom_massless):
         # theta_1 starts at 0.965 rad; soft tendons under a 50 N load send
-        # the first Newton iterate past pi/2, and its Configuration refuses it.
+        # the first Newton iterate past pi/2, and the step's range check
+        # refuses it.
         load = ExternalLoad(force=(0.0, -50.0))
         with pytest.raises(RangeExceeded):
             solve_static(PotentialModel(geom_massless, make_specs(youngs_modulus=5e9),
@@ -870,3 +877,255 @@ class TestOneTensionRule:
         assert isinstance(sol, TendonFingerError) == isinstance(eq, TendonFingerError)
         if not isinstance(sol, TendonFingerError):
             assert_matches_oracle(sol, q, geom, specs, load)
+
+
+def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
+                        max_iterations=statics.DEFAULT_MAX_ITERATIONS):
+    """`solve_static` as it was before its lean step, kept as a reference:
+    every step builds a validating `Configuration` and a full `link_pose`,
+    then takes the Hooke tensions and their groups in one pass and the
+    taut specs by group-keyed lookups into `specs`."""
+    if threshold <= 0.0:
+        raise ValueError("threshold must be > 0")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    trios = {group: group_specs(specs, group) for group in TendonGroup}
+
+    def tensions_at(theta):
+        tensions, groups = [], []
+        for s, kf, ke in zip(model.stretches(*theta), model.k_flex, model.k_ext):
+            if s >= 0.0:
+                tensions.append(kf * s)
+                groups.append(TendonGroup.FLEXION)
+            else:
+                tensions.append(ke * -s)
+                groups.append(TendonGroup.EXTENSION)
+        return tuple(tensions), tuple(groups)
+
+    geom, nominal, wrap0 = model.geom, model.nominal, model.wrap0
+    wrap0.angles_at(nominal.theta)
+    y_nominal = model.nominal_pose[0][3][1]
+
+    theta = nominal.theta
+    y_prev = None
+    last_residual = math.inf
+    trace = []
+
+    for k in range(1, max_iterations + 1):
+        step = newton_step(*model.gradient_hessian(theta))
+        if step is None:
+            raise NoConvergence(
+                f"Hessian not positive definite before step {k}", trace=trace
+            )
+        theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
+        if not (math.isfinite(theta[0]) and math.isfinite(theta[1])
+                and math.isfinite(theta[2])):
+            raise NoConvergence(
+                f"Newton step {k} gave a non-finite joint angle", trace=trace
+            )
+        cfg = Configuration(q=nominal.q, theta=theta)
+        tip = link_pose(theta, geom)[0][3]
+        tensions, groups = tensions_at(theta)
+        taut = tuple(trios[g][i] for i, g in enumerate(groups))
+        elongated = elongate_tendons(tensions, taut, wrap0)
+
+        y_k = tip[1]
+        residual = abs(y_k - y_prev) if y_prev is not None else None
+        trace.append(statics.IterationRecord(
+            index=k, theta=theta, fingertip_y=y_k,
+            tensions=tensions,
+            elongated_lengths=elongated,
+            residual=residual,
+        ))
+
+        if residual is not None:
+            if residual <= threshold:
+                wrap0.angles_at(theta)
+                return statics.StaticSolution(
+                    configuration=cfg,
+                    tensions=tensions,
+                    tension_groups=groups,
+                    fingertip=tip,
+                    deflection_y=y_nominal - y_k,
+                    iterations=k,
+                    residual=residual,
+                    rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
+                                  wrap0.rest_length_3),
+                    elongated_lengths=elongated,
+                    trace=tuple(trace),
+                )
+            last_residual = residual
+        y_prev = y_k
+
+    raise NoConvergence(
+        f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "
+        f"after {max_iterations} iterations",
+        trace=trace,
+    )
+
+
+def _finger(name, calibrated):
+    """(geometry, specs) of one named finger: the shipped calibration, the
+    calibration with its extension tendons twice as thick as its flexion
+    tendons, or its massless geometry with steel, soft (5 GPa) or
+    near-rigid tendons."""
+    if name == "calibrated":
+        return calibrated.geometry, calibrated.tendons
+    if name == "asymmetric":
+        return calibrated.geometry, tuple(
+            s if s.group is FLEX
+            else dataclasses.replace(s, cross_section_area=2.0 * s.cross_section_area)
+            for s in calibrated.tendons)
+    cal = calibrated.geometry
+    massless = FingerGeometry(link_lengths=cal.link_lengths,
+                              guide_radii=cal.guide_radii,
+                              com_fractions=cal.com_fractions,
+                              gravity_accel=cal.gravity_accel)
+    youngs = {"steel": STEEL_E, "soft": 5e9, "rigid": 1e17}[name]
+    return massless, make_specs(youngs_modulus=youngs)
+
+
+def _directed(payload_kg, direction_deg, g=9.81, **kwargs):
+    weight = payload_kg * g
+    angle = math.radians(direction_deg)
+    return ExternalLoad(force=(weight * math.cos(angle), weight * math.sin(angle)),
+                        **kwargs)
+
+
+class TestFrozenSolveLoop:
+    """The lean Newton step gives the frozen loop's outcome bit for bit:
+    solutions, traces, error types and messages, signed zeros included."""
+
+    # (finger, q, load, solve options, outcome, start of its message):
+    # every outcome and every way a solve fails but a non-finite step.
+    OUTCOMES = [
+        ("calibrated", 0.0, ExternalLoad.tip_payload(3.0), {},
+         statics.StaticSolution, "StaticSolution("),
+        ("steel", 0.0, ExternalLoad(moment=-0.0), {},
+         statics.StaticSolution, "StaticSolution("),
+        ("rigid", 4e-3, ExternalLoad.tip_payload(3.0), {},
+         statics.StaticSolution, "StaticSolution("),
+        ("asymmetric", 0.0, ExternalLoad(force=(0.0, -1.5), moment=0.1), {},
+         statics.StaticSolution, "StaticSolution("),
+        ("asymmetric", 1e-3, ExternalLoad(force=(0.0, 9.81)), {},
+         statics.StaticSolution, "StaticSolution("),
+        ("calibrated", 0.0, ExternalLoad.tip_payload(3.0), {"max_iterations": 2},
+         NoConvergence, "residual"),
+        ("calibrated", 2.9e-3, _directed(37.5, -156.0), {},
+         NoConvergence, "Hessian not positive definite"),
+        ("soft", 11e-3, ExternalLoad(force=(0.0, -50.0)), {},
+         RangeExceeded, "theta_1 = 1.860063 rad"),
+        ("calibrated", -1e-3, _directed(41.8, -145.0), {},
+         RangeExceeded, "theta_1 = -1.745078 rad"),
+        ("calibrated", 13.9e-3, ExternalLoad(force=(30.0, 0.0)), {},
+         GeometryInfeasible, "wrap angle -0.0137"),
+        ("calibrated", -12e-3, ExternalLoad.tip_payload(1.0), {},
+         GeometryInfeasible, "wrap angle 3.2360"),
+    ]
+
+    @staticmethod
+    def _both(geom, specs, q, load, **kwargs):
+        new = _outcome(lambda: solve_static(PotentialModel(geom, specs, load, q),
+                                            **kwargs))
+        ref = _outcome(lambda: frozen_solve_static(
+            PotentialModel(geom, specs, load, q), specs, **kwargs))
+        assert_same_outcome(new, ref, exact=True, scale=1.0)
+        return new
+
+    @pytest.mark.parametrize("name", sorted(TestFrozenReference.CASES))
+    def test_reference_cases(self, calibrated, name):
+        q, load, kwargs = TestFrozenReference.CASES[name]
+        self._both(calibrated.geometry, calibrated.tendons, q, load, **kwargs)
+
+    @pytest.mark.parametrize("finger, q, load, kwargs, outcome, message", OUTCOMES)
+    def test_every_outcome(self, calibrated, finger, q, load, kwargs, outcome,
+                           message):
+        got = self._both(*_finger(finger, calibrated), q, load, **kwargs)
+        assert type(got) is outcome
+        assert (repr(got) if outcome is statics.StaticSolution
+                else str(got)).startswith(message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        finger=st.sampled_from(["calibrated", "asymmetric", "steel", "soft",
+                                "rigid"]),
+        q_mm=st.floats(-14.0, 14.0),
+        payload_kg=st.floats(0.0, 60.0),
+        direction_deg=st.floats(-180.0, 180.0),
+        moment=st.just(-0.0) | st.floats(-0.5, 0.5),
+        attach=st.none() | st.floats(0.0, 1.0),
+        threshold_exp=st.floats(-12.0, -3.0),
+        max_iterations=st.sampled_from([1, 2, 3, 100]),
+    )
+    def test_property_matches_frozen_loop(self, calibrated, finger, q_mm, payload_kg,
+                                          direction_deg, moment, attach,
+                                          threshold_exp, max_iterations):
+        geom, specs = _finger(finger, calibrated)
+        q = q_mm * 1e-3
+        point = None if attach is None else _distal_point(q, attach, geom)
+        load = _directed(payload_kg, direction_deg, geom.gravity_accel,
+                         moment=moment, application_point=point)
+        self._both(geom, specs, q, load, threshold=10.0 ** threshold_exp,
+                   max_iterations=max_iterations)
+
+
+class TestLeanStepWork:
+    """A solve's steps do only the work their records read, and a sweep's
+    payload models share every load-free field."""
+
+    def test_calls_per_step(self, calibrated, monkeypatch):
+        steps, poses, configs = [], [], []
+        gradient_hessian = PotentialModel.gradient_hessian
+
+        def counting_gradient_hessian(self, theta):
+            steps.append(theta)
+            return gradient_hessian(self, theta)
+
+        def counting_link_pose(theta, geom):
+            poses.append(theta)
+            return link_pose(theta, geom)
+
+        def counting_configuration(**kwargs):
+            configs.append(kwargs["theta"])
+            return Configuration(**kwargs)
+
+        monkeypatch.setattr(PotentialModel, "gradient_hessian",
+                            counting_gradient_hessian)
+        monkeypatch.setattr(statics, "link_pose", counting_link_pose)
+        monkeypatch.setattr(statics, "Configuration", counting_configuration)
+        geom, specs = calibrated.geometry, calibrated.tendons
+        load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
+        sol = solve_static(PotentialModel(geom, specs, load, 1e-3))
+        assert sol.iterations >= 3
+        assert len(steps) == sol.iterations
+        # Only the converged pose is built in full.
+        assert poses == configs == [sol.configuration.theta]
+
+        steps.clear()
+        with pytest.raises(NoConvergence) as err:
+            solve_static(PotentialModel(geom, specs, load, 1e-3), max_iterations=2)
+        assert len(steps) == len(err.value.trace) == 2
+        assert poses == configs == [sol.configuration.theta]
+
+    @pytest.mark.parametrize("first_tip", [False, True])
+    def test_with_load_shares_load_free_fields(self, calibrated, first_tip):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        q = 0.0008
+        attached = ExternalLoad(force=(2.0, -20.0), moment=0.02,
+                                application_point=_distal_point(q, 0.7, geom))
+        tip = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
+        first, second = (tip, attached) if first_tip else (attached, tip)
+        base = PotentialModel(geom, specs, first, q)
+        before = dict(vars(base))
+        shared = base.with_load(second)
+        assert type(shared) is PotentialModel
+        assert vars(base).keys() == vars(shared).keys() == before.keys()
+        for name, value in vars(base).items():
+            assert value is before[name], name  # the base model is untouched
+            if name not in ("load", "attach_local"):
+                assert getattr(shared, name) is value, name
+        assert base.load is first
+        assert shared.load is second
+        fresh = PotentialModel(geom, specs, second, q)
+        assert shared.attach_local == fresh.attach_local
+        assert (shared.attach_local is None) == (second.application_point is None)
