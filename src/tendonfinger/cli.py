@@ -326,12 +326,12 @@ def _cmd_solve(args) -> int:
         doc = {
             "status": "no_convergence",
             "detail": str(exc),
-            "trace": trace_to_list(exc.trace),
+            "trace": trace_to_list(exc.trace, model),
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         _status(f"no convergence: {exc}")
         return exc.exit_code
-    doc = {"status": "ok", **solution_to_dict(sol)}
+    doc = {"status": "ok", **solution_to_dict(sol, model)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -24,7 +24,9 @@ load whose minimum the solve reaches is held.
 A `StaticSolution` holds its results as the plain tuples the rest of the
 package uses: the fingertip as (x, y), like `EquilibriumResult` and
 `link_pose`, and the three tensions as a triple beside the triple of
-their tendons' `TendonGroup`s.
+their tendons' `TendonGroup`s. Its trace keeps only the Newton iterates;
+tensions and stretched lengths, pure functions of a pose, are computed
+at the converged pose and when a trace is written.
 """
 
 from __future__ import annotations
@@ -50,13 +52,11 @@ DEFAULT_MAX_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One Newton step's pose with its taut tendons' Hooke tensions."""
+    """One Newton step's iterate. A trace starts at step 1, so a record's
+    step number is its 1-based position; `trace_to_list` derives the rest."""
 
-    index: int
     theta: tuple[float, float, float]
     fingertip_y: float
-    tensions: tuple[float, float, float]
-    elongated_lengths: tuple[float, float, float]
     residual: float | None
 
 
@@ -151,14 +151,13 @@ def solve_static(
     Newton steps on the potential's analytic gradient and Hessian start
     at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
     fingertip movement between two steps is at most `threshold`, so at
-    least two steps run. One step computes only what its trace record
-    reads: the gradient and Hessian once, the Newton step, the new
-    angles' theta_1 range check (`check_theta_1`), the fingertip height
-    from three sines, each index's taut tendon with its Hooke tension
-    (`PotentialModel.tensions`) and that tendon's stretched length. The
-    converged step alone builds the `Configuration` and the fingertip
-    (x, y). The solution's tensions, rest and stretched lengths are the
-    last step's. Raises RangeExceeded at a step whose theta_1 leaves the
+    least two steps run. One step keeps only its trace record: the
+    gradient and Hessian once, the Newton step, the new angles' theta_1
+    range check (`check_theta_1`), the fingertip height from three sines
+    and the residual. The converged pose alone gets the `Configuration`,
+    the fingertip (x, y), each index's taut tendon with its Hooke tension
+    (`PotentialModel.tensions`) and that tendon's rest and stretched
+    lengths. Raises RangeExceeded at a step whose theta_1 leaves the
     joint range, GeometryInfeasible when a coupling tendon cannot wrap
     its guides at the rigid or at the converged pose, and NoConvergence,
     with the steps' trace, after `max_iterations` steps, at a Hessian
@@ -195,20 +194,13 @@ def solve_static(
         # The fingertip height of `link_pose`, summed in its order.
         phi2 = t1 + t2
         y_k = (l1 * math.sin(t1) + l2 * math.sin(phi2)) + l3 * math.sin(phi2 + t3)
-        tensions, groups, taut = model.tensions(theta)
-        elongated = elongate_tendons(tensions, taut, wrap0)
-
         residual = abs(y_k - y_prev) if y_prev is not None else None
-        trace.append(IterationRecord(
-            index=k, theta=theta, fingertip_y=y_k,
-            tensions=tensions,
-            elongated_lengths=elongated,
-            residual=residual,
-        ))
+        trace.append(IterationRecord(theta, y_k, residual))
 
         if residual is not None:
             if residual <= threshold:
                 wrap0.angles_at(theta)  # and a solved one
+                tensions, groups, taut = model.tensions(theta)
                 return StaticSolution(
                     configuration=Configuration(q=nominal.q, theta=theta),
                     tensions=tensions,
@@ -219,7 +211,7 @@ def solve_static(
                     residual=residual,
                     rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
                                   wrap0.rest_length_3),
-                    elongated_lengths=elongated,
+                    elongated_lengths=elongate_tendons(tensions, taut, wrap0),
                     trace=tuple(trace),
                 )
             last_residual = residual
@@ -304,24 +296,29 @@ def sweep_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_to_list(trace) -> list[dict]:
-    """JSON-ready view of a solve's iteration records."""
-    return [
-        {
-            "iteration": rec.index,
+def trace_to_list(trace, model: PotentialModel) -> list[dict]:
+    """JSON-ready view of a solve's iteration records, numbered from 1,
+    with each pose's taut tensions and stretched lengths derived as
+    `solve_static` derives a converged pose's, by `model` or any
+    `with_load` copy of it (neither depends on the load)."""
+    items = []
+    for k, rec in enumerate(trace, 1):
+        tensions, _, taut = model.tensions(rec.theta)
+        items.append({
+            "iteration": k,
             "theta_rad": list(rec.theta),
             "fingertip_y_m": rec.fingertip_y,
-            "tensions_n": list(rec.tensions),
-            "elongated_lengths_m": list(rec.elongated_lengths),
+            "tensions_n": list(tensions),
+            "elongated_lengths_m": list(elongate_tendons(tensions, taut, model.wrap0)),
             "residual_m": rec.residual,
-        }
-        for rec in trace
-    ]
+        })
+    return items
 
 
-def solution_to_dict(sol: StaticSolution) -> dict:
+def solution_to_dict(sol: StaticSolution, model: PotentialModel) -> dict:
     """JSON-ready view of a solution; SI fields are authoritative,
-    mm/deg fields are derived at output time."""
+    mm/deg fields are derived at output time. `model` derives the
+    trace's tensions and lengths (`trace_to_list`)."""
     theta = sol.configuration.theta
     return {
         "q_m": sol.configuration.q,
@@ -339,5 +336,5 @@ def solution_to_dict(sol: StaticSolution) -> dict:
         "rest_lengths_mm": [v * 1e3 for v in sol.rest_lengths],
         "elongated_lengths_m": list(sol.elongated_lengths),
         "elongated_lengths_mm": [v * 1e3 for v in sol.elongated_lengths],
-        "trace": trace_to_list(sol.trace),
+        "trace": trace_to_list(sol.trace, model),
     }

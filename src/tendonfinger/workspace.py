@@ -299,8 +299,8 @@ def grid_to_pgm(grid: OccupancyGrid) -> str:
     return f"P2\n{nx} {ny}\n1\n" + body.tobytes().decode("ascii")
 
 
-def grid_sidecar(grid: OccupancyGrid, per_link_area: dict | None = None) -> str:
-    """JSON sidecar describing an occupancy grid export."""
+def grid_sidecar(grid: OccupancyGrid, per_link_area: dict) -> str:
+    """JSON sidecar describing an occupancy grid export and per-link areas."""
     ny, nx = grid.marked.shape
     doc = {
         "cell_size_m": grid.cell_size,
@@ -308,7 +308,6 @@ def grid_sidecar(grid: OccupancyGrid, per_link_area: dict | None = None) -> str:
         "nx": nx,
         "ny": ny,
         "area_m2": grid.area,
+        "per_link_area_m2": per_link_area,
     }
-    if per_link_area is not None:
-        doc["per_link_area_m2"] = per_link_area
     return json.dumps(doc, indent=2) + "\n"

@@ -411,24 +411,29 @@ class TestOracleCheck:
 
 
 class TestGoldenBytes:
+    # args: (exit code, SHA-256 of stdout). The step-capped solve writes
+    # its trace records with the exit code of NoConvergence.
     DIGESTS = {
-        ("fk", "0.004"):
-            "85866e90e66b52be7635f8b33ed88b5b9b5b40c05d68037f865488bafcb98254",
-        ("solve", "0", "--force", "0,-29.43"):
-            "0be98e66cb2a5b558d7997bbc3ee92b243b103662b0076ed60045012db1a8f0e",
-        ("stiffness", "--payloads", "0.5,3", "--format", "json"):
-            "b9f78627a60e580474df284f456cabed1b9b107b540c7f90b7c767d27dcf97fb",
+        ("fk", "0.004"): (
+            0, "85866e90e66b52be7635f8b33ed88b5b9b5b40c05d68037f865488bafcb98254"),
+        ("solve", "0", "--force", "0,-29.43"): (
+            0, "0be98e66cb2a5b558d7997bbc3ee92b243b103662b0076ed60045012db1a8f0e"),
+        ("solve", "0", "--force", "0,-29.43", "--max-iter", "2"): (
+            3, "32bd5819071a3e38910580833766abe9732b8916608766f2c380ce079372b159"),
+        ("stiffness", "--payloads", "0.5,3", "--format", "json"): (
+            0, "b9f78627a60e580474df284f456cabed1b9b107b540c7f90b7c767d27dcf97fb"),
     }
 
     @pytest.mark.parametrize("args", sorted(DIGESTS))
     def test_stdout_unchanged(self, args):
+        code, expected = self.DIGESTS[args]
         res = run_cli(*args)
-        assert res.returncode == 0
+        assert res.returncode == code
         # `solve` and the JSON table print repr floats, so the digests hold
         # where the platform's trig is the libm one they were taken with.
         if trig_is_math(np.random.default_rng(0).uniform(-2.5, 2.5, 20000)):
             digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
-            assert digest == self.DIGESTS[args]
+            assert digest == expected
 
 
 class TestUsage:

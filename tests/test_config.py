@@ -284,8 +284,9 @@ class TestFiles:
         from tendonfinger.statics import solution_to_dict, solve_static
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(2.0, geom.gravity_accel)
-        sol = solve_static(PotentialModel(geom, specs, load, 0.0))
-        doc = json.loads(json.dumps(solution_to_dict(sol)))
+        model = PotentialModel(geom, specs, load, 0.0)
+        sol = solve_static(model)
+        doc = json.loads(json.dumps(solution_to_dict(sol, model)))
         assert doc["deflection_y_m"] == sol.deflection_y
         assert tuple(doc["theta_rad"]) == sol.configuration.theta
         assert tuple(doc["tensions_n"]) == sol.tensions

@@ -336,7 +336,8 @@ class TestSolveStatic:
                      ExternalLoad(force=(3.4684, 3.4684))):
             model = PotentialModel(geom, specs, load, 3e-3)
             sol = solve_static(model)
-            assert sol.trace[-1].tensions == sol.tensions
+            last = statics.trace_to_list(sol.trace, model)[-1]
+            assert last["tensions_n"] == list(sol.tensions)
             stretches = model.stretches(*sol.configuration.theta)
             assert sol.tension_groups == tuple(
                 FLEX if s >= 0.0 else EXT for s in stretches)
@@ -386,9 +387,11 @@ class TestSolveStatic:
             return None if len(calls) == 3 else newton_step(grad, hess)
 
         monkeypatch.setattr(statics, "newton_step", refuse_third)
+        model = PotentialModel(geom, specs, load, 0.0)
         with pytest.raises(NoConvergence, match="not positive definite") as err:
-            solve_static(PotentialModel(geom, specs, load, 0.0))
-        assert [rec.index for rec in err.value.trace] == [1, 2]
+            solve_static(model)
+        assert [rec["iteration"] for rec in
+                statics.trace_to_list(err.value.trace, model)] == [1, 2]
         monkeypatch.setattr(statics, "newton_step", lambda grad, hess: None)
         with pytest.raises(NoConvergence) as err:
             solve_static(PotentialModel(geom, specs, load, 0.0))
@@ -447,17 +450,21 @@ class TestSolveStatic:
 
     def test_one_trace_serializer(self, calibrated):
         # A converged solution and a failed solve serialize their records
-        # with the same function and the same fields.
+        # with the same function; the failed solve's two records are the
+        # converged one's first two, and the last record's tensions and
+        # lengths are the solution's. No derived field reads the load.
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        sol = solve_static(PotentialModel(geom, specs, load, 0.0))
-        assert statics.solution_to_dict(sol)["trace"] == statics.trace_to_list(sol.trace)
+        model = PotentialModel(geom, specs, load, 0.0)
+        sol = solve_static(model)
+        records = statics.trace_to_list(sol.trace, model)
+        assert statics.solution_to_dict(sol, model)["trace"] == records
+        assert records == statics.trace_to_list(sol.trace, model.with_load(ExternalLoad()))
+        assert records[-1]["elongated_lengths_m"] == list(sol.elongated_lengths)
         with pytest.raises(NoConvergence) as err:
-            solve_static(PotentialModel(geom, specs, load, 0.0), max_iterations=2)
-        failed = statics.trace_to_list(err.value.trace)
-        assert [set(rec) for rec in failed] == [set(rec) for rec in
-                                                 statics.trace_to_list(sol.trace[:2])]
-        assert failed[1]["elongated_lengths_m"] == list(err.value.trace[1].elongated_lengths)
+            solve_static(model, max_iterations=2)
+        failed = statics.trace_to_list(err.value.trace, model)
+        assert failed == records[:2]
         assert failed[0]["residual_m"] is None
 
 
@@ -641,6 +648,10 @@ def _leaves(obj, numbers, others):
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             _leaves(item, numbers, others)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            others.append(key)
+            _leaves(value, numbers, others)
     elif hasattr(obj, "__dataclass_fields__"):
         others.append(type(obj).__name__)
         for name in obj.__dataclass_fields__:
@@ -879,12 +890,26 @@ class TestOneTensionRule:
             assert_matches_oracle(sol, q, geom, specs, load)
 
 
+@dataclasses.dataclass(frozen=True)
+class FrozenRecord:
+    """A trace record as the frozen loop stores it: every step's taut
+    tensions and stretched lengths beside its iterate."""
+
+    index: int
+    theta: tuple[float, float, float]
+    fingertip_y: float
+    tensions: tuple[float, float, float]
+    elongated_lengths: tuple[float, float, float]
+    residual: float | None
+
+
 def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
                         max_iterations=statics.DEFAULT_MAX_ITERATIONS):
     """`solve_static` as it was before its lean step, kept as a reference:
     every step builds a validating `Configuration` and a full `link_pose`,
     then takes the Hooke tensions and their groups in one pass and the
-    taut specs by group-keyed lookups into `specs`."""
+    taut specs by group-keyed lookups into `specs`, and stores the
+    tensions and stretched lengths in its `FrozenRecord`."""
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
@@ -931,7 +956,7 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
 
         y_k = tip[1]
         residual = abs(y_k - y_prev) if y_prev is not None else None
-        trace.append(statics.IterationRecord(
+        trace.append(FrozenRecord(
             index=k, theta=theta, fingertip_y=y_k,
             tensions=tensions,
             elongated_lengths=elongated,
@@ -964,6 +989,21 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
     )
 
 
+def frozen_trace_to_list(trace) -> list[dict]:
+    """The `solve` JSON's trace as written from stored `FrozenRecord`s."""
+    return [
+        {
+            "iteration": rec.index,
+            "theta_rad": list(rec.theta),
+            "fingertip_y_m": rec.fingertip_y,
+            "tensions_n": list(rec.tensions),
+            "elongated_lengths_m": list(rec.elongated_lengths),
+            "residual_m": rec.residual,
+        }
+        for rec in trace
+    ]
+
+
 def _finger(name, calibrated):
     """(geometry, specs) of one named finger: the shipped calibration, the
     calibration with its extension tendons twice as thick as its flexion
@@ -994,7 +1034,9 @@ def _directed(payload_kg, direction_deg, g=9.81, **kwargs):
 
 class TestFrozenSolveLoop:
     """The lean Newton step gives the frozen loop's outcome bit for bit:
-    solutions, traces, error types and messages, signed zeros included."""
+    solutions, iterates, error types and messages, and the `solve` JSON
+    with every trace record's tensions and lengths, signed zeros
+    included."""
 
     # (finger, q, load, solve options, outcome, start of its message):
     # every outcome and every way a solve fails but a non-finite step.
@@ -1025,11 +1067,22 @@ class TestFrozenSolveLoop:
 
     @staticmethod
     def _both(geom, specs, q, load, **kwargs):
-        new = _outcome(lambda: solve_static(PotentialModel(geom, specs, load, q),
-                                            **kwargs))
+        model = PotentialModel(geom, specs, load, q)
+        new = _outcome(lambda: solve_static(model, **kwargs))
         ref = _outcome(lambda: frozen_solve_static(
             PotentialModel(geom, specs, load, q), specs, **kwargs))
-        assert_same_outcome(new, ref, exact=True, scale=1.0)
+        assert type(new) is type(ref)
+        if isinstance(ref, statics.StaticSolution):
+            # Every solution field, and the trace as the frozen records hold it.
+            frozen = statics.solution_to_dict(dataclasses.replace(ref, trace=()), model)
+            frozen["trace"] = frozen_trace_to_list(ref.trace)
+            assert_same_outcome(statics.solution_to_dict(new, model), frozen,
+                                exact=True, scale=1.0)
+        else:
+            assert str(new) == str(ref)
+            assert_same_outcome(statics.trace_to_list(getattr(new, "trace", []), model),
+                                frozen_trace_to_list(getattr(ref, "trace", [])),
+                                exact=True, scale=1.0)
         return new
 
     @pytest.mark.parametrize("name", sorted(TestFrozenReference.CASES))
@@ -1070,16 +1123,25 @@ class TestFrozenSolveLoop:
 
 
 class TestLeanStepWork:
-    """A solve's steps do only the work their records read, and a sweep's
-    payload models share every load-free field."""
+    """A solve's steps keep only their iterates, and a sweep's payload
+    models share every load-free field."""
 
     def test_calls_per_step(self, calibrated, monkeypatch):
-        steps, poses, configs = [], [], []
+        steps, poses, configs, stretched, elongated = [], [], [], [], []
         gradient_hessian = PotentialModel.gradient_hessian
+        stretches = PotentialModel.stretches
 
         def counting_gradient_hessian(self, theta):
             steps.append(theta)
             return gradient_hessian(self, theta)
+
+        def counting_stretches(self, t1, t2, t3):
+            stretched.append((t1, t2, t3))
+            return stretches(self, t1, t2, t3)
+
+        def counting_elongate_tendons(tensions, specs, wrap):
+            elongated.append(tensions)
+            return elongate_tendons(tensions, specs, wrap)
 
         def counting_link_pose(theta, geom):
             poses.append(theta)
@@ -1091,21 +1153,30 @@ class TestLeanStepWork:
 
         monkeypatch.setattr(PotentialModel, "gradient_hessian",
                             counting_gradient_hessian)
+        monkeypatch.setattr(PotentialModel, "stretches", counting_stretches)
         monkeypatch.setattr(statics, "link_pose", counting_link_pose)
         monkeypatch.setattr(statics, "Configuration", counting_configuration)
+        monkeypatch.setattr(statics, "elongate_tendons", counting_elongate_tendons)
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
         sol = solve_static(PotentialModel(geom, specs, load, 1e-3))
         assert sol.iterations >= 3
         assert len(steps) == sol.iterations
-        # Only the converged pose is built in full.
+        # One stretch per step, for its gradient and Hessian, and one at
+        # the converged pose, for its tensions; only that pose is built in
+        # full and has its tendons' lengths.
+        assert stretched == [*steps, sol.configuration.theta]
         assert poses == configs == [sol.configuration.theta]
+        assert elongated == [sol.tensions]
 
         steps.clear()
+        stretched.clear()
         with pytest.raises(NoConvergence) as err:
             solve_static(PotentialModel(geom, specs, load, 1e-3), max_iterations=2)
         assert len(steps) == len(err.value.trace) == 2
+        assert stretched == steps
         assert poses == configs == [sol.configuration.theta]
+        assert elongated == [sol.tensions]
 
     @pytest.mark.parametrize("first_tip", [False, True])
     def test_with_load_shares_load_free_fields(self, calibrated, first_tip):
