@@ -60,15 +60,17 @@ WORKSPACE_SUFFIXES = (".csv", ".pgm", ".json")
 # -<digits>[.[<digits>]] and -.<digits> with an optional exponent, -inf,
 # -infinity and -nan are negative numbers, not options, so `_finite` can
 # name their fault; the argparse of Python 3.11 reads only -<digits> and
-# -[<digits>].<digits>.
-_NEGATIVE_NUMBER = re.compile(
-    r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+# -[<digits>].<digits>. So is a comma pair whose first number is negative
+# (`--force -10,-40`), for `_parse_pair`.
+_NUMBER = r"((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf|infinity|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,\s*[+-]?{_NUMBER})?$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to the config exit code, and
-    negative numbers in exponent or trailing-dot form read as values
-    (`fk -1e-3`, `fk -5.`)."""
+    negative numbers in exponent or trailing-dot form, and comma pairs
+    whose first number is negative, read as values (`fk -1e-3`, `fk -5.`,
+    `--force -10,-40`)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -5,7 +5,16 @@ checks the static solver.
 `find_equilibrium` minimizes the potential of one load case's
 `PotentialModel` (link gravity + elastic energy of every tendon +
 external-load potential, `tendonfinger.potential`) over the three joint
-angles, by a route independent of the solver's start:
+angles.
+
+Certified cases: where the model's certificate proves the potential
+strongly convex (`PotentialModel.convexity` > 0, every load that
+oracle-check draws), its minimum is unique. Newton steps from the nominal
+coupled pose find it, with no search; a result's `evaluations` is then
+the step count (4 or 5 on the oracle-check loads). Where the proof does
+not hold (a 60 kg tip load, say), or those steps leave the search box,
+meet a Hessian that is not positive definite or reach NEWTON_MAX_STEPS,
+`box_search` runs, by a route independent of the solver's start:
 
 1. Search: one box of GRID_POINTS = 21 samples per joint angle
    (21^3 = 9,261 potential evaluations), +-0.5 rad around the nominal
@@ -20,8 +29,8 @@ angles, by a route independent of the solver's start:
    exceeds the best sample's, REFINE_ROUNDS = 6 shrink-by-4 boxes around
    the best sample refine it instead.
 
-A result's `evaluations` is therefore 9,261 plus the Newton steps (9,265
-or 9,266 on the oracle-check loads), plus 9,261 per fallback box.
+A box search's `evaluations` is therefore 9,261 plus the Newton steps
+(9,265 or 9,266 on the oracle-check loads), plus 9,261 per fallback box.
 
 A box is evaluated as a broadcast tensor grid, every term computed only
 on the joint angles it depends on (the first link's angle on 21 points,
@@ -37,14 +46,31 @@ Only the load term, -(F . p) - M phi_3, depends on the load case. So
 `equilibrium_report` builds one model and gives each case its load by
 `PotentialModel.with_load`: the first box's gravity-plus-elastic grid,
 its fingertip grids and the distal link's angle pieces are computed once
-per report into the model's shared `first_box` memo, and each case adds
-only its load term before the argmin. The sum is the one a fresh model
+per report, by the first case that runs a box search, into the model's
+shared `first_box` memo, and each such case adds only its load term
+before the argmin. The sum is the one a fresh model
 makes, (gravity + elastic) + load, so the energies keep their bits.
 Fallback boxes, centred on a case's own best sample, are evaluated fresh.
 
-numpy is imported by `find_equilibrium` and `random_tip_load_cases`,
-the functions that build arrays, so importing this module does not load
-it.
+numpy is imported by `box_search` and `random_tip_load_cases`, the
+functions that build arrays, so importing this module does not load it.
+
+`equilibrium_report` adds each compared case's certificate: mu_e, B,
+mu = mu_e - B, the potential's gradient norm at the solver's pose, and
+the certified bound on the solver's distance from the minimum. The
+gradient comes from `balance_residuals`' tangent balance (link poses,
+moments and Hooke tensions), not from the solver's `gradient_hessian`,
+so the certificate is the report's evidence independent of the solver.
+
+On a certified case the report still runs `find_equilibrium`, whose
+Newton steps are the solver's own iteration from the same start but
+with another stop rule: the solver stops once the fingertip height moves
+by at most the caller's `threshold`, the minimizer only at a 1e-13 rad
+step, inside its search box. So the gap measures how far the solver's
+stop rule leaves it from the minimum (at most 4e-14 mm at the default
+1e-6 m threshold, 0.05 mm at 1e-2 m on `--cases 3 --seed 7`), the edge
+test still applies, and `energy_j` is the minimum's. Those 4 or 5 steps
+cost about one solve, not a box.
 """
 
 from __future__ import annotations
@@ -113,9 +139,62 @@ def _newton_polish(model: PotentialModel, theta, lo, hi):
     return None, NEWTON_MAX_STEPS
 
 
+def _search_box(model: PotentialModel):
+    """The search box's corners: +-SEARCH_HALF_WIDTH around the nominal
+    pose, the first axis clipped to the joint-1 range."""
+    lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
+    hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
+    lo0[0] = max(lo0[0], THETA1_MIN)
+    hi0[0] = min(hi0[0], THETA1_MAX)
+    return lo0, hi0
+
+
+def _result(model, best_theta, best_energy, lo0, hi0, evaluations, rounds):
+    """The EquilibriumResult at `best_theta`, or BoundaryMinimum when it
+    lies within half a first-box cell of the search box's surface."""
+    edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
+    theta = tuple(float(t) for t in best_theta)
+    if any(abs(t - a) <= tol or abs(t - b) <= tol
+           for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
+        raise BoundaryMinimum(
+            f"energy minimum {theta} lies on the search-box boundary"
+        )
+
+    tip = link_pose(theta, model.geom)[0][3]
+    return EquilibriumResult(
+        theta=theta,
+        fingertip=tip,
+        energy=best_energy,
+        evaluations=evaluations,
+        rounds=rounds,
+    )
+
+
 def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
+    """The minimum of `model`'s potential.
+
+    Where the potential is certified strongly convex (`convexity` > 0,
+    see `PotentialModel.fingertip_bound`), its minimum is unique, so
+    Newton steps from the nominal pose find it with no box: `evaluations`
+    is the step count (4 or 5 on the oracle-check loads) and `rounds` is
+    0. Where it is not, or those steps leave the search box, meet a
+    Hessian that is not positive definite or reach NEWTON_MAX_STEPS, the
+    result is `box_search`'s, unchanged (9,265 or 9,266 evaluations on a
+    converged polish), and the discarded steps are not counted.
+    Raises BoundaryMinimum when the minimizer sits on the search-box
+    surface, which means the box should be widened.
+    """
+    if model.convexity > 0.0:
+        lo0, hi0 = _search_box(model)
+        theta, steps = _newton_polish(model, model.nominal.theta, lo0, hi0)
+        if theta is not None:
+            return _result(model, theta, model.energy(theta), lo0, hi0, steps, 0)
+    return box_search(model)
+
+
+def box_search(model: PotentialModel) -> EquilibriumResult:
     """The minimum of `model`'s potential by the search, polish and
-    fallback of the module docstring.
+    fallback of the module docstring, whether or not it is certified.
 
     `evaluations` counts the box's samples, the Newton steps and any
     fallback boxes' samples; `rounds` counts the fallback boxes run, so it
@@ -124,10 +203,7 @@ def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
     """
     import numpy as np
 
-    lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
-    hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
-    lo0[0] = max(lo0[0], THETA1_MIN)
-    hi0[0] = min(hi0[0], THETA1_MAX)
+    lo0, hi0 = _search_box(model)
 
     def landscape(lo, hi):
         """The box [lo, hi]'s axes, its load-free energies and pieces."""
@@ -176,22 +252,7 @@ def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
             if energy_r < best_energy:
                 best_theta, best_energy = theta_r, energy_r
 
-    edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
-    theta = tuple(float(t) for t in best_theta)
-    if any(abs(t - a) <= tol or abs(t - b) <= tol
-           for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
-        raise BoundaryMinimum(
-            f"energy minimum {theta} lies on the search-box boundary"
-        )
-
-    tip = link_pose(theta, model.geom)[0][3]
-    return EquilibriumResult(
-        theta=theta,
-        fingertip=tip,
-        energy=best_energy,
-        evaluations=evaluations,
-        rounds=rounds,
-    )
+    return _result(model, best_theta, best_energy, lo0, hi0, evaluations, rounds)
 
 
 def balance_residuals(model: PotentialModel, theta) -> dict:
@@ -294,18 +355,23 @@ def equilibrium_report(
     """Static solve vs energy-minimization comparison over load cases.
 
     Emits one entry per case with both equilibria (the static solve under
-    "fixed_point"), the fingertip gap and the balance residuals at the
-    energy pose. One potential model is built for the first case, and
-    each case gets its own load from it by `with_load`, sharing the
-    load-free state and the first search box's landscape; a case's model
-    serves its solve, search and residuals. A case is compared when both
-    routes succeed; the summary's `within_tolerance` holds only when every
-    case was compared and the largest gap is at most TOLERANCE_FRACTION of
-    finger length; the largest gap is None when no case was compared.
+    "fixed_point"), the fingertip gap, the balance residuals at the
+    energy pose and the certificate. One potential model is built for the
+    first case, and each case gets its own load from it by `with_load`,
+    sharing the load-free state and the first search box's landscape; a
+    case's model serves its solve, search and residuals. A case is
+    compared when both routes succeed, and certified when its
+    `fingertip_bound_m` is not None; a certificate field that is not
+    finite (no certificate) is written as None. The summary's
+    `within_tolerance` holds only when every case was compared and, on
+    every case, the gap and, where certified, the bound are at most
+    TOLERANCE_FRACTION of finger length, so a gap that a faulty
+    certificate failed to bound still fails the report. The largest gap
+    is None when no case was compared.
     """
     total_len = geom.total_length
     entries = []
-    worst = 0.0
+    worst = verdict = 0.0
     compared = 0
     base = None
     for case in cases:
@@ -347,7 +413,25 @@ def equilibrium_report(
         entry["delta_fraction_of_length"] = delta / total_len
         entry["balance_residuals_at_energy_pose"] = balance_residuals(
             model, eq.theta)
+        gradient_norm = math.sqrt(sum(r * r for r in balance_residuals(
+            model, sol.configuration.theta)["tangent_nm"]))
+        bound = model.fingertip_bound(gradient_norm)
+        certificate = {
+            "mu_elastic_nm_per_rad": model.elastic_convexity,
+            "load_curvature_nm_per_rad": model.load_curvature,
+            "mu_nm_per_rad": model.convexity,
+            "gradient_norm_at_fixed_point_nm": gradient_norm,
+            "fingertip_bound_m": bound,
+        }
+        # JSON has no infinities: an overflowing stiffness matrix's -inf
+        # is written as None.
+        entry["certificate"] = {
+            name: value if value is not None and math.isfinite(value) else None
+            for name, value in certificate.items()
+        }
         worst = max(worst, delta / total_len)
+        verdict = max(verdict, (delta if bound is None else max(delta, bound))
+                      / total_len)
         compared += 1
         entries.append(entry)
 
@@ -358,6 +442,6 @@ def equilibrium_report(
             "max_delta_fraction_of_length": worst if compared else None,
             "tolerance_fraction": TOLERANCE_FRACTION,
             "within_tolerance": (0 < compared == len(entries)
-                                 and worst <= TOLERANCE_FRACTION),
+                                 and verdict <= TOLERANCE_FRACTION),
         },
     }

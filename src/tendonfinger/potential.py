@@ -15,6 +15,12 @@ T = (E A / L) * stretch gives each tendon's tension, where a coupling
 tendon's rest length L is fixed by the zero-pose wrap geometry. So at
 each index one tendon is taut: the flexion tendon where the
 flexion-side stretch is >= 0, the extension tendon where it is < 0.
+
+Certificate: the elastic energy is a sum of convex springs of stretches
+that are affine in the joint angles, so it is strongly convex; gravity and
+the load bend the potential by a bounded amount. Where the first outweighs
+the second, the potential has one minimum, and the distance of any pose
+from it is bounded by the gradient there (`PotentialModel.fingertip_bound`).
 """
 
 from __future__ import annotations
@@ -99,14 +105,61 @@ def _stiffness(trio, lt2, lt3) -> tuple[float, float, float]:
             s3.axial_stiffness / lt3)
 
 
+# Unit roundoff of IEEE double precision: one rounding changes a value by
+# at most this fraction of it.
+UNIT_ROUNDOFF = 2.0 ** -53
+# Rounding units that the certified fingertip bound adds as its floor
+# (see `PotentialModel.fingertip_bound`).
+FLOOR_ROUNDINGS = 64
+
+
+def _elastic_convexity(radii, k_min) -> float:
+    """Smallest eigenvalue of J^T diag(k_min) J, never overestimated.
+
+    J = d(stretch)/d(theta) is lower bidiagonal (-R1 on joint 1; +R_{i-1}
+    and -R_i for tendon i), so the matrix is tridiagonal. Its eigenvalue
+    comes from the trigonometric closed form of a symmetric 3 x 3. The
+    result is then lowered by 2 delta, where delta starts at 16 rounding
+    units of the matrix's Frobenius norm. The matrix shifted by
+    lambda - delta must pass the LDL^T positivity test of `newton_step`,
+    or delta doubles. A passing test proves lambda_min >= lambda - delta
+    up to the factorization's backward error, a few rounding units of the
+    norm, which the second delta covers. A zero matrix, or one whose
+    stiffnesses overflow, gives -inf: no certificate.
+    """
+    r1, r2, r3 = radii
+    m1, m2, m3 = k_min
+    a0, a1, a2 = r1 * r1 * (m1 + m2), r2 * r2 * (m2 + m3), r3 * r3 * m3
+    b0, b1 = -r1 * r2 * m2, -r2 * r3 * m3
+    q = (a0 + a1 + a2) / 3.0
+    d0, d1, d2 = a0 - q, a1 - q, a2 - q
+    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b0 * b0 + b1 * b1)) / 6.0)
+    lam = q
+    if p > 0.0:
+        det = d0 * d1 * d2 - d0 * b1 * b1 - d2 * b0 * b0
+        r = min(max(det / (2.0 * p * p * p), -1.0), 1.0)
+        lam = q + 2.0 * p * math.cos(math.acos(r) / 3.0 + 2.0 * math.pi / 3.0)
+    delta = 16.0 * UNIT_ROUNDOFF * math.sqrt(
+        a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (b0 * b0 + b1 * b1))
+    while 0.0 < delta < math.inf:
+        s = lam - delta
+        shifted = ((a0 - s, b0, 0.0), (b0, a1 - s, b1), (0.0, b1, a2 - s))
+        if newton_step((0.0, 0.0, 0.0), shifted) is not None:
+            return lam - 2.0 * delta
+        delta *= 2.0
+    return -math.inf
+
+
 class PotentialModel:
     """The total potential of one load case at displacement q, from plain
     floats: the per-pose gradient and Hessian of the solver and the
     oracle's polish, and the oracle's batched box evaluation.
 
-    Everything but `load` and `attach_local` is load-free: `with_load`
-    shares it, with the `first_box` memo of the oracle's first search
-    box, among the load cases of one report or sweep. `sides` holds, per
+    Everything but `load`, `attach_local` and the load's share of the
+    certificate (`load_curvature`, `moment_scale`) is load-free, the
+    `first_box` memo of the oracle's first search box and the
+    `elastic_convexity` memo included: `with_load` shares it among the
+    load cases of one report or sweep. `sides` holds, per
     tendon index, the flexion and extension tendons' E A / L and specs,
     so that `tensions` picks each index's taut tendon in one pass."""
 
@@ -130,14 +183,17 @@ class PotentialModel:
         f1, f2, f3 = geom.com_fractions
         self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
         # Empty until the oracle computes the first search box's load-free
-        # landscape; a list, so that every `with_load` copy shares it.
+        # landscape, or reads `elastic_convexity`; lists, so that every
+        # `with_load` copy shares them.
         self.first_box = []
+        self._elastic_convexity = []
         self._apply(load)
 
     def with_load(self, load: ExternalLoad) -> "PotentialModel":
-        """This model under `load`: it shares every load-free field and
-        the `first_box` memo, and recomputes only `load` and
-        `attach_local`."""
+        """This model under `load`: it shares every load-free field, the
+        `first_box` and `elastic_convexity` memos among them, and
+        recomputes only `load`, `attach_local` and the load's share of the
+        certificate."""
         model = object.__new__(type(self))
         model.__dict__.update(self.__dict__)
         model._apply(load)
@@ -157,6 +213,36 @@ class PotentialModel:
             phi3 = (t1 + t2) + t3
             c, s = math.cos(-phi3), math.sin(-phi3)
             self.attach_local = (c * rx - s * ry, s * rx + c * ry)
+        # |tail_k| <= b_k at every pose: link j's weight lifts by at most
+        # g lifted_j L_j and the force turns by at most |F| l_j, where l_3
+        # reaches the attach point. The moment adds no curvature.
+        l1, l2, l3 = self.geom.link_lengths
+        reach = l3 if self.attach_local is None else math.hypot(*self.attach_local)
+        f = math.hypot(*load.force)
+        w1, w2, w3 = self.lifted
+        b3 = self.g * w3 * l3 + f * reach
+        b2 = b3 + (self.g * w2 * l2 + f * l2)
+        b1 = b2 + (self.g * w1 * l1 + f * l1)
+        # The bound matrix tail[max(k, l)] holds b1 once, b2 three times and
+        # b3 five times; 16 rounding units keep B from falling short.
+        self.load_curvature = (1.0 + 16.0 * UNIT_ROUNDOFF) * math.sqrt(
+            b1 * b1 + 3.0 * (b2 * b2) + 5.0 * (b3 * b3))
+        self.moment_scale = b1 + abs(load.moment)
+
+    @property
+    def elastic_convexity(self) -> float:
+        """mu_e: the elastic energy's strong-convexity modulus, load-free,
+        computed once per model and its `with_load` copies."""
+        if not self._elastic_convexity:
+            self._elastic_convexity.append(_elastic_convexity(
+                self.geom.guide_radii, map(min, self.k_flex, self.k_ext)))
+        return self._elastic_convexity[0]
+
+    @property
+    def convexity(self) -> float:
+        """mu = mu_e - B: the potential is mu-strongly convex where it is
+        positive."""
+        return self.elastic_convexity - self.load_curvature
 
     def stretches(self, t1, t2, t3):
         """Unclamped flexion-side stretches of the three tendons at joint
@@ -271,6 +357,52 @@ class PotentialModel:
             (tail3, -R2 * R3 * k3 + tail3, R3 * R3 * k3 + tail3),
         )
         return grad, hess
+
+    def fingertip_bound(self, gradient_norm):
+        """Certified bound (m) on the distance from the fingertip of a pose
+        whose potential gradient has norm `gradient_norm` to the fingertip
+        of the potential's minimum; None when `convexity` is not positive.
+
+        The elastic energy is a sum of springs, each at least
+        min(k_flex, k_ext)-strongly convex in its stretch, so it is
+        `elastic_convexity`-strongly convex in theta (mu_e). Every entry
+        (k, l) of the gravity and load Hessian is tail[max(k, l)], at most
+        b_max(k, l) in size, so that Hessian's norm is at most the bound
+        matrix's Frobenius norm, `load_curvature` (B). The potential is
+        then mu-strongly convex on all of R^3, mu = mu_e - B = `convexity`,
+        its minimum theta* is unique, and
+        ||theta - theta*|| <= ||grad U(theta)|| / mu (Boyd & Vandenberghe,
+        Convex Optimization, 2004, section 9.1.2). The fingertip moves at
+        most `lever` per radian, the Frobenius norm of a bound on its
+        Jacobian: column k of d(tip)/d(theta) is at most the length of
+        links k..3.
+
+        The bound adds a floor of FLOOR_ROUNDINGS rounding units u of
+        total_length + 2 lever S / mu, S = b_1 + |M| (`moment_scale`),
+        for what the exact bound does not see in computed numbers:
+        - A computed fingertip coordinate sums three link terms. A link's
+          angle sums up to three joint angles (two roundings of an angle
+          below 8 rad: 16u times the link length), its sine or cosine is
+          within 2u, the product adds u and the two sums 2u of the total
+          length: 21u of total_length. Two fingertips and two coordinates
+          give under sqrt(2) 42u < 64u of total_length.
+        - A computed gradient component sums up to eight moment and
+          tension terms, each about S or, for a tension term near an
+          equilibrium, up to 4S (it balances the moments distal of its
+          joint, scaled by radius ratios below 2): under 32u S per
+          component and 64u S in norm. That error counts twice, in the
+          given gradient's norm and in the compared pose's own gradient,
+          which a converged polish leaves at rounding level; lever / mu
+          turns each into a fingertip distance.
+        """
+        mu = self.convexity
+        if not mu > 0.0:
+            return None
+        l1, l2, l3 = self.geom.link_lengths
+        lever = math.sqrt((l1 + l2 + l3) ** 2 + (l2 + l3) ** 2 + l3 * l3)
+        floor = FLOOR_ROUNDINGS * UNIT_ROUNDOFF * (
+            self.geom.total_length + 2.0 * lever * self.moment_scale / mu)
+        return lever * gradient_norm / mu + floor
 
     def axis_components(self, t1, t2, t3):
         """Gravity, elastic and load potentials at joint angles t1, t2, t3.

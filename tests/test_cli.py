@@ -422,9 +422,12 @@ class TestGoldenBytes:
             3, "32bd5819071a3e38910580833766abe9732b8916608766f2c380ce079372b159"),
         ("stiffness", "--payloads", "0.5,3", "--format", "json"): (
             0, "b9f78627a60e580474df284f456cabed1b9b107b540c7f90b7c767d27dcf97fb"),
+        ("oracle-check", "--cases", "2", "--seed", "7"): (
+            0, "00e8ed04e7b92fe6f1eb1bfd1162dabea19b1cdc3b1ed92a251df431bc8ef582"),
     }
 
-    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    @pytest.mark.parametrize("args", sorted(DIGESTS),
+                             ids=["_".join(args) for args in sorted(DIGESTS)])
     def test_stdout_unchanged(self, args):
         code, expected = self.DIGESTS[args]
         res = run_cli(*args)
@@ -541,6 +544,29 @@ class TestInProcess:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert "RangeExceeded: theta_1 = -438.769690 rad outside" in out + err
+
+    @pytest.mark.parametrize("option, pair", [
+        ("--force", "-10,-40"),
+        ("--force", "-1e1,-4E+1"),
+        ("--at", "-0.01,0.05"),
+        ("--force", "-inf,0"),
+    ])
+    def test_negative_pair_is_a_value(self, capsys, option, pair):
+        # `--force -10,-40` reads as `--force=-10,-40`, to the byte; a
+        # non-finite number is still refused by name.
+        force = [] if option == "--force" else ["--force", "0,-10"]
+        results = []
+        for tail in ([option, pair], [f"{option}={pair}"]):
+            code = cli.main(["solve", "0", *force, *tail])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        code, (out, err) = results[0]
+        if "inf" in pair:
+            assert (code, out) == (1, "")
+            assert f"{option} must be a finite number" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["status"] == "ok"
 
     def test_leftover_argument_is_a_top_level_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

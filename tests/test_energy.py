@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,8 +15,10 @@ from tendonfinger.energy import (
     NEWTON_MAX_STEPS,
     REFINE_ROUNDS,
     SEARCH_HALF_WIDTH,
+    TOLERANCE_FRACTION,
     EquilibriumResult,
     balance_residuals,
+    box_search,
     equilibrium_report,
     find_equilibrium,
     random_tip_load_cases,
@@ -31,6 +34,7 @@ from tendonfinger.model import (
     coupling_angles,
     link_pose,
 )
+from tendonfinger import potential
 from tendonfinger.potential import (
     PotentialModel,
     newton_step,
@@ -518,16 +522,18 @@ class TestSinglePose:
 
     # SHA-256 of json.dumps(equilibrium_report(...)) on the shipped
     # calibration for 4 cases of each (seed, q). Recorded before single
-    # poses moved from 1-row arrays to plain floats, and re-pinned when
-    # `fixed_point.tensions_n` became the solved pose's Hooke tensions
-    # (its last digits moved, by at most 2.8e-11 relative; no other leaf
-    # changed).
+    # poses moved from 1-row arrays to plain floats, re-pinned when
+    # `fixed_point.tensions_n` became the solved pose's Hooke tensions,
+    # and re-pinned when certified cases skipped the box: each entry
+    # gained its `certificate`, and the energy search's pose moved in its
+    # last bits (by at most 4.2e-16 relative) with the values derived
+    # from it.
     REPORT_DIGESTS = {
-        (0, 0.0): "8139462d9c0a4fb0c7076caf73f4a1f970896d9effc17c3df2fb631b129bf983",
-        (7, 0.0): "302c605b0216c683f06777a9f6fe23b4537ae613c0ac7e7b6db9fa29ce394f0e",
-        (399, 0.0): "a97b544a38b133596f8382bce2d0f9e6730fed61256b11d0d1f8f6db652bb350",
-        (7, 1e-3): "f3ff17baf6986953862bf512765676807d9aae0f90909743f15bb7fd434fb93a",
-        (7, -1e-3): "e66f6d0c11040a8d48f6977e96f565800d17d96a4db6f2b15174c6145fe30d79",
+        (0, 0.0): "8d758a50e6523b7aa2ab02f1e838c92277e38203f31f25e350cd284d7d19ee20",
+        (7, 0.0): "886f42ab0e0ec6efff6f9b190f1432dafef4bd7997d25e2e79e92e2445b23e5d",
+        (399, 0.0): "7b4985a3a282ef724800b47abc4b22f8ab00765a9a49f58d11a346af7c1e286b",
+        (7, 1e-3): "3a8d9ff216f596f062f2db0cfcf302ed3a1e4eb6d68bb62ac6c80093929fb74e",
+        (7, -1e-3): "56f759770843f04c0dde1b78ae071e736e7fe9cfe9d938c9198402587faf5d33",
     }
 
     @pytest.mark.parametrize("seed, q", sorted(REPORT_DIGESTS))
@@ -645,14 +651,14 @@ class TestFindEquilibrium:
 
 
 def _search(model, polish=True, rounds=REFINE_ROUNDS):
-    """`find_equilibrium` with `rounds` shrink-by-4 boxes and, without
+    """`box_search` with `rounds` shrink-by-4 boxes and, without
     `polish`, a polish that always fails, so the rounds run straight
     after the first box."""
     with pytest.MonkeyPatch.context() as mp:
         if not polish:
             mp.setattr(energy, "_newton_polish", lambda *args: (None, 0))
         mp.setattr(energy, "REFINE_ROUNDS", rounds)
-        return find_equilibrium(model)
+        return box_search(model)
 
 
 def _spy_polish(monkeypatch, replacement=None):
@@ -669,11 +675,13 @@ def _spy_polish(monkeypatch, replacement=None):
 
 
 class TestNewtonPolish:
+    """The box search's polish of its best sample, and its fallback."""
+
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
     def test_polish_refines_reference_rounds(self, geom_cal, load_name, q):
         specs, load = make_specs(), REFERENCE_LOADS[load_name]
-        eq = find_equilibrium(PotentialModel(geom_cal, specs, load, q))
+        eq = box_search(PotentialModel(geom_cal, specs, load, q))
         ref = _reference_find_equilibrium(geom_cal, specs, load, q)
         assert eq.rounds == 0
         assert GRID_POINTS ** 3 < eq.evaluations <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS
@@ -688,7 +696,7 @@ class TestNewtonPolish:
         calls = _spy_polish(monkeypatch)
         load = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
         with pytest.raises(BoundaryMinimum):
-            find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
+            box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
         assert [theta for theta, _ in calls] == [None]
 
     def _assert_rounds_result(self, eq, geom, load, extra_evaluations):
@@ -700,7 +708,7 @@ class TestNewtonPolish:
     def test_step_cap_falls_back_to_rounds(self, geom_cal, monkeypatch):
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
+        eq = box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
         self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=1)
 
     def test_higher_polished_energy_falls_back_to_rounds(self, geom_cal,
@@ -711,7 +719,7 @@ class TestNewtonPolish:
             monkeypatch,
             lambda model, theta, lo, hi: (np.array(model.nominal.theta), 3))
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
+        eq = box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
         assert len(calls) == 1
         self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=3)
 
@@ -726,7 +734,7 @@ class TestNewtonPolish:
         load = ExternalLoad(force=(magnitude * math.cos(angle),
                                    magnitude * math.sin(angle)))
         coarse = _search(PotentialModel(geom, specs, load, 0.0), polish=False, rounds=0)
-        eq = find_equilibrium(PotentialModel(geom, specs, load, 0.0))
+        eq = box_search(PotentialModel(geom, specs, load, 0.0))
         assert eq.rounds == 0
         assert eq.energy <= coarse.energy
 
@@ -787,7 +795,7 @@ class TestEquilibriumReport:
         specs = make_specs(youngs_modulus=1e15)
         load = ExternalLoad.tip_payload(3.0, geom_cal.gravity_accel)
         sol = solve_static(PotentialModel(geom_cal, specs, load, 0.0))
-        eq = find_equilibrium(PotentialModel(geom_cal, specs, load, 0.0))
+        eq = box_search(PotentialModel(geom_cal, specs, load, 0.0))
         gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
                          sol.fingertip[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
@@ -812,13 +820,31 @@ class TestEquilibriumReport:
             return load_free(self, t1, t2, t3)
 
         monkeypatch.setattr(PotentialModel, "load_free", counting)
-        report = equilibrium_report(geom, specs, 1e-3,
-                                    random_tip_load_cases(5, 7, geom))
+        # 12 and 15 kg tip loads lie beyond the certificate (B > mu_e), so
+        # their cases run the box search and share its first box; the
+        # certified cases between them evaluate no box.
+        heavy = [{"payload_kg": kg, "load": ExternalLoad.tip_payload(kg)}
+                 for kg in (12.0, 15.0)]
+        drawn = random_tip_load_cases(3, 7, geom)
+        cases = [heavy[0], *drawn[:2], heavy[1], drawn[2]]
+        report = equilibrium_report(geom, specs, 1e-3, cases)
         assert report["summary"]["compared_cases"] == 5
-        # Every polish converged, so no case ran a fallback box.
-        assert all(c["energy_search"]["evaluations"]
-                   <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS for c in report["cases"])
+        assert ([_certified(c) for c in report["cases"]]
+                == [False, True, True, False, True])
+        evaluations = [c["energy_search"]["evaluations"] for c in report["cases"]]
+        # Every box polish converged, so no case ran a fallback box.
+        assert all(GRID_POINTS ** 3 < evaluations[i]
+                   <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS for i in (0, 3))
+        assert all(evaluations[i] <= NEWTON_MAX_STEPS for i in (1, 2, 4))
         assert grids == [(GRID_POINTS,) * 3]
+
+    def test_certified_report_evaluates_no_box(self, calibrated, monkeypatch):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        monkeypatch.setattr(energy, "box_search", None)  # a call would fail
+        report = equilibrium_report(geom, specs, 0.0,
+                                    random_tip_load_cases(4, 3, geom))
+        assert all(map(_certified, report["cases"]))
+        assert report["summary"]["within_tolerance"] is True
 
     def test_uncompared_cases_fail_tolerance(self, calibrated):
         # A static solve capped at one step always errors, so no case is
@@ -834,6 +860,241 @@ class TestEquilibriumReport:
         assert summary["within_tolerance"] is False
         assert equilibrium_report(geom, specs, 0.0, [])["summary"][
             "within_tolerance"] is False
+
+
+def _certified(entry):
+    return entry["certificate"]["fingertip_bound_m"] is not None
+
+
+def _gradient_norm(model, theta):
+    """||grad U|| at `theta`, from the balance residuals, as the report
+    takes it."""
+    return math.sqrt(sum(r * r for r in balance_residuals(model, theta)["tangent_nm"]))
+
+
+def _tip_gap(a, b):
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+class TestCertificate:
+    """The strong-convexity certificate of `PotentialModel` and the
+    certified path of `find_equilibrium`, against the box search."""
+
+    def test_shipped_figures(self, calibrated):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        model = PotentialModel(geom, specs, ExternalLoad(), 0.0)
+        mu_e = model.elastic_convexity
+        assert mu_e == pytest.approx(30.17, abs=0.005)
+        for kg, curvature in ((0.2, 0.58), (3.0, 8.31), (60.0, 165.69)):
+            loaded = model.with_load(ExternalLoad.tip_payload(kg))
+            assert loaded.elastic_convexity == mu_e
+            assert loaded.load_curvature == pytest.approx(curvature, abs=0.005)
+            assert loaded.convexity == mu_e - loaded.load_curvature
+        heavy = model.with_load(ExternalLoad.tip_payload(60.0))
+        assert heavy.fingertip_bound(0.0) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(radii=st.tuples(*[st.floats(1e-3, 0.05)] * 3),
+           k_min=st.tuples(*[st.floats(1e2, 1e7)] * 3))
+    def test_elastic_convexity_never_overestimated(self, radii, k_min):
+        r1, r2, r3 = radii
+        jac = np.array([[-r1, 0.0, 0.0], [r1, -r2, 0.0], [0.0, r2, -r3]])
+        eig = np.linalg.eigvalsh(jac.T @ np.diag(k_min) @ jac)
+        mu_e = potential._elastic_convexity(radii, k_min)
+        assert eig[0] - 1e-9 * eig[-1] <= mu_e <= eig[0]
+
+    def test_degenerate_stiffness_gives_no_certificate(self, geom_cal):
+        # A zero matrix, and one whose closed form overflows, end the
+        # margin's doubling with -inf; the search falls back to the box.
+        assert potential._elastic_convexity((0.01, 0.01, 0.01), (0.0,) * 3) == -math.inf
+        model = PotentialModel(geom_cal, make_specs(youngs_modulus=1e150),
+                               ExternalLoad.tip_payload(1.0), 0.0)
+        assert model.elastic_convexity == -math.inf
+        assert model.fingertip_bound(0.0) is None
+        _assert_same_outcome(find_equilibrium(model), box_search(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.floats(-1.5e-3, 1.5e-3),
+        force=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        moment=st.floats(-0.2, 0.2),
+        attach=st.none() | st.tuples(st.floats(0.05, 0.2), st.floats(-0.05, 0.05)),
+        offsets=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    )
+    def test_curvature_bounds_the_hessian(self, calibrated, q, force, moment,
+                                          attach, offsets):
+        # At any pose the gravity and load Hessian is at most B in norm,
+        # and the whole Hessian at least mu = mu_e - B.
+        load = ExternalLoad(force=force, moment=moment, application_point=attach)
+        model = PotentialModel(calibrated.geometry, calibrated.tendons, load, q)
+        theta = tuple(t + d for t, d in zip(model.nominal.theta, offsets))
+        hess = np.array(model.gradient_hessian(theta)[1])
+        r1, r2, r3 = model.geom.guide_radii
+        jac = np.array([[-r1, 0.0, 0.0], [r1, -r2, 0.0], [0.0, r2, -r3]])
+        k = [(kf if s >= 0.0 else 0.0) + (ke if s <= 0.0 else 0.0) for kf, ke, s
+             in zip(model.k_flex, model.k_ext, model.stretches(*theta))]
+        elastic = jac.T @ np.diag(k) @ jac
+        assert np.abs(np.linalg.eigvalsh(hess - elastic)).max() <= model.load_curvature
+        assert (np.linalg.eigvalsh(hess)[0]
+                >= model.convexity - 1e-12 * np.abs(elastic).max())
+
+    def test_benchmark_draws(self, calibrated):
+        # oracle-check's 1,600 benchmark cases (seeds 0-399, 4 cases each):
+        # every one is certified and takes the certified path, and both the
+        # box search and that path land within the certified bound of the
+        # solver's fingertip.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        mu = []
+        for seed in range(400):
+            cases = random_tip_load_cases(4, seed, geom)
+            base = PotentialModel(geom, specs, cases[0]["load"], 0.0)
+            for case in cases:
+                model = base.with_load(case["load"])
+                sol = solve_static(model)
+                eq = find_equilibrium(model)
+                assert eq.rounds == 0 and eq.evaluations <= NEWTON_MAX_STEPS
+                bound = model.fingertip_bound(
+                    _gradient_norm(model, sol.configuration.theta))
+                for tip in (box_search(model).fingertip, eq.fingertip):
+                    assert _tip_gap(sol.fingertip, tip) <= bound
+                mu.append(model.convexity)
+        assert len(mu) == 1600
+        assert min(mu) >= 21.8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.floats(-1.5e-3, 1.5e-3),
+        force=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        moment=st.floats(-0.2, 0.2),
+        attach=st.none() | st.tuples(st.floats(0.05, 0.2), st.floats(-0.05, 0.05)),
+        offsets=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    )
+    def test_property_box_within_bound(self, calibrated, q, force, moment,
+                                       attach, offsets):
+        # Wherever mu > 0, the box search's minimum lies within the bound
+        # taken at the solver's pose and at any pose near the nominal one.
+        load = ExternalLoad(force=force, moment=moment, application_point=attach)
+        model = PotentialModel(calibrated.geometry, calibrated.tendons, load, q)
+        if not model.convexity > 0.0:
+            assert model.fingertip_bound(0.0) is None
+            return
+        try:
+            box = box_search(model)
+            poses = [solve_static(model).configuration.theta]
+        except TendonFingerError:
+            return
+        poses.append(tuple(t + d for t, d in zip(model.nominal.theta, offsets)))
+        for theta in poses:
+            try:
+                bound = model.fingertip_bound(_gradient_norm(model, theta))
+            except RangeExceeded:
+                continue
+            tip = link_pose(theta, model.geom)[0][3]
+            assert _tip_gap(tip, box.fingertip) <= bound
+
+    def test_uncertified_loads_run_the_box(self, geom_cal, monkeypatch):
+        specs = make_specs()
+        heavy = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(60.0), 0.0)
+        assert heavy.convexity < 0.0
+        messages = []
+        for search in (find_equilibrium, box_search):
+            with pytest.raises(BoundaryMinimum) as exc:
+                search(heavy)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("energy minimum (")
+        if trig_is_math(np.random.default_rng(0).uniform(-2.5, 2.5, 20000)):
+            # The message before the certificate existed, to the byte.
+            assert messages[0] == ("energy minimum (-0.36019287109375003, "
+                                   "-0.4786484375, -0.5) lies on the "
+                                   "search-box boundary")
+        twelve = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(12.0), 0.0)
+        assert twelve.convexity < 0.0
+        _assert_same_outcome(find_equilibrium(twelve), box_search(twelve))
+        # A certified load whose polish hits the step cap gets the box
+        # search's result, rounds and evaluation count.
+        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
+        for load in REFERENCE_LOADS.values():
+            model = PotentialModel(geom_cal, specs, load, 0.0)
+            assert model.convexity > 0.0
+            eq = find_equilibrium(model)
+            assert eq.rounds == REFINE_ROUNDS
+            _assert_same_outcome(eq, box_search(model))
+
+    def test_tolerance_reads_the_gap_and_the_bound(self, calibrated,
+                                                  monkeypatch):
+        # A certified case passes only when its bound and its gap are
+        # within tolerance; an uncertified one (15 kg) on its gap alone.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        cases = random_tip_load_cases(2, 7, geom)
+        heavy = [{"load": ExternalLoad.tip_payload(15.0)}]
+        limit = TOLERANCE_FRACTION * geom.total_length
+        for bound, verdicts in ((0.5 * limit, (True, True)),
+                                (2.0 * limit, (False, True))):
+            def fixed(self, norm, bound=bound):
+                return bound if self.convexity > 0.0 else None
+
+            monkeypatch.setattr(PotentialModel, "fingertip_bound", fixed)
+            for report_cases, verdict in zip((cases, heavy), verdicts):
+                report = equilibrium_report(geom, specs, 0.0, report_cases)
+                assert report["summary"]["max_delta_fraction_of_length"] < 1e-9
+                assert report["summary"]["within_tolerance"] is verdict
+        # A bound that, from a faulty certificate, claims less than the
+        # gap does not hide that gap.
+        monkeypatch.setattr(PotentialModel, "fingertip_bound",
+                            lambda self, norm: 0.0)
+        search = energy.find_equilibrium
+
+        def displaced(model):
+            eq = search(model)
+            tip = (eq.fingertip[0] + 2.0 * limit, eq.fingertip[1])
+            return dataclasses.replace(eq, fingertip=tip)
+
+        monkeypatch.setattr(energy, "find_equilibrium", displaced)
+        summary = equilibrium_report(geom, specs, 0.0, cases)["summary"]
+        assert summary["max_delta_fraction_of_length"] == pytest.approx(
+            2.0 * TOLERANCE_FRACTION)
+        assert summary["within_tolerance"] is False
+
+    def test_no_certificate_is_written_as_null(self, geom_cal):
+        # E = 1e150 Pa overflows the stiffness matrix's closed form: mu_e
+        # is -inf, so the case has no certificate, and the report stays
+        # strict JSON.
+        report = equilibrium_report(geom_cal, make_specs(youngs_modulus=1e150),
+                                    0.0, [{"load": ExternalLoad.tip_payload(1.0)}])
+        certificate = report["cases"][0]["certificate"]
+        for name in ("mu_elastic_nm_per_rad", "mu_nm_per_rad", "fingertip_bound_m"):
+            assert certificate[name] is None, name
+        assert certificate["load_curvature_nm_per_rad"] > 0.0
+        assert report["summary"]["within_tolerance"] is True
+        json.dumps(report, allow_nan=False)
+
+    def test_loose_solve_gap_within_bound(self, calibrated):
+        # At a 1e-2 m threshold the solver stops after two steps, short of
+        # the minimum; the certified path stops only at a 1e-13 rad step,
+        # so the report's gap is the solver's shortfall, and the bound
+        # taken at the solver's pose holds it.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        report = equilibrium_report(geom, specs, 0.0,
+                                    random_tip_load_cases(3, 7, geom),
+                                    threshold=1e-2)
+        for entry in report["cases"]:
+            assert entry["fixed_point"]["iterations"] == 2
+            assert entry["energy_search"]["evaluations"] <= NEWTON_MAX_STEPS
+            gap = entry["fingertip_delta_mm"] * 1e-3
+            assert 1e-10 < gap <= entry["certificate"]["fingertip_bound_m"]
+
+    def test_certified_minimum_on_the_edge(self, geom_cal, monkeypatch):
+        # A search box that ends just past the certified minimum's distal
+        # angle: the minimum lies within half a cell of its surface, and
+        # the certified path raises BoundaryMinimum without a box.
+        model = PotentialModel(geom_cal, make_specs(),
+                               ExternalLoad.tip_payload(2.0), 0.0)
+        offset = abs(find_equilibrium(model).theta[2] - model.nominal.theta[2])
+        monkeypatch.setattr(energy, "SEARCH_HALF_WIDTH", offset + 1e-3)
+        monkeypatch.setattr(energy, "box_search", None)  # a call would fail
+        with pytest.raises(BoundaryMinimum, match="lies on the search-box boundary"):
+            find_equilibrium(model)
 
 
 def _outcome(model, polish=True, rounds=REFINE_ROUNDS):
