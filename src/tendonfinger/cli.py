@@ -25,7 +25,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -284,7 +283,7 @@ def _cmd_workspace(args) -> int:
     grids = [occupancy_grid(cloud, args.cell, links=(link,)) for link in (1, 2, 3)]
     # Every grid spans the whole cloud's bounding box, so their cells align.
     marked = grids[0].marked | grids[1].marked | grids[2].marked
-    union = replace(grids[0], marked=marked)
+    union = grids[0]._replace(marked=marked)
     per_link = {str(link): grid.area for link, grid in zip((1, 2, 3), grids)}
 
     # A basename may contain dots ("run_0.5"); only one of the three output

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, GeometryInfeasible
 from .model import FingerGeometry, TendonGroup, TendonSpec
@@ -32,14 +32,12 @@ _TENDON_KEYS = {"group", "index", "youngs_modulus_pa", "diameter", "rest_length"
 _SOLVER_KEYS = {"threshold", "max_iterations"}
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(NamedTuple):
     threshold: float = DEFAULT_THRESHOLD
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
 
-@dataclass(frozen=True)
-class FingerConfig:
+class FingerConfig(NamedTuple):
     """Parsed document. `tendons` is empty for geometry-only documents
     (sufficient for kinematics and workspace sweeps)."""
 

@@ -76,7 +76,7 @@ cost about one solve, not a box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundaryMinimum, GeometryInfeasible, TendonFingerError
 from .model import (
@@ -110,8 +110,7 @@ CASE_PAYLOAD_KG = (0.2, 3.0)  # random load cases' payload range
 CASE_CONE_HALF_ANGLE_DEG = 60.0  # their forces' spread about straight down
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     theta: tuple[float, float, float]
     fingertip: tuple[float, float]
     energy: float

@@ -14,13 +14,18 @@ Conventions (used everywhere in this package):
            negative theta
   units  : SI internally (meters, kilograms, newtons, radians); config
            documents may declare mm/g, converted once at parse time
+
+The package's records are named tuples: immutable, iterable, indexable
+and equal to a plain tuple of their fields. The four defined here check
+their fields in `__new__`, which `_replace` and `_make` skip, so the
+package builds those four only by calling the class.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import RangeExceeded
 
@@ -35,8 +40,9 @@ class TendonGroup(enum.Enum):
     EXTENSION = "extension"
 
 
-@dataclass(frozen=True)
-class FingerGeometry:
+class FingerGeometry(namedtuple(
+        "FingerGeometry",
+        "link_lengths guide_radii link_masses com_fractions gravity_accel")):
     """Static description of the finger: links, guide radii, masses.
 
     Lengths may be zero (degenerate links are allowed for workspace
@@ -44,19 +50,16 @@ class FingerGeometry:
     R2+R3 < L2 are enforced where the statics actually needs them.
     """
 
-    link_lengths: tuple[float, float, float]
-    guide_radii: tuple[float, float, float]
-    link_masses: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    com_fractions: tuple[float, float, float] = (0.5, 0.5, 0.5)
-    gravity_accel: float = 9.81
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, triple in (
-            ("link_lengths", self.link_lengths),
-            ("guide_radii", self.guide_radii),
-            ("link_masses", self.link_masses),
-            ("com_fractions", self.com_fractions),
-        ):
+    def __new__(cls, link_lengths: tuple[float, float, float],
+                guide_radii: tuple[float, float, float],
+                link_masses: tuple[float, float, float] = (0.0, 0.0, 0.0),
+                com_fractions: tuple[float, float, float] = (0.5, 0.5, 0.5),
+                gravity_accel: float = 9.81):
+        self = super().__new__(cls, link_lengths, guide_radii, link_masses,
+                               com_fractions, gravity_accel)
+        for name, triple in zip(self._fields, self[:4]):
             if len(triple) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
             if not all(math.isfinite(v) for v in triple):
@@ -71,31 +74,31 @@ class FingerGeometry:
             raise ValueError("com fractions must lie in [0, 1]")
         if not math.isfinite(self.gravity_accel) or self.gravity_accel < 0.0:
             raise ValueError("gravity_accel must be finite and >= 0")
+        return self
 
     @property
     def total_length(self) -> float:
         return float(sum(self.link_lengths))
 
 
-@dataclass(frozen=True)
-class TendonSpec:
+class TendonSpec(namedtuple(
+        "TendonSpec", "youngs_modulus cross_section_area rest_length group index")):
     """Elastic and routing properties of one tendon."""
 
-    youngs_modulus: float
-    cross_section_area: float
-    rest_length: float
-    group: TendonGroup
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.youngs_modulus <= 0.0:
+    def __new__(cls, youngs_modulus: float, cross_section_area: float,
+                rest_length: float, group: TendonGroup, index: int):
+        if youngs_modulus <= 0.0:
             raise ValueError("youngs_modulus must be > 0")
-        if self.cross_section_area <= 0.0:
+        if cross_section_area <= 0.0:
             raise ValueError("cross_section_area must be > 0")
-        if self.rest_length <= 0.0:
+        if rest_length <= 0.0:
             raise ValueError("rest_length must be > 0")
-        if self.index not in (1, 2, 3):
+        if index not in (1, 2, 3):
             raise ValueError("tendon index must be 1, 2 or 3")
+        return super().__new__(cls, youngs_modulus, cross_section_area, rest_length,
+                               group, index)
 
     @property
     def axial_stiffness(self) -> float:
@@ -113,27 +116,25 @@ def check_theta_1(t1: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(namedtuple("Configuration", "q theta")):
     """Actuating displacement q plus the three joint angles.
 
     Only theta_1 is range-limited; elasticity-corrected configurations
     need not satisfy the rigid coupling theta_i = q / R_i.
     """
 
-    q: float
-    theta: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.theta) != 3:
+    def __new__(cls, q: float, theta: tuple[float, float, float]):
+        if len(theta) != 3:
             raise ValueError("theta must have exactly 3 entries")
-        if not all(map(math.isfinite, self.theta)):
+        if not all(map(math.isfinite, theta)):
             raise ValueError("theta contains a non-finite value")
-        check_theta_1(self.theta[0])
+        check_theta_1(theta[0])
+        return super().__new__(cls, q, theta)
 
 
-@dataclass(frozen=True)
-class ExternalLoad:
+class ExternalLoad(namedtuple("ExternalLoad", "force moment application_point")):
     """Planar force, out-of-plane moment and where the force acts.
 
     application_point None means the fingertip; otherwise a point given
@@ -141,16 +142,16 @@ class ExternalLoad:
     link, so it moves with the link as the finger deflects.
     """
 
-    force: tuple[float, float] = (0.0, 0.0)
-    moment: float = 0.0
-    application_point: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = [*self.force, self.moment]
-        if self.application_point is not None:
-            vals.extend(self.application_point)
+    def __new__(cls, force: tuple[float, float] = (0.0, 0.0), moment: float = 0.0,
+                application_point: tuple[float, float] | None = None):
+        vals = [*force, moment]
+        if application_point is not None:
+            vals.extend(application_point)
         if not all(map(math.isfinite, vals)):
             raise ValueError("load components must be finite")
+        return super().__new__(cls, force, moment, application_point)
 
     @staticmethod
     def tip_payload(mass_kg: float, gravity_accel: float = 9.81) -> "ExternalLoad":

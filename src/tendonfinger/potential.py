@@ -26,7 +26,7 @@ from it is bounded by the gradient there (`PotentialModel.fingertip_bound`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryInfeasible
 from .model import (
@@ -39,8 +39,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class WrapGeometry:
+class WrapGeometry(NamedTuple):
     """Zero-pose wrap angles of the coupling tendons and their geometric
     rest lengths."""
 

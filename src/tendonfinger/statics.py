@@ -32,7 +32,7 @@ at the converged pose and when a trace is written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NoConvergence, TendonFingerError
 from .model import (
@@ -50,8 +50,7 @@ DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One Newton step's iterate. A trace starts at step 1, so a record's
     step number is its 1-based position; `trace_to_list` derives the rest."""
 
@@ -60,8 +59,13 @@ class IterationRecord:
     residual: float | None
 
 
-@dataclass(frozen=True)
-class StaticSolution:
+def _repr_without_trace(self) -> str:
+    """The named-tuple repr of a record minus its last field, the trace."""
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+    return f"{type(self).__name__}({fields})"
+
+
+class StaticSolution(NamedTuple):
     """Converged static configuration with its tension state and trace.
 
     `tensions` are the Hooke tensions of the taut tendon at each index,
@@ -78,7 +82,9 @@ class StaticSolution:
     residual: float
     rest_lengths: tuple[float, float, float]
     elongated_lengths: tuple[float, float, float]
-    trace: tuple[IterationRecord, ...] = field(repr=False, default=())
+    trace: tuple[IterationRecord, ...] = ()
+
+    __repr__ = _repr_without_trace
 
 
 def wrap_moment(normal_force: float, lever: float, theta: float, alpha: float) -> float:
@@ -224,14 +230,15 @@ def solve_static(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     payload_kg: float
     deflection_m: float
     stiffness_n_per_m: float
     iterations: int
     status: str
-    trace: tuple[IterationRecord, ...] = field(repr=False, default=())
+    trace: tuple[IterationRecord, ...] = ()
+
+    __repr__ = _repr_without_trace
 
 
 def stiffness_sweep(

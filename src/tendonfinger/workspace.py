@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
@@ -61,8 +60,7 @@ GRID_BYTES_PER_CELL = 8
 MAX_GRID_BYTES = 1 << 30
 
 
-@dataclass(frozen=True)
-class WorkspaceCloud:
+class WorkspaceCloud(NamedTuple):
     """Per-link reachable point sets from one sweep."""
 
     points_per_link: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -150,8 +148,7 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     )
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
+class OccupancyGrid(NamedTuple):
     """Boolean cell grid over a cloud with its area estimate."""
 
     marked: np.ndarray  # (ny, nx) bool, row 0 at ymin

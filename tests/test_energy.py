@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -1048,7 +1047,7 @@ class TestCertificate:
         def displaced(model):
             eq = search(model)
             tip = (eq.fingertip[0] + 2.0 * limit, eq.fingertip[1])
-            return dataclasses.replace(eq, fingertip=tip)
+            return eq._replace(fingertip=tip)
 
         monkeypatch.setattr(energy, "find_equilibrium", displaced)
         summary = equilibrium_report(geom, specs, 0.0, cases)["summary"]

@@ -645,6 +645,10 @@ def _leaves(obj, numbers, others):
     """Split a result into its float leaves and everything else."""
     if isinstance(obj, float):
         numbers.append(obj)
+    elif hasattr(obj, "_fields"):  # a named tuple: record its type too
+        others.append(type(obj).__name__)
+        for name in obj._fields:
+            _leaves(getattr(obj, name), numbers, others)
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             _leaves(item, numbers, others)
@@ -652,10 +656,6 @@ def _leaves(obj, numbers, others):
         for key, value in obj.items():
             others.append(key)
             _leaves(value, numbers, others)
-    elif hasattr(obj, "__dataclass_fields__"):
-        others.append(type(obj).__name__)
-        for name in obj.__dataclass_fields__:
-            _leaves(getattr(obj, name), numbers, others)
     else:
         others.append(obj)
 
@@ -1015,7 +1015,7 @@ def _finger(name, calibrated):
     if name == "asymmetric":
         return calibrated.geometry, tuple(
             s if s.group is FLEX
-            else dataclasses.replace(s, cross_section_area=2.0 * s.cross_section_area)
+            else s._replace(cross_section_area=2.0 * s.cross_section_area)
             for s in calibrated.tendons)
     cal = calibrated.geometry
     massless = FingerGeometry(link_lengths=cal.link_lengths,
@@ -1075,7 +1075,7 @@ class TestFrozenSolveLoop:
         assert type(new) is type(ref)
         if isinstance(ref, statics.StaticSolution):
             # Every solution field, and the trace as the frozen records hold it.
-            frozen = statics.solution_to_dict(dataclasses.replace(ref, trace=()), model)
+            frozen = statics.solution_to_dict(ref._replace(trace=()), model)
             frozen["trace"] = frozen_trace_to_list(ref.trace)
             assert_same_outcome(statics.solution_to_dict(new, model), frozen,
                                 exact=True, scale=1.0)
