@@ -42,15 +42,13 @@ the box's own potential body in plain floats, with `math` sine and
 cosine in place of numpy's; where numpy's sine and cosine are libm's,
 they give the bits of a one-point box.
 
-Only the load term, -(F . p) - M phi_3, depends on the load case. So
 `equilibrium_report` builds one model and gives each case its load by
-`PotentialModel.with_load`: the first box's gravity-plus-elastic grid,
-its fingertip grids and the distal link's angle pieces are computed once
-per report, by the first case that runs a box search, into the model's
-shared `first_box` memo, and each such case adds only its load term
-before the argmin. The sum is the one a fresh model
-makes, (gravity + elastic) + load, so the energies keep their bits.
-Fallback boxes, centred on a case's own best sample, are evaluated fresh.
+`PotentialModel.with_load`, which shares the model's immutable load-free
+state (nominal pose, stiffnesses, mu_e) and computes only the load's
+share. Each box is evaluated fresh under its case's load, the first box
+included, so no case's search depends on another's. Boxes are rare: on
+the shipped calibration every tip load up to 3 kg is certified, so only
+loads the proof does not cover run one.
 
 numpy is imported by `box_search` and `random_tip_load_cases`, the
 functions that build arrays, so importing this module does not load it.
@@ -204,19 +202,13 @@ def box_search(model: PotentialModel) -> EquilibriumResult:
 
     lo0, hi0 = _search_box(model)
 
-    def landscape(lo, hi):
-        """The box [lo, hi]'s axes, its load-free energies and pieces."""
-        axes = [np.linspace(a, b, GRID_POINTS) for a, b in zip(lo, hi)]
-        a1, a2, a3 = axes
-        g, e, pieces = model.load_free(
-            a1[:, None, None], a2[None, :, None], a3[None, None, :]
-        )
-        return axes, g + e, pieces
-
-    def best_sample(axes, ge, pieces, tip=None):
-        """The box's first minimal sample under the model's load."""
-        a1, a2, a3 = axes
-        energies = ge + model.load_term(pieces, tip)
+    def best_sample(lo, hi):
+        """The first minimal sample of the box [lo, hi] under the model's
+        load, its energy and the box's sample count."""
+        a1, a2, a3 = (np.linspace(a, b, GRID_POINTS) for a, b in zip(lo, hi))
+        g, e, l = model.axis_components(
+            a1[:, None, None], a2[None, :, None], a3[None, None, :])
+        energies = g + e + l
         # C order on the (i, j, k) grid is lexicographic sample order.
         i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
         theta = (float(a1[i]), float(a2[j]), float(a3[k]))
@@ -227,12 +219,7 @@ def box_search(model: PotentialModel) -> EquilibriumResult:
         return ([max(t - h, a) for t, h, a in zip(theta, half, lo0)],
                 [min(t + h, b) for t, h, b in zip(theta, half, hi0)])
 
-    # The first box depends on the load only through its load term, so
-    # its landscape, with the tip, is memoized on the load-free state.
-    if not model.first_box:
-        box = landscape(lo0, hi0)
-        model.first_box.append((*box, model.fingertip(box[2])))
-    best_theta, best_energy, evaluations = best_sample(*model.first_box[0])
+    best_theta, best_energy, evaluations = best_sample(lo0, hi0)
     half = [(b - a) / 2.0 for a, b in zip(lo0, hi0)]
 
     polished, steps = _newton_polish(
@@ -245,8 +232,7 @@ def box_search(model: PotentialModel) -> EquilibriumResult:
     else:
         for rounds in range(1, REFINE_ROUNDS + 1):
             half = [h / 4.0 for h in half]
-            theta_r, energy_r, n_eval = best_sample(
-                *landscape(*around(best_theta, half)))
+            theta_r, energy_r, n_eval = best_sample(*around(best_theta, half))
             evaluations += n_eval
             if energy_r < best_energy:
                 best_theta, best_energy = theta_r, energy_r
@@ -357,14 +343,13 @@ def equilibrium_report(
     "fixed_point"), the fingertip gap, the balance residuals at the
     energy pose and the certificate. One potential model is built for the
     first case, and each case gets its own load from it by `with_load`,
-    sharing the load-free state and the first search box's landscape; a
-    case's model serves its solve, search and residuals. A case is
-    compared when both routes succeed, and certified when its
-    `fingertip_bound_m` is not None; a certificate field that is not
-    finite (no certificate) is written as None. The summary's
-    `within_tolerance` holds only when every case was compared and, on
-    every case, the gap and, where certified, the bound are at most
-    TOLERANCE_FRACTION of finger length, so a gap that a faulty
+    sharing the load-free state; a case's model serves its solve, search
+    and residuals. A case is compared when both routes succeed, and
+    certified when its `fingertip_bound_m` is not None; a certificate
+    field that is not finite (no certificate) is written as None. The
+    summary's `within_tolerance` holds only when every case was compared
+    and, on every case, the gap and, where certified, the bound are at
+    most TOLERANCE_FRACTION of finger length, so a gap that a faulty
     certificate failed to bound still fails the report. The largest gap
     is None when no case was compared.
     """

@@ -89,13 +89,14 @@ class TendonSpec(namedtuple(
 
     def __new__(cls, youngs_modulus: float, cross_section_area: float,
                 rest_length: float, group: TendonGroup, index: int):
-        if youngs_modulus <= 0.0:
-            raise ValueError("youngs_modulus must be > 0")
-        if cross_section_area <= 0.0:
-            raise ValueError("cross_section_area must be > 0")
-        if rest_length <= 0.0:
-            raise ValueError("rest_length must be > 0")
-        if index not in (1, 2, 3):
+        for name, value in (("youngs_modulus", youngs_modulus),
+                            ("cross_section_area", cross_section_area),
+                            ("rest_length", rest_length)):
+            if not value > 0.0:  # NaN too
+                raise ValueError(f"{name} must be > 0")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if type(index) is not int or index not in (1, 2, 3):  # no bool, no float
             raise ValueError("tendon index must be 1, 2 or 3")
         return super().__new__(cls, youngs_modulus, cross_section_area, rest_length,
                                group, index)
@@ -130,6 +131,8 @@ class Configuration(namedtuple("Configuration", "q theta")):
             raise ValueError("theta must have exactly 3 entries")
         if not all(map(math.isfinite, theta)):
             raise ValueError("theta contains a non-finite value")
+        if not math.isfinite(q):
+            raise ValueError("q must be finite")
         check_theta_1(theta[0])
         return super().__new__(cls, q, theta)
 
@@ -170,9 +173,10 @@ def link_pose(theta, geom: FingerGeometry):
 
     Returns (points, coms) as tuples of (x, y) float tuples: points are
     [J1, J2, J3, tip], coms the three links' centres of mass. Plain floats,
-    3 cosines and 3 sines: the solver calls this once per pass. Sums keep
-    the order of a cumulative sum (phi_3 = (theta_1 + theta_2) + theta_3,
-    tip = (s_1 + s_2) + s_3), so the values equal the numpy chain's.
+    3 cosines and 3 sines: the solver calls this once per converged solve,
+    for the fingertip. Sums keep the order of a cumulative sum
+    (phi_3 = (theta_1 + theta_2) + theta_3, tip = (s_1 + s_2) + s_3), so
+    the values equal the numpy chain's.
     """
     t1, t2, t3 = theta
     l1, l2, l3 = geom.link_lengths

@@ -154,13 +154,13 @@ class PotentialModel:
     floats: the per-pose gradient and Hessian of the solver and the
     oracle's polish, and the oracle's batched box evaluation.
 
-    Everything but `load`, `attach_local` and the load's share of the
-    certificate (`load_curvature`, `moment_scale`) is load-free, the
-    `first_box` memo of the oracle's first search box and the
-    `elastic_convexity` memo included: `with_load` shares it among the
-    load cases of one report or sweep. `sides` holds, per
-    tendon index, the flexion and extension tendons' E A / L and specs,
-    so that `tensions` picks each index's taut tendon in one pass."""
+    A model is not changed after it is built. Everything but `load`,
+    `attach_local` and the load's share of the certificate
+    (`load_curvature`, `moment_scale`) is load-free and immutable, so
+    `with_load` shares it among the load cases of one report or sweep.
+    `sides` holds, per tendon index, the flexion and extension tendons'
+    E A / L and specs, so that `tensions` picks each index's taut tendon
+    in one pass."""
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
@@ -181,18 +181,15 @@ class PotentialModel:
         m1, m2, m3 = geom.link_masses
         f1, f2, f3 = geom.com_fractions
         self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
-        # Empty until the oracle computes the first search box's load-free
-        # landscape, or reads `elastic_convexity`; lists, so that every
-        # `with_load` copy shares them.
-        self.first_box = []
-        self._elastic_convexity = []
+        # mu_e: the elastic energy's strong-convexity modulus, load-free.
+        self.elastic_convexity = _elastic_convexity(
+            geom.guide_radii, map(min, self.k_flex, self.k_ext))
         self._apply(load)
 
     def with_load(self, load: ExternalLoad) -> "PotentialModel":
-        """This model under `load`: it shares every load-free field, the
-        `first_box` and `elastic_convexity` memos among them, and
-        recomputes only `load`, `attach_local` and the load's share of the
-        certificate."""
+        """This model under `load`: a copy that shares every load-free
+        field, all of them immutable, and computes only `load`,
+        `attach_local` and the load's share of the certificate."""
         model = object.__new__(type(self))
         model.__dict__.update(self.__dict__)
         model._apply(load)
@@ -227,15 +224,6 @@ class PotentialModel:
         self.load_curvature = (1.0 + 16.0 * UNIT_ROUNDOFF) * math.sqrt(
             b1 * b1 + 3.0 * (b2 * b2) + 5.0 * (b3 * b3))
         self.moment_scale = b1 + abs(load.moment)
-
-    @property
-    def elastic_convexity(self) -> float:
-        """mu_e: the elastic energy's strong-convexity modulus, load-free,
-        computed once per model and its `with_load` copies."""
-        if not self._elastic_convexity:
-            self._elastic_convexity.append(_elastic_convexity(
-                self.geom.guide_radii, map(min, self.k_flex, self.k_ext)))
-        return self._elastic_convexity[0]
 
     @property
     def convexity(self) -> float:
@@ -413,13 +401,6 @@ class PotentialModel:
         Every point is computed with the operations, in the order, of a
         per-row evaluation, so its value does not depend on the shapes.
         """
-        gravity, elastic, pieces = self.load_free(t1, t2, t3)
-        return gravity, elastic, self.load_term(pieces)
-
-    def load_free(self, t1, t2, t3):
-        """The load-free part of `axis_components`: gravity, elastic and
-        the distal link's pose pieces (x_j3, y2, c3, s3, phi3) that
-        `load_term` reads."""
         sin, cos, clamp = math.sin, math.cos, max
         # int and float (numpy's float64 among them) skip the numpy import;
         # other scalars keep math's path too, and only arrays leave it.
@@ -451,28 +432,16 @@ class PotentialModel:
         e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(t1, t2, t3))
         elastic = 0.5 * (e1 + e2 + e3)
 
+        # A load without an attach point acts at the fingertip.
         x_j3 = l1 * c1 + l2 * c2
-        return gravity, elastic, (x_j3, y2, c3, s3, phi3)
-
-    def fingertip(self, pieces):
-        """Fingertip (px, py) of the pose `load_free` split into `pieces`."""
-        x_j3, y2, c3, s3, _ = pieces
-        l3 = self.geom.link_lengths[2]
-        return x_j3 + l3 * c3, y2 + l3 * s3
-
-    def load_term(self, pieces, tip=None):
-        """The load potential of the pose `load_free` split into `pieces`.
-        A load without an attach point acts at the fingertip, which `tip`
-        passes in when it is already known."""
-        x_j3, y2, c3, s3, phi3 = pieces
         if self.attach_local is None:
-            px, py = self.fingertip(pieces) if tip is None else tip
+            px, py = x_j3 + l3 * c3, y2 + l3 * s3
         else:
             ax, ay = self.attach_local
             px = x_j3 + c3 * ax - s3 * ay
             py = y2 + s3 * ax + c3 * ay
         fx, fy = self.load.force
-        return -(fx * px + fy * py) - self.load.moment * phi3
+        return gravity, elastic, -(fx * px + fy * py) - self.load.moment * phi3
 
     def energy(self, theta) -> float:
         """Total potential at one pose, from a triple of plain floats."""

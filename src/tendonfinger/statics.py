@@ -7,7 +7,8 @@ stretch model). `solve_static` takes one load case's `PotentialModel`
 and finds that minimum by Newton steps on the analytic gradient and
 Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
 its load on one shared model. The energy module's oracle minimizes the
-same potential by a grid search and so checks the solver.
+same potential (certified Newton steps, or a box search where the
+certificate fails) by its own stop rule and so checks the solver.
 
 Tensions follow from the pose by the potential's own rule, with no
 second solve: at each index the tendon whose stretch is taut (flexion
@@ -105,7 +106,7 @@ def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad):
     the weights of links k+1..3 at their centers of mass. Each term is
     the 2-D cross product (r - J_k) x F in the order r_x F_y - r_y F_x; a
     weight is the force (0, -m_i g). Its zero x term stays: it decides the
-    sign of a zero moment, and so of a zero tension.
+    sign of a zero moment, and so of a zero `balance_residuals` residual.
     """
     points, coms = pose
     fx, fy = load.force

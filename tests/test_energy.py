@@ -548,11 +548,56 @@ class TestSinglePose:
         else:
             assert report["summary"]["within_tolerance"] is True
 
+    # The same digest for reports with uncertified cases, which run the
+    # box search: the mixed report of `_mixed_report` (box, certified,
+    # certified, box, certified) and six drawn loads on E = 4e10 Pa
+    # tendons, whose second and fifth cases lie beyond the certificate.
+    # Recorded while every such case after a report's first shared that
+    # case's first box.
+    BOX_DIGESTS = {
+        "mixed": "050aa2095c4a6b9a6caa85b1b068753816b259cb3694b2ece0b67cf3f1b9e778",
+        "soft": "8eb96583e31c0bdea585f2087dee945d0643abec34aa2f6738f6a0426d001f7a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOX_DIGESTS))
+    def test_box_report_unchanged(self, calibrated, name):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        if name == "mixed":
+            report = _mixed_report(geom, specs)
+            certified = [False, True, True, False, True]
+        else:
+            report = equilibrium_report(geom, _soft_specs(specs), 0.0,
+                                        random_tip_load_cases(6, 7, geom))
+            certified = [True, False, True, True, False, True]
+        assert [_certified(c) for c in report["cases"]] == certified
+        if trig_is_math(np.random.default_rng(7).uniform(-2.5, 2.5, 20000)):
+            digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+            assert digest == self.BOX_DIGESTS[name]
+        else:
+            assert report["summary"]["within_tolerance"] is True
 
 
-class TestLoadFreeDispatch:
-    """`load_free` takes math's sine and cosine for any angle that is not
-    an array, numpy scalars included, and numpy's for arrays."""
+def _mixed_report(geom, specs):
+    """A report at q = 1e-3 of a 12 kg tip load, two drawn cases, a 15 kg
+    tip load and the third drawn case. 12 and 15 kg lie beyond the
+    certificate (B > mu_e), so those two cases run the box search."""
+    heavy = [{"payload_kg": kg, "load": ExternalLoad.tip_payload(kg)}
+             for kg in (12.0, 15.0)]
+    drawn = random_tip_load_cases(3, 7, geom)
+    cases = [heavy[0], *drawn[:2], heavy[1], drawn[2]]
+    return equilibrium_report(geom, specs, 1e-3, cases)
+
+
+def _soft_specs(specs):
+    """`specs` with every Young's modulus 4e10 Pa, a fifth of the
+    calibration's steel: soft enough that some drawn loads are not
+    certified."""
+    return tuple(s._replace(youngs_modulus=4e10) for s in specs)
+
+
+class TestTrigDispatch:
+    """`axis_components` takes math's sine and cosine for any angle that
+    is not an array, numpy scalars included, and numpy's for arrays."""
 
     @staticmethod
     def _trig_calls(monkeypatch):
@@ -577,16 +622,17 @@ class TestLoadFreeDispatch:
                      [model.nominal.theta, tuple(t + 0.1 for t in model.nominal.theta)])
             for pose in poses:
                 args = tuple(kind(t) for t in pose)
-                ref = model.load_free(*map(float, args))
+                ref = model.axis_components(*map(float, args))
                 calls = self._trig_calls(monkeypatch)
-                gravity, elastic, pieces = model.load_free(*args)
+                gravity, elastic, load_pe = model.axis_components(*args)
                 monkeypatch.undo()
                 assert sorted(calls) == ["math.cos"] * 3 + ["math.sin"] * 3
                 assert type(gravity) is float
                 if kind is not np.float32:  # float32 sums its angles in float32
                     assert isinstance(elastic, float)
-                    assert (self._bits((gravity, elastic, *pieces))
-                            == self._bits((ref[0], ref[1], *ref[2])))
+                    assert isinstance(load_pe, float)
+                    assert (self._bits((gravity, elastic, load_pe))
+                            == self._bits(ref))
 
     def test_arrays_take_the_numpy_path(self, geom_cal, monkeypatch):
         model = PotentialModel(geom_cal, make_specs(), ExternalLoad(), 1e-3)
@@ -595,9 +641,9 @@ class TestLoadFreeDispatch:
                      [axes[0][:, None, None], axes[1][None, :, None],
                       axes[2][None, None, :]]):
             calls = self._trig_calls(monkeypatch)
-            gravity, elastic, _ = model.load_free(*args)
+            gravity, elastic, load_pe = model.axis_components(*args)
             assert sorted(calls) == ["np.cos"] * 3 + ["np.sin"] * 3
-            assert np.shape(gravity + elastic) == np.broadcast_shapes(
+            assert np.shape(gravity + elastic + load_pe) == np.broadcast_shapes(
                 *(np.shape(a) for a in args))
 
 
@@ -808,25 +854,20 @@ class TestEquilibriumReport:
         assert loads == [c["load"] for c in cases]
         assert report["summary"]["compared_cases"] == 3
 
-    def test_first_box_evaluated_once_per_report(self, calibrated, monkeypatch):
+    def test_uncertified_cases_run_their_own_box(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
         grids = []
-        load_free = PotentialModel.load_free
+        axis_components = PotentialModel.axis_components
 
         def counting(self, t1, t2, t3):
             if isinstance(t1, np.ndarray):
                 grids.append(np.broadcast_shapes(t1.shape, t2.shape, t3.shape))
-            return load_free(self, t1, t2, t3)
+            return axis_components(self, t1, t2, t3)
 
-        monkeypatch.setattr(PotentialModel, "load_free", counting)
-        # 12 and 15 kg tip loads lie beyond the certificate (B > mu_e), so
-        # their cases run the box search and share its first box; the
+        monkeypatch.setattr(PotentialModel, "axis_components", counting)
+        # The 12 and 15 kg cases each evaluate their own first box; the
         # certified cases between them evaluate no box.
-        heavy = [{"payload_kg": kg, "load": ExternalLoad.tip_payload(kg)}
-                 for kg in (12.0, 15.0)]
-        drawn = random_tip_load_cases(3, 7, geom)
-        cases = [heavy[0], *drawn[:2], heavy[1], drawn[2]]
-        report = equilibrium_report(geom, specs, 1e-3, cases)
+        report = _mixed_report(geom, specs)
         assert report["summary"]["compared_cases"] == 5
         assert ([_certified(c) for c in report["cases"]]
                 == [False, True, True, False, True])
@@ -835,7 +876,7 @@ class TestEquilibriumReport:
         assert all(GRID_POINTS ** 3 < evaluations[i]
                    <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS for i in (0, 3))
         assert all(evaluations[i] <= NEWTON_MAX_STEPS for i in (1, 2, 4))
-        assert grids == [(GRID_POINTS,) * 3]
+        assert grids == [(GRID_POINTS,) * 3] * 2
 
     def test_certified_report_evaluates_no_box(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
@@ -1114,9 +1155,8 @@ def _assert_same_outcome(shared, fresh):
 
 def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     """`shared` (a model given `load` by `with_load`) against a model built
-    for `load`: the search, its rounds, and the first box alone, whose best
-    sample keeps the memoized landscape's own energy; that first box also
-    against the frozen row-by-row evaluation, which no memo reaches."""
+    for `load`: the search, its rounds, and the first box alone; that
+    first box also against the frozen row-by-row evaluation."""
     fresh = PotentialModel(geom, specs, load, q)
     for options in ({}, {"polish": False}, {"polish": False, "rounds": 0}):
         _assert_same_outcome(_outcome(shared, **options), _outcome(fresh, **options))
@@ -1127,9 +1167,15 @@ def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     _assert_same_outcome(_outcome(shared, polish=False, rounds=0), reference)
 
 
+def _assert_immutable_fields(model):
+    """No field of `model` is a container that a search could fill."""
+    for name, value in vars(model).items():
+        assert not isinstance(value, (list, dict, set)), name
+
+
 class TestSharedLoadFreeState:
-    """`with_load` shares a model's load-free state and its first-box
-    memo among load cases; no case may see another case's load."""
+    """`with_load` shares a model's immutable load-free state among load
+    cases; no case may see another case's load."""
 
     LOADS = [
         *REFERENCE_LOADS.values(),
@@ -1140,25 +1186,23 @@ class TestSharedLoadFreeState:
     ]
 
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
-    def test_memo_never_leaks_a_load(self, geom_cal, q):
+    def test_shared_state_never_leaks_a_load(self, geom_cal, q):
         specs = make_specs()
         for first in self.LOADS:
             base = PotentialModel(geom_cal, specs, first, q)
-            _outcome(base)  # fills the memo under the first load
-            assert len(base.first_box) == 1
+            _outcome(base)  # a search under the first load
+            _assert_immutable_fields(base)
             for load in self.LOADS:
                 shared = base.with_load(load)
-                assert shared.first_box is base.first_box
+                _assert_immutable_fields(shared)
                 assert shared.nominal is base.nominal
                 assert base.load is first
                 _assert_shared_equals_fresh(shared, geom_cal, specs, load, q)
-            assert len(base.first_box) == 1
 
-    def test_fallbacks_never_touch_the_memo(self, geom_cal, monkeypatch):
+    def test_fallbacks_match_a_fresh_model(self, geom_cal, monkeypatch):
         specs = make_specs()
         base = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
         _outcome(base)
-        memo = list(base.first_box)
         # 60 kg: the polish leaves its box and the rounds end on the
         # search-box surface.
         heavy = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
@@ -1173,8 +1217,6 @@ class TestSharedLoadFreeState:
             assert shared.rounds == REFINE_ROUNDS
             _assert_same_outcome(
                 shared, _outcome(PotentialModel(geom_cal, specs, load, 0.0)))
-        assert len(base.first_box) == 1
-        assert base.first_box[0] is memo[0]
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -71,12 +71,18 @@ REFUSALS = [
     (FingerGeometry, _geometry(com_fractions=(2.0, 0.5, 0.5), gravity_accel=-1.0),
      ValueError, "com fractions must lie in [0, 1]"),
     *[(TendonSpec, _spec(youngs_modulus=bad), ValueError, "youngs_modulus must be > 0")
-      for bad in (0.0, -2e11, -INF)],
+      for bad in (0.0, -2e11, -INF, NAN)],
     (TendonSpec, _spec(cross_section_area=0.0), ValueError,
      "cross_section_area must be > 0"),
     (TendonSpec, _spec(rest_length=-0.1), ValueError, "rest_length must be > 0"),
+    *[(TendonSpec, _spec(**{name: bad}), ValueError, f"{name} must be > 0")
+      for name in ("cross_section_area", "rest_length") for bad in (NAN, -INF)],
+    *[(TendonSpec, _spec(**{name: INF}), ValueError, f"{name} must be finite")
+      for name in ("youngs_modulus", "cross_section_area", "rest_length")],
+    (TendonSpec, _spec(youngs_modulus=INF, rest_length=NAN), ValueError,
+     "youngs_modulus must be finite"),
     *[(TendonSpec, _spec(index=bad), ValueError, "tendon index must be 1, 2 or 3")
-      for bad in (0, 4, 1.5)],
+      for bad in (0, 4, 1.5, True, 1.0)],
     (TendonSpec, _spec(youngs_modulus=0.0, cross_section_area=0.0, index=9), ValueError,
      "youngs_modulus must be > 0"),
     (TendonSpec, _spec(rest_length=0.0, index=9), ValueError, "rest_length must be > 0"),
@@ -85,6 +91,10 @@ REFUSALS = [
     *[(Configuration, {"q": 0.0, "theta": theta}, ValueError,
        "theta contains a non-finite value")
       for theta in ((NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0, -INF), (2.0, NAN, 0.0))],
+    *[(Configuration, {"q": bad, "theta": (0.1, 0.2, 0.3)}, ValueError,
+       "q must be finite") for bad in (NAN, INF, -INF)],
+    (Configuration, {"q": NAN, "theta": (2.0, 0.2, 0.3)}, ValueError,
+     "q must be finite"),
     (Configuration, {"q": 0.02, "theta": (2.0, 0.2, 0.3)}, RangeExceeded,
      "theta_1 = 2.000000 rad outside [-1.570796, 1.570796]"),
     (Configuration, {"q": -0.02, "theta": (-1.6, 0.0, 0.0)}, RangeExceeded,
