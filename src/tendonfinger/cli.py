@@ -21,7 +21,6 @@ is a ConfigError, printed without its class name. `stiffness` and
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -31,6 +30,7 @@ from . import __version__
 from .config import default_config_path, load_finger_config
 from .energy import TOLERANCE_FRACTION, equilibrium_report, random_tip_load_cases
 from .errors import ConfigError, NoConvergence, TendonFingerError
+from .jsonout import dumps
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
 from .potential import PotentialModel, zero_pose_wrap
 from .statics import (
@@ -329,18 +329,18 @@ def _cmd_solve(args) -> int:
             "detail": str(exc),
             "trace": trace_to_list(exc.trace, model),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(dumps(doc) + "\n", args.out)
         _status(f"no convergence: {exc}")
         return exc.exit_code
     doc = {"status": "ok", **solution_to_dict(sol, model)}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(dumps(doc) + "\n", args.out)
     return EXIT_OK
 
 
 def _rows_to_output(rows, fmt: str) -> str:
     if fmt == "csv":
         return sweep_to_csv(rows)
-    return json.dumps(
+    return dumps(
         [
             {
                 "payload_kg": r.payload_kg,
@@ -353,7 +353,6 @@ def _rows_to_output(rows, fmt: str) -> str:
             }
             for r in rows
         ],
-        indent=2,
     ) + "\n"
 
 
@@ -465,7 +464,7 @@ def _cmd_oracle_check(args) -> int:
         cfg.geometry, cfg.tendons, 0.0, cases,
         threshold=threshold, max_iterations=max_iter,
     )
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(dumps(report) + "\n", args.out)
     summary = report["summary"]
     worst = summary["max_delta_fraction_of_length"]
     gap = "n/a" if worst is None else f"{100.0 * worst:.4f}% of finger length"

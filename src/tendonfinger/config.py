@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,8 +46,9 @@ class FingerConfig(NamedTuple):
 
 
 def default_config_path() -> Path:
-    """The calibration document shipped with the package."""
-    return Path(resources.files("tendonfinger").joinpath("data/default.json"))
+    """The calibration document shipped with the package, beside this
+    module in the package directory."""
+    return Path(__file__).parent / "data" / "default.json"
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:

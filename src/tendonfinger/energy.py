@@ -60,15 +60,17 @@ gradient comes from `balance_residuals`' tangent balance (link poses,
 moments and Hooke tensions), not from the solver's `gradient_hessian`,
 so the certificate is the report's evidence independent of the solver.
 
-On a certified case the report still runs `find_equilibrium`, whose
-Newton steps are the solver's own iteration from the same start but
-with another stop rule: the solver stops once the fingertip height moves
-by at most the caller's `threshold`, the minimizer only at a 1e-13 rad
-step, inside its search box. So the gap measures how far the solver's
-stop rule leaves it from the minimum (at most 4e-14 mm at the default
-1e-6 m threshold, 0.05 mm at 1e-2 m on `--cases 3 --seed 7`), the edge
-test still applies, and `energy_j` is the minimum's. Those 4 or 5 steps
-cost about one solve, not a box.
+On a certified case the minimizer's Newton steps are the solver's own
+iteration from the same start, with another stop rule: the solver stops
+once the fingertip height moves by at most the caller's `threshold`, the
+minimizer only at a 1e-13 rad step, inside its search box. So the gap
+measures how far the solver's stop rule leaves it from the minimum (at
+most 4e-14 mm at the default 1e-6 m threshold, 0.05 mm at 1e-2 m on
+`--cases 3 --seed 7`), the edge test still applies, and `energy_j` is the
+minimum's. The report hands `find_equilibrium` the case's solution, and
+the polish resumes after the solver's iterates where they are provably
+its own steps (`_resume`): a case then costs the solver's steps plus the
+polish's 1 or 2 more, and its result is a fresh search's, bit for bit.
 """
 
 from __future__ import annotations
@@ -116,15 +118,17 @@ class EquilibriumResult(NamedTuple):
     rounds: int
 
 
-def _newton_polish(model: PotentialModel, theta, lo, hi):
-    """Newton steps from `theta` until a step is at most NEWTON_STEP_TOL.
+def _newton_polish(model: PotentialModel, theta, lo, hi, first=1):
+    """Newton steps from `theta`, numbered from `first`, until a step is
+    at most NEWTON_STEP_TOL.
 
     Returns (theta, steps) on convergence, or (None, steps) when an
     iterate leaves the box [lo, hi], the Hessian is not positive definite
-    or NEWTON_MAX_STEPS pass first; `steps` counts gradient and Hessian
+    or step NEWTON_MAX_STEPS passes first; `steps` is the last step's
+    number, so from `first` = 1 it counts gradient and Hessian
     evaluations.
     """
-    for steps in range(1, NEWTON_MAX_STEPS + 1):
+    for steps in range(first, NEWTON_MAX_STEPS + 1):
         step = newton_step(*model.gradient_hessian(theta))
         if step is None:
             return None, steps
@@ -167,7 +171,8 @@ def _result(model, best_theta, best_energy, lo0, hi0, evaluations, rounds):
     )
 
 
-def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
+def find_equilibrium(model: PotentialModel,
+                     solution: StaticSolution | None = None) -> EquilibriumResult:
     """The minimum of `model`'s potential.
 
     Where the potential is certified strongly convex (`convexity` > 0,
@@ -180,13 +185,47 @@ def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
     converged polish), and the discarded steps are not counted.
     Raises BoundaryMinimum when the minimizer sits on the search-box
     surface, which means the box should be widened.
+
+    Given `solution`, a `solve_static` solution of this `model`, the
+    certified Newton steps resume after the solver's iterates where those
+    are their own first steps (`_resume`), and are not computed twice.
+    The result is the same, bit for bit.
     """
     if model.convexity > 0.0:
         lo0, hi0 = _search_box(model)
-        theta, steps = _newton_polish(model, model.nominal.theta, lo0, hi0)
+        theta, first = _resume(solution, model.nominal.theta, lo0, hi0)
+        theta, steps = _newton_polish(model, theta, lo0, hi0, first)
         if theta is not None:
             return _result(model, theta, model.energy(theta), lo0, hi0, steps, 0)
     return box_search(model)
+
+
+def _resume(solution, start, lo, hi):
+    """The pose and step number at which the certified polish from `start`
+    in the box [lo, hi] goes on after `solution`'s Newton iterates:
+    (start, 1) where those may not be its own first steps.
+
+    The solver's iterates are the polish's own first steps: both start at
+    the nominal pose and step to
+    theta + newton_step(*model.gradient_hessian(theta)). The polish
+    resumes at the solver's last iterate, at step `iterations` + 1, when
+    none of those steps could have ended it: every iterate lies in the
+    box, the solver stopped before step NEWTON_MAX_STEPS, and every step
+    read back from the trace, max |theta_j - theta_(j-1)|, exceeds
+    2 NEWTON_STEP_TOL. That reading differs from the step taken by at most
+    an ulp of theta, far below NEWTON_STEP_TOL, so the polish would not
+    have stopped there.
+    """
+    if solution is None or solution.iterations >= NEWTON_MAX_STEPS:
+        return start, 1
+    theta = start
+    for rec in solution.trace:
+        if not (all(a <= t <= b for a, t, b in zip(lo, rec.theta, hi))
+                and max(abs(t - p) for t, p in zip(rec.theta, theta))
+                > 2.0 * NEWTON_STEP_TOL):
+            return start, 1
+        theta = rec.theta
+    return theta, solution.iterations + 1
 
 
 def box_search(model: PotentialModel) -> EquilibriumResult:
@@ -344,15 +383,21 @@ def equilibrium_report(
     energy pose and the certificate. One potential model is built for the
     first case, and each case gets its own load from it by `with_load`,
     sharing the load-free state; a case's model serves its solve, search
-    and residuals. A case is compared when both routes succeed, and
+    and residuals, and the search is handed the case's solution, so a
+    certified polish goes on from the solver's Newton iterates instead of
+    repeating them. A case is compared when both routes succeed, and
     certified when its `fingertip_bound_m` is not None; a certificate
     field that is not finite (no certificate) is written as None. The
     summary's `within_tolerance` holds only when every case was compared
     and, on every case, the gap and, where certified, the bound are at
     most TOLERANCE_FRACTION of finger length, so a gap that a faulty
     certificate failed to bound still fails the report. The largest gap
-    is None when no case was compared.
+    is None when no case was compared. A q that is not finite raises
+    ValueError("q must be finite") before any case runs, as
+    `Configuration` does; a finite q out of range fails each case.
     """
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
     total_len = geom.total_length
     entries = []
     worst = verdict = 0.0
@@ -377,7 +422,7 @@ def equilibrium_report(
         entry["fixed_point"] = _solution_summary(sol)
 
         try:
-            eq = find_equilibrium(model)
+            eq = find_equilibrium(model, sol)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)

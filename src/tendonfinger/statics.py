@@ -259,8 +259,13 @@ def stiffness_sweep(
     failing row is recorded with its error message and the sweep
     continues; a negative payload, or one whose weight overflows, fails
     its row unsolved. A row that fails with NoConvergence keeps the
-    error's iteration trace; the CSV and JSON tables do not show it.
+    error's iteration trace; the CSV and JSON tables do not show it. A q
+    that is not finite raises ValueError("q must be finite") before any
+    payload runs, as `Configuration` does; a finite q out of range fails
+    each row.
     """
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
     rows: list[SweepRow] = []
     base = None
     for m in payloads:

@@ -19,11 +19,11 @@ more than MAX_SWEEP_BYTES is refused before anything is allocated.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
+from .jsonout import dumps
 from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 
 # Each function that builds arrays imports numpy itself, so importing
@@ -307,4 +307,4 @@ def grid_sidecar(grid: OccupancyGrid, per_link_area: dict) -> str:
         "area_m2": grid.area,
         "per_link_area_m2": per_link_area,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"

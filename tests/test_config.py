@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -255,6 +256,12 @@ class TestGeometryValidation:
 
 
 class TestFiles:
+    def test_default_config_path_is_the_package_resource(self):
+        from importlib import resources
+
+        assert default_config_path() == Path(
+            resources.files("tendonfinger").joinpath("data/default.json"))
+
     def test_default_config_loads(self):
         cfg = load_finger_config(default_config_path())
         assert len(cfg.tendons) == 6

@@ -39,7 +39,12 @@ from tendonfinger.potential import (
     newton_step,
     zero_pose_wrap,
 )
-from tendonfinger.statics import pose_moments, solve_static, wrap_moment
+from tendonfinger.statics import (
+    IterationRecord,
+    pose_moments,
+    solve_static,
+    wrap_moment,
+)
 
 from conftest import (
     STEEL_AREA,
@@ -901,6 +906,113 @@ class TestEquilibriumReport:
         assert equilibrium_report(geom, specs, 0.0, [])["summary"][
             "within_tolerance"] is False
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_refused_up_front(self, calibrated, q):
+        # A finite q outside the joint range fails each case; one that is
+        # not finite is refused before any case, as Configuration does.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        cases = random_tip_load_cases(2, 7, geom)
+        with pytest.raises(ValueError, match="^q must be finite$"):
+            equilibrium_report(geom, specs, q, cases)
+        report = equilibrium_report(geom, specs, 0.5, cases)
+        assert all(c["fixed_point"]["error"].startswith("RangeExceeded: ")
+                   for c in report["cases"])
+
+
+class TestResumedPolish:
+    """The report's oracle resumes the certified polish after the solver's
+    Newton iterates, its own first steps, and gets a fresh
+    `find_equilibrium`'s result, bit for bit."""
+
+    @staticmethod
+    def _fresh(model):
+        try:
+            eq = find_equilibrium(model)
+        except TendonFingerError as exc:
+            return {"error": f"{exc.__class__.__name__}: {exc}"}
+        return {"theta_rad": list(eq.theta), "fingertip_m": list(eq.fingertip),
+                "energy_j": eq.energy, "evaluations": eq.evaluations}
+
+    # Certified reports at two q; a 1e-18 m threshold, whose last solver
+    # steps are below the polish's stop, so the polish starts over; a loose
+    # threshold; step-capped solves; polish caps at and above the solver's
+    # step count; and soft tendons, whose uncertified cases run the box.
+    @pytest.mark.parametrize("soft, q, options, max_steps", [
+        (False, 0.0, {}, NEWTON_MAX_STEPS),
+        (False, 3e-3, {}, NEWTON_MAX_STEPS),
+        (False, 0.0, {"threshold": 1e-18}, NEWTON_MAX_STEPS),
+        (False, 0.0, {"threshold": 1e-2}, NEWTON_MAX_STEPS),
+        (False, 0.0, {"max_iterations": 3}, NEWTON_MAX_STEPS),
+        (False, 0.0, {}, 4),
+        (False, 0.0, {}, 5),
+        (True, 0.0, {}, NEWTON_MAX_STEPS),
+    ])
+    def test_report_equals_a_fresh_search(self, calibrated, monkeypatch,
+                                          soft, q, options, max_steps):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        if soft:
+            specs = _soft_specs(specs)
+        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", max_steps)
+        cases = random_tip_load_cases(6, 7, geom)
+        report = equilibrium_report(geom, specs, q, cases, **options)
+        searched = 0
+        for case, entry in zip(cases, report["cases"]):
+            if "energy_search" not in entry:
+                continue
+            searched += 1
+            found = {k: v for k, v in entry["energy_search"].items()
+                     if k != "energy_at_fixed_point_j"}
+            fresh = self._fresh(PotentialModel(geom, specs, case["load"], q))
+            assert repr(found) == repr(fresh)
+        assert searched > 0
+
+    def test_resume_only_after_the_polish_own_steps(self):
+        # The polish resumes after a trace whose iterates lie in the box
+        # and whose every step exceeds 2 NEWTON_STEP_TOL, from a solve that
+        # stopped before NEWTON_MAX_STEPS; otherwise it starts over.
+        start, lo, hi = (0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)
+        big, small = 3.0 * energy.NEWTON_STEP_TOL, 1.5 * energy.NEWTON_STEP_TOL
+
+        def solution(*thetas):
+            return SimpleNamespace(
+                iterations=len(thetas),
+                trace=tuple(IterationRecord(t, 0.0, None) for t in thetas))
+
+        inside = solution((0.5, 0.0, 0.0), (0.5, -0.5, 0.0), (0.5, -0.5, big))
+        assert energy._resume(inside, start, lo, hi) == ((0.5, -0.5, big), 4)
+        steps = [(0.1 * k, 0.0, 0.0) for k in range(1, NEWTON_MAX_STEPS + 1)]
+        assert energy._resume(solution(*steps[:-1]), start, lo, hi) == (
+            steps[-2], NEWTON_MAX_STEPS)
+        for sol in (None,
+                    solution(*steps),
+                    solution((0.5, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 0.0, 0.0)),
+                    solution((0.5, 0.0, 0.0), (0.5, small, 0.0))):
+            assert energy._resume(sol, start, lo, hi) == (start, 1)
+
+    def test_certified_case_adds_only_the_polish_steps(self, calibrated,
+                                                      monkeypatch):
+        # Each case evaluates the gradient and Hessian at the solver's
+        # iterates and then only at the polish's steps beyond them: one
+        # evaluation per step the report shows, and no pose twice in a
+        # case.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        poses = []
+        gradient_hessian = PotentialModel.gradient_hessian
+
+        def counting(self, theta):
+            poses.append((self.load, tuple(theta)))
+            return gradient_hessian(self, theta)
+
+        monkeypatch.setattr(PotentialModel, "gradient_hessian", counting)
+        report = equilibrium_report(geom, specs, 0.0,
+                                    random_tip_load_cases(3, 7, geom))
+        assert all(map(_certified, report["cases"]))
+        steps = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
+                 for c in report["cases"]]
+        assert all(solver < polish for solver, polish in steps)
+        assert len(poses) == sum(polish for _, polish in steps)
+        assert len(set(poses)) == len(poses)
+
 
 def _certified(entry):
     return entry["certificate"]["fingertip_bound_m"] is not None
@@ -1085,8 +1197,8 @@ class TestCertificate:
                             lambda self, norm: 0.0)
         search = energy.find_equilibrium
 
-        def displaced(model):
-            eq = search(model)
+        def displaced(model, solution=None):
+            eq = search(model, solution)
             tip = (eq.fingertip[0] + 2.0 * limit, eq.fingertip[1])
             return eq._replace(fingertip=tip)
 

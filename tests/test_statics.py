@@ -498,6 +498,16 @@ class TestStiffnessSweep:
         rows = stiffness_sweep(geom, specs, 0.0, (3.0,))
         assert rows[0].stiffness_n_per_m == pytest.approx(1.2e3, rel=0.25)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_refused_up_front(self, calibrated, q):
+        # A finite q outside the joint range fails each row; one that is
+        # not finite is refused before any row, as Configuration does.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        with pytest.raises(ValueError, match="^q must be finite$"):
+            stiffness_sweep(geom, specs, q, [1.0])
+        rows = stiffness_sweep(geom, specs, 0.5, [1.0, 2.0])
+        assert all(r.status.startswith("error: RangeExceeded: ") for r in rows)
+
     def test_one_potential_model_per_sweep(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
         built, loads = count_models(monkeypatch)
