@@ -295,7 +295,7 @@ def _cmd_workspace(args) -> int:
         base.with_name(base.name + suffix) for suffix in WORKSPACE_SUFFIXES)
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
-        with open(csv_path, "w", encoding="utf-8") as fh:
+        with open(csv_path, "wb") as fh:
             cloud_to_csv(cloud, fh)
         pgm_path.write_text(grid_to_pgm(union), encoding="utf-8")
         json_path.write_text(grid_sidecar(union, per_link), encoding="utf-8")

@@ -62,7 +62,7 @@ so the certificate is the report's evidence independent of the solver.
 
 On a certified case the minimizer's Newton steps are the solver's own
 iteration from the same start, with another stop rule: the solver stops
-once the fingertip height moves by at most the caller's `threshold`, the
+once the fingertip moves by at most the caller's `threshold` in x and y, the
 minimizer only at a 1e-13 rad step, inside its search box. So the gap
 measures how far the solver's stop rule leaves it from the minimum (at
 most 4e-14 mm at the default 1e-6 m threshold, 0.05 mm at 1e-2 m on

@@ -156,19 +156,21 @@ def solve_static(
     potential.
 
     Newton steps on the potential's analytic gradient and Hessian start
-    at the rigid-tendon pose theta_i = q / R_i and stop once the vertical
-    fingertip movement between two steps is at most `threshold`, so at
-    least two steps run. One step keeps only its trace record: the
+    at the rigid-tendon pose theta_i = q / R_i and stop once the
+    fingertip's whole movement between two steps, hypot(dx, dy), is at
+    most `threshold`, so at least two steps run; that distance is each
+    record's residual. One step keeps only its trace record: the
     gradient and Hessian once, the Newton step, the new angles' theta_1
-    range check (`check_theta_1`), the fingertip height from three sines
-    and the residual. The converged pose alone gets the `Configuration`,
-    the fingertip (x, y), each index's taut tendon with its Hooke tension
-    (`PotentialModel.tensions`) and that tendon's rest and stretched
-    lengths. Raises RangeExceeded at a step whose theta_1 leaves the
-    joint range, GeometryInfeasible when a coupling tendon cannot wrap
-    its guides at the rigid or at the converged pose, and NoConvergence,
-    with the steps' trace, after `max_iterations` steps, at a Hessian
-    that is not positive definite or at a step to a non-finite angle.
+    range check (`check_theta_1`), the fingertip from three cosines and
+    three sines and the residual. The converged pose alone gets the
+    `Configuration`, the fingertip (x, y), each index's taut tendon with
+    its Hooke tension (`PotentialModel.tensions`) and that tendon's rest
+    and stretched lengths. Raises RangeExceeded at a step whose theta_1
+    leaves the joint range, GeometryInfeasible when a coupling tendon
+    cannot wrap its guides at the rigid or at the converged pose, and
+    NoConvergence, with the steps' trace, after `max_iterations` steps,
+    at a Hessian that is not positive definite or at a step to a
+    non-finite angle.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
@@ -181,7 +183,7 @@ def solve_static(
     l1, l2, l3 = geom.link_lengths
 
     theta = nominal.theta
-    y_prev = None
+    x_prev = y_prev = None
     last_residual = math.inf
     trace: list[IterationRecord] = []
 
@@ -198,10 +200,13 @@ def solve_static(
                 f"Newton step {k} gave a non-finite joint angle", trace=trace
             )
         check_theta_1(t1)
-        # The fingertip height of `link_pose`, summed in its order.
+        # The fingertip of `link_pose`, summed in its order.
         phi2 = t1 + t2
-        y_k = (l1 * math.sin(t1) + l2 * math.sin(phi2)) + l3 * math.sin(phi2 + t3)
-        residual = abs(y_k - y_prev) if y_prev is not None else None
+        phi3 = phi2 + t3
+        x_k = (l1 * math.cos(t1) + l2 * math.cos(phi2)) + l3 * math.cos(phi3)
+        y_k = (l1 * math.sin(t1) + l2 * math.sin(phi2)) + l3 * math.sin(phi3)
+        residual = (math.hypot(x_k - x_prev, y_k - y_prev)
+                    if y_prev is not None else None)
         trace.append(IterationRecord(theta, y_k, residual))
 
         if residual is not None:
@@ -222,7 +227,7 @@ def solve_static(
                     trace=tuple(trace),
                 )
             last_residual = residual
-        y_prev = y_k
+        x_prev, y_prev = x_k, y_k
 
     raise NoConvergence(
         f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "

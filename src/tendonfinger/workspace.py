@@ -19,6 +19,7 @@ more than MAX_SWEEP_BYTES is refused before anything is allocated.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -31,17 +32,12 @@ from .model import THETA1_MAX, THETA1_MIN, FingerGeometry
 if TYPE_CHECKING:
     import numpy as np
 
-CLOUD_CSV_HEADER = "link,x_m,y_m"
-# Rows encoded by one array pass. A value with |v| in [1e-4, 1) prints
-# as "0.", z zeros and the nine digits N = round(|v| * 10**(9 + z)),
-# trailing zeros dropped. numpy computes y = |v| * 10**(9 + z); the power
-# is an exact double, so y is off the exact product by at most
-# 2**-53 * 1e9, about 1.1e-7. Where y's fraction is more than 1e-6 from
-# 1/2, y and the exact product round to the same N, so N is %.9g's
-# (which rounds the exact value, half to even). N is also required to
-# have nine digits, so rounding did not carry into the next power of
-# ten. Every other value, and every near-tie, is formatted by `%`.
-CSV_BLOCK_ROWS = 16384
+CLOUD_CSV_HEADER = b"link,x_m,y_m\n"
+# Rows encoded by one pass of array operations (`csv_fields`, then the
+# row layout of `cloud_to_csv`). A block's arrays peak at about 220 bytes
+# a row, under 2 MB whatever the cloud's size; 8,192 rows encoded a
+# little faster than 4,096 or 16,384 on a 2-core Xeon.
+CSV_BLOCK_ROWS = 8192
 CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
 # The sweep peaks at about 17 bytes per point (the per-link clouds,
@@ -221,66 +217,125 @@ def percent_fields(values: np.ndarray) -> np.ndarray:
         -1, CSV_FIELD_BYTES)
 
 
-def csv_fields(values: np.ndarray) -> np.ndarray:
-    """`%.9g` of each value as a CSV_FIELD_BYTES-byte uint8 row in which
-    zero bytes mark unused slots; see CSV_BLOCK_ROWS for which values
-    numpy encodes and why their digits are %.9g's."""
+@functools.cache
+def digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The constant byte tables of `csv_fields`, built on first use and
+    read-only: (prefixes, groups).
+
+    `prefixes` holds 80 uint64 slots of 8 bytes, at index 40 * s + 10 * z
+    + d: a "-" if s is 1, "0", ".", z zeros and the digit d, each absent
+    byte a zero. For d = 0 the slot is the sign and "0" alone, which is
+    `%.9g` of -0.0 and 0.0. `groups` holds 20,000 uint32 slots of 4
+    digits: at g < 10,000 the digits of g in full, at 10,000 + g the same
+    digits with their trailing zeros made zero bytes.
+    """
     import numpy as np
 
+    sign, rest = np.divmod(np.arange(80), 40)
+    z, d = np.divmod(rest, 10)
+    nonzero = d > 0
+    prefixes = np.zeros((80, 8), dtype=np.uint8)
+    prefixes[:, 0] = sign * ord("-")
+    prefixes[:, 1] = ord("0")
+    prefixes[:, 2] = nonzero * ord(".")
+    for k in range(3):
+        prefixes[:, 3 + k] = (nonzero & (z > k)) * ord("0")
+    prefixes[:, 6] = nonzero * (ord("0") + d)
+
+    g = np.arange(10000)[:, None]
+    digits = g // np.array([1000, 100, 10, 1]) % 10
+    # True where a nonzero digit is at or after the position.
+    kept = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    groups = np.empty((2, 10000, 4), dtype=np.uint8)
+    groups[0] = ord("0") + digits
+    groups[1] = groups[0] * kept
+
+    tables = prefixes.view(np.uint64).ravel(), groups.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def csv_fields(values: np.ndarray) -> np.ndarray:
+    """`%.9g` of each value as a CSV_FIELD_BYTES-byte uint8 row in which
+    zero bytes mark unused slots.
+
+    A value with |v| in [1e-4, 1) prints as "0.", z zeros and the nine
+    digits N = round(|v| * 10**(9 + z)), trailing zeros dropped. numpy
+    computes y = |v| * 10**(9 + z); the power is an exact double, so y is
+    off the exact product by at most 2**-53 * 1e9, about 1.1e-7. Where
+    y's fraction is more than 1e-6 from 1/2, y and the exact product
+    round to the same N, so N is %.9g's (which rounds the exact value,
+    half to even). N is also required to have nine digits, so rounding
+    did not carry into the next power of ten.
+
+    Such a value's row is three lookups in `digit_tables`: with N = d *
+    10**8 + mid * 10**4 + lo, the prefix slot of its sign, z and d, then
+    mid's group (stripped where lo is 0) and lo's stripped group. An
+    exact 0.0 or -0.0 is the prefix slot of its sign with d = 0 and two
+    empty groups. Every other value, and every near-tie, is formatted by
+    `%` (`percent_fields`).
+    """
+    import numpy as np
+
+    prefixes, groups = digit_tables()
     a = np.abs(values)
     proven = (a >= 1e-4) & (a < 1.0)
-    a = np.where(proven, a, 0.5)  # keeps the others' arithmetic in range
-    z = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
-    y = a * np.array([1e9, 1e10, 1e11, 1e12])[z]
+    a = np.where(proven, a, 0.0)  # keeps the others' arithmetic in range
+    z = (a < 0.1).astype(np.int8)
+    z += a < 0.01
+    z += a < 0.001
+    y = a * np.array([1e9, 1e10, 1e11, 1e12]).take(z)
     n = np.floor(y + 0.5)
     proven &= (np.abs(y - np.floor(y) - 0.5) > 1e-6) & (n >= 1e8) & (n < 1e9)
 
-    # [sign, "0", ".", three slots for z zeros, nine digits, unused]
+    # Nine digits where proven; 0 elsewhere, as for +-0.0, and `%` writes
+    # the field of every unproven nonzero value. N < 2**31, so the digit
+    # and index arithmetic is int32, half the memory traffic of int64.
+    n = np.where(proven, n, 0.0).astype(np.int32)
+    d = n // 100000000
+    rest = n - d * 100000000
+    mid = rest // 10000
+    lo = rest - mid * 10000
     fields = np.empty((len(values), CSV_FIELD_BYTES), dtype=np.uint8)
-    fields[:, 0] = (values < 0.0) * np.uint8(ord("-"))
-    fields[:, 1] = ord("0")
-    fields[:, 2] = ord(".")
-    for k in range(3):
-        fields[:, 3 + k] = (z > k) * np.uint8(ord("0"))
-    fields[:, -1] = 0
-    n = n.astype(np.int32)  # at most 1e9, since a < 10**-z
-    kept = np.zeros(len(values), dtype=bool)  # a nonzero digit at or after k
-    for k in range(14, 5, -1):  # last digit first
-        q = n // 10
-        digit = (n - 10 * q).astype(np.uint8)
-        kept |= digit != 0
-        fields[:, k] = (digit + np.uint8(ord("0"))) * kept
-        n = q
+    fields.view(np.uint64)[:, 0] = prefixes.take(
+        d + 10 * z + np.int32(40) * np.signbit(values))
+    quads = fields.view(np.uint32)
+    quads[:, 2] = groups.take(mid + np.int32(10000) * (lo == 0))
+    quads[:, 3] = groups.take(lo + 10000)
 
-    deferred = np.flatnonzero(~proven)
+    deferred = np.flatnonzero(~proven & (values != 0.0))
     if len(deferred):
         fields[deferred] = percent_fields(values[deferred])
     return fields
 
 
 def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
-    """Write one row per point, link,x_m,y_m, to the text stream `out`.
+    """Write one row per point, link,x_m,y_m, to the binary stream `out`.
 
-    Coordinates are `%.9g`, byte for byte. Each block of up to
-    CSV_BLOCK_ROWS rows is laid out as link, ",", x's field, ",", y's
-    field and a newline in one uint8 array (see CSV_BLOCK_ROWS for the
-    error bound that decides which fields numpy writes), and one
-    `bytes.translate` pass deletes its zero and padding-space bytes.
+    Coordinates are `%.9g`, byte for byte, and the text is never held
+    whole: each block of up to CSV_BLOCK_ROWS rows is laid out as link,
+    ",", x's field, ",", y's field and a newline in one uint8 array (see
+    `csv_fields` for the error bound that decides which fields come from
+    its digit tables), and one `bytes.translate` pass deletes its zero
+    and padding-space bytes before the block is written.
     """
     import numpy as np
 
-    out.write(CLOUD_CSV_HEADER + "\n")
+    field = np.dtype((np.void, CSV_FIELD_BYTES))
+    out.write(CLOUD_CSV_HEADER)
     for link, pts in enumerate(cloud.points_per_link, start=1):
         for start in range(0, len(pts), CSV_BLOCK_ROWS):
             block = pts[start:start + CSV_BLOCK_ROWS]
-            fields = csv_fields(block.ravel()).reshape(len(block), -1)
+            # Fields move as void items, a copy of 16 bytes each.
+            fields = csv_fields(block.ravel()).view(field).reshape(len(block), 2)
             rows = np.empty((len(block), 4 + 2 * CSV_FIELD_BYTES), dtype=np.uint8)
             rows[:, 0] = ord("0") + link
             rows[:, 1] = rows[:, 2 + CSV_FIELD_BYTES] = ord(",")
-            rows[:, 2:2 + CSV_FIELD_BYTES] = fields[:, :CSV_FIELD_BYTES]
-            rows[:, 3 + CSV_FIELD_BYTES:-1] = fields[:, CSV_FIELD_BYTES:]
+            rows[:, 2:2 + CSV_FIELD_BYTES].view(field)[:, 0] = fields[:, 0]
+            rows[:, 3 + CSV_FIELD_BYTES:-1].view(field)[:, 0] = fields[:, 1]
             rows[:, -1] = ord("\n")
-            out.write(rows.tobytes().translate(None, b"\0 ").decode("ascii"))
+            out.write(rows.tobytes().translate(None, b"\0 "))
 
 
 def grid_to_pgm(grid: OccupancyGrid) -> str:

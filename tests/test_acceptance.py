@@ -9,7 +9,7 @@ import math
 import subprocess
 import sys
 import time
-from io import StringIO
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -178,7 +178,7 @@ def test_criterion_6_workspace_properties(calibration):
     full_a = sweep_workspace(geom, 200)
     full_b = sweep_workspace(geom, 200)
     from tendonfinger.workspace import cloud_to_csv
-    csv_a, csv_b = StringIO(), StringIO()
+    csv_a, csv_b = BytesIO(), BytesIO()
     cloud_to_csv(full_a, csv_a)
     cloud_to_csv(full_b, csv_b)
     byte_stable = csv_a.getvalue() == csv_b.getvalue()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tendonfinger import potential, statics
-from tendonfinger.energy import balance_residuals, box_search
+from tendonfinger.energy import balance_residuals, box_search, find_equilibrium
 from tendonfinger.errors import (
     GeometryInfeasible,
     NoConvergence,
@@ -901,6 +901,60 @@ class TestOneTensionRule:
             assert_matches_oracle(sol, q, geom, specs, load)
 
 
+class TestStopRule:
+    """The threshold bounds the fingertip's whole movement between two
+    Newton steps, so a step that moves the tip sideways does not end the
+    solve."""
+
+    @staticmethod
+    def _converged_tip(model, theta, steps=8):
+        """The tip after `steps` more Newton steps from `theta`. From a
+        solved pose the steps shrink quadratically to round-off, so the
+        last ones change the tip by about 1e-16 m, a few ulps of the
+        finger's 0.17 m; 1e-12 m covers that with room to spare."""
+        for _ in range(steps):
+            step = newton_step(*model.gradient_hessian(theta))
+            theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
+        return link_pose(theta, model.geom)[0][3]
+
+    def test_sideways_step_is_not_a_stop(self, calibrated):
+        # While the threshold read only the tip's height, this solve
+        # stopped after 2 steps with its tip x 10.8 um (10.8 thresholds)
+        # from the minimum's.
+        load = ExternalLoad(force=(-13.2394, 13.5881), moment=-0.012824)
+        model = PotentialModel(calibrated.geometry, calibrated.tendons, load,
+                               -5.9159e-3)
+        sol = solve_static(model)
+        assert sol.iterations == 4
+        eq = find_equilibrium(model)
+        assert math.dist(sol.fingertip, eq.fingertip) <= statics.DEFAULT_THRESHOLD
+        last, before = (link_pose(rec.theta, model.geom)[0][3]
+                        for rec in sol.trace[:-3:-1])
+        assert sol.residual == math.dist(last, before) == sol.trace[-1].residual
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q_mm=st.floats(-6.0, 6.0),
+        payload_kg=st.floats(0.0, 3.0),
+        direction_deg=st.floats(-180.0, 180.0),
+        moment=st.floats(-0.1, 0.1),
+        threshold_exp=st.floats(-12.0, -3.0),
+    )
+    def test_property_tip_within_threshold(self, calibrated, q_mm, payload_kg,
+                                           direction_deg, moment, threshold_exp):
+        geom = calibrated.geometry
+        threshold = 10.0 ** threshold_exp
+        q = q_mm * 1e-3
+        weight = payload_kg * geom.gravity_accel
+        angle = math.radians(direction_deg)
+        load = ExternalLoad(force=(weight * math.cos(angle), weight * math.sin(angle)),
+                            moment=moment)
+        model = PotentialModel(geom, calibrated.tendons, load, q)
+        sol = solve_static(model, threshold=threshold)
+        tip = self._converged_tip(model, sol.configuration.theta)
+        assert math.dist(sol.fingertip, tip) <= threshold + 1e-12
+
+
 @dataclasses.dataclass(frozen=True)
 class FrozenRecord:
     """A trace record as the frozen loop stores it: every step's taut
@@ -920,7 +974,8 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
     every step builds a validating `Configuration` and a full `link_pose`,
     then takes the Hooke tensions and their groups in one pass and the
     taut specs by group-keyed lookups into `specs`, and stores the
-    tensions and stretched lengths in its `FrozenRecord`."""
+    tensions and stretched lengths in its `FrozenRecord`. Its residual is
+    the fingertip's whole movement, as `solve_static`'s is."""
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
@@ -943,7 +998,7 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
     y_nominal = model.nominal_pose[0][3][1]
 
     theta = nominal.theta
-    y_prev = None
+    x_prev = y_prev = None
     last_residual = math.inf
     trace = []
 
@@ -965,8 +1020,9 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
         taut = tuple(trios[g][i] for i, g in enumerate(groups))
         elongated = elongate_tendons(tensions, taut, wrap0)
 
-        y_k = tip[1]
-        residual = abs(y_k - y_prev) if y_prev is not None else None
+        x_k, y_k = tip
+        residual = (math.hypot(x_k - x_prev, y_k - y_prev)
+                    if y_prev is not None else None)
         trace.append(FrozenRecord(
             index=k, theta=theta, fingertip_y=y_k,
             tensions=tensions,
@@ -991,7 +1047,7 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
                     trace=tuple(trace),
                 )
             last_residual = residual
-        y_prev = y_k
+        x_prev, y_prev = x_k, y_k
 
     raise NoConvergence(
         f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "

@@ -1,14 +1,14 @@
 import math
 import re
 import tracemalloc
-from io import StringIO
+from io import BytesIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendonfinger import workspace
+from tendonfinger import cli, workspace
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.errors import ConfigError
 from tendonfinger.model import THETA1_MAX, THETA1_MIN, FingerGeometry
@@ -36,9 +36,11 @@ HALF_DISK_AREA = math.pi * 0.06 ** 2 / 2
 
 
 def csv_text(cloud):
-    out = StringIO()
+    """What `cloud_to_csv` writes to a binary stream, as text; a byte
+    outside ASCII fails the decode."""
+    out = BytesIO()
     cloud_to_csv(cloud, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 def reference_csv(cloud):
@@ -280,6 +282,39 @@ class TestExports:
         grid = occupancy_grid(cloud, 1e-3)
         assert grid_to_pgm(grid) == reference_pgm(grid)
 
+    def test_cli_csv_at_benchmark_size(self, tmp_path):
+        # The benchmark's first op: the file, read back as bytes, is the
+        # per-row encoder's text of the same sweep.
+        base = tmp_path / "ws"
+        assert cli.main(["workspace", "--resolution", "400", "--cell", "0.0005",
+                         "--out", str(base)]) == 0
+        geom = load_finger_config(default_config_path()).geometry
+        want = reference_csv(sweep_workspace(geom, 400)).encode("ascii")
+        assert (tmp_path / "ws.csv").read_bytes() == want
+
+    def test_csv_peak_memory_is_one_block(self):
+        # The text is never held whole: at resolution 200 the CSV is 3.8
+        # MB, and the encoder's peak, one block's arrays (about 220 bytes
+        # per row), stays under 2 MiB whatever the point count.
+        class Sink:
+            size = 0
+
+            def write(self, data):
+                self.size += len(data)
+
+        geom = load_finger_config(default_config_path()).geometry
+        cloud = sweep_workspace(geom, 200)
+        cloud_to_csv(cloud, Sink())  # builds the digit tables
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            cloud_to_csv(cloud, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 3_500_000
+        assert peak < 256 * CSV_BLOCK_ROWS
+
     def test_grid_marks_the_cell_of_every_chosen_point(self):
         cloud = sweep_workspace(GEOM, 60)
         xmin, ymin = cloud.bounding_box[:2]
@@ -324,6 +359,26 @@ class TestCsvDigits:
         assert_csv_is_reference(cloud_of([
             0.0, -0.0, 5e-324, 1.7976931348623157e308,
             -1.7976931348623157e308, 0.9999999995]))
+
+    def test_digit_table_edges(self, monkeypatch):
+        # N = d * 10**8 + mid * 10**4 + lo at every z, each group full,
+        # stripped or empty: nine digits ending in 0000 or 00000000, mid
+        # 0 with lo not, leading digits 1 and 9, both signs; then +-0.0
+        # and the neighbours of 1e-4 and 1.0. The table rows are what is
+        # tested, so no N may go to `%`.
+        deferred = []
+        fallback = workspace.percent_fields
+        monkeypatch.setattr(workspace, "percent_fields",
+                            lambda v: deferred.extend(v.tolist()) or fallback(v))
+        groups = [(0, 0), (0, 1), (0, 10), (0, 5000), (1, 0), (1000, 0),
+                  (1234, 5670), (9999, 9999), (1, 1)]
+        n = np.array([d * 10**8 + mid * 10**4 + lo
+                      for d in (1, 5, 9) for mid, lo in groups], dtype=float)
+        values = np.concatenate([n / 10.0 ** (9 + z) for z in range(4)])
+        values = np.concatenate([values, -values, [0.0, -0.0]])
+        assert_csv_is_reference(cloud_of(values))
+        assert deferred == []
+        assert_csv_is_reference(cloud_of(with_neighbours(np.array([1e-4, 1.0]))))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
