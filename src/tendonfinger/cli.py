@@ -297,7 +297,7 @@ def _cmd_workspace(args) -> int:
         base.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "wb") as fh:
             cloud_to_csv(cloud, fh)
-        pgm_path.write_text(grid_to_pgm(union), encoding="utf-8")
+        pgm_path.write_bytes(grid_to_pgm(union))
         json_path.write_text(grid_sidecar(union, per_link), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write workspace output: {exc}") from None

@@ -23,14 +23,15 @@ meet a Hessian that is not positive definite or reach NEWTON_MAX_STEPS,
 2. Polish: Newton steps on the analytic gradient and 3 x 3 Hessian,
    solved in closed form, from that sample until a step is at most
    1e-13 rad (4 or 5 steps on the oracle-check loads).
-3. Fallback: when an iterate leaves the first refinement box (the best
-   sample +- 1/8 of the search box's width), the Hessian is not positive
+3. Failure: when an iterate leaves the polish box (the best sample
+   +- 1/8 of the search box's width), the Hessian is not positive
    definite, NEWTON_MAX_STEPS = 8 steps pass, or the polished energy
-   exceeds the best sample's, REFINE_ROUNDS = 6 shrink-by-4 boxes around
-   the best sample refine it instead.
+   exceeds the best sample's, there is no result: BoundaryMinimum if
+   that sample lies on the search box's surface, else NoConvergence
+   naming it (9 of 40,000 random heavy loads; see TestNewtonPolish).
 
 A box search's `evaluations` is therefore 9,261 plus the Newton steps
-(9,265 or 9,266 on the oracle-check loads), plus 9,261 per fallback box.
+(9,265 or 9,266 on the oracle-check loads).
 
 A box is evaluated as a broadcast tensor grid, every term computed only
 on the joint angles it depends on (the first link's angle on 21 points,
@@ -78,7 +79,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BoundaryMinimum, GeometryInfeasible, TendonFingerError
+from .errors import BoundaryMinimum, GeometryInfeasible, NoConvergence, TendonFingerError
 from .model import (
     THETA1_MAX,
     THETA1_MIN,
@@ -99,7 +100,6 @@ from .statics import (
 )
 
 GRID_POINTS = 21  # samples per axis of every search box
-REFINE_ROUNDS = 6  # shrink-by-4 boxes when the polish fails
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
 NEWTON_MAX_STEPS = 8
 NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
@@ -115,7 +115,6 @@ class EquilibriumResult(NamedTuple):
     fingertip: tuple[float, float]
     energy: float
     evaluations: int
-    rounds: int
 
 
 def _newton_polish(model: PotentialModel, theta, lo, hi, first=1):
@@ -150,24 +149,27 @@ def _search_box(model: PotentialModel):
     return lo0, hi0
 
 
-def _result(model, best_theta, best_energy, lo0, hi0, evaluations, rounds):
-    """The EquilibriumResult at `best_theta`, or BoundaryMinimum when it
-    lies within half a first-box cell of the search box's surface."""
+def _off_edge(theta, lo0, hi0):
+    """`theta` as a tuple of floats; raises BoundaryMinimum when it lies
+    within half a box cell of the search box's surface."""
     edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
-    theta = tuple(float(t) for t in best_theta)
+    theta = tuple(float(t) for t in theta)
     if any(abs(t - a) <= tol or abs(t - b) <= tol
            for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
         raise BoundaryMinimum(
             f"energy minimum {theta} lies on the search-box boundary"
         )
+    return theta
 
-    tip = link_pose(theta, model.geom)[0][3]
+
+def _result(model, theta, energy, lo0, hi0, evaluations):
+    """The EquilibriumResult at `theta`, or BoundaryMinimum (`_off_edge`)."""
+    theta = _off_edge(theta, lo0, hi0)
     return EquilibriumResult(
         theta=theta,
-        fingertip=tip,
-        energy=best_energy,
+        fingertip=link_pose(theta, model.geom)[0][3],
+        energy=energy,
         evaluations=evaluations,
-        rounds=rounds,
     )
 
 
@@ -178,13 +180,13 @@ def find_equilibrium(model: PotentialModel,
     Where the potential is certified strongly convex (`convexity` > 0,
     see `PotentialModel.fingertip_bound`), its minimum is unique, so
     Newton steps from the nominal pose find it with no box: `evaluations`
-    is the step count (4 or 5 on the oracle-check loads) and `rounds` is
-    0. Where it is not, or those steps leave the search box, meet a
-    Hessian that is not positive definite or reach NEWTON_MAX_STEPS, the
-    result is `box_search`'s, unchanged (9,265 or 9,266 evaluations on a
-    converged polish), and the discarded steps are not counted.
-    Raises BoundaryMinimum when the minimizer sits on the search-box
-    surface, which means the box should be widened.
+    is the step count (4 or 5 on the oracle-check loads). Where it is
+    not, or those steps leave the search box, meet a Hessian that is not
+    positive definite or reach NEWTON_MAX_STEPS, the outcome is
+    `box_search`'s, unchanged (9,265 or 9,266 evaluations on a converged
+    polish), and the discarded steps are not counted. Raises
+    BoundaryMinimum when the minimizer sits on the search-box surface,
+    which means the box should be widened.
 
     Given `solution`, a `solve_static` solution of this `model`, the
     certified Newton steps resume after the solver's iterates where those
@@ -196,7 +198,7 @@ def find_equilibrium(model: PotentialModel,
         theta, first = _resume(solution, model.nominal.theta, lo0, hi0)
         theta, steps = _newton_polish(model, theta, lo0, hi0, first)
         if theta is not None:
-            return _result(model, theta, model.energy(theta), lo0, hi0, steps, 0)
+            return _result(model, theta, model.energy(theta), lo0, hi0, steps)
     return box_search(model)
 
 
@@ -229,54 +231,40 @@ def _resume(solution, start, lo, hi):
 
 
 def box_search(model: PotentialModel) -> EquilibriumResult:
-    """The minimum of `model`'s potential by the search, polish and
-    fallback of the module docstring, whether or not it is certified.
+    """The minimum of `model`'s potential by the search and polish of the
+    module docstring, whether or not it is certified.
 
-    `evaluations` counts the box's samples, the Newton steps and any
-    fallback boxes' samples; `rounds` counts the fallback boxes run, so it
-    is 0 after a polish. Raises BoundaryMinimum when the final minimizer
-    sits on the search-box surface, which means the box should be widened.
+    `evaluations` counts the box's samples and the Newton steps. Raises
+    BoundaryMinimum when the polished minimizer sits on the search-box
+    surface, which means the box should be widened. Where the polish
+    fails or ends above the best sample's energy there is no result:
+    BoundaryMinimum when that sample lies on the surface, NoConvergence
+    naming it when it does not.
     """
     import numpy as np
 
     lo0, hi0 = _search_box(model)
+    a1, a2, a3 = (np.linspace(a, b, GRID_POINTS) for a, b in zip(lo0, hi0))
+    g, e, l = model.axis_components(
+        a1[:, None, None], a2[None, :, None], a3[None, None, :])
+    energies = g + e + l
+    # C order on the (i, j, k) grid is lexicographic sample order.
+    i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
+    best = (float(a1[i]), float(a2[j]), float(a3[k]))
+    best_energy = float(energies[i, j, k])
 
-    def best_sample(lo, hi):
-        """The first minimal sample of the box [lo, hi] under the model's
-        load, its energy and the box's sample count."""
-        a1, a2, a3 = (np.linspace(a, b, GRID_POINTS) for a, b in zip(lo, hi))
-        g, e, l = model.axis_components(
-            a1[:, None, None], a2[None, :, None], a3[None, None, :])
-        energies = g + e + l
-        # C order on the (i, j, k) grid is lexicographic sample order.
-        i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
-        theta = (float(a1[i]), float(a2[j]), float(a3[k]))
-        return theta, float(energies[i, j, k]), energies.size
-
-    def around(theta, half):
-        """The box theta +- half, clipped to the search box."""
-        return ([max(t - h, a) for t, h, a in zip(theta, half, lo0)],
-                [min(t + h, b) for t, h, b in zip(theta, half, hi0)])
-
-    best_theta, best_energy, evaluations = best_sample(lo0, hi0)
-    half = [(b - a) / 2.0 for a, b in zip(lo0, hi0)]
-
+    # The polish stays within an eighth of the search box's width.
+    reach = [(b - a) / 8.0 for a, b in zip(lo0, hi0)]
     polished, steps = _newton_polish(
-        model, best_theta, *around(best_theta, [h / 4.0 for h in half]))
-    evaluations += steps
+        model, best,
+        [max(t - r, a) for t, r, a in zip(best, reach, lo0)],
+        [min(t + r, b) for t, r, b in zip(best, reach, hi0)])
     energy = None if polished is None else model.energy(polished)
-    rounds = 0
-    if energy is not None and energy <= best_energy:
-        best_theta, best_energy = polished, energy
-    else:
-        for rounds in range(1, REFINE_ROUNDS + 1):
-            half = [h / 4.0 for h in half]
-            theta_r, energy_r, n_eval = best_sample(*around(best_theta, half))
-            evaluations += n_eval
-            if energy_r < best_energy:
-                best_theta, best_energy = theta_r, energy_r
-
-    return _result(model, best_theta, best_energy, lo0, hi0, evaluations, rounds)
+    if energy is None or energy > best_energy:
+        best = _off_edge(best, lo0, hi0)
+        how = "failed" if energy is None else "rose above its energy"
+        raise NoConvergence(f"Newton polish from box sample {best} {how}")
+    return _result(model, polished, energy, lo0, hi0, energies.size + steps)
 
 
 def balance_residuals(model: PotentialModel, theta) -> dict:

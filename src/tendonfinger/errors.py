@@ -40,9 +40,11 @@ class GeometryInfeasible(TendonFingerError):
 
 class NoConvergence(TendonFingerError):
     """Static solve did not reach the residual threshold, or a Newton
-    step left the finite numbers.
+    step left the finite numbers; or the energy oracle's polish from a
+    best box sample off the box's surface failed or rose above it.
 
-    Carries the iteration trace so callers can still write diagnostics.
+    Carries the solver's iteration trace so callers can still write
+    diagnostics.
     """
 
     exit_code = 3

@@ -48,10 +48,10 @@ SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
 
 # A workspace export holds three per-link boolean grids and their union
-# (a byte per cell each), then the PGM buffer and its text (two bytes
-# per cell each); 8 bytes per cell covers them. The default calibration
-# swept at resolution 400 needs about 2 MB at 0.5 mm cells, and cells
-# down to about 22 um are accepted.
+# (a byte per cell each), then the PGM buffer and the file's bytes (two
+# bytes per cell each); 8 bytes per cell covers them. The default
+# calibration swept at resolution 400 needs about 2 MB at 0.5 mm cells,
+# and cells down to about 22 um are accepted.
 GRID_BYTES_PER_CELL = 8
 MAX_GRID_BYTES = 1 << 30
 
@@ -338,8 +338,8 @@ def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
             out.write(rows.tobytes().translate(None, b"\0 "))
 
 
-def grid_to_pgm(grid: OccupancyGrid) -> str:
-    """ASCII PGM (P2, maxval 1), top row at the largest y."""
+def grid_to_pgm(grid: OccupancyGrid) -> bytes:
+    """ASCII PGM (P2, maxval 1) as bytes, top row at the largest y."""
     import numpy as np
 
     ny, nx = grid.marked.shape
@@ -348,7 +348,7 @@ def grid_to_pgm(grid: OccupancyGrid) -> str:
     body = np.full((ny, 2 * nx), ord(" "), dtype=np.uint8)
     body[:, 0::2] = ord("0") + grid.marked[::-1]
     body[:, -1] = ord("\n")
-    return f"P2\n{nx} {ny}\n1\n" + body.tobytes().decode("ascii")
+    return f"P2\n{nx} {ny}\n1\n".encode("ascii") + body.tobytes()
 
 
 def grid_sidecar(grid: OccupancyGrid, per_link_area: dict) -> str:

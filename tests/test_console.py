@@ -4,14 +4,46 @@ imports. Tier-1 runs them on the source tree (PYTHONPATH=src); CI runs
 this module a second time against the installed package.
 """
 
+import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.model import THETA1_MAX, THETA1_MIN
+
+
+def run(*args):
+    """`python -m tendonfinger *args`, its stdout and stderr as text."""
+    return subprocess.run([sys.executable, "-m", "tendonfinger", *args],
+                          capture_output=True, text=True)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Five JSON documents by command (`docs`), each run once with its
+    exit code checked: four from stdout and the workspace sidecar; and
+    that workspace run's CSV bytes (`csv`)."""
+    out = tmp_path_factory.mktemp("console")
+    docs = {}
+    for name, code, args in (
+        ("solve", 0, ["solve", "0", "--force", "0,-29.43"]),
+        # A step-capped solve exits 3 and still writes its trace.
+        ("capped", 3, ["solve", "0", "--force", "0,-29.43", "--max-iter", "2"]),
+        ("stiffness", 0, ["stiffness", "--payloads", "0.5,3", "--format", "json"]),
+        ("oracle", 0, ["oracle-check", "--cases", "10", "--seed", "7"]),
+    ):
+        res = run(*args)
+        assert res.returncode == code, res.stderr
+        docs[name] = res.stdout
+    res = run("workspace", "--resolution", "50", "--out", str(out / "ws"))
+    assert res.returncode == 0, res.stderr
+    docs["workspace"] = (out / "ws.json").read_text(encoding="utf-8")
+    return SimpleNamespace(docs=docs, csv=(out / "ws.csv").read_bytes())
 
 
 def rebuilt_csv(resolution: int) -> bytes:
@@ -39,11 +71,53 @@ def rebuilt_csv(resolution: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def test_workspace_csv_is_the_point_by_point_rebuild(tmp_path):
-    res = subprocess.run(
-        [sys.executable, "-m", "tendonfinger", "workspace", "--resolution", "50",
-         "--out", str(tmp_path / "ws")],
-        capture_output=True, text=True,
-    )
+def test_workspace_csv_is_the_point_by_point_rebuild(written):
+    assert written.csv == rebuilt_csv(50)
+
+
+def test_step_capped_solve_trace(written):
+    # Its two records each hold their pose's three tensions and stretched
+    # lengths. The status and the record fields are checked in
+    # tests/test_cli.py (TestSolve.test_no_convergence_exit_3_writes_trace).
+    trace = json.loads(written.docs["capped"])["trace"]
+    assert [rec["iteration"] for rec in trace] == [1, 2], trace
+    for rec in trace:
+        assert len(rec["tensions_n"]) == len(rec["elongated_lengths_m"]) == 3, rec
+
+
+def test_oracle_check_certifies_every_drawn_case(written):
+    # mu > 0 and a fingertip bound within 1% of finger length.
+    length = load_finger_config(default_config_path()).geometry.total_length
+    cases = json.loads(written.docs["oracle"])["cases"]
+    assert len(cases) == 10, len(cases)
+    for case in cases:
+        cert = case["certificate"]
+        assert cert["mu_nm_per_rad"] > 0, cert
+        assert cert["fingertip_bound_m"] <= 0.01 * length, cert
+
+
+def test_documents_are_indented_json(written):
+    # Byte for byte the standard library's indented text of what each
+    # document holds.
+    for name, text in written.docs.items():
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
+def test_soft_tendons_run_the_box(tmp_path):
+    # Every E = 4e10 Pa, a fifth of the calibration's: some drawn loads
+    # lie beyond the certificate, so those cases run the box search, and
+    # the report still passes.
+    doc = json.loads(default_config_path().read_text(encoding="utf-8"))
+    for tendon in doc["tendons"]:
+        tendon["youngs_modulus_pa"] = 4e10
+    config = tmp_path / "soft_e.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "o_soft.json"
+    res = run("oracle-check", "--cases", "6", "--seed", "7",
+              "--config", str(config), "--out", str(report))
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "ws.csv").read_bytes() == rebuilt_csv(50)
+    cases = json.loads(report.read_text(encoding="utf-8"))["cases"]
+    assert any(case["certificate"]["mu_nm_per_rad"] is not None
+               and case["certificate"]["mu_nm_per_rad"] <= 0
+               and case["energy_search"]["evaluations"] > 21 ** 3
+               for case in cases), cases

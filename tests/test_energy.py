@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -12,7 +13,6 @@ from tendonfinger import energy
 from tendonfinger.energy import (
     GRID_POINTS,
     NEWTON_MAX_STEPS,
-    REFINE_ROUNDS,
     SEARCH_HALF_WIDTH,
     TOLERANCE_FRACTION,
     EquilibriumResult,
@@ -22,7 +22,12 @@ from tendonfinger.energy import (
     find_equilibrium,
     random_tip_load_cases,
 )
-from tendonfinger.errors import BoundaryMinimum, RangeExceeded, TendonFingerError
+from tendonfinger.errors import (
+    BoundaryMinimum,
+    NoConvergence,
+    RangeExceeded,
+    TendonFingerError,
+)
 from tendonfinger.model import (
     THETA1_MAX,
     THETA1_MIN,
@@ -126,7 +131,9 @@ def _meshgrid_rows(axes):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _reference_find_equilibrium(geom, specs, load, q, rounds=6):
+def _reference_find_equilibrium(geom, specs, load, q):
+    """The first box's best sample as a result, or BoundaryMinimum naming
+    it when it lies on the search-box edge."""
     grid = 21
     model = PotentialModel(geom, specs, load, q)
     center = _arrays(model).theta_hat
@@ -141,23 +148,14 @@ def _reference_find_equilibrium(geom, specs, load, q, rounds=6):
         best = int(np.argmin(energies))
         return thetas[best], float(energies[best]), thetas.shape[0]
 
-    best_theta, best_energy, n_eval = evaluate_box(lo0, hi0)
-    evaluations = n_eval
-    half = (hi0 - lo0) / 2.0
-    for _ in range(rounds):
-        half = half / 4.0
-        lo = np.maximum(best_theta - half, lo0)
-        hi = np.minimum(best_theta + half, hi0)
-        theta_r, energy_r, n_eval = evaluate_box(lo, hi)
-        evaluations += n_eval
-        if energy_r < best_energy:
-            best_theta, best_energy = theta_r, energy_r
+    best_theta, best_energy, evaluations = evaluate_box(lo0, hi0)
 
     edge_tol = (hi0 - lo0) / (2.0 * (grid - 1))
     if np.any((np.abs(best_theta - lo0) <= edge_tol)
               | (np.abs(best_theta - hi0) <= edge_tol)):
         raise BoundaryMinimum(
-            f"energy minimum {tuple(best_theta)} lies on the search-box boundary"
+            f"energy minimum {tuple(float(t) for t in best_theta)} lies on "
+            "the search-box boundary"
         )
     tip = link_pose(tuple(best_theta), geom)[0][3]
     return EquilibriumResult(
@@ -165,8 +163,25 @@ def _reference_find_equilibrium(geom, specs, load, q, rounds=6):
         fingertip=(float(tip[0]), float(tip[1])),
         energy=best_energy,
         evaluations=evaluations,
-        rounds=rounds,
     )
+
+
+def _named_sample(message):
+    """The pose that an energy search's exception message names."""
+    message = str(message)
+    return ast.literal_eval(message[message.index("("):message.index(")") + 1])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _inside(model, theta):
+    """Per joint, whether `theta` lies more than half a box cell inside
+    the model's search box, off the surface that the edge test reads."""
+    lo, hi = energy._search_box(model)
+    return [t - a > h and b - t > h for t, a, b, h in zip(
+        theta, lo, hi, ((b - a) / (GRID_POINTS - 1) / 2.0 for a, b in zip(lo, hi)))]
 
 
 def _reference_balance_residuals(model, theta, sides):
@@ -421,11 +436,13 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
     def test_find_equilibrium_matches_reference(self, geom_cal, load_name, q):
-        # The shrink-by-4 rounds, which the Newton polish falls back to.
+        # The first box's best sample, which a failed polish names.
         load = REFERENCE_LOADS[load_name]
         model = PotentialModel(geom_cal, make_specs(), load, q)
-        assert (_search(model, polish=False)
-                == _reference_find_equilibrium(geom_cal, make_specs(), load, q))
+        ref = _reference_find_equilibrium(geom_cal, make_specs(), load, q)
+        with pytest.raises(NoConvergence, match="failed$") as exc:
+            _search(model, polish=False)
+        assert _bits(_named_sample(exc.value)) == _bits(ref.theta)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -669,21 +686,15 @@ class TestFindEquilibrium:
         eq = find_equilibrium(model)
         assert eq.energy <= model.energy(coupling_angles(0.0, geom_cal).theta)
         rng = np.random.default_rng(4)
-        cell = 1.0 / 4 ** 6 / 20  # final refinement spacing
-        # A smooth landscape can dip below the best sample between grid
-        # nodes by ~0.5 * curvature * cell^2, here under 1e-7 J.
+        # Probes up to one first-box cell away, where the box's samples
+        # around the minimum lie. The minimum is Newton-polished, not a
+        # sample, so no probe may lie below it.
+        cell = 2.0 * SEARCH_HALF_WIDTH / (GRID_POINTS - 1)
         for _ in range(100):
             probe = tuple(
                 t + float(d) for t, d in zip(eq.theta, rng.uniform(-cell, cell, 3))
             )
-            assert eq.energy <= model.energy(probe) + 1e-7
-
-    def test_refinement_never_worse_than_coarse(self, geom_cal):
-        specs = make_specs()
-        load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        coarse = _search(PotentialModel(geom_cal, specs, load, 0.0), rounds=0)
-        refined = _search(PotentialModel(geom_cal, specs, load, 0.0), rounds=6)
-        assert refined.energy <= coarse.energy
+            assert eq.energy <= model.energy(probe)
 
     def test_rigid_limit_near_nominal(self, geom_cal):
         # At E = 1e15 the steel-case equilibrium angles scale down by
@@ -700,78 +711,82 @@ class TestFindEquilibrium:
             find_equilibrium(PotentialModel(geom_cal, make_specs(), load, 0.0))
 
 
-def _search(model, polish=True, rounds=REFINE_ROUNDS):
-    """`box_search` with `rounds` shrink-by-4 boxes and, without
-    `polish`, a polish that always fails, so the rounds run straight
-    after the first box."""
+def _search(model, polish=True):
+    """`box_search`, or without `polish` one whose polish always fails."""
     with pytest.MonkeyPatch.context() as mp:
         if not polish:
             mp.setattr(energy, "_newton_polish", lambda *args: (None, 0))
-        mp.setattr(energy, "REFINE_ROUNDS", rounds)
         return box_search(model)
 
 
 def _spy_polish(monkeypatch, replacement=None):
-    """Record what every Newton polish returns; optionally replace it."""
+    """Record every Newton polish's start and what it returns; optionally
+    replace it."""
     calls = []
     polish = replacement or energy._newton_polish
 
     def spy(*args):
-        calls.append(polish(*args))
-        return calls[-1]
+        calls.append((args[1], polish(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(energy, "_newton_polish", spy)
     return calls
 
 
 class TestNewtonPolish:
-    """The box search's polish of its best sample, and its fallback."""
+    """The box search's polish of its best sample, and what a failed
+    polish raises."""
 
     @pytest.mark.parametrize("q", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("load_name", sorted(REFERENCE_LOADS))
-    def test_polish_refines_reference_rounds(self, geom_cal, load_name, q):
+    def test_polish_refines_reference_sample(self, geom_cal, load_name, q):
         specs, load = make_specs(), REFERENCE_LOADS[load_name]
         eq = box_search(PotentialModel(geom_cal, specs, load, q))
         ref = _reference_find_equilibrium(geom_cal, specs, load, q)
-        assert eq.rounds == 0
         assert GRID_POINTS ** 3 < eq.evaluations <= GRID_POINTS ** 3 + NEWTON_MAX_STEPS
-        assert max(abs(a - b) for a, b in zip(eq.theta, ref.theta)) <= 3e-5
+        # Within a first-box cell of the best sample, and below it.
+        cell = 2.0 * SEARCH_HALF_WIDTH / (GRID_POINTS - 1)
+        assert max(abs(a - b) for a, b in zip(eq.theta, ref.theta)) <= cell
         assert eq.energy <= ref.energy
         grad = _gradient(PotentialModel(geom_cal, specs, load, q), eq.theta)
         assert np.max(np.abs(grad)) <= 1e-9
 
-    def test_boundary_minimum_found_by_fallback(self, geom_cal, monkeypatch):
-        # 60 kg drives the first Newton step out of the first refinement
-        # box; the rounds then end on the search-box surface.
+    def test_boundary_minimum_after_failed_polish(self, geom_cal, monkeypatch):
+        # 60 kg drives the first Newton step out of the polish box; the
+        # best sample lies on the search-box surface, and the message
+        # names it.
         calls = _spy_polish(monkeypatch)
         load = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
-        with pytest.raises(BoundaryMinimum):
+        with pytest.raises(BoundaryMinimum) as exc:
             box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
-        assert [theta for theta, _ in calls] == [None]
+        [(best, (polished, _))] = calls
+        assert polished is None
+        assert _bits(_named_sample(exc.value)) == _bits(best)
 
-    def _assert_rounds_result(self, eq, geom, load, extra_evaluations):
-        rounds = _search(PotentialModel(geom, make_specs(), load, 0.0), polish=False)
-        assert (eq.theta, eq.fingertip, eq.energy, eq.rounds) == (
-            rounds.theta, rounds.fingertip, rounds.energy, 6)
-        assert eq.evaluations == rounds.evaluations + extra_evaluations
-
-    def test_step_cap_falls_back_to_rounds(self, geom_cal, monkeypatch):
+    def test_step_cap_raises_no_convergence(self, geom_cal, monkeypatch):
+        # One Newton step cannot converge; a 2 kg load's best sample lies
+        # inside the box, so there is no result and no boundary verdict.
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
-        self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=1)
+        with pytest.raises(NoConvergence) as exc:
+            box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
+        ref = _reference_find_equilibrium(geom_cal, make_specs(), load, 0.0)
+        assert str(exc.value) == (
+            f"Newton polish from box sample {ref.theta} failed")
+        assert exc.value.trace == []
 
-    def test_higher_polished_energy_falls_back_to_rounds(self, geom_cal,
-                                                         monkeypatch):
+    def test_higher_polished_energy_raises_no_convergence(self, geom_cal,
+                                                          monkeypatch):
         # Pretend the polish converged on the nominal pose, which a 2 kg
         # load pulls well away from: its energy exceeds the best sample's.
         calls = _spy_polish(
             monkeypatch,
-            lambda model, theta, lo, hi: (np.array(model.nominal.theta), 3))
+            lambda model, theta, lo, hi: (list(model.nominal.theta), 3))
         load = ExternalLoad.tip_payload(2.0, geom_cal.gravity_accel)
-        eq = box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
-        assert len(calls) == 1
-        self._assert_rounds_result(eq, geom_cal, load, extra_evaluations=3)
+        with pytest.raises(NoConvergence, match="rose above its energy$") as exc:
+            box_search(PotentialModel(geom_cal, make_specs(), load, 0.0))
+        [(best, _)] = calls
+        assert _bits(_named_sample(exc.value)) == _bits(best)
 
     @settings(max_examples=40, deadline=None)
     @given(payload=st.floats(0.2, 3.0), direction_deg=st.floats(-150.0, -30.0))
@@ -783,10 +798,105 @@ class TestNewtonPolish:
         angle = math.radians(direction_deg)
         load = ExternalLoad(force=(magnitude * math.cos(angle),
                                    magnitude * math.sin(angle)))
-        coarse = _search(PotentialModel(geom, specs, load, 0.0), polish=False, rounds=0)
+        coarse = _reference_find_equilibrium(geom, specs, load, 0.0)
         eq = box_search(PotentialModel(geom, specs, load, 0.0))
-        assert eq.rounds == 0
         assert eq.energy <= coarse.energy
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.floats(-6e-3, 6e-3),
+        payload=st.floats(0.0, 40.0),
+        direction_deg=st.floats(-180.0, 180.0),
+        moment=st.floats(-0.3, 0.3),
+        attach=st.none() | st.tuples(st.floats(0.05, 0.2), st.floats(-0.05, 0.05)),
+        youngs_modulus=st.sampled_from([2e11, 4e10, 1e10, 5e9]),
+    )
+    def test_property_outcome_of_the_one_box(self, calibrated, q, payload,
+                                             direction_deg, moment, attach,
+                                             youngs_modulus):
+        # Over heavy loads in any direction, box_search gives a polished
+        # result off the edge; or BoundaryMinimum naming a pose within
+        # half a cell of the search box's surface: the polished one, or
+        # the best sample when its polish failed or rose above it; or
+        # NoConvergence naming a best sample off that surface.
+        geom = calibrated.geometry
+        specs = tuple(s._replace(youngs_modulus=youngs_modulus)
+                      for s in calibrated.tendons)
+        angle = math.radians(direction_deg)
+        magnitude = payload * geom.gravity_accel
+        load = ExternalLoad(force=(magnitude * math.cos(angle),
+                                   magnitude * math.sin(angle)),
+                            moment=moment, application_point=attach)
+        model = PotentialModel(geom, specs, load, q)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_polish(mp)
+            outcome = _outcome(model)
+        [(best, (polished, _))] = calls
+
+        def on_edge(theta):
+            return not all(_inside(model, theta))
+
+        if isinstance(outcome, EquilibriumResult):
+            assert polished is not None and not on_edge(outcome.theta)
+            assert outcome.theta == tuple(polished)
+            assert outcome.energy == model.energy(polished)
+        elif outcome.startswith("BoundaryMinimum: "):
+            named = _named_sample(outcome)
+            assert on_edge(named)
+            assert named in (tuple(best), tuple(polished or ()))
+        else:
+            how = "failed" if polished is None else "rose above its energy"
+            assert outcome == (f"NoConvergence: Newton polish from box sample "
+                               f"{tuple(best)} {how}")
+            assert not on_edge(best)
+
+    # Loads of the property's range whose polish fails: 3 of the 10 such
+    # outcomes that 40,000 random draws gave (CHANGES.md). Each entry is
+    # (E, q, load, what find_equilibrium raises). The first is certified,
+    # and its minimum, the solver's pose, lies beyond the search box's
+    # lower distal edge. The solver finds the other two minima inside the
+    # box, where the one box misses them: the second lies more than the
+    # polish's reach (1/8 of the box) from the best sample, and the third
+    # 0.026 rad inside the first joint's lower edge, on which the best
+    # sample lies.
+    FAILED_POLISHES = {
+        "beyond_the_edge": (5e9, 0.0032544422715395788, ExternalLoad(
+            force=(0.22136671319683174, 0.14861512938219226),
+            moment=-0.2935074351910128,
+            application_point=(0.05603849801620132, -0.04407363049541285)),
+            NoConvergence),
+        "past_the_polish_box": (2e11, -0.0005484137488425984, ExternalLoad(
+            force=(62.43475975399409, -166.1479811005399),
+            moment=0.13796019522657238,
+            application_point=(0.06349467803542844, 0.035615419138943824)),
+            NoConvergence),
+        "edge_sample": (1e10, 0.003207020248101645, ExternalLoad(
+            force=(4.821150060607158, -114.73955777958628),
+            moment=0.2794146176682026,
+            application_point=(0.08050620339600709, 0.02496793149218572)),
+            BoundaryMinimum),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAILED_POLISHES))
+    def test_failed_polish_names_the_best_sample(self, calibrated, name):
+        youngs_modulus, q, load, error = self.FAILED_POLISHES[name]
+        geom = calibrated.geometry
+        specs = tuple(s._replace(youngs_modulus=youngs_modulus)
+                      for s in calibrated.tendons)
+        model = PotentialModel(geom, specs, load, q)
+        assert (model.convexity > 0.0) is (name == "beyond_the_edge")
+        with pytest.raises(error) as exc:
+            find_equilibrium(model)
+        try:
+            best = _reference_find_equilibrium(geom, specs, load, q).theta
+        except BoundaryMinimum as ref:
+            best = _named_sample(ref)
+        assert _bits(_named_sample(exc.value)) == _bits(best)
+        solved = solve_static(model).configuration.theta
+        if name == "beyond_the_edge":
+            assert solved[2] < energy._search_box(model)[0][2]
+        else:
+            assert all(_inside(model, solved))
 
 
 class TestBalanceResiduals:
@@ -1104,7 +1214,7 @@ class TestCertificate:
                 model = base.with_load(case["load"])
                 sol = solve_static(model)
                 eq = find_equilibrium(model)
-                assert eq.rounds == 0 and eq.evaluations <= NEWTON_MAX_STEPS
+                assert eq.evaluations <= NEWTON_MAX_STEPS
                 bound = model.fingertip_bound(
                     _gradient_norm(model, sol.configuration.theta))
                 for tip in (box_search(model).fingertip, eq.fingertip):
@@ -1156,22 +1266,25 @@ class TestCertificate:
         assert messages[0] == messages[1]
         assert messages[0].startswith("energy minimum (")
         if trig_is_math(np.random.default_rng(0).uniform(-2.5, 2.5, 20000)):
-            # The message before the certificate existed, to the byte.
-            assert messages[0] == ("energy minimum (-0.36019287109375003, "
-                                   "-0.4786484375, -0.5) lies on the "
-                                   "search-box boundary")
+            # The first box's best sample, to the byte.
+            assert messages[0] == ("energy minimum (-0.35, -0.45, -0.5) lies "
+                                   "on the search-box boundary")
         twelve = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(12.0), 0.0)
         assert twelve.convexity < 0.0
         _assert_same_outcome(find_equilibrium(twelve), box_search(twelve))
         # A certified load whose polish hits the step cap gets the box
-        # search's result, rounds and evaluation count.
+        # search's outcome: its best sample lies inside the box, and its
+        # polish hits the cap too.
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         for load in REFERENCE_LOADS.values():
             model = PotentialModel(geom_cal, specs, load, 0.0)
             assert model.convexity > 0.0
-            eq = find_equilibrium(model)
-            assert eq.rounds == REFINE_ROUNDS
-            _assert_same_outcome(eq, box_search(model))
+            outcomes = []
+            for search in (find_equilibrium, box_search):
+                with pytest.raises(NoConvergence, match="failed$") as exc:
+                    search(model)
+                outcomes.append(str(exc.value))
+            assert outcomes[0] == outcomes[1]
 
     def test_tolerance_reads_the_gap_and_the_bound(self, calibrated,
                                                   monkeypatch):
@@ -1249,12 +1362,13 @@ class TestCertificate:
             find_equilibrium(model)
 
 
-def _outcome(model, polish=True, rounds=REFINE_ROUNDS):
-    """`_search` on the model, or the BoundaryMinimum message."""
+def _outcome(model, polish=True):
+    """`_search` on the model, or the class and message of what it
+    raises."""
     try:
-        return _search(model, polish, rounds)
-    except BoundaryMinimum as exc:
-        return f"BoundaryMinimum: {exc}"
+        return _search(model, polish)
+    except (BoundaryMinimum, NoConvergence) as exc:
+        return f"{exc.__class__.__name__}: {exc}"
 
 
 def _assert_same_outcome(shared, fresh):
@@ -1267,16 +1381,20 @@ def _assert_same_outcome(shared, fresh):
 
 def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     """`shared` (a model given `load` by `with_load`) against a model built
-    for `load`: the search, its rounds, and the first box alone; that
-    first box also against the frozen row-by-row evaluation."""
+    for `load`: the search, and the first box alone (a failed polish);
+    that first box's best sample also against the frozen row-by-row
+    evaluation."""
     fresh = PotentialModel(geom, specs, load, q)
-    for options in ({}, {"polish": False}, {"polish": False, "rounds": 0}):
-        _assert_same_outcome(_outcome(shared, **options), _outcome(fresh, **options))
+    for polish in (True, False):
+        _assert_same_outcome(_outcome(shared, polish), _outcome(fresh, polish))
+    failed = _outcome(shared, polish=False)
     try:
-        reference = _reference_find_equilibrium(geom, specs, load, q, rounds=0)
+        reference = _reference_find_equilibrium(geom, specs, load, q)
     except BoundaryMinimum as exc:
-        reference = f"BoundaryMinimum: {exc}"
-    _assert_same_outcome(_outcome(shared, polish=False, rounds=0), reference)
+        assert failed == f"BoundaryMinimum: {exc}"
+    else:
+        assert failed.startswith("NoConvergence: ")
+        assert _bits(_named_sample(failed)) == _bits(reference.theta)
 
 
 def _assert_immutable_fields(model):
@@ -1315,18 +1433,19 @@ class TestSharedLoadFreeState:
         specs = make_specs()
         base = PotentialModel(geom_cal, specs, ExternalLoad.tip_payload(2.0), 0.0)
         _outcome(base)
-        # 60 kg: the polish leaves its box and the rounds end on the
+        # 60 kg: the polish leaves its box from a best sample on the
         # search-box surface.
         heavy = ExternalLoad.tip_payload(60.0, geom_cal.gravity_accel)
         shared = _outcome(base.with_load(heavy))
         assert shared.startswith("BoundaryMinimum: energy minimum")
         _assert_same_outcome(shared, _outcome(PotentialModel(geom_cal, specs,
                                                               heavy, 0.0)))
-        # The step cap: every polish falls back to the rounds.
+        # The step cap: every polish fails, from a best sample inside the
+        # box.
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", 1)
         for load in self.LOADS:
             shared = _outcome(base.with_load(load))
-            assert shared.rounds == REFINE_ROUNDS
+            assert shared.startswith("NoConvergence: ")
             _assert_same_outcome(
                 shared, _outcome(PotentialModel(geom_cal, specs, load, 0.0)))
 

@@ -192,9 +192,9 @@ REPRS = [
      "ExternalLoad(force=(0.0, 0.0), moment=0.0, application_point=None)"),
     (ExternalLoad((1.5, -2.0), -0.25, (0.1, 0.02)),
      "ExternalLoad(force=(1.5, -2.0), moment=-0.25, application_point=(0.1, 0.02))"),
-    (EquilibriumResult((0.1, 0.2, 0.3), (0.16, 0.05), -1.25, 5, 0),
+    (EquilibriumResult((0.1, 0.2, 0.3), (0.16, 0.05), -1.25, 5),
      "EquilibriumResult(theta=(0.1, 0.2, 0.3), fingertip=(0.16, 0.05), energy=-1.25, "
-     "evaluations=5, rounds=0)"),
+     "evaluations=5)"),
     (WrapGeometry(2.0, 2.5, 0.03, 0.025),
      "WrapGeometry(alpha2_0=2.0, alpha3_0=2.5, rest_length_2=0.03, rest_length_3=0.025)"),
     (RECORD,

@@ -265,11 +265,11 @@ class TestExports:
     def test_pgm_and_sidecar(self):
         cloud = sweep_workspace(GEOM, 10)
         grid = occupancy_grid(cloud, 2e-3)
-        pgm = grid_to_pgm(grid).split("\n")
-        assert pgm[0] == "P2"
+        pgm = grid_to_pgm(grid).split(b"\n")
+        assert pgm[0] == b"P2"
         ny, nx = grid.marked.shape
-        assert pgm[1] == f"{nx} {ny}"
-        assert pgm[2] == "1"
+        assert pgm[1] == f"{nx} {ny}".encode("ascii")
+        assert pgm[2] == b"1"
         sidecar = grid_sidecar(grid, {"1": 0.001})
         assert '"cell_size_m"' in sidecar
         assert '"per_link_area_m2"' in sidecar
@@ -280,7 +280,7 @@ class TestExports:
         cloud = sweep_workspace(GEOM, resolution)
         assert_csv_is_reference(cloud)
         grid = occupancy_grid(cloud, 1e-3)
-        assert grid_to_pgm(grid) == reference_pgm(grid)
+        assert grid_to_pgm(grid) == reference_pgm(grid).encode("ascii")
 
     def test_cli_csv_at_benchmark_size(self, tmp_path):
         # The benchmark's first op: the file, read back as bytes, is the
