@@ -11,18 +11,21 @@ Certified cases: where the model's certificate proves the potential
 strongly convex (`PotentialModel.convexity` > 0, every load that
 oracle-check draws), its minimum is unique. Newton steps from the nominal
 coupled pose find it, with no search; a result's `evaluations` is then
-the step count (4 or 5 on the oracle-check loads). Where the proof does
-not hold (a 60 kg tip load, say), or those steps leave the search box,
-meet a Hessian that is not positive definite or reach NEWTON_MAX_STEPS,
+the step count (4 or 5 on the oracle-check loads). The search box does
+not bound those steps: a minimum they reach beyond its surface, or
+within half a box cell of it, raises BoundaryMinimum naming it. Where
+the proof does not hold (a 60 kg tip load, say), or those steps meet a
+Hessian that is not positive definite or reach NEWTON_MAX_STEPS,
 `box_search` runs, by a route independent of the solver's start:
 
 1. Search: one box of GRID_POINTS = 21 samples per joint angle
    (21^3 = 9,261 potential evaluations), +-0.5 rad around the nominal
    coupled pose, the first axis clipped to the joint-1 range. Its best
    sample is the first minimal one in lexicographic order.
-2. Polish: Newton steps on the analytic gradient and 3 x 3 Hessian,
-   solved in closed form, from that sample until a step is at most
-   1e-13 rad (4 or 5 steps on the oracle-check loads).
+2. Polish: Newton steps from that sample by the solver's own kernel
+   (`PotentialModel.newton_kernel`: the analytic gradient and 3 x 3
+   Hessian, solved in closed form) until a step is at most 1e-13 rad
+   (4 or 5 steps on the oracle-check loads).
 3. Failure: when an iterate leaves the polish box (the best sample
    +- 1/8 of the search box's width), the Hessian is not positive
    definite, NEWTON_MAX_STEPS = 8 steps pass, or the polished energy
@@ -58,13 +61,13 @@ functions that build arrays, so importing this module does not load it.
 mu = mu_e - B, the potential's gradient norm at the solver's pose, and
 the certified bound on the solver's distance from the minimum. The
 gradient comes from `balance_residuals`' tangent balance (link poses,
-moments and Hooke tensions), not from the solver's `gradient_hessian`,
+moments and Hooke tensions), not from the solver's `newton_kernel`,
 so the certificate is the report's evidence independent of the solver.
 
 On a certified case the minimizer's Newton steps are the solver's own
 iteration from the same start, with another stop rule: the solver stops
 once the fingertip moves by at most the caller's `threshold` in x and y, the
-minimizer only at a 1e-13 rad step, inside its search box. So the gap
+minimizer only at a 1e-13 rad step. So the gap
 measures how far the solver's stop rule leaves it from the minimum (at
 most 4e-14 mm at the default 1e-6 m threshold, 0.05 mm at 1e-2 m on
 `--cases 3 --seed 7`), the edge test still applies, and `energy_j` is the
@@ -77,6 +80,7 @@ polish's 1 or 2 more, and its result is a fresh search's, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import BoundaryMinimum, GeometryInfeasible, NoConvergence, TendonFingerError
@@ -89,7 +93,7 @@ from .model import (
     TendonGroup,
     link_pose,
 )
-from .potential import PotentialModel, newton_step
+from .potential import PotentialModel, link_trig
 from .statics import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_THRESHOLD,
@@ -103,6 +107,9 @@ GRID_POINTS = 21  # samples per axis of every search box
 SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
 NEWTON_MAX_STEPS = 8
 NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
+# The certified polish's bounds: every finite pose, since its minimum is
+# unique wherever it lies; `_result` refuses one beyond the search box.
+FINITE_POSES = ((-sys.float_info.max,) * 3, (sys.float_info.max,) * 3)
 # A report is within tolerance when every fingertip gap is at most this
 # fraction of finger length.
 TOLERANCE_FRACTION = 0.01
@@ -118,8 +125,8 @@ class EquilibriumResult(NamedTuple):
 
 
 def _newton_polish(model: PotentialModel, theta, lo, hi, first=1):
-    """Newton steps from `theta`, numbered from `first`, until a step is
-    at most NEWTON_STEP_TOL.
+    """Newton steps (`PotentialModel.newton_kernel`) from `theta`,
+    numbered from `first`, until a step is at most NEWTON_STEP_TOL.
 
     Returns (theta, steps) on convergence, or (None, steps) when an
     iterate leaves the box [lo, hi], the Hessian is not positive definite
@@ -128,7 +135,7 @@ def _newton_polish(model: PotentialModel, theta, lo, hi, first=1):
     evaluations.
     """
     for steps in range(first, NEWTON_MAX_STEPS + 1):
-        step = newton_step(*model.gradient_hessian(theta))
+        step = model.newton_kernel(*theta, *link_trig(*theta))
         if step is None:
             return None, steps
         theta = [t + d for t, d in zip(theta, step)]
@@ -151,14 +158,14 @@ def _search_box(model: PotentialModel):
 
 def _off_edge(theta, lo0, hi0):
     """`theta` as a tuple of floats; raises BoundaryMinimum when it lies
-    within half a box cell of the search box's surface."""
+    beyond the search box's surface or within half a box cell of it."""
     edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
     theta = tuple(float(t) for t in theta)
-    if any(abs(t - a) <= tol or abs(t - b) <= tol
+    if any(t - a <= tol or b - t <= tol
            for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
-        raise BoundaryMinimum(
-            f"energy minimum {theta} lies on the search-box boundary"
-        )
+        inside = all(a <= t <= b for t, a, b in zip(theta, lo0, hi0))
+        where = "on the search-box boundary" if inside else "beyond the search box"
+        raise BoundaryMinimum(f"energy minimum {theta} lies {where}")
     return theta
 
 
@@ -181,12 +188,12 @@ def find_equilibrium(model: PotentialModel,
     see `PotentialModel.fingertip_bound`), its minimum is unique, so
     Newton steps from the nominal pose find it with no box: `evaluations`
     is the step count (4 or 5 on the oracle-check loads). Where it is
-    not, or those steps leave the search box, meet a Hessian that is not
-    positive definite or reach NEWTON_MAX_STEPS, the outcome is
-    `box_search`'s, unchanged (9,265 or 9,266 evaluations on a converged
-    polish), and the discarded steps are not counted. Raises
-    BoundaryMinimum when the minimizer sits on the search-box surface,
-    which means the box should be widened.
+    not, or those steps meet a Hessian that is not positive definite or
+    reach NEWTON_MAX_STEPS, the outcome is `box_search`'s, unchanged
+    (9,265 or 9,266 evaluations on a converged polish), and the discarded
+    steps are not counted. Raises BoundaryMinimum when the minimizer lies
+    beyond the search-box surface or within half a box cell of it, which
+    means the box should be widened.
 
     Given `solution`, a `solve_static` solution of this `model`, the
     certified Newton steps resume after the solver's iterates where those
@@ -194,37 +201,35 @@ def find_equilibrium(model: PotentialModel,
     The result is the same, bit for bit.
     """
     if model.convexity > 0.0:
-        lo0, hi0 = _search_box(model)
-        theta, first = _resume(solution, model.nominal.theta, lo0, hi0)
-        theta, steps = _newton_polish(model, theta, lo0, hi0, first)
+        theta, first = _resume(solution, model.nominal.theta)
+        theta, steps = _newton_polish(model, theta, *FINITE_POSES, first)
         if theta is not None:
+            lo0, hi0 = _search_box(model)
             return _result(model, theta, model.energy(theta), lo0, hi0, steps)
     return box_search(model)
 
 
-def _resume(solution, start, lo, hi):
+def _resume(solution, start):
     """The pose and step number at which the certified polish from `start`
-    in the box [lo, hi] goes on after `solution`'s Newton iterates:
-    (start, 1) where those may not be its own first steps.
+    goes on after `solution`'s Newton iterates: (start, 1) where those may
+    not be its own first steps.
 
     The solver's iterates are the polish's own first steps: both start at
-    the nominal pose and step to
-    theta + newton_step(*model.gradient_hessian(theta)). The polish
-    resumes at the solver's last iterate, at step `iterations` + 1, when
-    none of those steps could have ended it: every iterate lies in the
-    box, the solver stopped before step NEWTON_MAX_STEPS, and every step
-    read back from the trace, max |theta_j - theta_(j-1)|, exceeds
-    2 NEWTON_STEP_TOL. That reading differs from the step taken by at most
-    an ulp of theta, far below NEWTON_STEP_TOL, so the polish would not
-    have stopped there.
+    the nominal pose and step by `PotentialModel.newton_kernel`, and
+    neither is bounded by the search box. The polish resumes at the
+    solver's last iterate, at step `iterations` + 1, when none of those
+    steps could have ended it: the solver stopped before step
+    NEWTON_MAX_STEPS, and every step read back from the trace,
+    max |theta_j - theta_(j-1)|, exceeds 2 NEWTON_STEP_TOL. That reading
+    differs from the step taken by at most an ulp of theta, far below
+    NEWTON_STEP_TOL, so the polish would not have stopped there.
     """
     if solution is None or solution.iterations >= NEWTON_MAX_STEPS:
         return start, 1
     theta = start
     for rec in solution.trace:
-        if not (all(a <= t <= b for a, t, b in zip(lo, rec.theta, hi))
-                and max(abs(t - p) for t, p in zip(rec.theta, theta))
-                > 2.0 * NEWTON_STEP_TOL):
+        step = max(abs(t - p) for t, p in zip(rec.theta, theta))
+        if not step > 2.0 * NEWTON_STEP_TOL:
             return start, 1
         theta = rec.theta
     return theta, solution.iterations + 1
@@ -274,12 +279,12 @@ def balance_residuals(model: PotentialModel, theta) -> dict:
     Tensions are the Hooke tensions of each index's taut tendon at the
     pose (`PotentialModel.tensions`, reported as `tensions_n`), signed +
     for flexion and - for extension: the net tensions of
-    `gradient_hessian`. Both balances take these signed tensions: the
-    tangent balance of the guide cylinders, whose residuals are minus the
-    potential's gradient, and a wrap-integral reading in which a distal
-    tension keeps its own-joint arm and the distributed normal load on
-    the distal guide is integrated with the link length as lever
-    (`wrap_moment`). A load's application point rides with the distal
+    `PotentialModel.derivatives`. Both balances take these signed
+    tensions: the tangent balance of the guide cylinders, whose residuals
+    are minus the potential's gradient, and a wrap-integral reading in
+    which a distal tension keeps its own-joint arm and the distributed
+    normal load on the distal guide is integrated with the link length as
+    lever (`wrap_moment`). A load's application point rides with the distal
     link, as in the potential. A zero residual triple means the pose
     satisfies that balance exactly.
 

@@ -173,10 +173,11 @@ def link_pose(theta, geom: FingerGeometry):
 
     Returns (points, coms) as tuples of (x, y) float tuples: points are
     [J1, J2, J3, tip], coms the three links' centres of mass. Plain floats,
-    3 cosines and 3 sines: the solver calls this once per converged solve,
-    for the fingertip. Sums keep the order of a cumulative sum
-    (phi_3 = (theta_1 + theta_2) + theta_3, tip = (s_1 + s_2) + s_3), so
-    the values equal the numpy chain's.
+    3 cosines and 3 sines: a potential model calls this once, for its
+    nominal pose, and the solver sums its iterates' fingertips from the
+    same cosines and sines in the same order. Sums keep the order of a
+    cumulative sum (phi_3 = (theta_1 + theta_2) + theta_3,
+    tip = (s_1 + s_2) + s_3), so the values equal the numpy chain's.
     """
     t1, t2, t3 = theta
     l1, l2, l3 = geom.link_lengths

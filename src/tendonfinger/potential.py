@@ -120,7 +120,7 @@ def _elastic_convexity(radii, k_min) -> float:
     comes from the trigonometric closed form of a symmetric 3 x 3. The
     result is then lowered by 2 delta, where delta starts at 16 rounding
     units of the matrix's Frobenius norm. The matrix shifted by
-    lambda - delta must pass the LDL^T positivity test of `newton_step`,
+    lambda - delta must pass the LDL^T positivity test of `ldl_step`,
     or delta doubles. A passing test proves lambda_min >= lambda - delta
     up to the factorization's backward error, a few rounding units of the
     norm, which the second delta covers. A zero matrix, or one whose
@@ -142,8 +142,7 @@ def _elastic_convexity(radii, k_min) -> float:
         a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (b0 * b0 + b1 * b1))
     while 0.0 < delta < math.inf:
         s = lam - delta
-        shifted = ((a0 - s, b0, 0.0), (b0, a1 - s, b1), (0.0, b1, a2 - s))
-        if newton_step((0.0, 0.0, 0.0), shifted) is not None:
+        if ldl_step(0.0, 0.0, 0.0, a0 - s, b0, 0.0, a1 - s, b1, a2 - s) is not None:
             return lam - 2.0 * delta
         delta *= 2.0
     return -math.inf
@@ -151,8 +150,8 @@ def _elastic_convexity(radii, k_min) -> float:
 
 class PotentialModel:
     """The total potential of one load case at displacement q, from plain
-    floats: the per-pose gradient and Hessian of the solver and the
-    oracle's polish, and the oracle's batched box evaluation.
+    floats: the per-iterate Newton step of the solver and the oracle's
+    polish (`newton_kernel`), and the oracle's batched box evaluation.
 
     A model is not changed after it is built. Everything but `load`,
     `attach_local` and the load's share of the certificate
@@ -260,7 +259,7 @@ class PotentialModel:
     def tensions(self, theta):
         """Hooke tensions of the taut tendon at each index at one pose,
         with their groups and specs: flexion where the stretch is >= 0,
-        extension where it is < 0, the sign rule of `gradient_hessian`'s
+        extension where it is < 0, the sign rule of `derivatives`'
         net tensions. Returns (tensions, groups, specs), three triples;
         every tension is >= 0."""
         flex, ext = TendonGroup.FLEXION, TendonGroup.EXTENSION
@@ -273,7 +272,24 @@ class PotentialModel:
 
     def gradient_hessian(self, theta):
         """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
-        at one pose, as plain-float tuples.
+        at one pose, as plain-float tuples: `derivatives` at `theta`'s
+        link angles, nested."""
+        t1, t2, t3 = theta
+        g0, g1, g2, h00, h01, h02, h11, h12, h22 = self.derivatives(
+            t1, t2, t3, *link_trig(t1, t2, t3))
+        return (g0, g1, g2), ((h00, h01, h02), (h01, h11, h12), (h02, h12, h22))
+
+    def newton_kernel(self, t1, t2, t3, c1, c2, c3, s1, s2, s3):
+        """The Newton step of the solver and the oracle's polish at joint
+        angles t1, t2, t3 with link cosines and sines c1..s3 (`link_trig`):
+        `ldl_step` of `derivatives`, in flat floats, or None where the
+        Hessian is not positive definite."""
+        return ldl_step(*self.derivatives(t1, t2, t3, c1, c2, c3, s1, s2, s3))
+
+    def derivatives(self, t1, t2, t3, c1, c2, c3, sn1, sn2, sn3):
+        """Gradient and upper Hessian of the total potential at joint angles
+        t1, t2, t3 with link-angle cosines c1..c3 and sines sn1..sn3, as
+        nine flat floats (g0, g1, g2, h00, h01, h02, h11, h12, h22).
 
         Elastic: tendon i pulls with J_i^T T_i and stiffens by
         J^T diag(k_i) J, J = d(stretch)/d(theta); a zero stretch counts as
@@ -284,7 +300,6 @@ class PotentialModel:
         Hessian entry (k, l) sums over j >= max(k, l): a tail sum, added
         from the distal link inwards.
         """
-        t1, t2, t3 = theta
         s1, s2, s3 = self.stretches(t1, t2, t3)
         kf1, kf2, kf3 = self.k_flex
         ke1, ke2, ke3 = self.k_ext
@@ -295,11 +310,6 @@ class PotentialModel:
         k2 = (kf2 if s2 >= 0.0 else 0.0) + (ke2 if s2 <= 0.0 else 0.0)
         k3 = (kf3 if s3 >= 0.0 else 0.0) + (ke3 if s3 <= 0.0 else 0.0)
 
-        phi1 = t1
-        phi2 = t1 + t2
-        phi3 = phi2 + t3
-        c1, c2, c3 = math.cos(phi1), math.cos(phi2), math.cos(phi3)
-        sn1, sn2, sn3 = math.sin(phi1), math.sin(phi2), math.sin(phi3)
         L1, L2, L3 = self.geom.link_lengths
         w1, w2, w3 = self.lifted
         # Per-link x and y extents of the load's lever; on the distal link
@@ -326,24 +336,20 @@ class PotentialModel:
         fx, fy = self.load.force
         moment = self.load.moment
         R1, R2, R3 = self.geom.guide_radii
-        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
-        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
-        grad = (
-            R1 * (n2 - n1) + g * lift1 - (fx * -y1 + fy * x1) - moment,
-            R2 * (n3 - n2) + g * lift2 - (fx * -y2 + fy * x2) - moment,
-            -R3 * n3 + g * lift3 - (fx * -ey3 + fy * ex3) - moment,
-        )
         # The gravity and load Hessian entries (k, l) are tail[max(k, l)].
         tail1 = -g * drop1 + fx * x1 + fy * y1
         tail2 = -g * drop2 + fx * x2 + fy * y2
         tail3 = -g * drop3 + fx * ex3 + fy * ey3
-        hess = (
-            (R1 * R1 * (k1 + k2) + tail1, -R1 * R2 * k2 + tail2, tail3),
-            (-R1 * R2 * k2 + tail2, R2 * R2 * (k2 + k3) + tail2,
-             -R2 * R3 * k3 + tail3),
-            (tail3, -R2 * R3 * k3 + tail3, R3 * R3 * k3 + tail3),
+        # d(stretch_i)/d(theta_k): actuating tendon -R1 on joint 1; coupling
+        # tendon i couples joints i-1 (+R_{i-1}) and i (-R_i).
+        return (
+            R1 * (n2 - n1) + g * lift1 - (fx * -y1 + fy * x1) - moment,
+            R2 * (n3 - n2) + g * lift2 - (fx * -y2 + fy * x2) - moment,
+            -R3 * n3 + g * lift3 - (fx * -ey3 + fy * ex3) - moment,
+            R1 * R1 * (k1 + k2) + tail1, -R1 * R2 * k2 + tail2, tail3,
+            R2 * R2 * (k2 + k3) + tail2, -R2 * R3 * k3 + tail3,
+            R3 * R3 * k3 + tail3,
         )
-        return grad, hess
 
     def fingertip_bound(self, gradient_norm):
         """Certified bound (m) on the distance from the fingertip of a pose
@@ -449,10 +455,25 @@ class PotentialModel:
         return g + e + l
 
 
+def link_trig(t1, t2, t3):
+    """Cosines and sines (c1, c2, c3, s1, s2, s3) of the link angles t1,
+    t1 + t2 and (t1 + t2) + t3, summed in `link_pose`'s order."""
+    phi2 = t1 + t2
+    phi3 = phi2 + t3
+    return (math.cos(t1), math.cos(phi2), math.cos(phi3),
+            math.sin(t1), math.sin(phi2), math.sin(phi3))
+
+
 def newton_step(grad, hess):
-    """The Newton step -H^-1 grad by a closed-form LDL^T factorization of
-    the 3 x 3 Hessian, or None when the Hessian is not positive definite."""
+    """`ldl_step` of a nested gradient and 3 x 3 Hessian."""
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
+    return ldl_step(*grad, h00, h01, h02, h11, h12, h22)
+
+
+def ldl_step(g0, g1, g2, h00, h01, h02, h11, h12, h22):
+    """The Newton step -H^-1 g by a closed-form LDL^T factorization of the
+    symmetric 3 x 3 Hessian given by its upper entries, or None when it is
+    not positive definite."""
     d0 = h00
     if not d0 > 0.0:
         return None
@@ -464,7 +485,6 @@ def newton_step(grad, hess):
     d2 = h22 - l20 * h02 - l21 * l21 * d1
     if not d2 > 0.0:
         return None
-    g0, g1, g2 = grad
     y0 = -g0
     y1 = -g1 - l10 * y0
     y2 = -g2 - l20 * y0 - l21 * y1

@@ -6,9 +6,11 @@ three joint angles (`tendonfinger.potential`, which also holds the tendon
 stretch model). `solve_static` takes one load case's `PotentialModel`
 and finds that minimum by Newton steps on the analytic gradient and
 Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
-its load on one shared model. The energy module's oracle minimizes the
-same potential (certified Newton steps, or a box search where the
-certificate fails) by its own stop rule and so checks the solver.
+its load on one shared model and runs the same Newton loop, keeping only
+the converged fingertip height and the step count. The energy module's
+oracle minimizes the same potential (certified Newton steps, or a box
+search where the certificate fails) by its own stop rule and so checks
+the solver.
 
 Tensions follow from the pose by the potential's own rule, with no
 second solve: at each index the tendon whose stretch is taut (flexion
@@ -43,9 +45,8 @@ from .model import (
     TendonGroup,
     TendonSpec,
     check_theta_1,
-    link_pose,
 )
-from .potential import PotentialModel, WrapGeometry, newton_step
+from .potential import PotentialModel, WrapGeometry, link_trig
 
 DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -146,6 +147,60 @@ def elongate_tendons(
     )
 
 
+def _newton_iterates(model: PotentialModel, threshold: float,
+                     max_iterations: int):
+    """The Newton loop of `solve_static` and `stiffness_sweep`: the
+    converged iterate's fingertip (x, y) and the trace, whose last record
+    holds that iterate, its residual and, by its length, the step count.
+    Raises as `solve_static` does."""
+    if threshold <= 0.0:
+        raise ValueError("threshold must be > 0")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+
+    model.wrap0.angles_at(model.nominal.theta)  # refuses an unwrappable rigid pose
+    l1, l2, l3 = model.geom.link_lengths
+
+    t1, t2, t3 = model.nominal.theta
+    trig = link_trig(t1, t2, t3)
+    x_prev = y_prev = None
+    last_residual = math.inf
+    trace: list[IterationRecord] = []
+
+    for k in range(1, max_iterations + 1):
+        step = model.newton_kernel(t1, t2, t3, *trig)
+        if step is None:
+            raise NoConvergence(
+                f"Hessian not positive definite before step {k}", trace=trace
+            )
+        theta = t1, t2, t3 = (t1 + step[0], t2 + step[1], t3 + step[2])
+        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
+            raise NoConvergence(
+                f"Newton step {k} gave a non-finite joint angle", trace=trace
+            )
+        check_theta_1(t1)
+        # The fingertip of `link_pose`, summed in its order.
+        trig = c1, c2, c3, s1, s2, s3 = link_trig(t1, t2, t3)
+        x_k = (l1 * c1 + l2 * c2) + l3 * c3
+        y_k = (l1 * s1 + l2 * s2) + l3 * s3
+        residual = (math.hypot(x_k - x_prev, y_k - y_prev)
+                    if y_prev is not None else None)
+        trace.append(IterationRecord(theta, y_k, residual))
+
+        if residual is not None:
+            if residual <= threshold:
+                model.wrap0.angles_at(theta)  # and a solved one
+                return (x_k, y_k), trace
+            last_residual = residual
+        x_prev, y_prev = x_k, y_k
+
+    raise NoConvergence(
+        f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "
+        f"after {max_iterations} iterations",
+        trace=trace,
+    )
+
+
 def solve_static(
     model: PotentialModel,
     *,
@@ -159,80 +214,36 @@ def solve_static(
     at the rigid-tendon pose theta_i = q / R_i and stop once the
     fingertip's whole movement between two steps, hypot(dx, dy), is at
     most `threshold`, so at least two steps run; that distance is each
-    record's residual. One step keeps only its trace record: the
-    gradient and Hessian once, the Newton step, the new angles' theta_1
-    range check (`check_theta_1`), the fingertip from three cosines and
-    three sines and the residual. The converged pose alone gets the
-    `Configuration`, the fingertip (x, y), each index's taut tendon with
-    its Hooke tension (`PotentialModel.tensions`) and that tendon's rest
-    and stretched lengths. Raises RangeExceeded at a step whose theta_1
-    leaves the joint range, GeometryInfeasible when a coupling tendon
-    cannot wrap its guides at the rigid or at the converged pose, and
-    NoConvergence, with the steps' trace, after `max_iterations` steps,
-    at a Hessian that is not positive definite or at a step to a
-    non-finite angle.
+    record's residual. One step keeps only its trace record. A new
+    iterate's theta_1 is range-checked (`check_theta_1`), and its link
+    cosines and sines are computed once (`link_trig`): they give its
+    fingertip and residual and, through `PotentialModel.newton_kernel`,
+    the next Newton step. The fingertip (x, y) is the last iterate's.
+    The converged pose alone gets the `Configuration`, each index's taut
+    tendon with its Hooke tension (`PotentialModel.tensions`) and that
+    tendon's rest and stretched lengths. Raises RangeExceeded at a step
+    whose theta_1 leaves the joint range, GeometryInfeasible when a
+    coupling tendon cannot wrap its guides at the rigid or at the
+    converged pose, and NoConvergence, with the steps' trace, after
+    `max_iterations` steps, at a Hessian that is not positive definite or
+    at a step to a non-finite angle.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be > 0")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-
-    geom, nominal, wrap0 = model.geom, model.nominal, model.wrap0
-    wrap0.angles_at(nominal.theta)  # refuses a rigid pose the tendons cannot wrap
-    y_nominal = model.nominal_pose[0][3][1]
-    l1, l2, l3 = geom.link_lengths
-
-    theta = nominal.theta
-    x_prev = y_prev = None
-    last_residual = math.inf
-    trace: list[IterationRecord] = []
-
-    for k in range(1, max_iterations + 1):
-        step = newton_step(*model.gradient_hessian(theta))
-        if step is None:
-            raise NoConvergence(
-                f"Hessian not positive definite before step {k}", trace=trace
-            )
-        theta = t1, t2, t3 = (theta[0] + step[0], theta[1] + step[1],
-                              theta[2] + step[2])
-        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
-            raise NoConvergence(
-                f"Newton step {k} gave a non-finite joint angle", trace=trace
-            )
-        check_theta_1(t1)
-        # The fingertip of `link_pose`, summed in its order.
-        phi2 = t1 + t2
-        phi3 = phi2 + t3
-        x_k = (l1 * math.cos(t1) + l2 * math.cos(phi2)) + l3 * math.cos(phi3)
-        y_k = (l1 * math.sin(t1) + l2 * math.sin(phi2)) + l3 * math.sin(phi3)
-        residual = (math.hypot(x_k - x_prev, y_k - y_prev)
-                    if y_prev is not None else None)
-        trace.append(IterationRecord(theta, y_k, residual))
-
-        if residual is not None:
-            if residual <= threshold:
-                wrap0.angles_at(theta)  # and a solved one
-                tensions, groups, taut = model.tensions(theta)
-                return StaticSolution(
-                    configuration=Configuration(q=nominal.q, theta=theta),
-                    tensions=tensions,
-                    tension_groups=groups,
-                    fingertip=link_pose(theta, geom)[0][3],
-                    deflection_y=y_nominal - y_k,
-                    iterations=k,
-                    residual=residual,
-                    rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
-                                  wrap0.rest_length_3),
-                    elongated_lengths=elongate_tendons(tensions, taut, wrap0),
-                    trace=tuple(trace),
-                )
-            last_residual = residual
-        x_prev, y_prev = x_k, y_k
-
-    raise NoConvergence(
-        f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "
-        f"after {max_iterations} iterations",
-        trace=trace,
+    fingertip, trace = _newton_iterates(model, threshold, max_iterations)
+    theta, _, residual = trace[-1]
+    wrap0 = model.wrap0
+    tensions, groups, taut = model.tensions(theta)
+    return StaticSolution(
+        configuration=Configuration(q=model.nominal.q, theta=theta),
+        tensions=tensions,
+        tension_groups=groups,
+        fingertip=fingertip,
+        deflection_y=model.nominal_pose[0][3][1] - fingertip[1],
+        iterations=len(trace),
+        residual=residual,
+        rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
+                      wrap0.rest_length_3),
+        elongated_lengths=elongate_tendons(tensions, taut, wrap0),
+        trace=tuple(trace),
     )
 
 
@@ -258,9 +269,11 @@ def stiffness_sweep(
 ) -> list[SweepRow]:
     """Deflection and secant stiffness for a list of tip payloads (kg).
 
-    Each payload hangs at the fingertip and is solved by `solve_static`
-    on one potential model whose load-free state is built for the first
-    payload and shared by the rest (`PotentialModel.with_load`). A
+    Each payload hangs at the fingertip and is solved by `solve_static`'s
+    Newton loop on one potential model whose load-free state is built for
+    the first payload and shared by the rest (`PotentialModel.with_load`).
+    A row reads only the converged fingertip's height and the step count,
+    so no payload builds tensions, lengths or a `StaticSolution`. A
     failing row is recorded with its error message and the sweep
     continues; a negative payload, or one whose weight overflows, fails
     its row unsolved. A row that fails with NoConvergence keeps the
@@ -286,18 +299,19 @@ def stiffness_sweep(
         try:
             if base is None:
                 base = PotentialModel(geom, specs, load, q)
-            sol = solve_static(base.with_load(load), threshold=threshold,
-                               max_iterations=max_iterations)
+            (_, y), trace = _newton_iterates(base.with_load(load), threshold,
+                                             max_iterations)
         except TendonFingerError as exc:
             trace = tuple(exc.trace) if isinstance(exc, NoConvergence) else ()
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  f"error: {exc.__class__.__name__}: {exc}", trace))
             continue
-        if sol.deflection_y != 0.0:
-            stiffness = force / sol.deflection_y
+        deflection = base.nominal_pose[0][3][1] - y
+        if deflection != 0.0:
+            stiffness = force / deflection
         else:
             stiffness = math.nan if force != 0.0 else 0.0
-        rows.append(SweepRow(m, sol.deflection_y, stiffness, sol.iterations, "ok"))
+        rows.append(SweepRow(m, deflection, stiffness, len(trace), "ok"))
     return rows
 
 

@@ -6,6 +6,7 @@ this module a second time against the installed package.
 
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -121,3 +122,95 @@ def test_soft_tendons_run_the_box(tmp_path):
                and case["certificate"]["mu_nm_per_rad"] <= 0
                and case["energy_search"]["evaluations"] > 21 ** 3
                for case in cases), cases
+
+
+# Soft massless tendons (E = 5 GPa) on a finger with no link masses.
+SOFT_MASSLESS = {
+    "units": {"length": "millimeters", "mass": "grams"},
+    "geometry": {"link_lengths": [60, 60, 51],
+                 "guide_radii": [11.3955, 9.1164, 7.597],
+                 "link_masses": [0, 0, 0]},
+    "tendons": [
+        {"group": group, "index": index, "youngs_modulus_pa": 5e9, "diameter": 1,
+         **({"rest_length": 100} if index == 1 else {})}
+        for group in ("flexion", "extension") for index in (1, 2, 3)
+    ],
+}
+
+
+SUCCEEDING = [
+    ["validate", "--out", "{tmp}/v.csv"],
+    ["oracle-check", "--cases", "2", "--out", "{tmp}/o.json"],
+    # A spaced negative pair is a value, not an option.
+    ["solve", "0", "--force", "-10,-40"],
+    ["solve", "--help"],
+    ["fk", "mm:-9"],
+    ["fk", "-1e-3"],
+    ["fk", "-1.e-3"],
+    ["solve", "mm:3", "--force=3.4684,3.4684"],
+]
+
+# (exit code, arguments, text the stderr holds)
+REFUSED = [
+    (1, ["fk", "0", "--bogus"], ""),
+    (2, ["solve", "mm:13.9", "--force=30,0"], ""),
+    (2, ["fk", "mm:-12"], ""),
+    (1, ["oracle-check", "--cases", "1", "--seed=-1"], ""),
+    (3, ["solve", "0", "--moment=-1e308"], ""),
+    (1, ["fk", "0", "--format", "json"], ""),
+    (2, ["fk", "-5."], "RangeExceeded"),
+    (1, ["fk", "-inf"], "finite"),
+    (1, ["workspace", "--resolution", "1", "--out", "{tmp}/w1"], ""),
+]
+
+
+@pytest.mark.parametrize("args", SUCCEEDING, ids=" ".join)
+def test_command_succeeds(tmp_path, args):
+    res = run(*(a.format(tmp=tmp_path) for a in args))
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("code, args, stderr_holds", REFUSED,
+                         ids=[" ".join(args) for _, args, _ in REFUSED])
+def test_refusal_exit_code(tmp_path, code, args, stderr_holds):
+    res = run(*(a.format(tmp=tmp_path) for a in args))
+    assert res.returncode == code, res.stderr
+    assert stderr_holds in res.stderr
+
+
+def test_duplicate_reference_writes_nothing(tmp_path):
+    reference = tmp_path / "dup.csv"
+    reference.write_text("payload_kg,deflection_mm\n0.5,1.0\n0.5,900.0\n",
+                         encoding="utf-8")
+    res = run("validate", "--reference", str(reference))
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == ""
+
+
+def test_config_error_is_one_line(tmp_path):
+    config = tmp_path / "units5.json"
+    config.write_text('{"units": 5}', encoding="utf-8")
+    res = run("fk", "0", "--config", str(config))
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
+def test_unsorted_payloads_read_monotone():
+    res = run("validate", "--payloads", "3,1,2")
+    assert res.returncode == 0, res.stderr
+    assert "monotone: yes" in res.stderr
+
+
+def test_soft_tendons_leave_the_joint_range(tmp_path):
+    # Under a heavy load a Newton iterate leaves the joint-1 range, and the
+    # solve and the table row say where.
+    config = tmp_path / "soft.json"
+    config.write_text(json.dumps(SOFT_MASSLESS), encoding="utf-8")
+    res = run("solve", "mm:11", "--force=0,-50", "--config", str(config))
+    assert res.returncode == 2, res.stderr
+    assert "RangeExceeded: theta_1 = 1.860063 rad" in res.stderr
+    res = run("stiffness", "--q=mm:11", "--payloads", "5.1", "--config", str(config))
+    assert res.returncode == 2, res.stderr
+    last = res.stdout.splitlines()[-1]
+    assert re.search(r"error: RangeExceeded: theta_1 = 1\.860650 rad outside "
+                     r"\[-1\.570796, 1\.570796\]$", last), last

@@ -850,21 +850,23 @@ class TestNewtonPolish:
                                f"{tuple(best)} {how}")
             assert not on_edge(best)
 
-    # Loads of the property's range whose polish fails: 3 of the 10 such
-    # outcomes that 40,000 random draws gave (CHANGES.md). Each entry is
-    # (E, q, load, what find_equilibrium raises). The first is certified,
-    # and its minimum, the solver's pose, lies beyond the search box's
-    # lower distal edge. The solver finds the other two minima inside the
-    # box, where the one box misses them: the second lies more than the
-    # polish's reach (1/8 of the box) from the best sample, and the third
-    # 0.026 rad inside the first joint's lower edge, on which the best
-    # sample lies.
+    # Loads of the property's range whose box polish fails: 3 of the 10
+    # such outcomes that 40,000 random draws gave (CHANGES.md). Each entry
+    # is (E, q, load, what find_equilibrium raises). The first is
+    # certified, and its minimum, the solver's pose, lies beyond the
+    # search box's lower distal edge: the certified steps, which the box
+    # does not bound, find it, and find_equilibrium raises
+    # BoundaryMinimum naming it. The solver finds the other two minima
+    # inside the box, where the one box misses them: the second lies more
+    # than the polish's reach (1/8 of the box) from the best sample, and
+    # the third 0.026 rad inside the first joint's lower edge, on which the
+    # best sample lies.
     FAILED_POLISHES = {
         "beyond_the_edge": (5e9, 0.0032544422715395788, ExternalLoad(
             force=(0.22136671319683174, 0.14861512938219226),
             moment=-0.2935074351910128,
             application_point=(0.05603849801620132, -0.04407363049541285)),
-            NoConvergence),
+            BoundaryMinimum),
         "past_the_polish_box": (2e11, -0.0005484137488425984, ExternalLoad(
             force=(62.43475975399409, -166.1479811005399),
             moment=0.13796019522657238,
@@ -884,19 +886,50 @@ class TestNewtonPolish:
         specs = tuple(s._replace(youngs_modulus=youngs_modulus)
                       for s in calibrated.tendons)
         model = PotentialModel(geom, specs, load, q)
-        assert (model.convexity > 0.0) is (name == "beyond_the_edge")
+        certified = name == "beyond_the_edge"
+        assert (model.convexity > 0.0) is certified
         with pytest.raises(error) as exc:
             find_equilibrium(model)
         try:
             best = _reference_find_equilibrium(geom, specs, load, q).theta
         except BoundaryMinimum as ref:
             best = _named_sample(ref)
-        assert _bits(_named_sample(exc.value)) == _bits(best)
+        with pytest.raises(NoConvergence if certified else error) as boxed:
+            box_search(model)
+        assert _bits(_named_sample(boxed.value)) == _bits(best)
         solved = solve_static(model).configuration.theta
-        if name == "beyond_the_edge":
+        if certified:
+            # The certified minimum, within the solver's tolerance of its
+            # pose, below the box's lower distal edge.
+            named = _named_sample(exc.value)
+            assert str(exc.value).endswith(" lies beyond the search box")
+            assert named[2] < energy._search_box(model)[0][2]
             assert solved[2] < energy._search_box(model)[0][2]
+            assert math.dist(named, solved) < 1e-9
         else:
+            assert str(exc.value) == str(boxed.value)
             assert all(_inside(model, solved))
+
+
+    def test_certified_minimum_beyond_the_box(self, calibrated):
+        # Certified (E = 5 GPa), with its minimum 0.078 rad beyond the
+        # search box's lower distal edge, more than half a box cell: the
+        # certified steps, which the box does not bound, reach it, and
+        # find_equilibrium raises BoundaryMinimum naming it, where the box
+        # search alone names a pose on the surface.
+        specs = tuple(s._replace(youngs_modulus=5e9) for s in calibrated.tendons)
+        load = ExternalLoad(force=(-1.1625709773471398, -1.31181785856479),
+                            moment=-0.2390750457490055)
+        model = PotentialModel(calibrated.geometry, specs, load, 0.0043892248726419645)
+        assert model.convexity > 0.0
+        with pytest.raises(BoundaryMinimum, match=" lies beyond the search box$") as exc:
+            find_equilibrium(model)
+        named = _named_sample(exc.value)
+        lo, hi = energy._search_box(model)
+        assert lo[2] - named[2] > (hi[2] - lo[2]) / (2 * (GRID_POINTS - 1))
+        assert math.dist(named, solve_static(model).configuration.theta) < 1e-9
+        with pytest.raises(BoundaryMinimum, match=" lies on the search-box boundary$"):
+            box_search(model)
 
 
 class TestBalanceResiduals:
@@ -1077,10 +1110,11 @@ class TestResumedPolish:
         assert searched > 0
 
     def test_resume_only_after_the_polish_own_steps(self):
-        # The polish resumes after a trace whose iterates lie in the box
-        # and whose every step exceeds 2 NEWTON_STEP_TOL, from a solve that
-        # stopped before NEWTON_MAX_STEPS; otherwise it starts over.
-        start, lo, hi = (0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)
+        # The polish resumes after a trace whose every step exceeds
+        # 2 NEWTON_STEP_TOL, from a solve that stopped before
+        # NEWTON_MAX_STEPS, wherever its iterates lie; otherwise it starts
+        # over.
+        start = (0.0, 0.0, 0.0)
         big, small = 3.0 * energy.NEWTON_STEP_TOL, 1.5 * energy.NEWTON_STEP_TOL
 
         def solution(*thetas):
@@ -1089,37 +1123,38 @@ class TestResumedPolish:
                 trace=tuple(IterationRecord(t, 0.0, None) for t in thetas))
 
         inside = solution((0.5, 0.0, 0.0), (0.5, -0.5, 0.0), (0.5, -0.5, big))
-        assert energy._resume(inside, start, lo, hi) == ((0.5, -0.5, big), 4)
+        assert energy._resume(inside, start) == ((0.5, -0.5, big), 4)
+        far = solution((0.5, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 0.0, 0.0))
+        assert energy._resume(far, start) == ((0.5, 0.0, 0.0), 4)
         steps = [(0.1 * k, 0.0, 0.0) for k in range(1, NEWTON_MAX_STEPS + 1)]
-        assert energy._resume(solution(*steps[:-1]), start, lo, hi) == (
+        assert energy._resume(solution(*steps[:-1]), start) == (
             steps[-2], NEWTON_MAX_STEPS)
         for sol in (None,
                     solution(*steps),
-                    solution((0.5, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 0.0, 0.0)),
                     solution((0.5, 0.0, 0.0), (0.5, small, 0.0))):
-            assert energy._resume(sol, start, lo, hi) == (start, 1)
+            assert energy._resume(sol, start) == (start, 1)
 
     def test_certified_case_adds_only_the_polish_steps(self, calibrated,
                                                       monkeypatch):
-        # Each case evaluates the gradient and Hessian at the solver's
-        # iterates and then only at the polish's steps beyond them: one
-        # evaluation per step the report shows, and no pose twice in a
-        # case.
+        # Each case takes one Newton kernel step at each of the solver's
+        # iterates and then only the polish's 1 or 2 steps beyond them:
+        # one kernel call per step the report shows, and no pose twice in
+        # a case.
         geom, specs = calibrated.geometry, calibrated.tendons
         poses = []
-        gradient_hessian = PotentialModel.gradient_hessian
+        newton_kernel = PotentialModel.newton_kernel
 
-        def counting(self, theta):
-            poses.append((self.load, tuple(theta)))
-            return gradient_hessian(self, theta)
+        def counting(self, t1, t2, t3, *trig):
+            poses.append((self.load, (t1, t2, t3)))
+            return newton_kernel(self, t1, t2, t3, *trig)
 
-        monkeypatch.setattr(PotentialModel, "gradient_hessian", counting)
+        monkeypatch.setattr(PotentialModel, "newton_kernel", counting)
         report = equilibrium_report(geom, specs, 0.0,
                                     random_tip_load_cases(3, 7, geom))
         assert all(map(_certified, report["cases"]))
         steps = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
                  for c in report["cases"]]
-        assert all(solver < polish for solver, polish in steps)
+        assert all(1 <= polish - solver <= 2 for solver, polish in steps)
         assert len(poses) == sum(polish for _, polish in steps)
         assert len(set(poses)) == len(poses)
 

@@ -187,11 +187,14 @@ class TestEntryPointsCalledByName:
             "solve_static": 3, "find_equilibrium": 3, "balance_residuals": 6}
 
     def test_stiffness_sweep(self, calibrated, monkeypatch):
-        calls = _spy(monkeypatch, statics, "solve_static")
+        # A row needs only the solver's Newton loop, not a full solution.
+        solves = _spy(monkeypatch, statics, "solve_static")
+        calls = _spy(monkeypatch, statics, "_newton_iterates")
         rows = statics.stiffness_sweep(calibrated.geometry, calibrated.tendons,
                                        0.0, [0.5, -1.0, 0.0, 3.0])
         assert [r.status for r in rows] == ["ok", "error: negative payload", "ok", "ok"]
         assert len(calls) == 3
+        assert solves == []
 
     def test_cli_solve(self, monkeypatch, tmp_path):
         calls = _spy(monkeypatch, statics, "solve_static")

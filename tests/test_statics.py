@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tendonfinger import model as model_module
 from tendonfinger import potential, statics
 from tendonfinger.energy import balance_residuals, box_search, find_equilibrium
 from tendonfinger.errors import (
@@ -381,18 +382,19 @@ class TestSolveStatic:
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
         calls = []
+        newton_kernel = PotentialModel.newton_kernel
 
-        def refuse_third(grad, hess):
-            calls.append(grad)
-            return None if len(calls) == 3 else newton_step(grad, hess)
+        def refuse_third(self, *args):
+            calls.append(args)
+            return None if len(calls) == 3 else newton_kernel(self, *args)
 
-        monkeypatch.setattr(statics, "newton_step", refuse_third)
+        monkeypatch.setattr(PotentialModel, "newton_kernel", refuse_third)
         model = PotentialModel(geom, specs, load, 0.0)
         with pytest.raises(NoConvergence, match="not positive definite") as err:
             solve_static(model)
         assert [rec["iteration"] for rec in
                 statics.trace_to_list(err.value.trace, model)] == [1, 2]
-        monkeypatch.setattr(statics, "newton_step", lambda grad, hess: None)
+        monkeypatch.setattr(PotentialModel, "newton_kernel", lambda self, *args: None)
         with pytest.raises(NoConvergence) as err:
             solve_static(PotentialModel(geom, specs, load, 0.0))
         assert err.value.trace == []
@@ -553,6 +555,57 @@ class TestStiffnessSweep:
             assert row.trace == ()
             assert row.iterations == sol.iterations
             assert row.deflection_m.hex() == sol.deflection_y.hex()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        payloads=st.lists(st.one_of(
+            st.floats(0.0, 12.0), st.just(0.0), st.floats(-5.0, -0.0),
+            st.sampled_from([math.inf, -math.inf, math.nan, 1e308])),
+            min_size=1, max_size=6),
+        q_mm=st.floats(-6.0, 6.0),
+        youngs_modulus=st.floats(5e9, 2e11),
+        threshold_exp=st.floats(-12.0, -2.0),
+        max_iterations=st.sampled_from([1, 2, 3, 100]),
+    )
+    def test_property_row_is_the_full_solve(self, calibrated, payloads, q_mm,
+                                            youngs_modulus, threshold_exp,
+                                            max_iterations):
+        # Every field of a row, bit for bit, and a failed row's trace are
+        # what `solve_static` gives on the payload's tip load.
+        geom = calibrated.geometry
+        specs = tuple(s._replace(youngs_modulus=youngs_modulus)
+                      for s in calibrated.tendons)
+        q, threshold = q_mm * 1e-3, 10.0 ** threshold_exp
+        options = {"threshold": threshold, "max_iterations": max_iterations}
+        rows = stiffness_sweep(geom, specs, q, payloads, **options)
+        base = PotentialModel(geom, specs, ExternalLoad(), q)
+        expected = []
+        for m in payloads:
+            force = m * geom.gravity_accel
+            if m < 0.0 or not math.isfinite(force):
+                expected.append(None)
+                continue
+            try:
+                sol = solve_static(
+                    base.with_load(ExternalLoad.tip_payload(m, geom.gravity_accel)),
+                    **options)
+            except TendonFingerError as exc:
+                trace = tuple(exc.trace) if isinstance(exc, NoConvergence) else ()
+                expected.append(statics.SweepRow(
+                    m, math.nan, math.nan, 0,
+                    f"error: {exc.__class__.__name__}: {exc}", trace))
+                continue
+            d = sol.deflection_y
+            stiffness = force / d if d != 0.0 else (math.nan if force else 0.0)
+            expected.append(statics.SweepRow(m, d, stiffness, sol.iterations, "ok"))
+        assert len(rows) == len(payloads)
+        for row, want in zip(rows, expected):
+            if want is None:
+                assert row.status in ("error: negative payload",
+                                      "error: payload weight is not finite")
+                continue
+            assert repr(tuple(row[:-1])) == repr(tuple(want[:-1]))
+            assert repr(row.trace) == repr(want.trace)
 
     def test_failed_row_keeps_its_trace(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
@@ -1195,12 +1248,12 @@ class TestLeanStepWork:
 
     def test_calls_per_step(self, calibrated, monkeypatch):
         steps, poses, configs, stretched, elongated = [], [], [], [], []
-        gradient_hessian = PotentialModel.gradient_hessian
+        newton_kernel = PotentialModel.newton_kernel
         stretches = PotentialModel.stretches
 
-        def counting_gradient_hessian(self, theta):
-            steps.append(theta)
-            return gradient_hessian(self, theta)
+        def counting_newton_kernel(self, t1, t2, t3, *trig):
+            steps.append((t1, t2, t3))
+            return newton_kernel(self, t1, t2, t3, *trig)
 
         def counting_stretches(self, t1, t2, t3):
             stretched.append((t1, t2, t3))
@@ -1218,31 +1271,56 @@ class TestLeanStepWork:
             configs.append(kwargs["theta"])
             return Configuration(**kwargs)
 
-        monkeypatch.setattr(PotentialModel, "gradient_hessian",
-                            counting_gradient_hessian)
-        monkeypatch.setattr(PotentialModel, "stretches", counting_stretches)
-        monkeypatch.setattr(statics, "link_pose", counting_link_pose)
-        monkeypatch.setattr(statics, "Configuration", counting_configuration)
-        monkeypatch.setattr(statics, "elongate_tendons", counting_elongate_tendons)
         geom, specs = calibrated.geometry, calibrated.tendons
         load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        sol = solve_static(PotentialModel(geom, specs, load, 1e-3))
+        # Built before the spies: a model's nominal pose is its one
+        # `link_pose`.
+        models = [PotentialModel(geom, specs, load, 1e-3) for _ in range(2)]
+        monkeypatch.setattr(PotentialModel, "newton_kernel", counting_newton_kernel)
+        monkeypatch.setattr(PotentialModel, "stretches", counting_stretches)
+        for module in (model_module, potential, statics):
+            if hasattr(module, "link_pose"):
+                monkeypatch.setattr(module, "link_pose", counting_link_pose)
+        monkeypatch.setattr(statics, "Configuration", counting_configuration)
+        monkeypatch.setattr(statics, "elongate_tendons", counting_elongate_tendons)
+        sol = solve_static(models[0])
         assert sol.iterations >= 3
-        assert len(steps) == sol.iterations
+        # One kernel call per step, at the iterate before it.
+        assert steps == [models[0].nominal.theta,
+                         *(rec.theta for rec in sol.trace[:-1])]
         # One stretch per step, for its gradient and Hessian, and one at
         # the converged pose, for its tensions; only that pose is built in
-        # full and has its tendons' lengths.
+        # full and has its tendons' lengths, and the fingertip is the last
+        # iterate's, with no `link_pose`.
         assert stretched == [*steps, sol.configuration.theta]
-        assert poses == configs == [sol.configuration.theta]
+        assert configs == [sol.configuration.theta]
+        assert poses == []
         assert elongated == [sol.tensions]
 
         steps.clear()
         stretched.clear()
         with pytest.raises(NoConvergence) as err:
-            solve_static(PotentialModel(geom, specs, load, 1e-3), max_iterations=2)
+            solve_static(models[1], max_iterations=2)
         assert len(steps) == len(err.value.trace) == 2
         assert stretched == steps
-        assert poses == configs == [sol.configuration.theta]
+        assert configs == [sol.configuration.theta]
+        assert poses == []
+        assert elongated == [sol.tensions]
+
+        # A sweep makes one kernel call per payload step, failed rows'
+        # steps included, and builds no configuration or length; its one
+        # pose is its shared model's nominal pose.
+        for max_iterations in (100, 2):
+            steps.clear()
+            stretched.clear()
+            poses.clear()
+            rows = stiffness_sweep(geom, specs, 1e-3, [0.5, -1.0, 0.0, 3.0],
+                                   max_iterations=max_iterations)
+            assert len(steps) == sum(r.iterations or len(r.trace) for r in rows)
+            assert stretched == steps
+            assert poses == [models[0].nominal.theta]
+        assert rows[0].status.startswith("error: NoConvergence")
+        assert configs == [sol.configuration.theta]
         assert elongated == [sol.tensions]
 
     @pytest.mark.parametrize("first_tip", [False, True])
