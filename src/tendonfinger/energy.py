@@ -298,7 +298,7 @@ def balance_residuals(model: PotentialModel, theta) -> dict:
     """
     geom = model.geom
     theta = tuple(float(t) for t in theta)
-    Configuration(q=model.q, theta=theta)  # raises RangeExceeded outside limits
+    Configuration(q=model.nominal.q, theta=theta)  # raises RangeExceeded outside limits
     pose = link_pose(theta, geom)
     m1, m2, m3 = pose_moments(pose, geom, model.load_at(theta, pose))
     tensions, groups, _ = model.tensions(theta)
@@ -350,13 +350,15 @@ def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]
     return cases
 
 
-def _solution_summary(sol: StaticSolution) -> dict:
+def _solution_summary(sol: StaticSolution, model: PotentialModel) -> dict:
+    """A case's solve, with the Hooke tensions at its pose by `model`."""
+    theta = sol.configuration.theta
     return {
-        "theta_rad": list(sol.configuration.theta),
+        "theta_rad": list(theta),
         "fingertip_m": list(sol.fingertip),
         "deflection_y_m": sol.deflection_y,
         "iterations": sol.iterations,
-        "tensions_n": list(sol.tensions),
+        "tensions_n": list(model.tensions(theta)[0]),
     }
 
 
@@ -412,7 +414,7 @@ def equilibrium_report(
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
             continue
-        entry["fixed_point"] = _solution_summary(sol)
+        entry["fixed_point"] = _solution_summary(sol, model)
 
         try:
             eq = find_equilibrium(model, sol)

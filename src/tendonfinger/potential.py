@@ -149,9 +149,10 @@ def _elastic_convexity(radii, k_min) -> float:
 
 
 class PotentialModel:
-    """The total potential of one load case at displacement q, from plain
-    floats: the per-iterate Newton step of the solver and the oracle's
-    polish (`newton_kernel`), and the oracle's batched box evaluation.
+    """The total potential of one load case at displacement q
+    (`nominal.q`), from plain floats: the per-iterate Newton step of the
+    solver and the oracle's polish (`newton_kernel`), and the oracle's
+    batched box evaluation.
 
     A model is not changed after it is built. Everything but `load`,
     `attach_local` and the load's share of the certificate
@@ -163,7 +164,6 @@ class PotentialModel:
 
     def __init__(self, geom: FingerGeometry, specs, load: ExternalLoad, q: float):
         self.geom = geom
-        self.q = q
         self.nominal = coupling_angles(q, geom)
         self.nominal_pose = link_pose(self.nominal.theta, geom)
         self.g = geom.gravity_accel
@@ -269,15 +269,6 @@ class PotentialModel:
         t2, g2, p2 = (kf2 * s2, flex, fs2) if s2 >= 0.0 else (ke2 * -s2, ext, es2)
         t3, g3, p3 = (kf3 * s3, flex, fs3) if s3 >= 0.0 else (ke3 * -s3, ext, es3)
         return (t1, t2, t3), (g1, g2, g3), (p1, p2, p3)
-
-    def gradient_hessian(self, theta):
-        """Analytic gradient (3,) and Hessian (3 x 3) of the total potential
-        at one pose, as plain-float tuples: `derivatives` at `theta`'s
-        link angles, nested."""
-        t1, t2, t3 = theta
-        g0, g1, g2, h00, h01, h02, h11, h12, h22 = self.derivatives(
-            t1, t2, t3, *link_trig(t1, t2, t3))
-        return (g0, g1, g2), ((h00, h01, h02), (h01, h11, h12), (h02, h12, h22))
 
     def newton_kernel(self, t1, t2, t3, c1, c2, c3, s1, s2, s3):
         """The Newton step of the solver and the oracle's polish at joint
@@ -462,12 +453,6 @@ def link_trig(t1, t2, t3):
     phi3 = phi2 + t3
     return (math.cos(t1), math.cos(phi2), math.cos(phi3),
             math.sin(t1), math.sin(phi2), math.sin(phi3))
-
-
-def newton_step(grad, hess):
-    """`ldl_step` of a nested gradient and 3 x 3 Hessian."""
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess
-    return ldl_step(*grad, h00, h01, h02, h11, h12, h22)
 
 
 def ldl_step(g0, g1, g2, h00, h01, h02, h11, h12, h22):

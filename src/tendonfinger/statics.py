@@ -24,12 +24,14 @@ potential's gradient. At the minimum they balance the load's moments
 (`balance_residuals`' `tangent_nm`), whichever groups are taut, so every
 load whose minimum the solve reaches is held.
 
-A `StaticSolution` holds its results as the plain tuples the rest of the
-package uses: the fingertip as (x, y), like `EquilibriumResult` and
-`link_pose`, and the three tensions as a triple beside the triple of
-their tendons' `TendonGroup`s. Its trace keeps only the Newton iterates;
-tensions and stretched lengths, pure functions of a pose, are computed
-at the converged pose and when a trace is written.
+A `StaticSolution` holds only what the Newton loop found: the converged
+`Configuration`, the fingertip as (x, y) like `EquilibriumResult` and
+`link_pose`, its deflection, the step count, the last residual and the
+trace of iterates. A pose's tendon state (each index's taut tendon, its
+Hooke tension, rest length and stretched length) is a pure function of
+the pose, derived in one place (`_tendon_state`) when a solution or a
+trace is written, so a solution's tensions and lengths are its last
+record's by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .model import (
     Configuration,
     ExternalLoad,
     FingerGeometry,
-    TendonGroup,
     TendonSpec,
     check_theta_1,
 )
@@ -68,22 +69,17 @@ def _repr_without_trace(self) -> str:
 
 
 class StaticSolution(NamedTuple):
-    """Converged static configuration with its tension state and trace.
-
-    `tensions` are the Hooke tensions of the taut tendon at each index,
-    all >= 0, and `tension_groups` those tendons' groups; `fingertip` is
-    the (x, y) tip of the loaded pose.
+    """Converged static configuration and the Newton iterates that reached
+    it; `fingertip` is the (x, y) tip of the loaded pose. Its tendon state
+    is derived from `configuration.theta` by the model
+    (`PotentialModel.tensions`, `solution_to_dict`).
     """
 
     configuration: Configuration
-    tensions: tuple[float, float, float]
-    tension_groups: tuple[TendonGroup, TendonGroup, TendonGroup]
     fingertip: tuple[float, float]
     deflection_y: float
     iterations: int
     residual: float
-    rest_lengths: tuple[float, float, float]
-    elongated_lengths: tuple[float, float, float]
     trace: tuple[IterationRecord, ...] = ()
 
     __repr__ = _repr_without_trace
@@ -218,31 +214,23 @@ def solve_static(
     iterate's theta_1 is range-checked (`check_theta_1`), and its link
     cosines and sines are computed once (`link_trig`): they give its
     fingertip and residual and, through `PotentialModel.newton_kernel`,
-    the next Newton step. The fingertip (x, y) is the last iterate's.
-    The converged pose alone gets the `Configuration`, each index's taut
-    tendon with its Hooke tension (`PotentialModel.tensions`) and that
-    tendon's rest and stretched lengths. Raises RangeExceeded at a step
-    whose theta_1 leaves the joint range, GeometryInfeasible when a
-    coupling tendon cannot wrap its guides at the rigid or at the
-    converged pose, and NoConvergence, with the steps' trace, after
-    `max_iterations` steps, at a Hessian that is not positive definite or
-    at a step to a non-finite angle.
+    the next Newton step. The fingertip (x, y) is the last iterate's,
+    and the converged pose alone gets a `Configuration`; a solve computes
+    no tension or length. Raises RangeExceeded at a step whose theta_1
+    leaves the joint range, GeometryInfeasible when a coupling tendon
+    cannot wrap its guides at the rigid or at the converged pose, and
+    NoConvergence, with the steps' trace, after `max_iterations` steps,
+    at a Hessian that is not positive definite or at a step to a
+    non-finite angle.
     """
     fingertip, trace = _newton_iterates(model, threshold, max_iterations)
     theta, _, residual = trace[-1]
-    wrap0 = model.wrap0
-    tensions, groups, taut = model.tensions(theta)
     return StaticSolution(
         configuration=Configuration(q=model.nominal.q, theta=theta),
-        tensions=tensions,
-        tension_groups=groups,
         fingertip=fingertip,
         deflection_y=model.nominal_pose[0][3][1] - fingertip[1],
         iterations=len(trace),
         residual=residual,
-        rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
-                      wrap0.rest_length_3),
-        elongated_lengths=elongate_tendons(tensions, taut, wrap0),
         trace=tuple(trace),
     )
 
@@ -328,20 +316,30 @@ def sweep_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tendon_state(model: PotentialModel, theta):
+    """A pose's tendon state: each index's taut tension and group
+    (`PotentialModel.tensions`), the taut tendons' rest lengths and their
+    stretched lengths (`elongate_tendons`). None of them depends on the
+    load, so `model` may be any `with_load` copy of the solved one."""
+    tensions, groups, taut = model.tensions(theta)
+    wrap0 = model.wrap0
+    rest = (taut[0].rest_length, wrap0.rest_length_2, wrap0.rest_length_3)
+    return tensions, groups, rest, elongate_tendons(tensions, taut, wrap0)
+
+
 def trace_to_list(trace, model: PotentialModel) -> list[dict]:
     """JSON-ready view of a solve's iteration records, numbered from 1,
-    with each pose's taut tensions and stretched lengths derived as
-    `solve_static` derives a converged pose's, by `model` or any
-    `with_load` copy of it (neither depends on the load)."""
+    with each pose's taut tensions and stretched lengths
+    (`_tendon_state`)."""
     items = []
     for k, rec in enumerate(trace, 1):
-        tensions, _, taut = model.tensions(rec.theta)
+        tensions, _, _, elongated = _tendon_state(model, rec.theta)
         items.append({
             "iteration": k,
             "theta_rad": list(rec.theta),
             "fingertip_y_m": rec.fingertip_y,
             "tensions_n": list(tensions),
-            "elongated_lengths_m": list(elongate_tendons(tensions, taut, model.wrap0)),
+            "elongated_lengths_m": list(elongated),
             "residual_m": rec.residual,
         })
     return items
@@ -350,23 +348,26 @@ def trace_to_list(trace, model: PotentialModel) -> list[dict]:
 def solution_to_dict(sol: StaticSolution, model: PotentialModel) -> dict:
     """JSON-ready view of a solution; SI fields are authoritative,
     mm/deg fields are derived at output time. `model` derives the
-    trace's tensions and lengths (`trace_to_list`)."""
+    converged pose's tendon state and each trace record's
+    (`_tendon_state`), so the top-level tensions and lengths are the last
+    record's."""
     theta = sol.configuration.theta
+    tensions, groups, rest, elongated = _tendon_state(model, theta)
     return {
         "q_m": sol.configuration.q,
         "theta_rad": list(theta),
         "theta_deg": [math.degrees(t) for t in theta],
-        "tension_groups": [g.value for g in sol.tension_groups],
-        "tensions_n": list(sol.tensions),
+        "tension_groups": [g.value for g in groups],
+        "tensions_n": list(tensions),
         "fingertip_m": list(sol.fingertip),
         "fingertip_mm": [v * 1e3 for v in sol.fingertip],
         "deflection_y_m": sol.deflection_y,
         "deflection_y_mm": sol.deflection_y * 1e3,
         "iterations": sol.iterations,
         "residual_m": sol.residual,
-        "rest_lengths_m": list(sol.rest_lengths),
-        "rest_lengths_mm": [v * 1e3 for v in sol.rest_lengths],
-        "elongated_lengths_m": list(sol.elongated_lengths),
-        "elongated_lengths_mm": [v * 1e3 for v in sol.elongated_lengths],
+        "rest_lengths_m": list(rest),
+        "rest_lengths_mm": [v * 1e3 for v in rest],
+        "elongated_lengths_m": list(elongated),
+        "elongated_lengths_mm": [v * 1e3 for v in elongated],
         "trace": trace_to_list(sol.trace, model),
     }

@@ -61,7 +61,6 @@ class WorkspaceCloud(NamedTuple):
 
     points_per_link: tuple[np.ndarray, np.ndarray, np.ndarray]
     sample_counts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    resolution: int
     bounding_box: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
     def all_points(self) -> np.ndarray:
@@ -139,7 +138,6 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
     return WorkspaceCloud(
         points_per_link=tuple(clouds),
         sample_counts=tuple(counts),
-        resolution=resolution,
         bounding_box=bbox,
     )
 

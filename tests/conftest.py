@@ -14,8 +14,9 @@ STEEL_AREA = math.pi * 0.001 ** 2 / 4.0
 def make_specs(youngs_modulus=STEEL_E, area=STEEL_AREA, actuating_rest=0.1):
     """Both tendon groups with identical elastic properties.
 
-    Coupling-tendon rest lengths here are placeholders; the statics uses
-    the geometry-derived values, the energy model recomputes them too.
+    Coupling-tendon rest lengths here are placeholders: the one potential
+    model that the statics and the energy oracle share takes them from
+    the zero-pose wrap geometry (`PotentialModel.wrap0`).
     """
     specs = []
     for group in (TendonGroup.FLEXION, TendonGroup.EXTENSION):

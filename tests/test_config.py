@@ -296,7 +296,7 @@ class TestFiles:
         doc = json.loads(json.dumps(solution_to_dict(sol, model)))
         assert doc["deflection_y_m"] == sol.deflection_y
         assert tuple(doc["theta_rad"]) == sol.configuration.theta
-        assert tuple(doc["tensions_n"]) == sol.tensions
+        assert tuple(doc["tensions_n"]) == model.tensions(sol.configuration.theta)[0]
         assert doc["deflection_y_mm"] == sol.deflection_y * 1e3
 
 

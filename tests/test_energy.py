@@ -41,7 +41,8 @@ from tendonfinger.model import (
 from tendonfinger import potential
 from tendonfinger.potential import (
     PotentialModel,
-    newton_step,
+    ldl_step,
+    link_trig,
     zero_pose_wrap,
 )
 from tendonfinger.statics import (
@@ -189,7 +190,7 @@ def _reference_balance_residuals(model, theta, sides):
     given each index's taut side (+1 flexion, -1 extension)."""
     geom = model.geom
     theta = tuple(float(t) for t in theta)
-    Configuration(q=model.q, theta=theta)
+    Configuration(q=model.nominal.q, theta=theta)
     pose = link_pose(theta, geom)
     moments = np.array(pose_moments(pose, geom, model.load_at(theta, pose)))
     tensions = np.array(model.tensions(theta)[0])
@@ -248,7 +249,8 @@ REFERENCE_LOADS = {
 
 def _gradient(model, theta):
     """The potential's analytic gradient at one pose, shape (3,)."""
-    return np.array(model.gradient_hessian(tuple(float(t) for t in theta))[0])
+    theta = tuple(float(t) for t in theta)
+    return np.array(model.derivatives(*theta, *link_trig(*theta))[:3])
 
 
 class TestPotential:
@@ -370,9 +372,7 @@ class TestHessian:
         model = PotentialModel(geom_cal, specs, load, q)
         h = 1e-6
         for theta in _taut_poses(model, group, 20, seed=31):
-            grad, hess = model.gradient_hessian(theta)
-            hess = np.array(hess)
-            assert np.array_equal(hess, hess.T)
+            upper = model.derivatives(*theta, *link_trig(*theta))[3:]
             fd = np.zeros((3, 3))
             for k in range(3):
                 tp, tm = theta.copy(), theta.copy()
@@ -381,22 +381,25 @@ class TestHessian:
                 fd[:, k] = (_gradient(model, tp) - _gradient(model, tm)) / (2 * h)
             # Gravity-only off-diagonal entries are ~1e-3 of the diagonal;
             # the difference quotient's rounding floor is about 1e-9 of it.
-            np.testing.assert_allclose(hess, fd, rtol=1e-6,
-                                       atol=1e-9 * np.max(np.abs(hess)))
+            # The upper entries match both triangles of the quotient.
+            for triangle in (fd, fd.T):
+                np.testing.assert_allclose(upper, triangle[np.triu_indices(3)],
+                                           rtol=1e-6, atol=1e-9 * np.max(np.abs(upper)))
 
     def test_zero_stretch_counts_as_taut(self, geom_massless):
         # Unloaded and massless at the nominal pose every stretch is zero;
         # both groups count as taut, so the Hessian stays positive definite.
         model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), 2e-3)
-        grad, hess = model.gradient_hessian(model.nominal.theta)
-        assert grad == (0.0, 0.0, 0.0)
+        theta = model.nominal.theta
+        derivatives = model.derivatives(*theta, *link_trig(*theta))
+        assert derivatives[:3] == (0.0, 0.0, 0.0)
         R = model.geom.guide_radii
         jac = np.array([[-R[0], 0.0, 0.0], [R[0], -R[1], 0.0], [0.0, R[1], -R[2]]])
-        np.testing.assert_allclose(
-            hess, jac.T @ np.diag(np.add(model.k_flex, model.k_ext)) @ jac,
-            rtol=1e-12)
-        assert np.all(np.linalg.eigvalsh(np.array(hess)) > 0.0)
-        assert newton_step(grad, hess) == (0.0, 0.0, 0.0)
+        elastic = jac.T @ np.diag(np.add(model.k_flex, model.k_ext)) @ jac
+        np.testing.assert_allclose(derivatives[3:], elastic[np.triu_indices(3)],
+                                   rtol=1e-12)
+        assert np.all(np.linalg.eigvalsh(elastic) > 0.0)
+        assert model.newton_kernel(*theta, *link_trig(*theta)) == (0.0, 0.0, 0.0)
 
     def test_newton_step_solves_or_refuses(self):
         rng = np.random.default_rng(5)
@@ -404,15 +407,14 @@ class TestHessian:
             a = rng.normal(size=(3, 3))
             spd = a @ a.T + 0.1 * np.eye(3)
             grad = rng.normal(size=3)
-            step = newton_step(tuple(grad), tuple(map(tuple, spd)))
+            step = ldl_step(*grad, *spd[np.triu_indices(3)])
             np.testing.assert_allclose(step, np.linalg.solve(spd, -grad),
                                        rtol=1e-9, atol=1e-12)
         for indefinite in (np.diag([1.0, -1.0, 1.0]), np.diag([0.0, 1.0, 1.0]),
                            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                                      [0.0, 0.0, 1.0]]),
                            np.diag([1.0, 1.0, np.nan])):
-            assert newton_step((1.0, 1.0, 1.0),
-                                tuple(map(tuple, indefinite))) is None
+            assert ldl_step(1.0, 1.0, 1.0, *indefinite[np.triu_indices(3)]) is None
 
 
 class TestGridEvaluation:
@@ -1225,14 +1227,17 @@ class TestCertificate:
         load = ExternalLoad(force=force, moment=moment, application_point=attach)
         model = PotentialModel(calibrated.geometry, calibrated.tendons, load, q)
         theta = tuple(t + d for t, d in zip(model.nominal.theta, offsets))
-        hess = np.array(model.gradient_hessian(theta)[1])
+        upper = np.zeros((3, 3))
+        upper[np.triu_indices(3)] = model.derivatives(*theta, *link_trig(*theta))[3:]
         r1, r2, r3 = model.geom.guide_radii
         jac = np.array([[-r1, 0.0, 0.0], [r1, -r2, 0.0], [0.0, r2, -r3]])
         k = [(kf if s >= 0.0 else 0.0) + (ke if s <= 0.0 else 0.0) for kf, ke, s
              in zip(model.k_flex, model.k_ext, model.stretches(*theta))]
         elastic = jac.T @ np.diag(k) @ jac
-        assert np.abs(np.linalg.eigvalsh(hess - elastic)).max() <= model.load_curvature
-        assert (np.linalg.eigvalsh(hess)[0]
+        # eigvalsh reads only the upper triangles.
+        assert (np.abs(np.linalg.eigvalsh(upper - elastic, UPLO="U")).max()
+                <= model.load_curvature)
+        assert (np.linalg.eigvalsh(upper, UPLO="U")[0]
                 >= model.convexity - 1e-12 * np.abs(elastic).max())
 
     def test_benchmark_draws(self, calibrated):

@@ -29,7 +29,8 @@ from tendonfinger.model import (
 from tendonfinger.potential import (
     PotentialModel,
     group_specs,
-    newton_step,
+    ldl_step,
+    link_trig,
     zero_pose_wrap,
 )
 from tendonfinger.statics import (
@@ -179,7 +180,11 @@ FLEX, EXT = TendonGroup.FLEXION, TendonGroup.EXTENSION
 
 
 def _solve(geom, load):
-    return solve_static(PotentialModel(geom, make_specs(), load, 0.0))
+    """The solution and, by its model, the taut tensions and groups at
+    its pose."""
+    model = PotentialModel(geom, make_specs(), load, 0.0)
+    sol = solve_static(model)
+    return (sol, *model.tensions(sol.configuration.theta)[:2])
 
 
 class TestSolvedTensions:
@@ -187,50 +192,50 @@ class TestSolvedTensions:
     and those tensions balance the load's moments at the solved pose."""
 
     def test_unloaded(self, geom_massless):
-        sol = _solve(geom_massless, ExternalLoad())
-        assert sol.tensions == (0.0, 0.0, 0.0)
-        assert sol.tension_groups == (FLEX, FLEX, FLEX)
+        _, tensions, groups = _solve(geom_massless, ExternalLoad())
+        assert tensions == (0.0, 0.0, 0.0)
+        assert groups == (FLEX, FLEX, FLEX)
 
     def test_distal_balance_pure_tip_force(self, geom_massless):
         # Massless finger: the joint-3 balance alone fixes
         # T3 = F * (x_tip - x_J3) / R3 at the solved pose, just under the
         # straight pose's F * L3 / R3 since the sagged lever is shorter.
-        sol = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
+        sol, tensions, groups = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
         points, _ = link_pose(sol.configuration.theta, geom_massless)
         lever = points[3][0] - points[2][0]
-        assert sol.tension_groups == (FLEX, FLEX, FLEX)
+        assert groups == (FLEX, FLEX, FLEX)
         r3 = geom_massless.guide_radii[2]
-        assert sol.tensions[2] == pytest.approx(9.81 * lever / r3, rel=1e-9)
+        assert tensions[2] == pytest.approx(9.81 * lever / r3, rel=1e-9)
         straight = 9.81 * geom_massless.link_lengths[2] / r3
         assert straight == pytest.approx(65.86, abs=0.01)
-        assert 0.99 * straight < sol.tensions[2] < straight
+        assert 0.99 * straight < tensions[2] < straight
 
     def test_upward_force_uses_extension_group(self, geom_massless):
-        sol = _solve(geom_massless, ExternalLoad(force=(0.0, 9.81)))
-        assert sol.tension_groups == (EXT, EXT, EXT)
-        assert min(sol.tensions) > 0.0
+        _, tensions, groups = _solve(geom_massless, ExternalLoad(force=(0.0, 9.81)))
+        assert groups == (EXT, EXT, EXT)
+        assert min(tensions) > 0.0
 
     def test_mixed_signs_held_by_both_groups(self, geom_massless):
         # A moment flexing joint 3 while the force extends joint 2: the
         # minimum stretches flexion tendons 1 and 2 and extension tendon 3.
         load = ExternalLoad(force=(0.0, -1.5), moment=0.1)
-        sol = _solve(geom_massless, load)
-        assert sol.tension_groups == (FLEX, FLEX, EXT)
-        assert min(sol.tensions) > 0.0
+        sol, tensions, groups = _solve(geom_massless, load)
+        assert groups == (FLEX, FLEX, EXT)
+        assert min(tensions) > 0.0
         assert_matches_oracle(sol, 0.0, geom_massless, make_specs(), load)
 
     def test_explicit_application_point(self, geom_massless):
         # Same force at the fingertip coordinates equals the default;
         # moving it to joint 3 removes the distal moment entirely.
         tip_xy = forward_kinematics(coupling_angles(0.0, geom_massless), geom_massless)
-        at_tip = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81),
-                                                    application_point=tip_xy))
-        default = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
-        assert at_tip.tensions == pytest.approx(default.tensions, rel=1e-12)
-        at_joint3 = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81),
-                                                       application_point=(0.12, 0.0)))
-        assert at_joint3.tensions[2] == pytest.approx(0.0, abs=1e-9)
-        assert at_joint3.tensions[1] > 0.0
+        _, at_tip, _ = _solve(geom_massless, ExternalLoad(
+            force=(0.0, -9.81), application_point=tip_xy))
+        _, default, _ = _solve(geom_massless, ExternalLoad(force=(0.0, -9.81)))
+        assert at_tip == pytest.approx(default, rel=1e-12)
+        _, at_joint3, _ = _solve(geom_massless, ExternalLoad(
+            force=(0.0, -9.81), application_point=(0.12, 0.0)))
+        assert at_joint3[2] == pytest.approx(0.0, abs=1e-9)
+        assert at_joint3[1] > 0.0
 
 
 class TestElongation:
@@ -274,11 +279,11 @@ class TestElongation:
 
 class TestSolveStatic:
     def test_unloaded_fixed_point(self, geom_massless):
-        sol = solve_static(PotentialModel(geom_massless, make_specs(), ExternalLoad(),
-                                          0.004))
+        model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), 0.004)
+        sol = solve_static(model)
         assert sol.iterations <= 2
         assert sol.deflection_y == 0.0
-        assert sol.tensions == (0.0, 0.0, 0.0)
+        assert model.tensions(sol.configuration.theta)[0] == (0.0, 0.0, 0.0)
         assert sol.configuration == coupling_angles(0.004, geom_massless)
 
     def test_calibrated_payload_deflection(self, calibrated):
@@ -322,7 +327,7 @@ class TestSolveStatic:
         model = PotentialModel(geom, specs, load, 0.0)
         sol = solve_static(model, threshold=threshold)
         theta = sol.configuration.theta
-        step = newton_step(*model.gradient_hessian(theta))
+        step = model.newton_kernel(*theta, *link_trig(*theta))
         cfg = Configuration(q=0.0, theta=tuple(t + d for t, d in zip(theta, step)))
         y_extra = forward_kinematics(cfg, geom)[1]
         assert abs(y_extra - sol.fingertip[1]) <= threshold
@@ -337,16 +342,17 @@ class TestSolveStatic:
                      ExternalLoad(force=(3.4684, 3.4684))):
             model = PotentialModel(geom, specs, load, 3e-3)
             sol = solve_static(model)
-            last = statics.trace_to_list(sol.trace, model)[-1]
-            assert last["tensions_n"] == list(sol.tensions)
+            doc = statics.solution_to_dict(sol, model)
+            assert doc["tensions_n"] == doc["trace"][-1]["tensions_n"]
+            tensions, groups, _ = model.tensions(sol.configuration.theta)
+            assert doc["tensions_n"] == list(tensions)
             stretches = model.stretches(*sol.configuration.theta)
-            assert sol.tension_groups == tuple(
-                FLEX if s >= 0.0 else EXT for s in stretches)
-            for i, (s, group) in enumerate(zip(stretches, sol.tension_groups)):
+            assert groups == tuple(FLEX if s >= 0.0 else EXT for s in stretches)
+            for i, (s, group) in enumerate(zip(stretches, groups)):
                 spec = next(t for t in specs
                             if t.group is group and t.index == i + 1)
-                hooke = spec.axial_stiffness / sol.rest_lengths[i] * abs(s)
-                assert sol.tensions[i] == pytest.approx(hooke, rel=1e-12)
+                hooke = spec.axial_stiffness / doc["rest_lengths_m"][i] * abs(s)
+                assert tensions[i] == pytest.approx(hooke, rel=1e-12)
 
     def test_tension_positivity(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
@@ -354,8 +360,9 @@ class TestSolveStatic:
         for _ in range(10):
             m = float(rng.uniform(0.2, 3.0))
             load = ExternalLoad.tip_payload(m, geom.gravity_accel)
-            sol = solve_static(PotentialModel(geom, specs, load, 0.0))
-            assert min(sol.tensions) >= 0.0
+            model = PotentialModel(geom, specs, load, 0.0)
+            sol = solve_static(model)
+            assert min(model.tensions(sol.configuration.theta)[0]) >= 0.0
 
     def test_rigid_limit_scaling(self, geom_massless):
         load = ExternalLoad.tip_payload(3.0)
@@ -424,18 +431,18 @@ class TestSolveStatic:
             model = PotentialModel(geom, specs, load, 3e-3)
             sol = solve_static(model)
             stretches = [abs(s) for s in model.stretches(*sol.configuration.theta)]
-            elongations = [e - r for e, r in zip(sol.elongated_lengths, sol.rest_lengths)]
+            doc = statics.solution_to_dict(sol, model)
+            elongations = [e - r for e, r in zip(doc["elongated_lengths_m"],
+                                                  doc["rest_lengths_m"])]
             np.testing.assert_allclose(elongations, stretches, rtol=1e-9)
 
     def test_upward_load_mirrors_deflection(self, geom_massless):
         # With equal groups and a massless finger, reversing the load
         # swaps the taut group and mirrors the solved pose.
-        specs = make_specs()
-        down, up = (solve_static(PotentialModel(geom_massless, specs,
-                                                ExternalLoad(force=(0.0, fy)), 0.0))
-                    for fy in (-9.81, 9.81))
-        assert down.tension_groups == (FLEX, FLEX, FLEX)
-        assert up.tension_groups == (EXT, EXT, EXT)
+        (down, _, down_groups), (up, _, up_groups) = (
+            _solve(geom_massless, ExternalLoad(force=(0.0, fy))) for fy in (-9.81, 9.81))
+        assert down_groups == (FLEX, FLEX, FLEX)
+        assert up_groups == (EXT, EXT, EXT)
         assert down.deflection_y > 0.0
         assert up.deflection_y == pytest.approx(-down.deflection_y, rel=1e-12)
         for u, d in zip(up.configuration.theta, down.configuration.theta):
@@ -460,9 +467,10 @@ class TestSolveStatic:
         model = PotentialModel(geom, specs, load, 0.0)
         sol = solve_static(model)
         records = statics.trace_to_list(sol.trace, model)
-        assert statics.solution_to_dict(sol, model)["trace"] == records
+        doc = statics.solution_to_dict(sol, model)
+        assert doc["trace"] == records
         assert records == statics.trace_to_list(sol.trace, model.with_load(ExternalLoad()))
-        assert records[-1]["elongated_lengths_m"] == list(sol.elongated_lengths)
+        assert records[-1]["elongated_lengths_m"] == doc["elongated_lengths_m"]
         with pytest.raises(NoConvergence) as err:
             solve_static(model, max_iterations=2)
         failed = statics.trace_to_list(err.value.trace, model)
@@ -815,14 +823,14 @@ class TestFrozenReference:
     def test_solve_static(self, calibrated, name):
         geom, specs = calibrated.geometry, calibrated.tendons
         q, load, kwargs = self.CASES[name]
-        got = _outcome(lambda: solve_static(PotentialModel(geom, specs, load, q),
-                                            **kwargs))
+        model = PotentialModel(geom, specs, load, q)
+        got = _outcome(lambda: solve_static(model, **kwargs))
         expected = self.EXPECTED.get(name)
         if isinstance(expected, type):
             assert isinstance(got, expected)
             return
         if expected is not None:
-            assert got.tension_groups == expected
+            assert model.tensions(got.configuration.theta)[1] == expected
         assert got.residual <= 1e-6
         assert_matches_oracle(got, q, geom, specs, load)
 
@@ -924,7 +932,7 @@ class TestOneTensionRule:
                     gap = math.hypot(sol.fingertip[0] - eq.fingertip[0],
                                      sol.fingertip[1] - eq.fingertip[1])
                     assert gap <= 1e-4 * geom.total_length
-                    mixed += len(set(sol.tension_groups)) > 1
+                    mixed += len(set(model.tensions(sol.configuration.theta)[1])) > 1
         assert mixed > 0
 
     @settings(max_examples=40, deadline=None)
@@ -966,7 +974,7 @@ class TestStopRule:
         last ones change the tip by about 1e-16 m, a few ulps of the
         finger's 0.17 m; 1e-12 m covers that with room to spare."""
         for _ in range(steps):
-            step = newton_step(*model.gradient_hessian(theta))
+            step = model.newton_kernel(*theta, *link_trig(*theta))
             theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
         return link_pose(theta, model.geom)[0][3]
 
@@ -1056,7 +1064,7 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
     trace = []
 
     for k in range(1, max_iterations + 1):
-        step = newton_step(*model.gradient_hessian(theta))
+        step = ldl_step(*model.derivatives(*theta, *link_trig(*theta)))
         if step is None:
             raise NoConvergence(
                 f"Hessian not positive definite before step {k}", trace=trace
@@ -1088,15 +1096,10 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
                 wrap0.angles_at(theta)
                 return statics.StaticSolution(
                     configuration=cfg,
-                    tensions=tensions,
-                    tension_groups=groups,
                     fingertip=tip,
                     deflection_y=y_nominal - y_k,
                     iterations=k,
                     residual=residual,
-                    rest_lengths=(taut[0].rest_length, wrap0.rest_length_2,
-                                  wrap0.rest_length_3),
-                    elongated_lengths=elongated,
                     trace=tuple(trace),
                 )
             last_residual = residual
@@ -1196,6 +1199,10 @@ class TestFrozenSolveLoop:
             # Every solution field, and the trace as the frozen records hold it.
             frozen = statics.solution_to_dict(ref._replace(trace=()), model)
             frozen["trace"] = frozen_trace_to_list(ref.trace)
+            # The converged pose's tensions and lengths as the frozen loop
+            # stored them.
+            for key in ("tensions_n", "elongated_lengths_m"):
+                frozen[key] = frozen["trace"][-1][key]
             assert_same_outcome(statics.solution_to_dict(new, model), frozen,
                                 exact=True, scale=1.0)
         else:
@@ -1288,14 +1295,14 @@ class TestLeanStepWork:
         # One kernel call per step, at the iterate before it.
         assert steps == [models[0].nominal.theta,
                          *(rec.theta for rec in sol.trace[:-1])]
-        # One stretch per step, for its gradient and Hessian, and one at
-        # the converged pose, for its tensions; only that pose is built in
-        # full and has its tendons' lengths, and the fingertip is the last
+        # One stretch per step, for its gradient and Hessian, and none at
+        # the converged pose: a solve derives no tension or length. Only
+        # that pose gets a `Configuration`, and the fingertip is the last
         # iterate's, with no `link_pose`.
-        assert stretched == [*steps, sol.configuration.theta]
+        assert stretched == steps
         assert configs == [sol.configuration.theta]
         assert poses == []
-        assert elongated == [sol.tensions]
+        assert elongated == []
 
         steps.clear()
         stretched.clear()
@@ -1305,7 +1312,7 @@ class TestLeanStepWork:
         assert stretched == steps
         assert configs == [sol.configuration.theta]
         assert poses == []
-        assert elongated == [sol.tensions]
+        assert elongated == []
 
         # A sweep makes one kernel call per payload step, failed rows'
         # steps included, and builds no configuration or length; its one
@@ -1321,7 +1328,7 @@ class TestLeanStepWork:
             assert poses == [models[0].nominal.theta]
         assert rows[0].status.startswith("error: NoConvergence")
         assert configs == [sol.configuration.theta]
-        assert elongated == [sol.tensions]
+        assert elongated == []
 
     @pytest.mark.parametrize("first_tip", [False, True])
     def test_with_load_shares_load_free_fields(self, calibrated, first_tip):

@@ -72,7 +72,6 @@ def cloud_of(values):
     return WorkspaceCloud(
         points_per_link=(pts, empty, empty),
         sample_counts=((len(pts),), (0,), (0,)),
-        resolution=2,
         bounding_box=(0.0, 0.0, 1.0, 1.0),
     )
 
@@ -214,7 +213,6 @@ class TestOccupancy:
         single = WorkspaceCloud(
             points_per_link=(sub, np.empty((0, 2)), np.empty((0, 2))),
             sample_counts=((1,), (0,), (0,)),
-            resolution=2,
             bounding_box=(sub[0, 0], sub[0, 1], sub[0, 0] + 1e-4, sub[0, 1] + 1e-4),
         )
         grid = occupancy_grid(single, 1e-4)
