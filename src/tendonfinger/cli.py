@@ -41,11 +41,15 @@ from .statics import (
     trace_to_list,
 )
 from .workspace import (
-    cloud_to_csv,
+    CLOUD_CSV_HEADER,
+    blank_grid,
     grid_sidecar,
     grid_to_pgm,
-    occupancy_grid,
-    sweep_workspace,
+    mark_cells,
+    samples_per_variable,
+    sweep_extent,
+    sweep_slabs,
+    write_csv_rows,
 )
 
 EXIT_OK = 0
@@ -279,12 +283,11 @@ def _cmd_workspace(args) -> int:
     if not Path(args.out).name:
         raise ConfigError(
             f"workspace --out must end in a file name, got {args.out!r}")
-    cloud = sweep_workspace(cfg.geometry, args.resolution)
-    grids = [occupancy_grid(cloud, args.cell, links=(link,)) for link in (1, 2, 3)]
-    # Every grid spans the whole cloud's bounding box, so their cells align.
-    marked = grids[0].marked | grids[1].marked | grids[2].marked
-    union = grids[0]._replace(marked=marked)
-    per_link = {str(link): grid.area for link, grid in zip((1, 2, 3), grids)}
+    geom, resolution = cfg.geometry, args.resolution
+    # One grid per link, each over the whole cloud's bounding box, so their
+    # cells align; both refusals come before any file is made.
+    bbox = sweep_extent(geom, resolution)
+    grids = [blank_grid(bbox, args.cell) for _ in (1, 2, 3)]
 
     # A basename may contain dots ("run_0.5"); only one of the three output
     # suffixes is replaced, any other tail is kept.
@@ -296,18 +299,24 @@ def _cmd_workspace(args) -> int:
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "wb") as fh:
-            cloud_to_csv(cloud, fh)
+            fh.write(CLOUD_CSV_HEADER)
+            # Each slab is gridded and written before the next is swept.
+            for link, pts in sweep_slabs(geom, resolution):
+                mark_cells(grids[link - 1], pts)
+                write_csv_rows(fh, link, pts)
+        union = grids[0]._replace(
+            marked=grids[0].marked | grids[1].marked | grids[2].marked)
+        per_link = {str(link): grid.area for link, grid in zip((1, 2, 3), grids)}
         pgm_path.write_bytes(grid_to_pgm(union))
         json_path.write_text(grid_sidecar(union, per_link), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write workspace output: {exc}") from None
 
-    for link, pts, counts in zip(
-        (1, 2, 3), cloud.points_per_link, cloud.sample_counts
-    ):
+    for link in (1, 2, 3):
+        n = samples_per_variable(resolution, link)
         _status(
-            f"link {link}: points={len(pts)} "
-            f"(samples per variable: {counts[0]}) "
+            f"link {link}: points={n ** (link + 1)} "
+            f"(samples per variable: {n}) "
             f"area_m2={per_link[str(link)]:.6e}"
         )
     _status(f"union area_m2={union.area:.6e} cell_m={args.cell}")

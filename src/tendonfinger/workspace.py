@@ -13,8 +13,17 @@ lengths). Each variable of link i gets
 
 samples, so every link's cloud holds roughly resolution**2 points and
 the total work stays bounded by the single resolution knob. Per-link
-counts are n_i ** (i + 1) exactly. A resolution whose sweep would need
-more than MAX_SWEEP_BYTES is refused before anything is allocated.
+counts are n_i ** (i + 1) exactly. A resolution whose whole cloud would
+need more than MAX_SWEEP_BYTES is refused before anything is allocated.
+
+A sweep comes in three steps that also run one slab at a time: a slab of
+whole theta_1 rows (`sweep_slabs`), the marking of its cells
+(`mark_cells`) and the encoding of its CSV rows (`write_csv_rows`). The
+cloud's bounding box, which places the grid, comes first and from n
+values per link (`sweep_extent`), so an export can grid and write each
+slab before the next exists and never holds the cloud. `sweep_workspace`,
+`occupancy_grid` and `cloud_to_csv` are the whole-cloud forms of the same
+steps.
 """
 
 from __future__ import annotations
@@ -34,16 +43,19 @@ if TYPE_CHECKING:
 
 CLOUD_CSV_HEADER = b"link,x_m,y_m\n"
 # Rows encoded by one pass of array operations (`csv_fields`, then the
-# row layout of `cloud_to_csv`). A block's arrays peak at about 220 bytes
-# a row, under 2 MB whatever the cloud's size; 8,192 rows encoded a
-# little faster than 4,096 or 16,384 on a 2-core Xeon.
+# row layout of `write_csv_rows`), and the points of one slab of
+# `sweep_slabs` (whole theta_1 rows, at least one). A block's arrays peak
+# at about 220 bytes a row, under 2 MB whatever the cloud's size; 8,192
+# rows encoded a little faster than 4,096 or 16,384 on a 2-core Xeon.
 CSV_BLOCK_ROWS = 8192
 CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
-# The sweep peaks at about 17 bytes per point (the per-link clouds,
-# 16 bytes a point, plus one n-by-n link term at a time); 64 leaves room
-# for the gridding and CSV encoding that follow. Resolution 400 needs
-# about 31 MB.
+# `sweep_workspace` peaks at about 17 bytes per point (the per-link
+# clouds, 16 bytes a point, plus one n-by-n link term at a time); 64
+# leaves room for the gridding and CSV encoding that once followed it in
+# the export. The export now holds one slab, not the cloud, but the
+# budget is kept so that the library's whole-cloud sweep and the CLI
+# refuse the same resolutions. Resolution 400 needs about 31 MB.
 SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
 
@@ -80,21 +92,7 @@ def sweep_point_count(resolution: int) -> int:
                for link in (1, 2, 3))
 
 
-def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
-    """Sweep the coupled configuration space; see the module docstring
-    for the per-link sampling formula.
-
-    Link i's cloud is an (n,) * (i + 1) grid of points in C order: axis
-    0 samples theta_1 and axis 1 + j the length of link j + 1. The
-    cosine and sine of each joint's n sampled angles are taken once,
-    and each link term, the sampled length times the angle's cosine or
-    sine, is broadcast and added in place in joint order, so every
-    point is ((0 + l1 c1) + l2 c2) + l3 c3. Starting from +0.0 matters:
-    a zero length times a negative sine is -0.0, and 0.0 + -0.0 prints
-    as "0" in the CSV, not "-0".
-    """
-    import numpy as np
-
+def _check_resolution(resolution: int) -> None:
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
     try:
@@ -107,34 +105,109 @@ def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
             f"its sweep, over the {MAX_SWEEP_BYTES / 1e9:.3g} GB budget"
         )
 
+
+def _link_samples(geom: FingerGeometry, resolution: int, link: int):
+    """Link `link`'s swept variables: the cosines and sines of the three
+    joint angles at its n theta_1 samples, (n, 3) each, and the n sampled
+    lengths of each of links 1 to `link`."""
+    import numpy as np
+
+    n = samples_per_variable(resolution, link)
     radii = np.asarray(geom.guide_radii)
     rate = radii[0] / radii  # theta_j = theta_1 * R1 / Rj
+    theta1 = np.linspace(THETA1_MIN, THETA1_MAX, n)
+    phi = np.cumsum(theta1[:, None] * rate[None, :], axis=1)  # (n, 3)
+    lengths = [np.linspace(0.0, geom.link_lengths[j], n) for j in range(link)]
+    return np.cos(phi), np.sin(phi), lengths
 
+
+def _slab(cos: np.ndarray, sin: np.ndarray, lengths) -> np.ndarray:
+    """The points of the theta_1 rows whose trig rows are `cos` and `sin`,
+    as a (rows,) + (n,) * link + (2,) array; see `sweep_workspace`."""
+    import numpy as np
+
+    link, n = len(lengths), len(lengths[0])
+    on_theta = (len(cos),) + (1,) * link
+    slab = np.zeros((len(cos),) + (n,) * link + (2,))
+    for j, lj in enumerate(lengths):
+        on_length = [1] * (link + 1)
+        on_length[1 + j] = n
+        lj = lj.reshape(on_length)
+        slab[..., 0] += lj * cos[:, j].reshape(on_theta)
+        slab[..., 1] += lj * sin[:, j].reshape(on_theta)
+    return slab
+
+
+def sweep_extent(
+    geom: FingerGeometry, resolution: int
+) -> tuple[float, float, float, float]:
+    """The bounding box (xmin, ymin, xmax, ymax) of the cloud swept at
+    `resolution`, bit for bit the min and max of its points, from n
+    values per link rather than the cloud.
+
+    A point's x is ((0 + t1) + t2) + t3 with t_j = l_j * cos(phi_j) (y
+    alike with sin), each operation rounded to nearest, which is
+    monotone in each operand. So, for each theta_1, the smallest x is the
+    same sum of each term's smallest value, and a term is smallest (or
+    largest) at one end of its length's samples, 0 or L_j. Refuses the
+    resolutions `sweep_workspace` refuses.
+    """
+    import numpy as np
+
+    _check_resolution(resolution)
+    low, high = [], []
+    for link in (1, 2, 3):
+        cos, sin, lengths = _link_samples(geom, resolution, link)
+        trig = np.stack((cos, sin))  # (2, n, 3): x and y
+        lo = np.zeros(trig.shape[:2])
+        hi = np.zeros(trig.shape[:2])
+        for j, lj in enumerate(lengths):
+            ends = lj[0] * trig[:, :, j], lj[-1] * trig[:, :, j]
+            lo += np.minimum(*ends)
+            hi += np.maximum(*ends)
+        low.append(lo.min(axis=1))
+        high.append(hi.max(axis=1))
+    (xmin, ymin), (xmax, ymax) = np.min(low, axis=0), np.max(high, axis=0)
+    return float(xmin), float(ymin), float(xmax), float(ymax)
+
+
+def sweep_slabs(geom: FingerGeometry, resolution: int):
+    """Yield (link, points) for links 1, 2 and 3 in turn: each link's
+    cloud of `sweep_workspace`, in its order, cut into slabs of whole
+    theta_1 rows of about CSV_BLOCK_ROWS points (at least one row), each
+    a fresh (m, 2) array. The resolution is checked when iteration
+    starts."""
+    _check_resolution(resolution)
+    for link in (1, 2, 3):
+        cos, sin, lengths = _link_samples(geom, resolution, link)
+        rows = max(1, CSV_BLOCK_ROWS // len(cos) ** link)
+        for start in range(0, len(cos), rows):
+            stop = start + rows
+            slab = _slab(cos[start:stop], sin[start:stop], lengths)
+            yield link, slab.reshape(-1, 2)
+
+
+def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
+    """Sweep the coupled configuration space; see the module docstring
+    for the per-link sampling formula.
+
+    Link i's cloud is an (n,) * (i + 1) grid of points in C order: axis
+    0 samples theta_1 and axis 1 + j the length of link j + 1. The
+    cosine and sine of each joint's n sampled angles are taken once,
+    and each link term, the sampled length times the angle's cosine or
+    sine, is broadcast and added in place in joint order, so every
+    point is ((0 + l1 c1) + l2 c2) + l3 c3. Starting from +0.0 matters:
+    a zero length times a negative sine is -0.0, and 0.0 + -0.0 prints
+    as "0" in the CSV, not "-0". `sweep_slabs` yields the same points a
+    slab at a time.
+    """
+    bbox = sweep_extent(geom, resolution)  # refuses the resolution first
     clouds = []
     counts = []
     for link in (1, 2, 3):
-        n = samples_per_variable(resolution, link)
-        theta1 = np.linspace(THETA1_MIN, THETA1_MAX, n)
-        phi = np.cumsum(theta1[:, None] * rate[None, :], axis=1)  # (n, 3)
-        cos, sin = np.cos(phi), np.sin(phi)
-        shape = (n,) * (link + 1)
-        on_theta = (n,) + (1,) * link
-        cloud = np.zeros(shape + (2,))
-        for j in range(link):
-            on_length = [1] * (link + 1)
-            on_length[1 + j] = n
-            lj = np.linspace(0.0, geom.link_lengths[j], n).reshape(on_length)
-            cloud[..., 0] += lj * cos[:, j].reshape(on_theta)
-            cloud[..., 1] += lj * sin[:, j].reshape(on_theta)
-        clouds.append(cloud.reshape(-1, 2))
-        counts.append(shape)
-
-    bbox = (
-        min(float(c[:, 0].min()) for c in clouds),
-        min(float(c[:, 1].min()) for c in clouds),
-        max(float(c[:, 0].max()) for c in clouds),
-        max(float(c[:, 1].max()) for c in clouds),
-    )
+        cos, sin, lengths = _link_samples(geom, resolution, link)
+        clouds.append(_slab(cos, sin, lengths).reshape(-1, 2))
+        counts.append((len(cos),) * (link + 1))
     return WorkspaceCloud(
         points_per_link=tuple(clouds),
         sample_counts=tuple(counts),
@@ -156,27 +229,18 @@ class OccupancyGrid(NamedTuple):
         return float(np.count_nonzero(self.marked)) * self.cell_size ** 2
 
 
-def occupancy_grid(
-    cloud: WorkspaceCloud, cell_size: float, *, links=None
-) -> OccupancyGrid:
-    """Mark every cell containing at least one cloud point.
-
-    `links` restricts the gridded points to the given 1-based link ids;
-    the grid extent always covers the whole cloud's bounding box so
-    per-link grids share cell alignment. A link id other than the ints
-    1, 2 and 3, a cell size that is not positive, exceeds the box's
-    diagonal or whose grid would need more than MAX_GRID_BYTES raises
-    ConfigError before anything is allocated, and so does a selection
-    with no points.
+def blank_grid(bbox: tuple[float, float, float, float],
+               cell_size: float) -> OccupancyGrid:
+    """An unmarked grid over `bbox` (xmin, ymin, xmax, ymax), its origin
+    at the box's lower corner. A cell size that is not > 0 (NaN
+    included), exceeds the box's diagonal or whose grid would need more
+    than MAX_GRID_BYTES raises ConfigError before anything is allocated.
     """
     import numpy as np
 
-    for link in links or ():
-        if type(link) is not int or link not in (1, 2, 3):  # no bool, no float
-            raise ConfigError(f"link id {link!r} is not 1, 2 or 3")
-    xmin, ymin, xmax, ymax = cloud.bounding_box
+    xmin, ymin, xmax, ymax = bbox
     diag = math.hypot(xmax - xmin, ymax - ymin)
-    if cell_size <= 0.0:
+    if not cell_size > 0.0:
         raise ConfigError("cell_size must be > 0")
     if diag > 0.0 and cell_size > diag:
         raise ConfigError("cell_size exceeds the bounding-box diagonal")
@@ -191,18 +255,44 @@ def occupancy_grid(
             f"cell size {cell_size:g} m needs about {need / 1e9:.3g} GB for "
             f"its grid, over the {MAX_GRID_BYTES / 1e9:.3g} GB budget"
         )
+    return OccupancyGrid(marked=np.zeros((ny, nx), dtype=bool),
+                         origin=(xmin, ymin), cell_size=cell_size)
 
+
+def mark_cells(grid: OccupancyGrid, pts: np.ndarray) -> None:
+    """Mark in place the cell of each point of the (m, 2) array `pts`,
+    clipped to the grid."""
+    import numpy as np
+
+    ny, nx = grid.marked.shape
+    xmin, ymin = grid.origin
+    ix = np.clip(((pts[:, 0] - xmin) / grid.cell_size).astype(int), 0, nx - 1)
+    iy = np.clip(((pts[:, 1] - ymin) / grid.cell_size).astype(int), 0, ny - 1)
+    grid.marked[iy, ix] = True
+
+
+def occupancy_grid(
+    cloud: WorkspaceCloud, cell_size: float, *, links=None
+) -> OccupancyGrid:
+    """Mark every cell containing at least one cloud point.
+
+    `links` restricts the gridded points to the given 1-based link ids;
+    the grid extent always covers the whole cloud's bounding box so
+    per-link grids share cell alignment. A link id other than the ints
+    1, 2 and 3, a cell size `blank_grid` refuses and a selection with no
+    points raise ConfigError, in that order.
+    """
+    for link in links or ():
+        if type(link) is not int or link not in (1, 2, 3):  # no bool, no float
+            raise ConfigError(f"link id {link!r} is not 1, 2 or 3")
+    grid = blank_grid(cloud.bounding_box, cell_size)
     chosen = cloud.points_per_link if links is None else [
         cloud.points_per_link[i - 1] for i in links]
     if not any(len(pts) for pts in chosen):
         raise ConfigError("no points to grid")
-
-    marked = np.zeros((ny, nx), dtype=bool)
     for pts in chosen:
-        ix = np.clip(((pts[:, 0] - xmin) / cell_size).astype(int), 0, nx - 1)
-        iy = np.clip(((pts[:, 1] - ymin) / cell_size).astype(int), 0, ny - 1)
-        marked[iy, ix] = True
-    return OccupancyGrid(marked=marked, origin=(xmin, ymin), cell_size=cell_size)
+        mark_cells(grid, pts)
+    return grid
 
 
 def percent_fields(values: np.ndarray) -> np.ndarray:
@@ -308,32 +398,40 @@ def csv_fields(values: np.ndarray) -> np.ndarray:
     return fields
 
 
-def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
-    """Write one row per point, link,x_m,y_m, to the binary stream `out`.
+def write_csv_rows(out, link: int, pts: np.ndarray) -> None:
+    """Write one row per point of the (m, 2) array `pts`, link,x_m,y_m,
+    to the binary stream `out`.
 
-    Coordinates are `%.9g`, byte for byte, and the text is never held
-    whole: each block of up to CSV_BLOCK_ROWS rows is laid out as link,
-    ",", x's field, ",", y's field and a newline in one uint8 array (see
-    `csv_fields` for the error bound that decides which fields come from
-    its digit tables), and one `bytes.translate` pass deletes its zero
-    and padding-space bytes before the block is written.
+    Coordinates are `%.9g`, byte for byte. Each block of up to
+    CSV_BLOCK_ROWS rows is laid out as link, ",", x's field, ",", y's
+    field and a newline in one uint8 array (see `csv_fields` for the
+    error bound that decides which fields come from its digit tables),
+    and one `bytes.translate` pass deletes its zero and padding-space
+    bytes before the block is written.
     """
     import numpy as np
 
     field = np.dtype((np.void, CSV_FIELD_BYTES))
+    for start in range(0, len(pts), CSV_BLOCK_ROWS):
+        block = pts[start:start + CSV_BLOCK_ROWS]
+        # Fields move as void items, a copy of 16 bytes each.
+        fields = csv_fields(block.ravel()).view(field).reshape(len(block), 2)
+        rows = np.empty((len(block), 4 + 2 * CSV_FIELD_BYTES), dtype=np.uint8)
+        rows[:, 0] = ord("0") + link
+        rows[:, 1] = rows[:, 2 + CSV_FIELD_BYTES] = ord(",")
+        rows[:, 2:2 + CSV_FIELD_BYTES].view(field)[:, 0] = fields[:, 0]
+        rows[:, 3 + CSV_FIELD_BYTES:-1].view(field)[:, 0] = fields[:, 1]
+        rows[:, -1] = ord("\n")
+        out.write(rows.tobytes().translate(None, b"\0 "))
+
+
+def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
+    """Write the header and one row per point, link,x_m,y_m, to the
+    binary stream `out` (`write_csv_rows`); the text is never held
+    whole."""
     out.write(CLOUD_CSV_HEADER)
     for link, pts in enumerate(cloud.points_per_link, start=1):
-        for start in range(0, len(pts), CSV_BLOCK_ROWS):
-            block = pts[start:start + CSV_BLOCK_ROWS]
-            # Fields move as void items, a copy of 16 bytes each.
-            fields = csv_fields(block.ravel()).view(field).reshape(len(block), 2)
-            rows = np.empty((len(block), 4 + 2 * CSV_FIELD_BYTES), dtype=np.uint8)
-            rows[:, 0] = ord("0") + link
-            rows[:, 1] = rows[:, 2 + CSV_FIELD_BYTES] = ord(",")
-            rows[:, 2:2 + CSV_FIELD_BYTES].view(field)[:, 0] = fields[:, 0]
-            rows[:, 3 + CSV_FIELD_BYTES:-1].view(field)[:, 0] = fields[:, 1]
-            rows[:, -1] = ord("\n")
-            out.write(rows.tobytes().translate(None, b"\0 "))
+        write_csv_rows(out, link, pts)
 
 
 def grid_to_pgm(grid: OccupancyGrid) -> bytes:
@@ -343,8 +441,10 @@ def grid_to_pgm(grid: OccupancyGrid) -> bytes:
     ny, nx = grid.marked.shape
     # Each row is 2*nx bytes: a digit per cell, each followed by a
     # space, except the last, which a newline follows.
+    # The digits are added as uint8: a bool array plus an int is int64,
+    # eight bytes a cell, the largest array of an export.
     body = np.full((ny, 2 * nx), ord(" "), dtype=np.uint8)
-    body[:, 0::2] = ord("0") + grid.marked[::-1]
+    body[:, 0::2] = ord("0") + grid.marked[::-1].view(np.uint8)
     body[:, -1] = ord("\n")
     return f"P2\n{nx} {ny}\n1\n".encode("ascii") + body.tobytes()
 

@@ -44,17 +44,18 @@ def written(tmp_path_factory):
     res = run("workspace", "--resolution", "50", "--out", str(out / "ws"))
     assert res.returncode == 0, res.stderr
     docs["workspace"] = (out / "ws.json").read_text(encoding="utf-8")
-    return SimpleNamespace(docs=docs, csv=(out / "ws.csv").read_bytes())
+    return SimpleNamespace(docs=docs, csv=(out / "ws.csv").read_bytes(),
+                           pgm=(out / "ws.pgm").read_bytes())
 
 
-def rebuilt_csv(resolution: int) -> bytes:
-    """The workspace CSV of the shipped finger built point by point: each
-    point gathers its angles and adds l * cos and l * sin to zeros, joint
-    by joint, and each coordinate is written with `%.9g`."""
+def rebuilt_points(resolution: int) -> list:
+    """The shipped finger's workspace points built point by point, as
+    (link, x, y) arrays: each point gathers its angles and adds l * cos
+    and l * sin to zeros, joint by joint."""
     geom = load_finger_config(default_config_path()).geometry
     radii = np.asarray(geom.guide_radii)
     rate = radii[0] / radii
-    lines = ["link,x_m,y_m"]
+    points = []
     for link in (1, 2, 3):
         n = max(2, math.ceil(resolution ** (2.0 / (link + 1))))
         theta1 = np.linspace(THETA1_MIN, THETA1_MAX, n)
@@ -67,13 +68,48 @@ def rebuilt_csv(resolution: int) -> bytes:
         for j in range(link):
             x += grids[1 + j].ravel() * np.cos(phi[idx, j])
             y += grids[1 + j].ravel() * np.sin(phi[idx, j])
+        points.append((link, x, y))
+    return points
+
+
+def rebuilt_csv(points) -> bytes:
+    """The CSV of `rebuilt_points`, each coordinate written with `%.9g`."""
+    lines = ["link,x_m,y_m"]
+    for link, x, y in points:
         for xv, yv in zip(x.tolist(), y.tolist()):
             lines.append(f"{link},{xv:.9g},{yv:.9g}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def rebuilt_grid(points, cell: float):
+    """The union occupancy grid of `rebuilt_points` as the PGM's bytes,
+    its origin and its shape: the origin is the stacked points' min, a
+    point's cell floor((v - min) / cell), clipped to the grid."""
+    x = np.concatenate([px for _, px, _ in points])
+    y = np.concatenate([py for _, _, py in points])
+    origin = [float(x.min()), float(y.min())]
+    nx = math.floor((x.max() - x.min()) / cell) + 1
+    ny = math.floor((y.max() - y.min()) / cell) + 1
+    rows = np.clip(np.floor((y - y.min()) / cell).astype(int), 0, ny - 1)
+    cols = np.clip(np.floor((x - x.min()) / cell).astype(int), 0, nx - 1)
+    cells = set(zip(rows.tolist(), cols.tolist()))
+    lines = ["P2", f"{nx} {ny}", "1"]
+    for row in reversed(range(ny)):  # the top row is at the largest y
+        lines.append(" ".join("1" if (row, col) in cells else "0"
+                              for col in range(nx)))
+    return ("\n".join(lines) + "\n").encode("ascii"), origin, nx, ny
+
+
 def test_workspace_csv_is_the_point_by_point_rebuild(written):
-    assert written.csv == rebuilt_csv(50)
+    assert written.csv == rebuilt_csv(rebuilt_points(50))
+
+
+def test_workspace_grid_is_the_point_by_point_rebuild(written):
+    # The default 1 mm cells, gridded without the package's grid code.
+    pgm, origin, nx, ny = rebuilt_grid(rebuilt_points(50), 1e-3)
+    assert written.pgm == pgm
+    sidecar = json.loads(written.docs["workspace"])
+    assert (sidecar["origin_m"], sidecar["nx"], sidecar["ny"]) == (origin, nx, ny)
 
 
 def test_step_capped_solve_trace(written):

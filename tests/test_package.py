@@ -104,7 +104,9 @@ def test_import_loads_no_numpy():
            "assert {'tendonfinger.energy', 'tendonfinger.workspace'} <= set(sys.modules)\n"
            "from tendonfinger import energy, workspace\n"
            "assert cli.equilibrium_report is energy.equilibrium_report\n"
-           "assert cli.sweep_workspace is workspace.sweep_workspace")
+           "for name in ('sweep_extent', 'blank_grid', 'sweep_slabs',\n"
+           "             'mark_cells', 'write_csv_rows', 'grid_to_pgm'):\n"
+           "    assert getattr(cli, name) is getattr(workspace, name), name")
 
 
 def test_import_loads_no_dataclasses():

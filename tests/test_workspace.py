@@ -21,6 +21,7 @@ from tendonfinger.workspace import (
     occupancy_grid,
     samples_per_variable,
     sweep_point_count,
+    sweep_slabs,
     sweep_workspace,
 )
 
@@ -32,6 +33,11 @@ SINGLE_LINK = FingerGeometry(link_lengths=(0.06, 0.0, 0.0),
 # digit range.
 METRES = FingerGeometry(link_lengths=(2.0, 2.0, 1.5),
                         guide_radii=(0.0075, 0.006, 0.005))
+ZERO_MIDDLE = FingerGeometry(link_lengths=(0.06, 0.0, 0.051),
+                             guide_radii=(0.0075, 0.006, 0.005))
+GEOMETRIES = pytest.mark.parametrize(
+    "geom", [GEOM, SINGLE_LINK, METRES, ZERO_MIDDLE],
+    ids=["geom", "single_link", "metres", "zero_middle"])
 HALF_DISK_AREA = math.pi * 0.06 ** 2 / 2
 
 
@@ -183,6 +189,27 @@ class TestSweep:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    # At 441, one theta_1 row of link 3 holds 21**3 = 9,261 points, more
+    # than CSV_BLOCK_ROWS, so a slab is one row and its edges no longer
+    # fall on 8,192-row block edges.
+    @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 441])
+    @GEOMETRIES
+    def test_slabs_are_the_cloud_in_rows(self, geom, resolution):
+        cloud = sweep_workspace(geom, resolution)
+        got = {1: [], 2: [], 3: []}
+        for link, pts in sweep_slabs(geom, resolution):
+            row = samples_per_variable(resolution, link) ** link
+            assert len(pts) % row == 0
+            assert len(pts) <= max(row, CSV_BLOCK_ROWS)
+            got[link].append(pts)
+        for link, want in enumerate(cloud.points_per_link, start=1):
+            slabs = np.concatenate(got[link])
+            assert np.array_equal(slabs.view(np.int64), want.view(np.int64))
+
+    def test_slabs_check_the_resolution(self):
+        with pytest.raises(ConfigError, match="resolution must be >= 2"):
+            next(sweep_slabs(GEOM, 1))
+
     def test_peak_memory_per_point(self):
         # The clouds hold 16 bytes a point; the gathered per-point
         # index, length and angle arrays took the peak to 35.
@@ -250,6 +277,13 @@ class TestOccupancy:
         with pytest.raises(ConfigError, match="exceeds the bounding-box diagonal"):
             occupancy_grid(cloud, 10.0)
 
+    def test_nan_cell_size(self):
+        # NaN fails every comparison, so `<= 0` let it through to a bare
+        # ValueError from math.floor.
+        cloud = sweep_workspace(GEOM, 5)
+        with pytest.raises(ConfigError, match="cell_size must be > 0"):
+            occupancy_grid(cloud, float("nan"))
+
 
 class TestExports:
     def test_csv_layout(self):
@@ -290,6 +324,45 @@ class TestExports:
         want = reference_csv(sweep_workspace(geom, 400)).encode("ascii")
         assert (tmp_path / "ws.csv").read_bytes() == want
 
+    def test_cli_export_is_the_whole_cloud_path(self, tmp_path):
+        # The CLI grids and writes one slab at a time; its three files are
+        # those of the whole-cloud functions. At 441 a link-3 slab is one
+        # theta_1 row of 9,261 points.
+        base = tmp_path / "ws"
+        assert cli.main(["workspace", "--resolution", "441", "--cell", "0.0005",
+                         "--out", str(base)]) == 0
+        geom = load_finger_config(default_config_path()).geometry
+        cloud = sweep_workspace(geom, 441)
+        out = BytesIO()
+        cloud_to_csv(cloud, out)
+        grids = [occupancy_grid(cloud, 5e-4, links=(i,)) for i in (1, 2, 3)]
+        union = occupancy_grid(cloud, 5e-4)
+        per_link = {str(i): g.area for i, g in zip((1, 2, 3), grids)}
+        assert (tmp_path / "ws.csv").read_bytes() == out.getvalue()
+        assert (tmp_path / "ws.pgm").read_bytes() == grid_to_pgm(union)
+        assert (tmp_path / "ws.json").read_text(encoding="utf-8") == grid_sidecar(
+            union, per_link)
+
+    # The bounds, with the peaks read before the export streamed its
+    # slabs (12.4 MB and 74.8 MB) and after (2.8 MB and 3.4 MB): at 400 the
+    # whole cloud's points alone take 7.8 MB (486,375 points of 16
+    # bytes), so an export under 6 MB cannot hold them; at 1000, 6.3
+    # times the points, link 1's cloud alone takes 16 MB, and 8 MB shows
+    # the peak follows one slab and the grid, not resolution squared.
+    @pytest.mark.parametrize("resolution, bound", [(400, 6e6), (1000, 8e6)])
+    def test_cli_export_peak_memory(self, tmp_path, resolution, bound):
+        base = str(tmp_path / "ws")
+        # A first op builds the digit tables and loads numpy's lazy parts.
+        assert cli.main(["workspace", "--resolution", "2", "--out", base]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["workspace", "--resolution", str(resolution),
+                             "--cell", "0.0005", "--out", base]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_csv_peak_memory_is_one_block(self):
         # The text is never held whole: at resolution 200 the CSV is 3.8
         # MB, and the encoder's peak, one block's arrays (about 220 bytes
@@ -322,10 +395,17 @@ class TestExports:
                      for i in links for x, y in cloud.points_per_link[i - 1]}
             assert {tuple(c) for c in np.argwhere(grid.marked)} == cells
 
-    def test_bounding_box_spans_every_link(self):
-        cloud = sweep_workspace(GEOM, 30)
+    # The box comes from n values per link (`sweep_extent`), not from the
+    # points, yet must equal the points' own min and max bit for bit: the
+    # grid's origin, and so every cell, depends on it.
+    @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 400, 441])
+    @GEOMETRIES
+    def test_bounding_box_spans_every_link(self, geom, resolution):
+        cloud = sweep_workspace(geom, resolution)
         pts = cloud.all_points()
-        assert cloud.bounding_box == (*pts.min(axis=0), *pts.max(axis=0))
+        want = (*pts.min(axis=0), *pts.max(axis=0))
+        assert np.array_equal(np.array(cloud.bounding_box).view(np.int64),
+                              np.array(want).view(np.int64))
 
     def test_union_of_link_grids(self):
         cloud = sweep_workspace(GEOM, 60)
