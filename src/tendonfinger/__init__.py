@@ -31,12 +31,7 @@ from .statics import (
     stiffness_sweep,
     wrap_moment,
 )
-from .workspace import (
-    OccupancyGrid,
-    WorkspaceCloud,
-    occupancy_grid,
-    sweep_workspace,
-)
+from .workspace import OccupancyGrid
 
 __all__ = [
     "__version__",
@@ -57,7 +52,6 @@ __all__ = [
     "TendonFingerError",
     "TendonGroup",
     "TendonSpec",
-    "WorkspaceCloud",
     "WrapGeometry",
     "coupling_angles",
     "default_config_path",
@@ -68,9 +62,7 @@ __all__ = [
     "forward_kinematics",
     "jacobian",
     "load_finger_config",
-    "occupancy_grid",
     "solve_static",
     "stiffness_sweep",
-    "sweep_workspace",
     "wrap_moment",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -280,7 +281,9 @@ def _cmd_workspace(args) -> int:
     cfg = _load_config(args)
     if args.out is None:
         raise ConfigError("workspace requires --out <basename> for its files")
-    if not Path(args.out).name:
+    # The raw argument's last component: `Path` drops a trailing "/" and
+    # keeps a last ".." as a name, so "o/x/" would write o/x.csv.
+    if os.path.basename(args.out) in ("", ".", ".."):
         raise ConfigError(
             f"workspace --out must end in a file name, got {args.out!r}")
     geom, resolution = cfg.geometry, args.resolution

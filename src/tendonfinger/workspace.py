@@ -13,17 +13,16 @@ lengths). Each variable of link i gets
 
 samples, so every link's cloud holds roughly resolution**2 points and
 the total work stays bounded by the single resolution knob. Per-link
-counts are n_i ** (i + 1) exactly. A resolution whose whole cloud would
-need more than MAX_SWEEP_BYTES is refused before anything is allocated.
+counts are n_i ** (i + 1) exactly. A resolution whose cloud is over
+the point budget (MAX_SWEEP_BYTES / SWEEP_BYTES_PER_POINT points) is
+refused before anything is allocated.
 
-A sweep comes in three steps that also run one slab at a time: a slab of
+A sweep comes in three steps that run one slab at a time: a slab of
 whole theta_1 rows (`sweep_slabs`), the marking of its cells
 (`mark_cells`) and the encoding of its CSV rows (`write_csv_rows`). The
 cloud's bounding box, which places the grid, comes first and from n
 values per link (`sweep_extent`), so an export can grid and write each
-slab before the next exists and never holds the cloud. `sweep_workspace`,
-`occupancy_grid` and `cloud_to_csv` are the whole-cloud forms of the same
-steps.
+slab before the next exists and never holds the cloud.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ CLOUD_CSV_HEADER = b"link,x_m,y_m\n"
 CSV_BLOCK_ROWS = 8192
 CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
-# `sweep_workspace` peaks at about 17 bytes per point (the per-link
-# clouds, 16 bytes a point, plus one n-by-n link term at a time); 64
-# leaves room for the gridding and CSV encoding that once followed it in
-# the export. The export now holds one slab, not the cloud, but the
-# budget is kept so that the library's whole-cloud sweep and the CLI
-# refuse the same resolutions. Resolution 400 needs about 31 MB.
+# No sweep holds its cloud, so this budget bounds work, not memory: 64
+# bytes a point against 1 GiB caps a sweep at 16,777,216 points
+# (resolution 2,338 sweeps 16,776,278; 2,339 is refused). The export
+# at 2,338 writes a 485 MB CSV in about 4 s on a 2-core Xeon. 64 is
+# kept so that the accepted resolutions do not change.
 SWEEP_BYTES_PER_POINT = 64
 MAX_SWEEP_BYTES = 1 << 30
 
@@ -66,19 +64,6 @@ MAX_SWEEP_BYTES = 1 << 30
 # and cells down to about 22 um are accepted.
 GRID_BYTES_PER_CELL = 8
 MAX_GRID_BYTES = 1 << 30
-
-
-class WorkspaceCloud(NamedTuple):
-    """Per-link reachable point sets from one sweep."""
-
-    points_per_link: tuple[np.ndarray, np.ndarray, np.ndarray]
-    sample_counts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    bounding_box: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
-
-    def all_points(self) -> np.ndarray:
-        import numpy as np
-
-        return np.vstack(self.points_per_link)
 
 
 def samples_per_variable(resolution: int, link: int) -> int:
@@ -123,7 +108,15 @@ def _link_samples(geom: FingerGeometry, resolution: int, link: int):
 
 def _slab(cos: np.ndarray, sin: np.ndarray, lengths) -> np.ndarray:
     """The points of the theta_1 rows whose trig rows are `cos` and `sin`,
-    as a (rows,) + (n,) * link + (2,) array; see `sweep_workspace`."""
+    as a (rows,) + (n,) * link + (2,) array in C order: axis 0 samples
+    theta_1 and axis 1 + j the length of link j + 1.
+
+    Each link term, the sampled length times the angle's cosine or sine,
+    is broadcast and added in place in joint order, so every point is
+    ((0 + l1 c1) + l2 c2) + l3 c3. Starting from +0.0 matters: a zero
+    length times a negative sine is -0.0, and 0.0 + -0.0 prints as "0"
+    in the CSV, not "-0".
+    """
     import numpy as np
 
     link, n = len(lengths), len(lengths[0])
@@ -149,8 +142,7 @@ def sweep_extent(
     alike with sin), each operation rounded to nearest, which is
     monotone in each operand. So, for each theta_1, the smallest x is the
     same sum of each term's smallest value, and a term is smallest (or
-    largest) at one end of its length's samples, 0 or L_j. Refuses the
-    resolutions `sweep_workspace` refuses.
+    largest) at one end of its length's samples, 0 or L_j.
     """
     import numpy as np
 
@@ -173,10 +165,12 @@ def sweep_extent(
 
 def sweep_slabs(geom: FingerGeometry, resolution: int):
     """Yield (link, points) for links 1, 2 and 3 in turn: each link's
-    cloud of `sweep_workspace`, in its order, cut into slabs of whole
-    theta_1 rows of about CSV_BLOCK_ROWS points (at least one row), each
-    a fresh (m, 2) array. The resolution is checked when iteration
-    starts."""
+    cloud, in the order of `_slab`, cut into slabs of whole theta_1 rows
+    of about CSV_BLOCK_ROWS points (at least one row), each a fresh
+    (m, 2) array. The resolution is checked when iteration starts.
+
+    One link's whole cloud is `np.vstack` of its slabs' points.
+    """
     _check_resolution(resolution)
     for link in (1, 2, 3):
         cos, sin, lengths = _link_samples(geom, resolution, link)
@@ -185,34 +179,6 @@ def sweep_slabs(geom: FingerGeometry, resolution: int):
             stop = start + rows
             slab = _slab(cos[start:stop], sin[start:stop], lengths)
             yield link, slab.reshape(-1, 2)
-
-
-def sweep_workspace(geom: FingerGeometry, resolution: int) -> WorkspaceCloud:
-    """Sweep the coupled configuration space; see the module docstring
-    for the per-link sampling formula.
-
-    Link i's cloud is an (n,) * (i + 1) grid of points in C order: axis
-    0 samples theta_1 and axis 1 + j the length of link j + 1. The
-    cosine and sine of each joint's n sampled angles are taken once,
-    and each link term, the sampled length times the angle's cosine or
-    sine, is broadcast and added in place in joint order, so every
-    point is ((0 + l1 c1) + l2 c2) + l3 c3. Starting from +0.0 matters:
-    a zero length times a negative sine is -0.0, and 0.0 + -0.0 prints
-    as "0" in the CSV, not "-0". `sweep_slabs` yields the same points a
-    slab at a time.
-    """
-    bbox = sweep_extent(geom, resolution)  # refuses the resolution first
-    clouds = []
-    counts = []
-    for link in (1, 2, 3):
-        cos, sin, lengths = _link_samples(geom, resolution, link)
-        clouds.append(_slab(cos, sin, lengths).reshape(-1, 2))
-        counts.append((len(cos),) * (link + 1))
-    return WorkspaceCloud(
-        points_per_link=tuple(clouds),
-        sample_counts=tuple(counts),
-        bounding_box=bbox,
-    )
 
 
 class OccupancyGrid(NamedTuple):
@@ -269,30 +235,6 @@ def mark_cells(grid: OccupancyGrid, pts: np.ndarray) -> None:
     ix = np.clip(((pts[:, 0] - xmin) / grid.cell_size).astype(int), 0, nx - 1)
     iy = np.clip(((pts[:, 1] - ymin) / grid.cell_size).astype(int), 0, ny - 1)
     grid.marked[iy, ix] = True
-
-
-def occupancy_grid(
-    cloud: WorkspaceCloud, cell_size: float, *, links=None
-) -> OccupancyGrid:
-    """Mark every cell containing at least one cloud point.
-
-    `links` restricts the gridded points to the given 1-based link ids;
-    the grid extent always covers the whole cloud's bounding box so
-    per-link grids share cell alignment. A link id other than the ints
-    1, 2 and 3, a cell size `blank_grid` refuses and a selection with no
-    points raise ConfigError, in that order.
-    """
-    for link in links or ():
-        if type(link) is not int or link not in (1, 2, 3):  # no bool, no float
-            raise ConfigError(f"link id {link!r} is not 1, 2 or 3")
-    grid = blank_grid(cloud.bounding_box, cell_size)
-    chosen = cloud.points_per_link if links is None else [
-        cloud.points_per_link[i - 1] for i in links]
-    if not any(len(pts) for pts in chosen):
-        raise ConfigError("no points to grid")
-    for pts in chosen:
-        mark_cells(grid, pts)
-    return grid
 
 
 def percent_fields(values: np.ndarray) -> np.ndarray:
@@ -423,15 +365,6 @@ def write_csv_rows(out, link: int, pts: np.ndarray) -> None:
         rows[:, 3 + CSV_FIELD_BYTES:-1].view(field)[:, 0] = fields[:, 1]
         rows[:, -1] = ord("\n")
         out.write(rows.tobytes().translate(None, b"\0 "))
-
-
-def cloud_to_csv(cloud: WorkspaceCloud, out) -> None:
-    """Write the header and one row per point, link,x_m,y_m, to the
-    binary stream `out` (`write_csv_rows`); the text is never held
-    whole."""
-    out.write(CLOUD_CSV_HEADER)
-    for link, pts in enumerate(cloud.points_per_link, start=1):
-        write_csv_rows(out, link, pts)
 
 
 def grid_to_pgm(grid: OccupancyGrid) -> bytes:

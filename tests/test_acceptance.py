@@ -28,7 +28,14 @@ from tendonfinger.model import (
 )
 from tendonfinger.potential import PotentialModel
 from tendonfinger.statics import solve_static, wrap_moment
-from tendonfinger.workspace import occupancy_grid, sweep_workspace
+from tendonfinger.workspace import (
+    CLOUD_CSV_HEADER,
+    blank_grid,
+    mark_cells,
+    sweep_extent,
+    sweep_slabs,
+    write_csv_rows,
+)
 
 CONFIG_PATH = default_config_path()
 
@@ -170,21 +177,25 @@ def test_criterion_6_workspace_properties(calibration):
     from tendonfinger.model import FingerGeometry
     single = FingerGeometry(link_lengths=(geom.link_lengths[0], 0.0, 0.0),
                             guide_radii=geom.guide_radii)
-    cloud = sweep_workspace(single, 400)
-    grid = occupancy_grid(cloud, 5e-4, links=(1,))
+    grid = blank_grid(sweep_extent(single, 400), 5e-4)
+    for link, slab in sweep_slabs(single, 400):
+        if link == 1:
+            mark_cells(grid, slab)
     half_disk = math.pi * geom.link_lengths[0] ** 2 / 2
     area_err = abs(grid.area - half_disk) / half_disk
 
-    full_a = sweep_workspace(geom, 200)
-    full_b = sweep_workspace(geom, 200)
-    from tendonfinger.workspace import cloud_to_csv
-    csv_a, csv_b = BytesIO(), BytesIO()
-    cloud_to_csv(full_a, csv_a)
-    cloud_to_csv(full_b, csv_b)
-    byte_stable = csv_a.getvalue() == csv_b.getvalue()
+    def export():
+        csv, slabs = BytesIO(), []
+        csv.write(CLOUD_CSV_HEADER)
+        for link, slab in sweep_slabs(geom, 200):
+            write_csv_rows(csv, link, slab)
+            slabs.append(slab)
+        return csv.getvalue(), np.vstack(slabs)
+
+    (csv_a, pts), (csv_b, _) = export(), export()
+    byte_stable = csv_a == csv_b
 
     cell = 1e-3
-    pts = full_a.all_points()
     occupied = {(int(math.floor(x / cell)), int(math.floor(y / cell)))
                 for x, y in pts}
     rng = np.random.default_rng(6)

@@ -664,6 +664,16 @@ class TestNamedRefusals:
         (["workspace", "--out", ""], "workspace --out must end in a file name, got ''"),
         (["workspace", "--out", "."], "workspace --out must end in a file name, got '.'"),
         (["workspace", "--out", "/"], "workspace --out must end in a file name, got '/'"),
+        (["workspace", "--out", "o/x/"],
+         "workspace --out must end in a file name, got 'o/x/'"),
+        (["workspace", "--out", "o/x/."],
+         "workspace --out must end in a file name, got 'o/x/.'"),
+        (["workspace", "--out", "o/"],
+         "workspace --out must end in a file name, got 'o/'"),
+        (["workspace", "--out", ".."],
+         "workspace --out must end in a file name, got '..'"),
+        (["workspace", "--out", "x/.."],
+         "workspace --out must end in a file name, got 'x/..'"),
     ])
     def test_refusal_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -13,16 +13,17 @@ from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.errors import ConfigError
 from tendonfinger.model import THETA1_MAX, THETA1_MIN, FingerGeometry
 from tendonfinger.workspace import (
+    CLOUD_CSV_HEADER,
     CSV_BLOCK_ROWS,
-    WorkspaceCloud,
-    cloud_to_csv,
+    blank_grid,
     grid_sidecar,
     grid_to_pgm,
-    occupancy_grid,
+    mark_cells,
     samples_per_variable,
+    sweep_extent,
     sweep_point_count,
     sweep_slabs,
-    sweep_workspace,
+    write_csv_rows,
 )
 
 GEOM = FingerGeometry(link_lengths=(0.06, 0.06, 0.051),
@@ -41,45 +42,61 @@ GEOMETRIES = pytest.mark.parametrize(
 HALF_DISK_AREA = math.pi * 0.06 ** 2 / 2
 
 
-def csv_text(cloud):
-    """What `cloud_to_csv` writes to a binary stream, as text; a byte
-    outside ASCII fails the decode."""
+def swept(geom, resolution):
+    """Each link's whole cloud: `np.vstack` of its `sweep_slabs` points."""
+    slabs = {1: [], 2: [], 3: []}
+    for link, pts in sweep_slabs(geom, resolution):
+        slabs[link].append(pts)
+    return [np.vstack(slabs[link]) for link in (1, 2, 3)]
+
+
+def gridded(geom, resolution, cell_size, links=(1, 2, 3)):
+    """The grid over the sweep's box with the cells of `links`' points
+    marked, one slab at a time."""
+    grid = blank_grid(sweep_extent(geom, resolution), cell_size)
+    for link, pts in sweep_slabs(geom, resolution):
+        if link in links:
+            mark_cells(grid, pts)
+    return grid
+
+
+def csv_text(clouds):
+    """What the header and `write_csv_rows` of each link's points in
+    `clouds` write to a binary stream, as text; a byte outside ASCII
+    fails the decode."""
     out = BytesIO()
-    cloud_to_csv(cloud, out)
+    out.write(CLOUD_CSV_HEADER)
+    for link, pts in enumerate(clouds, start=1):
+        write_csv_rows(out, link, pts)
     return out.getvalue().decode("ascii")
 
 
-def reference_csv(cloud):
+def reference_csv(clouds):
     """The per-row encoder the block encoder must match byte for byte."""
     lines = ["link,x_m,y_m"]
-    for link, pts in enumerate(cloud.points_per_link, start=1):
+    for link, pts in enumerate(clouds, start=1):
         for x, y in pts:
             lines.append(f"{link},{x:.9g},{y:.9g}")
     return "\n".join(lines) + "\n"
 
 
-def assert_csv_is_reference(cloud):
-    """`cloud_to_csv` writes `reference_csv`'s bytes; a failure shows the
-    first differing rows, not a diff of the whole text."""
-    got = csv_text(cloud).split("\n")
-    want = reference_csv(cloud).split("\n")
+def assert_csv_is_reference(clouds):
+    """`write_csv_rows` writes `reference_csv`'s bytes; a failure shows
+    the first differing rows, not a diff of the whole text."""
+    got = csv_text(clouds).split("\n")
+    want = reference_csv(clouds).split("\n")
     assert len(got) == len(want)
     assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
 
 
 def cloud_of(values):
-    """A one-link cloud whose points hold `values` in order, padded with
-    0.5 to an even count."""
+    """Per-link clouds whose link 1 holds `values` in order, padded with
+    0.5 to an even count, and whose links 2 and 3 are empty."""
     values = np.asarray(values, dtype=float)
     if len(values) % 2:
         values = np.append(values, 0.5)
-    pts = values.reshape(-1, 2)
     empty = np.empty((0, 2))
-    return WorkspaceCloud(
-        points_per_link=(pts, empty, empty),
-        sample_counts=((len(pts),), (0,), (0,)),
-        bounding_box=(0.0, 0.0, 1.0, 1.0),
-    )
+    return [values.reshape(-1, 2), empty, empty]
 
 
 def with_neighbours(values, ulps=3):
@@ -95,7 +112,7 @@ def with_neighbours(values, ulps=3):
 
 
 def reference_sweep(geom, resolution):
-    """The per-point sweep `sweep_workspace` must match bit for bit: every
+    """The per-point sweep `sweep_slabs` must match bit for bit: every
     point gathers its own angles from the (n, 3) table, and x and y add
     l * cos and l * sin to zeros, joint by joint."""
     radii = np.asarray(geom.guide_radii)
@@ -130,43 +147,47 @@ def reference_pgm(grid):
 class TestSweep:
     def test_resolution_too_low(self):
         with pytest.raises(ConfigError, match="resolution must be >= 2"):
-            sweep_workspace(GEOM, 1)
+            sweep_extent(GEOM, 1)
+
+    # The budget caps the sweep at 2**30 / 64 = 16,777,216 points.
+    def test_resolution_cap(self):
+        assert sweep_point_count(2338) == 16_776_278
+        sweep_extent(GEOM, 2338)
+        with pytest.raises(ConfigError, match="resolution 2339 needs about"):
+            sweep_extent(GEOM, 2339)
 
     def test_sampling_formula_at_50(self):
-        cloud = sweep_workspace(GEOM, 50)
+        clouds = swept(GEOM, 50)
         assert samples_per_variable(50, 1) == 50
         assert samples_per_variable(50, 2) == 14
         assert samples_per_variable(50, 3) == 8
-        assert len(cloud.points_per_link[0]) == 50 ** 2
-        assert len(cloud.points_per_link[1]) == 14 ** 3
-        assert len(cloud.points_per_link[2]) == 8 ** 4
+        assert len(clouds[0]) == 50 ** 2
+        assert len(clouds[1]) == 14 ** 3
+        assert len(clouds[2]) == 8 ** 4
 
     def test_count_matches_declared_product(self):
-        cloud = sweep_workspace(GEOM, 23)
-        for pts, counts in zip(cloud.points_per_link, cloud.sample_counts):
-            assert len(pts) == int(np.prod(counts))
+        clouds = swept(GEOM, 23)
+        for link, pts in enumerate(clouds, start=1):
+            assert len(pts) == samples_per_variable(23, link) ** (link + 1)
+        assert sum(map(len, clouds)) == sweep_point_count(23)
 
     def test_reach_bound(self):
-        cloud = sweep_workspace(GEOM, 40)
-        radii = np.hypot(*cloud.all_points().T)
+        radii = np.hypot(*np.vstack(swept(GEOM, 40)).T)
         assert np.all(radii <= GEOM.total_length + 1e-9)
 
     def test_per_link_containment(self):
-        cloud = sweep_workspace(GEOM, 40)
         partial = np.cumsum(GEOM.link_lengths)
-        for pts, reach in zip(cloud.points_per_link, partial):
+        for pts, reach in zip(swept(GEOM, 40), partial):
             assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= reach + 1e-9)
 
     def test_single_link_arc_boundary(self):
-        cloud = sweep_workspace(SINGLE_LINK, 60)
-        radii = np.hypot(*cloud.points_per_link[0].T)
+        radii = np.hypot(*swept(SINGLE_LINK, 60)[0].T)
         assert radii.max() == pytest.approx(0.06, abs=1e-12)
         assert np.all(radii <= 0.06 + 1e-12)
 
     def test_mirror_symmetry_within_cell(self):
-        cloud = sweep_workspace(GEOM, 60)
         cell = 1e-3
-        pts = cloud.all_points()
+        pts = np.vstack(swept(GEOM, 60))
         occupied = {(int(math.floor(x / cell)), int(math.floor(y / cell)))
                     for x, y in pts}
         rng = np.random.default_rng(1)
@@ -178,125 +199,91 @@ class TestSweep:
                       for dx in (-1, 0, 1) for dy in (-1, 0, 1))
             assert hit, f"no mirror cell near ({x}, {-y})"
 
-    @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 400])
-    @pytest.mark.parametrize("geom", [GEOM, SINGLE_LINK, METRES],
-                             ids=["geom", "single_link", "metres"])
+    # At 441, one theta_1 row of link 3 holds 21**3 = 9,261 points, more
+    # than CSV_BLOCK_ROWS, so a slab is one row and its edges no longer
+    # fall on 8,192-row block edges.
+    @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 400, 441])
+    @GEOMETRIES
     def test_matches_per_point_reference(self, geom, resolution):
         # Compared as int64 bit patterns, so -0.0 differs from 0.0.
-        cloud = sweep_workspace(geom, resolution)
-        for got, want in zip(cloud.points_per_link,
+        for got, want in zip(swept(geom, resolution),
                              reference_sweep(geom, resolution)):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    # At 441, one theta_1 row of link 3 holds 21**3 = 9,261 points, more
-    # than CSV_BLOCK_ROWS, so a slab is one row and its edges no longer
-    # fall on 8,192-row block edges.
     @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 441])
     @GEOMETRIES
     def test_slabs_are_the_cloud_in_rows(self, geom, resolution):
-        cloud = sweep_workspace(geom, resolution)
-        got = {1: [], 2: [], 3: []}
+        # Links come in order, each slab whole theta_1 rows of at most
+        # max(row, CSV_BLOCK_ROWS) points, and together every point;
+        # `test_matches_per_point_reference` compares the points.
+        links = []
         for link, pts in sweep_slabs(geom, resolution):
             row = samples_per_variable(resolution, link) ** link
             assert len(pts) % row == 0
             assert len(pts) <= max(row, CSV_BLOCK_ROWS)
-            got[link].append(pts)
-        for link, want in enumerate(cloud.points_per_link, start=1):
-            slabs = np.concatenate(got[link])
-            assert np.array_equal(slabs.view(np.int64), want.view(np.int64))
+            links += [link] * len(pts)
+        assert links == sorted(links)
+        assert len(links) == sweep_point_count(resolution)
 
     def test_slabs_check_the_resolution(self):
         with pytest.raises(ConfigError, match="resolution must be >= 2"):
             next(sweep_slabs(GEOM, 1))
 
-    def test_peak_memory_per_point(self):
-        # The clouds hold 16 bytes a point; the gathered per-point
-        # index, length and angle arrays took the peak to 35.
-        sweep_workspace(GEOM, 137)
-        tracemalloc.start()
-        try:
-            sweep_workspace(GEOM, 137)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / sweep_point_count(137) < 32
-
     def test_determinism(self):
-        a = sweep_workspace(GEOM, 30)
-        b = sweep_workspace(GEOM, 30)
-        for pa, pb in zip(a.points_per_link, b.points_per_link):
+        a = swept(GEOM, 30)
+        b = swept(GEOM, 30)
+        for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
         assert csv_text(a) == csv_text(b)
 
 
 class TestOccupancy:
     def test_single_point(self):
-        cloud = sweep_workspace(SINGLE_LINK, 2)
         # Degenerate distal links collapse links 2 and 3 onto link 1's
-        # points; grid just one link-3 point via the links filter.
-        sub = cloud.points_per_link[2][:1]
-        from tendonfinger.workspace import WorkspaceCloud
-        single = WorkspaceCloud(
-            points_per_link=(sub, np.empty((0, 2)), np.empty((0, 2))),
-            sample_counts=((1,), (0,), (0,)),
-            bounding_box=(sub[0, 0], sub[0, 1], sub[0, 0] + 1e-4, sub[0, 1] + 1e-4),
-        )
-        grid = occupancy_grid(single, 1e-4)
+        # points; grid just one link-3 point.
+        sub = swept(SINGLE_LINK, 2)[2][:1]
+        grid = blank_grid(
+            (sub[0, 0], sub[0, 1], sub[0, 0] + 1e-4, sub[0, 1] + 1e-4), 1e-4)
+        mark_cells(grid, sub)
         assert np.count_nonzero(grid.marked) == 1
         assert grid.area == pytest.approx(1e-8)
 
     def test_half_disk_area(self):
-        cloud = sweep_workspace(SINGLE_LINK, 400)
-        grid = occupancy_grid(cloud, 5e-4, links=(1,))
+        grid = gridded(SINGLE_LINK, 400, 5e-4, links=(1,))
         assert grid.area == pytest.approx(HALF_DISK_AREA, rel=0.05)
 
     def test_refinement_bounded_by_boundary_band(self):
-        cloud = sweep_workspace(SINGLE_LINK, 400)
         h = 1e-3
-        coarse = occupancy_grid(cloud, h, links=(1,)).area
-        fine = occupancy_grid(cloud, h / 2, links=(1,)).area
+        coarse = gridded(SINGLE_LINK, 400, h, links=(1,)).area
+        fine = gridded(SINGLE_LINK, 400, h / 2, links=(1,)).area
         perimeter = math.pi * 0.06 + 2 * 0.06
         assert abs(coarse - fine) < perimeter * h
 
-    def test_empty_cloud(self):
-        cloud = sweep_workspace(GEOM, 5)
-        with pytest.raises(ConfigError, match="no points to grid"):
-            occupancy_grid(cloud, 1e-3, links=())
-
-    @pytest.mark.parametrize("link", [0, -1, 4, 1.0])
-    def test_link_ids_outside_1_to_3(self, link):
-        cloud = sweep_workspace(GEOM, 5)
-        with pytest.raises(ConfigError, match=re.escape(f"link id {link!r} ")):
-            occupancy_grid(cloud, 1e-3, links=(link,))
-
     def test_cell_size_validation(self):
-        cloud = sweep_workspace(GEOM, 5)
+        bbox = sweep_extent(GEOM, 5)
         with pytest.raises(ConfigError, match="must be > 0"):
-            occupancy_grid(cloud, 0.0)
+            blank_grid(bbox, 0.0)
         with pytest.raises(ConfigError, match="exceeds the bounding-box diagonal"):
-            occupancy_grid(cloud, 10.0)
+            blank_grid(bbox, 10.0)
 
     def test_nan_cell_size(self):
         # NaN fails every comparison, so `<= 0` let it through to a bare
         # ValueError from math.floor.
-        cloud = sweep_workspace(GEOM, 5)
         with pytest.raises(ConfigError, match="cell_size must be > 0"):
-            occupancy_grid(cloud, float("nan"))
+            blank_grid(sweep_extent(GEOM, 5), float("nan"))
 
 
 class TestExports:
     def test_csv_layout(self):
-        cloud = sweep_workspace(GEOM, 3)
-        lines = csv_text(cloud).strip().split("\n")
+        clouds = swept(GEOM, 3)
+        lines = csv_text(clouds).strip().split("\n")
         assert lines[0] == "link,x_m,y_m"
-        total = sum(len(p) for p in cloud.points_per_link)
-        assert len(lines) == total + 1
+        assert len(lines) == sum(map(len, clouds)) + 1
         assert lines[1].startswith("1,")
 
     def test_pgm_and_sidecar(self):
-        cloud = sweep_workspace(GEOM, 10)
-        grid = occupancy_grid(cloud, 2e-3)
+        grid = gridded(GEOM, 10, 2e-3)
         pgm = grid_to_pgm(grid).split(b"\n")
         assert pgm[0] == b"P2"
         ny, nx = grid.marked.shape
@@ -309,9 +296,8 @@ class TestExports:
     # At 300, link 1 holds 90,000 rows: more than one CSV block.
     @pytest.mark.parametrize("resolution", [2, 3, 300])
     def test_encoders_match_reference(self, resolution):
-        cloud = sweep_workspace(GEOM, resolution)
-        assert_csv_is_reference(cloud)
-        grid = occupancy_grid(cloud, 1e-3)
+        assert_csv_is_reference(swept(GEOM, resolution))
+        grid = gridded(GEOM, resolution, 1e-3)
         assert grid_to_pgm(grid) == reference_pgm(grid).encode("ascii")
 
     def test_cli_csv_at_benchmark_size(self, tmp_path):
@@ -321,25 +307,31 @@ class TestExports:
         assert cli.main(["workspace", "--resolution", "400", "--cell", "0.0005",
                          "--out", str(base)]) == 0
         geom = load_finger_config(default_config_path()).geometry
-        want = reference_csv(sweep_workspace(geom, 400)).encode("ascii")
+        want = reference_csv(reference_sweep(geom, 400)).encode("ascii")
         assert (tmp_path / "ws.csv").read_bytes() == want
 
     def test_cli_export_is_the_whole_cloud_path(self, tmp_path):
         # The CLI grids and writes one slab at a time; its three files are
-        # those of the whole-cloud functions. At 441 a link-3 slab is one
-        # theta_1 row of 9,261 points.
+        # the per-row and per-cell encoders' of the per-point reference,
+        # gridded over the reference's own box. At 441 a link-3 slab is
+        # one theta_1 row of 9,261 points.
         base = tmp_path / "ws"
         assert cli.main(["workspace", "--resolution", "441", "--cell", "0.0005",
                          "--out", str(base)]) == 0
         geom = load_finger_config(default_config_path()).geometry
-        cloud = sweep_workspace(geom, 441)
-        out = BytesIO()
-        cloud_to_csv(cloud, out)
-        grids = [occupancy_grid(cloud, 5e-4, links=(i,)) for i in (1, 2, 3)]
-        union = occupancy_grid(cloud, 5e-4)
+        clouds = reference_sweep(geom, 441)
+        pts = np.vstack(clouds)
+        bbox = (*pts.min(axis=0), *pts.max(axis=0))
+        grids = [blank_grid(bbox, 5e-4) for _ in clouds]
+        for grid, link_pts in zip(grids, clouds):
+            mark_cells(grid, link_pts)
+        union = blank_grid(bbox, 5e-4)
+        mark_cells(union, pts)
         per_link = {str(i): g.area for i, g in zip((1, 2, 3), grids)}
-        assert (tmp_path / "ws.csv").read_bytes() == out.getvalue()
-        assert (tmp_path / "ws.pgm").read_bytes() == grid_to_pgm(union)
+        assert (tmp_path / "ws.csv").read_bytes() == reference_csv(
+            clouds).encode("ascii")
+        assert (tmp_path / "ws.pgm").read_bytes() == reference_pgm(
+            union).encode("ascii")
         assert (tmp_path / "ws.json").read_text(encoding="utf-8") == grid_sidecar(
             union, per_link)
 
@@ -374,12 +366,13 @@ class TestExports:
                 self.size += len(data)
 
         geom = load_finger_config(default_config_path()).geometry
-        cloud = sweep_workspace(geom, 200)
-        cloud_to_csv(cloud, Sink())  # builds the digit tables
+        clouds = swept(geom, 200)
+        write_csv_rows(Sink(), 1, clouds[0][:1])  # builds the digit tables
         sink = Sink()
         tracemalloc.start()
         try:
-            cloud_to_csv(cloud, sink)
+            for link, pts in enumerate(clouds, start=1):
+                write_csv_rows(sink, link, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,12 +380,12 @@ class TestExports:
         assert peak < 256 * CSV_BLOCK_ROWS
 
     def test_grid_marks_the_cell_of_every_chosen_point(self):
-        cloud = sweep_workspace(GEOM, 60)
-        xmin, ymin = cloud.bounding_box[:2]
-        for links in ((1, 2, 3), (3, 1)):
-            grid = occupancy_grid(cloud, 1e-3, links=links)
+        clouds = swept(GEOM, 60)
+        xmin, ymin = sweep_extent(GEOM, 60)[:2]
+        for links in ((1, 2, 3), (3,)):
+            grid = gridded(GEOM, 60, 1e-3, links=links)
             cells = {(int((y - ymin) / 1e-3), int((x - xmin) / 1e-3))
-                     for i in links for x, y in cloud.points_per_link[i - 1]}
+                     for i in links for x, y in clouds[i - 1]}
             assert {tuple(c) for c in np.argwhere(grid.marked)} == cells
 
     # The box comes from n values per link (`sweep_extent`), not from the
@@ -401,19 +394,10 @@ class TestExports:
     @pytest.mark.parametrize("resolution", [2, 3, 23, 137, 400, 441])
     @GEOMETRIES
     def test_bounding_box_spans_every_link(self, geom, resolution):
-        cloud = sweep_workspace(geom, resolution)
-        pts = cloud.all_points()
+        pts = np.vstack(reference_sweep(geom, resolution))
         want = (*pts.min(axis=0), *pts.max(axis=0))
-        assert np.array_equal(np.array(cloud.bounding_box).view(np.int64),
+        assert np.array_equal(np.array(sweep_extent(geom, resolution)).view(np.int64),
                               np.array(want).view(np.int64))
-
-    def test_union_of_link_grids(self):
-        cloud = sweep_workspace(GEOM, 60)
-        whole = occupancy_grid(cloud, 1e-3)
-        links = [occupancy_grid(cloud, 1e-3, links=(i,)) for i in (1, 2, 3)]
-        union = links[0].marked | links[1].marked | links[2].marked
-        assert np.array_equal(union, whole.marked)
-        assert float(np.count_nonzero(union)) * 1e-3 ** 2 == whole.area
 
 
 class TestCsvDigits:
@@ -472,13 +456,13 @@ class TestCsvDigits:
         assert_csv_is_reference(cloud_of(rng.uniform(-0.2, 0.2, 2 * rows)))
 
     def test_metres_scale_geometry(self):
-        assert_csv_is_reference(sweep_workspace(METRES, 40))
+        assert_csv_is_reference(swept(METRES, 40))
 
     def test_shipped_cloud_mostly_skips_the_fallback(self, monkeypatch):
         # An encoder that sent every value to `%` would pass every test
         # above at the old speed.
         geom = load_finger_config(default_config_path()).geometry
-        cloud = sweep_workspace(geom, 100)
+        clouds = swept(geom, 100)
         deferred = []
         fallback = workspace.percent_fields
 
@@ -487,14 +471,14 @@ class TestCsvDigits:
             return fallback(values)
 
         monkeypatch.setattr(workspace, "percent_fields", spy)
-        assert_csv_is_reference(cloud)
-        values = 2 * sum(len(pts) for pts in cloud.points_per_link)
+        assert_csv_is_reference(clouds)
+        values = 2 * sum(map(len, clouds))
         assert sum(deferred) < 0.02 * values
 
     def test_shipped_cloud_has_no_negative_zero(self):
         # Zero-length links times a negative sine are -0.0; the sweep's
         # sums start from +0.0, so the CSV prints them as 0.
         geom = load_finger_config(default_config_path()).geometry
-        fields = re.split("[,\n]", csv_text(sweep_workspace(geom, 100)))
+        fields = re.split("[,\n]", csv_text(swept(geom, 100)))
         assert "0" in fields
         assert "-0" not in fields
