@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 from .config import FingerConfig, SolverSettings, default_config_path, load_finger_config
 from .energy import EquilibriumResult, equilibrium_report, find_equilibrium
 from .errors import (
-    BoundaryMinimum,
     ConfigError,
     GeometryInfeasible,
     NoConvergence,
     RangeExceeded,
     TendonFingerError,
+    UnprovenMinimum,
 )
 from .model import (
     Configuration,
@@ -35,7 +35,6 @@ from .workspace import OccupancyGrid
 
 __all__ = [
     "__version__",
-    "BoundaryMinimum",
     "ConfigError",
     "Configuration",
     "EquilibriumResult",
@@ -52,6 +51,7 @@ __all__ = [
     "TendonFingerError",
     "TendonGroup",
     "TendonSpec",
+    "UnprovenMinimum",
     "WrapGeometry",
     "coupling_angles",
     "default_config_path",

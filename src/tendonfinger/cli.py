@@ -9,9 +9,9 @@ take --format. Machine-readable output (CSV / JSON) goes to --out or
 stdout; human status lines go to stderr. Exit codes: 0 success, 1
 configuration or usage errors (a malformed or out-of-range argument, an
 unreadable or unwritable file, an option the command does not take), 2
-a pose the coupling tendons cannot wrap / an exceeded joint range / a
-minimum on the oracle's search-box boundary / an oracle-check verdict
-out of tolerance, 3 non-convergence, a Newton blow-up included
+a pose the coupling tendons cannot wrap / an exceeded joint range / an
+energy minimum the oracle cannot prove / an oracle-check verdict out of
+tolerance, 3 non-convergence, a Newton blow-up included
 (diagnostics are still written). Every refusal is a TendonFingerError raised where it is
 checked, and `main` maps it to its class's exit code: an exit-1 refusal
 is a ConfigError, printed without its class name. `stiffness` and

@@ -5,92 +5,70 @@ checks the static solver.
 `find_equilibrium` minimizes the potential of one load case's
 `PotentialModel` (link gravity + elastic energy of every tendon +
 external-load potential, `tendonfinger.potential`) over the three joint
-angles.
+angles, by one route for every load:
 
-Certified cases: where the model's certificate proves the potential
-strongly convex (`PotentialModel.convexity` > 0, every load that
-oracle-check draws), its minimum is unique. Newton steps from the nominal
-coupled pose find it, with no search; a result's `evaluations` is then
-the step count (4 or 5 on the oracle-check loads). The search box does
-not bound those steps: a minimum they reach beyond its surface, or
-within half a box cell of it, raises BoundaryMinimum naming it. Where
-the proof does not hold (a 60 kg tip load, say), or those steps meet a
-Hessian that is not positive definite or reach NEWTON_MAX_STEPS,
-`box_search` runs, by a route independent of the solver's start:
-
-1. Search: one box of GRID_POINTS = 21 samples per joint angle
-   (21^3 = 9,261 potential evaluations), +-0.5 rad around the nominal
-   coupled pose, the first axis clipped to the joint-1 range. Its best
-   sample is the first minimal one in lexicographic order.
-2. Polish: Newton steps from that sample by the solver's own kernel
+1. Newton steps from the nominal coupled pose by the solver's own kernel
    (`PotentialModel.newton_kernel`: the analytic gradient and 3 x 3
-   Hessian, solved in closed form) until a step is at most 1e-13 rad
-   (4 or 5 steps on the oracle-check loads).
-3. Failure: when an iterate leaves the polish box (the best sample
-   +- 1/8 of the search box's width), the Hessian is not positive
-   definite, NEWTON_MAX_STEPS = 8 steps pass, or the polished energy
-   exceeds the best sample's, there is no result: BoundaryMinimum if
-   that sample lies on the search box's surface, else NoConvergence
-   naming it (9 of 40,000 random heavy loads; see TestNewtonPolish).
-
-A box search's `evaluations` is therefore 9,261 plus the Newton steps
-(9,265 or 9,266 on the oracle-check loads).
-
-A box is evaluated as a broadcast tensor grid, every term computed only
-on the joint angles it depends on (the first link's angle on 21 points,
-the distal one on 21^3) and in the order of a per-point evaluation, so
-its energies are byte for byte those of a 9,261 x 3 meshgrid evaluation.
-Single poses (the polished minimum's energy, the solver pose's energy in
-the report, the box bounds, the edge test and the balance residuals) run
-the box's own potential body in plain floats, with `math` sine and
-cosine in place of numpy's; where numpy's sine and cosine are libm's,
-they give the bits of a one-point box.
+   Hessian, solved in closed form) until a step is at most
+   NEWTON_STEP_TOL = 1e-13 rad. The run fails at a Hessian that is not
+   positive definite, a pose that is not finite, or when
+   NEWTON_MAX_STEPS = 16 steps pass. A result's `evaluations` is the step
+   count (4 or 5 on the oracle-check loads).
+2. A proof that the pose the steps reach is a minimum:
+   - global, where the model's certificate shows the potential strongly
+     convex on all of R^3 (`PotentialModel.convexity` > 0, every load
+     that oracle-check draws); the minimum is then unique;
+   - otherwise local, at that pose (`PotentialModel.local_certificate`):
+     the potential is strongly convex on a ball about it, and the ball
+     holds a minimum, its only one. The gradient that proof reads comes
+     from `balance_residuals`, not from the kernel.
+3. Where the run fails or neither proof holds there is no result:
+   UnprovenMinimum. A minimum whose first joint angle leaves the joint
+   range raises RangeExceeded, and one that the coupling tendons cannot
+   wrap GeometryInfeasible, as the solver refuses them.
 
 `equilibrium_report` builds one model and gives each case its load by
 `PotentialModel.with_load`, which shares the model's immutable load-free
 state (nominal pose, stiffnesses, mu_e) and computes only the load's
-share. Each box is evaluated fresh under its case's load, the first box
-included, so no case's search depends on another's. Boxes are rare: on
-the shipped calibration every tip load up to 3 kg is certified, so only
-loads the proof does not cover run one.
+share.
 
-numpy is imported by `box_search` and `random_tip_load_cases`, the
-functions that build arrays, so importing this module does not load it.
+numpy is imported only by `random_tip_load_cases`, so importing this
+module, or finding an equilibrium, does not load it.
 
 `equilibrium_report` adds each compared case's certificate: mu_e, B,
 mu = mu_e - B, the potential's gradient norm at the solver's pose, and
-the certified bound on the solver's distance from the minimum. The
-gradient comes from `balance_residuals`' tangent balance (link poses,
-moments and Hooke tensions), not from the solver's `newton_kernel`,
-so the certificate is the report's evidence independent of the solver.
+the certified bound on the solver's distance from the minimum. Where
+mu <= 0 it adds the local proof at the solver's pose, its lambda and its
+ball's radius, and the bound is the local one. The gradient comes from
+`balance_residuals`' tangent balance (link poses, moments and Hooke
+tensions), not from the solver's `newton_kernel`, so the certificate is
+the report's evidence independent of the solver.
 
-On a certified case the minimizer's Newton steps are the solver's own
-iteration from the same start, with another stop rule: the solver stops
-once the fingertip moves by at most the caller's `threshold` in x and y, the
-minimizer only at a 1e-13 rad step. So the gap
-measures how far the solver's stop rule leaves it from the minimum (at
-most 4e-14 mm at the default 1e-6 m threshold, 0.05 mm at 1e-2 m on
-`--cases 3 --seed 7`), the edge test still applies, and `energy_j` is the
-minimum's. The report hands `find_equilibrium` the case's solution, and
-the polish resumes after the solver's iterates where they are provably
-its own steps (`_resume`): a case then costs the solver's steps plus the
-polish's 1 or 2 more, and its result is a fresh search's, bit for bit.
+The minimizer's Newton steps are the solver's own iteration from the
+same start, with another stop rule: the solver stops once the fingertip
+moves by at most the caller's `threshold` in x and y, the minimizer only
+at a 1e-13 rad step. So the gap measures how far the solver's stop rule
+leaves it from the minimum (at most 4e-14 mm at the default 1e-6 m
+threshold, 0.05 mm at 1e-2 m on `--cases 3 --seed 7`), and `energy_j`
+is the minimum's. The report hands `find_equilibrium` the case's
+solution, and the Newton run resumes after the solver's iterates where
+they are provably its own steps (`_resume`): a case then costs the
+solver's steps plus the minimizer's 1 or 2 more, and its result is a
+fresh run's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from .errors import BoundaryMinimum, GeometryInfeasible, NoConvergence, TendonFingerError
+from .errors import GeometryInfeasible, TendonFingerError, UnprovenMinimum
 from .model import (
-    THETA1_MAX,
-    THETA1_MIN,
     Configuration,
     ExternalLoad,
     FingerGeometry,
     TendonGroup,
+    check_theta_1,
     link_pose,
 )
 from .potential import PotentialModel, link_trig
@@ -103,13 +81,8 @@ from .statics import (
     wrap_moment,
 )
 
-GRID_POINTS = 21  # samples per axis of every search box
-SEARCH_HALF_WIDTH = 0.5  # radians per axis around the nominal pose
-NEWTON_MAX_STEPS = 8
-NEWTON_STEP_TOL = 1e-13  # radians; the polish stops below this step
-# The certified polish's bounds: every finite pose, since its minimum is
-# unique wherever it lies; `_result` refuses one beyond the search box.
-FINITE_POSES = ((-sys.float_info.max,) * 3, (sys.float_info.max,) * 3)
+NEWTON_MAX_STEPS = 16
+NEWTON_STEP_TOL = 1e-13  # radians; the Newton run stops below this step
 # A report is within tolerance when every fingertip gap is at most this
 # fraction of finger length.
 TOLERANCE_FRACTION = 0.01
@@ -124,105 +97,76 @@ class EquilibriumResult(NamedTuple):
     evaluations: int
 
 
-def _newton_polish(model: PotentialModel, theta, lo, hi, first=1):
+def _newton_run(model: PotentialModel, theta, first):
     """Newton steps (`PotentialModel.newton_kernel`) from `theta`,
     numbered from `first`, until a step is at most NEWTON_STEP_TOL.
 
-    Returns (theta, steps) on convergence, or (None, steps) when an
-    iterate leaves the box [lo, hi], the Hessian is not positive definite
-    or step NEWTON_MAX_STEPS passes first; `steps` is the last step's
-    number, so from `first` = 1 it counts gradient and Hessian
-    evaluations.
+    Returns (theta, steps) on convergence, or (None, steps) when the
+    Hessian is not positive definite, an iterate is not finite or step
+    NEWTON_MAX_STEPS passes first; `steps` is the last step's number, so
+    from `first` = 1 it counts gradient and Hessian evaluations.
     """
     for steps in range(first, NEWTON_MAX_STEPS + 1):
         step = model.newton_kernel(*theta, *link_trig(*theta))
         if step is None:
             return None, steps
         theta = [t + d for t, d in zip(theta, step)]
-        if not all(a <= t <= b for a, t, b in zip(lo, theta, hi)):
+        if not all(map(math.isfinite, theta)):
             return None, steps
         if max(abs(d) for d in step) <= NEWTON_STEP_TOL:
             return theta, steps
     return None, NEWTON_MAX_STEPS
 
 
-def _search_box(model: PotentialModel):
-    """The search box's corners: +-SEARCH_HALF_WIDTH around the nominal
-    pose, the first axis clipped to the joint-1 range."""
-    lo0 = [t - SEARCH_HALF_WIDTH for t in model.nominal.theta]
-    hi0 = [t + SEARCH_HALF_WIDTH for t in model.nominal.theta]
-    lo0[0] = max(lo0[0], THETA1_MIN)
-    hi0[0] = min(hi0[0], THETA1_MAX)
-    return lo0, hi0
+def find_equilibrium(model: PotentialModel,
+                     solution: StaticSolution | None = None) -> EquilibriumResult:
+    """The minimum of `model`'s potential, by the Newton run and proof of
+    the module docstring; `evaluations` is the step count.
 
+    Raises UnprovenMinimum where the run fails or neither the global nor
+    the local certificate proves the pose it reaches. As the solver does,
+    it refuses a pose whose first joint angle leaves the joint range
+    (RangeExceeded) or whose coupling tendons cannot wrap their guides
+    (GeometryInfeasible).
 
-def _off_edge(theta, lo0, hi0):
-    """`theta` as a tuple of floats; raises BoundaryMinimum when it lies
-    beyond the search box's surface or within half a box cell of it."""
-    edge_tol = [(b - a) / (2.0 * (GRID_POINTS - 1)) for a, b in zip(lo0, hi0)]
-    theta = tuple(float(t) for t in theta)
-    if any(t - a <= tol or b - t <= tol
-           for t, a, b, tol in zip(theta, lo0, hi0, edge_tol)):
-        inside = all(a <= t <= b for t, a, b in zip(theta, lo0, hi0))
-        where = "on the search-box boundary" if inside else "beyond the search box"
-        raise BoundaryMinimum(f"energy minimum {theta} lies {where}")
-    return theta
-
-
-def _result(model, theta, energy, lo0, hi0, evaluations):
-    """The EquilibriumResult at `theta`, or BoundaryMinimum (`_off_edge`)."""
-    theta = _off_edge(theta, lo0, hi0)
+    Given `solution`, a `solve_static` solution of this `model`, the
+    Newton run resumes after the solver's iterates where those are its
+    own first steps (`_resume`), and does not compute them twice. The
+    result is the same, bit for bit.
+    """
+    theta, first = _resume(solution, model.nominal.theta)
+    theta, steps = _newton_run(model, theta, first)
+    if theta is None:
+        raise UnprovenMinimum(f"Newton step {steps} from the nominal pose failed")
+    theta = tuple(theta)
+    check_theta_1(theta[0])
+    model.wrap0.angles_at(theta)
+    if not model.convexity > 0.0:
+        modulus = model.local_certificate(theta, _gradient_norm(model, theta))[2]
+        if modulus is None:
+            raise UnprovenMinimum(
+                f"energy minimum {theta} is proven neither globally nor locally")
     return EquilibriumResult(
         theta=theta,
         fingertip=link_pose(theta, model.geom)[0][3],
-        energy=energy,
-        evaluations=evaluations,
+        energy=model.energy(theta),
+        evaluations=steps,
     )
 
 
-def find_equilibrium(model: PotentialModel,
-                     solution: StaticSolution | None = None) -> EquilibriumResult:
-    """The minimum of `model`'s potential.
-
-    Where the potential is certified strongly convex (`convexity` > 0,
-    see `PotentialModel.fingertip_bound`), its minimum is unique, so
-    Newton steps from the nominal pose find it with no box: `evaluations`
-    is the step count (4 or 5 on the oracle-check loads). Where it is
-    not, or those steps meet a Hessian that is not positive definite or
-    reach NEWTON_MAX_STEPS, the outcome is `box_search`'s, unchanged
-    (9,265 or 9,266 evaluations on a converged polish), and the discarded
-    steps are not counted. Raises BoundaryMinimum when the minimizer lies
-    beyond the search-box surface or within half a box cell of it, which
-    means the box should be widened.
-
-    Given `solution`, a `solve_static` solution of this `model`, the
-    certified Newton steps resume after the solver's iterates where those
-    are their own first steps (`_resume`), and are not computed twice.
-    The result is the same, bit for bit.
-    """
-    if model.convexity > 0.0:
-        theta, first = _resume(solution, model.nominal.theta)
-        theta, steps = _newton_polish(model, theta, *FINITE_POSES, first)
-        if theta is not None:
-            lo0, hi0 = _search_box(model)
-            return _result(model, theta, model.energy(theta), lo0, hi0, steps)
-    return box_search(model)
-
-
 def _resume(solution, start):
-    """The pose and step number at which the certified polish from `start`
-    goes on after `solution`'s Newton iterates: (start, 1) where those may
-    not be its own first steps.
+    """The pose and step number at which the Newton run from `start` goes
+    on after `solution`'s Newton iterates: (start, 1) where those may not
+    be its own first steps.
 
-    The solver's iterates are the polish's own first steps: both start at
-    the nominal pose and step by `PotentialModel.newton_kernel`, and
-    neither is bounded by the search box. The polish resumes at the
-    solver's last iterate, at step `iterations` + 1, when none of those
-    steps could have ended it: the solver stopped before step
-    NEWTON_MAX_STEPS, and every step read back from the trace,
+    The solver's iterates are the run's own first steps: both start at
+    the nominal pose and step by `PotentialModel.newton_kernel`. The run
+    resumes at the solver's last iterate, at step `iterations` + 1, when
+    none of those steps could have ended it: the solver stopped before
+    step NEWTON_MAX_STEPS, and every step read back from the trace,
     max |theta_j - theta_(j-1)|, exceeds 2 NEWTON_STEP_TOL. That reading
     differs from the step taken by at most an ulp of theta, far below
-    NEWTON_STEP_TOL, so the polish would not have stopped there.
+    NEWTON_STEP_TOL, so the run would not have stopped there.
     """
     if solution is None or solution.iterations >= NEWTON_MAX_STEPS:
         return start, 1
@@ -235,41 +179,9 @@ def _resume(solution, start):
     return theta, solution.iterations + 1
 
 
-def box_search(model: PotentialModel) -> EquilibriumResult:
-    """The minimum of `model`'s potential by the search and polish of the
-    module docstring, whether or not it is certified.
-
-    `evaluations` counts the box's samples and the Newton steps. Raises
-    BoundaryMinimum when the polished minimizer sits on the search-box
-    surface, which means the box should be widened. Where the polish
-    fails or ends above the best sample's energy there is no result:
-    BoundaryMinimum when that sample lies on the surface, NoConvergence
-    naming it when it does not.
-    """
-    import numpy as np
-
-    lo0, hi0 = _search_box(model)
-    a1, a2, a3 = (np.linspace(a, b, GRID_POINTS) for a, b in zip(lo0, hi0))
-    g, e, l = model.axis_components(
-        a1[:, None, None], a2[None, :, None], a3[None, None, :])
-    energies = g + e + l
-    # C order on the (i, j, k) grid is lexicographic sample order.
-    i, j, k = np.unravel_index(np.argmin(energies), energies.shape)
-    best = (float(a1[i]), float(a2[j]), float(a3[k]))
-    best_energy = float(energies[i, j, k])
-
-    # The polish stays within an eighth of the search box's width.
-    reach = [(b - a) / 8.0 for a, b in zip(lo0, hi0)]
-    polished, steps = _newton_polish(
-        model, best,
-        [max(t - r, a) for t, r, a in zip(best, reach, lo0)],
-        [min(t + r, b) for t, r, b in zip(best, reach, hi0)])
-    energy = None if polished is None else model.energy(polished)
-    if energy is None or energy > best_energy:
-        best = _off_edge(best, lo0, hi0)
-        how = "failed" if energy is None else "rose above its energy"
-        raise NoConvergence(f"Newton polish from box sample {best} {how}")
-    return _result(model, polished, energy, lo0, hi0, energies.size + steps)
+def _gradient_norm(model: PotentialModel, theta) -> float:
+    """||grad U|| at `theta`, from `balance_residuals`' tangent balance."""
+    return math.sqrt(sum(r * r for r in balance_residuals(model, theta)["tangent_nm"]))
 
 
 def balance_residuals(model: PotentialModel, theta) -> dict:
@@ -378,11 +290,11 @@ def equilibrium_report(
     energy pose and the certificate. One potential model is built for the
     first case, and each case gets its own load from it by `with_load`,
     sharing the load-free state; a case's model serves its solve, search
-    and residuals, and the search is handed the case's solution, so a
-    certified polish goes on from the solver's Newton iterates instead of
-    repeating them. A case is compared when both routes succeed, and
-    certified when its `fingertip_bound_m` is not None; a certificate
-    field that is not finite (no certificate) is written as None. The
+    and residuals, and the search is handed the case's solution, so its
+    Newton run goes on from the solver's iterates instead of repeating
+    them. A case is compared when both routes succeed, so its minimum is
+    proven, and its bound is certified when `fingertip_bound_m` is not
+    None; a certificate field that is not finite is written as None. The
     summary's `within_tolerance` holds only when every case was compared
     and, on every case, the gap and, where certified, the bound are at
     most TOLERANCE_FRACTION of finger length, so a gap that a faulty
@@ -437,16 +349,21 @@ def equilibrium_report(
         entry["delta_fraction_of_length"] = delta / total_len
         entry["balance_residuals_at_energy_pose"] = balance_residuals(
             model, eq.theta)
-        gradient_norm = math.sqrt(sum(r * r for r in balance_residuals(
-            model, sol.configuration.theta)["tangent_nm"]))
-        bound = model.fingertip_bound(gradient_norm)
+        gradient_norm = _gradient_norm(model, sol.configuration.theta)
         certificate = {
             "mu_elastic_nm_per_rad": model.elastic_convexity,
             "load_curvature_nm_per_rad": model.load_curvature,
             "mu_nm_per_rad": model.convexity,
             "gradient_norm_at_fixed_point_nm": gradient_norm,
-            "fingertip_bound_m": bound,
         }
+        mu = model.convexity
+        if not mu > 0.0:
+            lam, radius, mu = model.local_certificate(sol.configuration.theta,
+                                                      gradient_norm)
+            certificate["lambda_at_fixed_point_nm_per_rad"] = lam
+            certificate["ball_radius_rad"] = radius
+        bound = certificate["fingertip_bound_m"] = model.fingertip_bound(
+            gradient_norm, mu)
         # JSON has no infinities: an overflowing stiffness matrix's -inf
         # is written as None.
         entry["certificate"] = {

@@ -4,7 +4,7 @@ Each class carries the exit code the command-line front end returns for
 it. Every refused input is a ConfigError (exit 1): a malformed document
 or argument, an unreadable or unwritable file, a workspace sweep or grid
 over its memory budget. The four verdicts are named by the CLI:
-RangeExceeded, GeometryInfeasible and BoundaryMinimum (exit 2) and
+RangeExceeded, GeometryInfeasible and UnprovenMinimum (exit 2) and
 NoConvergence (exit 3). This is the CLI's only mapping from
 failures to exit codes: it catches TendonFingerError alone, so any other
 exception is a bug, not a verdict.
@@ -40,8 +40,7 @@ class GeometryInfeasible(TendonFingerError):
 
 class NoConvergence(TendonFingerError):
     """Static solve did not reach the residual threshold, or a Newton
-    step left the finite numbers; or the energy oracle's polish from a
-    best box sample off the box's surface failed or rose above it.
+    step left the finite numbers.
 
     Carries the solver's iteration trace so callers can still write
     diagnostics.
@@ -54,7 +53,8 @@ class NoConvergence(TendonFingerError):
         self.trace = list(trace) if trace is not None else []
 
 
-class BoundaryMinimum(TendonFingerError):
-    """Energy minimum landed on the search-box boundary; widen the box."""
+class UnprovenMinimum(TendonFingerError):
+    """The energy oracle's Newton steps found no minimum, or neither its
+    global nor its local certificate proves the one they found."""
 
     exit_code = 2

@@ -16,11 +16,15 @@ tendon's rest length L is fixed by the zero-pose wrap geometry. So at
 each index one tendon is taut: the flexion tendon where the
 flexion-side stretch is >= 0, the extension tendon where it is < 0.
 
-Certificate: the elastic energy is a sum of convex springs of stretches
+Certificates: the elastic energy is a sum of convex springs of stretches
 that are affine in the joint angles, so it is strongly convex; gravity and
 the load bend the potential by a bounded amount. Where the first outweighs
-the second, the potential has one minimum, and the distance of any pose
-from it is bounded by the gradient there (`PotentialModel.fingertip_bound`).
+the second everywhere, the potential has one minimum (the global proof).
+Where it does not, the Hessian at one pose and how fast it can change
+bound it on a ball about that pose (the local proof,
+`PotentialModel.local_certificate`). Either way the distance of a pose
+from the minimum is bounded by the gradient there
+(`PotentialModel.fingertip_bound`).
 """
 
 from __future__ import annotations
@@ -112,37 +116,46 @@ UNIT_ROUNDOFF = 2.0 ** -53
 FLOOR_ROUNDINGS = 64
 
 
-def _elastic_convexity(radii, k_min) -> float:
-    """Smallest eigenvalue of J^T diag(k_min) J, never overestimated.
+def elastic_hessian(radii, k):
+    """Upper entries (h00, h01, h02, h11, h12, h22) of J^T diag(k) J, the
+    elastic Hessian of springs of stiffness k on the three stretches.
 
     J = d(stretch)/d(theta) is lower bidiagonal (-R1 on joint 1; +R_{i-1}
-    and -R_i for tendon i), so the matrix is tridiagonal. Its eigenvalue
-    comes from the trigonometric closed form of a symmetric 3 x 3. The
+    and -R_i for tendon i), so the matrix is tridiagonal."""
+    r1, r2, r3 = radii
+    k1, k2, k3 = k
+    return (r1 * r1 * (k1 + k2), -r1 * r2 * k2, 0.0,
+            r2 * r2 * (k2 + k3), -r2 * r3 * k3, r3 * r3 * k3)
+
+
+def min_eigenvalue(h00, h01, h02, h11, h12, h22) -> float:
+    """Smallest eigenvalue of the symmetric 3 x 3 matrix with these upper
+    entries, never overestimated.
+
+    The eigenvalue lambda comes from the trigonometric closed form. The
     result is then lowered by 2 delta, where delta starts at 16 rounding
     units of the matrix's Frobenius norm. The matrix shifted by
     lambda - delta must pass the LDL^T positivity test of `ldl_step`,
     or delta doubles. A passing test proves lambda_min >= lambda - delta
     up to the factorization's backward error, a few rounding units of the
     norm, which the second delta covers. A zero matrix, or one whose
-    stiffnesses overflow, gives -inf: no certificate.
+    entries overflow the closed form, gives -inf.
     """
-    r1, r2, r3 = radii
-    m1, m2, m3 = k_min
-    a0, a1, a2 = r1 * r1 * (m1 + m2), r2 * r2 * (m2 + m3), r3 * r3 * m3
-    b0, b1 = -r1 * r2 * m2, -r2 * r3 * m3
-    q = (a0 + a1 + a2) / 3.0
-    d0, d1, d2 = a0 - q, a1 - q, a2 - q
-    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b0 * b0 + b1 * b1)) / 6.0)
+    q = (h00 + h11 + h22) / 3.0
+    d0, d1, d2 = h00 - q, h11 - q, h22 - q
+    off = h01 * h01 + h12 * h12 + h02 * h02
+    p = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * off) / 6.0)
     lam = q
     if p > 0.0:
-        det = d0 * d1 * d2 - d0 * b1 * b1 - d2 * b0 * b0
+        det = (d0 * d1 * d2 + 2.0 * h01 * h12 * h02
+               - d0 * h12 * h12 - d1 * h02 * h02 - d2 * h01 * h01)
         r = min(max(det / (2.0 * p * p * p), -1.0), 1.0)
         lam = q + 2.0 * p * math.cos(math.acos(r) / 3.0 + 2.0 * math.pi / 3.0)
     delta = 16.0 * UNIT_ROUNDOFF * math.sqrt(
-        a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (b0 * b0 + b1 * b1))
+        h00 * h00 + h11 * h11 + h22 * h22 + 2.0 * off)
     while 0.0 < delta < math.inf:
         s = lam - delta
-        if ldl_step(0.0, 0.0, 0.0, a0 - s, b0, 0.0, a1 - s, b1, a2 - s) is not None:
+        if ldl_step(0.0, 0.0, 0.0, h00 - s, h01, h02, h11 - s, h12, h22 - s) is not None:
             return lam - 2.0 * delta
         delta *= 2.0
     return -math.inf
@@ -151,13 +164,13 @@ def _elastic_convexity(radii, k_min) -> float:
 class PotentialModel:
     """The total potential of one load case at displacement q
     (`nominal.q`), from plain floats: the per-iterate Newton step of the
-    solver and the oracle's polish (`newton_kernel`), and the oracle's
-    batched box evaluation.
+    solver and the oracle (`newton_kernel`), and the oracle's proofs.
 
     A model is not changed after it is built. Everything but `load`,
-    `attach_local` and the load's share of the certificate
-    (`load_curvature`, `moment_scale`) is load-free and immutable, so
-    `with_load` shares it among the load cases of one report or sweep.
+    `attach_local` and the load's share of the certificates
+    (`load_curvature`, `load_lipschitz`, `moment_scale`) is load-free and
+    immutable, so `with_load` shares it among the load cases of one
+    report or sweep.
     `sides` holds, per tendon index, the flexion and extension tendons'
     E A / L and specs, so that `tensions` picks each index's taut tendon
     in one pass."""
@@ -181,8 +194,8 @@ class PotentialModel:
         f1, f2, f3 = geom.com_fractions
         self.lifted = (m1 * f1 + (m2 + m3), m2 * f2 + m3, m3 * f3)
         # mu_e: the elastic energy's strong-convexity modulus, load-free.
-        self.elastic_convexity = _elastic_convexity(
-            geom.guide_radii, map(min, self.k_flex, self.k_ext))
+        self.elastic_convexity = min_eigenvalue(*elastic_hessian(
+            geom.guide_radii, map(min, self.k_flex, self.k_ext)))
         self._apply(load)
 
     def with_load(self, load: ExternalLoad) -> "PotentialModel":
@@ -222,6 +235,12 @@ class PotentialModel:
         # b3 five times; 16 rounding units keep B from falling short.
         self.load_curvature = (1.0 + 16.0 * UNIT_ROUNDOFF) * math.sqrt(
             b1 * b1 + 3.0 * (b2 * b2) + 5.0 * (b3 * b3))
+        # |d tail_m / d theta_i| <= b_max(m, i), so the entry (k, l) moves
+        # by at most b_max(k, l, i) per radian of theta_i: the index
+        # triples with largest index 1, 2 and 3 number 1, 7 and 19. L bounds
+        # the Frobenius norm of that Hessian's change per radian.
+        self.load_lipschitz = (1.0 + 16.0 * UNIT_ROUNDOFF) * math.sqrt(
+            b1 * b1 + 7.0 * (b2 * b2) + 19.0 * (b3 * b3))
         self.moment_scale = b1 + abs(load.moment)
 
     @property
@@ -271,7 +290,7 @@ class PotentialModel:
         return (t1, t2, t3), (g1, g2, g3), (p1, p2, p3)
 
     def newton_kernel(self, t1, t2, t3, c1, c2, c3, s1, s2, s3):
-        """The Newton step of the solver and the oracle's polish at joint
+        """The Newton step of the solver and the oracle at joint
         angles t1, t2, t3 with link cosines and sines c1..s3 (`link_trig`):
         `ldl_step` of `derivatives`, in flat floats, or None where the
         Hessian is not positive definite."""
@@ -342,24 +361,81 @@ class PotentialModel:
             R3 * R3 * k3 + tail3,
         )
 
-    def fingertip_bound(self, gradient_norm):
+    def local_certificate(self, theta, gradient_norm):
+        """The local proof at joint angles `theta`, where the potential's
+        gradient has norm `gradient_norm`: (lam, radius, modulus). Where
+        lam > 0 the potential is lam/2-strongly convex on the ball of
+        `radius` about `theta`; `modulus` is lam/2 where that ball holds a
+        minimum, which is then its only one, and None where it may not.
+
+        - rho = min_i |s_i| / ||grad s_i||, the distance to the nearest
+          plane where a stretch s_i changes sign (norms R1, hypot(R1, R2)
+          and hypot(R2, R3)). Within rho the elastic Hessian is the
+          constant J^T diag(k_taut) J of the tendons taut at `theta`.
+        - The gravity and load Hessian comes from the pose's points
+          (`link_pose`, `load_at`), not from `derivatives`: entry (k, l) is
+          tail_max(k, l), tail_k = F . (p - J_k) - g sum_{j >= k} m_j
+          (y_cj - y_Jk), and it moves by at most `load_lipschitz` (L) in
+          Frobenius norm per radian.
+        - lam is `min_eigenvalue` of their sum at `theta`, lowered by
+          FLOOR_ROUNDINGS rounding units of B + trace(J^T diag(k_taut) J),
+          which covers the rounding of the computed entries.
+        - radius = min(rho, lam / (2 L)), so the Hessian stays at least
+          lam - L radius >= lam/2 on the ball.
+        Where gradient_norm + 64u S < lam radius / 2 (64u S covers a
+        computed gradient's rounding, see `fingertip_bound`), the minimum
+        of the potential over the ball lies within 2 gradient_norm / lam
+        of `theta`, inside the ball: a stationary point, and the ball's
+        only one (Nesterov, Introductory Lectures on Convex Optimization,
+        2004, section 1.2.4).
+        """
+        r1, r2, r3 = self.geom.guide_radii
+        s1, s2, s3 = self.stretches(*theta)
+        rho = min(abs(s1) / r1, abs(s2) / math.hypot(r1, r2),
+                  abs(s3) / math.hypot(r2, r3))
+        elastic = elastic_hessian(self.geom.guide_radii, [
+            kf if s > 0.0 else ke
+            for kf, ke, s in zip(self.k_flex, self.k_ext, (s1, s2, s3))])
+        pose = link_pose(theta, self.geom)
+        points, coms = pose
+        px, py = self.load_at(theta, pose).application_point or points[3]
+        fx, fy = self.load.force
+        masses = self.geom.link_masses
+        t1, t2, t3 = (
+            fx * (px - jx) + fy * (py - jy)
+            - self.g * sum(m * (c[1] - jy) for m, c in zip(masses[k:], coms[k:]))
+            for k, (jx, jy) in enumerate(points[:3]))
+        lam = min_eigenvalue(*(e + t for e, t in zip(elastic, (t1, t2, t3, t2, t3, t3))))
+        lam -= FLOOR_ROUNDINGS * UNIT_ROUNDOFF * (
+            self.load_curvature + elastic[0] + elastic[3] + elastic[5])
+        radius = rho
+        if self.load_lipschitz > 0.0:
+            radius = min(rho, lam / (2.0 * self.load_lipschitz))
+        slack = FLOOR_ROUNDINGS * UNIT_ROUNDOFF * self.moment_scale
+        proven = lam > 0.0 and gradient_norm + slack < 0.5 * lam * radius
+        return lam, radius, 0.5 * lam if proven else None
+
+    def fingertip_bound(self, gradient_norm, mu):
         """Certified bound (m) on the distance from the fingertip of a pose
         whose potential gradient has norm `gradient_norm` to the fingertip
-        of the potential's minimum; None when `convexity` is not positive.
+        of the minimum that a proof of strong-convexity modulus `mu`
+        covers; None when `mu` is None or not positive. `mu` is the global
+        `convexity`, or a `local_certificate`'s modulus for a pose in its
+        ball.
 
-        The elastic energy is a sum of springs, each at least
+        Global proof: the elastic energy is a sum of springs, each at least
         min(k_flex, k_ext)-strongly convex in its stretch, so it is
         `elastic_convexity`-strongly convex in theta (mu_e). Every entry
         (k, l) of the gravity and load Hessian is tail[max(k, l)], at most
         b_max(k, l) in size, so that Hessian's norm is at most the bound
         matrix's Frobenius norm, `load_curvature` (B). The potential is
         then mu-strongly convex on all of R^3, mu = mu_e - B = `convexity`,
-        its minimum theta* is unique, and
-        ||theta - theta*|| <= ||grad U(theta)|| / mu (Boyd & Vandenberghe,
-        Convex Optimization, 2004, section 9.1.2). The fingertip moves at
-        most `lever` per radian, the Frobenius norm of a bound on its
-        Jacobian: column k of d(tip)/d(theta) is at most the length of
-        links k..3.
+        and its minimum theta* is unique. Either proof gives
+        ||theta - theta*|| <= ||grad U(theta)|| / mu on the region where it
+        holds (Boyd & Vandenberghe, Convex Optimization, 2004, section
+        9.1.2). The fingertip moves at most `lever` per radian, the
+        Frobenius norm of a bound on its Jacobian: column k of
+        d(tip)/d(theta) is at most the length of links k..3.
 
         The bound adds a floor of FLOOR_ROUNDINGS rounding units u of
         total_length + 2 lever S / mu, S = b_1 + |M| (`moment_scale`),
@@ -376,11 +452,10 @@ class PotentialModel:
           joint, scaled by radius ratios below 2): under 32u S per
           component and 64u S in norm. That error counts twice, in the
           given gradient's norm and in the compared pose's own gradient,
-          which a converged polish leaves at rounding level; lever / mu
+          which a converged Newton run leaves at rounding level; lever / mu
           turns each into a fingertip distance.
         """
-        mu = self.convexity
-        if not mu > 0.0:
+        if mu is None or not mu > 0.0:
             return None
         l1, l2, l3 = self.geom.link_lengths
         lever = math.sqrt((l1 + l2 + l3) ** 2 + (l2 + l3) ** 2 + l3 * l3)
@@ -389,32 +464,13 @@ class PotentialModel:
         return lever * gradient_norm / mu + floor
 
     def axis_components(self, t1, t2, t3):
-        """Gravity, elastic and load potentials at joint angles t1, t2, t3.
-
-        Plain floats give one pose's potentials as floats, by math's sine
-        and cosine. Arrays broadcast against each other, and each term is
-        computed only on the angles it depends on: a search box passes
-        its per-axis samples shaped (n, 1, 1), (1, n, 1) and (1, 1, n).
-        Every point is computed with the operations, in the order, of a
-        per-row evaluation, so its value does not depend on the shapes.
-        """
-        sin, cos, clamp = math.sin, math.cos, max
-        # int and float (numpy's float64 among them) skip the numpy import;
-        # other scalars keep math's path too, and only arrays leave it.
-        if not isinstance(t1, (int, float)):
-            import numpy as np
-
-            if isinstance(t1, np.ndarray):
-                sin, cos, clamp = np.sin, np.cos, np.maximum
+        """Gravity, elastic and load potentials at joint angles t1, t2, t3,
+        in plain floats, by math's sine and cosine."""
         l1, l2, l3 = self.geom.link_lengths
         m1, m2, m3 = self.geom.link_masses
         f1, f2, f3 = self.geom.com_fractions
         fl1, fl2, fl3 = f1 * l1, f2 * l2, f3 * l3
-        phi1 = t1
-        phi2 = phi1 + t2
-        phi3 = phi2 + t3
-        s1, s2, s3 = sin(phi1), sin(phi2), sin(phi3)
-        c1, c2, c3 = cos(phi1), cos(phi2), cos(phi3)
+        c1, c2, c3, s1, s2, s3 = link_trig(t1, t2, t3)
 
         y1 = l1 * s1
         y2 = y1 + l2 * s2
@@ -423,7 +479,7 @@ class PotentialModel:
         )
 
         def spring(k_flex, k_ext, flex):
-            taut, slack = clamp(flex, 0.0), clamp(-flex, 0.0)
+            taut, slack = max(flex, 0.0), max(-flex, 0.0)
             return k_flex * (taut * taut) + k_ext * (slack * slack)
 
         e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(t1, t2, t3))
@@ -438,7 +494,8 @@ class PotentialModel:
             px = x_j3 + c3 * ax - s3 * ay
             py = y2 + s3 * ax + c3 * ay
         fx, fy = self.load.force
-        return gravity, elastic, -(fx * px + fy * py) - self.load.moment * phi3
+        return (gravity, elastic,
+                -(fx * px + fy * py) - self.load.moment * ((t1 + t2) + t3))
 
     def energy(self, theta) -> float:
         """Total potential at one pose, from a triple of plain floats."""

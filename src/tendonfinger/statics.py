@@ -8,9 +8,9 @@ and finds that minimum by Newton steps on the analytic gradient and
 Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
 its load on one shared model and runs the same Newton loop, keeping only
 the converged fingertip height and the step count. The energy module's
-oracle minimizes the same potential (certified Newton steps, or a box
-search where the certificate fails) by its own stop rule and so checks
-the solver.
+oracle minimizes the same potential by the same Newton steps with its
+own stop rule, and proves the minimum they reach by a certificate that
+does not use the solver's kernel, and so checks the solver.
 
 Tensions follow from the pose by the potential's own rule, with no
 second solve: at each index the tendon whose stretch is taut (flexion

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
-from tendonfinger.model import FingerGeometry, TendonGroup, TendonSpec
+from tendonfinger.model import ExternalLoad, FingerGeometry, TendonGroup, TendonSpec
 from tendonfinger.potential import PotentialModel
 
 STEEL_E = 2.0e11
@@ -38,6 +38,32 @@ def trig_is_math(angles) -> bool:
             and np.cos(angles).tolist() == [math.cos(a) for a in angles.tolist()])
 
 
+HEAVY_MODULI = (2e11, 4e10, 1e10, 5e9)  # Pa: the calibration's steel down to 1/40
+
+
+def heavy_load_corpus(n=3000, seed=3, gravity_accel=9.81):
+    """Seeded heavy loads: (youngs_modulus, q, load) triples, each drawn in
+    this order from one `numpy.random.default_rng(seed)`: E from
+    HEAVY_MODULI; q within +-6 mm; 0-40 kg in any direction; a moment
+    within +-0.3 N m; and, with probability 1/2, an application point in
+    (0.05-0.2, +-0.05) m."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for _ in range(n):
+        youngs_modulus = float(rng.choice(HEAVY_MODULI))
+        q = float(rng.uniform(-6e-3, 6e-3))
+        weight = float(rng.uniform(0.0, 40.0)) * gravity_accel
+        angle = float(rng.uniform(-math.pi, math.pi))
+        moment = float(rng.uniform(-0.3, 0.3))
+        point = None
+        if rng.random() < 0.5:
+            point = (float(rng.uniform(0.05, 0.2)), float(rng.uniform(-0.05, 0.05)))
+        corpus.append((youngs_modulus, q, ExternalLoad(
+            force=(weight * math.cos(angle), weight * math.sin(angle)),
+            moment=moment, application_point=point)))
+    return corpus
+
+
 def count_models(monkeypatch):
     """Record the arguments of every `PotentialModel.__init__` and the
     load of every `PotentialModel.with_load` call."""
@@ -60,6 +86,12 @@ def count_models(monkeypatch):
 @pytest.fixture(scope="session")
 def calibrated():
     return load_finger_config(default_config_path())
+
+
+@pytest.fixture(scope="session")
+def heavy_corpus(calibrated):
+    """The committed heavy-load corpus on the shipped finger's gravity."""
+    return heavy_load_corpus(gravity_accel=calibrated.geometry.gravity_accel)
 
 
 @pytest.fixture(scope="session")

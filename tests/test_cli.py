@@ -587,7 +587,7 @@ class TestInProcess:
         (errors.ConfigError, 1),
         (errors.RangeExceeded, 2),
         (errors.GeometryInfeasible, 2),
-        (errors.BoundaryMinimum, 2),
+        (errors.UnprovenMinimum, 2),
         (errors.NoConvergence, 3),
     ])
     def test_error_exit_code(self, error, code, monkeypatch, capsys):

@@ -17,7 +17,7 @@ def test_every_error_class_is_exported():
     }
     assert defined == {
         "TendonFingerError", "ConfigError", "RangeExceeded",
-        "GeometryInfeasible", "BoundaryMinimum", "NoConvergence",
+        "GeometryInfeasible", "UnprovenMinimum", "NoConvergence",
     }
     for name in defined:
         assert getattr(tendonfinger, name) is getattr(errors, name)
@@ -107,6 +107,18 @@ def test_import_loads_no_numpy():
            "for name in ('sweep_extent', 'blank_grid', 'sweep_slabs',\n"
            "             'mark_cells', 'write_csv_rows', 'grid_to_pgm'):\n"
            "    assert getattr(cli, name) is getattr(workspace, name), name")
+    # Nor does finding an equilibrium, on either proof: a 60 kg tip load
+    # lies beyond the global certificate, and the local proof covers it.
+    _fresh("import sys\n"
+           "from tendonfinger import ExternalLoad, PotentialModel, find_equilibrium\n"
+           "from tendonfinger.config import default_config_path, load_finger_config\n"
+           "cfg = load_finger_config(default_config_path())\n"
+           "for kg in (3.0, 60.0):\n"
+           "    model = PotentialModel(cfg.geometry, cfg.tendons,\n"
+           "                           ExternalLoad.tip_payload(kg), 0.0)\n"
+           "    assert (model.convexity > 0.0) is (kg == 3.0)\n"
+           "    find_equilibrium(model)\n"
+           "assert 'numpy' not in sys.modules")
 
 
 def test_import_loads_no_dataclasses():
