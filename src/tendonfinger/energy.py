@@ -32,8 +32,8 @@ angles, by one route for every load:
 state (nominal pose, stiffnesses, mu_e) and computes only the load's
 share.
 
-numpy is imported only by `random_tip_load_cases`, so importing this
-module, or finding an equilibrium, does not load it.
+energy imports no numpy: `random_tip_load_cases` draws numpy's
+`default_rng(seed)` stream in plain floats (`_default_rng_uniform`).
 
 `equilibrium_report` adds each compared case's certificate: mu_e, B,
 mu = mu_e - B, the potential's gradient norm at the solver's pose, and
@@ -60,6 +60,7 @@ fresh run's, bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import GeometryInfeasible, TendonFingerError, UnprovenMinimum
@@ -238,20 +239,81 @@ def balance_residuals(model: PotentialModel, theta) -> dict:
     }
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _default_rng_uniform(seed: int):
+    """numpy's `default_rng(seed).uniform(low, high)` on scalars, drawn in
+    plain floats: SeedSequence(seed) hashes the seed's 32-bit words into a
+    pool of four, its `generate_state(4, uint64)` seeds PCG64 (O'Neill
+    2014, XSL-RR 128/64), and each draw is low + (high - low) u, with u
+    the top 53 bits of one output. Seeds are the non-negative integers
+    (`operator.index`), as numpy's are."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value, mult=0x931E8875):  # MULT_A
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):  # MIX_MULT_L, MIX_MULT_R
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD  # INIT_B
+    state = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]  # MULT_B
+    u64 = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+    inc = (initseq << 1 | 1) & _M128
+    # srandom: one step from state 0 gives inc; add initstate, step again.
+    s = ((inc + initstate) * _PCG64_MULT + inc) & _M128
+
+    def uniform(low, high):
+        nonlocal s
+        s = (s * _PCG64_MULT + inc) & _M128
+        rot = s >> 122
+        x = ((s >> 64) ^ s) & _M64
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
+
+    return uniform
+
+
 def random_tip_load_cases(n: int, seed: int, geom: FingerGeometry) -> list[dict]:
     """Randomized fingertip loads: payloads in CASE_PAYLOAD_KG, their
     weights turned into a downward cone of half angle
     CASE_CONE_HALF_ANGLE_DEG about straight down, the direction of the
-    paper's payload tests."""
-    import numpy as np
+    paper's payload tests.
 
-    rng = np.random.default_rng(seed)
+    The draws are numpy's `default_rng(seed).uniform` stream, bit for bit,
+    computed in plain floats. `seed` is any non-negative integer, a numpy
+    integer included; a negative one raises ValueError and a non-integer
+    TypeError, before any draw."""
+    uniform = _default_rng_uniform(seed)
     cases = []
     for _ in range(n):
-        payload = float(rng.uniform(*CASE_PAYLOAD_KG))
-        angle = math.radians(-90.0 + float(
-            rng.uniform(-CASE_CONE_HALF_ANGLE_DEG, CASE_CONE_HALF_ANGLE_DEG)
-        ))
+        payload = uniform(*CASE_PAYLOAD_KG)
+        angle = math.radians(-90.0 + uniform(
+            -CASE_CONE_HALF_ANGLE_DEG, CASE_CONE_HALF_ANGLE_DEG))
         magnitude = payload * geom.gravity_accel
         force = (magnitude * math.cos(angle), magnitude * math.sin(angle))
         cases.append({

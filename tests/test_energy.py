@@ -812,6 +812,54 @@ class TestBalanceResiduals:
         assert max(abs(r) for r in res["tangent_nm"]) < 0.01
 
 
+def _numpy_tip_load_cases(n, seed, geom):
+    """`random_tip_load_cases` as it was written with numpy's
+    `default_rng(seed)`, the stream its plain-float draw reproduces."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        payload = float(rng.uniform(*energy.CASE_PAYLOAD_KG))
+        half = energy.CASE_CONE_HALF_ANGLE_DEG
+        angle = math.radians(-90.0 + float(rng.uniform(-half, half)))
+        magnitude = payload * geom.gravity_accel
+        force = (magnitude * math.cos(angle), magnitude * math.sin(angle))
+        cases.append({
+            "payload_kg": payload,
+            "direction_deg": math.degrees(angle),
+            "load": ExternalLoad(force=force, moment=0.0),
+        })
+    return cases
+
+
+class TestRandomTipLoadCases:
+    # Seeds 0-399 are the range oracle-check's benchmark draws from; the
+    # large ones span one to five 32-bit seed words, past the pool of four.
+    @pytest.mark.parametrize("seeds", [
+        range(400),
+        [2**32 - 1, 2**32, 2**64, 2**128 + 1, 10**40],
+        [np.int64(7)],
+    ], ids=["benchmark", "wide", "numpy-int"])
+    def test_stream_is_numpys(self, geom_cal, seeds):
+        for seed in seeds:
+            drawn = random_tip_load_cases(4, seed, geom_cal)
+            reference = _numpy_tip_load_cases(4, seed, geom_cal)
+            assert len(drawn) == len(reference) == 4
+            for case, ref in zip(drawn, reference):
+                assert case.keys() == ref.keys()
+                for key in ref:
+                    assert case[key] == ref[key], (seed, key)
+
+    @pytest.mark.parametrize("seed, error, message", [
+        (-1, ValueError, "expected non-negative integer"),
+        (7.0, TypeError, "integer"),
+    ])
+    def test_refuses_bad_seeds(self, geom_cal, seed, error, message):
+        # Refused as numpy refuses them, before any draw: with no case to
+        # draw, and a negative seed cannot loop on its 32-bit words.
+        with pytest.raises(error, match=message):
+            random_tip_load_cases(0, seed, geom_cal)
+
+
 class TestEquilibriumReport:
     def test_solver_agrees_with_oracle(self, calibrated):
         # The solver and the search minimize one potential, so their
