@@ -138,7 +138,8 @@ def _emit(text: str, out_path: str | None) -> None:
         if out_path is None:
             sys.stdout.write(text)
         else:
-            Path(out_path).write_text(text, encoding="utf-8")
+            with open(out_path, "w", encoding="utf-8") as f:
+                f.write(text)
     except OSError as exc:
         raise ConfigError(str(exc)) from None
 

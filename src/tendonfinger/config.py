@@ -45,18 +45,22 @@ class FingerConfig(NamedTuple):
     solver: SolverSettings
 
 
+_DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default.json"
+_GROUPS = {group.value: group for group in TendonGroup}
+
+
 def default_config_path() -> Path:
     """The calibration document shipped with the package, beside this
-    module in the package directory."""
-    return Path(__file__).parent / "data" / "default.json"
+    module: a path built once, at import, to a file read on every load."""
+    return _DEFAULT_CONFIG_PATH
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
+    if not section.keys() <= allowed:
+        key = next(key for key in section if key not in allowed)
+        raise ConfigError(f"unknown key '{key}' in {where}")
 
 
 def _require(section: dict, key: str, where: str):
@@ -65,22 +69,34 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _number(value, where: str) -> float:
+def _number(value, *label: str) -> float:
+    # The label's parts are joined only for a refusal, not for every value.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+        raise ConfigError(f"{''.join(label)} must be a number")
     try:
         v = float(value)
     except OverflowError:  # an integer beyond float range
         v = math.inf
     if not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite")
+        raise ConfigError(f"{''.join(label)} must be finite")
     return v
 
 
-def _triple(value, where: str) -> tuple[float, float, float]:
+def _triple(geo: dict, key: str, scale: float, default=None) -> tuple[float, float, float]:
+    value = _require(geo, key, "geometry") if default is None else geo.get(key, default)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{where} must be a list of 3 numbers")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+        raise ConfigError(f"geometry.{key} must be a list of 3 numbers")
+    a, b, c = value
+    return (_number(a, "geometry.", key, "[0]") * scale,
+            _number(b, "geometry.", key, "[1]") * scale,
+            _number(c, "geometry.", key, "[2]") * scale)
+
+
+def _positive(entry: dict, key: str, where: str) -> float:
+    value = _number(_require(entry, key, where), where, ".", key)
+    if value <= 0.0:
+        raise ConfigError(f"{where}: {key} must be > 0")
+    return value
 
 
 def parse_config(doc: dict) -> FingerConfig:
@@ -102,19 +118,15 @@ def parse_config(doc: dict) -> FingerConfig:
 
     geo = _require(doc, "geometry", "config document")
     _check_keys(geo, _GEOMETRY_KEYS, "geometry")
-    lengths = _triple(_require(geo, "link_lengths", "geometry"), "geometry.link_lengths")
-    radii = _triple(_require(geo, "guide_radii", "geometry"), "geometry.guide_radii")
-    masses = _triple(geo.get("link_masses", (0.0, 0.0, 0.0)), "geometry.link_masses")
-    fracs = _triple(geo.get("com_fractions", (0.5, 0.5, 0.5)), "geometry.com_fractions")
+    lengths = _triple(geo, "link_lengths", to_m)
+    radii = _triple(geo, "guide_radii", to_m)
+    masses = _triple(geo, "link_masses", to_kg, (0.0, 0.0, 0.0))
+    fracs = _triple(geo, "com_fractions", 1.0, (0.5, 0.5, 0.5))
     gravity = _number(geo.get("gravity", 9.81), "geometry.gravity")
+    if gravity < 0.0:
+        raise ConfigError("geometry.gravity must be >= 0")
     try:
-        geometry = FingerGeometry(
-            link_lengths=tuple(v * to_m for v in lengths),
-            guide_radii=tuple(v * to_m for v in radii),
-            link_masses=tuple(v * to_kg for v in masses),
-            com_fractions=fracs,
-            gravity_accel=gravity,
-        )
+        geometry = FingerGeometry(lengths, radii, masses, fracs, gravity)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from None
 
@@ -128,12 +140,10 @@ def parse_config(doc: dict) -> FingerConfig:
         where = f"tendons[{pos}]"
         _check_keys(entry, _TENDON_KEYS, where)
         group_name = _require(entry, "group", where)
-        try:
-            group = TendonGroup(group_name)
-        except ValueError:
+        group = _GROUPS.get(group_name) if isinstance(group_name, str) else None
+        if group is None:
             raise ConfigError(
-                f"{where}: group must be 'flexion' or 'extension', got '{group_name}'"
-            ) from None
+                f"{where}: group must be 'flexion' or 'extension', got '{group_name}'")
         index = _require(entry, "index", where)
         if type(index) is not int or index not in (1, 2, 3):  # no bool, no float
             raise ConfigError(f"{where}: index must be 1, 2 or 3")
@@ -142,20 +152,18 @@ def parse_config(doc: dict) -> FingerConfig:
             raise ConfigError(f"{where}: duplicate tendon {key}")
         seen.add(key)
 
-        e_pa = _number(_require(entry, "youngs_modulus_pa", where),
-                       f"{where}.youngs_modulus_pa")
-        diameter = _number(_require(entry, "diameter", where),
-                           f"{where}.diameter") * to_m
-        if diameter <= 0.0:
-            raise ConfigError(f"{where}: diameter must be > 0")
+        e_pa = _positive(entry, "youngs_modulus_pa", where)
+        diameter = _positive(entry, "diameter", where) * to_m
         try:
             area = math.pi * diameter ** 2 / 4.0
         except OverflowError:
-            raise ConfigError(f"{where}: diameter is too large") from None
+            area = math.inf
+        if not 0.0 < area < math.inf:
+            raise ConfigError(
+                f"{where}: diameter is too {'small' if area == 0.0 else 'large'}")
 
         if index == 1:
-            rest = _number(_require(entry, "rest_length", where),
-                           f"{where}.rest_length") * to_m
+            rest = _positive(entry, "rest_length", where) * to_m
         else:
             if "rest_length" in entry:
                 raise ConfigError(
@@ -173,10 +181,7 @@ def parse_config(doc: dict) -> FingerConfig:
             rest = wrap.rest_length_2 if index == 2 else wrap.rest_length_3
 
         try:
-            specs.append(TendonSpec(
-                youngs_modulus=e_pa, cross_section_area=area,
-                rest_length=rest, group=group, index=index,
-            ))
+            specs.append(TendonSpec(e_pa, area, rest, group, index))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
@@ -193,22 +198,19 @@ def parse_config(doc: dict) -> FingerConfig:
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
         raise ConfigError("solver.max_iterations must be an integer >= 1")
 
-    return FingerConfig(
-        geometry=geometry,
-        tendons=tuple(specs),
-        solver=SolverSettings(threshold=threshold, max_iterations=max_iter),
-    )
+    return FingerConfig(geometry, tuple(specs), SolverSettings(threshold, max_iter))
 
 
 def load_finger_config(path) -> FingerConfig:
-    """Read and parse a configuration document from disk."""
-    path = Path(path)
+    """Read, decode and validate a configuration document on every call: UTF-8,
+    a leading byte-order mark allowed, in text mode (CRLF counts once)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config '{path}': {exc}") from None
+        raise ConfigError(f"cannot read config '{Path(path)}': {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from None
+        raise ConfigError(f"config '{Path(path)}' is not valid JSON: {exc}") from None
     return parse_config(doc)

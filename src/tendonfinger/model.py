@@ -62,17 +62,17 @@ class FingerGeometry(namedtuple(
         for name, triple in zip(self._fields, self[:4]):
             if len(triple) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
-            if not all(math.isfinite(v) for v in triple):
+            if not all(map(math.isfinite, triple)):
                 raise ValueError(f"{name} contains a non-finite value")
-        if any(v < 0.0 for v in self.link_lengths):
+        if min(link_lengths) < 0.0:
             raise ValueError("link lengths must be >= 0")
-        if any(v <= 0.0 for v in self.guide_radii):
+        if min(guide_radii) <= 0.0:
             raise ValueError("guide radii must be > 0")
-        if any(v < 0.0 for v in self.link_masses):
+        if min(link_masses) < 0.0:
             raise ValueError("link masses must be >= 0")
-        if any(not 0.0 <= v <= 1.0 for v in self.com_fractions):
+        if min(com_fractions) < 0.0 or max(com_fractions) > 1.0:
             raise ValueError("com fractions must lie in [0, 1]")
-        if not math.isfinite(self.gravity_accel) or self.gravity_accel < 0.0:
+        if not math.isfinite(gravity_accel) or gravity_accel < 0.0:
             raise ValueError("gravity_accel must be finite and >= 0")
         return self
 
@@ -89,13 +89,18 @@ class TendonSpec(namedtuple(
 
     def __new__(cls, youngs_modulus: float, cross_section_area: float,
                 rest_length: float, group: TendonGroup, index: int):
-        for name, value in (("youngs_modulus", youngs_modulus),
-                            ("cross_section_area", cross_section_area),
-                            ("rest_length", rest_length)):
-            if not value > 0.0:  # NaN too
-                raise ValueError(f"{name} must be > 0")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        if not youngs_modulus > 0.0:  # NaN too
+            raise ValueError("youngs_modulus must be > 0")
+        if not math.isfinite(youngs_modulus):
+            raise ValueError("youngs_modulus must be finite")
+        if not cross_section_area > 0.0:
+            raise ValueError("cross_section_area must be > 0")
+        if not math.isfinite(cross_section_area):
+            raise ValueError("cross_section_area must be finite")
+        if not rest_length > 0.0:
+            raise ValueError("rest_length must be > 0")
+        if not math.isfinite(rest_length):
+            raise ValueError("rest_length must be finite")
         if type(index) is not int or index not in (1, 2, 3):  # no bool, no float
             raise ValueError("tendon index must be 1, 2 or 3")
         return super().__new__(cls, youngs_modulus, cross_section_area, rest_length,

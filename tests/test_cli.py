@@ -674,6 +674,8 @@ class TestNamedRefusals:
          "workspace --out must end in a file name, got '..'"),
         (["workspace", "--out", "x/.."],
          "workspace --out must end in a file name, got 'x/..'"),
+        # The name is opened as given: a trailing "/" does not write "o".
+        (["solve", "0", "--out", "o/"], "[Errno 21] Is a directory: 'o/'"),
     ])
     def test_refusal_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
