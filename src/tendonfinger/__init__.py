@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import FingerConfig, SolverSettings, default_config_path, load_finger_config
+from .config import FingerConfig, default_config_path, load_finger_config
 from .energy import EquilibriumResult, equilibrium_report, find_equilibrium
 from .errors import (
     ConfigError,
@@ -46,7 +46,6 @@ __all__ = [
     "OccupancyGrid",
     "PotentialModel",
     "RangeExceeded",
-    "SolverSettings",
     "StaticSolution",
     "TendonFingerError",
     "TendonGroup",

@@ -35,6 +35,8 @@ from .jsonout import dumps
 from .model import ExternalLoad, coupling_angles, forward_kinematics, jacobian
 from .potential import PotentialModel, zero_pose_wrap
 from .statics import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_THRESHOLD,
     solution_to_dict,
     solve_static,
     stiffness_sweep,
@@ -160,9 +162,9 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=_finite_arg, default=None,
+    parser.add_argument("--threshold", type=_finite_arg, default=DEFAULT_THRESHOLD,
                         help="solver residual threshold in meters")
-    parser.add_argument("--max-iter", type=int, default=None,
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
                         help="solver iteration cap")
 
 
@@ -237,25 +239,19 @@ def _load_config(args):
 
 
 def _load_solver_config(args):
-    """The config of a command that solves, which must declare tendons,
-    with its solver settings overridden by --threshold and --max-iter."""
+    """The config of a command that solves, which must declare tendons;
+    the solver settings are --threshold and --max-iter alone."""
     cfg = _load_config(args)
     if not cfg.tendons:
         raise ConfigError(
             "config declares no tendons; this command needs the full "
             "six-tendon definition"
         )
-    threshold = cfg.solver.threshold
-    max_iter = cfg.solver.max_iterations
-    if args.threshold is not None:
-        if args.threshold <= 0.0:
-            raise ConfigError("--threshold must be > 0")
-        threshold = args.threshold
-    if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise ConfigError("--max-iter must be >= 1")
-        max_iter = args.max_iter
-    return cfg, threshold, max_iter
+    if args.threshold <= 0.0:
+        raise ConfigError("--threshold must be > 0")
+    if args.max_iter < 1:
+        raise ConfigError("--max-iter must be >= 1")
+    return cfg
 
 
 def _cmd_fk(args) -> int:
@@ -328,14 +324,15 @@ def _cmd_workspace(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg, threshold, max_iter = _load_solver_config(args)
+    cfg = _load_solver_config(args)
     q = _parse_q(args.q, cfg.geometry)
     force = _parse_pair(args.force, "--force")
     at = _parse_pair(args.at, "--at") if args.at is not None else None
     load = ExternalLoad(force=force, moment=args.moment, application_point=at)
     model = PotentialModel(cfg.geometry, cfg.tendons, load, q)
     try:
-        sol = solve_static(model, threshold=threshold, max_iterations=max_iter)
+        sol = solve_static(model, threshold=args.threshold,
+                           max_iterations=args.max_iter)
     except NoConvergence as exc:
         doc = {
             "status": "no_convergence",
@@ -370,12 +367,12 @@ def _rows_to_output(rows, fmt: str) -> str:
 
 
 def _cmd_stiffness(args) -> int:
-    cfg, threshold, max_iter = _load_solver_config(args)
+    cfg = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     q = _parse_q(args.q, cfg.geometry)
     rows = stiffness_sweep(
         cfg.geometry, cfg.tendons, q, payloads,
-        threshold=threshold, max_iterations=max_iter,
+        threshold=args.threshold, max_iterations=args.max_iter,
     )
     _emit(_rows_to_output(rows, args.format), args.out)
     return EXIT_OK if all(r.status == "ok" for r in rows) else EXIT_INFEASIBLE
@@ -428,12 +425,12 @@ def _read_reference(path: str) -> dict[float, float]:
 
 
 def _cmd_validate(args) -> int:
-    cfg, threshold, max_iter = _load_solver_config(args)
+    cfg = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     ref = None if args.reference is None else _read_reference(args.reference)
     rows = stiffness_sweep(
         cfg.geometry, cfg.tendons, 0.0, payloads,
-        threshold=threshold, max_iterations=max_iter,
+        threshold=args.threshold, max_iterations=args.max_iter,
     )
     _emit(_rows_to_output(rows, args.format), args.out)
 
@@ -471,11 +468,11 @@ def _cmd_oracle_check(args) -> int:
         raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    cfg, threshold, max_iter = _load_solver_config(args)
+    cfg = _load_solver_config(args)
     cases = random_tip_load_cases(args.cases, args.seed, cfg.geometry)
     report = equilibrium_report(
         cfg.geometry, cfg.tendons, 0.0, cases,
-        threshold=threshold, max_iterations=max_iter,
+        threshold=args.threshold, max_iterations=args.max_iter,
     )
     _emit(dumps(report) + "\n", args.out)
     summary = report["summary"]

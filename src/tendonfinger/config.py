@@ -1,5 +1,5 @@
 """
-JSON configuration documents: units, geometry, tendons, solver settings.
+JSON configuration documents: units, geometry, tendons.
 
 A document declares its length and mass units once in a `units` block;
 every dimensioned value is converted to SI exactly once here. Unknown
@@ -17,23 +17,16 @@ from typing import NamedTuple
 from .errors import ConfigError, GeometryInfeasible
 from .model import FingerGeometry, TendonGroup, TendonSpec
 from .potential import zero_pose_wrap
-from .statics import DEFAULT_MAX_ITERATIONS, DEFAULT_THRESHOLD
 
 LENGTH_UNITS = {"meters": 1.0, "m": 1.0, "millimeters": 1e-3, "mm": 1e-3}
 MASS_UNITS = {"kilograms": 1.0, "kg": 1.0, "grams": 1e-3, "g": 1e-3}
 
-_TOP_KEYS = {"units", "geometry", "tendons", "solver"}
+_TOP_KEYS = {"units", "geometry", "tendons"}
 _UNITS_KEYS = {"length", "mass"}
 _GEOMETRY_KEYS = {
     "link_lengths", "guide_radii", "link_masses", "com_fractions", "gravity",
 }
 _TENDON_KEYS = {"group", "index", "youngs_modulus_pa", "diameter", "rest_length"}
-_SOLVER_KEYS = {"threshold", "max_iterations"}
-
-
-class SolverSettings(NamedTuple):
-    threshold: float = DEFAULT_THRESHOLD
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
 
 class FingerConfig(NamedTuple):
@@ -42,7 +35,6 @@ class FingerConfig(NamedTuple):
 
     geometry: FingerGeometry
     tendons: tuple[TendonSpec, ...]
-    solver: SolverSettings
 
 
 _DEFAULT_CONFIG_PATH = Path(__file__).parent / "data" / "default.json"
@@ -179,6 +171,10 @@ def parse_config(doc: dict) -> FingerConfig:
                         "(R1+R2 < L1 and R2+R3 < L2) to define coupling tendons"
                     ) from None
             rest = wrap.rest_length_2 if index == 2 else wrap.rest_length_3
+            if rest == math.inf:  # circles that all but fill a huge span
+                raise ConfigError(
+                    "geometry: link spans and guide radii give a coupling "
+                    "tendon an infinite rest length")
 
         try:
             specs.append(TendonSpec(e_pa, area, rest, group, index))
@@ -188,17 +184,7 @@ def parse_config(doc: dict) -> FingerConfig:
     if "tendons" in doc and len(specs) != 6:
         raise ConfigError(f"expected 6 tendons (2 groups x 3), got {len(specs)}")
 
-    solver_doc = doc.get("solver", {})
-    _check_keys(solver_doc, _SOLVER_KEYS, "solver")
-    threshold = _number(solver_doc.get("threshold", DEFAULT_THRESHOLD / to_m),
-                        "solver.threshold") * to_m
-    if threshold <= 0.0:
-        raise ConfigError("solver.threshold must be > 0")
-    max_iter = solver_doc.get("max_iterations", DEFAULT_MAX_ITERATIONS)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ConfigError("solver.max_iterations must be an integer >= 1")
-
-    return FingerConfig(geometry, tuple(specs), SolverSettings(threshold, max_iter))
+    return FingerConfig(geometry, tuple(specs))
 
 
 def load_finger_config(path) -> FingerConfig:

@@ -6,16 +6,18 @@ With an indent, the standard library leaves its C encoder and runs one
 generator per container in Python. Most of this package's documents are
 lists of floats (poses, tensions, lengths), so `dumps` joins a list of
 finite floats in one `str.join` over `float.__repr__`, the call json
-itself makes for a float. Every other value is written as json writes
-it: strings by json's own ASCII escaper, ints by `int.__repr__`, NaN and
-the infinities as `NaN`, `Infinity` and `-Infinity`, tuples as arrays,
-dict keys converted as json converts them. A value or key json cannot
-write raises json's TypeError, with its message. A container that holds
-itself raises RecursionError where json raises ValueError.
+itself makes for a float. Strings go through json's own ASCII escaper,
+ints through `int.__repr__`, NaN and the infinities as `NaN`, `Infinity`
+and `-Infinity`, tuples as arrays. Anything else (a value of another
+type, or a dict with a key that is not a string) is handed to json
+itself, so it is written, or refused with json's TypeError, as json
+does. A container that holds itself raises RecursionError where json
+raises ValueError.
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _string
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -24,24 +26,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _float(value) -> str:
     text = float.__repr__(value)
     return _NON_FINITE.get(text, text)
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a quoted string."""
-    if isinstance(key, str):
-        return _string(key)
-    if isinstance(key, float):
-        return _string(_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _string(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _value(value, indent: str) -> str:
@@ -57,10 +41,13 @@ def _value(value, indent: str) -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        return ("{" + inner
-                + ("," + inner).join([_key(k) + ": " + _value(v, inner)
-                                      for k, v in value.items()])
-                + indent + "}")
+        try:
+            return ("{" + inner
+                    + ("," + inner).join([_string(k) + ": " + _value(v, inner)
+                                          for k, v in value.items()])
+                    + indent + "}")
+        except TypeError:  # a key that is not a str, or a value json refuses
+            pass
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -85,8 +72,7 @@ def _value(value, indent: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    raise TypeError(
-        f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def dumps(doc) -> str:

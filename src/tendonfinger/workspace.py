@@ -14,8 +14,7 @@ lengths). Each variable of link i gets
 samples, so every link's cloud holds roughly resolution**2 points and
 the total work stays bounded by the single resolution knob. Per-link
 counts are n_i ** (i + 1) exactly. A resolution whose cloud is over
-the point budget (MAX_SWEEP_BYTES / SWEEP_BYTES_PER_POINT points) is
-refused before anything is allocated.
+MAX_SWEEP_POINTS is refused before anything is allocated.
 
 A sweep comes in three steps that run one slab at a time: a slab of
 whole theta_1 rows (`sweep_slabs`), the marking of its cells
@@ -49,13 +48,10 @@ CLOUD_CSV_HEADER = b"link,x_m,y_m\n"
 CSV_BLOCK_ROWS = 8192
 CSV_FIELD_BYTES = 16  # the widest %.9g, as in "-1.23456789e-308"
 
-# No sweep holds its cloud, so this budget bounds work, not memory: 64
-# bytes a point against 1 GiB caps a sweep at 16,777,216 points
-# (resolution 2,338 sweeps 16,776,278; 2,339 is refused). The export
-# at 2,338 writes a 485 MB CSV in about 4 s on a 2-core Xeon. 64 is
-# kept so that the accepted resolutions do not change.
-SWEEP_BYTES_PER_POINT = 64
-MAX_SWEEP_BYTES = 1 << 30
+# No sweep holds its cloud, so this cap bounds work, not memory
+# (resolution 2,338 sweeps 16,776,278 points; 2,339 is refused). The
+# export at 2,338 writes a 485 MB CSV in about 4 s on a 2-core Xeon.
+MAX_SWEEP_POINTS = 1 << 24
 
 # A workspace export holds three per-link boolean grids and their union
 # (a byte per cell each), then the PGM buffer and the file's bytes (two
@@ -81,13 +77,13 @@ def _check_resolution(resolution: int) -> None:
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
     try:
-        need = float(sweep_point_count(resolution)) * SWEEP_BYTES_PER_POINT
-    except OverflowError:  # point count beyond float range
-        need = math.inf
-    if need > MAX_SWEEP_BYTES:
+        points = sweep_point_count(resolution)
+    except OverflowError:  # a resolution beyond float range
+        points = math.inf
+    if points > MAX_SWEEP_POINTS:
         raise ConfigError(
-            f"resolution {resolution} needs about {need / 1e9:.3g} GB for "
-            f"its sweep, over the {MAX_SWEEP_BYTES / 1e9:.3g} GB budget"
+            f"resolution {resolution} sweeps {points:,} points, "
+            f"over the {MAX_SWEEP_POINTS:,}-point cap"
         )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tendonfinger import cli, errors
+from tendonfinger import cli, errors, statics
 from tendonfinger.config import default_config_path
 from tendonfinger.statics import SWEEP_CSV_HEADER, SweepRow
 
@@ -109,6 +109,25 @@ class TestSolve:
     def test_zero_threshold_rejected(self):
         res = run_cli("solve", "0", "--threshold", "0", "--config", str(CONFIG))
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("command", ["solve", "stiffness", "validate", "oracle-check"])
+    def test_solver_option_defaults(self, command):
+        # The options are the one source of the solver settings; unset,
+        # they are the library's defaults.
+        parser = cli.build_parser(command)
+        assert parser.get_default("threshold") == statics.DEFAULT_THRESHOLD == 1e-6
+        assert parser.get_default("max_iter") == statics.DEFAULT_MAX_ITERATIONS == 100
+
+    def test_solver_block_refused(self, tmp_path):
+        # A document no longer carries solver settings: a solver block is
+        # an unknown key like any other.
+        doc = json.loads(CONFIG.read_text(encoding="utf-8"))
+        doc["solver"] = {"threshold": 0.001, "max_iterations": 100}
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = run_cli("solve", "0", "--config", str(path))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: unknown key 'solver' in config document\n"
 
     @pytest.mark.parametrize("massless, args, groups", [
         # Once refused (exit 2) because no single tendon group holds them.
@@ -327,15 +346,21 @@ class TestWorkspace:
         res = run_cli("workspace", "--resolution", "10", "--config", str(CONFIG))
         assert res.returncode == 1
 
-    def test_resolution_too_high_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("resolution, points", [
+        ("2339", "16,780,955"),
+        ("100000", "30,105,912,996"),
+        # A count beyond float range.
+        ("1" + "0" * 399, "inf"),
+    ])
+    def test_resolution_too_high_exit_1(self, tmp_path, resolution, points):
         # Refused from the point count alone: nothing is allocated or written.
         base = tmp_path / "ws"
-        res = run_cli("workspace", "--resolution", "100000",
+        res = run_cli("workspace", "--resolution", resolution,
                       "--config", str(CONFIG), "--out", str(base), timeout=30)
         assert res.returncode == 1
-        assert "resolution 100000 needs about" in res.stderr
-        assert "Traceback" not in res.stderr
-        assert not base.with_suffix(".csv").exists()
+        assert res.stderr == (f"error: resolution {resolution} sweeps {points} "
+                              f"points, over the 16,777,216-point cap\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cell", ["1e-300", "1e-7"])
     def test_cell_too_small_exit_1(self, tmp_path, cell):
@@ -352,7 +377,6 @@ class TestWorkspace:
     def test_degenerate_single_link_area(self, tmp_path):
         doc = json.loads(CONFIG.read_text(encoding="utf-8"))
         del doc["tendons"]
-        del doc["solver"]
         doc["geometry"]["link_lengths"] = [60.0, 0.0, 0.0]
         cfg = tmp_path / "single.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")

@@ -48,6 +48,15 @@ def test_layering():
     assert "energy" not in imported["statics"]
 
 
+def test_config_builds_on_the_model():
+    # A document holds the calibration alone: geometry and tendons, which
+    # the model and the elastic layer check. The solver settings are
+    # command-line options, so config imports nothing from statics.
+    found = _package_imports()["config"]
+    assert found  # the scan sees imports
+    assert {module for module, _ in found} == {"errors", "model", "potential"}
+
+
 def _import_time_modules(tree):
     """Absolute imports that run when the module is imported: those
     outside function bodies and `if TYPE_CHECKING:` blocks."""

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tendonfinger.config import FingerConfig, SolverSettings
+from tendonfinger.config import FingerConfig
 from tendonfinger.energy import EquilibriumResult
 from tendonfinger.errors import RangeExceeded
 from tendonfinger.model import (
@@ -162,7 +162,6 @@ class TestDefaults:
         assert FingerGeometry(**GEOMETRY) == FingerGeometry(*GEOMETRY.values())
         assert TendonSpec(**SPEC) == TendonSpec(*SPEC.values())
         assert Configuration(q=0.0, theta=(0.1, 0.2, 0.3)) == Configuration(0.0, (0.1, 0.2, 0.3))
-        assert SolverSettings() == SolverSettings(1e-6, 100)
         assert ExternalLoad.tip_payload(3.0) == ExternalLoad(force=(0.0, -3.0 * 9.81))
 
 
@@ -170,21 +169,18 @@ RECORD = IterationRecord(theta=(0.1, 0.2, 0.3), fingertip_y=0.05, residual=None)
 CONFIG = Configuration(q=0.001, theta=(0.1, 0.2, 0.3))
 
 REPRS = [
-    (SolverSettings(),
-     "SolverSettings(threshold=1e-06, max_iterations=100)"),
     (FingerGeometry(LENGTHS, RADII),
      "FingerGeometry(link_lengths=(0.06, 0.06, 0.051), guide_radii=(0.01, 0.0075, 0.005), "
      "link_masses=(0.0, 0.0, 0.0), com_fractions=(0.5, 0.5, 0.5), gravity_accel=9.81)"),
     (TendonSpec(**SPEC),
      "TendonSpec(youngs_modulus=200000000000.0, cross_section_area=7.85e-07, "
      "rest_length=0.1, group=<TendonGroup.FLEXION: 'flexion'>, index=1)"),
-    (FingerConfig(FingerGeometry(LENGTHS, RADII), (TendonSpec(**SPEC),), SolverSettings(1e-3, 7)),
+    (FingerConfig(FingerGeometry(LENGTHS, RADII), (TendonSpec(**SPEC),)),
      "FingerConfig(geometry=FingerGeometry(link_lengths=(0.06, 0.06, 0.051), "
      "guide_radii=(0.01, 0.0075, 0.005), link_masses=(0.0, 0.0, 0.0), "
      "com_fractions=(0.5, 0.5, 0.5), gravity_accel=9.81), "
      "tendons=(TendonSpec(youngs_modulus=200000000000.0, cross_section_area=7.85e-07, "
-     "rest_length=0.1, group=<TendonGroup.FLEXION: 'flexion'>, index=1),), "
-     "solver=SolverSettings(threshold=0.001, max_iterations=7))"),
+     "rest_length=0.1, group=<TendonGroup.FLEXION: 'flexion'>, index=1),))"),
     (CONFIG,
      "Configuration(q=0.001, theta=(0.1, 0.2, 0.3))"),
     (ExternalLoad(),

@@ -149,12 +149,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="resolution must be >= 2"):
             sweep_extent(GEOM, 1)
 
-    # The budget caps the sweep at 2**30 / 64 = 16,777,216 points.
+    # The cap is 2**24 = 16,777,216 points.
     def test_resolution_cap(self):
         assert sweep_point_count(2338) == 16_776_278
         sweep_extent(GEOM, 2338)
-        with pytest.raises(ConfigError, match="resolution 2339 needs about"):
+        with pytest.raises(ConfigError) as exc:
             sweep_extent(GEOM, 2339)
+        assert str(exc.value) == ("resolution 2339 sweeps 16,780,955 points, "
+                                  "over the 16,777,216-point cap")
 
     def test_sampling_formula_at_50(self):
         clouds = swept(GEOM, 50)
