@@ -7,8 +7,8 @@ checks the static solver.
 external-load potential, `tendonfinger.potential`) over the three joint
 angles, by one route for every load:
 
-1. Newton steps from the nominal coupled pose by the solver's own kernel
-   (`PotentialModel.newton_kernel`: the analytic gradient and 3 x 3
+1. Newton steps from the nominal coupled pose by the solver's own driver
+   (`PotentialModel.newton_steps`: the analytic gradient and 3 x 3
    Hessian, solved in closed form) until a step is at most
    NEWTON_STEP_TOL = 1e-13 rad. The run fails at a Hessian that is not
    positive definite, a pose that is not finite, or when
@@ -21,7 +21,8 @@ angles, by one route for every load:
    - otherwise local, at that pose (`PotentialModel.local_certificate`):
      the potential is strongly convex on a ball about it, and the ball
      holds a minimum, its only one. The gradient that proof reads comes
-     from `balance_residuals`, not from the kernel.
+     from the tangent balance of `balance_residuals` (`_tangent_balance`),
+     not from the driver.
 3. Where the run fails or neither proof holds there is no result:
    UnprovenMinimum. A minimum whose first joint angle leaves the joint
    range raises RangeExceeded, and one that the coupling tendons cannot
@@ -40,9 +41,9 @@ mu = mu_e - B, the potential's gradient norm at the solver's pose, and
 the certified bound on the solver's distance from the minimum. Where
 mu <= 0 it adds the local proof at the solver's pose, its lambda and its
 ball's radius, and the bound is the local one. The gradient comes from
-`balance_residuals`' tangent balance (link poses, moments and Hooke
-tensions), not from the solver's `newton_kernel`, so the certificate is
-the report's evidence independent of the solver.
+`balance_residuals`' tangent balance (`_tangent_balance`: link poses,
+moments and Hooke tensions), not from the Newton driver, so the
+certificate is the report's evidence independent of the solver.
 
 The minimizer's Newton steps are the solver's own iteration from the
 same start, with another stop rule: the solver stops once the fingertip
@@ -51,19 +52,25 @@ at a 1e-13 rad step. So the gap measures how far the solver's stop rule
 leaves it from the minimum (at most 4e-14 mm at the default 1e-6 m
 threshold, 0.05 mm at 1e-2 m on `--cases 3 --seed 7`), and `energy_j`
 is the minimum's. The report hands `find_equilibrium` the case's
-solution, and the Newton run resumes after the solver's iterates where
-they are provably its own steps (`_resume`): a case then costs the
-solver's steps plus the minimizer's 1 or 2 more, and its result is a
-fresh run's, bit for bit.
+solution, and the Newton run resumes through the same driver after the
+solver's iterates where they are provably its own steps (`_resume`): a
+case then costs the solver's steps plus the minimizer's 1 or 2 more, and
+its result is a fresh run's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import NamedTuple
 
-from .errors import GeometryInfeasible, TendonFingerError, UnprovenMinimum
+from .errors import (
+    GeometryInfeasible,
+    NoConvergence,
+    TendonFingerError,
+    UnprovenMinimum,
+)
 from .model import (
     Configuration,
     ExternalLoad,
@@ -72,11 +79,12 @@ from .model import (
     check_theta_1,
     link_pose,
 )
-from .potential import PotentialModel, link_trig
+from .potential import PotentialModel
 from .statics import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_THRESHOLD,
     StaticSolution,
+    check_solver_settings,
     pose_moments,
     solve_static,
     wrap_moment,
@@ -98,27 +106,6 @@ class EquilibriumResult(NamedTuple):
     evaluations: int
 
 
-def _newton_run(model: PotentialModel, theta, first):
-    """Newton steps (`PotentialModel.newton_kernel`) from `theta`,
-    numbered from `first`, until a step is at most NEWTON_STEP_TOL.
-
-    Returns (theta, steps) on convergence, or (None, steps) when the
-    Hessian is not positive definite, an iterate is not finite or step
-    NEWTON_MAX_STEPS passes first; `steps` is the last step's number, so
-    from `first` = 1 it counts gradient and Hessian evaluations.
-    """
-    for steps in range(first, NEWTON_MAX_STEPS + 1):
-        step = model.newton_kernel(*theta, *link_trig(*theta))
-        if step is None:
-            return None, steps
-        theta = [t + d for t, d in zip(theta, step)]
-        if not all(map(math.isfinite, theta)):
-            return None, steps
-        if max(abs(d) for d in step) <= NEWTON_STEP_TOL:
-            return theta, steps
-    return None, NEWTON_MAX_STEPS
-
-
 def find_equilibrium(model: PotentialModel,
                      solution: StaticSolution | None = None) -> EquilibriumResult:
     """The minimum of `model`'s potential, by the Newton run and proof of
@@ -135,11 +122,18 @@ def find_equilibrium(model: PotentialModel,
     own first steps (`_resume`), and does not compute them twice. The
     result is the same, bit for bit.
     """
-    theta, first = _resume(solution, model.nominal.theta)
-    theta, steps = _newton_run(model, theta, first)
+    start, first = _resume(solution, model.nominal.theta)
+    steps, theta = first - 1, None  # the last step taken
+    try:
+        for steps, (t1, t2, t3, _, _, _, _, _, _, d1, d2, d3) in enumerate(
+                islice(model.newton_steps(start), NEWTON_MAX_STEPS - steps), first):
+            if max(abs(d1), abs(d2), abs(d3)) <= NEWTON_STEP_TOL:
+                theta = (t1, t2, t3)
+                break
+    except NoConvergence:
+        steps += 1  # the refused step
     if theta is None:
         raise UnprovenMinimum(f"Newton step {steps} from the nominal pose failed")
-    theta = tuple(theta)
     check_theta_1(theta[0])
     model.wrap0.angles_at(theta)
     if not model.convexity > 0.0:
@@ -161,7 +155,7 @@ def _resume(solution, start):
     be its own first steps.
 
     The solver's iterates are the run's own first steps: both start at
-    the nominal pose and step by `PotentialModel.newton_kernel`. The run
+    the nominal pose and step by `PotentialModel.newton_steps`. The run
     resumes at the solver's last iterate, at step `iterations` + 1, when
     none of those steps could have ended it: the solver stopped before
     step NEWTON_MAX_STEPS, and every step read back from the trace,
@@ -181,8 +175,24 @@ def _resume(solution, start):
 
 
 def _gradient_norm(model: PotentialModel, theta) -> float:
-    """||grad U|| at `theta`, from `balance_residuals`' tangent balance."""
-    return math.sqrt(sum(r * r for r in balance_residuals(model, theta)["tangent_nm"]))
+    """||grad U|| at `theta`, from the tangent balance (`_tangent_balance`)."""
+    return math.sqrt(sum(r * r for r in _tangent_balance(model, theta)[0]))
+
+
+def _tangent_balance(model: PotentialModel, theta):
+    """The tangent balance of the guide cylinders at `theta` (see
+    `balance_residuals`), minus the potential's gradient, with the terms
+    it sums: (residuals, the moments of gravity and the load
+    (`pose_moments`), the signed tensions, the taut tensions)."""
+    geom = model.geom
+    pose = link_pose(theta, geom)
+    m1, m2, m3 = moments = pose_moments(pose, geom, model.load_at(theta, pose))
+    tensions, groups, _ = model.tensions(theta)
+    n1, n2, n3 = signed = tuple(t if g is TendonGroup.FLEXION else -t
+                                for t, g in zip(tensions, groups))
+    r1, r2, r3 = geom.guide_radii
+    residuals = [m1 + r1 * (n1 - n2), m2 + r2 * (n2 - n3), m3 + r3 * n3]
+    return residuals, moments, signed, tensions
 
 
 def balance_residuals(model: PotentialModel, theta) -> dict:
@@ -209,18 +219,11 @@ def balance_residuals(model: PotentialModel, theta) -> dict:
     within 1.1e-14 N m) and does not mark a failed balance; it is None
     where a coupling tendon cannot wrap its guides.
     """
-    geom = model.geom
     theta = tuple(float(t) for t in theta)
     Configuration(q=model.nominal.q, theta=theta)  # raises RangeExceeded outside limits
-    pose = link_pose(theta, geom)
-    m1, m2, m3 = pose_moments(pose, geom, model.load_at(theta, pose))
-    tensions, groups, _ = model.tensions(theta)
-    n1, n2, n3 = (t if g is TendonGroup.FLEXION else -t
-                  for t, g in zip(tensions, groups))
-    r1, r2, r3 = geom.guide_radii
-    tangent = [m1 + r1 * (n1 - n2), m2 + r2 * (n2 - n3), m3 + r3 * n3]
-
-    _, l2, l3 = geom.link_lengths
+    tangent, (m1, m2, m3), (n1, n2, n3), tensions = _tangent_balance(model, theta)
+    r1, r2, r3 = model.geom.guide_radii
+    _, l2, l3 = model.geom.link_lengths
     try:
         alpha2, alpha3 = model.wrap0.angles_at(theta)
     except GeometryInfeasible:
@@ -363,10 +366,13 @@ def equilibrium_report(
     certificate failed to bound still fails the report. The largest gap
     is None when no case was compared. A q that is not finite raises
     ValueError("q must be finite") before any case runs, as
-    `Configuration` does; a finite q out of range fails each case.
+    `Configuration` does, and so do refused settings
+    (`statics.check_solver_settings`); a finite q out of range fails each
+    case.
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
+    check_solver_settings(threshold, max_iterations)
     total_len = geom.total_length
     entries = []
     worst = verdict = 0.0

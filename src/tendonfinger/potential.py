@@ -16,6 +16,12 @@ tendon's rest length L is fixed by the zero-pose wrap geometry. So at
 each index one tendon is taut: the flexion tendon where the
 flexion-side stretch is >= 0, the extension tendon where it is < 0.
 
+Newton steps: `PotentialModel.newton_steps` is the one driver of the
+static solver and the energy oracle, each of which adds its own checks
+and stop rule. It takes `ldl_step` of `derivatives` (the gradient and
+upper Hessian) at every iterate, written out in local floats so that a
+step makes no call; tests pin the driver to that reference bit for bit.
+
 Certificates: the elastic energy is a sum of convex springs of stretches
 that are affine in the joint angles, so it is strongly convex; gravity and
 the load bend the potential by a bounded amount. Where the first outweighs
@@ -30,9 +36,10 @@ from the minimum is bounded by the gradient there
 from __future__ import annotations
 
 import math
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
-from .errors import GeometryInfeasible
+from .errors import GeometryInfeasible, NoConvergence
 from .model import (
     ExternalLoad,
     FingerGeometry,
@@ -149,7 +156,10 @@ def min_eigenvalue(h00, h01, h02, h11, h12, h22) -> float:
     if p > 0.0:
         det = (d0 * d1 * d2 + 2.0 * h01 * h12 * h02
                - d0 * h12 * h12 - d1 * h02 * h02 - d2 * h01 * h01)
-        r = min(max(det / (2.0 * p * p * p), -1.0), 1.0)
+        cube = 2.0 * p * p * p
+        # A spread whose cube underflows leaves the angle unknown; r = -1
+        # takes the closed form's lowest value, q - 2p.
+        r = min(max(det / cube, -1.0), 1.0) if cube > 0.0 else -1.0
         lam = q + 2.0 * p * math.cos(math.acos(r) / 3.0 + 2.0 * math.pi / 3.0)
     delta = 16.0 * UNIT_ROUNDOFF * math.sqrt(
         h00 * h00 + h11 * h11 + h22 * h22 + 2.0 * off)
@@ -163,8 +173,9 @@ def min_eigenvalue(h00, h01, h02, h11, h12, h22) -> float:
 
 class PotentialModel:
     """The total potential of one load case at displacement q
-    (`nominal.q`), from plain floats: the per-iterate Newton step of the
-    solver and the oracle (`newton_kernel`), and the oracle's proofs.
+    (`nominal.q`), from plain floats: the one Newton driver of the solver
+    and the oracle (`newton_steps`), its reference (`derivatives` and
+    `ldl_step`), and the oracle's proofs.
 
     A model is not changed after it is built. Everything but `load`,
     `attach_local` and the load's share of the certificates
@@ -289,13 +300,6 @@ class PotentialModel:
         t3, g3, p3 = (kf3 * s3, flex, fs3) if s3 >= 0.0 else (ke3 * -s3, ext, es3)
         return (t1, t2, t3), (g1, g2, g3), (p1, p2, p3)
 
-    def newton_kernel(self, t1, t2, t3, c1, c2, c3, s1, s2, s3):
-        """The Newton step of the solver and the oracle at joint
-        angles t1, t2, t3 with link cosines and sines c1..s3 (`link_trig`):
-        `ldl_step` of `derivatives`, in flat floats, or None where the
-        Hessian is not positive definite."""
-        return ldl_step(*self.derivatives(t1, t2, t3, c1, c2, c3, s1, s2, s3))
-
     def derivatives(self, t1, t2, t3, c1, c2, c3, sn1, sn2, sn3):
         """Gradient and upper Hessian of the total potential at joint angles
         t1, t2, t3 with link-angle cosines c1..c3 and sines sn1..sn3, as
@@ -309,6 +313,9 @@ class PotentialModel:
         the load reach joint k through every link j >= k, so their
         Hessian entry (k, l) sums over j >= max(k, l): a tail sum, added
         from the distal link inwards.
+
+        This is the reference that `newton_steps` writes out inline, and
+        tests pin the two bit for bit; no solve calls it.
         """
         s1, s2, s3 = self.stretches(t1, t2, t3)
         kf1, kf2, kf3 = self.k_flex
@@ -360,6 +367,116 @@ class PotentialModel:
             R2 * R2 * (k2 + k3) + tail2, -R2 * R3 * k3 + tail3,
             R3 * R3 * k3 + tail3,
         )
+
+    def newton_steps(self, theta):
+        """The Newton iterates of the potential from joint angles `theta`:
+        the one driver of the solver and the oracle, which add their own
+        checks and stop rules.
+
+        Each step yields one flat tuple (t1, t2, t3, c1, c2, c3, s1, s2,
+        s3, d1, d2, d3): the new iterate, its link cosines and sines
+        (`link_trig`) and the step d that reached it. The step is
+        `ldl_step` of `derivatives` at the last iterate, written out in
+        local floats operation for operation (`max(s, 0.0)` as
+        `0.0 if s < 0.0 else s`), so every iterate equals that
+        reference's bit for bit; the model's constants are read once per
+        run. The driver never stops by itself. It raises NoConvergence,
+        steps numbered from 1, at a Hessian that is not positive definite
+        and at a step to a non-finite angle.
+        """
+        h1, h2, h3 = self.nominal.theta
+        R1, R2, R3 = self.geom.guide_radii
+        L1, L2, L3 = self.geom.link_lengths
+        kf1, kf2, kf3 = self.k_flex
+        ke1, ke2, ke3 = self.k_ext
+        w1, w2, w3 = self.lifted
+        g = self.g
+        fx, fy = self.load.force
+        moment = self.load.moment
+        attach = self.attach_local
+        if attach is not None:
+            ax, ay = attach
+        # Products that `derivatives` forms first, by left-to-right order.
+        r11, r22, r33 = R1 * R1, R2 * R2, R3 * R3
+        r12, r23, neg_r3, neg_g = -R1 * R2, -R2 * R3, -R3, -g
+        t1, t2, t3 = theta
+        phi2 = t1 + t2
+        phi3 = phi2 + t3
+        c1, c2, c3 = cos(t1), cos(phi2), cos(phi3)
+        sn1, sn2, sn3 = sin(t1), sin(phi2), sin(phi3)
+        k = 1
+        while True:
+            # `stretches` and the net tensions and taut stiffnesses.
+            rd1 = (h1 - t1) * R1
+            rd2 = (h2 - t2) * R2
+            rd3 = (h3 - t3) * R3
+            s1, s2, s3 = rd1, rd2 - rd1, rd3 - rd2
+            n1 = kf1 * (0.0 if s1 < 0.0 else s1) - ke1 * (0.0 if s1 > 0.0 else -s1)
+            n2 = kf2 * (0.0 if s2 < 0.0 else s2) - ke2 * (0.0 if s2 > 0.0 else -s2)
+            n3 = kf3 * (0.0 if s3 < 0.0 else s3) - ke3 * (0.0 if s3 > 0.0 else -s3)
+            k1 = (kf1 if s1 >= 0.0 else 0.0) + (ke1 if s1 <= 0.0 else 0.0)
+            k2 = (kf2 if s2 >= 0.0 else 0.0) + (ke2 if s2 <= 0.0 else 0.0)
+            k3 = (kf3 if s3 >= 0.0 else 0.0) + (ke3 if s3 <= 0.0 else 0.0)
+
+            # `derivatives`' gravity and load terms.
+            ex1, ex2, lx3 = L1 * c1, L2 * c2, L3 * c3
+            ey1, ey2, ly3 = L1 * sn1, L2 * sn2, L3 * sn3
+            if attach is None:
+                ex3, ey3 = lx3, ly3
+            else:
+                ex3 = c3 * ax - sn3 * ay
+                ey3 = sn3 * ax + c3 * ay
+            lift3 = lx3 * w3
+            lift2 = lift3 + ex2 * w2
+            lift1 = lift2 + ex1 * w1
+            drop3 = ly3 * w3
+            drop2 = drop3 + ey2 * w2
+            drop1 = drop2 + ey1 * w1
+            x2 = ex3 + ex2
+            x1 = x2 + ex1
+            y2 = ey3 + ey2
+            y1 = y2 + ey1
+            tail1 = neg_g * drop1 + fx * x1 + fy * y1
+            tail2 = neg_g * drop2 + fx * x2 + fy * y2
+            tail3 = neg_g * drop3 + fx * ex3 + fy * ey3
+            g0 = R1 * (n2 - n1) + g * lift1 - (fx * -y1 + fy * x1) - moment
+            g1 = R2 * (n3 - n2) + g * lift2 - (fx * -y2 + fy * x2) - moment
+            g2 = neg_r3 * n3 + g * lift3 - (fx * -ey3 + fy * ex3) - moment
+            h00 = r11 * (k1 + k2) + tail1
+            h01 = r12 * k2 + tail2
+            h11 = r22 * (k2 + k3) + tail2
+            h12 = r23 * k3 + tail3
+            h22 = r33 * k3 + tail3
+
+            # `ldl_step`, with h02 = tail3.
+            if not h00 > 0.0:
+                break
+            l10, l20 = h01 / h00, tail3 / h00
+            e1 = h11 - l10 * h01
+            if not e1 > 0.0:
+                break
+            l21 = (h12 - l20 * h01) / e1
+            e2 = h22 - l20 * tail3 - l21 * l21 * e1
+            if not e2 > 0.0:
+                break
+            v0 = -g0
+            v1 = -g1 - l10 * v0
+            v2 = -g2 - l20 * v0 - l21 * v1
+            d3 = v2 / e2
+            d2 = v1 / e1 - l21 * d3
+            d1 = v0 / h00 - l10 * d2 - l20 * d3
+
+            t1, t2, t3 = t1 + d1, t2 + d2, t3 + d3
+            if not (isfinite(t1) and isfinite(t2) and isfinite(t3)):
+                raise NoConvergence(f"Newton step {k} gave a non-finite joint angle")
+            # `link_trig` of the new iterate.
+            phi2 = t1 + t2
+            phi3 = phi2 + t3
+            c1, c2, c3 = cos(t1), cos(phi2), cos(phi3)
+            sn1, sn2, sn3 = sin(t1), sin(phi2), sin(phi3)
+            yield t1, t2, t3, c1, c2, c3, sn1, sn2, sn3, d1, d2, d3
+            k += 1
+        raise NoConvergence(f"Hessian not positive definite before step {k}")
 
     def local_certificate(self, theta, gradient_norm):
         """The local proof at joint angles `theta`, where the potential's
@@ -515,7 +632,8 @@ def link_trig(t1, t2, t3):
 def ldl_step(g0, g1, g2, h00, h01, h02, h11, h12, h22):
     """The Newton step -H^-1 g by a closed-form LDL^T factorization of the
     symmetric 3 x 3 Hessian given by its upper entries, or None when it is
-    not positive definite."""
+    not positive definite. `PotentialModel.newton_steps` writes it out
+    inline; `min_eigenvalue` uses it as its positivity test."""
     d0 = h00
     if not d0 > 0.0:
         return None

@@ -5,12 +5,13 @@ The loaded finger rests at the minimum of its total potential over the
 three joint angles (`tendonfinger.potential`, which also holds the tendon
 stretch model). `solve_static` takes one load case's `PotentialModel`
 and finds that minimum by Newton steps on the analytic gradient and
-Hessian from the rigid-tendon pose; `stiffness_sweep` gives each payload
+Hessian from the rigid-tendon pose, taken by the model's driver
+(`PotentialModel.newton_steps`); `stiffness_sweep` gives each payload
 its load on one shared model and runs the same Newton loop, keeping only
 the converged fingertip height and the step count. The energy module's
-oracle minimizes the same potential by the same Newton steps with its
-own stop rule, and proves the minimum they reach by a certificate that
-does not use the solver's kernel, and so checks the solver.
+oracle minimizes the same potential through the same driver with its
+own stop rule, and proves the minimum it reaches by a certificate that
+does not use the driver's step, and so checks the solver.
 
 Tensions follow from the pose by the potential's own rule, with no
 second solve: at each index the tendon whose stretch is taut (flexion
@@ -37,6 +38,7 @@ record's by construction.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import NoConvergence, TendonFingerError
@@ -47,7 +49,7 @@ from .model import (
     TendonSpec,
     check_theta_1,
 )
-from .potential import PotentialModel, WrapGeometry, link_trig
+from .potential import PotentialModel, WrapGeometry
 
 DEFAULT_THRESHOLD = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -143,52 +145,49 @@ def elongate_tendons(
     )
 
 
-def _newton_iterates(model: PotentialModel, threshold: float,
-                     max_iterations: int):
-    """The Newton loop of `solve_static` and `stiffness_sweep`: the
-    converged iterate's fingertip (x, y) and the trace, whose last record
-    holds that iterate, its residual and, by its length, the step count.
-    Raises as `solve_static` does."""
-    if threshold <= 0.0:
+def check_solver_settings(threshold: float, max_iterations: int) -> None:
+    """Refuse a `threshold` that is not > 0 (NaN included) or a
+    `max_iterations` below 1, with ValueError, before any solve runs."""
+    if not threshold > 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
+
+def _newton_iterates(model: PotentialModel, threshold: float,
+                     max_iterations: int):
+    """The Newton loop of `solve_static` and `stiffness_sweep` on the
+    model's driver (`PotentialModel.newton_steps`): the converged
+    iterate's fingertip (x, y) and the trace, whose last record holds that
+    iterate, its residual and, by its length, the step count. Raises as
+    `solve_static` does; the settings are checked by its callers."""
     model.wrap0.angles_at(model.nominal.theta)  # refuses an unwrappable rigid pose
     l1, l2, l3 = model.geom.link_lengths
-
-    t1, t2, t3 = model.nominal.theta
-    trig = link_trig(t1, t2, t3)
     x_prev = y_prev = None
     last_residual = math.inf
     trace: list[IterationRecord] = []
 
-    for k in range(1, max_iterations + 1):
-        step = model.newton_kernel(t1, t2, t3, *trig)
-        if step is None:
-            raise NoConvergence(
-                f"Hessian not positive definite before step {k}", trace=trace
-            )
-        theta = t1, t2, t3 = (t1 + step[0], t2 + step[1], t3 + step[2])
-        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
-            raise NoConvergence(
-                f"Newton step {k} gave a non-finite joint angle", trace=trace
-            )
-        check_theta_1(t1)
-        # The fingertip of `link_pose`, summed in its order.
-        trig = c1, c2, c3, s1, s2, s3 = link_trig(t1, t2, t3)
-        x_k = (l1 * c1 + l2 * c2) + l3 * c3
-        y_k = (l1 * s1 + l2 * s2) + l3 * s3
-        residual = (math.hypot(x_k - x_prev, y_k - y_prev)
-                    if y_prev is not None else None)
-        trace.append(IterationRecord(theta, y_k, residual))
+    try:
+        for t1, t2, t3, c1, c2, c3, s1, s2, s3, _, _, _ in islice(
+                model.newton_steps(model.nominal.theta), max_iterations):
+            check_theta_1(t1)
+            theta = (t1, t2, t3)
+            # The fingertip of `link_pose`, summed in its order.
+            x_k = (l1 * c1 + l2 * c2) + l3 * c3
+            y_k = (l1 * s1 + l2 * s2) + l3 * s3
+            residual = (math.hypot(x_k - x_prev, y_k - y_prev)
+                        if y_prev is not None else None)
+            trace.append(IterationRecord(theta, y_k, residual))
 
-        if residual is not None:
-            if residual <= threshold:
-                model.wrap0.angles_at(theta)  # and a solved one
-                return (x_k, y_k), trace
-            last_residual = residual
-        x_prev, y_prev = x_k, y_k
+            if residual is not None:
+                if residual <= threshold:
+                    model.wrap0.angles_at(theta)  # and a solved one
+                    return (x_k, y_k), trace
+                last_residual = residual
+            x_prev, y_prev = x_k, y_k
+    except NoConvergence as exc:
+        exc.trace = trace
+        raise
 
     raise NoConvergence(
         f"residual {last_residual:.3e} m above threshold {threshold:.3e} m "
@@ -210,19 +209,21 @@ def solve_static(
     at the rigid-tendon pose theta_i = q / R_i and stop once the
     fingertip's whole movement between two steps, hypot(dx, dy), is at
     most `threshold`, so at least two steps run; that distance is each
-    record's residual. One step keeps only its trace record. A new
-    iterate's theta_1 is range-checked (`check_theta_1`), and its link
-    cosines and sines are computed once (`link_trig`): they give its
-    fingertip and residual and, through `PotentialModel.newton_kernel`,
-    the next Newton step. The fingertip (x, y) is the last iterate's,
-    and the converged pose alone gets a `Configuration`; a solve computes
-    no tension or length. Raises RangeExceeded at a step whose theta_1
-    leaves the joint range, GeometryInfeasible when a coupling tendon
-    cannot wrap its guides at the rigid or at the converged pose, and
-    NoConvergence, with the steps' trace, after `max_iterations` steps,
-    at a Hessian that is not positive definite or at a step to a
-    non-finite angle.
+    record's residual. One step keeps only its trace record. The steps
+    come from the model's driver (`PotentialModel.newton_steps`) with
+    each iterate's link cosines and sines, which give its fingertip and
+    residual; a new iterate's theta_1 is range-checked (`check_theta_1`).
+    The fingertip (x, y) is the last iterate's, and the converged pose
+    alone gets a `Configuration`; a solve computes no tension or length.
+    Raises ValueError before any step for a `threshold` that is not > 0
+    or a `max_iterations` below 1 (`check_solver_settings`),
+    RangeExceeded at a step whose theta_1 leaves the joint range,
+    GeometryInfeasible when a coupling tendon cannot wrap its guides at
+    the rigid or at the converged pose, and NoConvergence, with the
+    steps' trace, after `max_iterations` steps, at a Hessian that is not
+    positive definite or at a step to a non-finite angle.
     """
+    check_solver_settings(threshold, max_iterations)
     fingertip, trace = _newton_iterates(model, threshold, max_iterations)
     theta, _, residual = trace[-1]
     return StaticSolution(
@@ -267,11 +268,12 @@ def stiffness_sweep(
     its row unsolved. A row that fails with NoConvergence keeps the
     error's iteration trace; the CSV and JSON tables do not show it. A q
     that is not finite raises ValueError("q must be finite") before any
-    payload runs, as `Configuration` does; a finite q out of range fails
-    each row.
+    payload runs, as `Configuration` does, and so do refused settings
+    (`check_solver_settings`); a finite q out of range fails each row.
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
+    check_solver_settings(threshold, max_iterations)
     rows: list[SweepRow] = []
     base = None
     for m in payloads:

@@ -5,7 +5,7 @@ import pytest
 
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.model import ExternalLoad, FingerGeometry, TendonGroup, TendonSpec
-from tendonfinger.potential import PotentialModel
+from tendonfinger.potential import PotentialModel, ldl_step, link_trig
 
 STEEL_E = 2.0e11
 STEEL_AREA = math.pi * 0.001 ** 2 / 4.0
@@ -38,6 +38,14 @@ def trig_is_math(angles) -> bool:
             and np.cos(angles).tolist() == [math.cos(a) for a in angles.tolist()])
 
 
+def reference_step(model, theta):
+    """The Newton step of `model`'s potential at joint angles `theta` by
+    the reference route, `ldl_step` of `derivatives`, or None where the
+    Hessian is not positive definite: what the driver
+    (`PotentialModel.newton_steps`) writes out inline."""
+    return ldl_step(*model.derivatives(*theta, *link_trig(*theta)))
+
+
 HEAVY_MODULI = (2e11, 4e10, 1e10, 5e9)  # Pa: the calibration's steel down to 1/40
 
 
@@ -62,6 +70,27 @@ def heavy_load_corpus(n=3000, seed=3, gravity_accel=9.81):
             force=(weight * math.cos(angle), weight * math.sin(angle)),
             moment=moment, application_point=point)))
     return corpus
+
+
+def count_newton_steps(monkeypatch):
+    """Record every Newton step that the driver (`PotentialModel.newton_steps`)
+    takes, a refused one included, as (model, iterate it starts from): one
+    gradient and Hessian evaluation each. The driver is lazy, so a step is
+    taken only when its consumer asks for the next iterate."""
+    steps = []
+    driver = PotentialModel.newton_steps
+
+    def counting(self, theta):
+        iterates = driver(self, theta)
+        at = tuple(theta)
+        while True:
+            steps.append((self, at))
+            item = next(iterates)
+            at = item[:3]
+            yield item
+
+    monkeypatch.setattr(PotentialModel, "newton_steps", counting)
+    return steps
 
 
 def count_models(monkeypatch):

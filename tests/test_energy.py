@@ -54,8 +54,10 @@ from conftest import (
     STEEL_AREA,
     STEEL_E,
     count_models,
+    count_newton_steps,
     heavy_load_corpus,
     make_specs,
+    reference_step,
     trig_is_math,
 )
 
@@ -383,7 +385,7 @@ class TestHessian:
         np.testing.assert_allclose(derivatives[3:], elastic[np.triu_indices(3)],
                                    rtol=1e-12)
         assert np.all(np.linalg.eigvalsh(elastic) > 0.0)
-        assert model.newton_kernel(*theta, *link_trig(*theta)) == (0.0, 0.0, 0.0)
+        assert reference_step(model, theta) == (0.0, 0.0, 0.0)
 
     def test_newton_step_solves_or_refuses(self):
         rng = np.random.default_rng(5)
@@ -634,6 +636,21 @@ class TestNewtonRun:
         with pytest.raises(UnprovenMinimum,
                            match="^Newton step 1 from the nominal pose failed$"):
             find_equilibrium(model)
+
+    def test_resumed_run_numbers_its_steps_on(self, geom_cal, monkeypatch):
+        # A run resumed after the solver's iterates numbers its steps on
+        # from them. With no step small enough to stop it, the resumed run
+        # and the whole run fail at the same, last step.
+        model = PotentialModel(geom_cal, make_specs(),
+                               ExternalLoad.tip_payload(3.0), 0.0)
+        sol = solve_static(model)
+        monkeypatch.setattr(energy, "NEWTON_STEP_TOL", -1.0)
+        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", sol.iterations + 2)
+        assert energy._resume(sol, model.nominal.theta)[1] == sol.iterations + 1
+        for solution in (sol, None):
+            with pytest.raises(UnprovenMinimum, match=f"^Newton step "
+                               f"{sol.iterations + 2} from the nominal pose failed$"):
+                find_equilibrium(model, solution)
 
     def test_non_finite_step_raises_unproven_minimum(self, calibrated):
         # A -1e308 N m moment sends the first step past the finite numbers.
@@ -1028,26 +1045,20 @@ class TestResumedPolish:
 
     def test_certified_case_adds_only_the_polish_steps(self, calibrated,
                                                       monkeypatch):
-        # Each case takes one Newton kernel step at each of the solver's
-        # iterates and then only the oracle's 1 or 2 steps beyond them:
-        # one kernel call per step the report shows, and no pose twice in
-        # a case.
+        # Each case takes one Newton step (`count_newton_steps`) at each
+        # of the solver's iterates and then only the oracle's 1 or 2 steps
+        # beyond them: one step per step the report shows, and no pose
+        # twice in a case.
         geom, specs = calibrated.geometry, calibrated.tendons
-        poses = []
-        newton_kernel = PotentialModel.newton_kernel
-
-        def counting(self, t1, t2, t3, *trig):
-            poses.append((self.load, (t1, t2, t3)))
-            return newton_kernel(self, t1, t2, t3, *trig)
-
-        monkeypatch.setattr(PotentialModel, "newton_kernel", counting)
+        steps = count_newton_steps(monkeypatch)
         report = equilibrium_report(geom, specs, 0.0,
                                     random_tip_load_cases(3, 7, geom))
         assert all(map(_certified, report["cases"]))
-        steps = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
-                 for c in report["cases"]]
-        assert all(1 <= polish - solver <= 2 for solver, polish in steps)
-        assert len(poses) == sum(polish for _, polish in steps)
+        counts = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
+                  for c in report["cases"]]
+        assert all(1 <= polish - solver <= 2 for solver, polish in counts)
+        poses = [(model.load, theta) for model, theta in steps]
+        assert len(poses) == sum(polish for _, polish in counts)
         assert len(set(poses)) == len(poses)
 
 
@@ -1139,6 +1150,10 @@ class TestCertificate:
         "repeated_smallest": ((2.0, 1.0, 1.0, 2.0, 1.0, 2.0), 1.0),
         "repeated_largest": ((1.0, 0.0, 0.0, 4.0, 0.0, 4.0), 1.0),
         "indefinite": ((1.0, 2.0, 3.0, -4.0, 5.0, 6.0), None),
+        # A spread p whose cube 2 p^3 underflows to zero, which the closed
+        # form must not divide by.
+        "underflowing_spread": ((1.0, 0.0, 5.813025015050098e-159, 1.0, 0.0, 1.0),
+                                1.0),
     }
 
     @pytest.mark.parametrize("name", sorted(KNOWN))
@@ -1511,11 +1526,11 @@ class TestHeavyLoadCorpus:
 
 
 def _polished(model, theta):
-    """Newton steps (`newton_kernel`) from `theta` until a step is at most
-    1e-13 rad; None where the Hessian is not positive definite or 16
+    """Newton steps (`reference_step`) from `theta` until a step is at
+    most 1e-13 rad; None where the Hessian is not positive definite or 16
     steps pass."""
     for _ in range(16):
-        step = model.newton_kernel(*theta, *link_trig(*theta))
+        step = reference_step(model, theta)
         if step is None:
             return None
         theta = tuple(t + d for t, d in zip(theta, step))

@@ -202,14 +202,15 @@ class TestEntryPointsCalledByName:
         geom, specs = calibrated.geometry, calibrated.tendons
         spies = {name: _spy(monkeypatch, home, name) for home, name in (
             (statics, "solve_static"), (energy, "find_equilibrium"),
-            (energy, "balance_residuals"))}
+            (energy, "balance_residuals"), (energy, "_tangent_balance"))}
         report = energy.equilibrium_report(
             geom, specs, 0.0, energy.random_tip_load_cases(3, 7, geom))
         assert report["summary"]["compared_cases"] == 3
-        # Residuals at the energy pose, and at the solver's pose for the
-        # certificate's gradient norm.
+        # Residuals at the energy pose; the tangent balance there and, for
+        # the certificate's gradient norm, at the solver's pose alone.
         assert {name: len(calls) for name, calls in spies.items()} == {
-            "solve_static": 3, "find_equilibrium": 3, "balance_residuals": 6}
+            "solve_static": 3, "find_equilibrium": 3, "balance_residuals": 3,
+            "_tangent_balance": 6}
 
     def test_stiffness_sweep(self, calibrated, monkeypatch):
         # A row needs only the solver's Newton loop, not a full solution.

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.integrate import quad
 
 from tendonfinger import model as model_module
 from tendonfinger import potential, statics
-from tendonfinger.energy import balance_residuals, find_equilibrium
+from tendonfinger.energy import balance_residuals, equilibrium_report, find_equilibrium
 from tendonfinger.errors import (
     GeometryInfeasible,
     NoConvergence,
@@ -29,7 +31,6 @@ from tendonfinger.model import (
 from tendonfinger.potential import (
     PotentialModel,
     group_specs,
-    ldl_step,
     link_trig,
     zero_pose_wrap,
 )
@@ -42,7 +43,14 @@ from tendonfinger.statics import (
     wrap_moment,
 )
 
-from conftest import STEEL_AREA, STEEL_E, count_models, make_specs
+from conftest import (
+    STEEL_AREA,
+    STEEL_E,
+    count_models,
+    count_newton_steps,
+    make_specs,
+    reference_step,
+)
 
 
 class TestWrapGeometry:
@@ -327,7 +335,7 @@ class TestSolveStatic:
         model = PotentialModel(geom, specs, load, 0.0)
         sol = solve_static(model, threshold=threshold)
         theta = sol.configuration.theta
-        step = model.newton_kernel(*theta, *link_trig(*theta))
+        step = reference_step(model, theta)
         cfg = Configuration(q=0.0, theta=tuple(t + d for t, d in zip(theta, step)))
         y_extra = forward_kinematics(cfg, geom)[1]
         assert abs(y_extra - sol.fingertip[1]) <= threshold
@@ -383,28 +391,19 @@ class TestSolveStatic:
             solve_static(PotentialModel(geom, specs, load, 0.0), max_iterations=2)
         assert len(err.value.trace) == 2
 
-    def test_refused_newton_step_carries_trace(self, calibrated, monkeypatch):
+    def test_refused_newton_step_carries_trace(self, geom_cal, heavy_corpus):
         # A Hessian that is not positive definite refuses the step: the
-        # solve raises NoConvergence with the steps taken so far.
-        geom, specs = calibrated.geometry, calibrated.tendons
-        load = ExternalLoad.tip_payload(3.0, geom.gravity_accel)
-        calls = []
-        newton_kernel = PotentialModel.newton_kernel
-
-        def refuse_third(self, *args):
-            calls.append(args)
-            return None if len(calls) == 3 else newton_kernel(self, *args)
-
-        monkeypatch.setattr(PotentialModel, "newton_kernel", refuse_third)
-        model = PotentialModel(geom, specs, load, 0.0)
-        with pytest.raises(NoConvergence, match="not positive definite") as err:
-            solve_static(model)
-        assert [rec["iteration"] for rec in
-                statics.trace_to_list(err.value.trace, model)] == [1, 2]
-        monkeypatch.setattr(PotentialModel, "newton_kernel", lambda self, *args: None)
-        with pytest.raises(NoConvergence) as err:
-            solve_static(PotentialModel(geom, specs, load, 0.0))
-        assert err.value.trace == []
+        # solve raises NoConvergence with the steps taken so far. Heavy
+        # corpus draw 2 is refused at its third step, draw 4 at its first.
+        for index, step, records in ((2, 3, [1, 2]), (4, 1, [])):
+            youngs_modulus, q, load = heavy_corpus[index]
+            model = PotentialModel(
+                geom_cal, make_specs(youngs_modulus=youngs_modulus), load, q)
+            with pytest.raises(NoConvergence, match=(
+                    f"^Hessian not positive definite before step {step}$")) as err:
+                solve_static(model)
+            assert [rec["iteration"] for rec in
+                    statics.trace_to_list(err.value.trace, model)] == records
 
     def test_rigid_tendons_stay_near_nominal(self, geom_massless):
         # A zero stretch counts as taut in both groups, so the first step
@@ -974,7 +973,7 @@ class TestStopRule:
         last ones change the tip by about 1e-16 m, a few ulps of the
         finger's 0.17 m; 1e-12 m covers that with room to spare."""
         for _ in range(steps):
-            step = model.newton_kernel(*theta, *link_trig(*theta))
+            step = reference_step(model, theta)
             theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
         return link_pose(theta, model.geom)[0][3]
 
@@ -1064,7 +1063,7 @@ def frozen_solve_static(model, specs, *, threshold=statics.DEFAULT_THRESHOLD,
     trace = []
 
     for k in range(1, max_iterations + 1):
-        step = ldl_step(*model.derivatives(*theta, *link_trig(*theta)))
+        step = reference_step(model, theta)
         if step is None:
             raise NoConvergence(
                 f"Hessian not positive definite before step {k}", trace=trace
@@ -1249,18 +1248,103 @@ class TestFrozenSolveLoop:
                    max_iterations=max_iterations)
 
 
+class TestSolverSettings:
+    """A threshold that is not > 0 (NaN included) or a step cap below 1 is
+    refused once, before any payload or case runs, with the same message
+    on every solver entry point."""
+
+    @pytest.mark.parametrize("threshold, max_iterations, message", [
+        (0.0, 100, "threshold must be > 0"),
+        (-1e-6, 100, "threshold must be > 0"),
+        (math.nan, 100, "threshold must be > 0"),
+        (1e-6, 0, "max_iterations must be >= 1"),
+        (1e-6, -1, "max_iterations must be >= 1"),
+    ])
+    def test_refused_before_any_solve(self, calibrated, monkeypatch, threshold,
+                                      max_iterations, message):
+        geom, specs = calibrated.geometry, calibrated.tendons
+        settings_ = {"threshold": threshold, "max_iterations": max_iterations}
+        steps = count_newton_steps(monkeypatch)
+        model = PotentialModel(geom, specs, ExternalLoad.tip_payload(1.0), 0.0)
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            solve_static(model, **settings_)
+        for payloads in ([], [-1.0, -2.0], [1.0]):
+            with pytest.raises(ValueError, match=match):
+                stiffness_sweep(geom, specs, 0.0, payloads, **settings_)
+        for cases in ([], [{"load": ExternalLoad.tip_payload(1.0)}]):
+            with pytest.raises(ValueError, match=match):
+                equilibrium_report(geom, specs, 0.0, cases, **settings_)
+        assert steps == []
+
+
+class TestNewtonDriver:
+    """The driver (`PotentialModel.newton_steps`) writes `ldl_step` of
+    `derivatives` out inline; it equals that reference (`reference_step`)
+    bit for bit: every iterate, its trig and step, every refusal's step
+    number and message."""
+
+    STEPS = 30  # per run; a run also ends after a step of at most 1e-13 rad
+
+    @classmethod
+    def _reference(cls, model, theta):
+        """The reference's items and refusal message (None if it took
+        every step) from `theta`."""
+        items = []
+        for k in range(1, cls.STEPS + 1):
+            step = reference_step(model, theta)
+            if step is None:
+                return items, f"Hessian not positive definite before step {k}"
+            theta = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2])
+            if not all(map(math.isfinite, theta)):
+                return items, f"Newton step {k} gave a non-finite joint angle"
+            items.append((*theta, *link_trig(*theta), *step))
+            if max(map(abs, step)) <= 1e-13:
+                break
+        return items, None
+
+    @classmethod
+    def _pin(cls, model, theta):
+        """Run the driver as far as the reference and compare the bits;
+        the outcome's kind."""
+        want, refusal = cls._reference(model, theta)
+        got, message = [], None
+        try:
+            got.extend(islice(model.newton_steps(theta),
+                              len(want) + (refusal is not None)))
+        except NoConvergence as exc:
+            message = str(exc)
+        assert [list(map(float.hex, item)) for item in got] == [
+            list(map(float.hex, item)) for item in want]
+        assert message == refusal
+        return "stepped" if refusal is None else refusal.split(" ")[0]
+
+    def test_heavy_corpus_bit_for_bit(self, calibrated, heavy_corpus):
+        kinds = Counter()
+        for youngs_modulus, q, load in heavy_corpus:
+            specs = tuple(s._replace(youngs_modulus=youngs_modulus)
+                          for s in calibrated.tendons)
+            model = PotentialModel(calibrated.geometry, specs, load, q)
+            kinds[self._pin(model, model.nominal.theta)] += 1
+        # Runs that end in a refused Hessian and runs that take every step
+        # both occur often.
+        assert kinds["Hessian"] > 1000 and kinds["stepped"] > 1000
+        assert sum(kinds.values()) == len(heavy_corpus)
+
+    def test_non_finite_step(self, calibrated):
+        # A -1e308 N m moment sends the first step past the finite numbers.
+        model = PotentialModel(calibrated.geometry, calibrated.tendons,
+                               ExternalLoad(moment=-1e308), 0.0)
+        assert self._pin(model, model.nominal.theta) == "Newton"
+
+
 class TestLeanStepWork:
     """A solve's steps keep only their iterates, and a sweep's payload
     models share every load-free field."""
 
     def test_calls_per_step(self, calibrated, monkeypatch):
-        steps, poses, configs, stretched, elongated = [], [], [], [], []
-        newton_kernel = PotentialModel.newton_kernel
+        poses, configs, stretched, elongated = [], [], [], []
         stretches = PotentialModel.stretches
-
-        def counting_newton_kernel(self, t1, t2, t3, *trig):
-            steps.append((t1, t2, t3))
-            return newton_kernel(self, t1, t2, t3, *trig)
 
         def counting_stretches(self, t1, t2, t3):
             stretched.append((t1, t2, t3))
@@ -1283,7 +1367,7 @@ class TestLeanStepWork:
         # Built before the spies: a model's nominal pose is its one
         # `link_pose`.
         models = [PotentialModel(geom, specs, load, 1e-3) for _ in range(2)]
-        monkeypatch.setattr(PotentialModel, "newton_kernel", counting_newton_kernel)
+        steps = count_newton_steps(monkeypatch)
         monkeypatch.setattr(PotentialModel, "stretches", counting_stretches)
         for module in (model_module, potential, statics):
             if hasattr(module, "link_pose"):
@@ -1292,39 +1376,38 @@ class TestLeanStepWork:
         monkeypatch.setattr(statics, "elongate_tendons", counting_elongate_tendons)
         sol = solve_static(models[0])
         assert sol.iterations >= 3
-        # One kernel call per step, at the iterate before it.
-        assert steps == [models[0].nominal.theta,
-                         *(rec.theta for rec in sol.trace[:-1])]
-        # One stretch per step, for its gradient and Hessian, and none at
-        # the converged pose: a solve derives no tension or length. Only
-        # that pose gets a `Configuration`, and the fingertip is the last
-        # iterate's, with no `link_pose`.
-        assert stretched == steps
+        # One gradient and Hessian evaluation per step, at the iterate
+        # before it.
+        assert steps == [(models[0], models[0].nominal.theta),
+                         *((models[0], rec.theta) for rec in sol.trace[:-1])]
+        # The driver takes its stretches inline, and nothing else takes one:
+        # a solve derives no tension or length. Only the converged pose
+        # gets a `Configuration`, and the fingertip is the last iterate's,
+        # with no `link_pose`.
+        assert stretched == []
         assert configs == [sol.configuration.theta]
         assert poses == []
         assert elongated == []
 
         steps.clear()
-        stretched.clear()
         with pytest.raises(NoConvergence) as err:
             solve_static(models[1], max_iterations=2)
         assert len(steps) == len(err.value.trace) == 2
-        assert stretched == steps
+        assert stretched == []
         assert configs == [sol.configuration.theta]
         assert poses == []
         assert elongated == []
 
-        # A sweep makes one kernel call per payload step, failed rows'
-        # steps included, and builds no configuration or length; its one
-        # pose is its shared model's nominal pose.
+        # A sweep takes one step per payload step, failed rows' steps
+        # included, and builds no configuration or length; its one pose is
+        # its shared model's nominal pose.
         for max_iterations in (100, 2):
             steps.clear()
-            stretched.clear()
             poses.clear()
             rows = stiffness_sweep(geom, specs, 1e-3, [0.5, -1.0, 0.0, 3.0],
                                    max_iterations=max_iterations)
             assert len(steps) == sum(r.iterations or len(r.trace) for r in rows)
-            assert stretched == steps
+            assert stretched == []
             assert poses == [models[0].nominal.theta]
         assert rows[0].status.startswith("error: NoConvergence")
         assert configs == [sol.configuration.theta]
