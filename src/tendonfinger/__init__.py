@@ -19,7 +19,6 @@ from .model import (
     TendonGroup,
     TendonSpec,
     coupling_angles,
-    fingertip_from_displacement,
     forward_kinematics,
     jacobian,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "elongate_tendons",
     "equilibrium_report",
     "find_equilibrium",
-    "fingertip_from_displacement",
     "forward_kinematics",
     "jacobian",
     "load_finger_config",

@@ -15,7 +15,10 @@ tolerance, 3 non-convergence, a Newton blow-up included
 (diagnostics are still written). Every refusal is a TendonFingerError raised where it is
 checked, and `main` maps it to its class's exit code: an exit-1 refusal
 is a ConfigError, printed without its class name. `stiffness` and
-`validate` report a failing payload in its row instead.
+`validate` report a failing payload in its row instead. Every command
+that solves builds its one `PotentialModel` in its handler, so a q whose
+rigid pose leaves the joint range is refused once, before any row or
+case.
 """
 
 from __future__ import annotations
@@ -370,10 +373,9 @@ def _cmd_stiffness(args) -> int:
     cfg = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     q = _parse_q(args.q, cfg.geometry)
-    rows = stiffness_sweep(
-        cfg.geometry, cfg.tendons, q, payloads,
-        threshold=args.threshold, max_iterations=args.max_iter,
-    )
+    model = PotentialModel(cfg.geometry, cfg.tendons, ExternalLoad(), q)
+    rows = stiffness_sweep(model, payloads, threshold=args.threshold,
+                           max_iterations=args.max_iter)
     _emit(_rows_to_output(rows, args.format), args.out)
     return EXIT_OK if all(r.status == "ok" for r in rows) else EXIT_INFEASIBLE
 
@@ -428,10 +430,9 @@ def _cmd_validate(args) -> int:
     cfg = _load_solver_config(args)
     payloads = _parse_payloads(args.payloads)
     ref = None if args.reference is None else _read_reference(args.reference)
-    rows = stiffness_sweep(
-        cfg.geometry, cfg.tendons, 0.0, payloads,
-        threshold=args.threshold, max_iterations=args.max_iter,
-    )
+    model = PotentialModel(cfg.geometry, cfg.tendons, ExternalLoad(), 0.0)
+    rows = stiffness_sweep(model, payloads, threshold=args.threshold,
+                           max_iterations=args.max_iter)
     _emit(_rows_to_output(rows, args.format), args.out)
 
     ok_rows = [r for r in rows if r.status == "ok"]
@@ -470,10 +471,9 @@ def _cmd_oracle_check(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_solver_config(args)
     cases = random_tip_load_cases(args.cases, args.seed, cfg.geometry)
-    report = equilibrium_report(
-        cfg.geometry, cfg.tendons, 0.0, cases,
-        threshold=args.threshold, max_iterations=args.max_iter,
-    )
+    model = PotentialModel(cfg.geometry, cfg.tendons, ExternalLoad(), 0.0)
+    report = equilibrium_report(model, cases, threshold=args.threshold,
+                                max_iterations=args.max_iter)
     _emit(dumps(report) + "\n", args.out)
     summary = report["summary"]
     worst = summary["max_delta_fraction_of_length"]

@@ -28,10 +28,10 @@ angles, by one route for every load:
    range raises RangeExceeded, and one that the coupling tendons cannot
    wrap GeometryInfeasible, as the solver refuses them.
 
-`equilibrium_report` builds one model and gives each case its load by
-`PotentialModel.with_load`, which shares the model's immutable load-free
-state (nominal pose, stiffnesses, mu_e) and computes only the load's
-share.
+`equilibrium_report` takes the caller's model and gives each case its
+load by `PotentialModel.with_load`, which shares the model's immutable
+load-free state (nominal pose, stiffnesses, mu_e) and computes only the
+load's share.
 
 energy imports no numpy: `random_tip_load_cases` draws numpy's
 `default_rng(seed)` stream in plain floats (`_default_rng_uniform`).
@@ -340,64 +340,58 @@ def _solution_summary(sol: StaticSolution, model: PotentialModel) -> dict:
 
 
 def equilibrium_report(
-    geom: FingerGeometry,
-    specs,
-    q: float,
+    model: PotentialModel,
     cases,
     *,
     threshold: float = DEFAULT_THRESHOLD,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> dict:
-    """Static solve vs energy-minimization comparison over load cases.
+    """Static solve vs energy-minimization comparison over load cases at
+    `model`'s displacement.
 
     Emits one entry per case with both equilibria (the static solve under
     "fixed_point"), the fingertip gap, the balance residuals at the
-    energy pose and the certificate. One potential model is built for the
-    first case, and each case gets its own load from it by `with_load`,
-    sharing the load-free state; a case's model serves its solve, search
-    and residuals, and the search is handed the case's solution, so its
-    Newton run goes on from the solver's iterates instead of repeating
-    them. A case is compared when both routes succeed, so its minimum is
-    proven, and its bound is certified when `fingertip_bound_m` is not
-    None; a certificate field that is not finite is written as None. The
-    summary's `within_tolerance` holds only when every case was compared
-    and, on every case, the gap and, where certified, the bound are at
-    most TOLERANCE_FRACTION of finger length, so a gap that a faulty
-    certificate failed to bound still fails the report. The largest gap
-    is None when no case was compared. A q that is not finite raises
-    ValueError("q must be finite") before any case runs, as
-    `Configuration` does, and so do refused settings
-    (`statics.check_solver_settings`); a finite q out of range fails each
-    case.
+    energy pose and the certificate. Each case runs on
+    `model.with_load(case["load"])`, which shares the model's load-free
+    state; the model's own load is not used. A case's model serves its
+    solve, search and residuals, and the search is handed the case's
+    solution, so its Newton run goes on from the solver's iterates
+    instead of repeating them. A case is compared when both routes
+    succeed, so its minimum is proven, and its bound is certified when
+    `fingertip_bound_m` is not None; a certificate field that is not
+    finite is written as None. The summary's `within_tolerance` holds
+    only when every case was compared and, on every case, the gap and,
+    where certified, the bound are at most TOLERANCE_FRACTION of finger
+    length, so a gap that a faulty certificate failed to bound still
+    fails the report. The largest gap is None when no case was compared.
+    Refused settings (`statics.check_solver_settings`) raise ValueError
+    before any case runs; a rigid pose that the coupling tendons cannot
+    wrap fails each case.
     """
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
     check_solver_settings(threshold, max_iterations)
-    total_len = geom.total_length
+    total_len = model.geom.total_length
+    q = model.nominal.q
     entries = []
     worst = verdict = 0.0
     compared = 0
-    base = None
     for case in cases:
         load = case["load"]
         entry = {k: v for k, v in case.items() if k != "load"}
         entry["force_n"] = list(load.force)
         entry["moment_nm"] = load.moment
         entry["q_m"] = q
+        case_model = model.with_load(load)
         try:
-            if base is None:
-                base = PotentialModel(geom, specs, load, q)
-            model = base.with_load(load)
-            sol = solve_static(model, threshold=threshold,
+            sol = solve_static(case_model, threshold=threshold,
                                max_iterations=max_iterations)
         except TendonFingerError as exc:
             entry["fixed_point"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
             continue
-        entry["fixed_point"] = _solution_summary(sol, model)
+        entry["fixed_point"] = _solution_summary(sol, case_model)
 
         try:
-            eq = find_equilibrium(model, sol)
+            eq = find_equilibrium(case_model, sol)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)
@@ -406,7 +400,7 @@ def equilibrium_report(
             "theta_rad": list(eq.theta),
             "fingertip_m": list(eq.fingertip),
             "energy_j": eq.energy,
-            "energy_at_fixed_point_j": model.energy(sol.configuration.theta),
+            "energy_at_fixed_point_j": case_model.energy(sol.configuration.theta),
             "evaluations": eq.evaluations,
         }
         delta = math.hypot(
@@ -416,21 +410,21 @@ def equilibrium_report(
         entry["fingertip_delta_mm"] = delta * 1e3
         entry["delta_fraction_of_length"] = delta / total_len
         entry["balance_residuals_at_energy_pose"] = balance_residuals(
-            model, eq.theta)
-        gradient_norm = _gradient_norm(model, sol.configuration.theta)
+            case_model, eq.theta)
+        gradient_norm = _gradient_norm(case_model, sol.configuration.theta)
         certificate = {
-            "mu_elastic_nm_per_rad": model.elastic_convexity,
-            "load_curvature_nm_per_rad": model.load_curvature,
-            "mu_nm_per_rad": model.convexity,
+            "mu_elastic_nm_per_rad": case_model.elastic_convexity,
+            "load_curvature_nm_per_rad": case_model.load_curvature,
+            "mu_nm_per_rad": case_model.convexity,
             "gradient_norm_at_fixed_point_nm": gradient_norm,
         }
-        mu = model.convexity
+        mu = case_model.convexity
         if not mu > 0.0:
-            lam, radius, mu = model.local_certificate(sol.configuration.theta,
-                                                      gradient_norm)
+            lam, radius, mu = case_model.local_certificate(
+                sol.configuration.theta, gradient_norm)
             certificate["lambda_at_fixed_point_nm_per_rad"] = lam
             certificate["ball_radius_rad"] = radius
-        bound = certificate["fingertip_bound_m"] = model.fingertip_bound(
+        bound = certificate["fingertip_bound_m"] = case_model.fingertip_bound(
             gradient_norm, mu)
         # JSON has no infinities: an overflowing stiffness matrix's -inf
         # is written as None.

@@ -212,12 +212,6 @@ def forward_kinematics(config: Configuration,
     return link_pose(config.theta, geom)[0][3]
 
 
-def fingertip_from_displacement(q: float, geom: FingerGeometry) -> tuple[float, float]:
-    """Fingertip (x, y) for displacement q; identical to the two-step
-    pipeline."""
-    return forward_kinematics(coupling_angles(q, geom), geom)
-
-
 def jacobian(q: float, geom: FingerGeometry) -> tuple[float, float]:
     """d(fingertip)/dq of the coupled chain, as (dx, dy).
 

@@ -7,8 +7,9 @@ stretch model). `solve_static` takes one load case's `PotentialModel`
 and finds that minimum by Newton steps on the analytic gradient and
 Hessian from the rigid-tendon pose, taken by the model's driver
 (`PotentialModel.newton_steps`); `stiffness_sweep` gives each payload
-its load on one shared model and runs the same Newton loop, keeping only
-the converged fingertip height and the step count. The energy module's
+its load on the caller's model (`PotentialModel.with_load`) and runs the
+same Newton loop, keeping only the converged fingertip height and the
+step count. The energy module's
 oracle minimizes the same potential through the same driver with its
 own stop rule, and proves the minimum it reaches by a certificate that
 does not use the driver's step, and so checks the solver.
@@ -248,55 +249,49 @@ class SweepRow(NamedTuple):
 
 
 def stiffness_sweep(
-    geom: FingerGeometry,
-    specs,
-    q: float,
+    model: PotentialModel,
     payloads,
     *,
     threshold: float = DEFAULT_THRESHOLD,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> list[SweepRow]:
-    """Deflection and secant stiffness for a list of tip payloads (kg).
+    """Deflection and secant stiffness for a list of tip payloads (kg) at
+    `model`'s displacement.
 
     Each payload hangs at the fingertip and is solved by `solve_static`'s
-    Newton loop on one potential model whose load-free state is built for
-    the first payload and shared by the rest (`PotentialModel.with_load`).
-    A row reads only the converged fingertip's height and the step count,
-    so no payload builds tensions, lengths or a `StaticSolution`. A
-    failing row is recorded with its error message and the sweep
-    continues; a negative payload, or one whose weight overflows, fails
-    its row unsolved. A row that fails with NoConvergence keeps the
-    error's iteration trace; the CSV and JSON tables do not show it. A q
-    that is not finite raises ValueError("q must be finite") before any
-    payload runs, as `Configuration` does, and so do refused settings
-    (`check_solver_settings`); a finite q out of range fails each row.
+    Newton loop on `model.with_load`, which shares the model's load-free
+    state; the model's own load is not used. A row reads only the
+    converged fingertip's height and the step count, so no payload builds
+    tensions, lengths or a `StaticSolution`. A failing row is recorded
+    with its error message and the sweep continues; a negative payload,
+    or one whose weight overflows, fails its row unsolved, and a rigid
+    pose that the coupling tendons cannot wrap fails each row. A row that
+    fails with NoConvergence keeps the error's iteration trace; the CSV
+    and JSON tables do not show it. Refused settings
+    (`check_solver_settings`) raise ValueError before any payload runs.
     """
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
     check_solver_settings(threshold, max_iterations)
+    g = model.g
     rows: list[SweepRow] = []
-    base = None
     for m in payloads:
         if m < 0.0:
             rows.append(SweepRow(m, math.nan, math.nan, 0, "error: negative payload"))
             continue
-        force = m * geom.gravity_accel
+        force = m * g
         if not math.isfinite(force):
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  "error: payload weight is not finite"))
             continue
-        load = ExternalLoad.tip_payload(m, geom.gravity_accel)
+        load = ExternalLoad.tip_payload(m, g)
         try:
-            if base is None:
-                base = PotentialModel(geom, specs, load, q)
-            (_, y), trace = _newton_iterates(base.with_load(load), threshold,
+            (_, y), trace = _newton_iterates(model.with_load(load), threshold,
                                              max_iterations)
         except TendonFingerError as exc:
             trace = tuple(exc.trace) if isinstance(exc, NoConvergence) else ()
             rows.append(SweepRow(m, math.nan, math.nan, 0,
                                  f"error: {exc.__class__.__name__}: {exc}", trace))
             continue
-        deflection = base.nominal_pose[0][3][1] - y
+        deflection = model.nominal_pose[0][3][1] - y
         if deflection != 0.0:
             stiffness = force / deflection
         else:

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tendonfinger.config import default_config_path, load_finger_config
 from tendonfinger.model import ExternalLoad, FingerGeometry, TendonGroup, TendonSpec
 from tendonfinger.potential import PotentialModel, ldl_step, link_trig
+
+# Property tests draw the same examples on every run: each test's draws
+# follow from its own source, and no example database carries failures
+# over from an earlier run. Each test sets its own max_examples and
+# deadline.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 STEEL_E = 2.0e11
 STEEL_AREA = math.pi * 0.001 ** 2 / 4.0
@@ -44,6 +52,12 @@ def reference_step(model, theta):
     Hessian is not positive definite: what the driver
     (`PotentialModel.newton_steps`) writes out inline."""
     return ldl_step(*model.derivatives(*theta, *link_trig(*theta)))
+
+
+def unloaded_model(geom, specs, q=0.0):
+    """The load-free model at displacement q that each command that solves
+    builds once and hands to `stiffness_sweep` or `equilibrium_report`."""
+    return PotentialModel(geom, specs, ExternalLoad(), q)
 
 
 HEAVY_MODULI = (2e11, 4e10, 1e10, 5e9)  # Pa: the calibration's steel down to 1/40

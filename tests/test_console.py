@@ -254,3 +254,22 @@ def test_soft_tendons_leave_the_joint_range(tmp_path):
     last = res.stdout.splitlines()[-1]
     assert re.search(r"error: RangeExceeded: theta_1 = 1\.860650 rad outside "
                      r"\[-1\.570796, 1\.570796\]$", last), last
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_of_range_table_q_is_refused_once(tmp_path, fmt):
+    # A table's q whose rigid pose leaves the joint range is refused
+    # before any row, as `solve` refuses it: one error line, no table, no
+    # --out file.
+    out = tmp_path / f"table.{fmt}"
+    line = ("error: RangeExceeded: theta_1 = 87.753938 rad outside "
+            "[-1.570796, 1.570796]\n")
+    for args in (["stiffness", "--payloads", "1,2", "--q=mm:1000", "--format", fmt],
+                 ["stiffness", "--payloads", "1,2", "--q=mm:1000", "--format", fmt,
+                  "--out", str(out)],
+                 ["solve", "mm:1000"]):
+        res = run(*args)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == line
+        assert res.stdout == ""
+    assert not out.exists()

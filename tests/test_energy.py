@@ -59,6 +59,7 @@ from conftest import (
     make_specs,
     reference_step,
     trig_is_math,
+    unloaded_model,
 )
 
 
@@ -497,7 +498,7 @@ class TestSinglePose:
     @pytest.mark.parametrize("seed, q", sorted(REPORT_DIGESTS))
     def test_report_unchanged(self, calibrated, seed, q):
         geom, specs = calibrated.geometry, calibrated.tendons
-        report = equilibrium_report(geom, specs, q,
+        report = equilibrium_report(unloaded_model(geom, specs, q),
                                     random_tip_load_cases(4, seed, geom))
         digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
         assert digest == self.REPORT_DIGESTS[seed, q]
@@ -521,7 +522,7 @@ class TestSinglePose:
             report = _mixed_report(geom, specs)
             local = [True, False, False, True, False]
         else:
-            report = equilibrium_report(geom, _soft_specs(specs), 0.0,
+            report = equilibrium_report(unloaded_model(geom, _soft_specs(specs)),
                                         random_tip_load_cases(6, 7, geom))
             local = [False, True, False, False, True, False]
         assert [_local(c) for c in report["cases"]] == local
@@ -538,7 +539,7 @@ def _mixed_report(geom, specs):
              for kg in (12.0, 15.0)]
     drawn = random_tip_load_cases(3, 7, geom)
     cases = [heavy[0], *drawn[:2], heavy[1], drawn[2]]
-    return equilibrium_report(geom, specs, 1e-3, cases)
+    return equilibrium_report(unloaded_model(geom, specs, 1e-3), cases)
 
 
 def _soft_specs(specs):
@@ -884,7 +885,7 @@ class TestEquilibriumReport:
         # pose balances the tangent cascade.
         geom, specs = calibrated.geometry, calibrated.tendons
         cases = random_tip_load_cases(3, 7, geom)
-        report = equilibrium_report(geom, specs, 0.0, cases)
+        report = equilibrium_report(unloaded_model(geom, specs), cases)
         assert set(report) == {"cases", "summary"}
         summary = report["summary"]
         assert summary["compared_cases"] == 3
@@ -905,14 +906,22 @@ class TestEquilibriumReport:
                          sol.fingertip[1] - eq.fingertip[1])
         assert gap / geom_cal.total_length < 1e-3
 
-    def test_one_potential_model_per_report(self, calibrated, monkeypatch):
+    def test_no_model_built_inside_the_report(self, calibrated, monkeypatch):
+        # The report builds no model of its own and gives each case its
+        # load by one `with_load`, a case whose solve fails included; the
+        # model's own load is not used.
         geom, specs = calibrated.geometry, calibrated.tendons
-        built, loads = count_models(monkeypatch)
         cases = random_tip_load_cases(3, 7, geom)
-        report = equilibrium_report(geom, specs, 0.0, cases)
-        assert [args[2] for args in built] == [cases[0]["load"]]
-        assert loads == [c["load"] for c in cases]
-        assert report["summary"]["compared_cases"] == 3
+        unloaded = equilibrium_report(unloaded_model(geom, specs), cases)
+        model = PotentialModel(geom, specs, ExternalLoad.tip_payload(9.0), 0.0)
+        built, loads = count_models(monkeypatch)
+        for max_iterations, compared in ((100, 3), (1, 0)):
+            loads.clear()
+            report = equilibrium_report(model, cases, max_iterations=max_iterations)
+            assert built == []
+            assert loads == [c["load"] for c in cases]
+            assert report["summary"]["compared_cases"] == compared
+        assert equilibrium_report(model, cases) == unloaded
 
     def test_uncertified_cases_are_proven_locally(self, calibrated):
         # The 12 and 15 kg cases lie beyond the global certificate. The
@@ -936,7 +945,7 @@ class TestEquilibriumReport:
     def test_certified_report_runs_no_local_proof(self, calibrated, monkeypatch):
         geom, specs = calibrated.geometry, calibrated.tendons
         monkeypatch.setattr(PotentialModel, "local_certificate", None)  # a call would fail
-        report = equilibrium_report(geom, specs, 0.0,
+        report = equilibrium_report(unloaded_model(geom, specs),
                                     random_tip_load_cases(4, 3, geom))
         assert all(map(_certified, report["cases"]))
         assert not any(map(_local, report["cases"]))
@@ -946,28 +955,16 @@ class TestEquilibriumReport:
         # A static solve capped at one step always errors, so no case is
         # compared; the summary must not read as a pass.
         geom, specs = calibrated.geometry, calibrated.tendons
-        report = equilibrium_report(geom, specs, 0.0,
-                                    random_tip_load_cases(2, 7, geom),
+        model = unloaded_model(geom, specs)
+        report = equilibrium_report(model, random_tip_load_cases(2, 7, geom),
                                     max_iterations=1)
         assert all("error" in c["fixed_point"] for c in report["cases"])
         summary = report["summary"]
         assert summary["compared_cases"] == 0
         assert summary["max_delta_fraction_of_length"] is None
         assert summary["within_tolerance"] is False
-        assert equilibrium_report(geom, specs, 0.0, [])["summary"][
+        assert equilibrium_report(model, [])["summary"][
             "within_tolerance"] is False
-
-    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
-    def test_non_finite_q_is_refused_up_front(self, calibrated, q):
-        # A finite q outside the joint range fails each case; one that is
-        # not finite is refused before any case, as Configuration does.
-        geom, specs = calibrated.geometry, calibrated.tendons
-        cases = random_tip_load_cases(2, 7, geom)
-        with pytest.raises(ValueError, match="^q must be finite$"):
-            equilibrium_report(geom, specs, q, cases)
-        report = equilibrium_report(geom, specs, 0.5, cases)
-        assert all(c["fixed_point"]["error"].startswith("RangeExceeded: ")
-                   for c in report["cases"])
 
 
 class TestResumedPolish:
@@ -1006,7 +1003,7 @@ class TestResumedPolish:
             specs = _soft_specs(specs)
         monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", max_steps)
         cases = random_tip_load_cases(6, 7, geom)
-        report = equilibrium_report(geom, specs, q, cases, **options)
+        report = equilibrium_report(unloaded_model(geom, specs, q), cases, **options)
         searched = 0
         for case, entry in zip(cases, report["cases"]):
             if "energy_search" not in entry:
@@ -1051,7 +1048,7 @@ class TestResumedPolish:
         # twice in a case.
         geom, specs = calibrated.geometry, calibrated.tendons
         steps = count_newton_steps(monkeypatch)
-        report = equilibrium_report(geom, specs, 0.0,
+        report = equilibrium_report(unloaded_model(geom, specs),
                                     random_tip_load_cases(3, 7, geom))
         assert all(map(_certified, report["cases"]))
         counts = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
@@ -1339,7 +1336,7 @@ class TestCertificate:
 
             monkeypatch.setattr(PotentialModel, "fingertip_bound", fixed)
             for report_cases in (cases, heavy):
-                report = equilibrium_report(geom, specs, 0.0, report_cases)
+                report = equilibrium_report(unloaded_model(geom, specs), report_cases)
                 assert report["summary"]["max_delta_fraction_of_length"] < 1e-9
                 assert report["summary"]["within_tolerance"] is verdict
         # A bound that, from a faulty certificate, claims less than the
@@ -1354,7 +1351,7 @@ class TestCertificate:
             return eq._replace(fingertip=tip)
 
         monkeypatch.setattr(energy, "find_equilibrium", displaced)
-        summary = equilibrium_report(geom, specs, 0.0, cases)["summary"]
+        summary = equilibrium_report(unloaded_model(geom, specs), cases)["summary"]
         assert summary["max_delta_fraction_of_length"] == pytest.approx(
             2.0 * TOLERANCE_FRACTION)
         assert summary["within_tolerance"] is False
@@ -1363,8 +1360,9 @@ class TestCertificate:
         # E = 1e150 Pa overflows the stiffness matrices' closed form, so no
         # proof holds: the case is not compared, the report fails, and it
         # stays strict JSON.
-        report = equilibrium_report(geom_cal, make_specs(youngs_modulus=1e150),
-                                    0.0, [{"load": ExternalLoad.tip_payload(1.0)}])
+        report = equilibrium_report(
+            unloaded_model(geom_cal, make_specs(youngs_modulus=1e150)),
+            [{"load": ExternalLoad.tip_payload(1.0)}])
         [entry] = report["cases"]
         assert entry["energy_search"]["error"].startswith("UnprovenMinimum: ")
         assert "certificate" not in entry
@@ -1382,7 +1380,7 @@ class TestCertificate:
         geom, specs = calibrated.geometry, calibrated.tendons
         cases = ([{"load": ExternalLoad.tip_payload(kg)} for kg in (12.0, 15.0, 40.0)]
                  if heavy else random_tip_load_cases(3, 7, geom))
-        report = equilibrium_report(geom, specs, 0.0, cases, threshold=1e-2)
+        report = equilibrium_report(unloaded_model(geom, specs), cases, threshold=1e-2)
         for entry in report["cases"]:
             assert _local(entry) is heavy
             assert entry["fixed_point"]["iterations"] == (3 if heavy else 2)

@@ -9,6 +9,8 @@ from pathlib import Path
 import tendonfinger
 from tendonfinger import cli, energy, errors, model, statics
 
+from conftest import unloaded_model
+
 
 def test_every_error_class_is_exported():
     defined = {
@@ -55,6 +57,24 @@ def test_config_builds_on_the_model():
     found = _package_imports()["config"]
     assert found  # the scan sees imports
     assert {module for module, _ in found} == {"errors", "model", "potential"}
+
+
+def test_solver_layer_takes_the_model():
+    # One calling convention: every solver and oracle entry point takes
+    # the caller's `PotentialModel` first, and only the command-line front
+    # end builds one, so a bad q is refused in one place.
+    for fn in (statics.solve_static, statics.stiffness_sweep,
+               energy.find_equilibrium, energy.balance_residuals,
+               energy.equilibrium_report):
+        assert next(iter(inspect.signature(fn).parameters)) == "model", fn.__name__
+    builders = []
+    for path in Path(tendonfinger.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "PotentialModel":
+                    builders.append(path.stem)
+    assert builders and set(builders) == {"cli"}
 
 
 def _import_time_modules(tree):
@@ -204,7 +224,7 @@ class TestEntryPointsCalledByName:
             (statics, "solve_static"), (energy, "find_equilibrium"),
             (energy, "balance_residuals"), (energy, "_tangent_balance"))}
         report = energy.equilibrium_report(
-            geom, specs, 0.0, energy.random_tip_load_cases(3, 7, geom))
+            unloaded_model(geom, specs), energy.random_tip_load_cases(3, 7, geom))
         assert report["summary"]["compared_cases"] == 3
         # Residuals at the energy pose; the tangent balance there and, for
         # the certificate's gradient norm, at the solver's pose alone.
@@ -216,8 +236,9 @@ class TestEntryPointsCalledByName:
         # A row needs only the solver's Newton loop, not a full solution.
         solves = _spy(monkeypatch, statics, "solve_static")
         calls = _spy(monkeypatch, statics, "_newton_iterates")
-        rows = statics.stiffness_sweep(calibrated.geometry, calibrated.tendons,
-                                       0.0, [0.5, -1.0, 0.0, 3.0])
+        rows = statics.stiffness_sweep(
+            unloaded_model(calibrated.geometry, calibrated.tendons),
+            [0.5, -1.0, 0.0, 3.0])
         assert [r.status for r in rows] == ["ok", "error: negative payload", "ok", "ok"]
         assert len(calls) == 3
         assert solves == []

@@ -50,6 +50,7 @@ from conftest import (
     count_newton_steps,
     make_specs,
     reference_step,
+    unloaded_model,
 )
 
 
@@ -134,8 +135,8 @@ class TestSolvedPoseWrap:
         assert str(solved.value) == str(rigid.value)
 
     def test_stiffness_row_carries_error(self, calibrated):
-        rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 14e-3,
-                               [0.5, 1.0])
+        rows = stiffness_sweep(
+            unloaded_model(calibrated.geometry, calibrated.tendons, 14e-3), [0.5, 1.0])
         assert rows[0].status == "ok"
         assert rows[1].status == (
             "error: GeometryInfeasible: wrap angle -0.0015 rad outside (0, pi)"
@@ -480,68 +481,82 @@ class TestSolveStatic:
 class TestStiffnessSweep:
     def test_reference_payload_set(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(geom, specs, 0.0, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+        rows = stiffness_sweep(unloaded_model(geom, specs),
+                               (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
         assert len(rows) == 6
         assert all(r.status == "ok" for r in rows)
         deflections = [r.deflection_m for r in rows]
         assert all(b > a for a, b in zip(deflections, deflections[1:]))
 
     def test_zero_payload_massless(self, geom_massless):
-        rows = stiffness_sweep(geom_massless, make_specs(), 0.0, (0.0,))
+        rows = stiffness_sweep(unloaded_model(geom_massless, make_specs()), (0.0,))
         assert rows[0].deflection_m == 0.0
         assert rows[0].stiffness_n_per_m == 0.0
 
     def test_zero_payload_gravity_sag(self, calibrated):
-        rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 0.0, (0.0,))
+        rows = stiffness_sweep(
+            unloaded_model(calibrated.geometry, calibrated.tendons), (0.0,))
         assert rows[0].deflection_m > 0.0
 
     def test_row_error_recorded_and_sweep_continues(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(geom, specs, 0.0, (0.5, 1e5, 1.0))
+        rows = stiffness_sweep(unloaded_model(geom, specs), (0.5, 1e5, 1.0))
         assert rows[0].status == "ok"
         assert rows[1].status.startswith("error:")
         assert rows[2].status == "ok"
 
     def test_secant_stiffness_near_reference(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(geom, specs, 0.0, (3.0,))
+        rows = stiffness_sweep(unloaded_model(geom, specs), (3.0,))
         assert rows[0].stiffness_n_per_m == pytest.approx(1.2e3, rel=0.25)
 
-    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
-    def test_non_finite_q_is_refused_up_front(self, calibrated, q):
-        # A finite q outside the joint range fails each row; one that is
-        # not finite is refused before any row, as Configuration does.
+    @pytest.mark.parametrize("q, error, message", [
+        (math.nan, ValueError, "theta contains a non-finite value"),
+        (math.inf, ValueError, "theta contains a non-finite value"),
+        (-math.inf, ValueError, "theta contains a non-finite value"),
+        (0.02, RangeExceeded,
+         "theta_1 = 1.755079 rad outside [-1.570796, 1.570796]"),
+        (0.5, RangeExceeded,
+         "theta_1 = 43.876969 rad outside [-1.570796, 1.570796]"),
+    ], ids=["nan", "inf", "-inf", "0.02", "0.5"])
+    def test_bad_q_is_refused_by_the_model(self, calibrated, q, error, message):
+        # A sweep or report takes a built model, so a q that is not finite
+        # or whose rigid pose leaves the joint range is refused once, where
+        # the model is built, and no payload or case runs.
         geom, specs = calibrated.geometry, calibrated.tendons
-        with pytest.raises(ValueError, match="^q must be finite$"):
-            stiffness_sweep(geom, specs, q, [1.0])
-        rows = stiffness_sweep(geom, specs, 0.5, [1.0, 2.0])
-        assert all(r.status.startswith("error: RangeExceeded: ") for r in rows)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            unloaded_model(geom, specs, q)
 
-    def test_one_potential_model_per_sweep(self, calibrated, monkeypatch):
+    def test_no_model_built_inside_the_sweep(self, calibrated, monkeypatch):
+        # The sweep builds no model of its own and gives each payload that
+        # reaches a solve its load by one `with_load`; the model's own
+        # load is not used.
         geom, specs = calibrated.geometry, calibrated.tendons
+        payloads = (-1.0, 0.5, 1e5, 0.0, 2.0, math.inf)
+        unloaded = stiffness_sweep(unloaded_model(geom, specs, 1e-3), payloads)
+        model = PotentialModel(geom, specs, ExternalLoad.tip_payload(9.0), 1e-3)
         built, loads = count_models(monkeypatch)
-        payloads = (-1.0, 0.5, 1e5, 0.0, 2.0)
-        rows = stiffness_sweep(geom, specs, 1e-3, payloads)
-        assert [r.status == "ok" for r in rows] == [False, True, False, True, True]
-        tip = [ExternalLoad.tip_payload(m, geom.gravity_accel)
-               for m in payloads if m >= 0.0]
-        assert [args[2] for args in built] == tip[:1]
-        assert loads == tip
+        rows = stiffness_sweep(model, payloads)
+        assert [r.status == "ok" for r in rows] == [False, True, False, True, True,
+                                                    False]
+        assert built == []
+        assert loads == [ExternalLoad.tip_payload(m, geom.gravity_accel)
+                         for m in payloads if 0.0 <= m < math.inf]
+        assert repr(rows) == repr(unloaded)
 
     # A negative payload, a load that leaves the joint range, wrap-infeasible
-    # solved and rigid poses, a step cap, and a q outside the joint range.
+    # solved and rigid poses, and a step cap.
     @pytest.mark.parametrize("q, payloads, max_iterations", [
         (0.0, (0.5, -1.0, 0.0, 3.0, 1e5, 1.0), 100),
         (-1e-3, (2.0, 0.25), 100),
         (14e-3, (0.5, 1.0, 0.25), 100),
         (-12e-3, (1.0, 2.0), 100),
         (1e-3, (1.0, 2.0), 1),
-        (0.02, (0.5, 1.0), 100),
     ])
     def test_rows_equal_per_payload_solves(self, calibrated, q, payloads,
                                            max_iterations):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(geom, specs, q, payloads,
+        rows = stiffness_sweep(unloaded_model(geom, specs, q), payloads,
                                max_iterations=max_iterations)
         assert [r.payload_kg for r in rows] == list(payloads)
         for m, row in zip(payloads, rows):
@@ -584,8 +599,8 @@ class TestStiffnessSweep:
                       for s in calibrated.tendons)
         q, threshold = q_mm * 1e-3, 10.0 ** threshold_exp
         options = {"threshold": threshold, "max_iterations": max_iterations}
-        rows = stiffness_sweep(geom, specs, q, payloads, **options)
-        base = PotentialModel(geom, specs, ExternalLoad(), q)
+        base = unloaded_model(geom, specs, q)
+        rows = stiffness_sweep(base, payloads, **options)
         expected = []
         for m in payloads:
             force = m * geom.gravity_accel
@@ -616,7 +631,8 @@ class TestStiffnessSweep:
 
     def test_failed_row_keeps_its_trace(self, calibrated):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(geom, specs, 0.0, (0.5, -1.0), max_iterations=1)
+        rows = stiffness_sweep(unloaded_model(geom, specs), (0.5, -1.0),
+                               max_iterations=1)
         assert rows[0].status.startswith("error: NoConvergence:")
         with pytest.raises(NoConvergence) as exc:
             solve_static(PotentialModel(
@@ -630,7 +646,8 @@ class TestStiffnessSweep:
         assert "trace" not in repr(rows[0])
 
     def test_csv_shape(self, calibrated):
-        rows = stiffness_sweep(calibrated.geometry, calibrated.tendons, 0.0, (0.5,))
+        rows = stiffness_sweep(
+            unloaded_model(calibrated.geometry, calibrated.tendons), (0.5,))
         text = sweep_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "payload_kg,deflection_mm,stiffness_N_per_m,iterations,status"
@@ -1271,10 +1288,10 @@ class TestSolverSettings:
             solve_static(model, **settings_)
         for payloads in ([], [-1.0, -2.0], [1.0]):
             with pytest.raises(ValueError, match=match):
-                stiffness_sweep(geom, specs, 0.0, payloads, **settings_)
+                stiffness_sweep(model, payloads, **settings_)
         for cases in ([], [{"load": ExternalLoad.tip_payload(1.0)}]):
             with pytest.raises(ValueError, match=match):
-                equilibrium_report(geom, specs, 0.0, cases, **settings_)
+                equilibrium_report(model, cases, **settings_)
         assert steps == []
 
 
@@ -1399,16 +1416,15 @@ class TestLeanStepWork:
         assert elongated == []
 
         # A sweep takes one step per payload step, failed rows' steps
-        # included, and builds no configuration or length; its one pose is
-        # its shared model's nominal pose.
+        # included, and builds no configuration, length or pose: its
+        # rows' nominal pose is the caller's model's.
         for max_iterations in (100, 2):
             steps.clear()
-            poses.clear()
-            rows = stiffness_sweep(geom, specs, 1e-3, [0.5, -1.0, 0.0, 3.0],
+            rows = stiffness_sweep(models[0], [0.5, -1.0, 0.0, 3.0],
                                    max_iterations=max_iterations)
             assert len(steps) == sum(r.iterations or len(r.trace) for r in rows)
             assert stretched == []
-            assert poses == [models[0].nominal.theta]
+            assert poses == []
         assert rows[0].status.startswith("error: NoConvergence")
         assert configs == [sol.configuration.theta]
         assert elongated == []
