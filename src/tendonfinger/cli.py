@@ -17,8 +17,8 @@ checked, and `main` maps it to its class's exit code: an exit-1 refusal
 is a ConfigError, printed without its class name. `stiffness` and
 `validate` report a failing payload in its row instead. Every command
 that solves builds its one `PotentialModel` in its handler, so a q whose
-rigid pose leaves the joint range is refused once, before any row or
-case.
+rigid pose leaves the joint range, or that the coupling tendons cannot
+wrap, is refused once, before any row or case.
 """
 
 from __future__ import annotations

@@ -51,11 +51,8 @@ moves by at most the caller's `threshold` in x and y, the minimizer only
 at a 1e-13 rad step. So the gap measures how far the solver's stop rule
 leaves it from the minimum (at most 4e-14 mm at the default 1e-6 m
 threshold, 0.05 mm at 1e-2 m on `--cases 3 --seed 7`), and `energy_j`
-is the minimum's. The report hands `find_equilibrium` the case's
-solution, and the Newton run resumes through the same driver after the
-solver's iterates where they are provably its own steps (`_resume`): a
-case then costs the solver's steps plus the minimizer's 1 or 2 more, and
-its result is a fresh run's, bit for bit.
+is the minimum's. Both runs start at the nominal pose, so a report case
+costs the solver's steps plus the minimizer's own.
 """
 
 from __future__ import annotations
@@ -106,8 +103,7 @@ class EquilibriumResult(NamedTuple):
     evaluations: int
 
 
-def find_equilibrium(model: PotentialModel,
-                     solution: StaticSolution | None = None) -> EquilibriumResult:
+def find_equilibrium(model: PotentialModel) -> EquilibriumResult:
     """The minimum of `model`'s potential, by the Newton run and proof of
     the module docstring; `evaluations` is the step count.
 
@@ -116,17 +112,11 @@ def find_equilibrium(model: PotentialModel,
     it refuses a pose whose first joint angle leaves the joint range
     (RangeExceeded) or whose coupling tendons cannot wrap their guides
     (GeometryInfeasible).
-
-    Given `solution`, a `solve_static` solution of this `model`, the
-    Newton run resumes after the solver's iterates where those are its
-    own first steps (`_resume`), and does not compute them twice. The
-    result is the same, bit for bit.
     """
-    start, first = _resume(solution, model.nominal.theta)
-    steps, theta = first - 1, None  # the last step taken
+    steps, theta = 0, None  # the last step taken
     try:
         for steps, (t1, t2, t3, _, _, _, _, _, _, d1, d2, d3) in enumerate(
-                islice(model.newton_steps(start), NEWTON_MAX_STEPS - steps), first):
+                islice(model.newton_steps(model.nominal.theta), NEWTON_MAX_STEPS), 1):
             if max(abs(d1), abs(d2), abs(d3)) <= NEWTON_STEP_TOL:
                 theta = (t1, t2, t3)
                 break
@@ -147,31 +137,6 @@ def find_equilibrium(model: PotentialModel,
         energy=model.energy(theta),
         evaluations=steps,
     )
-
-
-def _resume(solution, start):
-    """The pose and step number at which the Newton run from `start` goes
-    on after `solution`'s Newton iterates: (start, 1) where those may not
-    be its own first steps.
-
-    The solver's iterates are the run's own first steps: both start at
-    the nominal pose and step by `PotentialModel.newton_steps`. The run
-    resumes at the solver's last iterate, at step `iterations` + 1, when
-    none of those steps could have ended it: the solver stopped before
-    step NEWTON_MAX_STEPS, and every step read back from the trace,
-    max |theta_j - theta_(j-1)|, exceeds 2 NEWTON_STEP_TOL. That reading
-    differs from the step taken by at most an ulp of theta, far below
-    NEWTON_STEP_TOL, so the run would not have stopped there.
-    """
-    if solution is None or solution.iterations >= NEWTON_MAX_STEPS:
-        return start, 1
-    theta = start
-    for rec in solution.trace:
-        step = max(abs(t - p) for t, p in zip(rec.theta, theta))
-        if not step > 2.0 * NEWTON_STEP_TOL:
-            return start, 1
-        theta = rec.theta
-    return theta, solution.iterations + 1
 
 
 def _gradient_norm(model: PotentialModel, theta) -> float:
@@ -354,9 +319,7 @@ def equilibrium_report(
     energy pose and the certificate. Each case runs on
     `model.with_load(case["load"])`, which shares the model's load-free
     state; the model's own load is not used. A case's model serves its
-    solve, search and residuals, and the search is handed the case's
-    solution, so its Newton run goes on from the solver's iterates
-    instead of repeating them. A case is compared when both routes
+    solve, search and residuals. A case is compared when both routes
     succeed, so its minimum is proven, and its bound is certified when
     `fingertip_bound_m` is not None; a certificate field that is not
     finite is written as None. The summary's `within_tolerance` holds
@@ -365,8 +328,7 @@ def equilibrium_report(
     length, so a gap that a faulty certificate failed to bound still
     fails the report. The largest gap is None when no case was compared.
     Refused settings (`statics.check_solver_settings`) raise ValueError
-    before any case runs; a rigid pose that the coupling tendons cannot
-    wrap fails each case.
+    before any case runs.
     """
     check_solver_settings(threshold, max_iterations)
     total_len = model.geom.total_length
@@ -391,7 +353,7 @@ def equilibrium_report(
         entry["fixed_point"] = _solution_summary(sol, case_model)
 
         try:
-            eq = find_equilibrium(case_model, sol)
+            eq = find_equilibrium(case_model)
         except TendonFingerError as exc:
             entry["energy_search"] = {"error": f"{exc.__class__.__name__}: {exc}"}
             entries.append(entry)

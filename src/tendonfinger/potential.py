@@ -3,7 +3,10 @@ The elastic model: the finger's total potential over its three joint
 angles, shared by the static solver and the energy oracle.
 
 The potential is link gravity plus the elastic energy of every tendon
-plus the external load's potential.
+plus the external load's potential. `PotentialModel.energy` sums them at
+one pose from the pose's points (`link_pose`, `PotentialModel.load_at`),
+as the local proof and the oracle's tangent balance read them; only the
+Newton driver computes its iterates' link cosines and sines inline.
 
 Tendon stretch model: the actuating tendon's routed length changes by
 R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
@@ -192,6 +195,7 @@ class PotentialModel:
         self.nominal_pose = link_pose(self.nominal.theta, geom)
         self.g = geom.gravity_accel
         self.wrap0 = zero_pose_wrap(geom)
+        self.wrap0.angles_at(self.nominal.theta)  # refuses an unwrappable rigid pose
         lt2, lt3 = self.wrap0.rest_length_2, self.wrap0.rest_length_3
         flex = group_specs(specs, TendonGroup.FLEXION)
         ext = group_specs(specs, TendonGroup.EXTENSION)
@@ -580,49 +584,34 @@ class PotentialModel:
             self.geom.total_length + 2.0 * lever * self.moment_scale / mu)
         return lever * gradient_norm / mu + floor
 
-    def axis_components(self, t1, t2, t3):
-        """Gravity, elastic and load potentials at joint angles t1, t2, t3,
-        in plain floats, by math's sine and cosine."""
-        l1, l2, l3 = self.geom.link_lengths
+    def energy(self, theta) -> float:
+        """Total potential at one pose, from a triple of plain floats: the
+        links' weights at their centres of mass, the tendons' springs and
+        the load at its point, from the pose's points (`link_pose`,
+        `load_at`)."""
+        pose = link_pose(theta, self.geom)
+        points, ((_, y1), (_, y2), (_, y3)) = pose
         m1, m2, m3 = self.geom.link_masses
-        f1, f2, f3 = self.geom.com_fractions
-        fl1, fl2, fl3 = f1 * l1, f2 * l2, f3 * l3
-        c1, c2, c3, s1, s2, s3 = link_trig(t1, t2, t3)
-
-        y1 = l1 * s1
-        y2 = y1 + l2 * s2
-        gravity = self.g * (
-            m1 * (0.0 + fl1 * s1) + m2 * (y1 + fl2 * s2) + m3 * (y2 + fl3 * s3)
-        )
+        gravity = self.g * (m1 * y1 + m2 * y2 + m3 * y3)
 
         def spring(k_flex, k_ext, flex):
             taut, slack = max(flex, 0.0), max(-flex, 0.0)
             return k_flex * (taut * taut) + k_ext * (slack * slack)
 
-        e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(t1, t2, t3))
-        elastic = 0.5 * (e1 + e2 + e3)
-
+        e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(*theta))
         # A load without an attach point acts at the fingertip.
-        x_j3 = l1 * c1 + l2 * c2
-        if self.attach_local is None:
-            px, py = x_j3 + l3 * c3, y2 + l3 * s3
-        else:
-            ax, ay = self.attach_local
-            px = x_j3 + c3 * ax - s3 * ay
-            py = y2 + s3 * ax + c3 * ay
+        px, py = self.load_at(theta, pose).application_point or points[3]
         fx, fy = self.load.force
-        return (gravity, elastic,
-                -(fx * px + fy * py) - self.load.moment * ((t1 + t2) + t3))
-
-    def energy(self, theta) -> float:
-        """Total potential at one pose, from a triple of plain floats."""
-        g, e, l = self.axis_components(*theta)
-        return g + e + l
+        t1, t2, t3 = theta
+        load = -(fx * px + fy * py) - self.load.moment * ((t1 + t2) + t3)
+        return gravity + 0.5 * (e1 + e2 + e3) + load
 
 
 def link_trig(t1, t2, t3):
     """Cosines and sines (c1, c2, c3, s1, s2, s3) of the link angles t1,
-    t1 + t2 and (t1 + t2) + t3, summed in `link_pose`'s order."""
+    t1 + t2 and (t1 + t2) + t3, summed in `link_pose`'s order: what
+    `derivatives` takes after the joint angles. The driver computes them
+    inline; the remaining callers are tests that feed `derivatives`."""
     phi2 = t1 + t2
     phi3 = phi2 + t3
     return (math.cos(t1), math.cos(phi2), math.cos(phi3),

@@ -162,7 +162,6 @@ def _newton_iterates(model: PotentialModel, threshold: float,
     iterate's fingertip (x, y) and the trace, whose last record holds that
     iterate, its residual and, by its length, the step count. Raises as
     `solve_static` does; the settings are checked by its callers."""
-    model.wrap0.angles_at(model.nominal.theta)  # refuses an unwrappable rigid pose
     l1, l2, l3 = model.geom.link_lengths
     x_prev = y_prev = None
     last_residual = math.inf
@@ -182,7 +181,7 @@ def _newton_iterates(model: PotentialModel, threshold: float,
 
             if residual is not None:
                 if residual <= threshold:
-                    model.wrap0.angles_at(theta)  # and a solved one
+                    model.wrap0.angles_at(theta)  # refuses an unwrappable solved pose
                     return (x_k, y_k), trace
                 last_residual = residual
             x_prev, y_prev = x_k, y_k
@@ -220,7 +219,8 @@ def solve_static(
     or a `max_iterations` below 1 (`check_solver_settings`),
     RangeExceeded at a step whose theta_1 leaves the joint range,
     GeometryInfeasible when a coupling tendon cannot wrap its guides at
-    the rigid or at the converged pose, and NoConvergence, with the
+    the converged pose (the model refuses a rigid pose it cannot wrap
+    when it is built), and NoConvergence, with the
     steps' trace, after `max_iterations` steps, at a Hessian that is not
     positive definite or at a step to a non-finite angle.
     """
@@ -264,8 +264,7 @@ def stiffness_sweep(
     converged fingertip's height and the step count, so no payload builds
     tensions, lengths or a `StaticSolution`. A failing row is recorded
     with its error message and the sweep continues; a negative payload,
-    or one whose weight overflows, fails its row unsolved, and a rigid
-    pose that the coupling tendons cannot wrap fails each row. A row that
+    or one whose weight overflows, fails its row unsolved. A row that
     fails with NoConvergence keeps the error's iteration trace; the CSV
     and JSON tables do not show it. Refused settings
     (`check_solver_settings`) raise ValueError before any payload runs.

@@ -257,17 +257,21 @@ def test_soft_tendons_leave_the_joint_range(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_out_of_range_table_q_is_refused_once(tmp_path, fmt):
-    # A table's q whose rigid pose leaves the joint range is refused
-    # before any row, as `solve` refuses it: one error line, no table, no
-    # --out file.
+@pytest.mark.parametrize("q, line", [
+    ("mm:1000", "error: RangeExceeded: theta_1 = 87.753938 rad outside "
+                "[-1.570796, 1.570796]\n"),
+    ("mm:-12", "error: GeometryInfeasible: wrap angle 3.2360 rad outside "
+               "(0, pi) at theta = -1.3163\n"),
+])
+def test_out_of_range_table_q_is_refused_once(tmp_path, fmt, q, line):
+    # A table's q whose rigid pose leaves the joint range, or that the
+    # coupling tendons cannot wrap, is refused before any row, as `solve`
+    # refuses it: one error line, no table, no --out file.
     out = tmp_path / f"table.{fmt}"
-    line = ("error: RangeExceeded: theta_1 = 87.753938 rad outside "
-            "[-1.570796, 1.570796]\n")
-    for args in (["stiffness", "--payloads", "1,2", "--q=mm:1000", "--format", fmt],
-                 ["stiffness", "--payloads", "1,2", "--q=mm:1000", "--format", fmt,
+    for args in (["stiffness", "--payloads", "1,2", f"--q={q}", "--format", fmt],
+                 ["stiffness", "--payloads", "1,2", f"--q={q}", "--format", fmt,
                   "--out", str(out)],
-                 ["solve", "mm:1000"]):
+                 ["solve", q]):
         res = run(*args)
         assert res.returncode == 2, res.stderr
         assert res.stderr == line

@@ -44,7 +44,6 @@ from tendonfinger.potential import (
     zero_pose_wrap,
 )
 from tendonfinger.statics import (
-    IterationRecord,
     pose_moments,
     solve_static,
     wrap_moment,
@@ -245,32 +244,20 @@ class TestPotential:
         q = 0.004
         model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), q)
         theta = coupling_angles(q, geom_massless).theta
-        gravity, elastic, _ = model.axis_components(*theta)
-        assert elastic == 0.0
-        assert gravity == 0.0
         assert model.energy(theta) == 0.0
-
-    def test_component_sum(self, geom_cal):
-        load = ExternalLoad(force=(1.0, -15.0), moment=0.02)
-        model = PotentialModel(geom_cal, make_specs(), load, 0.0)
-        theta = (-0.1, -0.05, -0.02)
-        gravity, elastic, load_pe = model.axis_components(*theta)
-        assert model.energy(theta) == pytest.approx(
-            gravity + elastic + load_pe, rel=1e-12
-        )
 
     def test_distal_perturbation_quadratic(self, geom_massless):
         # Moving only joint 3 stretches only that coupling tendon, giving
-        # the quadratic 0.5 * (E A / L_T3) * (R3 d)^2.
+        # the quadratic 0.5 * (E A / L_T3) * (R3 d)^2; with no mass and no
+        # load that is the whole potential.
         q, d = 0.002, 1.5e-3
         model = PotentialModel(geom_massless, make_specs(), ExternalLoad(), q)
         theta = list(coupling_angles(q, geom_massless).theta)
         theta[2] += d
-        _, elastic, _ = model.axis_components(*theta)
         lt3 = zero_pose_wrap(geom_massless).rest_length_3
         k3 = STEEL_E * STEEL_AREA / lt3
         expect = 0.5 * k3 * (geom_massless.guide_radii[2] * d) ** 2
-        assert elastic == pytest.approx(expect, rel=1e-9)
+        assert model.energy(theta) == pytest.approx(expect, rel=1e-9)
 
 
 class TestGradient:
@@ -312,7 +299,7 @@ class TestGradient:
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-9)) < 1e-4
 
 
-    def test_gravity_gradient_matches_loop(self, geom_cal):
+    def test_gravity_gradient_matches_loop(self, geom_cal, monkeypatch):
         # At the nominal pose with no load, tendons are unstretched, so
         # the gradient is the gravity term alone. Distinct masses and
         # centre-of-mass fractions weight every link differently.
@@ -328,7 +315,14 @@ class TestGradient:
         for geom in geoms:
             scale = geom.gravity_accel * sum(geom.link_masses) * geom.total_length
             for q in np.linspace(-q_max, q_max, 41):
-                model = PotentialModel(geom, specs, ExternalLoad(), q)
+                # The whole joint range, past the rigid poses that the
+                # coupling tendons can wrap: a model refuses those when it
+                # is built, but the solver's steps still pass through them,
+                # and neither gradient reads the wrap.
+                with monkeypatch.context() as m:
+                    m.setattr(type(zero_pose_wrap(geom)), "angles_at",
+                              lambda self, theta: (0.0, 0.0))
+                    model = PotentialModel(geom, specs, ExternalLoad(), q)
                 theta = model.nominal.theta
                 grad = _gradient(model, theta)
                 ref = _reference_gravity_gradient(model, theta)
@@ -439,22 +433,19 @@ class TestSinglePose:
                 yield model, poses
 
     def test_floats_match_the_frozen_rows(self, geom_cal):
-        # Equal values; the frozen sums start from numpy's +0.0 or -0.0
-        # where the plain floats do not, so a zero's sign may differ.
+        # The potential equals the frozen rows' total; the frozen sums
+        # start from numpy's +0.0 or -0.0 where the plain floats do not,
+        # so a zero's sign may differ.
         for model, poses in self._cases(geom_cal):
             for theta in poses:
-                floats = model.axis_components(*theta)
-                rows = _reference_components(model, [theta])
+                new = model.energy(theta)
+                [ref] = _reference_total(model, [theta])
                 t1, t2, t3 = theta
-                exact = trig_is_math([t1, t1 + t2, (t1 + t2) + t3])
-                for new, ref in zip((*floats, model.energy(theta)),
-                                    (*rows, _reference_total(model, [theta]))):
-                    assert type(new) is float
-                    if exact:
-                        assert new == ref[0]
-                    else:
-                        np.testing.assert_allclose(new, ref[0], rtol=1e-12,
-                                                   atol=1e-12)
+                assert type(new) is float
+                if trig_is_math([t1, t1 + t2, (t1 + t2) + t3]):
+                    assert new == ref
+                else:
+                    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12)
 
     def test_balance_residuals_match_numpy_reference(self, geom_cal):
         # Both read their moments and wrap angles from the same plain-float
@@ -637,21 +628,6 @@ class TestNewtonRun:
         with pytest.raises(UnprovenMinimum,
                            match="^Newton step 1 from the nominal pose failed$"):
             find_equilibrium(model)
-
-    def test_resumed_run_numbers_its_steps_on(self, geom_cal, monkeypatch):
-        # A run resumed after the solver's iterates numbers its steps on
-        # from them. With no step small enough to stop it, the resumed run
-        # and the whole run fail at the same, last step.
-        model = PotentialModel(geom_cal, make_specs(),
-                               ExternalLoad.tip_payload(3.0), 0.0)
-        sol = solve_static(model)
-        monkeypatch.setattr(energy, "NEWTON_STEP_TOL", -1.0)
-        monkeypatch.setattr(energy, "NEWTON_MAX_STEPS", sol.iterations + 2)
-        assert energy._resume(sol, model.nominal.theta)[1] == sol.iterations + 1
-        for solution in (sol, None):
-            with pytest.raises(UnprovenMinimum, match=f"^Newton step "
-                               f"{sol.iterations + 2} from the nominal pose failed$"):
-                find_equilibrium(model, solution)
 
     def test_non_finite_step_raises_unproven_minimum(self, calibrated):
         # A -1e308 N m moment sends the first step past the finite numbers.
@@ -967,10 +943,9 @@ class TestEquilibriumReport:
             "within_tolerance"] is False
 
 
-class TestResumedPolish:
-    """The report's oracle resumes its Newton run after the solver's
-    iterates, its own first steps, and gets a fresh `find_equilibrium`'s
-    result, bit for bit."""
+class TestReportSearch:
+    """The report's oracle is `find_equilibrium` of the case's model: its
+    own Newton run from the nominal pose, after the solver's."""
 
     @staticmethod
     def _fresh(model):
@@ -982,10 +957,9 @@ class TestResumedPolish:
                 "energy_j": eq.energy, "evaluations": eq.evaluations}
 
     # Certified reports at two q; a 1e-18 m threshold, whose last solver
-    # steps are below the run's stop, so the run starts over; a loose
-    # threshold; step-capped solves; run caps at and above the solver's
-    # step count; and soft tendons, whose uncertified cases the local
-    # proof covers.
+    # steps are below the run's stop; a loose threshold; step-capped
+    # solves; run caps at and above the solver's step count; and soft
+    # tendons, whose uncertified cases the local proof covers.
     @pytest.mark.parametrize("soft, q, options, max_steps", [
         (False, 0.0, {}, NEWTON_MAX_STEPS),
         (False, 3e-3, {}, NEWTON_MAX_STEPS),
@@ -1015,48 +989,28 @@ class TestResumedPolish:
             assert repr(found) == repr(fresh)
         assert searched > 0
 
-    def test_resume_only_after_the_polish_own_steps(self):
-        # The run resumes after a trace whose every step exceeds
-        # 2 NEWTON_STEP_TOL, from a solve that stopped before
-        # NEWTON_MAX_STEPS, wherever its iterates lie; otherwise it starts
-        # over.
-        start = (0.0, 0.0, 0.0)
-        big, small = 3.0 * energy.NEWTON_STEP_TOL, 1.5 * energy.NEWTON_STEP_TOL
-
-        def solution(*thetas):
-            return SimpleNamespace(
-                iterations=len(thetas),
-                trace=tuple(IterationRecord(t, 0.0, None) for t in thetas))
-
-        inside = solution((0.5, 0.0, 0.0), (0.5, -0.5, 0.0), (0.5, -0.5, big))
-        assert energy._resume(inside, start) == ((0.5, -0.5, big), 4)
-        far = solution((0.5, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 0.0, 0.0))
-        assert energy._resume(far, start) == ((0.5, 0.0, 0.0), 4)
-        steps = [(0.1 * k, 0.0, 0.0) for k in range(1, NEWTON_MAX_STEPS + 1)]
-        assert energy._resume(solution(*steps[:-1]), start) == (
-            steps[-2], NEWTON_MAX_STEPS)
-        for sol in (None,
-                    solution(*steps),
-                    solution((0.5, 0.0, 0.0), (0.5, small, 0.0))):
-            assert energy._resume(sol, start) == (start, 1)
-
-    def test_certified_case_adds_only_the_polish_steps(self, calibrated,
-                                                      monkeypatch):
-        # Each case takes one Newton step (`count_newton_steps`) at each
-        # of the solver's iterates and then only the oracle's 1 or 2 steps
-        # beyond them: one step per step the report shows, and no pose
-        # twice in a case.
+    def test_case_runs_the_solver_then_the_oracle(self, calibrated, monkeypatch):
+        # Each case runs exactly the solver's Newton steps and then the
+        # oracle's (`count_newton_steps`), so `evaluations` is the
+        # oracle's own step count. Its run starts at the nominal pose, as
+        # the solver's does, and repeats the solver's iterates before it
+        # takes its 1 or 2 steps beyond them.
         geom, specs = calibrated.geometry, calibrated.tendons
         steps = count_newton_steps(monkeypatch)
         report = equilibrium_report(unloaded_model(geom, specs),
                                     random_tip_load_cases(3, 7, geom))
         assert all(map(_certified, report["cases"]))
-        counts = [(c["fixed_point"]["iterations"], c["energy_search"]["evaluations"])
-                  for c in report["cases"]]
-        assert all(1 <= polish - solver <= 2 for solver, polish in counts)
-        poses = [(model.load, theta) for model, theta in steps]
-        assert len(poses) == sum(polish for _, polish in counts)
-        assert len(set(poses)) == len(poses)
+        start = 0
+        for entry in report["cases"]:
+            solver = entry["fixed_point"]["iterations"]
+            oracle = entry["energy_search"]["evaluations"]
+            assert 1 <= oracle - solver <= 2
+            case = steps[start:start + solver + oracle]
+            start += solver + oracle
+            assert len({id(model) for model, _ in case}) == 1
+            poses = [theta for _, theta in case]
+            assert poses[solver:2 * solver] == poses[:solver]
+        assert start == len(steps)
 
 
 def _certified(entry):
@@ -1255,7 +1209,7 @@ class TestCertificate:
             for case in cases:
                 model = base.with_load(case["load"])
                 sol = solve_static(model)
-                eq = find_equilibrium(model, sol)
+                eq = find_equilibrium(model)
                 assert eq.evaluations <= NEWTON_MAX_STEPS
                 bound = model.fingertip_bound(
                     _gradient_norm(model, sol.configuration.theta), model.convexity)
@@ -1304,8 +1258,7 @@ class TestCertificate:
         model = PotentialModel(geom_cal, make_specs(), ExternalLoad.tip_payload(kg), 0.0)
         assert model.convexity < 0.0
         sol = solve_static(model)
-        eq = find_equilibrium(model, sol)
-        assert eq == find_equilibrium(model)
+        eq = find_equilibrium(model)
         norm = _gradient_norm(model, sol.configuration.theta)
         lam, radius, modulus = model.local_certificate(sol.configuration.theta, norm)
         assert modulus == 0.5 * lam
@@ -1345,8 +1298,8 @@ class TestCertificate:
                             lambda self, norm, mu: 0.0)
         search = energy.find_equilibrium
 
-        def displaced(model, solution=None):
-            eq = search(model, solution)
+        def displaced(model):
+            eq = search(model)
             tip = (eq.fingertip[0] + 2.0 * limit, eq.fingertip[1])
             return eq._replace(fingertip=tip)
 
@@ -1393,8 +1346,8 @@ class TestCertificate:
 def corpus_outcomes(calibrated, heavy_corpus):
     """Young's modulus -> [(model, solution, result)] over the committed
     heavy-load corpus: the solution and the result are None where the
-    solver refuses the load, and the result is `find_equilibrium`'s given
-    the solution, as a report runs it."""
+    solver refuses the load, and the result is `find_equilibrium`'s, run
+    where a report runs it."""
     outcomes = {}
     for youngs_modulus, q, load in heavy_corpus:
         specs = tuple(s._replace(youngs_modulus=youngs_modulus)
@@ -1404,7 +1357,7 @@ def corpus_outcomes(calibrated, heavy_corpus):
             sol = solve_static(model)
         except TendonFingerError:
             sol = None
-        eq = None if sol is None else find_equilibrium(model, sol)
+        eq = None if sol is None else find_equilibrium(model)
         outcomes.setdefault(youngs_modulus, []).append((model, sol, eq))
     return outcomes
 
@@ -1562,8 +1515,7 @@ def _assert_shared_equals_fresh(shared, geom, specs, load, q):
     _assert_same_outcome(_outcome(shared), _outcome(fresh))
     for offset in (0.0, 0.1, -0.3):
         theta = tuple(t + offset * k for k, t in enumerate(fresh.nominal.theta, 1))
-        assert _bits(shared.axis_components(*theta)) == _bits(
-            fresh.axis_components(*theta))
+        assert _bits([shared.energy(theta)]) == _bits([fresh.energy(theta)])
 
 
 def _assert_immutable_fields(model):

@@ -67,6 +67,8 @@ def test_solver_layer_takes_the_model():
                energy.find_equilibrium, energy.balance_residuals,
                energy.equilibrium_report):
         assert next(iter(inspect.signature(fn).parameters)) == "model", fn.__name__
+    # The oracle takes nothing else: one Newton run, from the nominal pose.
+    assert tuple(inspect.signature(energy.find_equilibrium).parameters) == ("model",)
     builders = []
     for path in Path(tendonfinger.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -134,6 +134,21 @@ class TestSolvedPoseWrap:
             solve_static(PotentialModel(geom, specs, ExternalLoad.tip_payload(1.0), q))
         assert str(solved.value) == str(rigid.value)
 
+    def test_rigid_pose_refused_when_the_model_is_built(self, calibrated,
+                                                        monkeypatch):
+        # The model refuses a rigid pose that the tendons cannot wrap, on
+        # either side, with the wrap check's message; no solve, sweep or
+        # report gets a model to step from.
+        geom, specs = calibrated.geometry, calibrated.tendons
+        steps = count_newton_steps(monkeypatch)
+        for q in (-12e-3, 14.5e-3):
+            with pytest.raises(GeometryInfeasible) as rigid:
+                zero_pose_wrap(geom).angles_at(coupling_angles(q, geom).theta)
+            with pytest.raises(GeometryInfeasible) as built:
+                PotentialModel(geom, specs, ExternalLoad(), q)
+            assert str(built.value) == str(rigid.value)
+        assert steps == []
+
     def test_stiffness_row_carries_error(self, calibrated):
         rows = stiffness_sweep(
             unloaded_model(calibrated.geometry, calibrated.tendons, 14e-3), [0.5, 1.0])
@@ -544,8 +559,9 @@ class TestStiffnessSweep:
                          for m in payloads if 0.0 <= m < math.inf]
         assert repr(rows) == repr(unloaded)
 
-    # A negative payload, a load that leaves the joint range, wrap-infeasible
-    # solved and rigid poses, and a step cap.
+    # A negative payload, a load that leaves the joint range, a
+    # wrap-infeasible solved pose, a rigid pose that the model refuses
+    # before any row, and a step cap.
     @pytest.mark.parametrize("q, payloads, max_iterations", [
         (0.0, (0.5, -1.0, 0.0, 3.0, 1e5, 1.0), 100),
         (-1e-3, (2.0, 0.25), 100),
@@ -556,8 +572,15 @@ class TestStiffnessSweep:
     def test_rows_equal_per_payload_solves(self, calibrated, q, payloads,
                                            max_iterations):
         geom, specs = calibrated.geometry, calibrated.tendons
-        rows = stiffness_sweep(unloaded_model(geom, specs, q), payloads,
-                               max_iterations=max_iterations)
+        rows = _outcome(lambda: stiffness_sweep(unloaded_model(geom, specs, q), payloads,
+                                                max_iterations=max_iterations))
+        if isinstance(rows, TendonFingerError):
+            # Refused once, as each payload's own solve is refused.
+            for m in payloads:
+                load = ExternalLoad.tip_payload(m, geom.gravity_accel)
+                refused = _outcome(lambda: solve_static(PotentialModel(geom, specs, load, q)))
+                assert repr(refused) == repr(rows)
+            return
         assert [r.payload_kg for r in rows] == list(payloads)
         for m, row in zip(payloads, rows):
             if m < 0.0:
@@ -1206,10 +1229,17 @@ class TestFrozenSolveLoop:
 
     @staticmethod
     def _both(geom, specs, q, load, **kwargs):
-        model = PotentialModel(geom, specs, load, q)
-        new = _outcome(lambda: solve_static(model, **kwargs))
-        ref = _outcome(lambda: frozen_solve_static(
-            PotentialModel(geom, specs, load, q), specs, **kwargs))
+        def run(solver, *args):
+            # The model is built inside the outcome: it refuses a rigid
+            # pose that the coupling tendons cannot wrap (model None).
+            try:
+                model = PotentialModel(geom, specs, load, q)
+            except TendonFingerError as exc:
+                return None, exc
+            return model, _outcome(lambda: solver(model, *args, **kwargs))
+
+        model, new = run(solve_static)
+        _, ref = run(frozen_solve_static, specs)
         assert type(new) is type(ref)
         if isinstance(ref, statics.StaticSolution):
             # Every solution field, and the trace as the frozen records hold it.
