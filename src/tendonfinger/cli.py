@@ -19,11 +19,17 @@ is a ConfigError, printed without its class name. `stiffness` and
 that solves builds its one `PotentialModel` in its handler, so a q whose
 rigid pose leaves the joint range, or that the coupling tendons cannot
 wrap, is refused once, before any row or case.
+
+`main` reads a command line with the invoked command's quiet parser,
+which prints nothing and reads no terminal size. Any line that it does
+not accept whole (-h and --help among them) goes to the full parser,
+which prints every help text and usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -87,6 +93,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
+
+
+class _Refused(Exception):
+    """A command line that a quiet parser does not accept whole."""
+
+
+class _QuietParser(_Parser):
+    """One command's own arguments, without -h, for a parser that prints
+    nothing: a refusal raises _Refused, and the formatter that argparse
+    builds to check each metavar gets a width instead of reading the
+    terminal's."""
+
+    def __init__(self, prog):
+        super().__init__(prog=prog, add_help=False,
+                         formatter_class=functools.partial(
+                             argparse.HelpFormatter, width=80))
+
+    def error(self, message):
+        raise _Refused(message)
 
 
 def _finite(text: str, what: str) -> float:
@@ -214,14 +239,16 @@ def _add_oracle_check(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one command, or with no command the full parser.
+    """The quiet parser of one command, or with no command the full parser.
 
-    A command's parser equals the full parser's subparser for it: the
-    same prog, arguments and help.
+    A command's parser has the prog and the arguments of the full
+    parser's subparser for it, without -h. It prints nothing: a line it
+    does not accept raises _Refused. The full parser prints the help and
+    the usage errors, wrapped to the terminal.
     """
     if command is not None:
         _, add_arguments, _ = _COMMANDS[command]
-        parser = _Parser(prog=f"tendonfinger {command}")
+        parser = _QuietParser(prog=f"tendonfinger {command}")
         _add_io(parser)
         add_arguments(parser)
         return parser
@@ -254,6 +281,8 @@ def _load_solver_config(args):
         raise ConfigError("--threshold must be > 0")
     if args.max_iter < 1:
         raise ConfigError("--max-iter must be >= 1")
+    if args.max_iter > sys.maxsize:
+        raise ConfigError(f"--max-iter must be <= {sys.maxsize}")
     return cfg
 
 
@@ -503,13 +532,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = rest = None
+    args = None
     if argv and argv[0] in _COMMANDS:
-        # Only the invoked command's parser is built. Leftover arguments
-        # are an error, which the full parser reports as it always has.
-        args, rest = build_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-    if args is None or rest:
+        # Only the invoked command's quiet parser is built. A line that it
+        # refuses (leftover arguments, -h and --help among them) is read
+        # again by the full parser, which prints the help or the usage
+        # error and exits.
+        try:
+            args = build_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except _Refused:
+            pass
+    if args is None:
         args = build_parser().parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:

@@ -39,6 +39,7 @@ record's by construction.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import islice
 from typing import NamedTuple
 
@@ -148,11 +149,14 @@ def elongate_tendons(
 
 def check_solver_settings(threshold: float, max_iterations: int) -> None:
     """Refuse a `threshold` that is not > 0 (NaN included) or a
-    `max_iterations` below 1, with ValueError, before any solve runs."""
+    `max_iterations` below 1 or above `sys.maxsize` (the largest step
+    count that `islice` takes), with ValueError, before any solve runs."""
     if not threshold > 0.0:
         raise ValueError("threshold must be > 0")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if max_iterations > sys.maxsize:
+        raise ValueError(f"max_iterations must be <= {sys.maxsize}")
 
 
 def _newton_iterates(model: PotentialModel, threshold: float,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -518,21 +519,33 @@ REMOVED_OPTIONS = [
 REMOVED_VALUES = {"--format": "json", "--threshold": "1e-6", "--max-iter": "5"}
 
 
+def _described(parser):
+    """What `parser` reads of each of its arguments, the help action aside."""
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs,
+             a.required, a.metavar, a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
 class TestInProcess:
     """`cli.main` and `cli.build_parser` called directly."""
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_command_parser_help_matches_full_parser(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args([command, "--help"])
-        assert exc.value.code == 0
-        assert cli.build_parser(command).format_help() == capsys.readouterr().out
+    def test_command_parser_matches_full_parser(self, command):
+        # The quiet parser reads what the full parser's subparser reads,
+        # and has no help action.
+        sub, = (a.choices[command] for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        quiet = cli.build_parser(command)
+        assert quiet.prog == sub.prog == f"tendonfinger {command}"
+        assert not any(isinstance(a, argparse._HelpAction) for a in quiet._actions)
+        assert any(isinstance(a, argparse._HelpAction) for a in sub._actions)
+        assert _described(quiet) == _described(sub)
 
     def test_command_option_sets(self):
         # Each command accepts only the options its handler reads.
         found = {
             command: {s for a in cli.build_parser(command)._actions
-                      if a.dest != "help" for s in a.option_strings or [a.dest]}
+                      for s in a.option_strings or [a.dest]}
             for command in cli._COMMANDS
         }
         assert found == COMMAND_OPTIONS
@@ -700,6 +713,9 @@ class TestNamedRefusals:
          "workspace --out must end in a file name, got 'x/..'"),
         # The name is opened as given: a trailing "/" does not write "o".
         (["solve", "0", "--out", "o/"], "[Errno 21] Is a directory: 'o/'"),
+        # Above the largest step count that `islice` takes.
+        (["solve", "0", "--max-iter", str(2**63)],
+         f"--max-iter must be <= {sys.maxsize}"),
     ])
     def test_refusal_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -766,9 +782,15 @@ def cli_argvs(draw):
     argv += draw(_option("out", st.sampled_from(OUTS)))
     if "--threshold" in COMMAND_OPTIONS[command]:
         argv += draw(_option("threshold", NUMBER))
-        argv += draw(_option("max-iter", st.sampled_from(["0", "1", "3", "-2", "x"])))
+        argv += draw(_option("max-iter", st.sampled_from(
+            ["0", "1", "3", "-2", "x", str(2**63)])))
     if "--format" in COMMAND_OPTIONS[command]:
         argv += draw(_option("format", st.sampled_from(["csv", "json"])))
+    # Help or an unknown option at a random position: the full parser
+    # prints the help (exit 0) or the usage error (exit 1).
+    for extra in draw(st.lists(st.sampled_from(["-h", "--help", "--bogus"]),
+                               max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), extra)
     return argv
 
 
@@ -804,6 +826,7 @@ class TestAnyArguments:
     @example(argv=["stiffness", "--payloads=0.5,1e308"])
     @example(argv=["oracle-check", "--cases=1", "--seed=-1"])
     @example(argv=["workspace", "--resolution=2", "--out=."])
+    @example(argv=["solve", "0", f"--max-iter={2**63}"])
     def test_exit_code_or_usage_error(self, session_dir, argv):
         # Every handler failure is a named error, so `main` returns one of
         # the four documented codes; argparse refusals exit 1 (help 0).
@@ -823,3 +846,175 @@ class TestAnyArguments:
         finally:
             shutil.rmtree(session_dir / "missing", ignore_errors=True)
         assert "Traceback" not in err.getvalue()
+
+
+# One cheap line per command that its quiet parser accepts whole; {tmp}
+# is replaced by a per-test directory.
+BASE_LINES = {
+    "fk": ["fk", "0"],
+    "workspace": ["workspace", "--resolution", "2", "--out", "{tmp}/ws"],
+    "solve": ["solve", "0", "--force", "0,-10"],
+    "stiffness": ["stiffness", "--payloads", "0.5,1"],
+    "validate": ["validate", "--payloads", "0.5"],
+    "oracle-check": ["oracle-check", "--cases", "1"],
+}
+GOOD_VALUES = {
+    "--config": str(CONFIG), "--out": "{tmp}/o", "--threshold": "1e-7",
+    "--max-iter": "50", "--format": "json", "--resolution": "3",
+    "--cell": "0.01", "--cases": "2", "--seed": "3", "--force": "0,-5",
+    "--moment": "0.1", "--at": "0.05,0.1", "--payloads": "1.5", "--q": "mm:1",
+    "--reference": "{tmp}/missing.csv",
+}
+# A value that argparse refuses (a type or a choice), per option that has one.
+BAD_VALUES = {"--threshold": "x", "--max-iter": "1.5", "--format": "xml",
+              "--resolution": "a", "--cell": "nan", "--cases": "z",
+              "--seed": "1e3", "--moment": "-inf"}
+HELP_TOKENS = ["-h", "--help", "--hel", "--he", "--h"]
+NEGATIVE_NUMBERS = ["-1e-3", "-5.", "-.5e-3", "-1", "-inf", "-nan", "-0x1"]
+
+
+def argv_corpus():
+    """Command lines for comparing `main` with the full parser alone:
+    every command with help at every position and in abbreviation, bad
+    types and choices, missing values, abbreviated and foreign options,
+    leftovers, --version and negative numbers."""
+    lines = [[], ["-h"], ["--help"], ["--he"], ["--version"], ["--vers"],
+             ["--version", "fk", "0"], ["bogus"], ["Fk", "0"], ["-x"],
+             ["--config", str(CONFIG), "fk", "0"], ["--", "fk", "0"],
+             ["fk", "--", "-1"], ["fk", "--", "-h"], ["solve", "0", "--", "1"]]
+    options = sorted(GOOD_VALUES)
+    for command, base in BASE_LINES.items():
+        own = COMMAND_OPTIONS[command]
+        lines += [base, [command], [command, "-h"], base + ["--version"],
+                  base + ["extra"], base + ["--bogus"], base + ["--bogus=1"],
+                  base + ["-x"], base + ["--bogus", "-h"], base + ["-h", "--bogus"],
+                  base + ["--out", "-h"], base + ["--config=-h"],
+                  base + ["--config", "-h"], base + ["--out"]]
+        lines += [base[:i] + [token] + base[i:]
+                  for token in HELP_TOKENS for i in range(len(base) + 1)]
+        for option in options:
+            if option not in own:
+                lines += [base + [option, GOOD_VALUES[option]],
+                          base + [f"{option}={GOOD_VALUES[option]}"]]
+                continue
+            lines += [base + [option], base + [option, "--out", "{tmp}/o"],
+                      base + [option, GOOD_VALUES[option]],
+                      base + [option[:5], GOOD_VALUES[option]],
+                      base + [f"{option[:4]}={GOOD_VALUES[option]}"],
+                      base + [option, GOOD_VALUES[option], "-h"]]
+            if option in BAD_VALUES:
+                lines += [base + [option, BAD_VALUES[option]],
+                          base + [f"{option}={BAD_VALUES[option]}"],
+                          base + [option, BAD_VALUES[option], "--help"]]
+    for number in NEGATIVE_NUMBERS:
+        lines += [["fk", number], ["solve", number], ["solve", "0", "--moment", number],
+                  ["stiffness", "--payloads", "1", "--q", number],
+                  ["solve", "0", "--force", f"{number},-40"],
+                  ["solve", "0", "--at", f"{number},0.05"],
+                  ["oracle-check", "--seed", number], ["solve", "0", "--max-iter", number]]
+    return [list(line) for line in dict.fromkeys(map(tuple, lines))]
+
+
+def _full_parser_main(argv):
+    """`main` as it runs with the full parser alone."""
+    args = cli.build_parser().parse_args(argv)
+    _, _, handler = cli._COMMANDS[args.command]
+    try:
+        return handler(args)
+    except errors.TendonFingerError as exc:
+        name = "" if isinstance(exc, errors.ConfigError) else f"{type(exc).__name__}: "
+        sys.stderr.write(f"error: {name}{exc}\n")
+        return exc.exit_code
+
+
+def _outcome(run, argv):
+    """(how `run(argv)` ended, its code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ended = ("return", run(argv))
+        except SystemExit as exc:
+            ended = ("exit", exc.code)
+    return (*ended, out.getvalue(), err.getvalue())
+
+
+class TestQuietParser:
+    """`main` reads a line that the command's quiet parser accepts with
+    that parser alone, which has no help action and reads no terminal
+    size; every other line goes to the full parser, which prints the
+    help and the usage errors wrapped to the terminal."""
+
+    def test_corpus_matches_full_parser(self, tmp_path):
+        corpus = argv_corpus()
+        assert len(corpus) > 500
+        endings = set()
+        for argv in corpus:
+            argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+            got = _outcome(cli.main, argv)
+            assert got == _outcome(_full_parser_main, argv), argv
+            endings.add(got[:2])
+        # Help, usage errors, successes and refusals all occur.
+        assert {("exit", 0), ("exit", 1), ("return", 0), ("return", 1),
+                ("return", 2)} <= endings
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The command of each `build_parser` call, None for the full parser."""
+        commands = []
+        build = cli.build_parser
+
+        def spy(command=None):
+            commands.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        return commands
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "0", "--force", "0,-10"],
+        ["stiffness", "--payloads", "0.5,1"],
+        ["oracle-check", "--cases", "1"],
+    ])
+    def test_valid_line_builds_one_quiet_parser(self, monkeypatch, capsys, built,
+                                                argv):
+        def no_terminal(*args, **kwargs):
+            raise AssertionError("the terminal size was read")
+
+        monkeypatch.setattr(shutil, "get_terminal_size", no_terminal)
+        assert cli.main(argv) == 0
+        assert built == [argv[0]]
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--help"], 0),
+        (["solve", "0", "-h", "--bogus"], 0),
+        (["solve", "0", "--threshold", "x"], 1),
+        (["stiffness"], 1),
+        (["fk", "0", "--bogus"], 1),
+    ])
+    def test_full_parser_prints_refusals(self, capsys, built, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        assert built == [argv[0], None]
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.startswith(f"usage: tendonfinger {argv[0]} [-h]")
+        else:
+            assert out == ""
+            assert err.startswith("tendonfinger") and ": error: " in err
+        with pytest.raises(cli._Refused):
+            cli.build_parser(argv[0]).parse_args(argv[1:])
+
+    def test_printed_help_follows_the_terminal(self, monkeypatch, capsys):
+        helps = {}
+        for columns in (60, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["solve", "--help"])
+            assert exc.value.code == 0
+            helps[columns] = capsys.readouterr().out
+        assert helps[60] != helps[120]
+        assert max(map(len, helps[60].splitlines())) <= 60
+        assert max(map(len, helps[120].splitlines())) > 60
+        assert helps[60].startswith("usage: tendonfinger solve [-h]")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -1296,8 +1297,8 @@ class TestFrozenSolveLoop:
 
 
 class TestSolverSettings:
-    """A threshold that is not > 0 (NaN included) or a step cap below 1 is
-    refused once, before any payload or case runs, with the same message
+    """A threshold that is not > 0 (NaN included) or a step cap below 1 or
+    above `sys.maxsize` is refused once, before any payload or case runs, with the same message
     on every solver entry point."""
 
     @pytest.mark.parametrize("threshold, max_iterations, message", [
@@ -1306,6 +1307,8 @@ class TestSolverSettings:
         (math.nan, 100, "threshold must be > 0"),
         (1e-6, 0, "max_iterations must be >= 1"),
         (1e-6, -1, "max_iterations must be >= 1"),
+        # The largest step count that `islice` takes.
+        (1e-6, sys.maxsize + 1, f"max_iterations must be <= {sys.maxsize}"),
     ])
     def test_refused_before_any_solve(self, calibrated, monkeypatch, threshold,
                                       max_iterations, message):
