@@ -20,16 +20,16 @@ that solves builds its one `PotentialModel` in its handler, so a q whose
 rigid pose leaves the joint range, or that the coupling tendons cannot
 wrap, is refused once, before any row or case.
 
-`main` reads a command line with the invoked command's quiet parser,
-which prints nothing and reads no terminal size. Any line that it does
-not accept whole (-h and --help among them) goes to the full parser,
-which prints every help text and usage error.
+Each command's arguments are one table, `_OPTIONS[command]`. `main`
+reads a well-formed line from that table alone (`_read_line`: full
+option names, valid values, no help), building no parser. Any other
+line (-h and --help among them) goes to the full parser, built from the
+same table, which prints every help text and usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import re
@@ -93,25 +93,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
-
-
-class _Refused(Exception):
-    """A command line that a quiet parser does not accept whole."""
-
-
-class _QuietParser(_Parser):
-    """One command's own arguments, without -h, for a parser that prints
-    nothing: a refusal raises _Refused, and the formatter that argparse
-    builds to check each metavar gets a width instead of reading the
-    terminal's."""
-
-    def __init__(self, prog):
-        super().__init__(prog=prog, add_help=False,
-                         formatter_class=functools.partial(
-                             argparse.HelpFormatter, width=80))
-
-    def error(self, message):
-        raise _Refused(message)
 
 
 def _finite(text: str, what: str) -> float:
@@ -178,88 +159,119 @@ def _status(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _add_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None,
-                        help="finger config JSON (default: shipped calibration)")
-    parser.add_argument("--out", default=None, help="output path")
+def _option(name, help=None, *, type=None, choices=None, default=None,
+            required=False):
+    """One row of an option table: (name, dest, type, choices, default,
+    required, help). A name without a leading dash is a positional,
+    which is always required."""
+    dest = name.lstrip("-").replace("-", "_")
+    return (name, dest, type, choices, default,
+            required or not name.startswith("-"), help)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table output format (default csv)")
+_IO = (_option("--config", "finger config JSON (default: shipped calibration)"),
+       _option("--out", "output path"))
+_FORMAT = (_option("--format", "table output format (default csv)",
+                   choices=("csv", "json"), default="csv"),)
+_SOLVER = (_option("--threshold", "solver residual threshold in meters",
+                   type=_finite_arg, default=DEFAULT_THRESHOLD),
+           _option("--max-iter", "solver iteration cap", type=int,
+                   default=DEFAULT_MAX_ITERATIONS))
+_Q = (_option("q", "tendon displacement, meters (or mm:<value>)"),)
+
+# command -> its arguments in help order: the one source of `_read_line`
+# and of the full parser's subparsers.
+_OPTIONS = {
+    "fk": _IO + _Q,
+    "workspace": _IO + (
+        _option("--resolution", type=int, default=100),
+        _option("--cell", "occupancy cell size in meters (default 1 mm)",
+                type=_finite_arg, default=1e-3)),
+    "solve": _IO + _SOLVER + _Q + (
+        _option("--force", "tip force FX,FY in newtons", default="0,0"),
+        _option("--moment", "external moment in newton-meters",
+                type=_finite_arg, default=0.0),
+        _option("--at", "force application point X,Y in meters (default fingertip)")),
+    "stiffness": _IO + _FORMAT + _SOLVER + (
+        _option("--payloads", "comma-separated masses in kg", required=True),
+        _option("--q", "tendon displacement (default 0)", default="0")),
+    "validate": _IO + _FORMAT + _SOLVER + (
+        _option("--payloads",
+                f"comma-separated masses in kg (default {REFERENCE_PAYLOADS})",
+                default=REFERENCE_PAYLOADS),
+        _option("--reference", "reference CSV with payload_kg,deflection_mm columns")),
+    "oracle-check": _IO + _SOLVER + (
+        _option("--cases", type=int, default=10),
+        _option("--seed", type=int, default=7)),
+}
 
 
-def _add_solver(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=_finite_arg, default=DEFAULT_THRESHOLD,
-                        help="solver residual threshold in meters")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
-                        help="solver iteration cap")
+def _read_line(command: str, tokens) -> argparse.Namespace | None:
+    """The arguments of `command` read from `tokens` by its rows in
+    _OPTIONS, as the full parser reads them; None for a line that the
+    full parser must read.
 
-
-def _add_q(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("q", help="tendon displacement, meters (or mm:<value>)")
-
-
-def _add_workspace(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--resolution", type=int, default=100)
-    parser.add_argument("--cell", type=_finite_arg, default=1e-3,
-                        help="occupancy cell size in meters (default 1 mm)")
-
-
-def _add_solve(parser: argparse.ArgumentParser) -> None:
-    _add_solver(parser)
-    _add_q(parser)
-    parser.add_argument("--force", default="0,0", help="tip force FX,FY in newtons")
-    parser.add_argument("--moment", type=_finite_arg, default=0.0,
-                        help="external moment in newton-meters")
-    parser.add_argument("--at", default=None,
-                        help="force application point X,Y in meters (default fingertip)")
-
-
-def _add_stiffness(parser: argparse.ArgumentParser) -> None:
-    _add_format(parser)
-    _add_solver(parser)
-    parser.add_argument("--payloads", required=True, help="comma-separated masses in kg")
-    parser.add_argument("--q", default="0", help="tendon displacement (default 0)")
-
-
-def _add_validate(parser: argparse.ArgumentParser) -> None:
-    _add_format(parser)
-    _add_solver(parser)
-    parser.add_argument("--payloads", default=REFERENCE_PAYLOADS,
-                        help=f"comma-separated masses in kg (default {REFERENCE_PAYLOADS})")
-    parser.add_argument("--reference", default=None,
-                        help="reference CSV with payload_kg,deflection_mm columns")
-
-
-def _add_oracle_check(parser: argparse.ArgumentParser) -> None:
-    _add_solver(parser)
-    parser.add_argument("--cases", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The quiet parser of one command, or with no command the full parser.
-
-    A command's parser has the prog and the arguments of the full
-    parser's subparser for it, without -h. It prints nothing: a line it
-    does not accept raises _Refused. The full parser prints the help and
-    the usage errors, wrapped to the terminal.
+    A line is read here only when every token that starts with "-" is
+    one of the command's options spelled in full, as --name=value or as
+    --name value with a value that does not start with "-"; the other
+    tokens are exactly the command's positionals; every required option
+    is given; and every value passes its type and its choices. A repeated
+    option keeps its last value. Help, abbreviations, "--", a separate
+    negative value, --version, unknown options and bad values are left to
+    the full parser, which prints the help or the usage error.
     """
-    if command is not None:
-        _, add_arguments, _ = _COMMANDS[command]
-        parser = _QuietParser(prog=f"tendonfinger {command}")
-        _add_io(parser)
-        add_arguments(parser)
-        return parser
+    rows = _OPTIONS[command]
+    options = {row[0]: row for row in rows if row[0].startswith("-")}
+    positionals = [row for row in rows if not row[0].startswith("-")]
+    read, texts = [], []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+            continue
+        name, equals, text = token.partition("=")
+        if not equals:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        if name not in options:
+            return None
+        read.append((options[name], text))
+    if len(texts) != len(positionals):
+        return None
+    read += zip(positionals, texts)
+    given = {row[0] for row, _ in read}
+    if any(row[5] and row[0] not in given for row in rows):
+        return None
+    values = {row[1]: row[4] for row in rows}
+    for (_, dest, convert, choices, _, _, _), text in read:
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(command=command, **values)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: --version and one subparser per command, built
+    from its rows in _OPTIONS. It prints the help and the usage errors,
+    wrapped to the terminal; `main` builds it only for a line that
+    `_read_line` leaves to it."""
     parser = _Parser(prog="tendonfinger",
                      description="Coupled tendon-finger simulation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_io(p)
-        add_arguments(p)
+    for command, (command_help, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, dest, convert, choices, default, required, help_text in _OPTIONS[command]:
+            if name.startswith("-"):
+                p.add_argument(name, dest=dest, type=convert, choices=choices,
+                               default=default, required=required, help=help_text)
+            else:
+                p.add_argument(dest, help=help_text)
     return parser
 
 
@@ -514,38 +526,27 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if summary["within_tolerance"] else EXIT_INFEASIBLE
 
 
-# name -> (help, adds the command's own arguments, handler)
+# name -> (help, handler)
 _COMMANDS = {
-    "fk": ("coupled kinematics at displacement q", _add_q, _cmd_fk),
-    "workspace": ("sweep reachable points per link", _add_workspace,
-                  _cmd_workspace),
-    "solve": ("static configuration under load", _add_solve, _cmd_solve),
-    "stiffness": ("deflection/stiffness over payloads", _add_stiffness,
-                  _cmd_stiffness),
-    "validate": ("static-loading validation table", _add_validate,
-                 _cmd_validate),
+    "fk": ("coupled kinematics at displacement q", _cmd_fk),
+    "workspace": ("sweep reachable points per link", _cmd_workspace),
+    "solve": ("static configuration under load", _cmd_solve),
+    "stiffness": ("deflection/stiffness over payloads", _cmd_stiffness),
+    "validate": ("static-loading validation table", _cmd_validate),
     "oracle-check": ("static solve vs energy-minimization comparison",
-                     _add_oracle_check, _cmd_oracle_check),
+                     _cmd_oracle_check),
 }
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = None
-    if argv and argv[0] in _COMMANDS:
-        # Only the invoked command's quiet parser is built. A line that it
-        # refuses (leftover arguments, -h and --help among them) is read
-        # again by the full parser, which prints the help or the usage
-        # error and exits.
-        try:
-            args = build_parser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        except _Refused:
-            pass
+    # A line that the reader leaves goes to the full parser, which also
+    # prints every help text and usage error.
+    args = _read_line(argv[0], argv[1:]) if argv and argv[0] in _OPTIONS else None
     if args is None:
         args = build_parser().parse_args(argv)
-    _, _, handler = _COMMANDS[args.command]
+    _, handler = _COMMANDS[args.command]
     try:
         return handler(args)
     except TendonFingerError as exc:

@@ -114,10 +114,13 @@ class TestSolve:
     @pytest.mark.parametrize("command", ["solve", "stiffness", "validate", "oracle-check"])
     def test_solver_option_defaults(self, command):
         # The options are the one source of the solver settings; unset,
-        # they are the library's defaults.
-        parser = cli.build_parser(command)
-        assert parser.get_default("threshold") == statics.DEFAULT_THRESHOLD == 1e-6
-        assert parser.get_default("max_iter") == statics.DEFAULT_MAX_ITERATIONS == 100
+        # they are the library's defaults, in the table and in the parser.
+        defaults = {row[1]: row[4] for row in cli._OPTIONS[command]}
+        parser = _subparser(command)
+        assert (defaults["threshold"] == parser.get_default("threshold")
+                == statics.DEFAULT_THRESHOLD == 1e-6)
+        assert (defaults["max_iter"] == parser.get_default("max_iter")
+                == statics.DEFAULT_MAX_ITERATIONS == 100)
 
     def test_solver_block_refused(self, tmp_path):
         # A document no longer carries solver settings: a solver block is
@@ -519,6 +522,13 @@ REMOVED_OPTIONS = [
 REMOVED_VALUES = {"--format": "json", "--threshold": "1e-6", "--max-iter": "5"}
 
 
+def _subparser(command):
+    """The full parser's subparser of `command`."""
+    sub, = (a.choices[command] for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub
+
+
 def _described(parser):
     """What `parser` reads of each of its arguments, the help action aside."""
     return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs,
@@ -526,30 +536,84 @@ def _described(parser):
             for a in parser._actions if not isinstance(a, argparse._HelpAction)]
 
 
+# `_described` of each command's subparser as the `_add_*` functions built
+# it, before the option table replaced them: (option strings, dest,
+# default, type, choices, nargs, required, metavar, help).
+_CONFIG_ARG = (["--config"], "config", None, None, None, None, False, None,
+               "finger config JSON (default: shipped calibration)")
+_OUT_ARG = (["--out"], "out", None, None, None, None, False, None, "output path")
+_FORMAT_ARG = (["--format"], "format", "csv", None, ("csv", "json"), None, False,
+               None, "table output format (default csv)")
+_SOLVER_ARGS = [
+    (["--threshold"], "threshold", 1e-06, cli._finite_arg, None, None, False,
+     None, "solver residual threshold in meters"),
+    (["--max-iter"], "max_iter", 100, int, None, None, False, None,
+     "solver iteration cap"),
+]
+_Q_ARG = ([], "q", None, None, None, None, True, None,
+          "tendon displacement, meters (or mm:<value>)")
+FULL_PARSER = {
+    "fk": [_CONFIG_ARG, _OUT_ARG, _Q_ARG],
+    "workspace": [
+        _CONFIG_ARG, _OUT_ARG,
+        (["--resolution"], "resolution", 100, int, None, None, False, None, None),
+        (["--cell"], "cell", 0.001, cli._finite_arg, None, None, False, None,
+         "occupancy cell size in meters (default 1 mm)"),
+    ],
+    "solve": [
+        _CONFIG_ARG, _OUT_ARG, *_SOLVER_ARGS, _Q_ARG,
+        (["--force"], "force", "0,0", None, None, None, False, None,
+         "tip force FX,FY in newtons"),
+        (["--moment"], "moment", 0.0, cli._finite_arg, None, None, False, None,
+         "external moment in newton-meters"),
+        (["--at"], "at", None, None, None, None, False, None,
+         "force application point X,Y in meters (default fingertip)"),
+    ],
+    "stiffness": [
+        _CONFIG_ARG, _OUT_ARG, _FORMAT_ARG, *_SOLVER_ARGS,
+        (["--payloads"], "payloads", None, None, None, None, True, None,
+         "comma-separated masses in kg"),
+        (["--q"], "q", "0", None, None, None, False, None,
+         "tendon displacement (default 0)"),
+    ],
+    "validate": [
+        _CONFIG_ARG, _OUT_ARG, _FORMAT_ARG, *_SOLVER_ARGS,
+        (["--payloads"], "payloads", "0.5,1.0,1.5,2.0,2.5,3.0", None, None, None,
+         False, None,
+         "comma-separated masses in kg (default 0.5,1.0,1.5,2.0,2.5,3.0)"),
+        (["--reference"], "reference", None, None, None, None, False, None,
+         "reference CSV with payload_kg,deflection_mm columns"),
+    ],
+    "oracle-check": [
+        _CONFIG_ARG, _OUT_ARG, *_SOLVER_ARGS,
+        (["--cases"], "cases", 10, int, None, None, False, None, None),
+        (["--seed"], "seed", 7, int, None, None, False, None, None),
+    ],
+}
+
+
 class TestInProcess:
     """`cli.main` and `cli.build_parser` called directly."""
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_command_parser_matches_full_parser(self, command):
-        # The quiet parser reads what the full parser's subparser reads,
-        # and has no help action.
-        sub, = (a.choices[command] for a in cli.build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-        quiet = cli.build_parser(command)
-        assert quiet.prog == sub.prog == f"tendonfinger {command}"
-        assert not any(isinstance(a, argparse._HelpAction) for a in quiet._actions)
+    def test_full_parser_is_pinned(self, command):
+        # The subparser that the option table builds reads each argument
+        # as the hand-written `_add_*` functions did, and has -h.
+        sub = _subparser(command)
+        assert sub.prog == f"tendonfinger {command}"
         assert any(isinstance(a, argparse._HelpAction) for a in sub._actions)
-        assert _described(quiet) == _described(sub)
+        assert _described(sub) == FULL_PARSER[command]
 
     def test_command_option_sets(self):
-        # Each command accepts only the options its handler reads.
-        found = {
-            command: {s for a in cli.build_parser(command)._actions
-                      for s in a.option_strings or [a.dest]}
-            for command in cli._COMMANDS
-        }
-        assert found == COMMAND_OPTIONS
-        assert sum(map(len, found.values())) == 35
+        # Each command accepts only the options its handler reads, in the
+        # table and in the full parser alike.
+        table = {command: {row[0] for row in rows}
+                 for command, rows in cli._OPTIONS.items()}
+        parsed = {command: {s for a in _described(_subparser(command))
+                            for s in a[0] or [a[1]]}
+                  for command in cli._COMMANDS}
+        assert table == parsed == COMMAND_OPTIONS
+        assert sum(map(len, table.values())) == 35
 
     @pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
     def test_removed_option_is_unrecognized(self, tmp_path, monkeypatch, capsys,
@@ -633,8 +697,8 @@ class TestInProcess:
         def fail(args):
             raise error("boom")
 
-        help_text, add_arguments, _ = cli._COMMANDS["fk"]
-        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, add_arguments, fail))
+        help_text, _ = cli._COMMANDS["fk"]
+        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, fail))
         assert cli.main(["fk", "0"]) == code
         named = "" if code == 1 else f"{error.__name__}: "
         assert capsys.readouterr().err == f"error: {named}boom\n"
@@ -645,8 +709,8 @@ class TestInProcess:
         def fail(args):
             raise ValueError("boom")
 
-        help_text, add_arguments, _ = cli._COMMANDS["fk"]
-        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, add_arguments, fail))
+        help_text, _ = cli._COMMANDS["fk"]
+        monkeypatch.setitem(cli._COMMANDS, "fk", (help_text, fail))
         with pytest.raises(ValueError, match="boom"):
             cli.main(["fk", "0"])
 
@@ -831,9 +895,8 @@ class TestAnyArguments:
         # Every handler failure is a named error, so `main` returns one of
         # the four documented codes; argparse refusals exit 1 (help 0).
         argv = [a.replace("{tmp}", str(session_dir)) for a in argv]
-        checked = {name: (help_text, add_arguments, _only_named_errors(handler))
-                   for name, (help_text, add_arguments, handler)
-                   in cli._COMMANDS.items()}
+        checked = {name: (help_text, _only_named_errors(handler))
+                   for name, (help_text, handler) in cli._COMMANDS.items()}
         out, err = io.StringIO(), io.StringIO()
         try:
             with mock.patch.dict(cli._COMMANDS, checked), \
@@ -848,7 +911,7 @@ class TestAnyArguments:
         assert "Traceback" not in err.getvalue()
 
 
-# One cheap line per command that its quiet parser accepts whole; {tmp}
+# One cheap line per command that the option table reads alone; {tmp}
 # is replaced by a per-test directory.
 BASE_LINES = {
     "fk": ["fk", "0"],
@@ -918,7 +981,7 @@ def argv_corpus():
 def _full_parser_main(argv):
     """`main` as it runs with the full parser alone."""
     args = cli.build_parser().parse_args(argv)
-    _, _, handler = cli._COMMANDS[args.command]
+    _, handler = cli._COMMANDS[args.command]
     try:
         return handler(args)
     except errors.TendonFingerError as exc:
@@ -938,11 +1001,66 @@ def _outcome(run, argv):
     return (*ended, out.getvalue(), err.getvalue())
 
 
-class TestQuietParser:
-    """`main` reads a line that the command's quiet parser accepts with
-    that parser alone, which has no help action and reads no terminal
-    size; every other line goes to the full parser, which prints the
-    help and the usage errors wrapped to the terminal."""
+# Well-formed lines shaped like the benchmark's ops: values that may be
+# negative in `=` form, --out given apart.
+BENCHMARK_LINES = [
+    ["solve", "mm:-1.2345", "--force=4.1,-27.9", "--moment=-0.0123",
+     "--threshold", "1e-6", "--at=0.151,-0.0203", "--out", "{tmp}/o"],
+    ["solve", "mm:0.5", "--force=-3.2,-10.5", "--moment=0.02", "--threshold",
+     "1e-6", "--out", "{tmp}/o"],
+    ["stiffness", "--q=mm:-1.4", "--payloads", "0.512,2.9,1.75", "--format",
+     "json", "--threshold", "1e-6", "--out", "{tmp}/o"],
+    ["stiffness", "--q=mm:0.25", "--payloads", "3.0", "--format", "csv",
+     "--threshold", "1e-6"],
+    ["validate", "--payloads", "0.5,1", "--format", "csv", "--threshold", "1e-6"],
+    ["validate", "--format=json", "--payloads=2.5"],
+    ["oracle-check", "--cases", "3", "--seed", "211", "--out", "{tmp}/o"],
+    ["workspace", "--resolution", "400", "--cell", "0.0005", "--out", "{tmp}/w"],
+    # A repeated option keeps its last value, as argparse does.
+    ["solve", "0", "--moment", "1", "--moment=-2", "--force", "1,2"],
+    ["oracle-check", "--seed", "1", "--seed=2"],
+    ["fk", "", "--out="],
+]
+# Lines that the reader leaves to the full parser, each for one reason.
+LEFT_LINES = [
+    ["solve", "0", "--help"], ["solve", "-h", "0"], ["fk", "0", "--he"],
+    ["solve", "0", "--thr", "1e-6"], ["solve", "0", "--thr=1e-6"],
+    ["stiffness", "--pay", "1"], ["fk", "--", "0"], ["fk", "-1"],
+    ["solve", "0", "--force", "-10,-40"], ["solve", "0", "--moment", "-1"],
+    ["fk", "0", "--version"], ["fk", "0", "--bogus=1"], ["fk", "0", "-x"],
+    ["fk", "0", "--format", "json"], ["fk"], ["fk", "0", "1"], ["stiffness"],
+    ["stiffness", "--payloads", "1", "--format", "xml"],
+    ["validate", "--format=CSV"], ["solve", "0", "--threshold", "x"],
+    ["solve", "0", "--moment=nan"], ["oracle-check", "--cases", "1.5"],
+    ["oracle-check", "--seed", "1", "--seed", "x"], ["fk", "0", "--out"],
+    ["workspace", "--cell=-inf"], ["solve", "0", "--at", "--force", "1,2"],
+]
+
+
+def _read_as_full_parser(argv):
+    """Whether `_read_line` reads `argv`, failing the test unless what it
+    reads is the full parser's Namespace, key for key, type for type."""
+    if not argv or argv[0] not in cli._OPTIONS:
+        return False
+    got = cli._read_line(argv[0], argv[1:])
+    if got is None:
+        return False
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            want = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the reader read a line that the full parser refuses: {argv}")
+    assert vars(got) == vars(want), argv
+    assert ({k: type(v) for k, v in vars(got).items()}
+            == {k: type(v) for k, v in vars(want).items()}), argv
+    return True
+
+
+class TestReader:
+    """`main` reads a well-formed line with `_read_line` and the option
+    table alone, building no parser and reading no terminal size; every
+    other line goes to the full parser, which prints the help and the
+    usage errors wrapped to the terminal."""
 
     def test_corpus_matches_full_parser(self, tmp_path):
         corpus = argv_corpus()
@@ -957,33 +1075,61 @@ class TestQuietParser:
         assert {("exit", 0), ("exit", 1), ("return", 0), ("return", 1),
                 ("return", 2)} <= endings
 
+    def test_corpus_lines_read_as_full_parser(self, tmp_path):
+        corpus = [[a.replace("{tmp}", str(tmp_path)) for a in argv]
+                  for argv in argv_corpus()]
+        read = [argv for argv in corpus if _read_as_full_parser(argv)]
+        # Each command's base line is read; most corpus lines are help,
+        # abbreviations, negative values or refusals, left to the full
+        # parser.
+        assert all([a.replace("{tmp}", str(tmp_path)) for a in base] in read
+                   for base in BASE_LINES.values())
+        assert len(read) < len(corpus) // 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=cli_argvs())
+    def test_drawn_lines_read_as_full_parser(self, session_dir, argv):
+        _read_as_full_parser([a.replace("{tmp}", str(session_dir)) for a in argv])
+
+    @pytest.mark.parametrize("argv", BENCHMARK_LINES, ids=" ".join)
+    def test_benchmark_lines_are_read(self, tmp_path, argv):
+        assert _read_as_full_parser([a.replace("{tmp}", str(tmp_path)) for a in argv])
+
+    @pytest.mark.parametrize("argv", LEFT_LINES, ids=" ".join)
+    def test_other_lines_are_left_to_the_full_parser(self, argv):
+        assert cli._read_line(argv[0], argv[1:]) is None
+
     @pytest.fixture
     def built(self, monkeypatch):
-        """The command of each `build_parser` call, None for the full parser."""
-        commands = []
-        build = cli.build_parser
+        """Counts of full parsers (`build_parser` calls) and of argparse
+        parsers of any kind built, by the test's `main` calls."""
+        counts = {"full": 0, "any": 0}
+        build, init = cli.build_parser, argparse.ArgumentParser.__init__
 
-        def spy(command=None):
-            commands.append(command)
-            return build(command)
+        def spy_build():
+            counts["full"] += 1
+            return build()
 
-        monkeypatch.setattr(cli, "build_parser", spy)
-        return commands
+        def spy_init(self, *args, **kwargs):
+            counts["any"] += 1
+            init(self, *args, **kwargs)
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "0", "--force", "0,-10"],
-        ["stiffness", "--payloads", "0.5,1"],
-        ["oracle-check", "--cases", "1"],
-    ])
-    def test_valid_line_builds_one_quiet_parser(self, monkeypatch, capsys, built,
-                                                argv):
+        monkeypatch.setattr(cli, "build_parser", spy_build)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+        return counts
+
+    @pytest.mark.parametrize("command", list(BASE_LINES))
+    def test_valid_line_builds_no_parser(self, monkeypatch, tmp_path, capsys,
+                                         built, command):
         def no_terminal(*args, **kwargs):
             raise AssertionError("the terminal size was read")
 
         monkeypatch.setattr(shutil, "get_terminal_size", no_terminal)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in BASE_LINES[command]]
         assert cli.main(argv) == 0
-        assert built == [argv[0]]
-        assert capsys.readouterr().out
+        assert built == {"full": 0, "any": 0}
+        out, err = capsys.readouterr()
+        assert out or err
 
     @pytest.mark.parametrize("argv, code", [
         (["solve", "--help"], 0),
@@ -996,15 +1142,24 @@ class TestQuietParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == code
-        assert built == [argv[0], None]
+        assert built["full"] == 1
         out, err = capsys.readouterr()
         if code == 0:
             assert out.startswith(f"usage: tendonfinger {argv[0]} [-h]")
         else:
             assert out == ""
             assert err.startswith("tendonfinger") and ": error: " in err
-        with pytest.raises(cli._Refused):
-            cli.build_parser(argv[0]).parse_args(argv[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "0", "--thr", "1e-6"],
+        ["solve", "0", "--force", "-10,-40"],
+    ])
+    def test_full_parser_reads_the_rest(self, capsys, built, argv):
+        # An abbreviation and a separate negative value are valid lines
+        # that only the full parser reads.
+        assert cli.main(argv) == 0
+        assert built["full"] == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
     def test_printed_help_follows_the_terminal(self, monkeypatch, capsys):
         helps = {}

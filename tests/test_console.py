@@ -218,6 +218,31 @@ def test_refusal_exit_code(tmp_path, code, args, stderr_holds):
     assert stderr_holds in res.stderr
 
 
+# `python -m tendonfinger` with every argparse parser refused: a
+# well-formed line is read by the option table alone.
+NO_PARSER = """\
+import argparse, runpy, sys
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an argument parser was built")
+
+argparse.ArgumentParser.__init__ = refuse
+sys.argv = ["tendonfinger", *sys.argv[1:]]
+runpy.run_module("tendonfinger", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "0", "--force", "0,-29.43"],
+    ["stiffness", "--payloads", "1,2"],
+], ids=" ".join)
+def test_well_formed_line_builds_no_parser(args):
+    res = subprocess.run([sys.executable, "-c", NO_PARSER, *args],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout
+
+
 def test_duplicate_reference_writes_nothing(tmp_path):
     reference = tmp_path / "dup.csv"
     reference.write_text("payload_kg,deflection_mm\n0.5,1.0\n0.5,900.0\n",
