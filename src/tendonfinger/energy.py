@@ -151,7 +151,8 @@ def _tangent_balance(model: PotentialModel, theta):
     (`pose_moments`), the signed tensions, the taut tensions)."""
     geom = model.geom
     pose = link_pose(theta, geom)
-    m1, m2, m3 = moments = pose_moments(pose, geom, model.load_at(theta, pose))
+    m1, m2, m3 = moments = pose_moments(pose, geom, model.load,
+                                        model.load_point(theta, pose))
     tensions, groups, _ = model.tensions(theta)
     n1, n2, n3 = signed = tuple(t if g is TendonGroup.FLEXION else -t
                                 for t, g in zip(tensions, groups))

@@ -154,8 +154,12 @@ class ExternalLoad(namedtuple("ExternalLoad", "force moment application_point"))
 
     def __new__(cls, force: tuple[float, float] = (0.0, 0.0), moment: float = 0.0,
                 application_point: tuple[float, float] | None = None):
+        if len(force) != 2:
+            raise ValueError("force must have exactly 2 entries")
         vals = [*force, moment]
         if application_point is not None:
+            if len(application_point) != 2:
+                raise ValueError("application_point must have exactly 2 entries")
             vals.extend(application_point)
         if not all(map(math.isfinite, vals)):
             raise ValueError("load components must be finite")

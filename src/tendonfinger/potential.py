@@ -4,9 +4,11 @@ angles, shared by the static solver and the energy oracle.
 
 The potential is link gravity plus the elastic energy of every tendon
 plus the external load's potential. `PotentialModel.energy` sums them at
-one pose from the pose's points (`link_pose`, `PotentialModel.load_at`),
+one pose from the pose's points (`link_pose`, `PotentialModel.load_point`),
 as the local proof and the oracle's tangent balance read them; only the
-Newton driver computes its iterates' link cosines and sines inline.
+Newton driver computes its iterates' link cosines and sines inline. The
+load acts at one point of the distal link, the fingertip (L3, -0.0) where
+it gives none (`PotentialModel.attach_local`).
 
 Tendon stretch model: the actuating tendon's routed length changes by
 R1 * (theta_hat_1 - theta_1) relative to the prescribed displacement;
@@ -225,7 +227,9 @@ class PotentialModel:
     def _apply(self, load: ExternalLoad) -> None:
         self.load = load
         if load.application_point is None:
-            self.attach_local = None
+            # The fingertip: with -0.0, `load_point` gives `link_pose`'s
+            # tip bit for bit, signed zeros included, where L3 > 0.
+            self.attach_local = (self.geom.link_lengths[2], -0.0)
         else:
             # Resolve the fixed base-frame point into the distal-link frame
             # at the nominal pose; it then rides with the link.
@@ -240,7 +244,7 @@ class PotentialModel:
         # g lifted_j L_j and the force turns by at most |F| l_j, where l_3
         # reaches the attach point. The moment adds no curvature.
         l1, l2, l3 = self.geom.link_lengths
-        reach = l3 if self.attach_local is None else math.hypot(*self.attach_local)
+        reach = math.hypot(*self.attach_local)
         f = math.hypot(*load.force)
         w1, w2, w3 = self.lifted
         b3 = self.g * w3 * l3 + f * reach
@@ -275,20 +279,17 @@ class PotentialModel:
         rd3 = (h3 - t3) * r3
         return rd1, rd2 - rd1, rd3 - rd2
 
-    def load_at(self, theta, pose) -> ExternalLoad:
-        """The load at joint angles `theta`, whose `link_pose` is `pose`:
-        its application point moves with the distal link, as in the
-        potential."""
-        if self.attach_local is None:
-            return self.load
+    def load_point(self, theta, pose) -> tuple[float, float]:
+        """Base-frame (x, y) where the load's force acts at joint angles
+        `theta`, whose `link_pose` is `pose`: `attach_local` carried by the
+        distal link, as in the potential. A fingertip load's point is the
+        pose's tip."""
         t1, t2, t3 = theta
         jx, jy = pose[0][2]
         phi3 = (t1 + t2) + t3
         c, s = math.cos(phi3), math.sin(phi3)
         ax, ay = self.attach_local
-        return ExternalLoad(force=self.load.force, moment=self.load.moment,
-                            application_point=(jx + c * ax - s * ay,
-                                               jy + s * ax + c * ay))
+        return jx + c * ax - s * ay, jy + s * ax + c * ay
 
     def tensions(self, theta):
         """Hooke tensions of the taut tendon at each index at one pose,
@@ -335,12 +336,9 @@ class PotentialModel:
         w1, w2, w3 = self.lifted
         # Per-link x and y extents of the load's lever; on the distal link
         # they reach the attach point.
-        ex1, ex2, ex3 = L1 * c1, L2 * c2, L3 * c3
-        ey1, ey2, ey3 = L1 * sn1, L2 * sn2, L3 * sn3
-        if self.attach_local is not None:
-            ax, ay = self.attach_local
-            ex3 = c3 * ax - sn3 * ay
-            ey3 = sn3 * ax + c3 * ay
+        ax, ay = self.attach_local
+        ex1, ex2, ex3 = L1 * c1, L2 * c2, c3 * ax - sn3 * ay
+        ey1, ey2, ey3 = L1 * sn1, L2 * sn2, sn3 * ax + c3 * ay
 
         lift3 = L3 * c3 * w3
         lift2 = lift3 + L2 * c2 * w2
@@ -397,9 +395,7 @@ class PotentialModel:
         g = self.g
         fx, fy = self.load.force
         moment = self.load.moment
-        attach = self.attach_local
-        if attach is not None:
-            ax, ay = attach
+        ax, ay = self.attach_local
         # Products that `derivatives` forms first, by left-to-right order.
         r11, r22, r33 = R1 * R1, R2 * R2, R3 * R3
         r12, r23, neg_r3, neg_g = -R1 * R2, -R2 * R3, -R3, -g
@@ -423,17 +419,12 @@ class PotentialModel:
             k3 = (kf3 if s3 >= 0.0 else 0.0) + (ke3 if s3 <= 0.0 else 0.0)
 
             # `derivatives`' gravity and load terms.
-            ex1, ex2, lx3 = L1 * c1, L2 * c2, L3 * c3
-            ey1, ey2, ly3 = L1 * sn1, L2 * sn2, L3 * sn3
-            if attach is None:
-                ex3, ey3 = lx3, ly3
-            else:
-                ex3 = c3 * ax - sn3 * ay
-                ey3 = sn3 * ax + c3 * ay
-            lift3 = lx3 * w3
+            ex1, ex2, ex3 = L1 * c1, L2 * c2, c3 * ax - sn3 * ay
+            ey1, ey2, ey3 = L1 * sn1, L2 * sn2, sn3 * ax + c3 * ay
+            lift3 = L3 * c3 * w3
             lift2 = lift3 + ex2 * w2
             lift1 = lift2 + ex1 * w1
-            drop3 = ly3 * w3
+            drop3 = L3 * sn3 * w3
             drop2 = drop3 + ey2 * w2
             drop1 = drop2 + ey1 * w1
             x2 = ex3 + ex2
@@ -494,7 +485,7 @@ class PotentialModel:
           and hypot(R2, R3)). Within rho the elastic Hessian is the
           constant J^T diag(k_taut) J of the tendons taut at `theta`.
         - The gravity and load Hessian comes from the pose's points
-          (`link_pose`, `load_at`), not from `derivatives`: entry (k, l) is
+          (`link_pose`, `load_point`), not from `derivatives`: entry (k, l) is
           tail_max(k, l), tail_k = F . (p - J_k) - g sum_{j >= k} m_j
           (y_cj - y_Jk), and it moves by at most `load_lipschitz` (L) in
           Frobenius norm per radian.
@@ -519,7 +510,7 @@ class PotentialModel:
             for kf, ke, s in zip(self.k_flex, self.k_ext, (s1, s2, s3))])
         pose = link_pose(theta, self.geom)
         points, coms = pose
-        px, py = self.load_at(theta, pose).application_point or points[3]
+        px, py = self.load_point(theta, pose)
         fx, fy = self.load.force
         masses = self.geom.link_masses
         t1, t2, t3 = (
@@ -588,9 +579,9 @@ class PotentialModel:
         """Total potential at one pose, from a triple of plain floats: the
         links' weights at their centres of mass, the tendons' springs and
         the load at its point, from the pose's points (`link_pose`,
-        `load_at`)."""
+        `load_point`)."""
         pose = link_pose(theta, self.geom)
-        points, ((_, y1), (_, y2), (_, y3)) = pose
+        _, ((_, y1), (_, y2), (_, y3)) = pose
         m1, m2, m3 = self.geom.link_masses
         gravity = self.g * (m1 * y1 + m2 * y2 + m3 * y3)
 
@@ -599,8 +590,7 @@ class PotentialModel:
             return k_flex * (taut * taut) + k_ext * (slack * slack)
 
         e1, e2, e3 = map(spring, self.k_flex, self.k_ext, self.stretches(*theta))
-        # A load without an attach point acts at the fingertip.
-        px, py = self.load_at(theta, pose).application_point or points[3]
+        px, py = self.load_point(theta, pose)
         fx, fy = self.load.force
         t1, t2, t3 = theta
         load = -(fx * px + fy * py) - self.load.moment * ((t1 + t2) + t3)

@@ -98,12 +98,13 @@ def wrap_moment(normal_force: float, lever: float, theta: float, alpha: float) -
     return normal_force * lever * (math.cos(theta) - math.cos(alpha + theta))
 
 
-def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad):
+def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad, point):
     """Moment about each joint of gravity plus the external load, as a
-    float triple, from a `link_pose` result.
+    float triple, from a `link_pose` result and the base-frame `point`
+    where the load's force acts (`PotentialModel.load_point`).
 
     Entry k sums contributions acting on the subchain distal of joint k+1:
-    the external moment, the external force at its application point, and
+    the external moment, the external force at `point`, and
     the weights of links k+1..3 at their centers of mass. Each term is
     the 2-D cross product (r - J_k) x F in the order r_x F_y - r_y F_x; a
     weight is the force (0, -m_i g). Its zero x term stays: it decides the
@@ -111,10 +112,7 @@ def pose_moments(pose, geom: FingerGeometry, load: ExternalLoad):
     """
     points, coms = pose
     fx, fy = load.force
-    if load.application_point is None:
-        px, py = points[3]
-    else:
-        px, py = load.application_point
+    px, py = point
     weights = [(-m) * geom.gravity_accel for m in geom.link_masses]
     moments = []
     for k in range(3):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tendonfinger import energy
@@ -107,7 +107,8 @@ def _reference_components(model, thetas):
 
     x_tip = np.sum(model.lengths[None, :] * cos_phi, axis=1)
     y_tip = y_ends[:, 2]
-    if model.attach_local is None:
+    # The reference reads the load as given, not the model's resolved point.
+    if model.load.application_point is None:
         px, py = x_tip, y_tip
     else:
         x_j3 = np.sum(model.lengths[None, :2] * cos_phi[:, :2], axis=1)
@@ -178,7 +179,7 @@ def _reference_balance_residuals(model, theta, sides):
     theta = tuple(float(t) for t in theta)
     Configuration(q=model.nominal.q, theta=theta)
     pose = link_pose(theta, geom)
-    moments = np.array(pose_moments(pose, geom, model.load_at(theta, pose)))
+    moments = np.array(pose_moments(pose, geom, model.load, model.load_point(theta, pose)))
     tensions = np.array(model.tensions(theta)[0])
     net = np.asarray(sides) * tensions
     radii = np.asarray(geom.guide_radii)
@@ -237,6 +238,55 @@ def _gradient(model, theta):
     """The potential's analytic gradient at one pose, shape (3,)."""
     theta = tuple(float(t) for t in theta)
     return np.array(model.derivatives(*theta, *link_trig(*theta))[:3])
+
+
+# A pose whose angles reach the signed zeros, subnormals and quarter and
+# half turns, where the sign of a zero coordinate can flip.
+EDGE_ANGLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                               math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+POSE_ANGLES = st.tuples(*[EDGE_ANGLES | st.floats(-4.0, 4.0)] * 3)
+
+
+class TestLoadPoint:
+    """A load given without a point acts at the fingertip: the model
+    resolves it once into the distal-link point (L3, -0.0), and
+    `load_point` carries it to `link_pose`'s tip bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(theta=(-0.0, -0.0, -0.0), lengths=(0.06, 0.06, 0.051), force=(0.0, -9.81))
+    @example(theta=(-0.0, 0.0, -0.0), lengths=(0.06, 0.06, 0.051), force=(0.0, -9.81))
+    @example(theta=(math.pi / 2, 0.0, -0.0), lengths=(0.06, 0.06, 0.051), force=(0.0, 0.0))
+    @given(theta=POSE_ANGLES,
+           lengths=st.tuples(st.floats(0.05, 0.1), st.floats(0.05, 0.1),
+                             st.floats(1e-4, 0.1)),
+           force=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
+    def test_property_tip_load_point_is_the_tip(self, theta, lengths, force):
+        geom = FingerGeometry(lengths, (0.012, 0.01, 0.008), (0.01, 0.01, 0.01))
+        model = PotentialModel(geom, make_specs(), ExternalLoad(force=force), 0.0)
+        pose = link_pose(theta, geom)
+        # repr tells -0.0 from 0.0.
+        assert repr(model.load_point(theta, pose)) == repr(pose[0][3])
+
+    # (geometry, load, q) -> (load_curvature, load_lipschitz) with a tip
+    # load's reach taken as L3 itself: the resolved point moves no bound.
+    BOUNDS = {
+        ("calibrated", "3 kg", 0.0): (8.314310652792207, 11.989777957347462),
+        ("calibrated", "force and moment", 1e-3): (6.324716500268754, 9.119018569850795),
+        ("massless", "1 kg", -1e-3): (2.7609355742030686, 3.9837176785886896),
+    }
+
+    @pytest.mark.parametrize("key", sorted(BOUNDS), ids=str)
+    def test_tip_model(self, calibrated, key):
+        name, load_name, q = key
+        geom = calibrated.geometry
+        if name == "massless":
+            geom = geom._replace(link_masses=(0.0, 0.0, 0.0))
+        load = {"3 kg": ExternalLoad.tip_payload(3.0, geom.gravity_accel),
+                "force and moment": ExternalLoad(force=(10.0, -20.0), moment=0.1),
+                "1 kg": ExternalLoad(force=(-0.0, -9.81))}[load_name]
+        model = PotentialModel(geom, calibrated.tendons, load, q)
+        assert repr(model.attach_local) == repr((geom.link_lengths[2], -0.0))
+        assert (model.load_curvature, model.load_lipschitz) == self.BOUNDS[key]
 
 
 class TestPotential:

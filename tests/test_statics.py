@@ -907,7 +907,8 @@ class TestFrozenReference:
         for geom, theta, load in cases:
             cfg = Configuration(q=0.0, theta=theta)
             points, coms = link_pose(cfg.theta, geom)
-            moments = pose_moments((points, coms), geom, load)
+            point = load.application_point or points[3]
+            moments = pose_moments((points, coms), geom, load, point)
             pairs = (
                 (np.array(points), ref.chain_points(cfg, geom)),
                 (np.array(coms), ref.com_points(cfg, geom)),
@@ -1486,4 +1487,6 @@ class TestLeanStepWork:
         fresh = PotentialModel(geom, specs, second, q)
         for name in per_load[1:]:
             assert getattr(shared, name) == getattr(fresh, name), name
-        assert (shared.attach_local is None) == (second.application_point is None)
+        # A tip load rides the distal link as the point (L3, -0.0).
+        tip_point = repr(shared.attach_local) == repr((geom.link_lengths[2], -0.0))
+        assert tip_point == (second.application_point is None)

@@ -103,6 +103,16 @@ REFUSALS = [
        ValueError, "load components must be finite")
       for force, moment, point in (((NAN, 0.0), 0.0, None), ((0.0, -INF), 0.0, None),
                                    ((0.0, -1.0), INF, None), ((0.0, -1.0), 0.0, (0.1, NAN)))],
+    # A force or point must be two numbers: otherwise a third coordinate
+    # would be dropped silently, and a third force component would fail
+    # inside the potential model.
+    *[(ExternalLoad, {"force": force, "moment": 0.0, "application_point": point},
+       ValueError, f"{name} must have exactly 2 entries")
+      for name, force, point in (("force", (0.0, -10.0, 5.0), None),
+                                 ("force", (-10.0,), None),
+                                 ("force", (0.0, -10.0, 5.0), (0.1, 0.02)),
+                                 ("application_point", (0.0, -10.0), (0.1, 0.02, 7.0)),
+                                 ("application_point", (0.0, -10.0), (0.1,)))],
 ]
 
 
